@@ -3,9 +3,8 @@
 //! Quantifies the two pooling layers of the serving pipeline on the
 //! acceptance workload (50k-state Kaldi-statistics graph, beam 8):
 //!
-//! * **pool vs spawn** — the persistent-lane `ParallelDecoder` against
-//!   its retired spawn-two-thread-rounds-per-frame strategy, and against
-//!   the sequential `ViterbiDecoder` it must beat wall-clock;
+//! * **pool vs sequential** — the persistent-lane `ParallelDecoder`
+//!   against the sequential `ViterbiDecoder` it must beat wall-clock;
 //! * **pooled vs fresh scratch** — the facade's `ScratchPool` serving
 //!   path against per-request scratch allocation;
 //! * **streaming session** — rows through `StreamingDecode` with a
@@ -96,8 +95,8 @@ struct Report {
     states: usize,
     frames: usize,
     beam: f32,
-    /// Lanes the pooled/spawning parallel decoders use (the machine's
-    /// available parallelism).
+    /// Lanes the pooled parallel decoder uses (the machine's available
+    /// parallelism).
     parallel_lanes: usize,
     /// Sequential decoder, fresh scratch per request (the pre-pool
     /// serving path, and the wall-clock bar the pool must beat).
@@ -108,10 +107,6 @@ struct Report {
     session_pooled: Sample,
     /// Persistent-pool `ParallelDecoder::decode`.
     parallel_pool: Sample,
-    /// Retired spawn-per-frame `ParallelDecoder::decode_spawning`.
-    parallel_spawn: Sample,
-    /// parallel_pool over parallel_spawn throughput.
-    pool_vs_spawn_speedup: f64,
     /// sequential_pooled_scratch over sequential_fresh_scratch.
     pooled_vs_fresh_scratch_speedup: f64,
     /// parallel_pool over sequential_fresh_scratch — the acceptance
@@ -388,9 +383,8 @@ fn main() {
 
     let parallel = ParallelDecoder::new(opts, lanes);
     let (pool, pool_result) = time_decode(REPS, || parallel.decode(&wfst, &scores));
-    let (spawn, spawn_result) = time_decode(REPS, || parallel.decode_spawning(&wfst, &scores));
 
-    let equivalent = [&pooled_result, &session_result, &pool_result, &spawn_result]
+    let equivalent = [&pooled_result, &session_result, &pool_result]
         .iter()
         .all(|r| {
             r.cost.to_bits() == fresh_result.cost.to_bits()
@@ -489,14 +483,12 @@ fn main() {
         frames: FRAMES,
         beam: BEAM,
         parallel_lanes: lanes,
-        pool_vs_spawn_speedup: pool.frames_per_second / spawn.frames_per_second,
         pooled_vs_fresh_scratch_speedup: pooled.frames_per_second / fresh.frames_per_second,
         parallel_vs_sequential_speedup: pool.frames_per_second / fresh.frames_per_second,
         sequential_fresh_scratch: fresh,
         sequential_pooled_scratch: pooled,
         session_pooled: session,
         parallel_pool: pool,
-        parallel_spawn: spawn,
         equivalent,
         sweep_lanes: SWEEP_LANES,
         concurrency_sweep,
@@ -512,7 +504,6 @@ fn main() {
          sequential pooled scratch {:>9.1} fps  ({:.2}x over fresh)\n\
          session (pooled scratch)  {:>9.1} fps\n\
          parallel persistent pool  {:>9.1} fps  ({:.2}x over sequential fresh)\n\
-         parallel spawn-per-frame  {:>9.1} fps  (pool is {:.2}x faster)\n\
          equivalent to sequential: {}",
         report.sequential_fresh_scratch.frames_per_second,
         report.sequential_pooled_scratch.frames_per_second,
@@ -520,8 +511,6 @@ fn main() {
         report.session_pooled.frames_per_second,
         report.parallel_pool.frames_per_second,
         report.parallel_vs_sequential_speedup,
-        report.parallel_spawn.frames_per_second,
-        report.pool_vs_spawn_speedup,
         report.equivalent,
     );
     if report.parallel_vs_sequential_speedup < 1.0 {

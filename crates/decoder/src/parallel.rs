@@ -46,13 +46,11 @@
 //! decoder proceed concurrently — the pool grows to the peak concurrency
 //! and stays there, and a serving loop pays the allocation cost once.
 //! [`ParallelDecoder::new`] still builds a private single-tenant pool
-//! for standalone use; the retired spawn-per-frame strategy is kept as
-//! [`ParallelDecoder::decode_spawning`], the benchmark baseline that
-//! `bench_serving` quantifies the executor against.
+//! for standalone use.
 //!
 //! Results are bit-identical to the sequential
 //! [`crate::search::ViterbiDecoder`] in cost and word sequence — for any
-//! lane count, strategy, and machine — used both as a correctness
+//! lane count and machine — used both as a correctness
 //! cross-check and by `asr-platform` to reason about parallel efficiency
 //! of the search (the paper: a modest 3.7-10x on GPU versus 26x for the
 //! DNN).
@@ -203,60 +201,6 @@ impl ParallelScratch {
     }
 }
 
-/// How a frame phase is executed across lanes.
-trait Fork {
-    fn lanes(&self) -> usize;
-    /// Runs `f(lane)` for every lane and waits for all of them.
-    fn fork(&mut self, f: &(impl Fn(usize) + Sync));
-}
-
-/// The serving strategy: a lane lease on the (possibly shared)
-/// work-stealing executor. `lanes` is the lease width — the shard count
-/// of this decode — independent of how many lanes the pool has or how
-/// many other jobs are in its queues.
-struct PoolFork<'a> {
-    pool: &'a WorkerPool,
-    lanes: usize,
-}
-
-impl Fork for PoolFork<'_> {
-    fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    fn fork(&mut self, f: &(impl Fn(usize) + Sync)) {
-        self.pool.fork_join(self.lanes, f);
-    }
-}
-
-/// The retired baseline strategy: scoped thread spawns per phase.
-struct SpawnFork {
-    lanes: usize,
-}
-
-impl Fork for SpawnFork {
-    fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    fn fork(&mut self, f: &(impl Fn(usize) + Sync)) {
-        if self.lanes == 1 {
-            f(0);
-            return;
-        }
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.lanes - 1);
-            for lane in 1..self.lanes {
-                handles.push(scope.spawn(move || f(lane)));
-            }
-            f(0);
-            for handle in handles {
-                handle.join().expect("expansion lane panicked");
-            }
-        });
-    }
-}
-
 /// Parallel beam-search decoder leasing lanes from a work-stealing
 /// [`WorkerPool`].
 ///
@@ -375,45 +319,21 @@ impl ParallelDecoder {
         };
         let scratch = lease.scratch.as_mut().expect("scratch present");
         scratch.ensure(self.lanes, wfst.num_states());
-        run_search(
-            &self.opts,
-            PoolFork {
-                pool: &self.pool,
-                lanes: self.lanes,
-            },
-            scratch,
-            wfst,
-            scores,
-        )
-    }
-
-    /// Runs the search with the retired spawn-per-frame strategy: fresh
-    /// buffers and two rounds of scoped thread spawns every frame.
-    ///
-    /// Kept as the benchmark baseline (`bench_serving` records pool vs
-    /// spawn); results are byte-identical to [`ParallelDecoder::decode`].
-    pub fn decode_spawning(&self, wfst: &Wfst, scores: &AcousticTable) -> DecodeResult {
-        let mut scratch = ParallelScratch::new();
-        scratch.ensure(self.lanes, wfst.num_states());
-        run_search(
-            &self.opts,
-            SpawnFork { lanes: self.lanes },
-            &mut scratch,
-            wfst,
-            scores,
-        )
+        run_search(&self.opts, &self.pool, self.lanes, scratch, wfst, scores)
     }
 }
 
-/// The sharded frame loop, generic over the fork strategy.
+/// The sharded frame loop. `lanes` is the lease width — the shard count
+/// of this decode — independent of how many lanes `pool` has or how many
+/// other jobs are in its queues.
 fn run_search(
     opts: &DecodeOptions,
-    mut fork: impl Fork,
+    pool: &WorkerPool,
+    lanes: usize,
     scratch: &mut ParallelScratch,
     wfst: &Wfst,
     scores: &AcousticTable,
 ) -> DecodeResult {
-    let lanes = fork.lanes();
     let shard_len = scratch.shard_len;
     let beam = opts.beam;
     let ParallelScratch {
@@ -480,7 +400,7 @@ fn run_search(
             );
         } else {
             run_sharded_phases(
-                &mut fork, shard_len, beam, last_frame, frame, wfst, scores, cur, shards,
+                pool, lanes, shard_len, beam, last_frame, frame, wfst, scores, cur, shards,
                 candidates, frontier, &mut fs,
             );
 
@@ -538,7 +458,8 @@ fn run_search(
 /// candidate rows, then the lock-free sharded relax.
 #[allow(clippy::too_many_arguments)]
 fn run_sharded_phases(
-    fork: &mut impl Fork,
+    pool: &WorkerPool,
+    lanes: usize,
     shard_len: usize,
     beam: f32,
     last_frame: bool,
@@ -551,14 +472,13 @@ fn run_sharded_phases(
     frontier: &[u32],
     fs: &mut FrameStats,
 ) {
-    let lanes = fork.lanes();
     // Phase 1: fan the frontier out; each lane fills its own candidate
     // row, routed by destination shard. Every lane first clears its row,
     // so stale candidates from a wider previous frame cannot leak in.
     let chunk = frontier.len().div_ceil(lanes).max(1);
     {
         let cells: &[LaneCell<Vec<Vec<Candidate>>>] = candidates;
-        fork.fork(&|lane| {
+        pool.fork_join(lanes, &|lane| {
             // SAFETY: each lane writes only its own candidate row.
             let row = unsafe { cells[lane].lane_mut() };
             for bucket in row.iter_mut() {
@@ -592,7 +512,7 @@ fn run_sharded_phases(
     {
         let cells: &[LaneCell<Vec<Vec<Candidate>>>] = candidates;
         let shard_cells: &[LaneCell<TokenTable<Pending>>] = shards;
-        fork.fork(&|lane| {
+        pool.fork_join(lanes, &|lane| {
             // SAFETY: each lane mutates only its own shard; candidate
             // rows are read-only in this phase (writes ended at the
             // phase-1 barrier).
@@ -638,20 +558,6 @@ mod tests {
             assert_eq!(par.words, seq.words, "{threads} threads");
             assert_eq!(par.best_state, seq.best_state);
             assert_eq!(par.reached_final, seq.reached_final);
-        }
-    }
-
-    #[test]
-    fn spawning_strategy_matches_pool() {
-        let (w, scores) = workload();
-        let opts = DecodeOptions::with_beam(6.0);
-        for threads in [1, 3] {
-            let d = ParallelDecoder::new(opts.clone(), threads);
-            let pooled = d.decode(&w, &scores);
-            let spawned = d.decode_spawning(&w, &scores);
-            assert_eq!(pooled.cost, spawned.cost);
-            assert_eq!(pooled.words, spawned.words);
-            assert_eq!(pooled.lattice.len(), spawned.lattice.len());
         }
     }
 

@@ -1,39 +1,68 @@
 //! Incremental (streaming) decoding: the batch frame loop of
 //! [`crate::search::ViterbiDecoder`], cut open so frames can arrive one at
-//! a time.
+//! a time, plus the one score→search handoff every streaming consumer
+//! goes through.
 //!
 //! The paper's full system pipelines its stages: the GPU scores acoustic
 //! batch *i + 1* while the accelerator searches batch *i*, handing score
-//! rows over through the double-buffered Acoustic Likelihood Buffer. A
-//! [`StreamingDecode`] is the search side of that handoff — it consumes
-//! score rows as they are produced and keeps the full decode state (token
-//! tables, lattice, statistics) alive between rows, so hypotheses can be
-//! read out mid-utterance.
+//! rows over through the double-buffered Acoustic Likelihood Buffer
+//! (Section VI). The two types here are the two sides of that handoff:
 //!
-//! # Byte-identical to the batch decoder
+//! * [`StreamingDecode`] is the search. It consumes score rows as they
+//!   are produced and keeps the full decode state (token tables, lattice,
+//!   statistics) alive between rows, so hypotheses can be read out
+//!   mid-utterance. [`StreamingDecode::step`] advances one *non-final*
+//!   frame; [`StreamingDecode::finish`] takes the utterance's last row.
+//! * [`AlbQueue`] is the buffer, and it owns the **hold-back protocol**.
+//!
+//! # The hold-back protocol
 //!
 //! The batch decoder treats the final frame specially (prune-on-insert
 //! off, unbounded epsilon-closure threshold) so end-of-utterance
 //! final-state selection sees every token. A stream does not know which
-//! frame is last — so the caller holds back one row:
-//! [`StreamingDecode::step`] advances one *non-final* frame, and
-//! [`StreamingDecode::finish`] takes the held-back final row and applies
-//! the batch decoder's last-frame semantics. Feeding rows `0..n-1` through
-//! `step` and row `n-1` through `finish` produces a [`DecodeResult`] that
-//! is byte-identical — `words`, `cost`, `best_state`, `reached_final`,
-//! lattice length — to `ViterbiDecoder::decode` over the same `n` rows,
-//! which is exactly how the facade's streaming sessions pin their
-//! correctness. The held-back row lives in the session's double-buffered
-//! row pair, mirroring the ALB swap.
+//! frame is last, so the rule is: *step every row that cannot be last,
+//! hold the newest back for `finish`*. It is spelled exactly twice, both
+//! on [`AlbQueue`]:
+//!
+//! * [`AlbQueue::advance`] runs when `fresh >= 1` new rows are about to
+//!   exist. Their existence proves no already-queued row is the last, so
+//!   it steps **every** queued row, in FIFO order, while the caller's
+//!   `fill` produces the fresh rows — sequentially, or as one fork-join
+//!   on a [`WorkerPool`] (the Section VI overlap: search on chunk 0,
+//!   `fill(i, ..)` on chunk `i + 1`). It then retires what it stepped
+//!   and enqueues the fresh rows in index order. The search therefore
+//!   always trails the producer by the rows of the latest `advance`.
+//! * [`AlbQueue::finish`] steps all queued rows but the newest and hands
+//!   the newest to [`StreamingDecode::finish`].
+//!
+//! Where rows come from — a copy of a caller's pre-scored row, an inline
+//! acoustic forward pass, `k` overlapped forward passes, a row scattered
+//! back from a cross-session batch — is entirely the `fill` closure's
+//! business; the runtime's sessions are the composer and pass a
+//! different `fill` per source.
+//!
+//! # Byte-identical to the batch decoder
+//!
+//! Row order into the search and per-row arithmetic never change, so
+//! feeding `n` rows through any sequence of `advance` calls (any `fresh`
+//! split, with or without a pool, under any steal schedule) and then
+//! `finish` produces a [`DecodeResult`] that is byte-identical — `words`,
+//! `cost`, `best_state`, `reached_final`, lattice length — to
+//! `ViterbiDecoder::decode` over the same `n` rows, which is how the
+//! runtime's sessions pin their correctness. Row buffers recycle through
+//! a free list, so after the first two `advance` calls the handoff
+//! allocates nothing.
 
 use crate::lattice::{Lattice, TraceId};
+use crate::pool::WorkerPool;
 use crate::search::{
     build_frontier, epsilon_closure, finish as finish_decode, maybe_gc, relax_frame, DecodeOptions,
     DecodeResult, DecodeScratch, DecodeStats, FrameStats,
 };
-use asr_acoustic::online::{FrameScorer, OnlineScorer};
 use asr_wfst::{StateId, Wfst, WordId};
+use std::collections::VecDeque;
 use std::ops::Deref;
+use std::sync::{Mutex, PoisonError};
 
 /// A mid-utterance best hypothesis, read without disturbing the search.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,13 +80,14 @@ pub struct PartialHypothesis {
 /// An in-flight incremental decode over a WFST handle.
 ///
 /// Generic over how the graph is held: `G` is any [`Deref`] to a
-/// [`Wfst`] — a plain `&Wfst` for pipeline-scoped streams, or an
+/// [`Wfst`] — a plain `&Wfst` for scoped streams, or an
 /// `Arc<Wfst>` for **owned** streams with no borrowed lifetime at all,
 /// which is what lets the runtime's sessions be `Send + 'static` and
 /// migrate between threads mid-utterance.
 ///
 /// Create one per utterance with a (pooled) [`DecodeScratch`], feed score
-/// rows through [`StreamingDecode::step`], and recover the scratch from
+/// rows through an [`AlbQueue`] (or, holding the last row back yourself,
+/// through [`StreamingDecode::step`]), and recover the scratch from
 /// [`StreamingDecode::finish`] for the next utterance.
 #[derive(Debug)]
 pub struct StreamingDecode<G: Deref<Target = Wfst>> {
@@ -137,7 +167,7 @@ impl<G: Deref<Target = Wfst>> StreamingDecode<G> {
     /// Panics if the WFST references a phone label at or beyond
     /// `row.len()`.
     pub fn step(&mut self, row: &[f32]) {
-        self.advance(row, false);
+        self.consume(row, false);
     }
 
     /// The current best hypothesis: the cheapest live token (ties broken
@@ -175,7 +205,7 @@ impl<G: Deref<Target = Wfst>> StreamingDecode<G> {
     /// selection, and hands the scratch back for reuse.
     pub fn finish(mut self, last_row: Option<&[f32]>) -> (DecodeResult, DecodeScratch) {
         if let Some(row) = last_row {
-            self.advance(row, true);
+            self.consume(row, true);
         }
         let Self {
             wfst,
@@ -201,7 +231,7 @@ impl<G: Deref<Target = Wfst>> StreamingDecode<G> {
     }
 
     /// One iteration of the batch decoder's frame loop.
-    fn advance(&mut self, row: &[f32], last_frame: bool) {
+    fn consume(&mut self, row: &[f32], last_frame: bool) {
         if !self.alive {
             return;
         }
@@ -259,110 +289,27 @@ impl<G: Deref<Target = Wfst>> StreamingDecode<G> {
     }
 }
 
-/// The double-buffered score-row pair of the paper's Acoustic Likelihood
-/// Buffer, as a reusable handoff: a **front** row the search consumes
-/// next and a **staging** row where the scorer lands fresh output.
+/// The software Acoustic Likelihood Buffer: a FIFO of scored rows the
+/// search has not yet consumed, and the single owner of the hold-back
+/// protocol (see the module docs).
 ///
-/// Holding one row back is what lets a stream apply the batch decoder's
-/// last-frame semantics without knowing in advance which frame is last
-/// (see the module docs): the producer [`AlbHandoff::stage`]s each new
-/// row, the consumer steps the search over [`AlbHandoff::front`], and
-/// [`AlbHandoff::commit`] swaps the fresh row in as the next front. Both
-/// [`AudioStreamingDecode`] and the runtime's sessions (single-session
-/// and cross-session-batched scoring alike) drive their searches through
-/// this one struct, so the hold-back-one-row invariant lives in exactly
-/// one place.
-///
-/// The two buffers only ever swap — after they reach the row length
-/// the handoff is allocation-free.
-#[derive(Debug, Default)]
-pub struct AlbHandoff {
-    front: Vec<f32>,
-    staging: Vec<f32>,
-    have_front: bool,
-}
-
-impl AlbHandoff {
-    /// An empty handoff; the buffers grow to the row length on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A handoff with both buffers pre-sized to `row_len` (no growth on
-    /// the first frames).
-    pub fn with_row_len(row_len: usize) -> Self {
-        Self {
-            front: vec![0.0; row_len],
-            staging: vec![0.0; row_len],
-            have_front: false,
-        }
-    }
-
-    /// Copies a freshly scored row into the staging buffer
-    /// (allocation-free once the buffer has the row's capacity).
-    pub fn stage(&mut self, row: &[f32]) {
-        self.staging.clear();
-        self.staging.extend_from_slice(row);
-    }
-
-    /// The staging buffer itself, for producers that write rows in place
-    /// (the batched scatter path pops scored rows straight into it).
-    pub fn staging_mut(&mut self) -> &mut Vec<f32> {
-        &mut self.staging
-    }
-
-    /// The held-back row the search should consume next, or `None`
-    /// before the first commit.
-    pub fn front(&self) -> Option<&[f32]> {
-        self.have_front.then_some(self.front.as_slice())
-    }
-
-    /// Whether a front row is held back (i.e. at least one row has been
-    /// committed).
-    pub fn has_front(&self) -> bool {
-        self.have_front
-    }
-
-    /// Completes the handoff: the staged row becomes the next front row.
-    /// Call after the search has stepped over the previous front.
-    pub fn commit(&mut self) {
-        std::mem::swap(&mut self.front, &mut self.staging);
-        self.have_front = true;
-    }
-
-    /// Moves the held-back front row out into `out`, emptying the
-    /// handoff — the migration path when a session widens from the
-    /// single-row handoff to the multi-row [`AlbQueue`] mid-utterance.
-    /// Returns `false` (leaving `out` untouched) when no front is held.
-    pub fn take_front_into(&mut self, out: &mut Vec<f32>) -> bool {
-        if !self.have_front {
-            return false;
-        }
-        out.clear();
-        out.extend_from_slice(&self.front);
-        self.have_front = false;
-        true
-    }
-}
-
-/// The multi-row generalization of [`AlbHandoff`]: a FIFO of scored
-/// rows the search has not yet consumed, with a free list that recycles
-/// row buffers so the steady state allocates nothing.
-///
-/// The paper's Acoustic Likelihood Buffer holds *multi-frame* score
+/// The paper's ALB is double-buffered and holds *multi-frame* score
 /// batches precisely to amortize the score/search handoff; this queue is
-/// that shape in software. Producers [`AlbQueue::checkout`] a buffer,
-/// fill it, and [`AlbQueue::push_ready`] it; the search walks
-/// [`AlbQueue::ready_rows`] in FIFO order (safe to do while more rows
-/// are being scored, because a batch is only launched when at least one
-/// *new* row exists — so no currently-ready row can be the utterance's
-/// final row) and then [`AlbQueue::retire`]s what it consumed. The
-/// last-frame semantics of [`AlbHandoff`] are preserved by never
-/// retiring the final row: it is handed to `finish` instead.
+/// that shape in software. Rows only ever enter through
+/// [`AlbQueue::advance`] and leave through it or [`AlbQueue::finish`],
+/// so no caller can step the row that might turn out to be the
+/// utterance's last.
 #[derive(Debug, Default)]
 pub struct AlbQueue {
-    ready: std::collections::VecDeque<Vec<f32>>,
+    /// Scored rows awaiting the search, oldest first.
+    ready: VecDeque<Vec<f32>>,
+    /// Retired row buffers awaiting reuse.
     free: Vec<Vec<f32>>,
+    /// Landing buffers for the fresh rows of one `advance`, each behind
+    /// a mutex so the fill chunks of a fork-join can write them through
+    /// a shared reference (never contended: chunk `i + 1` alone locks
+    /// slot `i`).
+    stage: Vec<Mutex<Vec<f32>>>,
 }
 
 impl AlbQueue {
@@ -371,268 +318,98 @@ impl AlbQueue {
         Self::default()
     }
 
-    /// Number of scored rows awaiting the search.
+    /// Number of scored rows held back from the search.
     pub fn ready_len(&self) -> usize {
         self.ready.len()
     }
 
-    /// A row buffer resized to `row_len` — recycled from the free list
-    /// when one is available, freshly allocated otherwise.
-    pub fn checkout(&mut self, row_len: usize) -> Vec<f32> {
-        let mut row = self.free.pop().unwrap_or_default();
-        row.resize(row_len, 0.0);
-        row
-    }
-
-    /// Appends a scored row to the ready FIFO.
-    pub fn push_ready(&mut self, row: Vec<f32>) {
-        self.ready.push_back(row);
-    }
-
-    /// The ready rows in FIFO (frame) order, for the search to relax
-    /// back-to-back inside one fork-join batch.
-    pub fn ready_rows(&self) -> impl Iterator<Item = &[f32]> {
-        self.ready.iter().map(Vec::as_slice)
-    }
-
-    /// Recycles the first `count` ready rows after the search has
-    /// consumed them. `count` saturates at the number of ready rows, so
-    /// an over-count can never panic the session frame loop.
-    pub fn retire(&mut self, count: usize) {
-        for _ in 0..count {
-            let Some(row) = self.ready.pop_front() else {
-                break;
-            };
-            self.free.push(row);
-        }
-    }
-
-    /// Pops the oldest ready row (for the finalize tail, where the rows
-    /// are consumed one at a time and the last one must survive for the
-    /// end-of-utterance treatment). Recycle it with [`AlbQueue::recycle`].
-    pub fn pop_ready(&mut self) -> Option<Vec<f32>> {
-        self.ready.pop_front()
-    }
-
-    /// Returns a buffer to the free list.
-    pub fn recycle(&mut self, row: Vec<f32>) {
-        self.free.push(row);
-    }
-}
-
-/// Multi-row overlap state for a pool-attached [`AudioStreamingDecode`]:
-/// the executor handle, the batch depth, the ready-row FIFO, and the
-/// stage buffers the scoring chunk fills during a join.
-#[derive(Debug)]
-struct OverlapState {
-    pool: std::sync::Arc<crate::pool::WorkerPool>,
-    depth: usize,
-    queue: AlbQueue,
-    stage: Vec<Vec<f32>>,
-}
-
-/// An incremental decode fed *raw audio* instead of score rows: the
-/// microphone-style end of the streaming stack at the decoder layer.
-///
-/// Composes an [`OnlineScorer`] (streaming MFCC + per-frame acoustic
-/// scoring) with a [`StreamingDecode`], bridging them with the same
-/// double-buffered row pair the facade sessions use: each scored row is
-/// staged while the search consumes the previous one, so the final row can
-/// receive the batch decoder's end-of-utterance treatment. Pushing any
-/// chunking of a waveform and finishing is therefore byte-identical to
-/// batch-scoring the waveform and batch-decoding the table.
-///
-/// [`AudioStreamingDecode::with_overlap`] widens the handoff to
-/// multi-row ALB batches on a shared [`WorkerPool`](crate::pool::WorkerPool):
-/// one fork-join relaxes every already-scored row through the search
-/// while the scorer produces up to `depth` further rows — still
-/// byte-identical, because row order and per-row arithmetic never
-/// change.
-#[derive(Debug)]
-pub struct AudioStreamingDecode<G: Deref<Target = Wfst>, S> {
-    decode: StreamingDecode<G>,
-    scorer: OnlineScorer<S>,
-    alb: AlbHandoff,
-    overlap: Option<OverlapState>,
-}
-
-impl<G: Deref<Target = Wfst> + Send, S: FrameScorer + Send> AudioStreamingDecode<G, S> {
-    /// Starts an audio-fed decode over a (pooled) scratch.
-    pub fn new(
-        wfst: G,
-        opts: DecodeOptions,
-        scratch: DecodeScratch,
-        scorer: OnlineScorer<S>,
-    ) -> Self {
-        let row_len = scorer.row_len();
-        Self {
-            decode: StreamingDecode::new(wfst, opts, scratch),
-            scorer,
-            alb: AlbHandoff::with_row_len(row_len),
-            overlap: None,
-        }
-    }
-
-    /// Starts an audio-fed decode whose score/search handoff runs as
-    /// multi-row ALB batches on `pool`: each drain relaxes every
-    /// already-scored row while the scorer produces up to `depth` new
-    /// rows in an overlapped fork-join chunk. Byte-identical to
-    /// [`AudioStreamingDecode::new`] for every depth and chunking.
+    /// Admits `fresh` new rows of `row_len` costs each and steps the
+    /// search over every row queued before them.
+    ///
+    /// `fill(i, row)` must write fresh row `i` (of `0..fresh`, in frame
+    /// order) into `row`, which arrives sized to `row_len` with stale
+    /// contents. With a `pool`, the search runs as chunk 0 of one
+    /// [`WorkerPool::fork_join`] and `fill(i, ..)` as chunk `i + 1`, so
+    /// `fill` calls run concurrently with the search and with each
+    /// other; without one, everything runs on the calling thread. The
+    /// two share no state — the search reads only rows queued by earlier
+    /// calls — so the result is the same bytes either way.
+    ///
+    /// `fresh == 0` is a no-op: with no newer row in sight, the newest
+    /// queued row may be the utterance's last and must not be stepped.
     ///
     /// # Panics
     ///
-    /// Panics if `depth == 0`.
-    pub fn with_overlap(
-        wfst: G,
-        opts: DecodeOptions,
-        scratch: DecodeScratch,
-        scorer: OnlineScorer<S>,
-        pool: std::sync::Arc<crate::pool::WorkerPool>,
-        depth: usize,
-    ) -> Self {
-        assert!(depth > 0, "overlap depth must be at least one row");
-        let mut this = Self::new(wfst, opts, scratch, scorer);
-        this.overlap = Some(OverlapState {
-            pool,
-            depth,
-            queue: AlbQueue::new(),
-            stage: Vec::new(),
-        });
-        this
-    }
-
-    /// Feeds raw 16 kHz samples, in any chunking; completed frames are
-    /// scored and searched immediately (one row held back for last-frame
-    /// semantics). Allocation-free per frame once warm.
-    pub fn push_samples(&mut self, samples: &[f32]) {
-        self.scorer.push_samples(samples);
-        if self.overlap.is_some() {
-            self.drain_rows_overlapped();
-        } else {
-            self.drain_rows();
+    /// Re-raises a panic from `fill`, and panics like
+    /// [`StreamingDecode::step`] if a queued row is shorter than the
+    /// graph's phone-label range.
+    pub fn advance<G: Deref<Target = Wfst> + Send>(
+        &mut self,
+        decode: &mut StreamingDecode<G>,
+        pool: Option<&WorkerPool>,
+        row_len: usize,
+        fresh: usize,
+        fill: &(dyn Fn(usize, &mut [f32]) + Sync),
+    ) {
+        if fresh == 0 {
+            return;
         }
-    }
-
-    /// Frames the search has consumed so far.
-    pub fn frames(&self) -> usize {
-        self.decode.frames()
-    }
-
-    /// The current best hypothesis (see [`StreamingDecode::partial`]).
-    pub fn partial(&self) -> Option<PartialHypothesis> {
-        self.decode.partial()
-    }
-
-    /// Ends the utterance: flushes the front-end's delta lookahead, gives
-    /// the held-back row the batch last-frame treatment, and returns the
-    /// result plus the recovered scratch and front-end (for pooling).
-    pub fn finish(mut self) -> (DecodeResult, DecodeScratch, OnlineScorer<S>) {
-        self.scorer.finish();
-        if self.overlap.is_some() {
-            self.drain_rows_overlapped();
-            let last = match self.overlap.as_mut() {
-                Some(overlap) => {
-                    // Relax every ready row but the last, which takes the
-                    // batch decoder's end-of-utterance treatment below.
-                    while overlap.queue.ready_len() > 1 {
-                        let Some(row) = overlap.queue.pop_ready() else {
-                            break;
-                        };
-                        self.decode.step(&row);
-                        overlap.queue.recycle(row);
-                    }
-                    overlap.queue.pop_ready()
-                }
-                None => None,
-            };
-            let (result, scratch) = self.decode.finish(last.as_deref());
-            return (result, scratch, self.scorer);
+        while self.stage.len() < fresh {
+            self.stage.push(Mutex::default());
         }
-        self.drain_rows();
-        let last = self.alb.front();
-        let (result, scratch) = self.decode.finish(last);
-        (result, scratch, self.scorer)
-    }
-
-    fn drain_rows(&mut self) {
-        while self.scorer.pop_row_into(self.alb.staging_mut()) {
-            if let Some(front) = self.alb.front() {
-                self.decode.step(front);
-            }
-            self.alb.commit();
+        for slot in self.stage.iter_mut().take(fresh) {
+            slot.get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .resize(row_len, 0.0);
         }
-    }
-
-    /// One multi-row ALB batch per iteration: pop one scored row inline
-    /// (its existence proves no currently-ready row is the utterance's
-    /// final row), then fork-join — chunk 0 relaxes every ready row
-    /// through the search in FIFO order while chunk 1 pulls up to
-    /// `depth - 1` further rows out of the scorer. Rows enter the ready
-    /// queue in frame order, so the search consumes the exact sequence
-    /// the inline path would.
-    fn drain_rows_overlapped(&mut self) {
-        let row_len = self.scorer.row_len();
-        loop {
-            let Some(overlap) = self.overlap.as_mut() else {
-                return;
-            };
-            let mut first = overlap.queue.checkout(row_len);
-            if !self.scorer.pop_row_into(&mut first) {
-                overlap.queue.recycle(first);
-                return;
-            }
-            let extra = overlap.depth - 1;
-            if overlap.queue.ready_len() == 0 && extra == 0 {
-                // Nothing to overlap: the scored row just becomes ready.
-                overlap.queue.push_ready(first);
-                continue;
-            }
-            while overlap.stage.len() < extra {
-                overlap.stage.push(Vec::new());
-            }
-            for buf in overlap.stage.iter_mut().take(extra) {
-                buf.resize(row_len, 0.0);
-            }
-            let queue = &overlap.queue;
-            let decode_slot = std::sync::Mutex::new(&mut self.decode);
-            let score_slot =
-                std::sync::Mutex::new((&mut self.scorer, &mut overlap.stage[..extra], 0usize));
-            overlap.pool.fork_join(2, &|chunk| {
-                if chunk == 0 {
-                    let mut decode = decode_slot
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    for row in queue.ready_rows() {
+        {
+            let ready = &self.ready;
+            let stage = &self.stage;
+            let decode = Mutex::new(decode);
+            let run = |chunk: usize| match chunk.checked_sub(1) {
+                None => {
+                    let mut decode = decode.lock().unwrap_or_else(PoisonError::into_inner);
+                    for row in ready {
                         decode.step(row);
                     }
-                } else {
-                    let mut slot = score_slot
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    let (scorer, stage, produced) = &mut *slot;
-                    for buf in stage.iter_mut() {
-                        if !scorer.pop_row_into(buf) {
-                            break;
-                        }
-                        *produced += 1;
+                }
+                Some(i) => {
+                    if let Some(slot) = stage.get(i) {
+                        fill(i, &mut slot.lock().unwrap_or_else(PoisonError::into_inner));
                     }
                 }
-            });
-            let (_, _, produced) = score_slot
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let Some(overlap) = self.overlap.as_mut() else {
-                return;
             };
-            let stepped = overlap.queue.ready_len();
-            overlap.queue.retire(stepped);
-            overlap.queue.push_ready(first);
-            for i in 0..produced {
-                let refill = overlap.queue.checkout(0);
-                let row = std::mem::replace(&mut overlap.stage[i], refill);
-                overlap.queue.push_ready(row);
+            match pool {
+                Some(pool) => pool.fork_join(1 + fresh, &run),
+                None => (0..=fresh).for_each(run),
             }
         }
+        // Retire before refilling the stage, so the buffers just stepped
+        // are the ones the next fresh rows land in.
+        self.free.extend(self.ready.drain(..));
+        for slot in self.stage.iter_mut().take(fresh) {
+            let slot = slot.get_mut().unwrap_or_else(PoisonError::into_inner);
+            let row = std::mem::replace(slot, self.free.pop().unwrap_or_default());
+            self.ready.push_back(row);
+        }
+    }
+
+    /// Ends the utterance: steps every queued row but the newest, gives
+    /// the newest the batch decoder's last-frame treatment through
+    /// [`StreamingDecode::finish`], and leaves the queue empty with its
+    /// buffers recycled.
+    pub fn finish<G: Deref<Target = Wfst>>(
+        &mut self,
+        mut decode: StreamingDecode<G>,
+    ) -> (DecodeResult, DecodeScratch) {
+        let last = self.ready.pop_back();
+        for row in self.ready.drain(..) {
+            decode.step(&row);
+            self.free.push(row);
+        }
+        let out = decode.finish(last.as_deref());
+        self.free.extend(last);
+        out
     }
 }
 
@@ -736,74 +513,6 @@ mod tests {
     }
 
     #[test]
-    fn audio_fed_decode_matches_batch_scoring_plus_batch_decode() {
-        use asr_acoustic::signal::{render_phones, SignalConfig};
-        use asr_acoustic::template::TemplateScorer;
-        use asr_wfst::PhoneId;
-
-        let w = SynthWfst::generate(&SynthConfig::with_states(800)).unwrap();
-        let scorer = TemplateScorer::with_default_signal(w.num_phones() - 1);
-        let audio = render_phones(
-            &[PhoneId(1), PhoneId(3), PhoneId(2)],
-            5,
-            &SignalConfig::default(),
-        );
-        let opts = DecodeOptions::with_beam(8.0);
-        let batch_scores = scorer.score_waveform(&audio);
-        let batch = ViterbiDecoder::new(opts.clone()).decode(&w, &batch_scores);
-
-        for chunk in [1usize, 160, 163] {
-            let online = OnlineScorer::new(*scorer.mfcc_config(), &scorer);
-            let mut d = AudioStreamingDecode::new(
-                &w,
-                opts.clone(),
-                DecodeScratch::new(w.num_states()),
-                online,
-            );
-            for piece in audio.chunks(chunk) {
-                d.push_samples(piece);
-            }
-            let (result, _, _) = d.finish();
-            assert_eq!(result.cost.to_bits(), batch.cost.to_bits(), "chunk {chunk}");
-            assert_eq!(result.words, batch.words, "chunk {chunk}");
-            assert_eq!(result.best_state, batch.best_state, "chunk {chunk}");
-            assert_eq!(result.reached_final, batch.reached_final, "chunk {chunk}");
-        }
-    }
-
-    #[test]
-    fn audio_fed_decode_yields_partials() {
-        use asr_acoustic::signal::{render_phones, SignalConfig};
-        use asr_acoustic::template::TemplateScorer;
-        use asr_wfst::PhoneId;
-
-        let w = SynthWfst::generate(&SynthConfig::with_states(500)).unwrap();
-        let scorer = TemplateScorer::with_default_signal(w.num_phones() - 1);
-        let audio = render_phones(&[PhoneId(2), PhoneId(4)], 6, &SignalConfig::default());
-        let online = OnlineScorer::new(*scorer.mfcc_config(), &scorer);
-        let mut d = AudioStreamingDecode::new(
-            &w,
-            DecodeOptions::with_beam(8.0),
-            DecodeScratch::new(w.num_states()),
-            online,
-        );
-        let mut partials = 0;
-        for piece in audio.chunks(160) {
-            d.push_samples(piece);
-            if let Some(p) = d.partial() {
-                assert!(p.cost.is_finite());
-                partials += 1;
-            }
-        }
-        assert!(partials > 0, "partials surfaced while audio streamed");
-        // The search lags the pushed audio: one row held back plus the
-        // two-frame delta lookahead.
-        assert!(d.frames() >= audio.len() / 160 - 3);
-        let (result, _, _) = d.finish();
-        assert_eq!(result.stats.frames.len(), audio.len() / 160);
-    }
-
-    #[test]
     fn constant_search_params_trace_matches_construction_options() {
         let (w, scores) = workload(2_000, 30, 53);
         let narrow = DecodeOptions {
@@ -862,22 +571,84 @@ mod tests {
         assert_eq!(a.lattice.len(), b.lattice.len());
     }
 
+    /// Feeds `scores` through an [`AlbQueue`] as `advance` calls of the
+    /// given `fresh` sizes (the last one clipped to the rows that are
+    /// left), checking after every call that the search has consumed
+    /// exactly the rows enqueued *before* it, then finishes.
+    fn alb_decode(
+        wfst: &Wfst,
+        scores: &AcousticTable,
+        opts: DecodeOptions,
+        pool: Option<&WorkerPool>,
+        mut split: impl FnMut() -> usize,
+    ) -> DecodeResult {
+        let mut d = StreamingDecode::new(wfst, opts, DecodeScratch::new(wfst.num_states()));
+        let mut q = AlbQueue::new();
+        let row_len = wfst.num_phones() as usize;
+        let mut pushed = 0;
+        while pushed < scores.num_frames() {
+            let fresh = split().min(scores.num_frames() - pushed);
+            q.advance(&mut d, pool, row_len, fresh, &|i, row| {
+                row.copy_from_slice(scores.frame_row(pushed + i));
+            });
+            assert_eq!(d.frames(), pushed, "the newest rows are never stepped");
+            assert_eq!(q.ready_len(), fresh);
+            pushed += fresh;
+        }
+        q.finish(d).0
+    }
+
+    fn assert_same_bytes(got: &DecodeResult, want: &DecodeResult, what: &str) {
+        assert_eq!(got.words, want.words, "{what}");
+        assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "{what}");
+        assert_eq!(got.best_state, want.best_state, "{what}");
+        assert_eq!(got.reached_final, want.reached_final, "{what}");
+        assert_eq!(got.lattice.len(), want.lattice.len(), "{what}");
+    }
+
+    #[test]
+    fn advance_matches_batch_for_every_row_count_split_and_pool() {
+        let w = SynthWfst::generate(&SynthConfig::with_states(200)).unwrap();
+        let opts = DecodeOptions::with_beam(6.0);
+        let pool = WorkerPool::new(2);
+        let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
+        for rows in 0..=40usize {
+            let scores = AcousticTable::random(rows, w.num_phones() as usize, (0.5, 4.0), 61);
+            let batch = ViterbiDecoder::new(opts.clone()).decode(&w, &scores);
+            for pool in [None, Some(&pool)] {
+                let split = || {
+                    // xorshift64: a different 1..=5 split per (rows, pool).
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    1 + (rng % 5) as usize
+                };
+                let streamed = alb_decode(&w, &scores, opts.clone(), pool, split);
+                let what = format!("{rows} rows, pool: {}", pool.is_some());
+                assert_same_bytes(&streamed, &batch, &what);
+            }
+        }
+    }
+
     #[test]
     fn alb_handoff_holds_back_exactly_one_row() {
-        let mut alb = AlbHandoff::with_row_len(3);
-        assert!(!alb.has_front());
-        assert_eq!(alb.front(), None);
-        alb.stage(&[1.0, 2.0, 3.0]);
-        assert!(!alb.has_front(), "staging does not publish a front row");
-        alb.commit();
-        assert_eq!(alb.front(), Some(&[1.0, 2.0, 3.0][..]));
-        // The staging buffer is independent: writing it never disturbs
-        // the committed front until the next commit.
-        alb.staging_mut().clear();
-        alb.staging_mut().extend_from_slice(&[4.0, 5.0, 6.0]);
-        assert_eq!(alb.front(), Some(&[1.0, 2.0, 3.0][..]));
-        alb.commit();
-        assert_eq!(alb.front(), Some(&[4.0, 5.0, 6.0][..]));
+        // One row per advance is the classic double buffer: the search
+        // trails the producer by exactly the newest row, which only
+        // `finish` may consume (`alb_decode` asserts the lag per call).
+        let (w, scores) = workload(500, 12, 67);
+        let opts = DecodeOptions::with_beam(8.0);
+        let batch = ViterbiDecoder::new(opts.clone()).decode(&w, &scores);
+        let streamed = alb_decode(&w, &scores, opts.clone(), None, || 1);
+        assert_same_bytes(&streamed, &batch, "one row per advance");
+
+        // Without a fresh row in sight the newest queued row may be the
+        // last one, so a zero-row advance must not step it.
+        let mut d = StreamingDecode::new(&w, opts, DecodeScratch::new(w.num_states()));
+        let mut q = AlbQueue::new();
+        let copy = |_: usize, row: &mut [f32]| row.copy_from_slice(scores.frame_row(0));
+        q.advance(&mut d, None, scores.num_phones(), 1, &copy);
+        q.advance(&mut d, None, scores.num_phones(), 0, &copy);
+        assert_eq!((d.frames(), q.ready_len()), (0, 1));
     }
 
     #[test]
@@ -897,71 +668,42 @@ mod tests {
 
     #[test]
     fn alb_queue_recycles_buffers_and_keeps_fifo_order() {
-        let mut q = AlbQueue::new();
-        assert_eq!(q.ready_len(), 0);
-        for v in 1..=3 {
-            let mut row = q.checkout(2);
-            row.fill(v as f32);
-            q.push_ready(row);
-        }
-        let rows: Vec<f32> = q.ready_rows().map(|r| r[0]).collect();
-        assert_eq!(rows, vec![1.0, 2.0, 3.0], "FIFO frame order");
-        q.retire(2);
-        assert_eq!(q.ready_len(), 1);
-        // Retired buffers come back out of the free list.
-        let recycled = q.checkout(2);
-        assert_eq!(recycled.len(), 2);
-        q.recycle(recycled);
-        let last = q.pop_ready().expect("one row left");
-        assert_eq!(last[0], 3.0);
-        assert!(q.pop_ready().is_none());
-    }
-
-    #[test]
-    fn overlapped_multi_row_audio_decode_matches_inline_for_every_depth() {
-        use crate::pool::WorkerPool;
-        use asr_acoustic::signal::{render_phones, SignalConfig};
-        use asr_acoustic::template::TemplateScorer;
-        use asr_wfst::PhoneId;
-        use std::sync::Arc;
-
-        let w = SynthWfst::generate(&SynthConfig::with_states(800)).unwrap();
-        let scorer = TemplateScorer::with_default_signal(w.num_phones() - 1);
-        let audio = render_phones(
-            &[PhoneId(1), PhoneId(3), PhoneId(2), PhoneId(4)],
-            5,
-            &SignalConfig::default(),
+        let (w, _) = workload(300, 1, 71);
+        let row_len = w.num_phones() as usize;
+        let mut d = StreamingDecode::new(
+            &w,
+            DecodeOptions::with_beam(8.0),
+            DecodeScratch::new(w.num_states()),
         );
-        let opts = DecodeOptions::with_beam(8.0);
-        let batch_scores = scorer.score_waveform(&audio);
-        let batch = ViterbiDecoder::new(opts.clone()).decode(&w, &batch_scores);
+        let mut q = AlbQueue::new();
+        // Three rows in one advance enter the FIFO in index order.
+        q.advance(&mut d, None, row_len, 3, &|i, row| row.fill(1.0 + i as f32));
+        let order: Vec<f32> = q.ready.iter().map(|row| row[0]).collect();
+        assert_eq!(order, vec![1.0, 2.0, 3.0], "FIFO frame order");
 
-        let pool = Arc::new(WorkerPool::new(2));
-        for depth in [1usize, 2, 4, 7] {
-            for chunk in [160usize, 517] {
-                let online = OnlineScorer::new(*scorer.mfcc_config(), &scorer);
-                let mut d = AudioStreamingDecode::with_overlap(
-                    &w,
-                    opts.clone(),
-                    DecodeScratch::new(w.num_states()),
-                    online,
-                    Arc::clone(&pool),
-                    depth,
-                );
-                for piece in audio.chunks(chunk) {
-                    d.push_samples(piece);
-                }
-                let (result, _, _) = d.finish();
-                assert_eq!(
-                    result.cost.to_bits(),
-                    batch.cost.to_bits(),
-                    "depth {depth} chunk {chunk}"
-                );
-                assert_eq!(result.words, batch.words, "depth {depth} chunk {chunk}");
-                assert_eq!(result.best_state, batch.best_state);
-                assert_eq!(result.reached_final, batch.reached_final);
-                assert_eq!(result.lattice.len(), batch.lattice.len());
-            }
+        // At one row per advance the buffers settle after two calls: the
+        // row just stepped is the buffer the next fresh row lands in.
+        let buffers = |q: &AlbQueue| {
+            let mut ptrs: Vec<*const f32> = (q.ready.iter())
+                .chain(&q.free)
+                .map(|row| row.as_ptr())
+                .collect();
+            ptrs.extend(q.stage.iter().map(|slot| slot.lock().unwrap().as_ptr()));
+            ptrs.sort_unstable();
+            ptrs
+        };
+        let mut q = AlbQueue::new();
+        q.advance(&mut d, None, row_len, 1, &|_, row| row.fill(4.0));
+        q.advance(&mut d, None, row_len, 1, &|_, row| row.fill(5.0));
+        let settled = buffers(&q);
+        for v in 6..12 {
+            q.advance(&mut d, None, row_len, 1, &|_, row| row.fill(v as f32));
+            assert_eq!(q.ready_len(), 1);
+            assert_eq!(buffers(&q), settled, "no buffer is created or dropped");
         }
+        // `finish` drains the queue and keeps the buffers for reuse.
+        let _ = q.finish(d);
+        assert_eq!(q.ready_len(), 0);
+        assert_eq!(buffers(&q), settled);
     }
 }

@@ -12,13 +12,13 @@
 
 use asr_repro::decoder::nbest::NBestDecoder;
 use asr_repro::decoder::search::DecodeOptions;
-use asr_repro::pipeline::AsrPipeline;
+use asr_repro::runtime::AsrRuntime;
 use asr_repro::wfst::grammar::Grammar;
 use asr_repro::wfst::lexicon::demo_lexicon;
 use asr_repro::wfst::WordId;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let pipeline = AsrPipeline::demo()?;
+    let runtime = AsrRuntime::demo()?;
     let lexicon = demo_lexicon();
 
     // A strong second-pass bigram: favoured word pairs get cheap
@@ -52,14 +52,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // First pass: decode "lights on" audio, keep the 5 best.
-    let audio = pipeline.render_words(&["lights", "on"])?;
+    let audio = runtime.render_words(&["lights", "on"])?;
     let scores = {
         use asr_repro::acoustic::template::TemplateScorer;
         TemplateScorer::with_default_signal(lexicon.num_phones() as u32)
             .score_waveform(&audio.samples)
     };
     let nbest = NBestDecoder::new(DecodeOptions::with_beam(40.0), 4);
-    let hyps = nbest.decode(pipeline.graph(), &scores, 5);
+    let hyps = nbest.decode(runtime.graph(), &scores, 5);
 
     println!("first pass (uniform grammar), N-best:");
     for (i, h) in hyps.iter().enumerate() {

@@ -6,19 +6,19 @@
 //! ```
 
 use asr_repro::accel::config::{AcceleratorConfig, DesignPoint};
-use asr_repro::pipeline::AsrPipeline;
+use asr_repro::runtime::AsrRuntime;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A twelve-word command vocabulary with a uniform grammar.
-    let pipeline = AsrPipeline::demo()?;
+    let runtime = AsrRuntime::demo()?;
     println!(
         "decoding graph: {} states, {} arcs",
-        pipeline.graph().num_states(),
-        pipeline.graph().num_arcs()
+        runtime.graph().num_states(),
+        runtime.graph().num_arcs()
     );
 
     // Synthesize the utterance "call mom" (16 kHz waveform).
-    let audio = pipeline.render_words(&["call", "mom"])?;
+    let audio = runtime.render_words(&["call", "mom"])?;
     println!(
         "utterance: {} samples ({} frames of 10 ms)",
         audio.samples.len(),
@@ -26,12 +26,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Software decoder (the CPU path).
-    let sw = pipeline.recognize(&audio);
+    let sw = runtime.recognize(&audio);
     println!("\nsoftware decoder:   {:?} (cost {:.2})", sw.words, sw.cost);
 
     // Cycle-accurate accelerator simulation (the paper's final design).
     let cfg = AcceleratorConfig::for_design(DesignPoint::StateAndArc);
-    let (hw, result) = pipeline.recognize_on_accelerator(&audio, cfg)?;
+    let (hw, result) = runtime.recognize_on_accelerator(&audio, cfg)?;
     println!("accelerator:        {:?} (cost {:.2})", hw.words, hw.cost);
     println!(
         "hardware: {} cycles ({:.1} us at 600 MHz), {} arcs evaluated, {} bytes off-chip",

@@ -11,11 +11,11 @@
 
 use asr_repro::accel::config::{AcceleratorConfig, DesignPoint};
 use asr_repro::accel::energy::EnergyModel;
-use asr_repro::pipeline::AsrPipeline;
 use asr_repro::platform::{CpuModel, GpuModel};
+use asr_repro::runtime::AsrRuntime;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let pipeline = AsrPipeline::demo()?;
+    let runtime = AsrRuntime::demo()?;
     let commands: Vec<Vec<&str>> = vec![
         vec!["call", "mom"],
         vec!["play", "music"],
@@ -40,9 +40,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "spoken", "recognized", "WER", "cycles"
     );
     for cmd in &commands {
-        let audio = pipeline.render_words(cmd)?;
-        let (transcript, result) = pipeline.recognize_on_accelerator(&audio, cfg.clone())?;
-        let wer = pipeline.wer(cmd, &transcript);
+        let audio = runtime.render_words(cmd)?;
+        let (transcript, result) = runtime.recognize_on_accelerator(&audio, cfg.clone())?;
+        let wer = runtime.wer(cmd, &transcript);
         total_wer += wer;
         total_cycles += result.stats.cycles;
         total_arcs += result.stats.arcs_processed + result.stats.eps_arcs_processed;

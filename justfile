@@ -54,6 +54,19 @@ tsan:
 # the tier-1 build+test suite.
 verify: lint model-check test
 
+# Builds the standalone BENCHMARK.json crate (its own workspace, which
+# the root build never compiles) against the working tree and runs its
+# smoke suite: every workload once, outputs checked. Catches a public-API
+# change that breaks the benchmark before the acceptance pipeline does.
+bench-check:
+    cargo build --release --offline --manifest-path benchmark/Cargo.toml
+    cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --smoke
+
+# Tracked Rust lines outside benchmark/, per crate and in total (the
+# ROADMAP's "net reduction" trend; count after `cargo fmt`).
+loc:
+    @git ls-files '*.rs' | grep -v '^benchmark/' | xargs wc -l | awk '$2 != "total" { split($2, p, "/"); k = p[1] == "crates" ? "crates/" p[2] : "root"; n[k] += $1; t += $1 } END { for (k in n) print n[k], k; print t, "total" }' | sort -k2
+
 # Decode-throughput benchmark: token-table engine vs the HashMap
 # reference; writes BENCH_decode.json at the repo root.
 bench-decode:

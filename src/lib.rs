@@ -21,9 +21,7 @@
 //! ([`decoder::pool::ScratchPool`]) so repeated recognitions are
 //! allocation-free per frame; on a multi-lane runtime each session
 //! overlaps the scoring of frame *i + 1* with the search of frame *i*
-//! (the paper's Section VI pipelining) with byte-identical results. The
-//! pre-runtime facade [`pipeline::AsrPipeline`] survives as a thin
-//! wrapper.
+//! (the paper's Section VI pipelining) with byte-identical results.
 //!
 //! # Quick start
 //!
@@ -52,10 +50,8 @@ pub use asr_decoder as decoder;
 pub use asr_platform as platform;
 pub use asr_wfst as wfst;
 
-pub mod pipeline;
 pub mod runtime;
 
-pub use pipeline::{AsrPipeline, StreamingSession};
 pub use runtime::{
     AsrRuntime, BatchScoringConfig, BatchScoringStats, Hypothesis, ModelStats, PipelineError,
     QosPolicy, QosTier, RuntimeConfig, RuntimeError, RuntimeStats, ScoresRoute, Session,

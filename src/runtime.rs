@@ -39,9 +39,7 @@
 //! [`AsrRuntime::recognize`] and [`AsrRuntime::recognize_scores`] are
 //! one-shot sessions internally, so every equivalence pinned for
 //! sessions (byte-identity to the batch decoder, zero steady-state
-//! allocations per frame) covers the batch API for free. The legacy
-//! [`crate::pipeline::AsrPipeline`] facade survives as a thin wrapper
-//! over a runtime.
+//! allocations per frame) covers the batch API for free.
 //!
 //! # Load-adaptive QoS
 //!
@@ -117,7 +115,7 @@ use asr_acoustic::template::TemplateScorer;
 use asr_decoder::parallel::ParallelDecoder;
 use asr_decoder::pool::{ScratchPool, ScratchPoolStats, WorkerPool, WorkerPoolStats};
 use asr_decoder::search::DecodeOptions;
-use asr_decoder::stream::{AlbHandoff, AlbQueue, StreamingDecode};
+use asr_decoder::stream::{AlbQueue, StreamingDecode};
 use asr_decoder::wer;
 use asr_wfst::compose::build_decoding_graph;
 use asr_wfst::grammar::Grammar;
@@ -1102,24 +1100,39 @@ impl SessionOptions {
 }
 
 /// The per-session streaming front-end: an [`OnlineMfcc`] plus the
-/// feature/row buffers one frame of scoring works over. Checked out of
-/// (and restored to) the runtime's front-end pool.
+/// buffers one [`Session::advance`] worth of scoring works over. Checked
+/// out of (and restored to) the runtime's front-end pool, so the buffers
+/// stay warm across sessions.
 #[derive(Debug)]
 struct SessionFrontend {
     mfcc: OnlineMfcc,
-    feat: Vec<f32>,
-    row: Vec<f32>,
-    /// MLP activation ping-pong buffers for the single-row scoring
-    /// paths (unused by the template model; empty until first use,
-    /// then warm).
-    x: Vec<f32>,
-    y: Vec<f32>,
-    /// Gathered feature frames for one multi-row overlap batch (empty
-    /// until a session uses `overlap_depth > 1`, then warm in the pool).
-    batch_feats: Vec<Vec<f32>>,
-    /// Per-task MLP activation scratch for the multi-row batch — one
-    /// `(x, y)` pair per concurrently scored row.
-    batch_scratch: Vec<(Vec<f32>, Vec<f32>)>,
+    /// Completed feature frames gathered for one advance: one without
+    /// overlap, up to `overlap_depth` with it.
+    feats: Vec<Vec<f32>>,
+    /// MLP activation ping-pong buffers, one `(x, y)` pair per gathered
+    /// frame (unused by the template model). Behind a mutex each so the
+    /// concurrent scoring tasks of one advance can reach theirs through
+    /// a shared reference; task `i` alone locks pair `i`.
+    scratch: Vec<Mutex<(Vec<f32>, Vec<f32>)>>,
+}
+
+impl SessionFrontend {
+    /// Pops up to `depth` completed feature frames into `feats[..n]`
+    /// and returns `n`, growing the buffers on first use.
+    fn gather(&mut self, depth: usize) -> usize {
+        let mut n = 0;
+        while n < depth {
+            if self.feats.len() == n {
+                self.feats.push(vec![0.0; self.mfcc.dim()]);
+                self.scratch.push(Mutex::default());
+            }
+            if !self.mfcc.pop_frame_into(&mut self.feats[n]) {
+                break;
+            }
+            n += 1;
+        }
+        n
+    }
 }
 
 /// Per-name session counters, shared between the registry entry and
@@ -1238,19 +1251,11 @@ impl RuntimeInner {
                 fe.mfcc.reset();
                 fe
             }
-            None => {
-                let mfcc = OnlineMfcc::new(*self.model.mfcc_config());
-                let dim = mfcc.dim();
-                SessionFrontend {
-                    mfcc,
-                    feat: vec![0.0; dim],
-                    row: vec![0.0; self.model.row_len()],
-                    x: Vec::new(),
-                    y: Vec::new(),
-                    batch_feats: Vec::new(),
-                    batch_scratch: Vec::new(),
-                }
-            }
+            None => SessionFrontend {
+                mfcc: OnlineMfcc::new(*self.model.mfcc_config()),
+                feats: Vec::new(),
+                scratch: Vec::new(),
+            },
         }
     }
 
@@ -1630,22 +1635,6 @@ struct BlockShards {
 // (see `flush_batch_locked`), so sharing the base pointers is sound.
 unsafe impl Send for BlockShards {}
 unsafe impl Sync for BlockShards {}
-
-/// Raw-pointer shards of one multi-row overlap batch: scoring chunk
-/// `i + 1` works its own `(feats[i], rows[i], scratch[i])` triple while
-/// chunk 0 steps the search, so no two tasks touch the same element.
-#[derive(Clone, Copy)]
-struct RowShards {
-    feats: *const Vec<f32>,
-    rows: *mut Vec<f32>,
-    scratch: *mut (Vec<f32>, Vec<f32>),
-}
-
-// SAFETY: each fork-join chunk dereferences exactly one index of each
-// base pointer and the indices are disjoint across chunks (see
-// `Session::drain_frontend_multi`), so sharing the pointers is sound.
-unsafe impl Send for RowShards {}
-unsafe impl Sync for RowShards {}
 
 /// The shared serving runtime: engine state plus one global
 /// work-stealing executor, handing out owned [`Session`]s.
@@ -2306,6 +2295,7 @@ impl AsrRuntime {
         } else {
             None
         };
+        let min_row_len = graph.num_phones() as usize;
         Session {
             runtime: Arc::clone(&self.inner),
             decode: Some(StreamingDecode::new(
@@ -2315,10 +2305,10 @@ impl AsrRuntime {
             )),
             frontend: None,
             executor,
-            alb: AlbHandoff::new(),
+            alb: AlbQueue::new(),
             overlap_depth: options.overlap_depth.unwrap_or(1),
-            alb_queue: AlbQueue::new(),
-            batch_rows: Vec::new(),
+            min_row_len,
+            scattered: Vec::new(),
             frames_pushed: 0,
             qos_enabled,
             pinned_tier: options.pinned_tier,
@@ -2431,18 +2421,18 @@ pub struct Session {
     /// The shared executor, when this session overlaps scoring with the
     /// search; `None` scores inline.
     executor: Option<Arc<WorkerPool>>,
-    /// The double-buffered score handoff: incoming rows stage behind
-    /// the search, which consumes the held-back front row (last-frame
-    /// semantics live in [`AlbHandoff`]).
-    alb: AlbHandoff,
-    /// How many future rows one overlap fork-join may score (1 = the
-    /// classic single-row overlap through `alb`).
+    /// The score→search handoff: every row, whatever its source,
+    /// enters the search through this queue, which holds the newest
+    /// rows back so the last one gets the end-of-utterance treatment.
+    alb: AlbQueue,
+    /// How many future rows one overlapped advance may score.
     overlap_depth: usize,
-    /// The multi-row ready FIFO; empty (and untouched) at depth 1.
-    alb_queue: AlbQueue,
-    /// Landing buffers the scoring tasks of one multi-row batch write
-    /// into, recycled through `alb_queue`'s free list.
-    batch_rows: Vec<Vec<f32>>,
+    /// The shortest row the session's graph can be searched over: one
+    /// past its largest phone label.
+    min_row_len: usize,
+    /// Landing buffer for one row scattered back by the batched scoring
+    /// service, on its way into `alb`.
+    scattered: Vec<f32>,
     frames_pushed: usize,
     /// Whether this session follows the runtime's QoS policy (always
     /// `false` without a policy).
@@ -2491,169 +2481,61 @@ impl Session {
         self.frontend = Some(frontend);
     }
 
-    /// Scores every completed front-end frame and stages its cost row —
-    /// through the batched service when the session is registered,
-    /// otherwise overlapping scoring with the search when an executor
-    /// is attached.
+    /// Scores every completed front-end frame and enqueues its cost row
+    /// behind the search, one [`Session::advance`] per gathered batch.
+    ///
+    /// A session registered with the batched service submits one frame
+    /// at a time to the gather window (which may flush it, scoring every
+    /// pending row of every session in one block forward pass) and
+    /// consumes whatever rows of its own have come back; a lone one is
+    /// told to score the frame itself. Everyone else scores here: one
+    /// frame per advance inline, or up to [`SessionOptions::overlap_depth`]
+    /// frames per advance as stolen tasks when an executor is attached —
+    /// the paper's Section VI overlap, with the ALB as a multi-frame
+    /// batch buffer at depth > 1.
+    ///
+    /// Determinism: the search relaxes rows in FIFO frame order, and
+    /// every path computes a row with the same per-row arithmetic — the
+    /// source changes *when* rows are scored, never their order or
+    /// values, for any lane count or steal schedule.
     fn drain_frontend(&mut self, frontend: &mut SessionFrontend) {
-        if self.overlap_depth > 1 && self.batch_slot.is_none() && self.executor.is_some() {
-            self.drain_frontend_multi(frontend);
-            return;
-        }
-        while frontend.mfcc.pop_frame_into(&mut frontend.feat) {
-            if self.batch_slot.is_some() {
-                self.score_batched(frontend);
-            } else {
-                self.score_and_stage(frontend);
-            }
-        }
-    }
-
-    /// The multi-row drain: gather up to [`SessionOptions::overlap_depth`]
-    /// completed feature frames, then run ONE fork-join in which chunk 0
-    /// relaxes every already-scored ready row through the search while
-    /// chunks `1..=n` score the gathered features into fresh rows — the
-    /// paper's ALB as a multi-frame batch buffer, feeding the lock-free
-    /// executor `n` independent tasks per frame batch instead of one.
-    ///
-    /// Stepping *all* ready rows is safe: a batch only launches when at
-    /// least one new feature frame was gathered, so every currently
-    /// ready row is strictly older than a row still to come — none can
-    /// be the utterance's final row, which [`Session::finalize`] must
-    /// hand to `finish` instead.
-    ///
-    /// Determinism: the search relaxes rows in FIFO frame order, and each
-    /// row's scores come from the same per-row arithmetic as the inline
-    /// path — the fork-join changes *when* rows are scored, never their
-    /// order or values, for any lane count or steal schedule. QoS
-    /// retunes land once per batch, still at a frame boundary.
-    fn drain_frontend_multi(&mut self, frontend: &mut SessionFrontend) {
-        // A row held back by the single-row handoff (e.g. a push_row
-        // before the first push_samples) migrates into the queue so the
-        // search still consumes every row in push order.
-        let mut migrated = self.alb_queue.checkout(0);
-        if self.alb.take_front_into(&mut migrated) {
-            self.alb_queue.push_ready(migrated);
-        } else {
-            self.alb_queue.recycle(migrated);
-        }
-        let dim = frontend.mfcc.dim();
-        let row_len = self.runtime.model.row_len();
+        let runtime = Arc::clone(&self.runtime);
+        let model = &runtime.model;
+        let overlap = self.batch_slot.is_none() && self.executor.is_some();
+        let depth = if overlap { self.overlap_depth } else { 1 };
         loop {
-            // Gather up to `depth` completed frames into warm buffers.
-            let mut gathered = 0;
-            while gathered < self.overlap_depth {
-                if frontend.batch_feats.len() == gathered {
-                    frontend.batch_feats.push(vec![0.0; dim]);
-                }
-                frontend.batch_feats[gathered].resize(dim, 0.0);
-                if !frontend
-                    .mfcc
-                    .pop_frame_into(&mut frontend.batch_feats[gathered])
-                {
-                    break;
-                }
-                gathered += 1;
-            }
+            let gathered = frontend.gather(depth);
             if gathered == 0 {
                 return;
             }
-            while frontend.batch_scratch.len() < gathered {
-                frontend.batch_scratch.push((Vec::new(), Vec::new()));
+            if let Some(slot) = self.batch_slot {
+                if let SubmitOutcome::Queued = runtime.batch_submit(slot, &frontend.feats[0]) {
+                    self.drain_batched_rows();
+                    continue;
+                }
             }
-            while self.batch_rows.len() < gathered {
-                let row = self.alb_queue.checkout(row_len);
-                self.batch_rows.push(row);
-            }
-            for row in &mut self.batch_rows[..gathered] {
-                row.resize(row_len, 0.0);
-            }
-
-            self.apply_qos();
-            let timer = self.frame_timer();
-            let stepped = self.alb_queue.ready_len();
-            {
-                let model = &self.runtime.model;
-                let pool = self
-                    .executor
-                    .as_ref()
-                    .expect("multi-row drain has an executor");
-                let decode_slot = Mutex::new(self.decode.as_mut().expect("session not finalized"));
-                let queue = &self.alb_queue;
-                let shards = RowShards {
-                    feats: frontend.batch_feats.as_ptr(),
-                    rows: self.batch_rows.as_mut_ptr(),
-                    scratch: frontend.batch_scratch.as_mut_ptr(),
-                };
-                pool.fork_join(1 + gathered, &|chunk| {
-                    if chunk == 0 {
-                        let mut decode = decode_slot.lock().unwrap_or_else(PoisonError::into_inner);
-                        for row in queue.ready_rows() {
-                            decode.step(row);
-                        }
-                    } else {
-                        // Capture the shard struct whole, not its raw
-                        // pointer fields, so the closure stays `Sync`.
-                        let shards = &shards;
-                        let i = chunk - 1;
-                        // SAFETY: chunk `i + 1` is the only task touching
-                        // index `i`, and `gathered` never exceeds the
-                        // buffers' lengths (sized above).
-                        let feat = unsafe { &*shards.feats.add(i) };
-                        let row = unsafe { &mut *shards.rows.add(i) };
-                        let (x, y) = unsafe { &mut *shards.scratch.add(i) };
-                        model.score_frame_into(feat, row, x, y);
-                    }
-                });
-            }
-            self.alb_queue.retire(stepped);
-            for i in 0..gathered {
-                let replacement = self.alb_queue.checkout(0);
-                let scored = std::mem::replace(&mut self.batch_rows[i], replacement);
-                self.alb_queue.push_ready(scored);
-            }
-            self.frames_pushed += gathered;
-            self.observe_frame_batch(timer, gathered);
+            let SessionFrontend { feats, scratch, .. } = &*frontend;
+            self.advance(overlap, model.row_len(), gathered, &|i, row| {
+                let mut scratch = scratch[i].lock().unwrap_or_else(PoisonError::into_inner);
+                let (x, y) = &mut *scratch;
+                model.score_frame_into(&feats[i], row, x, y);
+            });
         }
     }
 
-    /// One frame of the batched front-end: submit the completed feature
-    /// vector to the gather window (which may flush it, scoring every
-    /// pending row of every session in one block forward pass), then
-    /// step the search over whatever rows of *this* session have come
-    /// back. A lone session short-circuits to synchronous scoring —
-    /// bit-identical, since every path computes a row with the same
-    /// per-row arithmetic.
-    fn score_batched(&mut self, frontend: &mut SessionFrontend) {
-        let slot = self.batch_slot.expect("registered before scoring");
-        let timer = self.frame_timer();
-        match self.runtime.batch_submit(slot, &frontend.feat) {
-            SubmitOutcome::Queued => self.drain_batched_rows(),
-            SubmitOutcome::ScoreInline => {
-                self.apply_qos();
-                self.runtime.model.score_frame_into(
-                    &frontend.feat,
-                    &mut frontend.row,
-                    &mut frontend.x,
-                    &mut frontend.y,
-                );
-                self.step_front();
-                self.alb.stage(&frontend.row);
-                self.commit_row();
-            }
-        }
-        self.observe_frame(timer);
-    }
-
-    /// Steps the search over every scored row the service has ready for
-    /// this session, in submission order.
+    /// Enqueues every scored row the service has ready for this
+    /// session, in submission order, one advance each — so the search
+    /// trails the scattered rows by exactly one, like an unbatched
+    /// session's.
     fn drain_batched_rows(&mut self) {
-        let slot = self.batch_slot.expect("registered before draining");
-        while self.runtime.batch_pop_into(slot, self.alb.staging_mut()) {
-            self.apply_qos();
-            self.step_front();
-            self.commit_row();
+        let Some(slot) = self.batch_slot else {
+            return;
+        };
+        let mut row = std::mem::take(&mut self.scattered);
+        while self.runtime.batch_pop_into(slot, &mut row) {
+            self.advance(false, row.len(), 1, &|_, dst| dst.copy_from_slice(&row));
         }
+        self.scattered = row;
     }
 
     /// Forces the session's scoring pipeline to a sync point: any of its
@@ -2671,104 +2553,77 @@ impl Session {
         }
     }
 
-    /// One frame of the pipelined front-end: score `frontend.feat` into
-    /// `frontend.row` while the search consumes the held-back front row,
-    /// then swap the fresh row in — the ALB handoff with the paper's
-    /// Section VI overlap on top.
+    /// The session's one frame step, shared by every row source:
+    /// retunes the search to the current QoS tier, then lets the ALB
+    /// step the search over every queued row while `fill` produces the
+    /// `fresh` new ones (see [`AlbQueue::advance`]) — on the executor
+    /// when `overlap` is set and the session has one, otherwise on this
+    /// thread — and feeds the wall time to the pressure monitor.
     ///
-    /// Determinism: the two overlapped halves share no mutable state
-    /// (the scorer writes `frontend.row`, the search reads `self.front`
-    /// and mutates only the decode), and the row order into the search
-    /// is unchanged, so the transcript is byte-identical to the inline
-    /// path for any executor width and steal schedule.
-    fn score_and_stage(&mut self, frontend: &mut SessionFrontend) {
+    /// Tier changes land here (and once more before the last frame, in
+    /// [`Session::finalize`]), so they only ever apply at a frame
+    /// boundary.
+    fn advance(
+        &mut self,
+        overlap: bool,
+        row_len: usize,
+        fresh: usize,
+        fill: &(dyn Fn(usize, &mut [f32]) + Sync),
+    ) {
         self.apply_qos();
-        let timer = self.frame_timer();
-        let model = &self.runtime.model;
-        let overlap = self.alb.has_front() && self.decode.is_some();
-        match (&self.executor, overlap) {
-            (Some(pool), true) => {
-                let decode_slot = Mutex::new(self.decode.as_mut().expect("overlap checked"));
-                let row_slot = Mutex::new((&mut frontend.row, &mut frontend.x, &mut frontend.y));
-                let front: &[f32] = self.alb.front().expect("overlap checked");
-                let feat: &[f32] = &frontend.feat;
-                pool.fork_join(2, &|chunk| {
-                    if chunk == 0 {
-                        let mut decode = decode_slot.lock().unwrap_or_else(PoisonError::into_inner);
-                        decode.step(front);
-                    } else {
-                        let mut slot = row_slot.lock().unwrap_or_else(PoisonError::into_inner);
-                        let (row, x, y) = &mut *slot;
-                        model.score_frame_into(feat, row, x, y);
-                    }
-                });
-            }
-            _ => {
-                model.score_frame_into(
-                    &frontend.feat,
-                    &mut frontend.row,
-                    &mut frontend.x,
-                    &mut frontend.y,
-                );
-                self.step_front();
+        // Time the advance only when the pressure monitor will consume
+        // the sample, and only when it drives a search step: an
+        // utterance's first row is merely enqueued, and a near-zero
+        // sample would drag the RTF EWMA toward zero for free.
+        let timed = self.qos_enabled && self.runtime.qos.is_some() && self.alb.ready_len() > 0;
+        let timer = timed.then(Instant::now);
+        let Some(decode) = self.decode.as_mut() else {
+            return;
+        };
+        let pool = self.executor.as_deref().filter(|_| overlap);
+        self.alb.advance(decode, pool, row_len, fresh, fill);
+        self.frames_pushed += fresh;
+        if let Some(started) = timer {
+            // One sample per row keeps the RTF EWMA comparable across
+            // advance sizes.
+            let per_frame = started.elapsed() / fresh as u32;
+            for _ in 0..fresh {
+                self.runtime.observe_frame(per_frame);
             }
         }
-        self.alb.stage(&frontend.row);
-        self.commit_row();
-        self.observe_frame(timer);
-    }
-
-    /// Advances the search over the held-back front row, if there is
-    /// one — the search half of the ALB handoff, shared by the row-fed
-    /// and audio-fed paths.
-    fn step_front(&mut self) {
-        if let Some(front) = self.alb.front() {
-            if let Some(decode) = self.decode.as_mut() {
-                decode.step(front);
-            }
-        }
-    }
-
-    /// Completes the ALB handoff — the staged row becomes the next
-    /// held-back front row — and counts the frame.
-    fn commit_row(&mut self) {
-        self.alb.commit();
-        self.frames_pushed += 1;
     }
 
     /// Pushes one frame's acoustic score row (`row[p]` = cost of phone
     /// `p`; use [`AcousticTable::frame_row`] or a scorer's output).
     ///
-    /// The row is staged in the back half of the session's score buffer
-    /// while the search consumes the previously staged row — the
+    /// The row is copied into the back of the session's score queue
+    /// while the search consumes the previously pushed row — the
     /// double-buffered handoff of the paper's Acoustic Likelihood
-    /// Buffer. After the first few rows the push itself is
+    /// Buffer. After the first two rows the push itself is
     /// allocation-free.
     ///
     /// # Panics
+    ///
+    /// Panics if `row` is shorter than the phone-label range of the
+    /// session's graph ([`Wfst::num_phones`]): the search would index
+    /// past its end — one push later, since the row is held back first.
     ///
     /// Panics if the session has been fed raw audio via
     /// [`Session::push_samples`]: the front-end's lookahead frames would
     /// be searched after this row, reordering the utterance.
     pub fn push_row(&mut self, row: &[f32]) {
         assert!(
+            row.len() >= self.min_row_len,
+            "push_row: the row has {} costs but the session's graph reads phone labels up to {}",
+            row.len(),
+            self.min_row_len
+        );
+        assert!(
             self.frontend.is_none(),
             "push_row after push_samples: the online front-end still holds \
              lookahead frames, so this row would be searched out of order"
         );
-        self.alb.stage(row);
-        self.apply_qos();
-        // Only time rows that actually drive a search step: the first
-        // row is merely staged, and a zero-cost sample would drag the
-        // RTF EWMA toward zero for free.
-        let timer = if self.alb.has_front() {
-            self.frame_timer()
-        } else {
-            None
-        };
-        self.step_front();
-        self.commit_row();
-        self.observe_frame(timer);
+        self.advance(false, row.len(), 1, &|_, dst| dst.copy_from_slice(row));
     }
 
     /// Pushes every frame of a scored batch, in order — the per-batch
@@ -2839,36 +2694,13 @@ impl Session {
         }
     }
 
-    /// Starts the per-frame decode timer, only when the runtime's
-    /// pressure monitor will consume the sample.
-    fn frame_timer(&self) -> Option<Instant> {
-        (self.qos_enabled && self.runtime.qos.is_some()).then(Instant::now)
-    }
-
-    /// Feeds a finished frame's wall time to the pressure monitor.
-    fn observe_frame(&self, timer: Option<Instant>) {
-        if let Some(started) = timer {
-            self.runtime.observe_frame(started.elapsed());
-        }
-    }
-
-    /// Feeds one multi-row batch's wall time to the pressure monitor as
-    /// `rows` equal per-frame samples, keeping the RTF EWMA comparable
-    /// to the single-row path.
-    fn observe_frame_batch(&self, timer: Option<Instant>, rows: usize) {
-        if let Some(started) = timer {
-            let per_frame = started.elapsed() / rows as u32;
-            for _ in 0..rows {
-                self.runtime.observe_frame(per_frame);
-            }
-        }
-    }
-
     /// The current best hypothesis (empty words before any audio: the
     /// start state's closure), or `None` after the beam pruned every
-    /// path or the session was finalized. The search runs one row behind
-    /// the pushes, so `frames_decoded` lags [`Session::frames_pushed`]
-    /// by one.
+    /// path or the session was finalized. The search trails the pushes
+    /// by the rows of the latest advance, so `frames_decoded` lags
+    /// [`Session::frames_pushed`] by one row — by up to
+    /// [`SessionOptions::overlap_depth`] rows for an audio-fed session
+    /// overlapping at that depth.
     pub fn partial(&self) -> Option<Hypothesis> {
         let decode = self.decode.as_ref()?;
         decode.partial().map(|p| Hypothesis {
@@ -2895,30 +2727,9 @@ impl Session {
             self.runtime.restore_frontend(frontend);
         }
         self.flush_scoring();
-        // Multi-row sessions: the ready FIFO still holds rows the search
-        // has not consumed. Step all but the newest; the newest becomes
-        // the handoff front so the end-of-utterance treatment below
-        // applies to it unchanged.
-        while self.alb_queue.ready_len() > 1 {
-            let row = self.alb_queue.pop_ready().expect("length checked");
-            self.apply_qos();
-            if let Some(decode) = self.decode.as_mut() {
-                decode.step(&row);
-            }
-            self.alb_queue.recycle(row);
-        }
-        if let Some(last) = self.alb_queue.pop_ready() {
-            debug_assert!(
-                !self.alb.has_front(),
-                "multi-row sessions route every row through the queue"
-            );
-            self.alb.stage(&last);
-            self.alb.commit();
-            self.alb_queue.recycle(last);
-        }
         self.apply_qos();
         let decode = self.decode.take().expect("session not yet finalized");
-        let (result, scratch) = decode.finish(self.alb.front());
+        let (result, scratch) = self.alb.finish(decode);
         self.runtime.scratch_pool.restore(scratch);
         Transcript {
             words: self.runtime.lexicon.transcript(&result.words),
@@ -2962,6 +2773,117 @@ mod tests {
     fn session_and_runtime_are_send_and_static() {
         assert_send_static::<Session>();
         assert_send_static::<AsrRuntime>();
+    }
+
+    #[test]
+    fn repeated_recognize_reuses_pooled_scratch() {
+        let runtime = AsrRuntime::demo().unwrap();
+        let audio = runtime.render_words(&["go"]).unwrap();
+        assert_eq!(runtime.scratch_pool().idle(), 0);
+        let first = runtime.recognize(&audio);
+        assert_eq!(
+            runtime.scratch_pool().idle(),
+            1,
+            "scratch returned to the pool"
+        );
+        for _ in 0..3 {
+            assert_eq!(runtime.recognize(&audio), first);
+        }
+        assert_eq!(
+            runtime.scratch_pool().idle(),
+            1,
+            "sequential decodes share one scratch"
+        );
+        let stats = runtime.scratch_pool().stats();
+        assert_eq!(stats.cold_checkouts, 1, "only the first checkout was cold");
+        assert_eq!(stats.warm_checkouts, 3);
+    }
+
+    #[test]
+    fn session_matches_batch_recognize() {
+        let runtime = AsrRuntime::demo().unwrap();
+        for words in [vec!["go"], vec!["lights", "on"], vec!["call", "mom"]] {
+            let audio = runtime.render_words(&words).unwrap();
+            let scores = runtime.score(&audio);
+            let batch = runtime.recognize_scores(&scores);
+            let mut session = runtime.open_session();
+            session.push_frames(&scores);
+            assert_eq!(session.frames_pushed(), scores.num_frames());
+            let streamed = session.finalize();
+            assert_eq!(streamed.words, batch.words);
+            assert_eq!(streamed.cost.to_bits(), batch.cost.to_bits());
+            assert_eq!(streamed.reached_final, batch.reached_final);
+        }
+    }
+
+    #[test]
+    fn session_partials_evolve_toward_the_transcript() {
+        let runtime = AsrRuntime::demo().unwrap();
+        let audio = runtime.render_words(&["play", "music"]).unwrap();
+        let scores = runtime.score(&audio);
+        let mut session = runtime.open_session();
+        let opening = session.partial().expect("start closure is live");
+        assert_eq!(opening.frames_decoded, 0);
+        assert!(opening.words.is_empty(), "nothing recognized before audio");
+        let mut partials = 0;
+        for frame in 0..scores.num_frames() {
+            session.push_row(scores.frame_row(frame));
+            if let Some(h) = session.partial() {
+                assert_eq!(h.frames_decoded, frame, "search runs one row behind");
+                partials += 1;
+            }
+        }
+        assert!(partials > 0, "partials became available mid-utterance");
+        let t = session.finalize();
+        assert_eq!(t.words, vec!["play", "music"]);
+    }
+
+    #[test]
+    fn dropped_session_returns_its_scratch() {
+        let runtime = AsrRuntime::demo().unwrap();
+        let audio = runtime.render_words(&["stop"]).unwrap();
+        let scores = runtime.score(&audio);
+        {
+            let mut session = runtime.open_session();
+            session.push_frames(&scores);
+            // Dropped without finalize (caller went away mid-utterance).
+        }
+        assert_eq!(runtime.scratch_pool().idle(), 1);
+        // The recovered scratch serves the next request.
+        let t = runtime.recognize(&audio);
+        assert_eq!(t.words, vec!["stop"]);
+        assert_eq!(runtime.scratch_pool().idle(), 1);
+    }
+
+    #[test]
+    fn empty_session_finalizes_gracefully() {
+        let runtime = AsrRuntime::demo().unwrap();
+        let t = runtime.open_session().finalize();
+        assert!(t.words.is_empty());
+        // Identical to a batch decode of zero frames.
+        let empty = AcousticTable::from_fn(0, runtime.lexicon().num_phones() + 1, |_, _| 0.0);
+        let batch = runtime.recognize_scores(&empty);
+        assert_eq!(t, batch);
+    }
+
+    #[test]
+    fn unknown_word_is_reported() {
+        let runtime = AsrRuntime::demo().unwrap();
+        let err = runtime.render_words(&["xylophone"]).unwrap_err();
+        assert_eq!(err, PipelineError::UnknownWord("xylophone".into()));
+        assert!(err.to_string().contains("xylophone"));
+    }
+
+    #[test]
+    fn wer_detects_errors() {
+        let runtime = AsrRuntime::demo().unwrap();
+        let t = Transcript {
+            words: vec!["go".into(), "home".into()],
+            cost: 0.0,
+            reached_final: true,
+        };
+        assert_eq!(runtime.wer(&["go", "home"], &t), 0.0);
+        assert!(runtime.wer(&["stop"], &t) > 0.0);
     }
 
     #[test]
@@ -3111,9 +3033,9 @@ mod tests {
 
     #[test]
     fn multi_row_session_migrates_a_pushed_row_into_the_queue() {
-        // A row pushed through the single-row handoff before the first
-        // audio push must still be searched first, in order, when the
-        // session then widens to multi-row batches.
+        // A row pushed before the first audio push sits in the same
+        // queue the overlapped audio rows enter behind it, so it must
+        // still be searched first, in order, at every overlap depth.
         let runtime = AsrRuntime::demo_with(RuntimeConfig::new().lanes(2)).unwrap();
         let audio = runtime.render_words(&["go"]).unwrap();
         let scores = runtime.score(&audio);
@@ -3126,10 +3048,23 @@ mod tests {
             session.finalize()
         };
         let inline = run(SessionOptions::new().overlap_scoring(false));
-        let deep = run(SessionOptions::new().overlap_depth(3));
-        assert_eq!(deep.words, inline.words);
-        assert_eq!(deep.cost.to_bits(), inline.cost.to_bits());
-        assert_eq!(deep.reached_final, inline.reached_final);
+        for depth in [1usize, 3] {
+            let deep = run(SessionOptions::new().overlap_depth(depth));
+            assert_eq!(deep.words, inline.words, "depth {depth}");
+            assert_eq!(deep.cost.to_bits(), inline.cost.to_bits(), "depth {depth}");
+            assert_eq!(deep.reached_final, inline.reached_final, "depth {depth}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "push_row: the row has 3 costs")]
+    fn push_row_rejects_a_short_row_at_the_call() {
+        // The row is held back before it is searched, so without the
+        // check the out-of-bounds read would surface one push later.
+        let runtime = AsrRuntime::demo_with(RuntimeConfig::new().lanes(1)).unwrap();
+        assert!(runtime.graph().num_phones() > 3);
+        let mut session = runtime.open_session();
+        session.push_row(&[0.0; 3]);
     }
 
     #[test]

@@ -1,24 +1,24 @@
 //! Raw-audio streaming sessions: the facade acceptance contract.
 //!
 //! A session fed raw 16 kHz samples through
-//! [`StreamingSession::push_samples`] must produce a transcript
+//! [`Session::push_samples`] must produce a transcript
 //! byte-identical to the batch path (score the whole waveform, decode the
 //! table) for every chunking of the stream — the facade end of the
 //! online/batch equivalence pinned per-stage in
 //! `crates/acoustic/tests/online_equivalence.rs`.
 //!
-//! [`StreamingSession::push_samples`]: asr_repro::pipeline::StreamingSession::push_samples
+//! [`Session::push_samples`]: asr_repro::runtime::Session::push_samples
 
-use asr_repro::pipeline::AsrPipeline;
+use asr_repro::runtime::AsrRuntime;
 
 #[test]
 fn push_samples_transcripts_match_batch_recognize() {
-    let pipeline = AsrPipeline::demo().unwrap();
+    let runtime = AsrRuntime::demo().unwrap();
     for words in [vec!["go"], vec!["lights", "on"], vec!["play", "music"]] {
-        let audio = pipeline.render_words(&words).unwrap();
-        let batch = pipeline.recognize_scores(&pipeline.score(&audio));
+        let audio = runtime.render_words(&words).unwrap();
+        let batch = runtime.recognize_scores(&runtime.score(&audio));
         for chunk in [1usize, 160, 163, audio.samples.len()] {
-            let mut session = pipeline.open_session();
+            let mut session = runtime.open_session();
             for piece in audio.samples.chunks(chunk) {
                 session.push_samples(piece);
             }
@@ -39,16 +39,16 @@ fn recognize_runs_the_online_front_end() {
     // `recognize` is rebuilt on the online path; it must still match the
     // explicit batch pipeline bit-for-bit, and repeated calls must reuse
     // the pooled front-end rather than growing the pool.
-    let pipeline = AsrPipeline::demo().unwrap();
-    let audio = pipeline.render_words(&["call", "mom"]).unwrap();
-    let batch = pipeline.recognize_scores(&pipeline.score(&audio));
+    let runtime = AsrRuntime::demo().unwrap();
+    let audio = runtime.render_words(&["call", "mom"]).unwrap();
+    let batch = runtime.recognize_scores(&runtime.score(&audio));
     for _ in 0..3 {
-        let online = pipeline.recognize(&audio);
+        let online = runtime.recognize(&audio);
         assert_eq!(online.words, batch.words);
         assert_eq!(online.cost.to_bits(), batch.cost.to_bits());
     }
     assert_eq!(
-        pipeline.scratch_pool().idle(),
+        runtime.scratch_pool().idle(),
         1,
         "sequential recognizes share one decode scratch"
     );
@@ -56,10 +56,10 @@ fn recognize_runs_the_online_front_end() {
 
 #[test]
 fn audio_session_partials_evolve_and_lag_by_the_lookahead() {
-    let pipeline = AsrPipeline::demo().unwrap();
-    let audio = pipeline.render_words(&["play", "music"]).unwrap();
+    let runtime = AsrRuntime::demo().unwrap();
+    let audio = runtime.render_words(&["play", "music"]).unwrap();
     let total_frames = audio.samples.len() / 160;
-    let mut session = pipeline.open_session();
+    let mut session = runtime.open_session();
     let mut partials = 0;
     for piece in audio.samples.chunks(160) {
         session.push_samples(piece);
@@ -81,7 +81,7 @@ fn audio_session_partials_evolve_and_lag_by_the_lookahead() {
 
 #[test]
 fn concurrent_audio_sessions_stay_independent() {
-    let pipeline = AsrPipeline::demo().unwrap();
+    let runtime = AsrRuntime::demo().unwrap();
     let commands: Vec<Vec<&str>> = vec![
         vec!["go"],
         vec!["stop"],
@@ -91,20 +91,20 @@ fn concurrent_audio_sessions_stay_independent() {
     let expected: Vec<_> = commands
         .iter()
         .map(|w| {
-            let audio = pipeline.render_words(w).unwrap();
-            pipeline.recognize_scores(&pipeline.score(&audio))
+            let audio = runtime.render_words(w).unwrap();
+            runtime.recognize_scores(&runtime.score(&audio))
         })
         .collect();
     std::thread::scope(|scope| {
         for worker in 0..4usize {
-            let pipeline = &pipeline;
+            let runtime = &runtime;
             let commands = &commands;
             let expected = &expected;
             scope.spawn(move || {
                 for round in 0..commands.len() {
                     let i = (round + worker) % commands.len();
-                    let audio = pipeline.render_words(&commands[i]).unwrap();
-                    let mut session = pipeline.open_session();
+                    let audio = runtime.render_words(&commands[i]).unwrap();
+                    let mut session = runtime.open_session();
                     for piece in audio.samples.chunks(331) {
                         session.push_samples(piece);
                     }
@@ -119,16 +119,16 @@ fn concurrent_audio_sessions_stay_independent() {
 
 #[test]
 fn dropped_audio_session_returns_its_frontend() {
-    let pipeline = AsrPipeline::demo().unwrap();
-    let audio = pipeline.render_words(&["stop"]).unwrap();
+    let runtime = AsrRuntime::demo().unwrap();
+    let audio = runtime.render_words(&["stop"]).unwrap();
     {
-        let mut session = pipeline.open_session();
+        let mut session = runtime.open_session();
         session.push_samples(&audio.samples[..800]);
         // Dropped mid-utterance: scratch and front-end both come home.
     }
-    assert_eq!(pipeline.scratch_pool().idle(), 1);
+    assert_eq!(runtime.scratch_pool().idle(), 1);
     // The recovered front-end serves the next request correctly (reset
     // clears the abandoned utterance's carried state).
-    let t = pipeline.recognize(&audio);
+    let t = runtime.recognize(&audio);
     assert_eq!(t.words, vec!["stop"]);
 }

@@ -3,11 +3,11 @@
 //! audio — on the software decoder and on every accelerator design point.
 
 use asr_repro::accel::config::{AcceleratorConfig, DesignPoint};
-use asr_repro::pipeline::AsrPipeline;
+use asr_repro::runtime::AsrRuntime;
 
 #[test]
 fn every_vocabulary_word_is_recognized() {
-    let p = AsrPipeline::demo().unwrap();
+    let p = AsrRuntime::demo().unwrap();
     let vocab = [
         "low", "less", "call", "mom", "play", "music", "stop", "go", "home", "lights", "on", "off",
     ];
@@ -21,7 +21,7 @@ fn every_vocabulary_word_is_recognized() {
 
 #[test]
 fn multi_word_commands_have_zero_wer() {
-    let p = AsrPipeline::demo().unwrap();
+    let p = AsrRuntime::demo().unwrap();
     let commands: Vec<Vec<&str>> = vec![
         vec!["call", "mom"],
         vec!["play", "music"],
@@ -44,7 +44,7 @@ fn multi_word_commands_have_zero_wer() {
 
 #[test]
 fn accelerator_design_points_agree_end_to_end() {
-    let p = AsrPipeline::demo().unwrap();
+    let p = AsrRuntime::demo().unwrap();
     let audio = p.render_words(&["lights", "off"]).unwrap();
     let sw = p.recognize(&audio);
     assert_eq!(sw.words, vec!["lights", "off"]);
@@ -61,7 +61,7 @@ fn accelerator_design_points_agree_end_to_end() {
 
 #[test]
 fn longer_utterances_remain_stable() {
-    let p = AsrPipeline::demo().unwrap();
+    let p = AsrRuntime::demo().unwrap();
     let cmd = vec!["go", "home", "lights", "on", "play", "music", "stop"];
     let audio = p.render_words(&cmd).unwrap();
     let t = p.recognize(&audio);
@@ -75,7 +75,7 @@ fn longer_utterances_remain_stable() {
 
 #[test]
 fn hardware_stats_reflect_utterance_length() {
-    let p = AsrPipeline::demo().unwrap();
+    let p = AsrRuntime::demo().unwrap();
     let short = p.render_words(&["go"]).unwrap();
     let long = p.render_words(&["go", "home", "lights", "on"]).unwrap();
     let cfg = AcceleratorConfig::for_design(DesignPoint::StateAndArc);

@@ -18,7 +18,6 @@
 //! the *overlapped* (shared-executor) push path.
 
 use asr_repro::acoustic::scores::AcousticTable;
-use asr_repro::pipeline::AsrPipeline;
 use asr_repro::runtime::{AsrRuntime, BatchScoringConfig, RuntimeConfig, SessionOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,8 +64,8 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 
 /// Streams `scores` through a session and returns the word count (so the
 /// decode cannot be optimized away).
-fn run_session(pipeline: &AsrPipeline, scores: &AcousticTable) -> usize {
-    let mut session = pipeline.open_session();
+fn run_session(runtime: &AsrRuntime, scores: &AcousticTable) -> usize {
+    let mut session = runtime.open_session();
     session.push_frames(scores);
     session.finalize().words.len()
 }
@@ -74,17 +73,17 @@ fn run_session(pipeline: &AsrPipeline, scores: &AcousticTable) -> usize {
 #[test]
 fn warmed_facade_decodes_allocate_identically() {
     let _guard = serialized();
-    let pipeline = AsrPipeline::demo().unwrap();
-    let audio = pipeline.render_words(&["play", "music"]).unwrap();
-    let scores = pipeline.score(&audio);
+    let runtime = AsrRuntime::demo().unwrap();
+    let audio = runtime.render_words(&["play", "music"]).unwrap();
+    let scores = runtime.score(&audio);
 
     // Warm the pool and every watermark.
-    pipeline.recognize_scores(&scores);
+    runtime.recognize_scores(&scores);
     let first = count_allocs(|| {
-        pipeline.recognize_scores(&scores);
+        runtime.recognize_scores(&scores);
     });
     let second = count_allocs(|| {
-        pipeline.recognize_scores(&scores);
+        runtime.recognize_scores(&scores);
     });
     assert_eq!(
         first, second,
@@ -95,7 +94,7 @@ fn warmed_facade_decodes_allocate_identically() {
 #[test]
 fn facade_frame_loop_is_allocation_free() {
     let _guard = serialized();
-    let pipeline = AsrPipeline::demo().unwrap();
+    let runtime = AsrRuntime::demo().unwrap();
     // Same two words repeated: the long utterance has ~4x the frames but
     // recognizes a word sequence only 4x longer, so any per-frame
     // allocation dominates the delta.
@@ -103,23 +102,23 @@ fn facade_frame_loop_is_allocation_free() {
     let long_words = [
         "lights", "on", "lights", "on", "lights", "on", "lights", "on",
     ];
-    let short_scores = pipeline.score(&pipeline.render_words(&short_words).unwrap());
-    let long_scores = pipeline.score(&pipeline.render_words(&long_words).unwrap());
+    let short_scores = runtime.score(&runtime.render_words(&short_words).unwrap());
+    let long_scores = runtime.score(&runtime.render_words(&long_words).unwrap());
     assert!(
         long_scores.num_frames() >= 3 * short_scores.num_frames(),
         "long workload must dwarf the short one"
     );
 
     // Warm every watermark with the longest workload.
-    assert_eq!(run_session(&pipeline, &long_scores), long_words.len());
+    assert_eq!(run_session(&runtime, &long_scores), long_words.len());
 
     let mut short_len = 0;
     let short_allocs = count_allocs(|| {
-        short_len = run_session(&pipeline, &short_scores);
+        short_len = run_session(&runtime, &short_scores);
     });
     let mut long_len = 0;
     let long_allocs = count_allocs(|| {
-        long_len = run_session(&pipeline, &long_scores);
+        long_len = run_session(&runtime, &long_scores);
     });
     assert_eq!(short_len, short_words.len());
     assert_eq!(long_len, long_words.len());
@@ -139,20 +138,20 @@ fn facade_frame_loop_is_allocation_free() {
 #[test]
 fn audio_session_pushes_are_allocation_free_after_warmup() {
     let _guard = serialized();
-    let pipeline = AsrPipeline::demo().unwrap();
+    let runtime = AsrRuntime::demo().unwrap();
     let words = [
         "play", "music", "play", "music", "play", "music", "play", "music", "play", "music",
     ];
-    let audio = pipeline.render_words(&words).unwrap();
+    let audio = runtime.render_words(&words).unwrap();
     // Warm the pools: decode scratch, session row buffers, and the online
     // front-end (ring, FFT scratch, delta windows, ready queue).
     {
-        let mut session = pipeline.open_session();
+        let mut session = runtime.open_session();
         session.push_samples(&audio.samples);
         session.finalize();
     }
 
-    let mut session = pipeline.open_session();
+    let mut session = runtime.open_session();
     let chunks: Vec<&[f32]> = audio.samples.chunks(160).collect();
     let tail_start = chunks.len() * 2 / 3;
     for piece in &chunks[..tail_start] {
@@ -334,14 +333,14 @@ fn batched_session_pushes_are_allocation_free_after_warmup() {
 #[test]
 fn session_pushes_are_allocation_free_after_warmup() {
     let _guard = serialized();
-    let pipeline = AsrPipeline::demo().unwrap();
+    let runtime = AsrRuntime::demo().unwrap();
     let words = [
         "call", "mom", "call", "mom", "call", "mom", "call", "mom", "call", "mom",
     ];
-    let scores = pipeline.score(&pipeline.render_words(&words).unwrap());
-    run_session(&pipeline, &scores); // warm the pool
+    let scores = runtime.score(&runtime.render_words(&words).unwrap());
+    run_session(&runtime, &scores); // warm the pool
 
-    let mut session = pipeline.open_session();
+    let mut session = runtime.open_session();
     // The early pushes size the double-buffered row pair and grow the
     // per-session lattice through its doubling schedule; by the last
     // third, storage is warm and pushes ride it.

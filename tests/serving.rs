@@ -7,11 +7,11 @@
 //! same inputs.
 
 use asr_repro::decoder::search::ViterbiDecoder;
-use asr_repro::pipeline::AsrPipeline;
+use asr_repro::runtime::AsrRuntime;
 
 /// The per-utterance ground truth, computed with a fresh sequential
 /// decoder (no pool, no scratch reuse).
-fn sequential_reference(p: &AsrPipeline, words: &[&str]) -> (Vec<String>, u32) {
+fn sequential_reference(p: &AsrRuntime, words: &[&str]) -> (Vec<String>, u32) {
     let audio = p.render_words(words).unwrap();
     let scores = p.score(&audio);
     let result = ViterbiDecoder::new(p.options().clone()).decode(p.graph(), &scores);
@@ -20,7 +20,7 @@ fn sequential_reference(p: &AsrPipeline, words: &[&str]) -> (Vec<String>, u32) {
 
 #[test]
 fn concurrent_sessions_match_sequential_decoder() {
-    let pipeline = AsrPipeline::demo().unwrap();
+    let runtime = AsrRuntime::demo().unwrap();
     let utterances: Vec<Vec<&str>> = vec![
         vec!["go"],
         vec!["stop"],
@@ -31,13 +31,13 @@ fn concurrent_sessions_match_sequential_decoder() {
     ];
     let expected: Vec<(Vec<String>, u32)> = utterances
         .iter()
-        .map(|w| sequential_reference(&pipeline, w))
+        .map(|w| sequential_reference(&runtime, w))
         .collect();
 
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for worker in 0..4usize {
-            let pipeline = &pipeline;
+            let runtime = &runtime;
             let utterances = &utterances;
             let expected = &expected;
             handles.push(scope.spawn(move || {
@@ -45,9 +45,9 @@ fn concurrent_sessions_match_sequential_decoder() {
                 // workers are decoding different words at the same time.
                 for round in 0..utterances.len() {
                     let i = (round + worker) % utterances.len();
-                    let audio = pipeline.render_words(&utterances[i]).unwrap();
-                    let scores = pipeline.score(&audio);
-                    let mut session = pipeline.open_session();
+                    let audio = runtime.render_words(&utterances[i]).unwrap();
+                    let scores = runtime.score(&audio);
+                    let mut session = runtime.open_session();
                     session.push_frames(&scores);
                     let transcript = session.finalize();
                     assert_eq!(transcript.words, expected[i].0, "utterance {i}");
@@ -62,7 +62,7 @@ fn concurrent_sessions_match_sequential_decoder() {
 
     // Every checked-out scratch came home; the pool's high-water mark is
     // bounded by the peak concurrency, not the request count.
-    let idle = pipeline.scratch_pool().idle();
+    let idle = runtime.scratch_pool().idle();
     assert!(
         (1..=4).contains(&idle),
         "pool holds {idle} scratches after 4 workers x 6 requests"
@@ -71,19 +71,19 @@ fn concurrent_sessions_match_sequential_decoder() {
 
 #[test]
 fn concurrent_pooled_recognize_matches_sequential_decoder() {
-    let pipeline = AsrPipeline::demo().unwrap();
+    let runtime = AsrRuntime::demo().unwrap();
     let words = ["play", "music"];
-    let (expected_words, expected_cost) = sequential_reference(&pipeline, &words);
-    let audio = pipeline.render_words(&words).unwrap();
+    let (expected_words, expected_cost) = sequential_reference(&runtime, &words);
+    let audio = runtime.render_words(&words).unwrap();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for _ in 0..4 {
-            let pipeline = &pipeline;
+            let runtime = &runtime;
             let audio = &audio;
             let expected_words = &expected_words;
             handles.push(scope.spawn(move || {
                 for _ in 0..5 {
-                    let t = pipeline.recognize(audio);
+                    let t = runtime.recognize(audio);
                     assert_eq!(t.words, *expected_words);
                     assert_eq!(t.cost.to_bits(), expected_cost);
                 }
@@ -99,15 +99,15 @@ fn concurrent_pooled_recognize_matches_sequential_decoder() {
 fn interleaved_sessions_stay_independent() {
     // Two sessions advanced in lock-step on one thread must not bleed
     // state into each other (they hold distinct pooled scratches).
-    let pipeline = AsrPipeline::demo().unwrap();
+    let runtime = AsrRuntime::demo().unwrap();
     let (words_a, words_b) = (["lights", "on"], ["call", "mom"]);
-    let scores_a = pipeline.score(&pipeline.render_words(&words_a).unwrap());
-    let scores_b = pipeline.score(&pipeline.render_words(&words_b).unwrap());
-    let batch_a = pipeline.recognize_scores(&scores_a);
-    let batch_b = pipeline.recognize_scores(&scores_b);
+    let scores_a = runtime.score(&runtime.render_words(&words_a).unwrap());
+    let scores_b = runtime.score(&runtime.render_words(&words_b).unwrap());
+    let batch_a = runtime.recognize_scores(&scores_a);
+    let batch_b = runtime.recognize_scores(&scores_b);
 
-    let mut session_a = pipeline.open_session();
-    let mut session_b = pipeline.open_session();
+    let mut session_a = runtime.open_session();
+    let mut session_b = runtime.open_session();
     let frames = scores_a.num_frames().max(scores_b.num_frames());
     for f in 0..frames {
         if f < scores_a.num_frames() {
@@ -121,5 +121,5 @@ fn interleaved_sessions_stay_independent() {
     let got_b = session_b.finalize();
     assert_eq!(got_a, batch_a);
     assert_eq!(got_b, batch_b);
-    assert_eq!(pipeline.scratch_pool().idle(), 2);
+    assert_eq!(runtime.scratch_pool().idle(), 2);
 }
