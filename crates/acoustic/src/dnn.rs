@@ -9,6 +9,8 @@
 //! provides the realistic compute/memory workload for the platform models
 //! (FLOP counts, batch scoring).
 
+use crate::fold::dot_rows;
+pub use crate::fold::ROW_TILE;
 use crate::scores::AcousticTable;
 use rand::Rng;
 use rand::SeedableRng;
@@ -53,7 +55,9 @@ impl Dense {
 
     /// Allocation-free form of [`Dense::forward`]: `out` is cleared and
     /// refilled (no allocation once its capacity reaches the layer
-    /// width).
+    /// width). This is the one-row call of
+    /// [`Dense::forward_block_into`], so a lone frame and a row of a
+    /// block go through the same kernel.
     ///
     /// # Panics
     ///
@@ -61,37 +65,35 @@ impl Dense {
     pub fn forward_into(&self, input: &[f32], out: &mut Vec<f32>) {
         assert_eq!(input.len(), self.in_dim, "layer input dimension mismatch");
         out.clear();
-        out.extend((0..self.out_dim).map(|o| {
-            let row = &self.weights[o * self.in_dim..(o + 1) * self.in_dim];
-            row.iter().zip(input).map(|(w, x)| w * x).sum::<f32>() + self.bias[o]
-        }));
+        out.resize(self.out_dim, 0.0);
+        self.forward_block_into(input, self.in_dim, 1, out, self.out_dim);
     }
 
-    /// Multiply-accumulate count of one forward pass.
+    /// Floating-point operation count of one forward pass: two (a
+    /// multiply and an add) per multiply-accumulate.
     pub fn flops(&self) -> u64 {
         2 * (self.in_dim as u64) * (self.out_dim as u64)
     }
 
-    /// Applies the affine map to a *block* of `rows` input vectors at
-    /// once — the matrix–matrix form of [`Dense::forward_into`] that
-    /// cross-session batched scoring wins with, twice over. The outer
-    /// loop is **weight-row stationary** (each weight row is loaded once
-    /// and dotted against every input row), so a block of `B` rows reads
-    /// the weight matrix once instead of `B` times. And input rows are
-    /// walked four at a time: each row keeps its own accumulator (its
-    /// own exact fold), but the four dependency chains interleave, so
-    /// the float-add latency that serializes a lone dot product overlaps
-    /// across rows. A single frame has no independent rows to interleave
-    /// — this instruction-level parallelism only exists because the
-    /// gather window put several sessions' frames side by side.
+    /// Applies the affine map to a *block* of `rows` input vectors — the
+    /// single dense kernel; [`Dense::forward_into`] is its `rows = 1`
+    /// call. The outer loop is **weight-row stationary**: each weight row
+    /// is dotted against every input row before the next one is touched,
+    /// [`ROW_TILE`] input rows at a time sharing each weight load, so a
+    /// block of `B` rows streams the weight matrix once instead of `B`
+    /// times.
+    ///
+    /// Every dot product is reduced under the crate's one fold contract
+    /// (16 lanes striped over the input index, a fixed reduction tree,
+    /// a sequential tail, then the bias — see `fold.rs`), which fixes the
+    /// result independently of the tile a row lands in. So every row of
+    /// the block is **bit-identical** to scoring that row alone,
+    /// regardless of which other rows share the block.
     ///
     /// `input` and `out` are caller-owned slices holding one vector per
     /// row at the given strides (`input[r * in_stride ..][.. in_dim]`,
     /// `out[r * out_stride ..][.. out_dim]`); nothing here can grow or
-    /// allocate. Each output element is computed with the exact
-    /// fold order of [`Dense::forward_into`], so every row of the block
-    /// is **bit-identical** to scoring that row alone, regardless of
-    /// which other rows share the block.
+    /// allocate.
     ///
     /// # Panics
     ///
@@ -121,37 +123,23 @@ impl Dense {
             out.len() >= (rows - 1) * out_stride + self.out_dim,
             "output block too short for {rows} rows"
         );
-        for o in 0..self.out_dim {
-            let w = &self.weights[o * self.in_dim..(o + 1) * self.in_dim];
-            let b = self.bias[o];
-            let mut r = 0;
-            // Four independent accumulator chains. Each accumulates in
-            // the exact order of `forward_into`'s fold, so every row's
-            // result is bit-identical to scoring it alone; only the
-            // *interleaving* of the four independent chains is new.
-            while r + 4 <= rows {
-                let x0 = &input[r * in_stride..r * in_stride + self.in_dim];
-                let x1 = &input[(r + 1) * in_stride..(r + 1) * in_stride + self.in_dim];
-                let x2 = &input[(r + 2) * in_stride..(r + 2) * in_stride + self.in_dim];
-                let x3 = &input[(r + 3) * in_stride..(r + 3) * in_stride + self.in_dim];
-                let (mut a0, mut a1, mut a2, mut a3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                for i in 0..self.in_dim {
-                    let wi = w[i];
-                    a0 += wi * x0[i];
-                    a1 += wi * x1[i];
-                    a2 += wi * x2[i];
-                    a3 += wi * x3[i];
+        let x = |r: usize| &input[r * in_stride..r * in_stride + self.in_dim];
+        let tiled = rows - rows % ROW_TILE;
+        for (o, (w, b)) in self
+            .weights
+            .chunks_exact(self.in_dim)
+            .zip(&self.bias)
+            .enumerate()
+        {
+            for r in (0..tiled).step_by(ROW_TILE) {
+                let sums: [f32; ROW_TILE] = dot_rows(w, std::array::from_fn(|t| x(r + t)));
+                for (t, sum) in sums.iter().enumerate() {
+                    out[(r + t) * out_stride + o] = sum + b;
                 }
-                out[r * out_stride + o] = a0 + b;
-                out[(r + 1) * out_stride + o] = a1 + b;
-                out[(r + 2) * out_stride + o] = a2 + b;
-                out[(r + 3) * out_stride + o] = a3 + b;
-                r += 4;
             }
-            while r < rows {
-                let x = &input[r * in_stride..r * in_stride + self.in_dim];
-                out[r * out_stride + o] = w.iter().zip(x).map(|(w, x)| w * x).sum::<f32>() + b;
-                r += 1;
+            for r in tiled..rows {
+                let [sum] = dot_rows(w, [x(r)]);
+                out[r * out_stride + o] = sum + b;
             }
         }
     }
@@ -390,20 +378,40 @@ impl Mlp {
     }
 
     /// Scores a whole utterance into an [`AcousticTable`] of costs
-    /// (negative log-posteriors), with phone id 0 (epsilon) left at cost 0.
+    /// (negative log-posteriors), with phone id 0 (epsilon) left at cost
+    /// 0. Each frame is scored once, in blocks through
+    /// [`Mlp::score_block_into`], so every table row is bit-identical to
+    /// [`Mlp::score_row_into`] on that frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a feature vector's length differs from the input
+    /// dimension.
     pub fn score_utterance(&self, features: &[Vec<f32>]) -> AcousticTable {
-        let phones = self.output_dim();
-        AcousticTable::from_fn(features.len(), phones + 1, |frame, phone| {
-            if phone == 0 {
-                0.0
-            } else {
-                -self.log_posteriors(&features[frame])[phone - 1]
+        const BLOCK: usize = 16;
+        let row_len = self.output_dim() + 1;
+        let mut costs = vec![0.0; features.len() * row_len];
+        let mut packed = Vec::with_capacity(BLOCK * self.input_dim());
+        let mut scratch = vec![0.0; self.block_scratch_len(BLOCK)];
+        for (block, out) in features
+            .chunks(BLOCK)
+            .zip(costs.chunks_mut(BLOCK * row_len))
+        {
+            packed.clear();
+            for frame in block {
+                packed.extend_from_slice(frame);
             }
+            let scratch = &mut scratch[..self.block_scratch_len(block.len())];
+            self.score_block_into(&packed, block.len(), out, scratch);
+        }
+        AcousticTable::from_fn(features.len(), row_len, |frame, phone| {
+            costs[frame * row_len + phone]
         })
     }
 
-    /// Multiply-accumulate count of one frame's forward pass — used by the
-    /// GPU platform model to estimate DNN runtime.
+    /// Floating-point operation count of one frame's forward pass (two
+    /// per multiply-accumulate) — used by the GPU platform model to
+    /// estimate DNN runtime.
     pub fn flops_per_frame(&self) -> u64 {
         self.layers.iter().map(Dense::flops).sum()
     }
@@ -421,6 +429,7 @@ fn log_softmax(x: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fold::dot_ref;
 
     #[test]
     fn log_posteriors_normalize() {
@@ -446,6 +455,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore = "seeding a million weights is too slow interpreted")]
     fn flops_count_matches_topology() {
         let mlp = Mlp::new(&[39, 512, 2001], 0);
         assert_eq!(mlp.flops_per_frame(), 2 * (39 * 512 + 512 * 2001) as u64);
@@ -467,6 +477,53 @@ mod tests {
     }
 
     #[test]
+    fn score_utterance_matches_score_row_into_bit_for_bit() {
+        // 37 frames: two full 16-frame blocks and a ragged third.
+        let mlp = Mlp::new(&[6, 24, 9], 5);
+        let flat = feature_block(&mlp, 37, 3);
+        let feats: Vec<Vec<f32>> = flat.chunks(6).map(<[f32]>::to_vec).collect();
+        let table = mlp.score_utterance(&feats);
+        assert_eq!(table.num_frames(), 37);
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        let mut single = vec![0.0; mlp.output_dim() + 1];
+        for (f, frame) in feats.iter().enumerate() {
+            mlp.score_row_into(frame, &mut single, &mut x, &mut y);
+            let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(table.frame_row(f)), bits(&single), "frame {f}");
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "65 M multiply-accumulates is too slow interpreted")]
+    fn score_utterance_runs_one_forward_pass_per_frame() {
+        // One pass per (frame, phone) cell would be 100 000 forward
+        // passes here, 2000x the cost of scoring the 50 frames.
+        let mlp = Mlp::new(&[39, 512, 512, 2000], 0);
+        let flat = feature_block(&mlp, 50, 1);
+        let feats: Vec<Vec<f32>> = flat.chunks(39).map(<[f32]>::to_vec).collect();
+        let start = std::time::Instant::now();
+        let table = mlp.score_utterance(&feats);
+        let wall = start.elapsed();
+        assert_eq!((table.num_frames(), table.num_phones()), (50, 2001));
+
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        let mut row = vec![0.0; 2001];
+        let start = std::time::Instant::now();
+        for frame in &feats[..5] {
+            mlp.score_row_into(frame, &mut row, &mut x, &mut y);
+        }
+        let fifty_rows = start.elapsed() * 10;
+        assert!(
+            wall < fifty_rows * 10,
+            "50 frames took {wall:?}; 50 single rows take {fifty_rows:?}"
+        );
+        // The absolute figure only means something optimized.
+        if !cfg!(debug_assertions) {
+            assert!(wall.as_secs_f64() < 1.0, "50 frames took {wall:?}");
+        }
+    }
+
+    #[test]
     fn log_softmax_is_stable_for_large_inputs() {
         let mut x = vec![1000.0, 1000.0, 1000.0];
         log_softmax(&mut x);
@@ -483,6 +540,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore = "seeding a million weights is too slow interpreted")]
     fn kaldi_like_topology() {
         let mlp = Mlp::kaldi_like(39, 2000, 0);
         assert_eq!(mlp.input_dim(), 39);
@@ -564,6 +622,134 @@ mod tests {
         let mut with_noise = feature_block(&mlp, 3, 5);
         with_noise.extend_from_slice(&probe);
         assert_eq!(score_at(&with_noise, 4, 3), alone);
+    }
+
+    /// A layer with pseudo-random weights *and* biases.
+    fn random_layer(in_dim: usize, out_dim: usize, seed: u64) -> Dense {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut layer = Dense::random(in_dim, out_dim, &mut rng);
+        for b in &mut layer.bias {
+            *b = rng.gen_range(-1.0..1.0);
+        }
+        layer
+    }
+
+    /// The layer applied with the portable fold — the oracle the kernel
+    /// must match.
+    fn reference_forward(layer: &Dense, x: &[f32]) -> Vec<f32> {
+        layer
+            .weights
+            .chunks_exact(layer.in_dim)
+            .zip(&layer.bias)
+            .map(|(w, b)| dot_ref(w, x) + b)
+            .collect()
+    }
+
+    /// Bit equality; a NaN matches any NaN (Rust, like the fold contract,
+    /// leaves the payload of a computed NaN unspecified).
+    fn same_bits(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// Runs `rows` strided rows through the kernel, with both buffers
+    /// starting `offset` floats into their allocations, and checks every
+    /// output against the oracle and every gap for stray writes.
+    fn assert_kernel_matches_reference(
+        layer: &Dense,
+        row: impl Fn(usize) -> Vec<f32>,
+        rows: usize,
+        offset: usize,
+    ) {
+        const GAP: f32 = -77.0;
+        let (in_stride, out_stride) = (layer.in_dim + 5, layer.out_dim + 3);
+        let mut input = vec![0.5; offset + rows * in_stride];
+        for r in 0..rows {
+            input[offset + r * in_stride..][..layer.in_dim].copy_from_slice(&row(r));
+        }
+        let mut out = vec![GAP; offset + rows * out_stride];
+        layer.forward_block_into(
+            &input[offset..],
+            in_stride,
+            rows,
+            &mut out[offset..],
+            out_stride,
+        );
+        for r in 0..rows {
+            let got = &out[offset + r * out_stride..][..out_stride];
+            let want = reference_forward(layer, &row(r));
+            for (o, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    same_bits(*g, *w),
+                    "in_dim {} rows {rows} offset {offset}: row {r} output {o} is {g:e}, oracle {w:e}",
+                    layer.in_dim
+                );
+            }
+            assert!(
+                got[layer.out_dim..].iter().all(|v| *v == GAP),
+                "wrote past row {r}"
+            );
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_portable_fold_bit_for_bit() {
+        let max_rows = if cfg!(miri) { 3 } else { 9 };
+        for in_dim in [1usize, 3, 15, 16, 17, 39, 512, 513] {
+            let layer = random_layer(in_dim, 3, in_dim as u64);
+            let mut rng = ChaCha8Rng::seed_from_u64(99);
+            let data: Vec<f32> = (0..max_rows * in_dim)
+                .map(|_| rng.gen_range(-2.0..2.0))
+                .collect();
+            let row = |r: usize| data[r * in_dim..(r + 1) * in_dim].to_vec();
+            for rows in 1..=max_rows {
+                for offset in 0..4 {
+                    assert_kernel_matches_reference(&layer, row, rows, offset);
+                }
+            }
+            // `forward_into` is the one-row call of the same kernel.
+            let single = layer.forward(&row(0));
+            for (s, w) in single.iter().zip(reference_forward(&layer, &row(0))) {
+                assert_eq!(s.to_bits(), w.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_handles_non_finite_and_denormal_inputs_like_the_oracle() {
+        let denormal = f32::from_bits(1);
+        let specials = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            denormal,
+            -denormal,
+            f32::MIN_POSITIVE / 2.0,
+            -0.0,
+            f32::MAX,
+        ];
+        // 39 = two full 16-lane chunks and a 7-element tail.
+        let mut layer = random_layer(39, 4, 8);
+        // Weights that keep tiny products tiny, and one zero weight so
+        // `inf * 0` makes a NaN inside the fold.
+        layer.weights[0] = denormal;
+        layer.weights[5] = 0.0;
+        layer.weights[39 + 33] = f32::MIN_POSITIVE;
+        for (s, special) in specials.iter().enumerate() {
+            for at in [0usize, 5, 17, 31, 33, 38] {
+                // Row 0 carries one special value, row 1 is all that
+                // value, row 2 is ordinary.
+                let row = |r: usize| match r {
+                    0 => {
+                        let mut x = vec![0.25; 39];
+                        x[at] = *special;
+                        x
+                    }
+                    1 => vec![*special; 39],
+                    _ => vec![-1.5; 39],
+                };
+                assert_kernel_matches_reference(&layer, row, 3, s % 4);
+            }
+        }
     }
 
     #[test]

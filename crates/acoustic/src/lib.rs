@@ -49,6 +49,7 @@
 pub mod dct;
 pub mod dnn;
 pub mod fft;
+mod fold;
 pub mod frame;
 pub mod gmm;
 pub mod mel;

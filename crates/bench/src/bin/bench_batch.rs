@@ -9,12 +9,12 @@
 //! session per turn, so the delta isolates the batched block pass from
 //! scheduling effects.
 //!
-//! The win mechanism is what batching uniquely provides: independent
-//! rows. A lone frame's dot products are serialized by the float-add
-//! dependency chain (the fold order is pinned for byte-identity, so it
-//! cannot be vectorized); the block pass interleaves four rows'
-//! accumulator chains per weight row — and streams each weight row of
-//! the ~1.2 MB matrix once per window instead of once per row — the
+//! The win mechanism is weight reuse. Inline and batched scoring run
+//! the same dense kernel under one pinned fold order (16 striped lanes,
+//! see `asr_acoustic::dnn`), so a lone frame is bound by streaming the
+//! weight matrix; the block pass dots each weight row against every row
+//! of the window (two at a time, sharing each weight load) and so
+//! streams the matrix once per window instead of once per row — the
 //! same batching economics the paper's accelerator exploits in its DNN
 //! pipeline, applied across sessions instead of across time.
 //!

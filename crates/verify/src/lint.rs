@@ -57,8 +57,10 @@ const ORDERING_ALLOW: &[&str] = &[
 
 /// Files allowed to name raw-pointer types — exactly the audited
 /// unsafe modules (sharded runtime views, zero-copy store, lane cells,
-/// the executor's erased job headers, the SIMD scan, and the checker).
+/// the executor's erased job headers, the SIMD scan, the dense fold
+/// kernel, and the checker).
 const RAW_PTR_ALLOW: &[&str] = &[
+    "crates/acoustic/src/fold.rs",
     "crates/decoder/src/pool.rs",
     "crates/decoder/src/parallel.rs",
     "crates/decoder/src/model_check.rs",
@@ -671,6 +673,7 @@ mod tests {
             vec!["raw-ptr-allowlist"]
         );
         assert!(rules("crates/wfst/src/store.rs", src).is_empty());
+        assert!(rules("crates/acoustic/src/fold.rs", src).is_empty());
     }
 
     #[test]

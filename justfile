@@ -37,7 +37,8 @@ miri:
     @rustup component list --toolchain nightly 2>/dev/null | grep -q 'miri.*(installed)' \
         && { cargo +nightly miri test -p asr-decoder --lib token_table; \
              cargo +nightly miri test -p asr-decoder --lib stream; \
-             cargo +nightly miri test -p asr-wfst --lib store; } \
+             cargo +nightly miri test -p asr-wfst --lib store; \
+             cargo +nightly miri test -p asr-acoustic --lib dnn; } \
         || echo "miri: nightly component not installed; skipping (CI runs this)"
 
 # ThreadSanitizer over the executor and runtime concurrency suites

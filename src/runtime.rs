@@ -106,7 +106,7 @@
 
 use asr_accel::config::AcceleratorConfig;
 use asr_accel::sim::{PreparedWfst, SimResult, Simulator};
-use asr_acoustic::dnn::Mlp;
+use asr_acoustic::dnn::{Mlp, ROW_TILE};
 use asr_acoustic::mfcc::{MfccConfig, MfccPipeline};
 use asr_acoustic::online::{FrameScorer, OnlineMfcc};
 use asr_acoustic::scores::AcousticTable;
@@ -1504,7 +1504,9 @@ impl RuntimeInner {
             };
             if chunks > 1 {
                 let pool = self.executor.get().expect("chunks > 1 implies a pool");
-                let per = rows.div_ceil(chunks);
+                // Whole kernel row tiles per lane: a shard that ended
+                // mid-tile would push its last row down the untiled path.
+                let per = rows.div_ceil(chunks).next_multiple_of(ROW_TILE);
                 let srl = self.model.block_scratch_len(1);
                 let shards = BlockShards {
                     out: out.as_mut_ptr(),
