@@ -1,10 +1,10 @@
 //! Decode-throughput benchmark: the token-table engine vs the retained
 //! `HashMap` reference, across synthetic WFST sizes.
 //!
-//! Measures frames decoded per second for the reference decoder, the
-//! token-table decoder (with and without scratch reuse), and the sharded
-//! parallel decoder on 2k/50k/200k-state Kaldi-statistics graphs, and
-//! writes the trajectory to `BENCH_decode.json` in the repository root.
+//! Measures frames decoded per second for the reference decoder and the
+//! token-table decoder (with and without scratch reuse) on
+//! 2k/50k/200k-state Kaldi-statistics graphs, and writes the trajectory
+//! to `BENCH_decode.json` in the repository root.
 //! The headline acceptance number is the 50k-state, beam-8 speedup.
 //!
 //! ```text
@@ -12,7 +12,6 @@
 //! ```
 
 use asr_acoustic::scores::AcousticTable;
-use asr_decoder::parallel::ParallelDecoder;
 use asr_decoder::reference::ReferenceDecoder;
 use asr_decoder::search::{DecodeOptions, DecodeScratch, ViterbiDecoder};
 use asr_wfst::synth::{SynthConfig, SynthWfst};
@@ -23,7 +22,6 @@ use std::time::Instant;
 
 const FRAMES: usize = 50;
 const BEAM: f32 = 8.0;
-const PARALLEL_THREADS: usize = 4;
 
 #[derive(Debug, Clone, Serialize)]
 struct Sample {
@@ -44,7 +42,6 @@ struct ConfigResult {
     reference: Sample,
     token_table: Sample,
     token_table_reused_scratch: Sample,
-    parallel: Sample,
     /// token-table (reused scratch) throughput over reference throughput.
     speedup: f64,
     /// Decode results agree with the reference byte-for-byte.
@@ -57,7 +54,6 @@ struct Report {
     unit: String,
     beam: f32,
     frames: usize,
-    parallel_threads: usize,
     /// One point per graph size — the throughput trajectory.
     trajectory: Vec<ConfigResult>,
     /// The acceptance headline: 50k states, beam 8.
@@ -92,7 +88,7 @@ fn bench_config(states: usize) -> ConfigResult {
     let reference_decoder = ReferenceDecoder::new(opts.clone());
     let (reference, ref_result) = time_decode(reps, || reference_decoder.decode(&wfst, &scores));
 
-    let table_decoder = ViterbiDecoder::new(opts.clone());
+    let table_decoder = ViterbiDecoder::new(opts);
     let (token_table, table_result) = time_decode(reps, || table_decoder.decode(&wfst, &scores));
 
     let mut scratch = DecodeScratch::new(wfst.num_states());
@@ -100,16 +96,11 @@ fn bench_config(states: usize) -> ConfigResult {
         table_decoder.decode_with(&mut scratch, &wfst, &scores)
     });
 
-    let parallel_decoder = ParallelDecoder::new(opts, PARALLEL_THREADS);
-    let (parallel, par_result) = time_decode(reps, || parallel_decoder.decode(&wfst, &scores));
-
-    let equivalent = [&table_result, &reused_result, &par_result]
-        .iter()
-        .all(|r| {
-            r.cost.to_bits() == ref_result.cost.to_bits()
-                && r.words == ref_result.words
-                && r.best_state == ref_result.best_state
-        });
+    let equivalent = [&table_result, &reused_result].iter().all(|r| {
+        r.cost.to_bits() == ref_result.cost.to_bits()
+            && r.words == ref_result.words
+            && r.best_state == ref_result.best_state
+    });
 
     ConfigResult {
         states,
@@ -121,7 +112,6 @@ fn bench_config(states: usize) -> ConfigResult {
         reference,
         token_table,
         token_table_reused_scratch,
-        parallel,
         equivalent,
     }
 }
@@ -136,13 +126,11 @@ fn main() {
     for states in [2_000usize, 50_000, 200_000] {
         let result = bench_config(states);
         println!(
-            "{:>8} states | ref {:>8.1} fps | table {:>8.1} fps | reused {:>8.1} fps | par{} {:>8.1} fps | speedup {:>5.2}x | equivalent: {}",
+            "{:>8} states | ref {:>8.1} fps | table {:>8.1} fps | reused {:>8.1} fps | speedup {:>5.2}x | equivalent: {}",
             result.states,
             result.reference.frames_per_second,
             result.token_table.frames_per_second,
             result.token_table_reused_scratch.frames_per_second,
-            PARALLEL_THREADS,
-            result.parallel.frames_per_second,
             result.speedup,
             result.equivalent,
         );
@@ -158,20 +146,18 @@ fn main() {
         unit: "frames_per_second".to_owned(),
         beam: BEAM,
         frames: FRAMES,
-        parallel_threads: PARALLEL_THREADS,
         trajectory,
         headline_speedup_50k: headline,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_decode.json");
     // Rewriting the file must not drop the other binaries' spliced
-    // sections (bench_serving, bench_frontend, bench_accel, bench_batch,
-    // bench_load, bench_store).
-    let carried: Vec<(&str, Option<String>)> =
-        ["serving", "frontend", "accel", "batch", "load", "store"]
-            .into_iter()
-            .map(|key| (key, asr_bench::extract_json_section(&path, key)))
-            .collect();
+    // sections (bench_frontend, bench_accel, bench_batch, bench_load,
+    // bench_store).
+    let carried: Vec<(&str, Option<String>)> = ["frontend", "accel", "batch", "load", "store"]
+        .into_iter()
+        .map(|key| (key, asr_bench::extract_json_section(&path, key)))
+        .collect();
     std::fs::write(&path, json).expect("write BENCH_decode.json");
     for (key, section) in carried {
         if let Some(section) = section {

@@ -8,7 +8,7 @@
 //! bit-identical cost rows.
 //!
 //! Results are spliced into `BENCH_decode.json` (section `"frontend"`)
-//! next to the decode and serving numbers.
+//! next to the decode numbers.
 //!
 //! ```text
 //! cargo run --release -p asr-bench --bin bench_frontend

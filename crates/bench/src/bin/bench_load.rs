@@ -310,8 +310,7 @@ fn run_side(
     }
 }
 
-/// `--arrivals N`, `--loads 1,2`, `--seed N` overrides, in
-/// bench_serving's flag style.
+/// `--arrivals N`, `--loads 1,2`, `--seed N` overrides.
 fn args() -> (usize, Vec<f64>, u64) {
     let (mut arrivals, mut loads, mut seed) = (150usize, vec![1.0, 2.0], 7u64);
     let mut argv = std::env::args().skip(1);

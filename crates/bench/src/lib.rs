@@ -252,7 +252,7 @@ fn read_members(file: &std::path::Path) -> Option<Vec<String>> {
 /// `value_json` is re-indented one level so the result stays readable.
 ///
 /// This is how the benchmark binaries co-locate their numbers in
-/// `BENCH_decode.json` (`bench_serving` → `"serving"`, `bench_frontend` →
+/// `BENCH_decode.json` (`bench_batch` → `"batch"`, `bench_frontend` →
 /// `"frontend"`) without a JSON parser — the offline `serde_json` shim
 /// only serializes.
 ///
@@ -276,7 +276,7 @@ pub fn splice_json_section(file: &std::path::Path, key: &str, value_json: &str) 
 /// `None` when the file or the section is absent.
 ///
 /// Used by writers that regenerate a whole file (`bench_decode`) to
-/// carry foreign sections (the `"serving"` and `"frontend"` numbers)
+/// carry foreign sections (the `"batch"` and `"frontend"` numbers)
 /// across the rewrite.
 pub fn extract_json_section(file: &std::path::Path, key: &str) -> Option<String> {
     let members = read_members(file)?;

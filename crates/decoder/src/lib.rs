@@ -45,15 +45,12 @@
 //! * [`reference`](mod@reference): the retained seed `HashMap` decoder
 //!   ([`reference::ReferenceDecoder`]), the equivalence and benchmark
 //!   baseline;
-//! * [`parallel`]: a multi-threaded variant standing in for the GPU
-//!   decoder's arc-parallel traversal, sharding the token table by state
-//!   range for lock-free per-shard relaxation on lanes leased from a
-//!   (possibly shared) work-stealing executor;
 //! * [`pool`]: the serving substrate — the shared work-stealing
 //!   [`pool::WorkerPool`] (global injector, per-lane deques,
-//!   steal-on-idle) that concurrent decoders and sessions lease lanes
-//!   from, and the checkout/restore [`pool::ScratchPool`] that makes
-//!   repeated facade decodes allocation-free;
+//!   steal-on-idle) whose fork-joins carry the sessions' score/search
+//!   overlap and the batch service's sharded flush, and the
+//!   checkout/restore [`pool::ScratchPool`] that makes repeated facade
+//!   decodes allocation-free;
 //! * [`stream`]: the batch frame loop cut open for streaming
 //!   ([`stream::StreamingDecode`], generic over borrowed or owned graph
 //!   handles): rows in, partial hypotheses out, byte-identical
@@ -78,13 +75,9 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod align;
-pub mod confidence;
 pub mod lattice;
 #[cfg(all(test, feature = "model-check"))]
 mod model_check;
-pub mod nbest;
-pub mod parallel;
 pub mod pool;
 pub mod reference;
 pub mod search;

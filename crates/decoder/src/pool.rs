@@ -11,9 +11,9 @@
 //! * [`WorkerPool`] is a long-lived **lock-free work-stealing executor**:
 //!   a bounded MPMC injector ring plus one Chase–Lev deque per worker
 //!   lane, shared by any number of concurrent submitters through `&self`.
-//!   A frame phase is one fork-join job whose chunk tasks land in the
-//!   injector; worker lanes pick them up (batch-grabbing siblings into
-//!   their own deque, where idle lanes CAS-steal), and the submitting
+//!   A fork-join job's chunk tasks land in the injector; worker lanes
+//!   pick them up (batch-grabbing siblings into their own deque, where
+//!   idle lanes CAS-steal), and the submitting
 //!   thread executes chunk 0 inline then *helps*: while its join is
 //!   pending it executes whatever task it can take — its own still-queued
 //!   chunks (steal-back) or another job's (counted separately) — so a
@@ -860,7 +860,8 @@ impl WorkerPool {
 
     /// Runs `f(chunk)` once for every `chunk in 0..chunks`, across the
     /// pool's lanes and the calling thread, and returns when all chunks
-    /// have finished — the frame barrier of the parallel decoder.
+    /// have finished — the barrier under a session's score/search
+    /// overlap and the batch service's sharded flush.
     ///
     /// The call is safe to issue from any number of threads at once:
     /// chunks from concurrent jobs interleave in the shared queues and
@@ -872,7 +873,7 @@ impl WorkerPool {
     /// state performs no heap allocation.
     ///
     /// Tasks must not themselves call `fork_join` on the same pool (the
-    /// decoders never do): a worker blocked on a nested join could wait
+    /// sessions never do): a worker blocked on a nested join could wait
     /// on work only it would execute.
     ///
     /// # Panics

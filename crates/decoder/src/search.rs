@@ -154,14 +154,14 @@ pub struct DecodeResult {
 #[derive(Debug, Clone)]
 pub struct DecodeScratch {
     pub(crate) cur: TokenTable<TraceId>,
-    pub(crate) next: TokenTable<TraceId>,
+    next: TokenTable<TraceId>,
     /// Beam survivors of the current frame, sorted by state id.
-    pub(crate) frontier: Vec<u32>,
+    frontier: Vec<u32>,
     /// Epsilon-closure worklist.
-    pub(crate) worklist: Vec<u32>,
+    worklist: Vec<u32>,
     /// Live trace roots handed to the lattice GC.
-    pub(crate) gc_roots: Vec<TraceId>,
-    pub(crate) gc: CompactScratch,
+    gc_roots: Vec<TraceId>,
+    gc: CompactScratch,
 }
 
 impl DecodeScratch {
@@ -231,103 +231,125 @@ impl ViterbiDecoder {
         wfst: &Wfst,
         scores: &AcousticTable,
     ) -> DecodeResult {
-        scratch.ensure(wfst.num_states());
-        let DecodeScratch {
-            cur,
-            next,
-            frontier,
-            worklist,
-            gc_roots,
-            gc,
-        } = scratch;
         let mut lattice = Lattice::new();
         let mut stats = DecodeStats::default();
-        let beam = self.opts.beam;
-
-        cur.begin_frame();
-        let start_trace = lattice.push(TraceId::ROOT, WordId::NONE);
-        cur.relax(wfst.start().0, 0.0, || start_trace);
-        // Initial epsilon closure, before any frame is consumed; no beam
-        // applies yet (mirrors the reference).
-        let mut scratch_fs = FrameStats::default();
-        epsilon_closure(
-            wfst,
-            cur,
-            &mut lattice,
-            &mut scratch_fs,
-            f32::INFINITY,
-            worklist,
-        );
-
+        seed_start(wfst, scratch, &mut lattice);
         let num_frames = scores.num_frames();
         for frame in 0..num_frames {
-            let mut fs = FrameStats {
-                active_tokens: cur.len(),
-                ..FrameStats::default()
-            };
-            build_frontier(cur, frontier, beam, self.opts.max_active);
-            fs.expanded_tokens = frontier.len();
-            if self.opts.record_state_accesses {
-                for &state in frontier.iter() {
-                    *stats.state_accesses.entry(state).or_insert(0) += 1;
-                }
-            }
-
             // The final frame keeps every token so final-state selection
             // sees the full set, exactly like the reference.
             let last_frame = frame + 1 == num_frames;
-            relax_frame(
+            let alive = search_frame(
                 wfst,
-                cur,
-                next,
-                frontier,
+                &self.opts,
+                scratch,
                 &mut lattice,
-                &mut fs,
-                beam,
-                last_frame,
+                &mut stats,
                 scores.frame_row(frame),
+                last_frame,
             );
-            // Epsilon closure under a threshold frozen at the end of the
-            // emitting phase: order-independent, so the sharded parallel
-            // decoder reproduces the exact same closure.
-            let closure_threshold = if last_frame {
-                f32::INFINITY
-            } else {
-                next.best() + beam
-            };
-            epsilon_closure(
-                wfst,
-                next,
-                &mut lattice,
-                &mut fs,
-                closure_threshold,
-                worklist,
-            );
-            std::mem::swap(cur, next);
-            stats.frames.push(fs);
-            if cur.is_empty() {
+            if !alive {
                 break; // the beam killed every path; decode fails gracefully
             }
-            if !last_frame {
-                maybe_gc(
-                    self.opts.lattice_gc_interval,
-                    frame,
-                    cur,
-                    &mut lattice,
-                    gc_roots,
-                    frontier,
-                    gc,
-                );
-            }
         }
-
-        finish(wfst, cur, frontier, lattice, stats)
+        finish(wfst, scratch, lattice, stats)
     }
+}
+
+/// Starts a decode in `scratch`: sizes the tables for `wfst`, seeds the
+/// start state's token and runs the initial epsilon closure, before any
+/// frame is consumed; no beam applies yet (mirrors the reference). The
+/// one preamble of the batch and streaming drivers.
+pub(crate) fn seed_start(wfst: &Wfst, scratch: &mut DecodeScratch, lattice: &mut Lattice) {
+    scratch.ensure(wfst.num_states());
+    scratch.cur.begin_frame();
+    let start_trace = lattice.push(TraceId::ROOT, WordId::NONE);
+    scratch.cur.relax(wfst.start().0, 0.0, || start_trace);
+    epsilon_closure(
+        wfst,
+        &mut scratch.cur,
+        lattice,
+        &mut FrameStats::default(),
+        f32::INFINITY,
+        &mut scratch.worklist,
+    );
+}
+
+/// Consumes one frame's score row: prune into the frontier, expand the
+/// emitting arcs, close over epsilon arcs, swap the tables, record the
+/// frame's stats (frame `stats.frames.len()` of the utterance) and run
+/// the periodic lattice GC. The one frame body of the batch and
+/// streaming drivers, so the two can never drift apart. Returns `false`
+/// once the beam has killed every path.
+///
+/// `row[p]` is the acoustic cost of phone `p` this frame. `last_frame`
+/// turns prune-on-insert and the closure threshold off and skips the GC,
+/// so final-state selection sees every token.
+pub(crate) fn search_frame(
+    wfst: &Wfst,
+    opts: &DecodeOptions,
+    scratch: &mut DecodeScratch,
+    lattice: &mut Lattice,
+    stats: &mut DecodeStats,
+    row: &[f32],
+    last_frame: bool,
+) -> bool {
+    let DecodeScratch {
+        cur,
+        next,
+        frontier,
+        worklist,
+        gc_roots,
+        gc,
+    } = scratch;
+    let beam = opts.beam;
+    let frame = stats.frames.len();
+
+    let mut fs = FrameStats {
+        active_tokens: cur.len(),
+        ..FrameStats::default()
+    };
+    build_frontier(cur, frontier, beam, opts.max_active);
+    fs.expanded_tokens = frontier.len();
+    if opts.record_state_accesses {
+        for &state in frontier.iter() {
+            *stats.state_accesses.entry(state).or_insert(0) += 1;
+        }
+    }
+
+    relax_frame(
+        wfst, cur, next, frontier, lattice, &mut fs, beam, last_frame, row,
+    );
+    // Epsilon closure under a threshold frozen at the end of the emitting
+    // phase, so the closure is independent of the worklist order.
+    let closure_threshold = if last_frame {
+        f32::INFINITY
+    } else {
+        next.best() + beam
+    };
+    epsilon_closure(wfst, next, lattice, &mut fs, closure_threshold, worklist);
+    std::mem::swap(cur, next);
+    stats.frames.push(fs);
+    if cur.is_empty() {
+        return false;
+    }
+    if !last_frame {
+        maybe_gc(
+            opts.lattice_gc_interval,
+            frame,
+            cur,
+            lattice,
+            gc_roots,
+            frontier,
+            gc,
+        );
+    }
+    true
 }
 
 /// Collects the beam (and optional histogram) survivors of `table` into
 /// `frontier`, sorted by state id — the deterministic expansion order.
-pub(crate) fn build_frontier(
+fn build_frontier(
     table: &TokenTable<TraceId>,
     frontier: &mut Vec<u32>,
     beam: f32,
@@ -357,9 +379,7 @@ pub(crate) fn build_frontier(
 }
 
 /// Expands one frame's emitting arcs from `frontier` into `next` with
-/// prune-on-insert and inline lattice pushes — the sequential frame body,
-/// shared by the batch decoder, the streaming decoder, and the parallel
-/// decoder's single-lane path so the three can never drift apart.
+/// prune-on-insert and inline lattice pushes.
 ///
 /// Prune-on-insert: the running frame-best can only over-estimate the
 /// final best, so anything skipped here is a token the next frame's prune
@@ -369,7 +389,7 @@ pub(crate) fn build_frontier(
 /// `row[p]` is the acoustic cost of phone `p` this frame (an
 /// [`AcousticTable`] row or a streamed score row).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn relax_frame(
+fn relax_frame(
     wfst: &Wfst,
     cur: &TokenTable<TraceId>,
     next: &mut TokenTable<TraceId>,
@@ -406,7 +426,7 @@ pub(crate) fn relax_frame(
 /// (frozen by the caller at the end of the emitting phase) are neither
 /// stored nor expanded — they could never improve an in-beam token, since
 /// epsilon weights are non-negative.
-pub(crate) fn epsilon_closure(
+fn epsilon_closure(
     wfst: &Wfst,
     table: &mut TokenTable<TraceId>,
     lattice: &mut Lattice,
@@ -444,7 +464,7 @@ pub(crate) fn epsilon_closure(
 /// Runs lattice GC when `frame` crosses the configured interval: live
 /// roots are the stored tokens' traces, and every surviving token's
 /// backpointer is retargeted to the compacted trace.
-pub(crate) fn maybe_gc(
+fn maybe_gc(
     interval: Option<u32>,
     frame: usize,
     table: &mut TokenTable<TraceId>,
@@ -477,11 +497,12 @@ pub(crate) fn maybe_gc(
 /// the reference's deterministic tie-break.
 pub(crate) fn finish(
     wfst: &Wfst,
-    cur: &mut TokenTable<TraceId>,
-    states_scratch: &mut Vec<u32>,
+    scratch: &mut DecodeScratch,
     lattice: Lattice,
     stats: DecodeStats,
 ) -> DecodeResult {
+    let cur = &scratch.cur;
+    let states_scratch = &mut scratch.frontier;
     states_scratch.clear();
     states_scratch.extend_from_slice(cur.active());
     states_scratch.sort_unstable();

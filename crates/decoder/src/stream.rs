@@ -53,11 +53,11 @@
 //! a free list, so after the first two `advance` calls the handoff
 //! allocates nothing.
 
-use crate::lattice::{Lattice, TraceId};
+use crate::lattice::Lattice;
 use crate::pool::WorkerPool;
 use crate::search::{
-    build_frontier, epsilon_closure, finish as finish_decode, maybe_gc, relax_frame, DecodeOptions,
-    DecodeResult, DecodeScratch, DecodeStats, FrameStats,
+    finish as finish_decode, search_frame, seed_start, DecodeOptions, DecodeResult, DecodeScratch,
+    DecodeStats,
 };
 use asr_wfst::{StateId, Wfst, WordId};
 use std::collections::VecDeque;
@@ -96,7 +96,6 @@ pub struct StreamingDecode<G: Deref<Target = Wfst>> {
     scratch: DecodeScratch,
     lattice: Lattice,
     stats: DecodeStats,
-    frames: usize,
     alive: bool,
 }
 
@@ -104,35 +103,21 @@ impl<G: Deref<Target = Wfst>> StreamingDecode<G> {
     /// Starts a decode: seeds the start state and runs the initial
     /// epsilon closure, exactly like the batch decoder's preamble.
     pub fn new(wfst: G, opts: DecodeOptions, mut scratch: DecodeScratch) -> Self {
-        let graph: &Wfst = &wfst;
-        scratch.ensure(graph.num_states());
         let mut lattice = Lattice::new();
-        scratch.cur.begin_frame();
-        let start_trace = lattice.push(TraceId::ROOT, WordId::NONE);
-        scratch.cur.relax(graph.start().0, 0.0, || start_trace);
-        let mut preamble_fs = FrameStats::default();
-        epsilon_closure(
-            graph,
-            &mut scratch.cur,
-            &mut lattice,
-            &mut preamble_fs,
-            f32::INFINITY,
-            &mut scratch.worklist,
-        );
+        seed_start(&wfst, &mut scratch, &mut lattice);
         Self {
             wfst,
             opts,
             scratch,
             lattice,
             stats: DecodeStats::default(),
-            frames: 0,
             alive: true,
         }
     }
 
     /// Frames consumed so far.
     pub fn frames(&self) -> usize {
-        self.frames
+        self.stats.frames.len()
     }
 
     /// The search options currently in force.
@@ -196,7 +181,7 @@ impl<G: Deref<Target = Wfst>> StreamingDecode<G> {
             words: self.lattice.backtrack(cur.payload(state)),
             cost,
             state: StateId(state),
-            frames: self.frames,
+            frames: self.frames(),
         })
     }
 
@@ -214,13 +199,7 @@ impl<G: Deref<Target = Wfst>> StreamingDecode<G> {
             stats,
             ..
         } = self;
-        let result = finish_decode(
-            &wfst,
-            &mut scratch.cur,
-            &mut scratch.frontier,
-            lattice,
-            stats,
-        );
+        let result = finish_decode(&wfst, &mut scratch, lattice, stats);
         (result, scratch)
     }
 
@@ -235,57 +214,15 @@ impl<G: Deref<Target = Wfst>> StreamingDecode<G> {
         if !self.alive {
             return;
         }
-        let wfst: &Wfst = &self.wfst;
-        let lattice = &mut self.lattice;
-        let DecodeScratch {
-            cur,
-            next,
-            frontier,
-            worklist,
-            gc_roots,
-            gc,
-        } = &mut self.scratch;
-        let beam = self.opts.beam;
-
-        let mut fs = FrameStats {
-            active_tokens: cur.len(),
-            ..FrameStats::default()
-        };
-        build_frontier(cur, frontier, beam, self.opts.max_active);
-        fs.expanded_tokens = frontier.len();
-        if self.opts.record_state_accesses {
-            for &state in frontier.iter() {
-                *self.stats.state_accesses.entry(state).or_insert(0) += 1;
-            }
-        }
-
-        relax_frame(
-            wfst, cur, next, frontier, lattice, &mut fs, beam, last_frame, row,
+        self.alive = search_frame(
+            &self.wfst,
+            &self.opts,
+            &mut self.scratch,
+            &mut self.lattice,
+            &mut self.stats,
+            row,
+            last_frame,
         );
-        let closure_threshold = if last_frame {
-            f32::INFINITY
-        } else {
-            next.best() + beam
-        };
-        epsilon_closure(wfst, next, lattice, &mut fs, closure_threshold, worklist);
-        std::mem::swap(cur, next);
-        self.stats.frames.push(fs);
-        self.frames += 1;
-        if cur.is_empty() {
-            self.alive = false;
-            return;
-        }
-        if !last_frame {
-            maybe_gc(
-                self.opts.lattice_gc_interval,
-                self.frames - 1,
-                cur,
-                lattice,
-                gc_roots,
-                frontier,
-                gc,
-            );
-        }
     }
 }
 

@@ -11,8 +11,8 @@
 //!
 //! * **slots** (`costs`/`payloads`) mirror the hash entries: one per
 //!   state, carrying the path cost and a caller-chosen payload (the
-//!   backpointer [`crate::lattice::TraceId`] in the sequential decoder, a
-//!   pending backpointer/word pair in the sharded parallel decoder);
+//!   backpointer [`crate::lattice::TraceId`] in the decoders and the
+//!   simulator, `()` where only membership matters);
 //! * an **epoch tag** per slot replaces clearing: a slot is live only if
 //!   its tag equals the table's current epoch, so "flushing the hash
 //!   table" between frames is one counter bump ([`TokenTable::begin_frame`])
@@ -138,8 +138,7 @@ impl<P: Copy> TokenTable<P> {
         Self::new_shard(0, num_states, fill)
     }
 
-    /// Creates a shard covering states `base..base + len` (used by the
-    /// parallel decoder to split the state space across workers).
+    /// Creates a shard covering states `base..base + len`.
     pub fn new_shard(base: u32, len: usize, fill: P) -> Self {
         Self {
             base,

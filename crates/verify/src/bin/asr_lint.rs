@@ -7,7 +7,8 @@
 //! [`asr_verify::lint`]: SAFETY comments on `unsafe`, `Ordering::` and
 //! raw-pointer types confined to allowlisted modules, no panicking
 //! calls in hot-path modules, and size/align asserts on every
-//! `#[repr(C)]` store record. Exits non-zero on any finding.
+//! `#[repr(C)]` store record, and no allowlist entry for a file that is
+//! gone. Exits non-zero on any finding.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -1,4 +1,4 @@
-//! The engine behind `asr-lint`: a hand-rolled Rust lexer plus four
+//! The engine behind `asr-lint`: a hand-rolled Rust lexer plus six
 //! repo-invariant rules that clippy cannot express.
 //!
 //! | rule | invariant |
@@ -8,6 +8,7 @@
 //! | `raw-ptr-allowlist` | raw-pointer types (`*const T` / `*mut T`) appear only in the allowlisted unsafe-audited modules |
 //! | `no-panic-hot-path` | no `panic!` / `unwrap()` / `expect()` / `unreachable!` / `todo!` / `unimplemented!` in the hot-path modules (executor, session frame loop, store load/validate) |
 //! | `repr-c-assert` | every `#[repr(C)]` record in the graph store keeps its compile-time `size_of` / `align_of` asserts |
+//! | `stale-allowlist` | every path the rules above allowlist or target exists under the linted root, so a deleted module cannot leave its exemption behind |
 //!
 //! `#[cfg(test)] mod` bodies are excluded (tests may panic freely), and
 //! an individual hot-path site can be waived with a justification
@@ -24,7 +25,7 @@ use std::path::{Path, PathBuf};
 pub struct Finding {
     /// Repo-relative path of the offending file.
     pub file: String,
-    /// 1-based line number.
+    /// 1-based line number (0 when the finding is about a missing file).
     pub line: usize,
     /// Stable rule name (see the module table).
     pub rule: &'static str,
@@ -43,8 +44,7 @@ impl std::fmt::Display for Finding {
 }
 
 /// Files allowed to name `Ordering::*` — the lock-free executor, the
-/// facade, the runtime's batch service, the model checker itself, and
-/// the serving bench that reads the executor's relaxed counters.
+/// facade, the runtime's batch service, and the model checker itself.
 const ORDERING_ALLOW: &[&str] = &[
     "crates/decoder/src/pool.rs",
     "crates/decoder/src/sync.rs",
@@ -52,17 +52,15 @@ const ORDERING_ALLOW: &[&str] = &[
     "src/runtime.rs",
     "crates/verify/src/model.rs",
     "crates/verify/src/shadow.rs",
-    "crates/bench/src/bin/bench_serving.rs",
 ];
 
 /// Files allowed to name raw-pointer types — exactly the audited
-/// unsafe modules (sharded runtime views, zero-copy store, lane cells,
-/// the executor's erased job headers, the SIMD scan, the dense fold
-/// kernel, and the checker).
+/// unsafe modules (the batch flush's sharded block views, zero-copy
+/// store, the executor's erased job headers, the SIMD scan, the dense
+/// fold kernel, and the checker).
 const RAW_PTR_ALLOW: &[&str] = &[
     "crates/acoustic/src/fold.rs",
     "crates/decoder/src/pool.rs",
-    "crates/decoder/src/parallel.rs",
     "crates/decoder/src/model_check.rs",
     "src/runtime.rs",
     "crates/wfst/src/store.rs",
@@ -601,9 +599,32 @@ fn collect_files(root: &Path) -> Vec<PathBuf> {
     files
 }
 
+/// An allowlist (or rule-target) entry naming a file that is not under
+/// `root` is an exemption nothing checks any more.
+fn stale_allowlist(root: &Path) -> Vec<Finding> {
+    let lists = [
+        ("ORDERING_ALLOW", ORDERING_ALLOW),
+        ("RAW_PTR_ALLOW", RAW_PTR_ALLOW),
+        ("NO_PANIC", NO_PANIC),
+        ("REPR_C_ASSERT", REPR_C_ASSERT),
+    ];
+    let mut findings = Vec::new();
+    for (list, paths) in lists {
+        for path in paths.iter().filter(|p| !root.join(p).is_file()) {
+            findings.push(Finding {
+                file: (*path).to_string(),
+                line: 0,
+                rule: "stale-allowlist",
+                message: format!("`{list}` names a file that does not exist"),
+            });
+        }
+    }
+    findings
+}
+
 /// Lints the whole repo rooted at `root`; returns every finding.
 pub fn lint_repo(root: &Path) -> Vec<Finding> {
-    let mut findings = Vec::new();
+    let mut findings = stale_allowlist(root);
     for path in collect_files(root) {
         let rel = path
             .strip_prefix(root)
@@ -704,6 +725,25 @@ mod tests {
         assert_eq!(got, vec!["repr-c-assert", "repr-c-assert"]);
         let good = "#[repr(C)]\nstruct Rec { a: u32 }\nconst _: () = assert!(std::mem::size_of::<Rec>() == 4);\nconst _: () = assert!(std::mem::align_of::<Rec>() == 4);";
         assert!(rules("crates/wfst/src/store.rs", good).is_empty());
+    }
+
+    #[test]
+    fn allowlist_entries_must_exist_under_the_root() {
+        let root = std::env::temp_dir().join(format!("asr-lint-stale-{}", std::process::id()));
+        let kept = "crates/decoder/src/stream.rs";
+        std::fs::create_dir_all(root.join(kept).parent().unwrap()).unwrap();
+        std::fs::write(root.join(kept), "").unwrap();
+        let stale = lint_repo(&root);
+        std::fs::remove_dir_all(&root).unwrap();
+        let listed =
+            ORDERING_ALLOW.len() + RAW_PTR_ALLOW.len() + NO_PANIC.len() + REPR_C_ASSERT.len();
+        assert_eq!(stale.len(), listed - 1, "every entry but the one present");
+        assert!(stale
+            .iter()
+            .all(|f| f.rule == "stale-allowlist" && f.file != kept));
+        // The repo's own lists name only files that exist.
+        let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        assert_eq!(stale_allowlist(&repo), Vec::new());
     }
 
     #[test]

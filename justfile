@@ -73,20 +73,6 @@ loc:
 bench-decode:
     cargo run --release -p asr-bench --bin bench_decode
 
-# Serving-path benchmark: persistent pools vs per-request construction,
-# plus the runtime concurrency sweep; splices a "serving" section into
-# BENCH_decode.json.
-bench-serving:
-    cargo run --release -p asr-bench --bin bench_serving
-
-# Runtime concurrency sweep (shared lock-free work-stealing executor vs
-# private per-decoder pools at 1/2/4/8/16/32 concurrent sessions, plus
-# the lanes-vs-throughput curve) — the same binary as bench-serving with
-# the sweep sizes spelled out; part of the "serving" section of
-# BENCH_decode.json.
-bench-runtime:
-    cargo run --release -p asr-bench --bin bench_serving -- --sessions 1,2,4,8,16,32 --lanes 1,2,4,8
-
 # Open-loop overload harness: Poisson arrivals at 1x/2x the calibrated
 # saturation rate against fixed-beam vs QoS-degrading runtimes; splices a
 # "load" section into BENCH_decode.json (bar: fixed p99 >= 3x QoS p99 at

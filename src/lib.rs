@@ -54,6 +54,6 @@ pub mod runtime;
 
 pub use runtime::{
     AsrRuntime, BatchScoringConfig, BatchScoringStats, Hypothesis, ModelStats, PipelineError,
-    QosPolicy, QosTier, RuntimeConfig, RuntimeError, RuntimeStats, ScoresRoute, Session,
-    SessionOptions, Transcript,
+    QosPolicy, QosTier, RuntimeConfig, RuntimeError, RuntimeStats, Session, SessionOptions,
+    Transcript,
 };

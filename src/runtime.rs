@@ -7,9 +7,9 @@
 //! that deployment shape. The runtime owns the engine state (decoding
 //! graph, lexicon, acoustic scorer, scratch and front-end pools) behind
 //! an [`Arc`], plus **one global work-stealing executor**
-//! ([`WorkerPool`]): per-decoder private pools are replaced by lane
-//! leases from the shared executor, so N concurrent decodes share all
-//! lanes instead of serializing behind per-request thread sets.
+//! ([`WorkerPool`]): every session's fork-joins land in the same
+//! queues, so N concurrent decodes share all lanes instead of each
+//! hoarding a private thread set.
 //!
 //! [`AsrRuntime::open_session`] returns an **owned [`Session`]**:
 //! `Send + 'static`, no borrowed pipeline lifetime, so callers can open
@@ -112,7 +112,6 @@ use asr_acoustic::online::{FrameScorer, OnlineMfcc};
 use asr_acoustic::scores::AcousticTable;
 use asr_acoustic::signal::{SignalConfig, Utterance};
 use asr_acoustic::template::TemplateScorer;
-use asr_decoder::parallel::ParallelDecoder;
 use asr_decoder::pool::{ScratchPool, ScratchPoolStats, WorkerPool, WorkerPoolStats};
 use asr_decoder::search::DecodeOptions;
 use asr_decoder::stream::{AlbQueue, StreamingDecode};
@@ -832,28 +831,6 @@ pub struct RuntimeConfig {
     qos: Option<QosPolicy>,
     acoustic: AcousticSpec,
     batch: Option<BatchScoringConfig>,
-    scores_route: ScoresRoute,
-    scores_threshold: usize,
-}
-
-/// Which decode path [`AsrRuntime::recognize_scores`] takes, from
-/// [`RuntimeConfig::scores_route`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScoresRoute {
-    /// Decide by graph size: lease the shared-pool parallel batch
-    /// decoder when the graph has more than
-    /// [`RuntimeConfig::parallel_scores_threshold`] states (where its
-    /// per-frame shard fan-out amortizes), the session path otherwise.
-    /// Runtimes with a [`QosPolicy`] always take the session path —
-    /// adaptive tiers only exist there.
-    #[default]
-    Auto,
-    /// Always the session path.
-    Session,
-    /// Always the leased parallel decoder (inline on a one-lane
-    /// runtime). Decodes at the runtime's base [`DecodeOptions`],
-    /// bypassing any QoS tiers.
-    Parallel,
 }
 
 /// Which acoustic backend [`RuntimeConfig`] builds the runtime with.
@@ -874,17 +851,9 @@ impl Default for RuntimeConfig {
             qos: None,
             acoustic: AcousticSpec::Template,
             batch: None,
-            scores_route: ScoresRoute::Auto,
-            scores_threshold: DEFAULT_SCORES_THRESHOLD,
         }
     }
 }
-
-/// The default [`ScoresRoute::Auto`] graph-size threshold, in states.
-/// Tuned by `bench_serving`'s large-graph sweep: below ~20k states the
-/// per-frame shard fan-out costs more than it wins; at 50k states the
-/// leased decoder runs ~1.1–1.2× faster than the session path.
-const DEFAULT_SCORES_THRESHOLD: usize = 20_000;
 
 impl RuntimeConfig {
     /// The default configuration (see [`RuntimeConfig::default`]).
@@ -961,25 +930,6 @@ impl RuntimeConfig {
     /// layer.
     pub fn batch_scoring(mut self, cfg: BatchScoringConfig) -> Self {
         self.batch = Some(cfg);
-        self
-    }
-
-    /// Overrides which path [`AsrRuntime::recognize_scores`] decodes on:
-    /// [`ScoresRoute::Auto`] (the default) leases the shared-pool
-    /// parallel decoder above the graph-size threshold,
-    /// [`ScoresRoute::Session`]/[`ScoresRoute::Parallel`] force one path
-    /// unconditionally. Every route is byte-identical — the parallel
-    /// decoder's per-frame shard phases reduce in one fold order.
-    pub fn scores_route(mut self, route: ScoresRoute) -> Self {
-        self.scores_route = route;
-        self
-    }
-
-    /// Sets the [`ScoresRoute::Auto`] graph-size threshold: pre-scored
-    /// batch decodes lease the parallel decoder when the graph has more
-    /// than `states` states.
-    pub fn parallel_scores_threshold(mut self, states: usize) -> Self {
-        self.scores_threshold = states;
         self
     }
 }
@@ -1222,14 +1172,6 @@ struct RuntimeInner {
     frames_per_phone: usize,
     /// The load-adaptive degradation policy, when one is installed.
     qos: Option<QosPolicy>,
-    /// How [`AsrRuntime::recognize_scores`] picks its decode path.
-    scores_route: ScoresRoute,
-    /// The [`ScoresRoute::Auto`] graph-size threshold, in states.
-    scores_threshold: usize,
-    /// The leased parallel batch decoder behind the `recognize_scores`
-    /// auto-route, built on first use and reused (its idle working sets
-    /// pool like decode scratches).
-    parallel: OnceLock<ParallelDecoder>,
     /// Pressure bookkeeping: session counts always, frame timing and
     /// tier selection only when `qos` is present.
     monitor: PressureMonitor,
@@ -1734,9 +1676,6 @@ impl AsrRuntime {
                 executor: OnceLock::new(),
                 frames_per_phone: config.frames_per_phone,
                 qos: config.qos,
-                scores_route: config.scores_route,
-                scores_threshold: config.scores_threshold,
-                parallel: OnceLock::new(),
                 monitor: PressureMonitor::default(),
                 models: Mutex::new(ModelRegistry::default()),
             }),
@@ -2010,7 +1949,7 @@ impl AsrRuntime {
 
     /// The shared work-stealing executor, or `None` on a one-lane
     /// runtime (which never spawns worker threads). Spun up lazily on
-    /// first call; every session and leased decoder shares it.
+    /// first call; every session shares it.
     pub fn executor(&self) -> Option<&Arc<WorkerPool>> {
         if self.inner.lanes <= 1 {
             return None;
@@ -2027,22 +1966,6 @@ impl AsrRuntime {
             }
             pool
         }))
-    }
-
-    /// Leases a parallel batch decoder on the runtime's shared executor
-    /// (the accelerator-deployment shape for bulk pre-scored decodes):
-    /// its per-frame shard phases interleave with every other lease and
-    /// session in the same injector, so concurrent batch decodes share
-    /// all lanes. On a one-lane runtime the decoder runs fully inline.
-    pub fn lease_decoder(&self) -> ParallelDecoder {
-        match self.executor() {
-            Some(pool) => ParallelDecoder::on_pool(
-                self.inner.options.clone(),
-                self.inner.lanes,
-                Arc::clone(pool),
-            ),
-            None => ParallelDecoder::new(self.inner.options.clone(), 1),
-        }
     }
 
     /// Renders a synthetic utterance speaking `words`.
@@ -2093,56 +2016,22 @@ impl AsrRuntime {
     }
 
     /// Recognizes a pre-scored utterance (the accelerator-style
-    /// deployment, where the acoustic model runs elsewhere). On small
-    /// graphs (or with [`ScoresRoute::Session`]) this is a one-shot
+    /// deployment, where the acoustic model runs elsewhere): a one-shot
     /// [`Session`] fed the score rows, riding a warmed scratch from the
-    /// shared pool; above the [`ScoresRoute::Auto`] graph-size threshold
-    /// it leases the parallel batch decoder instead, sharding every
-    /// frame across the executor's lanes. Both paths are byte-identical
-    /// (the parallel decoder reduces its shard phases in one fold
-    /// order), so the route is purely a throughput decision.
+    /// shared pool — the same admission accounting, QoS tiers and search
+    /// as any other session, for every graph size and executor width.
+    /// Pre-scored rows leave nothing to overlap with the search, so the
+    /// session takes no executor handle: a multi-lane runtime that only
+    /// ever decodes tables never spawns its worker threads.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`Session::push_row`] if the table has fewer columns
+    /// than the graph's phone-label range.
     pub fn recognize_scores(&self, scores: &AcousticTable) -> Transcript {
-        if self.route_scores_parallel() {
-            return self.recognize_scores_leased(scores);
-        }
-        let mut session = self.open_session();
+        let mut session = self.open_session_with(SessionOptions::new().overlap_scoring(false));
         session.push_frames(scores);
         session.finalize()
-    }
-
-    /// Whether [`AsrRuntime::recognize_scores`] should lease the
-    /// parallel decoder for this runtime's graph.
-    fn route_scores_parallel(&self) -> bool {
-        match self.inner.scores_route {
-            ScoresRoute::Session => false,
-            ScoresRoute::Parallel => true,
-            ScoresRoute::Auto => {
-                // QoS tiers and admission only exist on the session
-                // path, so a policy pins the auto-route there.
-                self.inner.qos.is_none()
-                    && self.inner.lanes > 1
-                    && self.inner.graph.num_states() > self.inner.scores_threshold
-            }
-        }
-    }
-
-    /// The leased-decoder half of [`AsrRuntime::recognize_scores`]:
-    /// decodes on the runtime's cached [`ParallelDecoder`], counting the
-    /// decode as a session so pressure accounting stays truthful.
-    fn recognize_scores_leased(&self, scores: &AcousticTable) -> Transcript {
-        self.inner.session_opened();
-        let decoder = self
-            .inner
-            .parallel
-            .get_or_init(|| self.lease_decoder())
-            .decode(&self.inner.graph, scores);
-        let transcript = Transcript {
-            words: self.inner.lexicon.transcript(&decoder.words),
-            cost: decoder.cost,
-            reached_final: decoder.reached_final,
-        };
-        self.inner.session_closed();
-        transcript
     }
 
     /// Opens an owned streaming session with default [`SessionOptions`].
@@ -3069,76 +2958,63 @@ mod tests {
         session.push_row(&[0.0; 3]);
     }
 
-    #[test]
-    fn scores_route_override_forces_each_path_and_stays_identical() {
-        let demo = |route| {
-            AsrRuntime::demo_with(RuntimeConfig::new().lanes(2).scores_route(route)).unwrap()
-        };
-        let sessioned = demo(ScoresRoute::Session);
-        let audio = sessioned.render_words(&["call", "mom"]).unwrap();
-        let scores = sessioned.score(&audio);
-        let base = sessioned.recognize_scores(&scores);
-        assert_eq!(base.words, vec!["call", "mom"]);
-
-        let leased = demo(ScoresRoute::Parallel);
-        let routed = leased.recognize_scores(&scores);
-        assert_eq!(routed.words, base.words);
-        assert_eq!(routed.cost.to_bits(), base.cost.to_bits());
-        assert_eq!(routed.reached_final, base.reached_final);
-        let stats = leased.stats();
-        let executor = stats.executor.expect("the leased decode forks on the pool");
-        assert!(executor.jobs_submitted > 0, "frames sharded across lanes");
-        assert_eq!(stats.active_sessions, 0);
-        assert_eq!(
-            stats.peak_sessions, 1,
-            "the leased decode counted as a session"
-        );
-    }
-
-    #[test]
-    fn auto_route_engages_above_the_graph_threshold() {
-        // The demo graph is far below the default threshold: auto takes
-        // the session path even with lanes to lease.
-        let auto = AsrRuntime::demo_with(RuntimeConfig::new().lanes(2)).unwrap();
-        assert!(!auto.route_scores_parallel());
-        // Dropping the threshold below the graph size flips the route...
-        let routed =
-            AsrRuntime::demo_with(RuntimeConfig::new().lanes(2).parallel_scores_threshold(0))
-                .unwrap();
-        assert!(routed.route_scores_parallel());
-        // ...without changing a byte.
-        let audio = auto.render_words(&["lights", "on"]).unwrap();
-        let scores = auto.score(&audio);
-        let a = auto.recognize_scores(&scores);
-        let b = routed.recognize_scores(&scores);
-        assert_eq!(a.words, b.words);
-        assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-        // A QoS policy pins the auto-route to the session path, where
-        // the tiers live.
-        let qos = AsrRuntime::demo_with(
-            RuntimeConfig::new()
-                .lanes(2)
-                .parallel_scores_threshold(0)
-                .qos(QosPolicy::new()),
+    /// A synthetic-graph runtime plus a score table matching the
+    /// graph's phone range.
+    fn synth_runtime(states: usize, frames: usize, lanes: usize) -> (AsrRuntime, AcousticTable) {
+        use asr_wfst::synth::{SynthConfig, SynthWfst};
+        let graph = SynthWfst::generate(&SynthConfig::with_states(states)).unwrap();
+        let scores = AcousticTable::random(frames, graph.num_phones() as usize, (0.5, 4.0), 17);
+        let config = RuntimeConfig::new().lanes(lanes).beam(8.0);
+        (
+            AsrRuntime::with_graph(graph, demo_lexicon(), config),
+            scores,
         )
-        .unwrap();
-        assert!(!qos.route_scores_parallel());
-        // One-lane runtimes have nothing to lease.
-        let one = AsrRuntime::demo_with(RuntimeConfig::new().lanes(1).parallel_scores_threshold(0))
-            .unwrap();
-        assert!(!one.route_scores_parallel());
     }
 
     #[test]
-    fn leased_decoder_matches_the_session_path() {
-        let runtime = AsrRuntime::demo_with(RuntimeConfig::new().lanes(2)).unwrap();
-        let audio = runtime.render_words(&["call", "mom"]).unwrap();
-        let scores = runtime.score(&audio);
-        let sessioned = runtime.recognize_scores(&scores);
-        let decoder = runtime.lease_decoder();
-        let leased = decoder.decode(runtime.graph(), &scores);
-        assert_eq!(runtime.lexicon().transcript(&leased.words), sessioned.words);
-        assert_eq!(leased.cost.to_bits(), sessioned.cost.to_bits());
+    fn recognize_scores_is_a_session_at_every_size_and_width() {
+        use asr_decoder::search::ViterbiDecoder;
+        for lanes in [1usize, 2] {
+            let (runtime, scores) = synth_runtime(25_000, 40, lanes);
+            let reference =
+                ViterbiDecoder::new(DecodeOptions::with_beam(8.0)).decode(runtime.graph(), &scores);
+            let got = runtime.recognize_scores(&scores);
+            assert_eq!(
+                got.words,
+                runtime.lexicon().transcript(&reference.words),
+                "lanes {lanes}"
+            );
+            assert_eq!(
+                got.cost.to_bits(),
+                reference.cost.to_bits(),
+                "lanes {lanes}"
+            );
+            assert_eq!(got.reached_final, reference.reached_final, "lanes {lanes}");
+            let stats = runtime.stats();
+            assert!(
+                stats.executor.is_none(),
+                "lanes {lanes}: a pre-scored decode has nothing to fork"
+            );
+            assert_eq!(stats.active_sessions, 0, "lanes {lanes}");
+            assert_eq!(stats.peak_sessions, 1, "lanes {lanes}");
+        }
+    }
+
+    #[test]
+    fn recognize_scores_panics_at_the_call_on_a_narrow_table_and_frees_its_slot() {
+        let (runtime, scores) = synth_runtime(2_000, 5, 2);
+        let narrow = AcousticTable::from_fn(5, scores.num_phones() - 1, |_, _| 1.0);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            runtime.recognize_scores(&narrow)
+        }))
+        .expect_err("a table one column short must be rejected");
+        let message = panic
+            .downcast_ref::<String>()
+            .expect("assert! panics with a formatted message");
+        assert!(message.starts_with("push_row:"), "{message}");
+        assert_eq!(runtime.stats().active_sessions, 0, "the slot was freed");
+        // The runtime still serves.
+        assert!(runtime.recognize_scores(&scores).cost.is_finite());
     }
 
     #[test]

@@ -6,7 +6,6 @@
 use asr_accel::config::{AcceleratorConfig, DesignPoint};
 use asr_accel::sim::Simulator;
 use asr_acoustic::scores::AcousticTable;
-use asr_decoder::parallel::ParallelDecoder;
 use asr_decoder::search::{DecodeOptions, ViterbiDecoder};
 use asr_wfst::synth::{SynthConfig, SynthWfst};
 use asr_wfst::Wfst;
@@ -61,18 +60,6 @@ fn idealizations_never_change_function() {
         let sim = Simulator::new(cfg).decode_wfst(&wfst, &scores).unwrap();
         assert_eq!(sim.cost, reference.cost);
         assert_eq!(sim.words, reference.words);
-    }
-}
-
-#[test]
-fn parallel_decoder_matches_sequential_on_all_thread_counts() {
-    let (wfst, scores) = workload(4_000, 12, 11);
-    let opts = DecodeOptions::with_beam(6.0);
-    let seq = ViterbiDecoder::new(opts.clone()).decode(&wfst, &scores);
-    for threads in [1usize, 2, 3, 8] {
-        let par = ParallelDecoder::new(opts.clone(), threads).decode(&wfst, &scores);
-        assert_eq!(par.cost, seq.cost, "{threads} threads");
-        assert_eq!(par.words, seq.words, "{threads} threads");
     }
 }
 
