@@ -45,10 +45,11 @@
 //! * [`reference`](mod@reference): the retained seed `HashMap` decoder
 //!   ([`reference::ReferenceDecoder`]), the equivalence and benchmark
 //!   baseline;
-//! * [`pool`]: the serving substrate — the shared work-stealing
-//!   [`pool::WorkerPool`] (global injector, per-lane deques,
-//!   steal-on-idle) whose fork-joins carry the sessions' score/search
-//!   overlap and the batch service's sharded flush, and the
+//! * [`pool`]: the serving substrate — the shared fork-join
+//!   [`pool::WorkerPool`] (one bounded MPMC ring popped by worker lanes
+//!   and helping submitters, eventcount parking) whose fork-joins carry
+//!   the sessions' score/search overlap and the batch service's sharded
+//!   flush, and the
 //!   checkout/restore [`pool::ScratchPool`] that makes repeated facade
 //!   decodes allocation-free;
 //! * [`stream`]: the batch frame loop cut open for streaming

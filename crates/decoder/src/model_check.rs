@@ -1,27 +1,28 @@
 //! Model-check harnesses for the lock-free executor (run with
 //! `cargo test -p asr-decoder --features model-check --lib model_check`).
 //!
-//! Each harness drives the *real* production code — the [`ChaseLev`]
-//! deque, the [`Injector`] ring, and the [`EventCount`] parking protocol
-//! from `pool.rs`, compiled against the shadow `crate::sync` facade —
-//! through `asr-verify`'s exhaustive scheduler. The checker explores
-//! every interleaving (and every admissible weak-memory read) up to the
-//! preemption bound, so a passing harness is a proof over that space,
-//! not a probabilistic stress.
+//! Each harness drives the *real* production code — the [`Injector`]
+//! ring and the [`EventCount`] parking protocol from `pool.rs`, compiled
+//! against the shadow `crate::sync` facade — through `asr-verify`'s
+//! exhaustive scheduler. The checker explores every interleaving (and
+//! every admissible weak-memory read) up to the preemption bound, so a
+//! passing harness is a proof over that space, not a probabilistic
+//! stress.
 //!
 //! Two kinds of harness live here:
 //!
-//! * **regressions** — the races previous PRs fixed by hand (the SeqCst
-//!   pop-vs-steal arbitration on the last deque element, the injector's
-//!   full-ring helping accounting, the eventcount's lost-wakeup
-//!   freedom, the batch slot generation protocol) pinned forever;
-//! * **seeded bugs** — deliberately broken variants (a deque publishing
-//!   with `Relaxed` where Release is required; slot routing that
-//!   ignores the generation stamp) that the checker must *catch*, so
-//!   the tool itself cannot silently rot.
+//! * **regressions** — the races the executor's correctness rests on
+//!   (the ring's last element going to exactly one of a lane and a
+//!   stealing-back submitter, its full-ring helping accounting, the
+//!   eventcount's lost-wakeup freedom, the batch slot generation
+//!   protocol) pinned forever;
+//! * **seeded bugs** — deliberately broken variants (a ring whose
+//!   producer publishes its sequence stamp with `Relaxed` where Release
+//!   is required; slot routing that ignores the generation stamp) that
+//!   the checker must *catch*, so the tool itself cannot silently rot.
 
-use crate::pool::{ChaseLev, EventCount, Injector, JobHeader, Steal, Task};
-use crate::sync::{fence, AtomicU64, AtomicUsize, Ordering};
+use crate::pool::{EventCount, Injector, JobHeader, Task};
+use crate::sync::{AtomicU64, AtomicUsize, Ordering};
 use asr_verify::model::{self, Config};
 use std::sync::Arc;
 
@@ -46,35 +47,29 @@ fn tag(chunk: u32) -> Task {
     }
 }
 
-/// The PR 8 regression: owner pop vs. thief steal racing for the *last*
-/// element of the deque. The `SeqCst` fences plus the CAS on `top`
-/// must hand the element to exactly one side in every interleaving —
-/// this is the race the original Chase–Lev paper gets wrong without
-/// fences and the reason `pop` re-checks `top` after its speculative
-/// decrement.
+/// A lane's `pop` racing the submitter's push and steal-back `pop` for
+/// the *last* task in the ring — the shape of every two-chunk
+/// `fork_join`. The CAS on `head` must hand the task to exactly one side
+/// in every interleaving, and the winner must read the payload the
+/// producer wrote, not a stale slot (the correct twin of [`BuggyRing`]).
 #[test]
-fn chase_lev_last_element_goes_to_exactly_one_side() {
+fn injector_last_element_goes_to_exactly_one_popper() {
     model::check(cfg(), || {
-        let deque = Arc::new(ChaseLev::with_capacity(2));
+        let injector = Arc::new(Injector::with_capacity(2));
         let hits = Arc::new(AtomicUsize::new(0));
-        let (d2, h2) = (Arc::clone(&deque), Arc::clone(&hits));
-        assert!(deque.push(tag(7)));
-        let thief = model::spawn(move || loop {
-            match d2.steal() {
-                Steal::Success(task) => {
-                    assert_eq!(task.chunk, 7, "thief saw a stale slot");
-                    h2.fetch_add(1, Ordering::SeqCst);
-                    return;
-                }
-                Steal::Retry => model::yield_now(),
-                Steal::Empty => return,
+        let (i2, h2) = (Arc::clone(&injector), Arc::clone(&hits));
+        let lane = model::spawn(move || {
+            if let Some(task) = i2.pop() {
+                assert_eq!(task.chunk, 7, "lane saw a stale slot");
+                h2.fetch_add(1, Ordering::SeqCst);
             }
         });
-        if let Some(task) = deque.pop() {
-            assert_eq!(task.chunk, 7, "owner saw a stale slot");
+        assert!(injector.push(tag(7)));
+        if let Some(task) = injector.pop() {
+            assert_eq!(task.chunk, 7, "submitter saw a stale slot");
             hits.fetch_add(1, Ordering::SeqCst);
         }
-        thief.join();
+        lane.join();
         assert_eq!(
             hits.load(Ordering::SeqCst),
             1,
@@ -83,99 +78,48 @@ fn chase_lev_last_element_goes_to_exactly_one_side() {
     });
 }
 
-/// Push-then-pop overlapping a thief: two elements, the owner drains
-/// from the bottom while the thief takes from the top — between them
-/// every element must surface exactly once. (Capacity 4: a deque holds
-/// `cap - 1` elements, so 2 would refuse the second push.)
-#[test]
-fn chase_lev_owner_and_thief_split_two_elements() {
-    model::check(cfg(), || {
-        let deque = Arc::new(ChaseLev::with_capacity(4));
-        let mask = Arc::new(AtomicUsize::new(0));
-        let (d2, m2) = (Arc::clone(&deque), Arc::clone(&mask));
-        let thief = model::spawn(move || loop {
-            match d2.steal() {
-                Steal::Success(task) => {
-                    let bit = 1usize << task.chunk;
-                    let prev = m2.fetch_add(bit, Ordering::SeqCst);
-                    assert_eq!(prev & bit, 0, "chunk {} delivered twice", task.chunk);
-                    return;
-                }
-                Steal::Retry => model::yield_now(),
-                Steal::Empty => return,
-            }
-        });
-        assert!(deque.push(tag(0)));
-        assert!(deque.push(tag(1)));
-        while let Some(task) = deque.pop() {
-            let bit = 1usize << task.chunk;
-            let prev = mask.fetch_add(bit, Ordering::SeqCst);
-            assert_eq!(prev & bit, 0, "chunk {} delivered twice", task.chunk);
-        }
-        thief.join();
-        // The thief may have lost every race (mask may miss its bit only
-        // if the owner got both) — but nothing may be delivered twice
-        // and nothing may be lost.
-        let seen = mask.load(Ordering::SeqCst);
-        assert_eq!(seen, 0b11, "an element was lost: mask {seen:#b}");
-    });
+/// The seeded known-buggy ring: one Vyukov slot whose producer hands the
+/// slot over with a `Relaxed` store of the sequence stamp. The consumer
+/// can then observe the new stamp but the *stale* payload — the checker
+/// must exhibit that execution. This is the proof the tool would catch
+/// the bug class the release/acquire pair on `seq` exists for.
+struct BuggyRing {
+    seq: AtomicUsize,
+    payload: AtomicU64,
 }
 
-/// The seeded known-buggy deque: a Chase–Lev push that omits the
-/// Release fence before publishing `bottom`. The thief can then observe
-/// the new `bottom` but the *stale* slot payload — the checker must
-/// exhibit that execution. This is the proof the tool would have caught
-/// the bug class the fences exist for.
-struct BuggyDeque {
-    top: AtomicU64,
-    bottom: AtomicU64,
-    slot: AtomicU64,
-}
-
-impl BuggyDeque {
+impl BuggyRing {
     fn new() -> Self {
         Self {
-            top: AtomicU64::new(0),
-            bottom: AtomicU64::new(0),
-            slot: AtomicU64::new(0),
+            seq: AtomicUsize::new(0),
+            payload: AtomicU64::new(0),
         }
     }
 
     fn push(&self, value: u64) {
-        let b = self.bottom.load(Ordering::Relaxed);
-        self.slot.store(value, Ordering::Relaxed);
-        // BUG (seeded): no `fence(Release)` here — the slot write is not
-        // ordered before the bottom publication.
-        self.bottom.store(b.wrapping_add(1), Ordering::Relaxed);
+        self.payload.store(value, Ordering::Relaxed);
+        // BUG (seeded): `Injector::push` stores the stamp with `Release`;
+        // `Relaxed` does not order the payload write before it.
+        self.seq.store(1, Ordering::Relaxed);
     }
 
-    fn steal(&self) -> Option<u64> {
-        let t = self.top.load(Ordering::Acquire);
-        fence(Ordering::SeqCst);
-        let b = self.bottom.load(Ordering::Acquire);
-        if b.wrapping_sub(t) as i64 <= 0 {
-            return None;
-        }
-        let value = self.slot.load(Ordering::Relaxed);
-        self.top
-            .compare_exchange(t, t.wrapping_add(1), Ordering::SeqCst, Ordering::Relaxed)
-            .is_ok()
-            .then_some(value)
+    fn pop(&self) -> Option<u64> {
+        (self.seq.load(Ordering::Acquire) == 1).then(|| self.payload.load(Ordering::Relaxed))
     }
 }
 
 #[test]
-fn buggy_relaxed_publish_deque_is_caught() {
+fn buggy_relaxed_publish_ring_is_caught() {
     let report = model::check_expect_failure(cfg(), || {
-        let deque = Arc::new(BuggyDeque::new());
-        let d2 = Arc::clone(&deque);
-        let thief = model::spawn(move || {
-            if let Some(value) = d2.steal() {
-                assert_eq!(value, 42, "thief stole a stale slot payload");
+        let ring = Arc::new(BuggyRing::new());
+        let r2 = Arc::clone(&ring);
+        let lane = model::spawn(move || {
+            if let Some(value) = r2.pop() {
+                assert_eq!(value, 42, "lane popped a stale slot payload");
             }
         });
-        deque.push(42);
-        thief.join();
+        ring.push(42);
+        lane.join();
     });
     assert!(
         report.contains("stale slot payload"),

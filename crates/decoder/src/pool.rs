@@ -1,4 +1,4 @@
-//! Persistent resources for the serving path: a lock-free work-stealing
+//! Persistent resources for the serving path: a lock-free fork-join
 //! executor and a checkout/restore pool of [`DecodeScratch`] working
 //! sets.
 //!
@@ -8,22 +8,20 @@
 //! utterances (Section VI). This module gives the software decoders the
 //! same properties:
 //!
-//! * [`WorkerPool`] is a long-lived **lock-free work-stealing executor**:
-//!   a bounded MPMC injector ring plus one Chase–Lev deque per worker
-//!   lane, shared by any number of concurrent submitters through `&self`.
-//!   A fork-join job's chunk tasks land in the injector; worker lanes
-//!   pick them up (batch-grabbing siblings into their own deque, where
-//!   idle lanes CAS-steal), and the submitting
+//! * [`WorkerPool`] is a long-lived **lock-free fork-join executor** with
+//!   exactly one task queue: a bounded MPMC ring, shared by any number of
+//!   concurrent submitters through `&self`. A fork-join job's chunk tasks
+//!   are pushed to the ring; worker lanes pop them, and the submitting
 //!   thread executes chunk 0 inline then *helps*: while its join is
-//!   pending it executes whatever task it can take — its own still-queued
-//!   chunks (steal-back) or another job's (counted separately) — so a
-//!   busy pool degrades gracefully to inline execution instead of
-//!   queueing up. No mutex guards any queue; the only locks left are the
-//!   two parking lots (idle lanes, blocked submitters), taken strictly
-//!   off the hot path. [`WorkerPool::stats`] and
-//!   [`WorkerPool::queue_depth`] are lock-free reads of relaxed atomics,
-//!   so the serving runtime's QoS monitor never contends with the
-//!   scheduler it is measuring.
+//!   pending it pops the same ring and executes whatever it gets — its
+//!   own still-queued chunks (steal-back) or another job's (counted
+//!   separately) — so a busy pool degrades gracefully to inline
+//!   execution instead of queueing up. No mutex guards the queue; the
+//!   only locks left are the two parking lots (idle lanes, blocked
+//!   submitters), taken strictly off the hot path. [`WorkerPool::stats`]
+//!   and [`WorkerPool::queue_depth`] are lock-free reads of relaxed
+//!   atomics, so the serving runtime's QoS monitor never contends with
+//!   the scheduler it is measuring.
 //! * [`ScratchPool`] recycles warmed [`DecodeScratch`] working sets, so a
 //!   serving facade that decodes request after request performs zero
 //!   steady-state allocations in the frame loop: checkout pops a warm
@@ -31,28 +29,35 @@
 //!   cold/warm checkout split, and every operation recovers from a
 //!   poisoned lock (a panicked decode must not brick the pool).
 //!
+//! # Why one ring suffices
+//!
+//! The paper's stages hand work to each other through single hardware
+//! FIFOs, and this executor's tenants have the same shape: jobs are
+//! non-recursive (a task never forks), carry a handful of chunks (at
+//! most `1 + overlap_depth` for a session's score/search overlap, at
+//! most `lanes` for the batch service's sharded flush), and arrive at
+//! frame rate. Per-lane work-stealing deques pay for themselves on
+//! fine-grained, recursively spawned tasks; here every queued chunk is
+//! already poppable by every lane and every helping submitter, so a
+//! per-lane structure would only add a hop between them (measured:
+//! ARCHITECTURE.md, "Why one ring").
+//!
 //! # Memory ordering
 //!
-//! The deque is the Chase–Lev design with the orderings of Lê, Pop,
-//! Cohen & Zappa Nardelli ("Correct and efficient work-stealing for weak
-//! memory models", PPoPP 2013): the owner pushes and pops at the bottom,
-//! thieves CAS the top. A `SeqCst` fence in `pop` (after the speculative
-//! bottom decrement) and in `steal` (between the top and bottom loads)
-//! arbitrates the one contended case — one element left, owner and thief
-//! racing — through the CAS on `top`. Slot payloads are plain relaxed
-//! atomics: a thief's read is published by the owner's release-fenced
-//! bottom store, cannot be overwritten while its CAS on `top` can still
-//! succeed (pushes refuse at capacity, so the buffer never laps an
-//! unconsumed slot), and is discarded whenever that CAS fails. The
-//! injector is a Vyukov bounded MPMC ring: each slot carries a sequence
+//! The queue is a Vyukov bounded MPMC ring: each slot carries a sequence
 //! number that producers and consumers claim by CAS on the ring indices
-//! and hand over with release/acquire pairs on the sequence itself.
+//! and hand over with release/acquire pairs on the sequence itself. A
+//! slot's payload is written only between the producer's winning CAS on
+//! `tail` and its release store of the sequence, and read only between
+//! the consumer's winning CAS on `head` and its release store freeing the
+//! slot, so exactly one thread touches a payload at a time and the last
+//! queued task goes to exactly one popper (model-checked in
+//! `model_check.rs`).
 
 use crate::search::DecodeScratch;
 use crate::sync::{
     fence, AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering,
 };
-use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock, PoisonError};
 use std::thread::JoinHandle;
@@ -83,7 +88,7 @@ pub(crate) struct Task {
 }
 
 // SAFETY: the header pointer crosses threads, but a task exists in the
-// queues only while its job's `fork_join` call is blocked on the stack
+// queue only while its job's `fork_join` call is blocked on the stack
 // that owns the header.
 unsafe impl Send for Task {}
 
@@ -92,19 +97,15 @@ unsafe impl Send for Task {}
 /// [`WorkerPool::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerPoolStats {
-    /// Fork-join jobs whose chunk tasks entered the shared queues
+    /// Fork-join jobs whose chunk tasks entered the shared queue
     /// (single-chunk jobs and every job on a one-lane pool run inline
     /// without touching the scheduler, and are not counted).
     pub jobs_submitted: u64,
-    /// Chunk tasks pushed toward the global injector (chunk 0 of every
-    /// job runs inline on its submitter and is never queued).
+    /// Chunk tasks pushed toward the ring (chunk 0 of every job runs
+    /// inline on its submitter and is never queued).
     pub tasks_queued: u64,
-    /// Tasks executed by worker lanes (from their own deque, the
-    /// injector, or a victim's deque) rather than a submitter.
+    /// Tasks a worker lane popped and executed, rather than a submitter.
     pub tasks_taken_by_lanes: u64,
-    /// The subset of [`WorkerPoolStats::tasks_taken_by_lanes`] an idle
-    /// lane stole from another lane's deque.
-    pub tasks_stolen: u64,
     /// Tasks of a submitter's *own* job the submitter executed itself
     /// (steal-back) because no lane had picked them up — a direct
     /// saturation signal: a busy pool degrades its submitters to inline
@@ -112,10 +113,10 @@ pub struct WorkerPoolStats {
     pub tasks_stolen_back: u64,
     /// Tasks of *other* jobs a blocked submitter executed while waiting
     /// for its own join — submitters are work-conserving helpers, not
-    /// idle waiters, once the queues go lock-free.
+    /// idle waiters.
     pub tasks_helped: u64,
-    /// Deepest the combined queues (injector + every lane deque) have
-    /// been, in tasks, sampled at each job submission.
+    /// Deepest the ring has been, in tasks, sampled at each job
+    /// submission.
     pub peak_queue_depth: usize,
 }
 
@@ -127,7 +128,6 @@ struct PoolCounters {
     jobs_submitted: AtomicU64,
     tasks_queued: AtomicU64,
     tasks_taken_by_lanes: AtomicU64,
-    tasks_stolen: AtomicU64,
     tasks_stolen_back: AtomicU64,
     tasks_helped: AtomicU64,
     peak_queue_depth: AtomicUsize,
@@ -139,7 +139,6 @@ impl PoolCounters {
             jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
             tasks_queued: self.tasks_queued.load(Ordering::Relaxed),
             tasks_taken_by_lanes: self.tasks_taken_by_lanes.load(Ordering::Relaxed),
-            tasks_stolen: self.tasks_stolen.load(Ordering::Relaxed),
             tasks_stolen_back: self.tasks_stolen_back.load(Ordering::Relaxed),
             tasks_helped: self.tasks_helped.load(Ordering::Relaxed),
             peak_queue_depth: self.peak_queue_depth.load(Ordering::Relaxed),
@@ -147,188 +146,13 @@ impl PoolCounters {
     }
 }
 
-/// Capacity of each lane's Chase–Lev deque (power of two). Pushes refuse
-/// at capacity rather than grow, which is what keeps a thief's relaxed
-/// slot read from ever racing a same-slot overwrite (the buffer would
-/// have to lap, and it cannot while unconsumed entries remain in range).
-const DEQUE_CAP: usize = 256;
-
-/// Capacity of the global injector ring (power of two). A full injector
-/// degrades the submitter to inline execution of the overflow chunk —
-/// the same graceful saturation behavior as steal-back.
+/// Capacity of the task ring (power of two). A full ring degrades the
+/// submitter to inline execution of the overflow chunk — the same
+/// graceful saturation behavior as steal-back.
 const INJECTOR_CAP: usize = 1024;
 
-/// How many sibling tasks a lane moves from the injector into its own
-/// deque per grab, so idle lanes have somewhere to steal from.
-const BATCH_GRAB: usize = 8;
-
-/// One Chase–Lev slot. Two relaxed atomics rather than one word: the
-/// header pointer does not fit a single `u64` alongside the chunk index.
-/// Tearing between the two loads is benign — a thief discards both
-/// unless its CAS on `top` succeeds, and success proves the slot was not
-/// rewritten since the push that published it (see the module-level
-/// memory-ordering notes).
-struct DequeSlot {
-    header: AtomicU64,
-    chunk: AtomicU64,
-}
-
-/// Outcome of a steal attempt.
-pub(crate) enum Steal {
-    /// Took this task.
-    Success(Task),
-    /// Nothing visible to take.
-    Empty,
-    /// Lost a race; the queue may still be non-empty.
-    Retry,
-}
-
-/// A fixed-capacity Chase–Lev work-stealing deque. The owning lane
-/// pushes and pops at the bottom with plain stores; any other thread
-/// steals from the top with a CAS. Indices are monotonically increasing
-/// `u64` counters; the live window is `[top, bottom)`.
-pub(crate) struct ChaseLev {
-    top: AtomicU64,
-    bottom: AtomicU64,
-    /// `capacity - 1`; capacity is a power of two.
-    mask: u64,
-    slots: Box<[DequeSlot]>,
-}
-
-impl ChaseLev {
-    fn new() -> Self {
-        Self::with_capacity(DEQUE_CAP)
-    }
-
-    /// A deque with a caller-chosen power-of-two capacity — the model-
-    /// check harnesses shrink it to 2 so exhaustive exploration can walk
-    /// the full index space.
-    pub(crate) fn with_capacity(cap: usize) -> Self {
-        assert!(
-            cap.is_power_of_two() && cap >= 2,
-            "capacity must be a power of two >= 2"
-        );
-        Self {
-            top: AtomicU64::new(0),
-            bottom: AtomicU64::new(0),
-            mask: (cap - 1) as u64,
-            slots: (0..cap)
-                .map(|_| DequeSlot {
-                    header: AtomicU64::new(0),
-                    chunk: AtomicU64::new(0),
-                })
-                .collect(),
-        }
-    }
-
-    #[inline]
-    fn slot(&self, index: u64) -> &DequeSlot {
-        &self.slots[(index & self.mask) as usize]
-    }
-
-    #[inline]
-    fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Approximate number of queued tasks. Exact when the deque is
-    /// quiescent (no concurrent push/pop/steal), which is the case the
-    /// tests and the idle checks rely on.
-    pub(crate) fn len(&self) -> usize {
-        let b = self.bottom.load(Ordering::Relaxed);
-        let t = self.top.load(Ordering::Relaxed);
-        (b.wrapping_sub(t) as i64).max(0) as usize
-    }
-
-    /// Owner-only: whether a push is guaranteed to succeed. `top` only
-    /// advances, so the size estimate only shrinks between this check
-    /// and the push.
-    fn has_room(&self) -> bool {
-        self.len() < self.capacity() - 1
-    }
-
-    /// Owner-only push. Returns `false` (task not enqueued) at capacity.
-    pub(crate) fn push(&self, task: Task) -> bool {
-        let b = self.bottom.load(Ordering::Relaxed);
-        let t = self.top.load(Ordering::Acquire);
-        if b.wrapping_sub(t) as i64 >= (self.capacity() - 1) as i64 {
-            return false;
-        }
-        let slot = self.slot(b);
-        slot.header
-            .store(task.header as usize as u64, Ordering::Relaxed);
-        slot.chunk.store(u64::from(task.chunk), Ordering::Relaxed);
-        // Publish the slot writes to thieves that acquire-load `bottom`.
-        fence(Ordering::Release);
-        self.bottom.store(b.wrapping_add(1), Ordering::Relaxed);
-        true
-    }
-
-    /// Owner-only pop from the bottom (LIFO). The `SeqCst` fence orders
-    /// the speculative bottom decrement against the thieves' top/bottom
-    /// load pair; the last remaining element is arbitrated by the same
-    /// CAS on `top` the thieves use.
-    pub(crate) fn pop(&self) -> Option<Task> {
-        let b = self.bottom.load(Ordering::Relaxed);
-        let t = self.top.load(Ordering::Relaxed);
-        if b.wrapping_sub(t) as i64 <= 0 {
-            return None;
-        }
-        let b = b.wrapping_sub(1);
-        self.bottom.store(b, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        let t = self.top.load(Ordering::Relaxed);
-        let size = b.wrapping_sub(t) as i64;
-        if size < 0 {
-            // Thieves emptied the deque while we were decrementing.
-            self.bottom.store(b.wrapping_add(1), Ordering::Relaxed);
-            return None;
-        }
-        let slot = self.slot(b);
-        let task = Task {
-            header: slot.header.load(Ordering::Relaxed) as usize as *const JobHeader,
-            chunk: slot.chunk.load(Ordering::Relaxed) as u32,
-        };
-        if size > 0 {
-            // More than one element: the bottom one is ours outright.
-            return Some(task);
-        }
-        // Exactly one element: race thieves for it via the top CAS.
-        let won = self
-            .top
-            .compare_exchange(t, t.wrapping_add(1), Ordering::SeqCst, Ordering::Relaxed)
-            .is_ok();
-        self.bottom.store(b.wrapping_add(1), Ordering::Relaxed);
-        won.then_some(task)
-    }
-
-    /// Steal one task from the top (FIFO). Callable from any thread.
-    pub(crate) fn steal(&self) -> Steal {
-        let t = self.top.load(Ordering::Acquire);
-        fence(Ordering::SeqCst);
-        let b = self.bottom.load(Ordering::Acquire);
-        if b.wrapping_sub(t) as i64 <= 0 {
-            return Steal::Empty;
-        }
-        let slot = self.slot(t);
-        let task = Task {
-            header: slot.header.load(Ordering::Relaxed) as usize as *const JobHeader,
-            chunk: slot.chunk.load(Ordering::Relaxed) as u32,
-        };
-        if self
-            .top
-            .compare_exchange(t, t.wrapping_add(1), Ordering::SeqCst, Ordering::Relaxed)
-            .is_ok()
-        {
-            Steal::Success(task)
-        } else {
-            Steal::Retry
-        }
-    }
-}
-
-/// One slot of the Vyukov MPMC injector ring: a sequence stamp plus the
-/// task payload. `seq == index` means free for the producer claiming
+/// One slot of the Vyukov MPMC ring: a sequence stamp plus the task
+/// payload. `seq == index` means free for the producer claiming
 /// `tail == index`; `seq == index + 1` means filled for the consumer
 /// claiming `head == index`.
 struct RingSlot {
@@ -453,19 +277,9 @@ impl Injector {
 }
 
 /// A hook an idle worker lane runs before parking; returns `true` if it
-/// made progress (the lane re-scans the queues instead of sleeping).
+/// made progress (the lane re-polls the queue instead of sleeping).
 /// Must not call [`WorkerPool::fork_join`] on the same pool.
 pub type IdleHook = Box<dyn Fn() -> bool + Send + Sync>;
-
-/// Where a found task came from (counter attribution).
-enum Find {
-    /// A task to execute; `stolen` marks a cross-lane deque steal.
-    Got { task: Task, stolen: bool },
-    /// Lost at least one race; re-scan without parking.
-    Retry,
-    /// All queues observed empty.
-    Empty,
-}
 
 /// An eventcount: the lock-free sleep/wake protocol parking idle lanes.
 ///
@@ -534,12 +348,13 @@ impl EventCount {
 }
 
 /// Executor state shared by the worker lanes and every submitter. The
-/// queues and counters are lock-free; the two mutexes are parking lots
+/// queue and counters are lock-free; the two mutexes are parking lots
 /// only (idle lanes inside the `idle` eventcount, blocked submitters on
-/// `done`) and are never held while a task runs or a queue is touched.
+/// `done`) and are never held while a task runs or the queue is touched.
 struct ExecShared {
+    /// The one task queue: every chunk is pushed here by its submitter
+    /// and popped by a lane or a helping submitter.
     injector: Injector,
-    deques: Vec<ChaseLev>,
     counters: PoolCounters,
     shutdown: AtomicBool,
     /// Eventcount parking idle lanes until work or shutdown arrives.
@@ -554,11 +369,11 @@ struct ExecShared {
 
 impl ExecShared {
     fn queue_depth(&self) -> usize {
-        self.injector.len() + self.deques.iter().map(ChaseLev::len).sum::<usize>()
+        self.injector.len()
     }
 
     fn has_work(&self) -> bool {
-        self.injector.len() > 0 || self.deques.iter().any(|d| d.len() > 0)
+        self.queue_depth() > 0
     }
 
     fn lock<'a>(&self, lot: &'a Mutex<()>) -> MutexGuard<'a, ()> {
@@ -570,93 +385,6 @@ impl ExecShared {
     /// Wake parked lanes after publishing work (see [`EventCount`]).
     fn notify_workers(&self, all: bool) {
         self.idle.notify(all);
-    }
-
-    /// Next task for a worker lane: own deque, then the injector (batch-
-    /// grabbing a few more tasks into the own deque so idle lanes can
-    /// steal them), then a steal from the deepest other lane.
-    fn find_task(&self, lane: usize) -> Find {
-        if let Some(task) = self.deques[lane].pop() {
-            return Find::Got {
-                task,
-                stolen: false,
-            };
-        }
-        if let Some(task) = self.injector.pop() {
-            let mut grabs = BATCH_GRAB;
-            while grabs > 0 && self.deques[lane].has_room() {
-                match self.injector.pop() {
-                    Some(extra) => {
-                        // `has_room` is owner-exact on `bottom` and
-                        // conservative on `top`, so this cannot fail.
-                        let pushed = self.deques[lane].push(extra);
-                        debug_assert!(pushed, "deque push after has_room");
-                        grabs -= 1;
-                    }
-                    None => break,
-                }
-            }
-            if grabs < BATCH_GRAB {
-                self.notify_workers(true);
-            }
-            return Find::Got {
-                task,
-                stolen: false,
-            };
-        }
-        let mut retry = false;
-        // Deepest victim first; fall back to the rest so a single failed
-        // CAS does not read as an empty pool. No allocation: the victim
-        // order is computed index-by-index.
-        let deepest = (0..self.deques.len())
-            .filter(|&l| l != lane)
-            .max_by_key(|&l| self.deques[l].len());
-        if let Some(first) = deepest {
-            match self.deques[first].steal() {
-                Steal::Success(task) => return Find::Got { task, stolen: true },
-                Steal::Retry => retry = true,
-                Steal::Empty => {}
-            }
-            for victim in 0..self.deques.len() {
-                if victim == lane || victim == first {
-                    continue;
-                }
-                match self.deques[victim].steal() {
-                    Steal::Success(task) => return Find::Got { task, stolen: true },
-                    Steal::Retry => retry = true,
-                    Steal::Empty => {}
-                }
-            }
-        }
-        if retry {
-            Find::Retry
-        } else {
-            Find::Empty
-        }
-    }
-
-    /// Next task for a helping submitter: the injector first (its own
-    /// chunks land there), then steals from any lane deque.
-    fn take_for_submitter(&self) -> Find {
-        if let Some(task) = self.injector.pop() {
-            return Find::Got {
-                task,
-                stolen: false,
-            };
-        }
-        let mut retry = false;
-        for deque in &self.deques {
-            match deque.steal() {
-                Steal::Success(task) => return Find::Got { task, stolen: true },
-                Steal::Retry => retry = true,
-                Steal::Empty => {}
-            }
-        }
-        if retry {
-            Find::Retry
-        } else {
-            Find::Empty
-        }
     }
 }
 
@@ -687,54 +415,41 @@ fn execute_task(shared: &ExecShared, task: Task) {
     }
 }
 
-fn worker_loop(shared: &ExecShared, lane: usize) {
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
+fn worker_loop(shared: &ExecShared) {
+    while !shared.shutdown.load(Ordering::Acquire) {
+        if let Some(task) = shared.injector.pop() {
+            shared
+                .counters
+                .tasks_taken_by_lanes
+                .fetch_add(1, Ordering::Relaxed);
+            execute_task(shared, task);
+            continue;
         }
-        match shared.find_task(lane) {
-            Find::Got { task, stolen } => {
-                let counters = &shared.counters;
-                counters
-                    .tasks_taken_by_lanes
-                    .fetch_add(1, Ordering::Relaxed);
-                if stolen {
-                    counters.tasks_stolen.fetch_add(1, Ordering::Relaxed);
-                }
-                execute_task(shared, task);
-            }
-            Find::Retry => std::hint::spin_loop(),
-            Find::Empty => {
-                // Offer the idle hook a chance to make progress before
-                // parking (kept panic-proof: a failing hook must not
-                // take the lane down).
-                if let Some(hook) = shared.idle_hook.get() {
-                    let progressed = catch_unwind(AssertUnwindSafe(&**hook)).unwrap_or(false);
-                    if progressed {
-                        continue;
-                    }
-                }
-                // Eventcount parking: register, fence, re-scan, then
-                // sleep — the producer's fence in `notify_workers`
-                // guarantees we either see its push here or it sees our
-                // registration there.
-                shared
-                    .idle
-                    .park_if(|| !shared.has_work() && !shared.shutdown.load(Ordering::Acquire));
+        // Offer the idle hook a chance to make progress before parking
+        // (kept panic-proof: a failing hook must not take the lane down).
+        if let Some(hook) = shared.idle_hook.get() {
+            let progressed = catch_unwind(AssertUnwindSafe(&**hook)).unwrap_or(false);
+            if progressed {
+                continue;
             }
         }
+        // Eventcount parking: register, fence, re-check, then sleep —
+        // the producer's fence in `notify_workers` guarantees we either
+        // see its push here or it sees our registration there.
+        shared
+            .idle
+            .park_if(|| !shared.has_work() && !shared.shutdown.load(Ordering::Acquire));
     }
 }
 
-/// Long-lived lock-free work-stealing executor, shared across decoders
-/// and sessions.
+/// Long-lived lock-free fork-join executor, shared across decoders and
+/// sessions.
 ///
 /// A pool of `lanes` executes fork-join jobs submitted through
 /// [`WorkerPool::fork_join`] **by any number of threads concurrently**
-/// (`&self`): each job's chunk tasks go to a bounded MPMC injector, are
-/// pulled by worker lanes (which batch-grab sibling chunks into per-lane
-/// Chase–Lev deques that idle lanes steal from), and the submitting
-/// thread runs chunk 0 inline then *helps* until its join completes —
+/// (`&self`): each job's chunk tasks go to one bounded MPMC ring, worker
+/// lanes pop them, and the submitting thread runs chunk 0 inline then
+/// *helps* until its join completes — popping the same ring and
 /// executing its own still-queued chunks (steal-back) or, under
 /// contention, other jobs' chunks. Concurrent requests therefore *share*
 /// all lanes — the paper's one-datapath-many-users serving shape —
@@ -783,7 +498,6 @@ impl WorkerPool {
         let workers = lanes - 1;
         let shared = Arc::new(ExecShared {
             injector: Injector::new(),
-            deques: (0..workers).map(|_| ChaseLev::new()).collect(),
             counters: PoolCounters::default(),
             shutdown: AtomicBool::new(false),
             idle: EventCount::new(),
@@ -796,7 +510,7 @@ impl WorkerPool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("asr-exec-{lane}"))
-                    .spawn(move || worker_loop(&shared, lane))
+                    .spawn(move || worker_loop(&shared))
                     // LINT-ALLOW: panic — pool construction, not a frame path.
                     .expect("spawn executor worker")
             })
@@ -824,7 +538,7 @@ impl WorkerPool {
 
     /// Installs the idle hook: a callback idle worker lanes run before
     /// parking, returning `true` when it made progress (the lane then
-    /// re-scans the queues instead of sleeping). One hook per pool; a
+    /// re-polls the queue instead of sleeping). One hook per pool; a
     /// second installation is refused and `false` is returned. The hook
     /// must not call [`WorkerPool::fork_join`] on this pool — a lane
     /// blocked on a nested join could wait on work only it would run.
@@ -837,23 +551,22 @@ impl WorkerPool {
         installed
     }
 
-    /// Tasks currently waiting in the shared queues (the global injector
-    /// plus every lane deque) — the executor's live saturation gauge,
-    /// read lock-free so the serving runtime's QoS pressure monitor
-    /// never contends with the hot path it is measuring. A pool keeping
-    /// up reads `0` almost always: chunks are grabbed as fast as
-    /// submitters publish them. Sustained depth means offered load
-    /// exceeds lane capacity.
+    /// Tasks currently waiting in the ring — the executor's live
+    /// saturation gauge, read lock-free so the serving runtime's QoS
+    /// pressure monitor never contends with the hot path it is
+    /// measuring. A pool keeping up reads `0` almost always: chunks are
+    /// popped as fast as submitters publish them. Sustained depth means
+    /// offered load exceeds lane capacity.
     pub fn queue_depth(&self) -> usize {
         self.shared.queue_depth()
     }
 
     /// Scheduling counters since construction: jobs and tasks through
-    /// the shared queues, the lane/steal split, submitter steal-backs
-    /// and helps, and the peak combined queue depth — a lock-free
+    /// the ring, who retired each task (a lane, its own submitter, a
+    /// helping submitter), and the peak queue depth — a lock-free
     /// snapshot of relaxed atomics. Counters cover scheduled jobs only —
     /// single-chunk jobs and every job on a one-lane pool run inline
-    /// without touching the queues.
+    /// without touching the queue.
     pub fn stats(&self) -> WorkerPoolStats {
         self.shared.counters.snapshot()
     }
@@ -864,13 +577,13 @@ impl WorkerPool {
     /// overlap and the batch service's sharded flush.
     ///
     /// The call is safe to issue from any number of threads at once:
-    /// chunks from concurrent jobs interleave in the shared queues and
-    /// idle lanes steal whatever is available. The caller always executes
-    /// chunk 0 inline, then *helps* until its join completes: it
-    /// executes its own still-queued chunks if no lane picked them up,
-    /// and other jobs' chunks otherwise, so a saturated pool degrades to
-    /// inline execution rather than blocking. After warm-up the steady
-    /// state performs no heap allocation.
+    /// chunks from concurrent jobs interleave in the one ring and idle
+    /// lanes pop whatever is at its head. The caller always executes
+    /// chunk 0 inline, then *helps* until its join completes: it pops
+    /// the same ring, executing its own still-queued chunks if no lane
+    /// picked them up and other jobs' chunks otherwise, so a saturated
+    /// pool degrades to inline execution rather than blocking. After
+    /// warm-up the steady state performs no heap allocation.
     ///
     /// Tasks must not themselves call `fork_join` on the same pool (the
     /// sessions never do): a worker blocked on a nested join could wait
@@ -923,7 +636,7 @@ impl WorkerPool {
                 chunk: chunk as u32,
             };
             if !self.shared.injector.push(task) {
-                // Injector full: degrade this chunk to inline execution,
+                // Ring full: degrade this chunk to inline execution,
                 // accounted as an instant steal-back.
                 counters.tasks_stolen_back.fetch_add(1, Ordering::Relaxed);
                 execute_task(&self.shared, task);
@@ -941,22 +654,16 @@ impl WorkerPool {
         // chunks (steal-back), or any other job's chunks under
         // contention — every queued task runs exactly once, which is
         // what keeps `header` unreachable once `pending` hits zero.
-        loop {
-            if header.pending.load(Ordering::Acquire) == 0 {
+        while header.pending.load(Ordering::Acquire) != 0 {
+            let Some(task) = self.shared.injector.pop() else {
                 break;
+            };
+            if std::ptr::eq(task.header, &header) {
+                counters.tasks_stolen_back.fetch_add(1, Ordering::Relaxed);
+            } else {
+                counters.tasks_helped.fetch_add(1, Ordering::Relaxed);
             }
-            match self.shared.take_for_submitter() {
-                Find::Got { task, .. } => {
-                    if std::ptr::eq(task.header, &header) {
-                        counters.tasks_stolen_back.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        counters.tasks_helped.fetch_add(1, Ordering::Relaxed);
-                    }
-                    execute_task(&self.shared, task);
-                }
-                Find::Retry => std::hint::spin_loop(),
-                Find::Empty => break,
-            }
+            execute_task(&self.shared, task);
         }
         if header.pending.load(Ordering::Acquire) != 0 {
             let mut guard = self.shared.lock(&self.shared.done_lock);
@@ -1098,48 +805,6 @@ impl ScratchPool {
         self.restores.fetch_add(1, Ordering::Relaxed);
         self.idle_list().push(scratch);
     }
-
-    /// Checks a scratch out as an RAII guard that restores it on drop.
-    pub fn scratch(&self) -> PooledScratch<'_> {
-        PooledScratch {
-            pool: self,
-            scratch: Some(self.checkout()),
-        }
-    }
-}
-
-/// RAII guard over a checked-out [`DecodeScratch`]; derefs to the scratch
-/// and restores it to the pool on drop.
-#[derive(Debug)]
-pub struct PooledScratch<'p> {
-    pool: &'p ScratchPool,
-    scratch: Option<DecodeScratch>,
-}
-
-impl Deref for PooledScratch<'_> {
-    type Target = DecodeScratch;
-
-    fn deref(&self) -> &DecodeScratch {
-        // LINT-ALLOW: panic — `scratch` is `Some` for the guard's whole
-        // life; only `drop` takes it.
-        self.scratch.as_ref().expect("scratch present until drop")
-    }
-}
-
-impl DerefMut for PooledScratch<'_> {
-    fn deref_mut(&mut self) -> &mut DecodeScratch {
-        // LINT-ALLOW: panic — `scratch` is `Some` for the guard's whole
-        // life; only `drop` takes it.
-        self.scratch.as_mut().expect("scratch present until drop")
-    }
-}
-
-impl Drop for PooledScratch<'_> {
-    fn drop(&mut self) {
-        if let Some(scratch) = self.scratch.take() {
-            self.pool.restore(scratch);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1245,7 +910,7 @@ mod tests {
                         total.fetch_add(1, Ordering::SeqCst);
                     });
                     // The join is per-job even with three other
-                    // submitters interleaving tasks in the same queues.
+                    // submitters interleaving tasks in the same queue.
                     assert_eq!(local.load(Ordering::SeqCst), 3);
                 }
             }));
@@ -1272,9 +937,12 @@ mod tests {
             stats.tasks_taken_by_lanes + stats.tasks_stolen_back,
             stats.tasks_queued
         );
-        assert!(stats.tasks_stolen <= stats.tasks_taken_by_lanes);
         assert!(stats.peak_queue_depth >= 1);
-        assert_eq!(pool.queue_depth(), 0, "queues drain when the pool is idle");
+        assert_eq!(
+            pool.queue_depth(),
+            0,
+            "the ring drains when the pool is idle"
+        );
     }
 
     #[test]
@@ -1283,7 +951,7 @@ mod tests {
         let one = WorkerPool::new(1);
         one.fork_join(8, &|_| {});
         assert_eq!(one.stats(), WorkerPoolStats::default());
-        // Single-chunk jobs skip the queues even on a multi-lane pool.
+        // Single-chunk jobs skip the queue even on a multi-lane pool.
         let two = WorkerPool::new(2);
         two.fork_join(1, &|_| {});
         assert_eq!(two.stats(), WorkerPoolStats::default());
@@ -1342,93 +1010,8 @@ mod tests {
         assert_eq!(pool.idle(), 1);
         let scratch = pool.checkout();
         pool.restore(scratch);
-        {
-            let _guard = pool.scratch();
-        }
         assert_eq!(pool.idle(), 1);
-        assert_eq!(pool.stats().warm_checkouts, 2);
-    }
-
-    #[test]
-    fn pooled_scratch_guard_restores_on_drop() {
-        let pool = ScratchPool::new(64);
-        {
-            let mut guard = pool.scratch();
-            guard.ensure(64);
-            assert_eq!(pool.idle(), 0);
-        }
-        assert_eq!(pool.idle(), 1);
-    }
-
-    /// A loom-style interleaving stress for the Chase–Lev owner-pop vs.
-    /// thief-steal race: the owner pushes and pops at the bottom while
-    /// thieves hammer the top; every pushed value must come out exactly
-    /// once, across both ends, including the contended last-element case
-    /// the `SeqCst` fences arbitrate.
-    #[test]
-    fn chase_lev_steal_pop_race_delivers_each_task_once() {
-        const VALUES: usize = 20_000;
-        const THIEVES: usize = 3;
-        let deque = ChaseLev::new();
-        let taken: Vec<AtomicUsize> = (0..VALUES).map(|_| AtomicUsize::new(0)).collect();
-        let stop = AtomicBool::new(false);
-        // Task payloads never execute here: the header is a dummy
-        // aligned address used purely as a tag, the chunk is the value.
-        let dummy = 0x100usize as *const JobHeader;
-        std::thread::scope(|scope| {
-            for _ in 0..THIEVES {
-                scope.spawn(|| loop {
-                    match deque.steal() {
-                        Steal::Success(task) => {
-                            taken[task.chunk as usize].fetch_add(1, Ordering::SeqCst);
-                        }
-                        Steal::Retry => std::hint::spin_loop(),
-                        Steal::Empty => {
-                            if stop.load(Ordering::SeqCst) {
-                                return;
-                            }
-                            std::hint::spin_loop();
-                        }
-                    }
-                });
-            }
-            // Owner: push in small bursts, pop roughly half back, so the
-            // deque repeatedly passes through the one-element state.
-            let mut next = 0usize;
-            while next < VALUES {
-                let burst = (VALUES - next).min(7);
-                for _ in 0..burst {
-                    while !deque.push(Task {
-                        header: dummy,
-                        chunk: next as u32,
-                    }) {
-                        std::hint::spin_loop();
-                    }
-                    next += 1;
-                }
-                for _ in 0..burst / 2 + 1 {
-                    if let Some(task) = deque.pop() {
-                        taken[task.chunk as usize].fetch_add(1, Ordering::SeqCst);
-                    }
-                }
-            }
-            while let Some(task) = deque.pop() {
-                taken[task.chunk as usize].fetch_add(1, Ordering::SeqCst);
-            }
-            // Let the thieves drain anything still in flight.
-            while deque.len() > 0 {
-                std::hint::spin_loop();
-            }
-            stop.store(true, Ordering::SeqCst);
-        });
-        for (value, count) in taken.iter().enumerate() {
-            assert_eq!(
-                count.load(Ordering::SeqCst),
-                1,
-                "value {value} delivered a wrong number of times"
-            );
-        }
-        assert_eq!(deque.len(), 0);
+        assert_eq!(pool.stats().warm_checkouts, 1);
     }
 
     /// The Vyukov injector under concurrent producers and consumers:
@@ -1513,31 +1096,50 @@ mod tests {
 
     #[test]
     fn helping_submitters_preserve_task_ownership_accounting() {
-        let pool = Arc::new(WorkerPool::new(2));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let pool = Arc::clone(&pool);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..50 {
-                    pool.fork_join(4, &|_| {
-                        std::hint::spin_loop();
+        const SUBMITTERS: usize = 4;
+        const JOBS: usize = 50;
+        // (lanes, chunks per job): one worker lane, then a pool wider
+        // than two lanes with more chunks than lanes.
+        for (lanes, chunks) in [(2usize, 4usize), (3, 7)] {
+            let pool = WorkerPool::new(lanes);
+            std::thread::scope(|scope| {
+                for _ in 0..SUBMITTERS {
+                    scope.spawn(|| {
+                        for _ in 0..JOBS {
+                            let ran: Vec<AtomicUsize> =
+                                (0..chunks).map(|_| AtomicUsize::new(0)).collect();
+                            pool.fork_join(chunks, &|chunk| {
+                                ran[chunk].fetch_add(1, Ordering::SeqCst);
+                            });
+                            for (chunk, count) in ran.iter().enumerate() {
+                                assert_eq!(
+                                    count.load(Ordering::SeqCst),
+                                    1,
+                                    "lanes {lanes}: chunk {chunk} ran a wrong number of times"
+                                );
+                            }
+                        }
                     });
                 }
-            }));
+            });
+            let stats = pool.stats();
+            let queued = (SUBMITTERS * JOBS * (chunks - 1)) as u64;
+            assert_eq!(stats.jobs_submitted, (SUBMITTERS * JOBS) as u64);
+            assert_eq!(stats.tasks_queued, queued);
+            // Every queued task was retired by exactly one executor: a
+            // lane, its own submitter (steal-back), or a helping foreign
+            // submitter.
+            assert_eq!(
+                stats.tasks_taken_by_lanes + stats.tasks_stolen_back + stats.tasks_helped,
+                queued,
+                "lanes {lanes}"
+            );
+            assert_eq!(
+                pool.queue_depth(),
+                0,
+                "the ring drains when the pool is idle"
+            );
         }
-        for handle in handles {
-            handle.join().expect("submitter thread");
-        }
-        let stats = pool.stats();
-        assert_eq!(stats.jobs_submitted, 4 * 50);
-        assert_eq!(stats.tasks_queued, 4 * 50 * 3);
-        // Every queued task was retired by exactly one executor: a lane,
-        // its own submitter (steal-back), or a helping foreign submitter.
-        assert_eq!(
-            stats.tasks_taken_by_lanes + stats.tasks_stolen_back + stats.tasks_helped,
-            stats.tasks_queued
-        );
-        assert_eq!(pool.queue_depth(), 0, "queues drain when the pool is idle");
     }
 
     #[test]

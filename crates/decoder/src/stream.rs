@@ -45,7 +45,7 @@
 //!
 //! Row order into the search and per-row arithmetic never change, so
 //! feeding `n` rows through any sequence of `advance` calls (any `fresh`
-//! split, with or without a pool, under any steal schedule) and then
+//! split, with or without a pool, under any task schedule) and then
 //! `finish` produces a [`DecodeResult`] that is byte-identical — `words`,
 //! `cost`, `best_state`, `reached_final`, lattice length — to
 //! `ViterbiDecoder::decode` over the same `n` rows, which is how the

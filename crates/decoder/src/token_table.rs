@@ -113,8 +113,6 @@ impl InsertObserver for NoopObserver {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TokenTable<P: Copy> {
-    /// First state id this table covers (non-zero for shards).
-    base: u32,
     /// Current epoch; slots are live iff their tag matches.
     epoch: u32,
     /// Per-slot epoch tags.
@@ -135,21 +133,15 @@ impl<P: Copy> TokenTable<P> {
     /// `fill` initializes the payload slots; it is never observable (slots
     /// are read only after a live write) but keeps the storage safe.
     pub fn new(num_states: usize, fill: P) -> Self {
-        Self::new_shard(0, num_states, fill)
-    }
-
-    /// Creates a shard covering states `base..base + len`.
-    pub fn new_shard(base: u32, len: usize, fill: P) -> Self {
         Self {
-            base,
             // Tags start at 0, the epoch at 1: every slot is stale by
             // construction, so a fresh table is empty even before the
             // first `begin_frame`.
             epoch: 1,
-            epochs: vec![0; len],
-            costs: vec![f32::INFINITY; len],
-            payloads: vec![fill; len],
-            active: Vec::with_capacity(len.min(1 << 16)),
+            epochs: vec![0; num_states],
+            costs: vec![f32::INFINITY; num_states],
+            payloads: vec![fill; num_states],
+            active: Vec::with_capacity(num_states.min(1 << 16)),
             best: f32::INFINITY,
         }
     }
@@ -157,11 +149,6 @@ impl<P: Copy> TokenTable<P> {
     /// Number of state slots.
     pub fn capacity(&self) -> usize {
         self.epochs.len()
-    }
-
-    /// First state id covered.
-    pub fn base(&self) -> u32 {
-        self.base
     }
 
     /// Starts a new frame: one counter bump invalidates every slot (the
@@ -180,12 +167,11 @@ impl<P: Copy> TokenTable<P> {
     #[inline]
     fn slot(&self, state: u32) -> usize {
         debug_assert!(
-            state >= self.base && ((state - self.base) as usize) < self.epochs.len(),
-            "state {state} outside table range {}..{}",
-            self.base,
-            self.base as usize + self.epochs.len()
+            (state as usize) < self.epochs.len(),
+            "state {state} outside table range 0..{}",
+            self.epochs.len()
         );
-        (state - self.base) as usize
+        state as usize
     }
 
     /// Looks up a live token.
@@ -358,16 +344,6 @@ mod tests {
         assert_eq!(t.best(), 2.0);
         t.relax(2, 3.0, || ());
         assert_eq!(t.best(), 2.0);
-    }
-
-    #[test]
-    fn shards_cover_offset_ranges() {
-        let mut t: TokenTable<u8> = TokenTable::new_shard(100, 50, 0);
-        t.begin_frame();
-        assert!(t.relax(120, 1.0, || 7));
-        assert_eq!(t.get(120), Some((1.0, 7)));
-        assert_eq!(t.base(), 100);
-        assert_eq!(t.capacity(), 50);
     }
 
     #[test]

@@ -23,9 +23,9 @@ lint:
 
 # Exhaustive model checking of the lock-free executor: the checker's
 # own litmus self-tests (correct idioms pass, seeded bugs are caught),
-# then the pool harnesses (ChaseLev pop-vs-steal, injector full-ring
-# helping, eventcount lost wakeup, batch slot generations) compiled
-# against the shadow sync facade.
+# then the pool harnesses (injector last element and full-ring helping,
+# eventcount lost wakeup, batch slot generations) compiled against the
+# shadow sync facade.
 model-check:
     cargo test -q -p asr-verify
     cargo test -q -p asr-decoder --features model-check --lib model_check
@@ -56,11 +56,13 @@ tsan:
 verify: lint model-check test
 
 # Builds the standalone BENCHMARK.json crate (its own workspace, which
-# the root build never compiles) against the working tree and runs its
-# smoke suite: every workload once, outputs checked. Catches a public-API
-# change that breaks the benchmark before the acceptance pipeline does.
+# the root build never compiles) against the working tree, runs its unit
+# tests, then its smoke suite: every workload once, outputs checked.
+# Catches a public-API change that breaks the benchmark before the
+# acceptance pipeline does.
 bench-check:
     cargo build --release --offline --manifest-path benchmark/Cargo.toml
+    cargo test -q --offline --manifest-path benchmark/Cargo.toml
     cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --smoke
 
 # Tracked Rust lines outside benchmark/, per crate and in total (the

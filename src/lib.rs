@@ -14,8 +14,9 @@
 //!
 //! This crate re-exports them and adds the serving layer:
 //! [`runtime::AsrRuntime`], a shared "microphone to words" runtime that
-//! owns the engine state behind an `Arc` plus **one global work-stealing
-//! executor**, and hands out owned [`runtime::Session`]s
+//! owns the engine state behind an `Arc` plus **one global fork-join
+//! executor** (lanes and helping submitters popping one bounded MPMC
+//! ring), and hands out owned [`runtime::Session`]s
 //! (`Send + 'static`) that any thread can drive and migrate
 //! mid-utterance. Scratches and front-ends are pooled
 //! ([`decoder::pool::ScratchPool`]) so repeated recognitions are

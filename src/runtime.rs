@@ -6,9 +6,9 @@
 //! overlapped (Section VI) — and [`AsrRuntime`] is the software image of
 //! that deployment shape. The runtime owns the engine state (decoding
 //! graph, lexicon, acoustic scorer, scratch and front-end pools) behind
-//! an [`Arc`], plus **one global work-stealing executor**
+//! an [`Arc`], plus **one global fork-join executor**
 //! ([`WorkerPool`]): every session's fork-joins land in the same
-//! queues, so N concurrent decodes share all lanes instead of each
+//! queue, so N concurrent decodes share all lanes instead of each
 //! hoarding a private thread set.
 //!
 //! [`AsrRuntime::open_session`] returns an **owned [`Session`]**:
@@ -22,7 +22,7 @@
 //!
 //! On top of the shared executor, a session overlaps its front-end with
 //! its search: while the search relaxes the held-back row of packet
-//! *i*, the scoring of packet *i + 1* runs as a stolen task on another
+//! *i*, the scoring of packet *i + 1* runs as a queued task on another
 //! lane — exactly the paper's GPU-scores-batch-*i + 1*-while-the-
 //! accelerator-searches-batch-*i* overlap, shrunk to frame granularity.
 //! Results stay **byte-identical** to the sequential path because the
@@ -74,10 +74,10 @@
 //! and the rows **scatter** back to each session's ALB slot — the
 //! CPU-lane image of the paper's Acoustic Likelihood Buffer decoupling
 //! scoring throughput from search. The window is bounded by a
-//! configurable row cap and per-session wait budget, a lone session
-//! falls back to synchronous single-row scoring (it never stalls on a
-//! batch that will not fill), and the PR 6 pressure signal *widens* the
-//! batch toward the row cap before any QoS tier narrows a beam.
+//! configurable row cap and per-session wait budget, its flush target
+//! is the number of live sessions, and a lone session falls back to
+//! synchronous single-row scoring (it never stalls on a batch that will
+//! not fill).
 //! Transcripts are **byte-identical** per session regardless of batch
 //! composition: every row of a block is computed with the single-row
 //! fold order, and each session's search still consumes its own rows in
@@ -525,9 +525,6 @@ pub struct BatchScoringStats {
     pub single_row_fallbacks: u64,
     /// The widest block any flush has scored.
     pub widest_batch: usize,
-    /// Flushes whose gather target had been widened past the live
-    /// session count by the pressure signal.
-    pub widened_flushes: u64,
     /// Flushes performed by an idle executor lane draining a partially
     /// filled gather window (rows that would otherwise have waited for
     /// the next submitter).
@@ -548,10 +545,8 @@ pub struct BatchScoringStats {
 /// how many of its *own* frames any session lets ride unscored before
 /// it forces a flush — so a session's search never lags its audio by
 /// more than the wait budget, however idle its batch mates are. The
-/// flush target between those bounds is the number of live sessions,
-/// widened toward `max_rows` by the runtime's pressure signal (see
-/// [`RuntimeConfig::qos`]): under pressure the service trades a little
-/// latency for deeper batches *before* any QoS tier narrows a beam.
+/// flush target between those bounds is the number of live sessions
+/// (one row each per round-robin cycle).
 ///
 /// ```
 /// use asr_repro::runtime::BatchScoringConfig;
@@ -747,7 +742,6 @@ struct BatchService {
     batched_rows: AtomicU64,
     single_row_fallbacks: AtomicU64,
     widest_batch: AtomicUsize,
-    widened_flushes: AtomicU64,
     idle_flushes: AtomicU64,
 }
 
@@ -774,7 +768,6 @@ impl BatchService {
             batched_rows: AtomicU64::new(0),
             single_row_fallbacks: AtomicU64::new(0),
             widest_batch: AtomicUsize::new(0),
-            widened_flushes: AtomicU64::new(0),
             idle_flushes: AtomicU64::new(0),
         }
     }
@@ -793,7 +786,6 @@ impl BatchService {
             batched_rows: self.batched_rows.load(Ordering::Acquire),
             single_row_fallbacks: self.single_row_fallbacks.load(Ordering::Acquire),
             widest_batch: self.widest_batch.load(Ordering::Acquire),
-            widened_flushes: self.widened_flushes.load(Ordering::Acquire),
             idle_flushes: self.idle_flushes.load(Ordering::Acquire),
             open_slots: live,
             pending_rows: pending,
@@ -959,7 +951,7 @@ pub struct SessionOptions {
 
 impl SessionOptions {
     /// The default options: overlap scoring and search automatically
-    /// when the executor has lanes to steal from.
+    /// when the executor has more than one lane.
     pub fn new() -> Self {
         Self::default()
     }
@@ -1166,7 +1158,7 @@ struct RuntimeInner {
     /// buffers), pooled like decode scratches so raw-audio sessions are
     /// allocation-free per frame in the steady state.
     frontend_pool: Mutex<Vec<SessionFrontend>>,
-    /// The shared work-stealing executor, spun up on first use (a
+    /// The shared fork-join executor, spun up on first use (a
     /// one-lane runtime never spawns it).
     executor: OnceLock<Arc<WorkerPool>>,
     frames_per_phone: usize,
@@ -1384,40 +1376,14 @@ impl RuntimeInner {
         state.owners[r] = handle;
         state.pending += 1;
         state.slots[handle.index].in_flight += 1;
-        let base = state.live.clamp(1, svc.cfg.max_rows);
-        let target = self.batch_target(svc, base);
-        if state.pending >= target {
-            if target > base {
-                svc.widened_flushes.fetch_add(1, Ordering::Relaxed);
-            }
-            self.flush_batch_locked(svc, state, true);
-        } else if state.slots[handle.index].in_flight > svc.cfg.max_wait_frames {
+        // One row per live session per round-robin cycle fills the
+        // window; a session past its own wait budget flushes early.
+        let target = state.live.clamp(1, svc.cfg.max_rows);
+        if state.pending >= target || state.slots[handle.index].in_flight > svc.cfg.max_wait_frames
+        {
             self.flush_batch_locked(svc, state, true);
         }
         SubmitOutcome::Queued
-    }
-
-    /// The gather target for the next flush: the number of live
-    /// sessions (one row each per round-robin cycle), widened toward
-    /// the window cap by the pressure signal. The widening saturates
-    /// exactly where the first QoS tier engages, so under load the
-    /// service deepens batches *before* any beam narrows — the PR 6
-    /// pressure coupling.
-    fn batch_target(&self, svc: &BatchService, base: usize) -> usize {
-        let Some(policy) = &self.qos else {
-            return base;
-        };
-        let Some(first) = policy.tiers().first().map(QosTier::min_pressure) else {
-            return base;
-        };
-        if first <= 0.0 {
-            return base;
-        }
-        let pressure = f64::from_bits(self.monitor.pressure_bits.load(Ordering::Acquire));
-        let frac = (pressure / first).clamp(0.0, 1.0);
-        let max = svc.cfg.max_rows;
-        let widened = base as f64 + frac * max.saturating_sub(base) as f64;
-        (widened as usize).clamp(base, max)
     }
 
     /// Scores the whole gather window with one block forward pass and
@@ -1580,8 +1546,8 @@ struct BlockShards {
 unsafe impl Send for BlockShards {}
 unsafe impl Sync for BlockShards {}
 
-/// The shared serving runtime: engine state plus one global
-/// work-stealing executor, handing out owned [`Session`]s.
+/// The shared serving runtime: engine state plus one global fork-join
+/// executor, handing out owned [`Session`]s.
 ///
 /// Cloning the handle is an `Arc` bump — clone it freely into
 /// per-connection threads; every clone shares the scratch pool, the
@@ -1947,7 +1913,7 @@ impl AsrRuntime {
         }
     }
 
-    /// The shared work-stealing executor, or `None` on a one-lane
+    /// The shared fork-join executor, or `None` on a one-lane
     /// runtime (which never spawns worker threads). Spun up lazily on
     /// first call; every session shares it.
     pub fn executor(&self) -> Option<&Arc<WorkerPool>> {
@@ -2349,7 +2315,7 @@ impl Session {
     /// allocation-free per frame once the session is warm.
     ///
     /// With a multi-lane runtime, each completed frame's scoring runs as
-    /// a stolen task on the shared executor *while* the search relaxes
+    /// a queued task on the shared executor *while* the search relaxes
     /// the previously staged row — the paper's Section VI overlap — with
     /// byte-identical results to inline scoring.
     ///
@@ -2381,14 +2347,14 @@ impl Session {
     /// consumes whatever rows of its own have come back; a lone one is
     /// told to score the frame itself. Everyone else scores here: one
     /// frame per advance inline, or up to [`SessionOptions::overlap_depth`]
-    /// frames per advance as stolen tasks when an executor is attached —
+    /// frames per advance as queued tasks when an executor is attached —
     /// the paper's Section VI overlap, with the ALB as a multi-frame
     /// batch buffer at depth > 1.
     ///
     /// Determinism: the search relaxes rows in FIFO frame order, and
     /// every path computes a row with the same per-row arithmetic — the
     /// source changes *when* rows are scored, never their order or
-    /// values, for any lane count or steal schedule.
+    /// values, for any lane count or task schedule.
     fn drain_frontend(&mut self, frontend: &mut SessionFrontend) {
         let runtime = Arc::clone(&self.runtime);
         let model = &runtime.model;
