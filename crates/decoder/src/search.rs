@@ -31,9 +31,14 @@
 //!   filter is disabled so end-of-utterance final-state selection sees
 //!   the same token set as the reference.
 //! * **Active tracking** is the table's append-only active list (deduped
-//!   by the epoch check); per-frame ordering work is one in-place sort of
-//!   the surviving state ids rather than collect-and-sort of the whole
-//!   map, and `max_active` uses a single rank-selection.
+//!   by the epoch check). Per-frame bookkeeping touches as few tokens as
+//!   the algorithm allows: the frontier is one in-place sort of the
+//!   surviving state ids, `max_active` is a single rank-selection over
+//!   flat `(cost, state)` integer keys (Kaldi's `GetCutoff` over a copied
+//!   cost array, never a comparator chasing token slots), and the epsilon
+//!   closure consults [`Wfst::has_epsilon`] — one cache-resident bit per
+//!   state — so only the tokens whose state owns an epsilon arc are
+//!   collected, sorted and fetched.
 //! * **Lattice compaction**: every
 //!   [`DecodeOptions::lattice_gc_interval`] frames the backpointer trace
 //!   is mark-compacted from the live tokens (Kaldi's periodic token GC),
@@ -159,6 +164,9 @@ pub struct DecodeScratch {
     frontier: Vec<u32>,
     /// Epsilon-closure worklist.
     worklist: Vec<u32>,
+    /// `max_active` rank-select keys ([`frontier_key`]); holds live tokens
+    /// only while the cap binds, so it grows on demand.
+    keys: Vec<u64>,
     /// Live trace roots handed to the lattice GC.
     gc_roots: Vec<TraceId>,
     gc: CompactScratch,
@@ -172,6 +180,7 @@ impl DecodeScratch {
             next: TokenTable::new(num_states, TraceId::ROOT),
             frontier: Vec::with_capacity(num_states.min(1 << 16)),
             worklist: Vec::with_capacity(num_states.min(1 << 16)),
+            keys: Vec::new(),
             gc_roots: Vec::with_capacity(num_states.min(1 << 16)),
             gc: CompactScratch::new(),
         }
@@ -299,6 +308,7 @@ pub(crate) fn search_frame(
         next,
         frontier,
         worklist,
+        keys,
         gc_roots,
         gc,
     } = scratch;
@@ -309,7 +319,7 @@ pub(crate) fn search_frame(
         active_tokens: cur.len(),
         ..FrameStats::default()
     };
-    build_frontier(cur, frontier, beam, opts.max_active);
+    build_frontier(cur, frontier, keys, beam, opts.max_active);
     fs.expanded_tokens = frontier.len();
     if opts.record_state_accesses {
         for &state in frontier.iter() {
@@ -347,32 +357,61 @@ pub(crate) fn search_frame(
     true
 }
 
+/// Rank-select key of a token: the cost mapped to an unsigned integer in
+/// `f32::total_cmp` order above the state id, so comparing keys as plain
+/// integers is exactly `total_cmp(cost).then(state)`.
+#[inline]
+fn frontier_key(cost: f32, state: u32) -> u64 {
+    let bits = cost.to_bits();
+    // Negative floats order by descending magnitude: flip every bit.
+    // Non-negative ones only need to sort above those: set the sign bit.
+    let monotone = if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | 1 << 31
+    };
+    u64::from(monotone) << 32 | u64::from(state)
+}
+
 /// Collects the beam (and optional histogram) survivors of `table` into
 /// `frontier`, sorted by state id — the deterministic expansion order.
 fn build_frontier(
     table: &TokenTable<TraceId>,
     frontier: &mut Vec<u32>,
+    keys: &mut Vec<u64>,
     beam: f32,
     max_active: Option<usize>,
 ) {
     frontier.clear();
     let threshold = table.best() + beam;
-    for &state in table.active() {
-        if table.cost(state) <= threshold {
-            frontier.push(state);
+    match max_active {
+        Some(0) => {}
+        // The cap can only bind with more live tokens than `cap`: gather
+        // flat keys so the rank-select compares integers it already holds
+        // instead of chasing two token slots per comparison. The `cap`
+        // cheapest (ties by state id) are a set, independent of the
+        // selection's internal order, so the one state-order sort below
+        // suffices.
+        Some(cap) if table.len() > cap => {
+            keys.clear();
+            for &state in table.active() {
+                let cost = table.cost(state);
+                if cost <= threshold {
+                    keys.push(frontier_key(cost, state));
+                }
+            }
+            if keys.len() > cap {
+                keys.select_nth_unstable(cap - 1);
+                keys.truncate(cap);
+            }
+            frontier.extend(keys.iter().map(|&key| key as u32));
         }
-    }
-    if let Some(cap) = max_active {
-        if cap == 0 {
-            frontier.clear();
-        } else if frontier.len() > cap {
-            // Rank-select the `cap` cheapest (ties by state id) in one
-            // pass; the survivor set is order-independent, so the single
-            // state-order sort below suffices.
-            frontier.select_nth_unstable_by(cap - 1, |&a, &b| {
-                table.cost(a).total_cmp(&table.cost(b)).then(a.cmp(&b))
-            });
-            frontier.truncate(cap);
+        _ => {
+            for &state in table.active() {
+                if table.cost(state) <= threshold {
+                    frontier.push(state);
+                }
+            }
         }
     }
     frontier.sort_unstable();
@@ -426,6 +465,12 @@ fn relax_frame(
 /// (frozen by the caller at the end of the emitting phase) are neither
 /// stored nor expanded — they could never improve an in-beam token, since
 /// epsilon weights are non-negative.
+///
+/// Only states that own an epsilon arc ([`Wfst::has_epsilon`]) enter the
+/// worklist. Popping any other state relaxes nothing, pushes nothing and
+/// counts no arc, and dropping them keeps the rest in the same relative
+/// order, so the relaxations and lattice pushes happen in exactly the
+/// sequence a walk over every live token would produce.
 fn epsilon_closure(
     wfst: &Wfst,
     table: &mut TokenTable<TraceId>,
@@ -436,7 +481,7 @@ fn epsilon_closure(
 ) {
     worklist.clear();
     for &state in table.active() {
-        if table.cost(state) <= threshold {
+        if wfst.has_epsilon(StateId(state)) && table.cost(state) <= threshold {
             worklist.push(state);
         }
     }
@@ -455,7 +500,9 @@ fn epsilon_closure(
             }
             if table.relax(arc.dest.0, dest_cost, || lattice.push(trace, arc.olabel)) {
                 fs.tokens_created += 1;
-                worklist.push(arc.dest.0);
+                if wfst.has_epsilon(arc.dest) {
+                    worklist.push(arc.dest.0);
+                }
             }
         }
     }
@@ -554,6 +601,7 @@ mod tests {
     use super::*;
     use asr_wfst::builder::WfstBuilder;
     use asr_wfst::PhoneId;
+    use proptest::prelude::*;
 
     /// The Figure 2 example: a WFST recognizing "low" (l ow) and "less"
     /// (l eh s), three frames of acoustic scores favouring "low".
@@ -716,6 +764,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore = "a synthetic graph is too slow interpreted")]
     fn decode_is_deterministic() {
         use asr_wfst::synth::{SynthConfig, SynthWfst};
         let w = SynthWfst::generate(&SynthConfig::with_states(2_000)).unwrap();
@@ -730,6 +779,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore = "a synthetic graph is too slow interpreted")]
     fn scratch_reuse_matches_fresh_decodes() {
         use asr_wfst::synth::{SynthConfig, SynthWfst};
         let w = SynthWfst::generate(&SynthConfig::with_states(2_000)).unwrap();
@@ -747,6 +797,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore = "a synthetic graph is too slow interpreted")]
     fn lattice_gc_shrinks_the_trace_without_changing_results() {
         use asr_wfst::synth::{SynthConfig, SynthWfst};
         let w = SynthWfst::generate(&SynthConfig::with_states(3_000)).unwrap();
@@ -770,5 +821,440 @@ mod tests {
             gc.lattice.len(),
             keep_all.lattice.len()
         );
+    }
+
+    // --- frontier: keyed rank-select ---------------------------------
+
+    /// A frame's token table holding exactly `tokens`, inserted in order.
+    fn table_of(tokens: &[(u32, f32)]) -> TokenTable<TraceId> {
+        let mut table = TokenTable::new(16, TraceId::ROOT);
+        table.begin_frame();
+        for &(state, cost) in tokens {
+            assert!(table.relax(state, cost, || TraceId::ROOT));
+        }
+        table
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn frontier_key_order_is_total_cmp_then_state(
+            pick in (0usize..16, 0usize..16),
+            bits in (any::<u32>(), any::<u32>()),
+            states in (any::<u32>(), 0u32..3, 0u32..3),
+        ) {
+            const EDGES: [f32; 8] = [
+                -0.0,
+                0.0,
+                f32::MIN_POSITIVE / 2.0, // subnormal
+                -f32::MIN_POSITIVE / 2.0,
+                f32::MAX,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                1.0,
+            ];
+            // Half the draws are edge values (so equal costs are common),
+            // half arbitrary bit patterns, NaNs included.
+            let cost = |pick: usize, bits: u32| EDGES.get(pick).copied().unwrap_or(f32::from_bits(bits));
+            let (a, b) = (cost(pick.0, bits.0), cost(pick.1, bits.1));
+            // Equal, adjacent and far-apart state ids.
+            let (sa, sb) = (states.0.wrapping_add(states.1), states.0.wrapping_add(states.2));
+            prop_assert_eq!(
+                frontier_key(a, sa).cmp(&frontier_key(b, sb)),
+                a.total_cmp(&b).then(sa.cmp(&sb)),
+                "{a:?}/{sa} vs {b:?}/{sb}"
+            );
+        }
+    }
+
+    #[test]
+    fn equal_costs_straddling_the_cut_keep_the_lower_state_ids() {
+        let table = table_of(&[(9, 1.0), (3, 1.0), (12, 0.5), (7, 1.0), (5, 1.0), (1, 2.0)]);
+        let (mut frontier, mut keys) = (Vec::new(), Vec::new());
+        build_frontier(&table, &mut frontier, &mut keys, 100.0, Some(3));
+        assert_eq!(frontier, [3, 5, 12], "cheapest first, ties by state id");
+        // The same cut through the full decode agrees with the reference.
+        let mut b = WfstBuilder::new();
+        let s0 = b.add_state();
+        b.set_start(s0);
+        for word in 1..=4 {
+            let mid = b.add_state();
+            let end = b.add_state();
+            b.add_arc(s0, mid, PhoneId(1), WordId(word), 1.0);
+            b.add_arc(mid, end, PhoneId(1), WordId::NONE, 1.0);
+            b.set_final(end, 0.0);
+        }
+        let w = b.build().unwrap();
+        let scores = AcousticTable::from_fn(2, 2, |_, _| 0.5);
+        let opts = DecodeOptions {
+            beam: 100.0,
+            max_active: Some(2),
+            ..DecodeOptions::default()
+        };
+        let fast = ViterbiDecoder::new(opts.clone()).decode(&w, &scores);
+        let reference = crate::reference::ReferenceDecoder::new(opts).decode(&w, &scores);
+        assert_eq!(fast.stats.frames[1].expanded_tokens, 2);
+        assert_eq!(fast.words, vec![WordId(1)], "lowest state id wins the tie");
+        assert_eq!(fast.words, reference.words);
+        assert_eq!(fast.cost.to_bits(), reference.cost.to_bits());
+        assert_eq!(fast.best_state, reference.best_state);
+    }
+
+    #[test]
+    fn a_cap_that_cannot_bind_builds_no_keys() {
+        let table = table_of(&[(9, 1.0), (3, 4.0), (12, 0.5), (7, 1.0)]);
+        let (mut frontier, mut keys) = (Vec::new(), Vec::new());
+        for cap in [None, Some(4), Some(5), Some(usize::MAX)] {
+            build_frontier(&table, &mut frontier, &mut keys, 2.0, cap);
+            assert_eq!(frontier, [7, 9, 12], "beam survivors in state order");
+            assert_eq!(keys.capacity(), 0, "cap {cap:?}: no key traffic");
+        }
+        build_frontier(&table, &mut frontier, &mut keys, 2.0, Some(0));
+        assert!(frontier.is_empty());
+        assert_eq!(keys.capacity(), 0);
+        // More live tokens than the cap, fewer beam survivors: keyed
+        // gather, no selection needed.
+        build_frontier(&table, &mut frontier, &mut keys, 2.0, Some(3));
+        assert_eq!(frontier, [7, 9, 12]);
+    }
+
+    // --- closure differential ----------------------------------------
+
+    /// The closure as it stood before the epsilon summary: every live
+    /// in-threshold token enters the worklist, whether or not its state
+    /// owns an epsilon arc. The oracle for [`epsilon_closure`].
+    fn epsilon_closure_every_token(
+        wfst: &Wfst,
+        table: &mut TokenTable<TraceId>,
+        lattice: &mut Lattice,
+        fs: &mut FrameStats,
+        threshold: f32,
+        worklist: &mut Vec<u32>,
+    ) {
+        worklist.clear();
+        for &state in table.active() {
+            if table.cost(state) <= threshold {
+                worklist.push(state);
+            }
+        }
+        worklist.sort_unstable();
+        let mut idx = 0;
+        while idx < worklist.len() {
+            let state_raw = worklist[idx];
+            idx += 1;
+            let cost = table.cost(state_raw);
+            let trace = table.payload(state_raw);
+            for arc in wfst.epsilon_arcs(StateId(state_raw)) {
+                fs.arcs_traversed += 1;
+                let dest_cost = cost + arc.weight;
+                if dest_cost > threshold {
+                    continue;
+                }
+                if table.relax(arc.dest.0, dest_cost, || lattice.push(trace, arc.olabel)) {
+                    fs.tokens_created += 1;
+                    worklist.push(arc.dest.0);
+                }
+            }
+        }
+    }
+
+    /// The whole trace, dead entries included, in push order.
+    fn entries(lattice: &Lattice) -> Vec<crate::lattice::TraceEntry> {
+        (0..lattice.len() as u32)
+            .map(|id| lattice.entry(TraceId(id)))
+            .collect()
+    }
+
+    /// One decode in flight: what a driver threads from frame to frame.
+    struct Run {
+        scratch: DecodeScratch,
+        lattice: Lattice,
+        stats: DecodeStats,
+        /// Tokens created by the oracle closures (not the emitting phase).
+        closure_tokens: usize,
+    }
+
+    impl Run {
+        fn new(wfst: &Wfst) -> Self {
+            Self {
+                scratch: DecodeScratch::new(wfst.num_states()),
+                lattice: Lattice::new(),
+                stats: DecodeStats::default(),
+                closure_tokens: 0,
+            }
+        }
+
+        /// [`seed_start`] with the oracle closure.
+        fn oracle_seed_start(&mut self, wfst: &Wfst) {
+            let cur = &mut self.scratch.cur;
+            cur.begin_frame();
+            let start_trace = self.lattice.push(TraceId::ROOT, WordId::NONE);
+            cur.relax(wfst.start().0, 0.0, || start_trace);
+            let mut closure = FrameStats::default();
+            epsilon_closure_every_token(
+                wfst,
+                cur,
+                &mut self.lattice,
+                &mut closure,
+                f32::INFINITY,
+                &mut self.scratch.worklist,
+            );
+            self.closure_tokens += closure.tokens_created;
+        }
+
+        /// [`search_frame`] with the oracle closure; every other stage is
+        /// the production function.
+        fn oracle_frame(
+            &mut self,
+            wfst: &Wfst,
+            opts: &DecodeOptions,
+            row: &[f32],
+            last_frame: bool,
+        ) -> bool {
+            let DecodeScratch {
+                cur,
+                next,
+                frontier,
+                worklist,
+                keys,
+                gc_roots,
+                gc,
+            } = &mut self.scratch;
+            let lattice = &mut self.lattice;
+            let frame = self.stats.frames.len();
+            let mut fs = FrameStats {
+                active_tokens: cur.len(),
+                ..FrameStats::default()
+            };
+            build_frontier(cur, frontier, keys, opts.beam, opts.max_active);
+            fs.expanded_tokens = frontier.len();
+            relax_frame(
+                wfst, cur, next, frontier, lattice, &mut fs, opts.beam, last_frame, row,
+            );
+            let threshold = if last_frame {
+                f32::INFINITY
+            } else {
+                next.best() + opts.beam
+            };
+            let mut closure = FrameStats::default();
+            epsilon_closure_every_token(wfst, next, lattice, &mut closure, threshold, worklist);
+            self.closure_tokens += closure.tokens_created;
+            fs.arcs_traversed += closure.arcs_traversed;
+            fs.tokens_created += closure.tokens_created;
+            std::mem::swap(cur, next);
+            self.stats.frames.push(fs);
+            if cur.is_empty() {
+                return false;
+            }
+            if !last_frame {
+                let interval = opts.lattice_gc_interval;
+                maybe_gc(interval, frame, cur, lattice, gc_roots, frontier, gc);
+            }
+            true
+        }
+
+        /// Live tokens in insertion order: `(state, cost bits, trace)`.
+        fn tokens(&self) -> Vec<(u32, u32, TraceId)> {
+            let cur = &self.scratch.cur;
+            cur.active()
+                .iter()
+                .map(|&s| (s, cur.cost(s).to_bits(), cur.payload(s)))
+                .collect()
+        }
+    }
+
+    /// Decodes `scores` twice in lock step — production closure and
+    /// oracle closure — asserting identical stats, token tables and
+    /// lattice entries after the start closure and after every frame.
+    /// Returns the total number of tokens the closures created.
+    fn assert_closure_matches_oracle(
+        wfst: &Wfst,
+        scores: &AcousticTable,
+        opts: &DecodeOptions,
+    ) -> usize {
+        let (mut fast, mut oracle) = (Run::new(wfst), Run::new(wfst));
+        seed_start(wfst, &mut fast.scratch, &mut fast.lattice);
+        oracle.oracle_seed_start(wfst);
+        let same = |fast: &Run, oracle: &Run, at: &str| {
+            assert_eq!(fast.stats.frames, oracle.stats.frames, "{at}: stats");
+            assert_eq!(fast.tokens(), oracle.tokens(), "{at}: tokens");
+            let (a, b) = (&fast.scratch.cur, &oracle.scratch.cur);
+            assert_eq!(a.best().to_bits(), b.best().to_bits(), "{at}: best");
+            assert_eq!(
+                entries(&fast.lattice),
+                entries(&oracle.lattice),
+                "{at}: lattice"
+            );
+        };
+        same(&fast, &oracle, "start closure");
+        let num_frames = scores.num_frames();
+        for frame in 0..num_frames {
+            let (row, last) = (scores.frame_row(frame), frame + 1 == num_frames);
+            let alive = search_frame(
+                wfst,
+                opts,
+                &mut fast.scratch,
+                &mut fast.lattice,
+                &mut fast.stats,
+                row,
+                last,
+            );
+            assert_eq!(alive, oracle.oracle_frame(wfst, opts, row, last));
+            same(&fast, &oracle, &format!("frame {frame}"));
+            if !alive {
+                break;
+            }
+        }
+        oracle.closure_tokens
+    }
+
+    /// The option sets every differential graph is decoded under: wide
+    /// and tight beams, a binding `max_active`, frequent and no GC.
+    fn differential_options() -> [DecodeOptions; 4] {
+        let gc = |interval| DecodeOptions {
+            lattice_gc_interval: interval,
+            ..DecodeOptions::with_beam(6.0)
+        };
+        [
+            DecodeOptions::with_beam(1e9),
+            gc(Some(4)),
+            gc(None),
+            DecodeOptions {
+                max_active: Some(12),
+                ..gc(Some(3))
+            },
+        ]
+    }
+
+    /// A small seeded graph built to stress the closure: a four-deep
+    /// zero-weight epsilon chain out of the start state (so the start
+    /// closure runs deep and its tokens tie), two epsilon paths of equal
+    /// cost into one state, a zero-weight epsilon cycle, and random
+    /// epsilon arcs with weights from `{0, 0, 0.5, 1}` on about half the
+    /// states, so ties and zero-weight cycles are the norm. Epsilon arcs
+    /// carry distinct words, which makes a reordered lattice push visible.
+    fn epsilon_maze(seed: u64) -> Wfst {
+        const N: u32 = 48;
+        let mut rng = TestRng::for_test(&format!("epsilon_maze {seed}"));
+        let mut below = |n: u64| (rng.next_u64() % n) as u32;
+        let mut b = WfstBuilder::new();
+        let s: Vec<StateId> = (0..N).map(|_| b.add_state()).collect();
+        b.set_start(s[0]);
+        let mut word = 0;
+        let mut eps = |b: &mut WfstBuilder, from: u32, to: u32, weight: f32| {
+            word += 1;
+            b.add_arc(
+                s[from as usize],
+                s[to as usize],
+                PhoneId::EPSILON,
+                WordId(word),
+                weight,
+            );
+        };
+        for i in 0..4 {
+            eps(&mut b, i, i + 1, 0.0);
+        }
+        eps(&mut b, 1, 7, 0.5);
+        eps(&mut b, 2, 7, 0.5);
+        eps(&mut b, 5, 6, 0.0);
+        eps(&mut b, 6, 5, 0.0);
+        for from in 0..N {
+            for _ in 0..1 + below(3) {
+                let weight = 0.5 * (1 + below(3)) as f32;
+                let phone = PhoneId(1 + below(3));
+                b.add_arc(
+                    s[from as usize],
+                    s[below(N as u64) as usize],
+                    phone,
+                    WordId::NONE,
+                    weight,
+                );
+            }
+            if below(2) == 0 {
+                for _ in 0..1 + below(3) {
+                    let weight = [0.0, 0.0, 0.5, 1.0][below(4) as usize];
+                    eps(&mut b, from, below(N as u64), weight);
+                }
+            }
+            if below(6) == 0 {
+                b.set_final(s[from as usize], 0.5 * below(3) as f32);
+            }
+        }
+        b.set_final(s[N as usize - 1], 0.0);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn filtered_closure_matches_every_token_closure_on_epsilon_mazes() {
+        let frames = if cfg!(miri) { 6 } else { 24 };
+        for seed in 0..if cfg!(miri) { 2 } else { 12 } {
+            let w = epsilon_maze(seed);
+            let with_eps = (0..w.num_states())
+                .filter(|&i| w.has_epsilon(StateId::from_index(i)))
+                .count();
+            assert!(with_eps >= 8 && with_eps < w.num_states(), "both kinds");
+            // Two-valued scores keep path costs on a coarse grid: ties.
+            let scores = AcousticTable::from_fn(frames, 4, |f, p| 0.5 + 0.5 * ((f + p) % 2) as f32);
+            let mut closure_tokens = 0;
+            for opts in differential_options() {
+                closure_tokens += assert_closure_matches_oracle(&w, &scores, &opts);
+            }
+            assert!(closure_tokens > frames, "seed {seed}: closure barely ran");
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "a synthetic graph is too slow interpreted")]
+    fn filtered_closure_matches_every_token_closure_at_half_epsilon_arcs() {
+        use asr_wfst::synth::{SynthConfig, SynthWfst};
+        for seed in 1..=3 {
+            let w = SynthWfst::generate(&SynthConfig {
+                epsilon_fraction: 0.5,
+                seed,
+                ..SynthConfig::with_states(3_000)
+            })
+            .unwrap();
+            assert!(w.epsilon_fraction() > 0.4);
+            let scores = AcousticTable::random(40, w.num_phones() as usize, (0.5, 4.0), seed);
+            for opts in differential_options() {
+                let closure_tokens = assert_closure_matches_oracle(&w, &scores, &opts);
+                assert!(closure_tokens > 40, "seed {seed}: closure barely ran");
+            }
+        }
+    }
+
+    // --- epoch wrap under the double-buffer swap ---------------------
+
+    #[test]
+    fn decode_across_the_epoch_wrap_matches_a_fresh_scratch() {
+        use asr_wfst::synth::{SynthConfig, SynthWfst};
+        let states = if cfg!(miri) { 150 } else { 2_000 };
+        let w = SynthWfst::generate(&SynthConfig::with_states(states)).unwrap();
+        let scores = AcousticTable::random(60, w.num_phones() as usize, (0.5, 4.0), 5);
+        let d = ViterbiDecoder::new(DecodeOptions {
+            lattice_gc_interval: Some(8),
+            ..DecodeOptions::with_beam(6.0)
+        });
+        let fresh = d.decode(&w, &scores);
+        assert_eq!(fresh.stats.frames.len(), 60, "the beam must not empty");
+
+        let mut scratch = DecodeScratch::new(w.num_states());
+        // A first decode over other scores leaves small tags in slots this
+        // utterance reaches later: exactly what a wrap that forgot to
+        // reset them would bring back to life.
+        let other = AcousticTable::random(60, w.num_phones() as usize, (0.5, 4.0), 6);
+        d.decode_with(&mut scratch, &w, &other);
+        scratch.cur.seed_epoch(u32::MAX - 7);
+        scratch.next.seed_epoch(u32::MAX - 12);
+        let wrapped = d.decode_with(&mut scratch, &w, &scores);
+        assert!(scratch.cur.epoch() < 64 && scratch.next.epoch() < 64);
+
+        assert_eq!(wrapped.words, fresh.words);
+        assert_eq!(wrapped.cost.to_bits(), fresh.cost.to_bits());
+        assert_eq!(wrapped.best_state, fresh.best_state);
+        assert_eq!(wrapped.reached_final, fresh.reached_final);
+        assert_eq!(wrapped.stats.frames, fresh.stats.frames);
+        assert_eq!(entries(&wrapped.lattice), entries(&fresh.lattice));
     }
 }

@@ -9,14 +9,18 @@
 //! plays that datapath in software with the luxury of a *perfect* hash —
 //! a dense array indexed by state id:
 //!
-//! * **slots** (`costs`/`payloads`) mirror the hash entries: one per
-//!   state, carrying the path cost and a caller-chosen payload (the
-//!   backpointer [`crate::lattice::TraceId`] in the decoders and the
-//!   simulator, `()` where only membership matters);
-//! * an **epoch tag** per slot replaces clearing: a slot is live only if
+//! * **slots** mirror the hash entries: one packed `{epoch, cost,
+//!   payload}` record per state (12 bytes with a
+//!   [`crate::lattice::TraceId`] payload, so a relax touches one cache
+//!   line, not one per field), carrying the path cost and a caller-chosen
+//!   payload (the backpointer in the decoders and the simulator, `()`
+//!   where only membership matters);
+//! * the **epoch tag** of a slot replaces clearing: a slot is live only if
 //!   its tag equals the table's current epoch, so "flushing the hash
 //!   table" between frames is one counter bump ([`TokenTable::begin_frame`])
-//!   instead of an `O(entries)` wipe or a `HashMap` rehash;
+//!   instead of an `O(entries)` wipe or a `HashMap` rehash — and since a
+//!   stale slot is all-zero bytes, building a table is one zeroed
+//!   allocation whose pages the search faults in as it reaches them;
 //! * the **active list** mirrors the hardware's insertion-ordered linked
 //!   list: an append-only `Vec<u32>` of the states inserted this epoch,
 //!   deduplicated for free by the epoch check on first touch.
@@ -26,6 +30,8 @@
 //! running frame-best cost is tracked on insert so the beam test
 //! (`cost <= best + beam`) — the accelerator's prune-on-insert — is one
 //! compare away.
+
+use std::mem::MaybeUninit;
 
 /// Slot-level outcome of one [`TokenTable::relax`], as reported to an
 /// [`InsertObserver`].
@@ -115,32 +121,47 @@ impl InsertObserver for NoopObserver {
 pub struct TokenTable<P: Copy> {
     /// Current epoch; slots are live iff their tag matches.
     epoch: u32,
-    /// Per-slot epoch tags.
-    epochs: Vec<u32>,
-    /// Per-slot path costs (valid only when the tag matches).
-    costs: Vec<f32>,
-    /// Per-slot payloads (valid only when the tag matches).
-    payloads: Vec<P>,
+    /// One slot per state. Invariant: a slot whose tag is non-zero holds
+    /// an initialized payload, and `epoch` is never 0 when a slot is read —
+    /// tags are written only by `relax_observed`, after the payload, and
+    /// payloads are `Copy`, so nothing ever de-initializes one.
+    slots: Box<[Slot<P>]>,
     /// States inserted this epoch, in insertion order.
     active: Vec<u32>,
     /// Cheapest cost inserted this epoch (`f32::INFINITY` when empty).
     best: f32,
 }
 
+/// One state's token: tag, cost and payload side by side. All-zero bytes
+/// are a valid stale slot, so a fresh table is one zeroed allocation.
+#[derive(Debug, Clone, Copy)]
+#[repr(C)]
+struct Slot<P: Copy> {
+    /// Epoch tag; the slot is live iff it equals the table's epoch.
+    epoch: u32,
+    /// Path cost (meaningful only while live).
+    cost: f32,
+    /// Payload; initialized whenever the tag is non-zero.
+    payload: MaybeUninit<P>,
+}
+
 impl<P: Copy> TokenTable<P> {
     /// Creates a table covering states `0..num_states`.
     ///
-    /// `fill` initializes the payload slots; it is never observable (slots
-    /// are read only after a live write) but keeps the storage safe.
+    /// `fill` is unused: a payload is read only after a live write, and
+    /// stale slots stay zeroed rather than being filled. The parameter
+    /// remains so the constructor is the one callers were written against.
     pub fn new(num_states: usize, fill: P) -> Self {
+        let _ = fill;
+        let slots = Box::<[Slot<P>]>::new_zeroed_slice(num_states);
         Self {
             // Tags start at 0, the epoch at 1: every slot is stale by
             // construction, so a fresh table is empty even before the
             // first `begin_frame`.
             epoch: 1,
-            epochs: vec![0; num_states],
-            costs: vec![f32::INFINITY; num_states],
-            payloads: vec![fill; num_states],
+            // SAFETY: a `Slot` is a `u32`, an `f32` and a `MaybeUninit`;
+            // each accepts all-zero bytes.
+            slots: unsafe { slots.assume_init() },
             active: Vec::with_capacity(num_states.min(1 << 16)),
             best: f32::INFINITY,
         }
@@ -148,7 +169,7 @@ impl<P: Copy> TokenTable<P> {
 
     /// Number of state slots.
     pub fn capacity(&self) -> usize {
-        self.epochs.len()
+        self.slots.len()
     }
 
     /// Starts a new frame: one counter bump invalidates every slot (the
@@ -156,7 +177,7 @@ impl<P: Copy> TokenTable<P> {
     pub fn begin_frame(&mut self) {
         if self.epoch == u32::MAX {
             // Epoch wrap: the only O(n) reset, once every 2^32 frames.
-            self.epochs.iter_mut().for_each(|e| *e = 0);
+            self.slots.iter_mut().for_each(|s| s.epoch = 0);
             self.epoch = 0;
         }
         self.epoch += 1;
@@ -164,25 +185,27 @@ impl<P: Copy> TokenTable<P> {
         self.best = f32::INFINITY;
     }
 
-    #[inline]
-    fn slot(&self, state: u32) -> usize {
-        debug_assert!(
-            (state as usize) < self.epochs.len(),
-            "state {state} outside table range 0..{}",
-            self.epochs.len()
-        );
-        state as usize
+    /// Test hook: jumps the epoch counter (to just below `u32::MAX`, so a
+    /// short decode crosses the wrap). Slot tags are left as they are.
+    #[cfg(test)]
+    pub(crate) fn seed_epoch(&mut self, epoch: u32) {
+        assert_ne!(epoch, 0, "epoch 0 would make never-written slots live");
+        self.epoch = epoch;
+    }
+
+    /// Test hook: the current epoch (small again once a wrap has happened).
+    #[cfg(test)]
+    pub(crate) fn epoch(&self) -> u32 {
+        self.epoch
     }
 
     /// Looks up a live token.
     #[inline]
     pub fn get(&self, state: u32) -> Option<(f32, P)> {
-        let slot = self.slot(state);
-        if self.epochs[slot] == self.epoch {
-            Some((self.costs[slot], self.payloads[slot]))
-        } else {
-            None
-        }
+        let slot = &self.slots[state as usize];
+        // SAFETY: the tag equals the non-zero epoch, so by the `slots`
+        // invariant the payload was written.
+        (slot.epoch == self.epoch).then(|| (slot.cost, unsafe { slot.payload.assume_init() }))
     }
 
     /// Cost of a live token.
@@ -194,27 +217,33 @@ impl<P: Copy> TokenTable<P> {
     /// are.
     #[inline]
     pub fn cost(&self, state: u32) -> f32 {
-        let slot = self.slot(state);
-        debug_assert_eq!(self.epochs[slot], self.epoch, "stale token read");
-        self.costs[slot]
+        let slot = &self.slots[state as usize];
+        debug_assert_eq!(slot.epoch, self.epoch, "stale token read");
+        slot.cost
     }
 
-    /// Payload of a live token (same liveness contract as
-    /// [`TokenTable::cost`]).
+    /// Payload of a live token.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the token is not live (a stale slot may never have held a
+    /// payload); callers iterate [`TokenTable::active`], whose entries
+    /// always are.
     #[inline]
     pub fn payload(&self, state: u32) -> P {
-        let slot = self.slot(state);
-        debug_assert_eq!(self.epochs[slot], self.epoch, "stale token read");
-        self.payloads[slot]
+        let slot = &self.slots[state as usize];
+        assert_eq!(slot.epoch, self.epoch, "stale token read");
+        // SAFETY: as in `get`.
+        unsafe { slot.payload.assume_init() }
     }
 
     /// Overwrites the payload of a live token (used by lattice GC to
     /// retarget backpointers).
     #[inline]
     pub fn set_payload(&mut self, state: u32, payload: P) {
-        let slot = self.slot(state);
-        debug_assert_eq!(self.epochs[slot], self.epoch, "stale token write");
-        self.payloads[slot] = payload;
+        let slot = &mut self.slots[state as usize];
+        assert_eq!(slot.epoch, self.epoch, "stale token write");
+        slot.payload = MaybeUninit::new(payload);
     }
 
     /// Keeps only the best in-going path per state — the accelerator's
@@ -239,20 +268,24 @@ impl<P: Copy> TokenTable<P> {
         payload: impl FnOnce() -> P,
         observer: &mut impl InsertObserver,
     ) -> bool {
-        let slot = self.slot(state);
-        if self.epochs[slot] == self.epoch {
-            if self.costs[slot] <= cost {
-                observer.observe(state, RelaxOutcome::Rejected);
-                return false;
-            }
-            observer.observe(state, RelaxOutcome::Improved);
-        } else {
+        let slot = &mut self.slots[state as usize];
+        let appended = slot.epoch != self.epoch;
+        if appended {
             observer.observe(state, RelaxOutcome::Appended);
-            self.epochs[slot] = self.epoch;
+        } else if slot.cost <= cost {
+            observer.observe(state, RelaxOutcome::Rejected);
+            return false;
+        } else {
+            observer.observe(state, RelaxOutcome::Improved);
+        }
+        // The payload lands before the tag, so a panicking `payload`
+        // cannot leave a live slot without one.
+        slot.payload = MaybeUninit::new(payload());
+        slot.cost = cost;
+        if appended {
+            slot.epoch = self.epoch;
             self.active.push(state);
         }
-        self.costs[slot] = cost;
-        self.payloads[slot] = payload();
         if cost < self.best {
             self.best = cost;
         }
@@ -349,7 +382,7 @@ mod tests {
     #[test]
     fn epoch_wrap_resets_tags() {
         let mut t: TokenTable<()> = TokenTable::new(4, ());
-        t.epoch = u32::MAX - 1;
+        t.seed_epoch(u32::MAX - 1);
         t.begin_frame(); // epoch == MAX
         t.relax(1, 1.0, || ());
         t.begin_frame(); // wraps: tags rewritten, epoch restarts
@@ -365,6 +398,23 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.get(3), None, "no phantom live tokens before begin_frame");
         assert_eq!(t.best(), f32::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "stale token read")]
+    fn a_stale_payload_read_panics_instead_of_reading_a_zeroed_slot() {
+        let t: TokenTable<u32> = TokenTable::new(4, 0);
+        t.payload(2);
+    }
+
+    #[test]
+    fn a_panicking_payload_leaves_the_slot_stale() {
+        let mut t: TokenTable<u32> = TokenTable::new(4, 0);
+        t.begin_frame();
+        let relax = std::panic::AssertUnwindSafe(|| t.relax(1, 1.0, || panic!("no payload")));
+        assert!(std::panic::catch_unwind(relax).is_err());
+        assert_eq!(t.get(1), None, "no tag without a payload");
+        assert!(t.is_empty());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Serialization of transducers to files and byte buffers.
 //!
-//! Three formats are provided:
+//! Two formats are provided:
 //!
 //! * the **v1 packed container** (this module): the DRAM image of
 //!   [`crate::layout`] prefixed with a small header. It carries the
@@ -11,9 +11,7 @@
 //!   into fresh `Vec`s;
 //! * the **v2 zero-copy image** ([`crate::store`]): the full
 //!   [`crate::sorted::SortedWfst`] — records, unit registers, maps — in
-//!   aligned sections viewed in place after a single validation pass;
-//! * **JSON** via serde for small graphs and golden-file tests (behind the
-//!   caller's serializer of choice; `Wfst` derives `Serialize`).
+//!   aligned sections viewed in place after a single validation pass.
 //!
 //! [`load_sorted`] / [`sorted_from_bytes`] accept either container
 //! version and are what serving code should call.

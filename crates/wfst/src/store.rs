@@ -449,14 +449,6 @@ impl<T: std::fmt::Debug> std::fmt::Debug for Section<T> {
     }
 }
 
-impl<T: serde::Serialize> serde::Serialize for Section<T> {
-    fn to_json_value(&self) -> serde::json::Value {
-        (**self).to_json_value()
-    }
-}
-
-impl<T> serde::Deserialize for Section<T> {}
-
 impl<T> Section<T> {
     /// Returns `true` for the zero-copy image-backed variant.
     pub(crate) fn is_view(&self) -> bool {

@@ -36,6 +36,7 @@ model-check:
 miri:
     @rustup component list --toolchain nightly 2>/dev/null | grep -q 'miri.*(installed)' \
         && { cargo +nightly miri test -p asr-decoder --lib token_table; \
+             cargo +nightly miri test -p asr-decoder --lib search; \
              cargo +nightly miri test -p asr-decoder --lib stream; \
              cargo +nightly miri test -p asr-wfst --lib store; \
              cargo +nightly miri test -p asr-acoustic --lib dnn; } \
@@ -64,6 +65,66 @@ bench-check:
     cargo build --release --offline --manifest-path benchmark/Cargo.toml
     cargo test -q --offline --manifest-path benchmark/Cargo.toml
     cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --smoke
+
+# Alternating A/B pairs of one BENCHMARK.json workload: the commit
+# `parent` (exported with `git archive` into target/ab/<sha>/ and built
+# there once) against the working tree. Seeds 1..pairs, odd seeds run the
+# parent first and even seeds the change; prints `frames_per_s` per pair,
+# each side's median and quartiles, and the verdict of the
+# choosing-metrics rule: a gain needs wins in >= 9/10 of the pairs run
+# and a median gap wider than the parent's own interquartile range.
+ab parent workload pairs="10":
+    #!/usr/bin/env bash
+    set -euo pipefail
+    sha=$(git rev-parse --verify '{{parent}}^{commit}')
+    dir=target/ab/$sha
+    if [ ! -x "$dir/benchmark/target/release/asr-benchmark" ]; then
+        rm -rf "$dir" && mkdir -p "$dir"
+        git archive "$sha" | tar -x -C "$dir"
+        cargo build --release --quiet --offline --manifest-path "$dir/benchmark/Cargo.toml"
+    fi
+    cargo build --release --quiet --offline --manifest-path benchmark/Cargo.toml
+    seconds=$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json)
+    fps() { # <binary>: frames_per_s of one correct run at seed $seed
+        "$1" --workload '{{workload}}' --seed "$seed" --seconds "$seconds" --trace 0 2>/dev/null \
+            | sed -n '$s/.*"correct": true.*"frames_per_s": {"value": \([0-9.eE+-]*\).*/\1/p'
+    }
+    for seed in $(seq 1 '{{pairs}}'); do
+        if [ $((seed % 2)) -eq 1 ]; then
+            a=$(fps "$dir/benchmark/target/release/asr-benchmark")
+            b=$(fps benchmark/target/release/asr-benchmark)
+        else
+            b=$(fps benchmark/target/release/asr-benchmark)
+            a=$(fps "$dir/benchmark/target/release/asr-benchmark")
+        fi
+        [ -n "$a" ] && [ -n "$b" ] || { echo "seed $seed: a run failed or was incorrect" >&2; exit 1; }
+        echo "$seed $a $b"
+    done | awk -v w='{{workload}}' '
+        function quantile(v, n, p,    pos, lo) {
+            pos = 1 + (n - 1) * p; lo = int(pos)
+            return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
+        }
+        function summary(name, v, n,    i, j, x) {
+            for (i = 2; i <= n; i++) { # insertion sort: asort is gawk-only
+                x = v[i]
+                for (j = i - 1; j >= 1 && v[j] > x; j--) v[j + 1] = v[j]
+                v[j + 1] = x
+            }
+            printf "%-7s median %.1f  quartiles %.1f .. %.1f\n", name, quantile(v, n, 0.5), quantile(v, n, 0.25), quantile(v, n, 0.75)
+        }
+        {
+            n++; parent[n] = $2 + 0; change[n] = $3 + 0
+            winner = $3 > $2 ? "change" : $3 < $2 ? "parent" : "tie"
+            wins += winner == "change"
+            printf "%s seed %d: parent %.1f  change %.1f  frames_per_s  -> %s\n", w, $1, $2, $3, winner
+        }
+        END {
+            summary("parent", parent, n); summary("change", change, n)
+            gap = quantile(change, n, 0.5) - quantile(parent, n, 0.5)
+            iqr = quantile(parent, n, 0.75) - quantile(parent, n, 0.25)
+            shown = wins * 10 >= n * 9 && gap > iqr
+            printf "change wins %d of %d pairs; median gap %+.1f (%+.1f%% of parent) vs parent IQR %.1f: %s\n", wins, n, gap, 100 * gap / quantile(parent, n, 0.5), iqr, shown ? "gain shown" : "no gain shown"
+        }'
 
 # Tracked Rust lines outside benchmark/, per crate and in total (the
 # ROADMAP's "net reduction" trend; count after `cargo fmt`).
