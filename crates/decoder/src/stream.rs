@@ -147,6 +147,15 @@ impl<G: Deref<Target = Wfst>> StreamingDecode<G> {
     /// `p`, `row[0]` the unread epsilon column), treating it as a
     /// *non-final* frame.
     ///
+    /// A row stepped as non-final leaves the tokens pruned for the *next*
+    /// frame — the beam applied on insert, and under `max_active` no
+    /// epsilon closure past the cap's cutoff — not for final-state
+    /// selection: a final state only such a pruned token reaches is not
+    /// there. [`StreamingDecode::partial`] is unaffected (the cheapest
+    /// token always survives), but the utterance's last row must be held
+    /// back for [`StreamingDecode::finish`], which is what [`AlbQueue`]
+    /// does.
+    ///
     /// # Panics
     ///
     /// Panics if the WFST references a phone label at or beyond
@@ -194,12 +203,12 @@ impl<G: Deref<Target = Wfst>> StreamingDecode<G> {
         }
         let Self {
             wfst,
-            mut scratch,
+            scratch,
             lattice,
             stats,
             ..
         } = self;
-        let result = finish_decode(&wfst, &mut scratch, lattice, stats);
+        let result = finish_decode(&wfst, &scratch, lattice, stats);
         (result, scratch)
     }
 

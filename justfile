@@ -69,11 +69,13 @@ bench-check:
 # Alternating A/B pairs of one BENCHMARK.json workload: the commit
 # `parent` (exported with `git archive` into target/ab/<sha>/ and built
 # there once) against the working tree. Seeds 1..pairs, odd seeds run the
-# parent first and even seeds the change; prints `frames_per_s` per pair,
-# each side's median and quartiles, and the verdict of the
-# choosing-metrics rule: a gain needs wins in >= 9/10 of the pairs run
-# and a median gap wider than the parent's own interquartile range.
-ab parent workload pairs="10":
+# parent first and even seeds the change; prints `metric` per pair, then
+# each side's median and quartiles for every end-to-end metric the runs
+# report (so the "must not move" rows come from the same pairs), and the
+# verdict of the choosing-metrics rule on `metric`: a gain needs wins in
+# >= 9/10 of the pairs run and a median gap wider than the parent's own
+# interquartile range.
+ab parent workload pairs="10" metric="frames_per_s":
     #!/usr/bin/env bash
     set -euo pipefail
     sha=$(git rev-parse --verify '{{parent}}^{commit}')
@@ -85,46 +87,65 @@ ab parent workload pairs="10":
     fi
     cargo build --release --quiet --offline --manifest-path benchmark/Cargo.toml
     seconds=$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json)
-    fps() { # <binary>: frames_per_s of one correct run at seed $seed
-        "$1" --workload '{{workload}}' --seed "$seed" --seconds "$seconds" --trace 0 2>/dev/null \
-            | sed -n '$s/.*"correct": true.*"frames_per_s": {"value": \([0-9.eE+-]*\).*/\1/p'
+    better=$(grep -A 3 '"name": "{{metric}}"' BENCHMARK.json | sed -n 's/.*"better": "\([a-z]*\)".*/\1/p' | head -n 1) || true
+    [ -n "$better" ] || { echo "{{metric}} is not a metric of BENCHMARK.json" >&2; exit 1; }
+    run() { # <side> <binary>: one "seed side metric value" line per metric of one correct run at seed $seed
+        "$2" --workload '{{workload}}' --seed "$seed" --seconds "$seconds" --trace 0 2>/dev/null \
+            | sed -n '${/"correct": true/p;}' | grep -o '"[a-z0-9_]*": {"value": [0-9.eE+-]*' \
+            | sed "s/^\"\(.*\)\": {\"value\": /$seed $1 \1 /"
     }
     for seed in $(seq 1 '{{pairs}}'); do
         if [ $((seed % 2)) -eq 1 ]; then
-            a=$(fps "$dir/benchmark/target/release/asr-benchmark")
-            b=$(fps benchmark/target/release/asr-benchmark)
+            run parent "$dir/benchmark/target/release/asr-benchmark"
+            run change benchmark/target/release/asr-benchmark
         else
-            b=$(fps benchmark/target/release/asr-benchmark)
-            a=$(fps "$dir/benchmark/target/release/asr-benchmark")
+            run change benchmark/target/release/asr-benchmark
+            run parent "$dir/benchmark/target/release/asr-benchmark"
         fi
-        [ -n "$a" ] && [ -n "$b" ] || { echo "seed $seed: a run failed or was incorrect" >&2; exit 1; }
-        echo "$seed $a $b"
-    done | awk -v w='{{workload}}' '
+    done | awk -v w='{{workload}}' -v metric='{{metric}}' -v better="$better" -v pairs='{{pairs}}' '
         function quantile(v, n, p,    pos, lo) {
             pos = 1 + (n - 1) * p; lo = int(pos)
             return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
         }
-        function summary(name, v, n,    i, j, x) {
-            for (i = 2; i <= n; i++) { # insertion sort: asort is gawk-only
-                x = v[i]
+        function quartiles(side, name,    i, j, x, v) { # of the n runs: sets q[1..3]
+            for (i = 1; i <= n; i++) { # insertion sort: asort is gawk-only
+                x = val[side, name, i]
                 for (j = i - 1; j >= 1 && v[j] > x; j--) v[j + 1] = v[j]
                 v[j + 1] = x
             }
-            printf "%-7s median %.1f  quartiles %.1f .. %.1f\n", name, quantile(v, n, 0.5), quantile(v, n, 0.25), quantile(v, n, 0.75)
+            for (i = 1; i <= 3; i++) q[i] = quantile(v, n, i / 4)
         }
         {
-            n++; parent[n] = $2 + 0; change[n] = $3 + 0
-            winner = $3 > $2 ? "change" : $3 < $2 ? "parent" : "tie"
-            wins += winner == "change"
-            printf "%s seed %d: parent %.1f  change %.1f  frames_per_s  -> %s\n", w, $1, $2, $3, winner
+            val[$2, $3, $1] = $4 + 0
+            if (!($3 in seen)) { seen[$3] = 1; names[++m] = $3 }
+            if ($3 == metric && ("parent", metric, $1) in val && ("change", metric, $1) in val) {
+                n++; p = val["parent", metric, $1]; c = val["change", metric, $1]
+                winner = c == p ? "tie" : (c > p) == (better == "higher") ? "change" : "parent"
+                wins += winner == "change"
+                printf "%s seed %d: parent %.4g  change %.4g  %s  -> %s\n", w, $1, p, c, metric, winner
+            }
         }
         END {
-            summary("parent", parent, n); summary("change", change, n)
-            gap = quantile(change, n, 0.5) - quantile(parent, n, 0.5)
-            iqr = quantile(parent, n, 0.75) - quantile(parent, n, 0.25)
+            if (n != pairs) { print "a run failed, was incorrect or did not report " metric > "/dev/stderr"; exit 1 }
+            for (k = 1; k <= m; k++) {
+                quartiles("parent", names[k]); line = sprintf("%.4g  (%.4g .. %.4g)", q[2], q[1], q[3])
+                if (names[k] == metric) { parent_median = q[2]; iqr = q[3] - q[1] }
+                quartiles("change", names[k])
+                if (names[k] == metric) gap = (q[2] - parent_median) * (better == "higher" ? 1 : -1)
+                printf "%-18s parent median %s   change median %.4g  (%.4g .. %.4g)\n", names[k], line, q[2], q[1], q[3]
+            }
             shown = wins * 10 >= n * 9 && gap > iqr
-            printf "change wins %d of %d pairs; median gap %+.1f (%+.1f%% of parent) vs parent IQR %.1f: %s\n", wins, n, gap, 100 * gap / quantile(parent, n, 0.5), iqr, shown ? "gain shown" : "no gain shown"
+            printf "%s (%s is better): change wins %d of %d pairs; median gain %.4g (%+.1f%% of parent) vs parent IQR %.4g: %s\n", metric, better, wins, n, gap, 100 * gap / parent_median, iqr, shown ? "gain shown" : "no gain shown"
         }'
+
+# Where a search frame goes: frontier / emitting relax / cap cutoff /
+# epsilon closure / lattice GC in us per frame, with tokens and arcs per
+# stage, on the benchmark's two search shapes (200k states, cap 1500;
+# 50k, cap 2000) and their beam-only counterparts. The harness is an
+# ignored test driving the search's private stage functions, so no
+# instrumentation lives in the library.
+stages:
+    cargo test --release -q -p asr-decoder --lib search::tests::stage_split -- --ignored --nocapture
 
 # Tracked Rust lines outside benchmark/, per crate and in total (the
 # ROADMAP's "net reduction" trend; count after `cargo fmt`).
