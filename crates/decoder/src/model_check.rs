@@ -2,8 +2,9 @@
 //! `cargo test -p asr-decoder --features model-check --lib model_check`).
 //!
 //! Each harness drives the *real* production code — the [`Injector`]
-//! ring and the [`EventCount`] parking protocol from `pool.rs`, compiled
-//! against the shadow `crate::sync` facade — through `asr-verify`'s
+//! ring, the [`EventCount`] poll-then-park protocol and the job
+//! completion in [`execute_task`] from `pool.rs`, compiled against the
+//! shadow `crate::sync` facade — through `asr-verify`'s
 //! exhaustive scheduler. The checker explores every interleaving (and
 //! every admissible weak-memory read) up to the preemption bound, so a
 //! passing harness is a proof over that space, not a probabilistic
@@ -14,17 +15,20 @@
 //! * **regressions** — the races the executor's correctness rests on
 //!   (the ring's last element going to exactly one of a lane and a
 //!   stealing-back submitter, its full-ring helping accounting, the
-//!   eventcount's lost-wakeup freedom, the batch slot generation
-//!   protocol) pinned forever;
+//!   eventcount's lost-wakeup freedom for an idle lane and for a joining
+//!   submitter, the batch slot generation protocol) pinned forever;
 //! * **seeded bugs** — deliberately broken variants (a ring whose
 //!   producer publishes its sequence stamp with `Relaxed` where Release
-//!   is required; slot routing that ignores the generation stamp) that
-//!   the checker must *catch*, so the tool itself cannot silently rot.
+//!   is required; a job completion that looks for sleepers before it
+//!   publishes the zero; slot routing that ignores the generation stamp)
+//!   that the checker must *catch*, so the tool itself cannot silently
+//!   rot.
 
-use crate::pool::{EventCount, Injector, JobHeader, Task};
-use crate::sync::{AtomicU64, AtomicUsize, Ordering};
+use crate::pool::{execute_task, EventCount, Injector, JobHeader, Task};
+use crate::sync::{fence, AtomicU64, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering};
 use asr_verify::model::{self, Config};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
+use std::time::Duration;
 
 /// Budget shared by the harnesses: two preemptions is enough to expose
 /// every two-thread race in these protocols while keeping exhaustive
@@ -37,6 +41,11 @@ fn cfg() -> Config {
         max_threads: 3,
     }
 }
+
+/// The two poll budgets an eventcount waiter can have under the checker,
+/// where `sync::poll_while` turns any non-zero window into exactly one
+/// poll: straight to registration, and one look at the predicate first.
+const POLL_BUDGETS: [Duration; 2] = [Duration::ZERO, Duration::from_micros(1)];
 
 /// A dummy job header address used purely as a tag: harness tasks are
 /// never executed, only routed.
@@ -186,24 +195,122 @@ fn injector_full_ring_helping_accounts_every_task() {
 
 /// The eventcount never loses a wakeup: a lane that parks on "no work"
 /// is always unparked by a producer that published work, in every
-/// interleaving of register/fence/re-check against publish/fence/notify.
-/// A lost wakeup would strand the sleeper and the model reports it as a
-/// deadlock.
+/// interleaving of poll/register/fence/re-check against
+/// publish/fence/notify. A lost wakeup would strand the sleeper and the
+/// model reports it as a deadlock.
 #[test]
 fn eventcount_parking_never_loses_the_wakeup() {
-    model::check(cfg(), || {
-        let ec = Arc::new(EventCount::new());
-        let work = Arc::new(AtomicUsize::new(0));
-        let (e2, w2) = (Arc::clone(&ec), Arc::clone(&work));
-        let lane = model::spawn(move || {
-            e2.park_if(|| w2.load(Ordering::Acquire) == 0);
-            // Parked at most once; by the eventcount contract the wakeup
-            // (or the pre-sleep re-check) has seen the publication.
+    for poll in POLL_BUDGETS {
+        model::check(cfg(), move || {
+            let ec = Arc::new(EventCount::new(poll));
+            let work = Arc::new(AtomicUsize::new(0));
+            let (e2, w2) = (Arc::clone(&ec), Arc::clone(&work));
+            let lane = model::spawn(move || {
+                e2.park_if(|| w2.load(Ordering::Acquire) == 0);
+                // Parked at most once; by the eventcount contract the
+                // wakeup (or the pre-sleep re-check) has seen the
+                // publication.
+            });
+            work.store(1, Ordering::Release);
+            ec.notify(true);
+            lane.join();
         });
-        work.store(1, Ordering::Release);
-        ec.notify(true);
+    }
+}
+
+/// A join never strands its submitter: the lane retiring a job's last
+/// chunk (`pending.fetch_sub`, then `done.notify` — the real
+/// [`execute_task`]) races the submitter's poll → register → fence →
+/// re-check → sleep on the pool's `done` eventcount, and in every
+/// interleaving the submitter comes back with the job joined. The
+/// submitter has already run chunk 0 and found the ring empty, so one
+/// chunk is pending.
+#[test]
+fn join_completion_never_strands_the_submitter() {
+    for poll in POLL_BUDGETS {
+        model::check(cfg(), move || {
+            let done = Arc::new(EventCount::new(poll));
+            let chunk_body = |_chunk: usize| {};
+            let header = JobHeader::new(&chunk_body, 1);
+            let task = Task {
+                header: &header,
+                chunk: 1,
+            };
+            let d2 = Arc::clone(&done);
+            // `header` outlives the task: this thread joins the lane
+            // before it returns.
+            let lane = model::spawn(move || execute_task(&d2, task));
+            while !header.joined() {
+                done.park_if(|| !header.joined());
+            }
+            lane.join();
+        });
+    }
+}
+
+/// The seeded known-buggy join: a completion that looks for sleepers
+/// *before* it publishes `pending == 0`, against a waiter that follows
+/// `EventCount::park_if` to the letter. The submitter can register,
+/// re-check a still-pending job and go to sleep between the lane's two
+/// steps, and nobody is left to wake it — the checker must exhibit that
+/// execution as a deadlock.
+struct BuggyJoin {
+    pending: AtomicUsize,
+    sleepers: AtomicUsize,
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl BuggyJoin {
+    fn complete(&self) {
+        // BUG (seeded): `execute_task` decrements `pending` first and
+        // only then lets `EventCount::notify` fence and read `sleepers`.
+        fence(Ordering::SeqCst);
+        let asleep = self.sleepers.load(Ordering::Relaxed) != 0;
+        self.pending.fetch_sub(1, Ordering::AcqRel);
+        if asleep {
+            let _guard = lock(&self.lock);
+            self.cv.notify_all();
+        }
+    }
+
+    fn pending(&self) -> bool {
+        self.pending.load(Ordering::Acquire) != 0
+    }
+
+    fn wait(&self) {
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        if self.pending() {
+            let guard = lock(&self.lock);
+            if self.pending() {
+                let _unused = self.cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn buggy_completion_reading_sleepers_first_is_caught() {
+    let report = model::check_expect_failure(cfg(), || {
+        let join = Arc::new(BuggyJoin {
+            pending: AtomicUsize::new(1),
+            sleepers: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            cv: Condvar::new(),
+        });
+        let j2 = Arc::clone(&join);
+        let lane = model::spawn(move || j2.complete());
+        while join.pending() {
+            join.wait();
+        }
         lane.join();
     });
+    assert!(
+        report.contains("lost wakeup"),
+        "unexpected report: {report}"
+    );
 }
 
 /// The batch scoring service's generation-stamped slot reuse protocol,
@@ -241,14 +348,12 @@ impl BatchModel {
     }
 }
 
-fn lock(state: &crate::sync::Mutex<BatchModel>) -> crate::sync::MutexGuard<'_, BatchModel> {
-    state
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+fn lock<T>(state: &Mutex<T>) -> MutexGuard<'_, T> {
+    state.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn batch_slot_reuse_harness(check_gen: bool) {
-    let state = Arc::new(crate::sync::Mutex::new(BatchModel::default()));
+    let state = Arc::new(Mutex::new(BatchModel::default()));
     // Session A: registered at generation 0 before the race window.
     lock(&state).slot.live = true;
     let s2 = Arc::clone(&state);

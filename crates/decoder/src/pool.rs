@@ -16,12 +16,12 @@
 //!   pending it pops the same ring and executes whatever it gets — its
 //!   own still-queued chunks (steal-back) or another job's (counted
 //!   separately) — so a busy pool degrades gracefully to inline
-//!   execution instead of queueing up. No mutex guards the queue; the
-//!   only locks left are the two parking lots (idle lanes, blocked
-//!   submitters), taken strictly off the hot path. [`WorkerPool::stats`]
-//!   and [`WorkerPool::queue_depth`] are lock-free reads of relaxed
-//!   atomics, so the serving runtime's QoS monitor never contends with
-//!   the scheduler it is measuring.
+//!   execution instead of queueing up. No mutex guards the queue, and
+//!   nothing blocks except in one primitive used twice: a poll-then-park
+//!   eventcount for idle lanes, another for submitters waiting out a
+//!   join. [`WorkerPool::stats`] and [`WorkerPool::queue_depth`] are
+//!   lock-free reads of relaxed atomics, so the serving runtime's QoS
+//!   monitor never contends with the scheduler it is measuring.
 //! * [`ScratchPool`] recycles warmed [`DecodeScratch`] working sets, so a
 //!   serving facade that decodes request after request performs zero
 //!   steady-state allocations in the frame loop: checkout pops a warm
@@ -42,6 +42,16 @@
 //! per-lane structure would only add a hop between them (measured:
 //! ARCHITECTURE.md, "Why one ring").
 //!
+//! # Poll, then park
+//!
+//! Section VI hands batch *i + 1*'s scores to the search with no
+//! operating system in between; a sleeping thread costs a futex wake and
+//! a reschedule (12–25 µs of a 250 µs frame, each way). So both waiters
+//! of a frame — the lane between two `fork_join`s, the submitter whose
+//! search chunk beat the scoring chunk — poll before they sleep, and
+//! while nobody sleeps a wake is a fence and a load (measured:
+//! ARCHITECTURE.md, "Poll, then park").
+//!
 //! # Memory ordering
 //!
 //! The queue is a Vyukov bounded MPMC ring: each slot carries a sequence
@@ -56,11 +66,12 @@
 
 use crate::search::DecodeScratch;
 use crate::sync::{
-    fence, AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering,
+    fence, poll_while, AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering,
 };
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// One fork-join job in flight: the erased closure plus its completion
 /// state. Lives on the submitting thread's stack for the duration of
@@ -78,6 +89,36 @@ pub(crate) struct JobHeader {
     pending: AtomicUsize,
     /// Some chunk's closure panicked; re-raised on the submitter.
     panicked: AtomicBool,
+}
+
+impl JobHeader {
+    /// A job of `chunks` chunks running the borrowed `f`.
+    pub(crate) fn new<F: Fn(usize) + Sync>(f: &F, chunks: usize) -> Self {
+        /// Recovers the concrete closure type on an executing lane.
+        ///
+        /// # Safety
+        ///
+        /// `ctx` must be an `&F` erased by the `JobHeader::new` call that
+        /// built this job's header, still borrowed (its `fork_join` has
+        /// not passed its completion barrier).
+        unsafe fn trampoline<F: Fn(usize) + Sync>(ctx: *const (), chunk: usize) {
+            // SAFETY: `ctx` was erased from an `&F` that `fork_join`
+            // keeps borrowed until its completion barrier.
+            let f = unsafe { &*(ctx.cast::<F>()) };
+            f(chunk);
+        }
+        Self {
+            run: trampoline::<F>,
+            ctx: (f as *const F).cast(),
+            pending: AtomicUsize::new(chunks),
+            panicked: AtomicBool::new(false),
+        }
+    }
+
+    /// Every chunk has finished executing.
+    pub(crate) fn joined(&self) -> bool {
+        self.pending.load(Ordering::Acquire) == 0
+    }
 }
 
 /// A schedulable unit: one chunk of one job.
@@ -115,14 +156,22 @@ pub struct WorkerPoolStats {
     /// for its own join — submitters are work-conserving helpers, not
     /// idle waiters.
     pub tasks_helped: u64,
+    /// Times an idle lane outlasted its poll window and really slept:
+    /// the next submitter pays a futex wake, and steals its chunk back
+    /// (above) if the lane is slow to get up.
+    pub lane_parks: u64,
+    /// Times a submitter outlasted its poll window waiting for a join
+    /// and really slept; the lane finishing the job pays the wake.
+    pub join_parks: u64,
     /// Deepest the ring has been, in tasks, sampled at each job
     /// submission.
     pub peak_queue_depth: usize,
 }
 
-/// Relaxed atomic counters behind [`WorkerPoolStats`]; every update is a
-/// single `fetch_add`/`fetch_max` on the path that already owns the
-/// event, so observing them never takes a lock.
+/// Relaxed atomic counters behind [`WorkerPoolStats`] (the two park
+/// counts live in their eventcounts); every update is a single
+/// `fetch_add`/`fetch_max` on the path that already owns the event, so
+/// observing them never takes a lock.
 #[derive(Default)]
 struct PoolCounters {
     jobs_submitted: AtomicU64,
@@ -131,19 +180,6 @@ struct PoolCounters {
     tasks_stolen_back: AtomicU64,
     tasks_helped: AtomicU64,
     peak_queue_depth: AtomicUsize,
-}
-
-impl PoolCounters {
-    fn snapshot(&self) -> WorkerPoolStats {
-        WorkerPoolStats {
-            jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
-            tasks_queued: self.tasks_queued.load(Ordering::Relaxed),
-            tasks_taken_by_lanes: self.tasks_taken_by_lanes.load(Ordering::Relaxed),
-            tasks_stolen_back: self.tasks_stolen_back.load(Ordering::Relaxed),
-            tasks_helped: self.tasks_helped.load(Ordering::Relaxed),
-            peak_queue_depth: self.peak_queue_depth.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// Capacity of the task ring (power of two). A full ring degrades the
@@ -281,30 +317,44 @@ impl Injector {
 /// Must not call [`WorkerPool::fork_join`] on the same pool.
 pub type IdleHook = Box<dyn Fn() -> bool + Send + Sync>;
 
-/// An eventcount: the lock-free sleep/wake protocol parking idle lanes.
+/// How long a waiter polls before it sleeps: the smallest bound within
+/// 2 % of the best `voice_2s_overlap` throughput in the recorded sweep
+/// (ARCHITECTURE.md, "Poll, then park") — most of a frame, because a
+/// submitter whose search frame was short waits out nearly a whole
+/// scoring row (~250 us).
+const POLL_BOUND: Duration = Duration::from_micros(200);
+
+/// An eventcount: the executor's one blocking primitive, poll-then-park.
 ///
-/// Waiters register in `sleepers`, fence, re-check their own sleep
-/// condition, and only then take the (data-free) parking mutex to wait.
-/// Notifiers publish their work first, then call [`EventCount::notify`],
-/// whose `SeqCst` fence pairs with the waiter's: either the notifier
-/// observes the registration (and signals under the lock), or the
-/// waiter's post-registration re-check observes the published work. The
-/// lost-wakeup freedom of exactly this protocol is model-checked in
-/// `model_check.rs`.
+/// A waiter first polls its own sleep condition for up to `poll_bound`
+/// without telling anyone. Only if the condition outlasts the window
+/// does it register in `sleepers`, fence, re-check, and take the
+/// (data-free) parking mutex to wait. Notifiers publish their work
+/// first, then call [`EventCount::notify`], whose `SeqCst` fence pairs
+/// with the waiter's: either the notifier observes the registration (and
+/// signals under the lock), or the waiter's post-registration re-check
+/// observes the published work. The lost-wakeup freedom of exactly this
+/// protocol is model-checked in `model_check.rs`.
 pub(crate) struct EventCount {
     /// Threads registered as parked or about to park.
     sleepers: AtomicUsize,
+    /// Times a thread really went to sleep here.
+    parks: AtomicU64,
     /// Parking lot only; guards no data.
     lock: Mutex<()>,
     cv: Condvar,
+    poll_bound: Duration,
 }
 
 impl EventCount {
-    pub(crate) fn new() -> Self {
+    /// An eventcount whose waiters poll for `poll_bound` before parking.
+    pub(crate) fn new(poll_bound: Duration) -> Self {
         Self {
             sleepers: AtomicUsize::new(0),
+            parks: AtomicU64::new(0),
             lock: Mutex::new(()),
             cv: Condvar::new(),
+            poll_bound,
         }
     }
 
@@ -331,15 +381,20 @@ impl EventCount {
         }
     }
 
-    /// Park the calling thread while `should_sleep()` holds: register,
-    /// fence, re-check, then sleep — double-checked again under the lock
-    /// so a notify between check and wait cannot be lost.
+    /// Wait while `should_sleep()` holds: poll it for the bounded window
+    /// and return as soon as it clears; past the window register, fence,
+    /// re-check, then sleep — double-checked again under the lock so a
+    /// notify between check and wait cannot be lost.
     pub(crate) fn park_if(&self, should_sleep: impl Fn() -> bool) {
+        if !poll_while(self.poll_bound, &should_sleep) {
+            return;
+        }
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         fence(Ordering::SeqCst);
         if should_sleep() {
             let guard = self.lot();
             if should_sleep() {
+                self.parks.fetch_add(1, Ordering::Relaxed);
                 let _unused = self.cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
             }
         }
@@ -348,9 +403,10 @@ impl EventCount {
 }
 
 /// Executor state shared by the worker lanes and every submitter. The
-/// queue and counters are lock-free; the two mutexes are parking lots
-/// only (idle lanes inside the `idle` eventcount, blocked submitters on
-/// `done`) and are never held while a task runs or the queue is touched.
+/// queue and counters are lock-free; the only mutexes are the parking
+/// lots inside the two eventcounts, reached only by a waiter that
+/// outlasted its poll window and the notifier waking it, and never held
+/// while a task runs or the queue is touched.
 struct ExecShared {
     /// The one task queue: every chunk is pushed here by its submitter
     /// and popped by a lane or a helping submitter.
@@ -359,9 +415,8 @@ struct ExecShared {
     shutdown: AtomicBool,
     /// Eventcount parking idle lanes until work or shutdown arrives.
     idle: EventCount,
-    /// Parking lot for submitters waiting out their join.
-    done_lock: Mutex<()>,
-    done: Condvar,
+    /// Eventcount parking submitters until their join completes.
+    done: EventCount,
     /// Optional progress hook for idle lanes (e.g. the runtime's batch
     /// scoring service flushing a partially filled gather window).
     idle_hook: OnceLock<IdleHook>,
@@ -376,10 +431,18 @@ impl ExecShared {
         self.queue_depth() > 0
     }
 
-    fn lock<'a>(&self, lot: &'a Mutex<()>) -> MutexGuard<'a, ()> {
-        // The parking-lot mutexes guard no data at all, so recovering
-        // from poison is trivially safe.
-        lot.lock().unwrap_or_else(PoisonError::into_inner)
+    fn stats(&self) -> WorkerPoolStats {
+        let c = &self.counters;
+        WorkerPoolStats {
+            jobs_submitted: c.jobs_submitted.load(Ordering::Relaxed),
+            tasks_queued: c.tasks_queued.load(Ordering::Relaxed),
+            tasks_taken_by_lanes: c.tasks_taken_by_lanes.load(Ordering::Relaxed),
+            tasks_stolen_back: c.tasks_stolen_back.load(Ordering::Relaxed),
+            tasks_helped: c.tasks_helped.load(Ordering::Relaxed),
+            lane_parks: self.idle.parks.load(Ordering::Relaxed),
+            join_parks: self.done.parks.load(Ordering::Relaxed),
+            peak_queue_depth: c.peak_queue_depth.load(Ordering::Relaxed),
+        }
     }
 
     /// Wake parked lanes after publishing work (see [`EventCount`]).
@@ -389,9 +452,9 @@ impl ExecShared {
 }
 
 /// Runs one task and retires it: panics are recorded on the job, the
-/// pending count drops, and the job's submitter is woken on the last
-/// task.
-fn execute_task(shared: &ExecShared, task: Task) {
+/// pending count drops, and the last task wakes the job's submitter if
+/// it is parked on `done`.
+pub(crate) fn execute_task(done: &EventCount, task: Task) {
     // SAFETY: the job header (and the closure it points to) outlives the
     // task: `fork_join` keeps both alive until `pending` reaches zero,
     // which cannot happen before this function's `fetch_sub`.
@@ -406,12 +469,10 @@ fn execute_task(shared: &ExecShared, task: Task) {
         header.panicked.store(true, Ordering::Relaxed);
     }
     if header.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-        // Last task: wake the submitter. Taking the parking lock orders
-        // this wake against the submitter's check-then-wait, so the
-        // wakeup cannot be lost; after this point the job header is
-        // never touched again.
-        let _guard = shared.lock(&shared.done_lock);
-        shared.done.notify_all();
+        // Last task: the zero is published, so wake the submitter (a
+        // fence and a load unless it really sleeps). The job header is
+        // never touched again: `done` belongs to the pool.
+        done.notify(true);
     }
 }
 
@@ -422,10 +483,10 @@ fn worker_loop(shared: &ExecShared) {
                 .counters
                 .tasks_taken_by_lanes
                 .fetch_add(1, Ordering::Relaxed);
-            execute_task(shared, task);
+            execute_task(&shared.done, task);
             continue;
         }
-        // Offer the idle hook a chance to make progress before parking
+        // Offer the idle hook a chance to make progress before waiting
         // (kept panic-proof: a failing hook must not take the lane down).
         if let Some(hook) = shared.idle_hook.get() {
             let progressed = catch_unwind(AssertUnwindSafe(&**hook)).unwrap_or(false);
@@ -433,9 +494,9 @@ fn worker_loop(shared: &ExecShared) {
                 continue;
             }
         }
-        // Eventcount parking: register, fence, re-check, then sleep —
-        // the producer's fence in `notify_workers` guarantees we either
-        // see its push here or it sees our registration there.
+        // Poll for the next job, then park: register, fence, re-check,
+        // sleep — the producer's fence in `notify_workers` guarantees we
+        // either see its push here or it sees our registration there.
         shared
             .idle
             .park_if(|| !shared.has_work() && !shared.shutdown.load(Ordering::Acquire));
@@ -494,15 +555,19 @@ impl WorkerPool {
     ///
     /// Panics if `lanes == 0`.
     pub fn new(lanes: usize) -> Self {
+        Self::with_poll_bound(lanes, POLL_BOUND)
+    }
+
+    /// [`WorkerPool::new`] at another poll bound, for the handoff probe.
+    fn with_poll_bound(lanes: usize, poll_bound: Duration) -> Self {
         assert!(lanes > 0, "need at least one lane");
         let workers = lanes - 1;
         let shared = Arc::new(ExecShared {
             injector: Injector::new(),
             counters: PoolCounters::default(),
             shutdown: AtomicBool::new(false),
-            idle: EventCount::new(),
-            done_lock: Mutex::new(()),
-            done: Condvar::new(),
+            idle: EventCount::new(poll_bound),
+            done: EventCount::new(poll_bound),
             idle_hook: OnceLock::new(),
         });
         let handles = (0..workers)
@@ -563,12 +628,13 @@ impl WorkerPool {
 
     /// Scheduling counters since construction: jobs and tasks through
     /// the ring, who retired each task (a lane, its own submitter, a
-    /// helping submitter), and the peak queue depth — a lock-free
-    /// snapshot of relaxed atomics. Counters cover scheduled jobs only —
-    /// single-chunk jobs and every job on a one-lane pool run inline
-    /// without touching the queue.
+    /// helping submitter), how often a lane or a submitter really slept,
+    /// and the peak queue depth — a lock-free snapshot of relaxed
+    /// atomics. Counters cover scheduled jobs only — single-chunk jobs
+    /// and every job on a one-lane pool run inline without touching the
+    /// queue.
     pub fn stats(&self) -> WorkerPoolStats {
-        self.shared.counters.snapshot()
+        self.shared.stats()
     }
 
     /// Runs `f(chunk)` once for every `chunk in 0..chunks`, across the
@@ -606,25 +672,7 @@ impl WorkerPool {
             }
             return;
         }
-        /// Recovers the concrete closure type on an executing lane.
-        ///
-        /// # Safety
-        ///
-        /// `ctx` must be an `&F` erased by the `fork_join` call that
-        /// built this job's header, still borrowed (the call has not
-        /// passed its completion barrier).
-        unsafe fn trampoline<F: Fn(usize) + Sync>(ctx: *const (), chunk: usize) {
-            // SAFETY: `ctx` was erased from an `&F` that `fork_join`
-            // keeps borrowed until its completion barrier.
-            let f = unsafe { &*(ctx.cast::<F>()) };
-            f(chunk);
-        }
-        let header = JobHeader {
-            run: trampoline::<F>,
-            ctx: (f as *const F).cast(),
-            pending: AtomicUsize::new(chunks),
-            panicked: AtomicBool::new(false),
-        };
+        let header = JobHeader::new(f, chunks);
         let counters = &self.shared.counters;
         counters.jobs_submitted.fetch_add(1, Ordering::Relaxed);
         counters
@@ -639,7 +687,7 @@ impl WorkerPool {
                 // Ring full: degrade this chunk to inline execution,
                 // accounted as an instant steal-back.
                 counters.tasks_stolen_back.fetch_add(1, Ordering::Relaxed);
-                execute_task(&self.shared, task);
+                execute_task(&self.shared.done, task);
             }
         }
         counters
@@ -653,27 +701,22 @@ impl WorkerPool {
         // Help until the join completes: execute our own still-queued
         // chunks (steal-back), or any other job's chunks under
         // contention — every queued task runs exactly once, which is
-        // what keeps `header` unreachable once `pending` hits zero.
-        while header.pending.load(Ordering::Acquire) != 0 {
+        // what keeps `header` unreachable once `pending` hits zero. The
+        // wait on `done` also ends when the ring refills, so helping
+        // goes on through the poll window.
+        while !header.joined() {
             let Some(task) = self.shared.injector.pop() else {
-                break;
+                self.shared
+                    .done
+                    .park_if(|| !header.joined() && !self.shared.has_work());
+                continue;
             };
             if std::ptr::eq(task.header, &header) {
                 counters.tasks_stolen_back.fetch_add(1, Ordering::Relaxed);
             } else {
                 counters.tasks_helped.fetch_add(1, Ordering::Relaxed);
             }
-            execute_task(&self.shared, task);
-        }
-        if header.pending.load(Ordering::Acquire) != 0 {
-            let mut guard = self.shared.lock(&self.shared.done_lock);
-            while header.pending.load(Ordering::Acquire) != 0 {
-                guard = self
-                    .shared
-                    .done
-                    .wait(guard)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
+            execute_task(&self.shared.done, task);
         }
         if let Err(payload) = local {
             resume_unwind(payload);
@@ -811,6 +854,35 @@ impl ScratchPool {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Instant;
+
+    /// Blocks until `cond()` holds. The deadline is no measurement: it
+    /// only turns a lost wakeup into a failure instead of a hang.
+    fn wait_for(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A two-chunk job whose chunk 1 is certain to run on the lane:
+    /// chunk 0 keeps the submitter (the only other popper) busy until
+    /// chunk 1 has started, then runs `search`; chunk 1 runs `score`.
+    fn overlap(pool: &WorkerPool, search: impl Fn() + Sync, score: impl Fn() + Sync) {
+        let started = AtomicBool::new(false);
+        pool.fork_join(2, &|chunk| {
+            if chunk == 0 {
+                wait_for("the lane to take chunk 1", || {
+                    started.load(Ordering::SeqCst)
+                });
+                search();
+            } else {
+                started.store(true, Ordering::SeqCst);
+                score();
+            }
+        });
+    }
 
     #[test]
     fn every_chunk_runs_exactly_once() {
@@ -1139,6 +1211,134 @@ mod tests {
                 0,
                 "the ring drains when the pool is idle"
             );
+        }
+    }
+
+    #[test]
+    fn waiters_that_outlast_the_poll_window_park_and_are_woken() {
+        let pool = WorkerPool::new(2);
+        // Nothing to do: the lane polls out its window and sleeps.
+        wait_for("the idle lane to park", || pool.stats().lane_parks >= 1);
+        // The submit wakes it (chunk 1 cannot run anywhere else), and
+        // chunk 1 holds the join open until the submitter has polled out
+        // its own window and sleeps; its completion must wake that too.
+        let lane_parks = AtomicU64::new(u64::MAX);
+        overlap(
+            &pool,
+            || {},
+            || {
+                lane_parks.store(pool.stats().lane_parks, Ordering::SeqCst);
+                wait_for("the submitter to park", || pool.stats().join_parks >= 1);
+            },
+        );
+        let stats = pool.stats();
+        assert_eq!(
+            (stats.tasks_taken_by_lanes, stats.tasks_stolen_back),
+            (1, 0)
+        );
+        // After an idle gap the lane is asleep again.
+        wait_for("the lane to park again", || {
+            pool.stats().lane_parks > lane_parks.load(Ordering::SeqCst)
+        });
+    }
+
+    #[test]
+    fn a_join_that_is_already_complete_never_parks() {
+        let pool = WorkerPool::new(2);
+        // Chunk 0 outlasts chunk 1 by so much that the lane has retired
+        // it *and* gone back to sleep: the submitter finds its join done.
+        let lane_parks = AtomicU64::new(u64::MAX);
+        overlap(
+            &pool,
+            || {
+                wait_for("the lane to finish chunk 1 and park", || {
+                    pool.stats().lane_parks > lane_parks.load(Ordering::SeqCst)
+                });
+            },
+            || lane_parks.store(pool.stats().lane_parks, Ordering::SeqCst),
+        );
+        assert_eq!(pool.stats().join_parks, 0);
+    }
+
+    #[test]
+    fn lane_panic_reaches_a_parked_submitter_after_the_barrier() {
+        let pool = WorkerPool::new(2);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            overlap(
+                &pool,
+                || {},
+                || {
+                    wait_for("the submitter to park", || pool.stats().join_parks >= 1);
+                    panic!("chunk failure under a sleeping submitter");
+                },
+            );
+        }));
+        assert!(outcome.is_err());
+        assert!(pool.stats().join_parks >= 1, "the submitter never slept");
+        let ran = AtomicUsize::new(0);
+        pool.fork_join(2, &|_| {
+            ran.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(ran.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn dropping_a_pool_whose_lane_is_polling_joins_it() {
+        // A window that never closes: the lane can only ever poll, so
+        // shutdown has to be part of what it polls for.
+        let pool = WorkerPool::with_poll_bound(2, Duration::MAX);
+        overlap(&pool, || {}, || {});
+        assert_eq!(pool.stats().lane_parks, 0);
+        let dropper = std::thread::spawn(move || drop(pool));
+        wait_for("the polling lane to see the shutdown", || {
+            dropper.is_finished()
+        });
+        dropper.join().expect("drop");
+    }
+
+    /// `just handoff`: what the executor adds to one overlapped frame,
+    /// per poll bound. Two calibrated spin chunks stand in for the
+    /// search (chunk 0) and the scoring row (chunk 1) of
+    /// `voice_2s_overlap`, either one the longer, with the front-end's
+    /// 20 us between joins; prints us per join beyond the longer chunk
+    /// (best of three rounds) and, per join, how often the lane and the
+    /// submitter slept and how often the chunk was stolen back.
+    #[test]
+    #[ignore = "a probe, not a check: run with --ignored --nocapture"]
+    fn handoff_cost() {
+        const JOINS: u32 = 2000;
+        const GAP_US: u64 = 20;
+        fn spin(us: u64) {
+            let start = Instant::now();
+            while start.elapsed() < Duration::from_micros(us) {
+                std::hint::spin_loop();
+            }
+        }
+        println!("bound_us search||score_us cost_us lane_parks join_parks stolen_back (per join)");
+        for bound_us in [0, 50, 100, 200] {
+            for (search_us, score_us) in [(170, 250), (250, 170)] {
+                let pool = WorkerPool::with_poll_bound(2, Duration::from_micros(bound_us));
+                let round = || {
+                    let start = Instant::now();
+                    for _ in 0..JOINS {
+                        pool.fork_join(2, &|chunk| {
+                            spin(if chunk == 0 { search_us } else { score_us });
+                        });
+                        spin(GAP_US);
+                    }
+                    start.elapsed().as_secs_f64() * 1e6 / f64::from(JOINS)
+                };
+                let best = (0..3).map(|_| round()).fold(f64::INFINITY, f64::min);
+                let stats = pool.stats();
+                let per_join = |count: u64| count as f64 / f64::from(3 * JOINS);
+                println!(
+                    "{bound_us:>8} {search_us:>9}||{score_us:<3} {:>11.1} {:>10.3} {:>10.3} {:>11.3}",
+                    best - (GAP_US + search_us.max(score_us)) as f64,
+                    per_join(stats.lane_parks),
+                    per_join(stats.join_parks),
+                    per_join(stats.tasks_stolen_back),
+                );
+            }
         }
     }
 
