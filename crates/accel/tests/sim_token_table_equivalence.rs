@@ -214,8 +214,9 @@ fn base_design_counters_match_the_pre_port_simulator_exactly() {
     assert!(!sim.reached_final);
 }
 
-/// Same pin for a denser fixture (`workload(20_000, 30, 2)`, beam 6) —
-/// the workload `just bench-accel` reports deltas against.
+/// Same pin for a denser fixture (`workload(20_000, 30, 2)`, beam 6):
+/// the base design's hardware counters equal the values the HashMap-era
+/// simulator produced at the commit before the token-table port.
 #[test]
 fn bench_fixture_counters_match_the_pre_port_simulator_exactly() {
     let (w, scores) = workload(20_000, 30, 2);
@@ -228,6 +229,7 @@ fn bench_fixture_counters_match_the_pre_port_simulator_exactly() {
     assert_eq!(s.arcs_processed, 3_710);
     assert_eq!(s.eps_arcs_processed, 633);
     assert_eq!(s.hash.requests, 4_344);
+    assert_eq!(s.hash.cycles, 4_344);
     assert_eq!(s.hash.peak_occupancy, 501);
     assert_eq!(s.traffic.states, 59_008);
     assert_eq!(s.traffic.arcs, 111_040);

@@ -5,7 +5,11 @@
 //! runs the simulator and/or platform models, prints the paper's series,
 //! and writes `target/experiments/<id>.json` with the raw numbers.
 //!
-//! All binaries accept the same flags:
+//! The exception is `bench_load`, the open-loop overload harness for the
+//! runtime's QoS layer: it writes its report the same way but takes its
+//! own flags.
+//!
+//! All the others accept the same flags:
 //!
 //! ```text
 //! --states N    WFST size                  (default 1,000,000)
@@ -200,91 +204,6 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     println!("\n[wrote {}]", path.display());
 }
 
-/// Splits the top-level members of a pretty-printed JSON object file into
-/// `"  \"key\": value"` chunks (no trailing commas).
-///
-/// The offline `serde_json` shim serializes but does not parse, so the
-/// benchmark binaries that co-locate their numbers in one file splice
-/// *textually*, relying on the pretty-printer's invariant that top-level
-/// members are indented exactly two spaces while everything nested sits
-/// deeper. Returns `None` when the file does not exist.
-///
-/// # Panics
-///
-/// Panics if the existing file is not a top-level JSON object, or holds
-/// content that is not two-space pretty-printed members (say after a hand
-/// edit or an external reformat) — failing loudly beats silently dropping
-/// someone's benchmark numbers on the next splice.
-fn read_members(file: &std::path::Path) -> Option<Vec<String>> {
-    let existing = std::fs::read_to_string(file).ok()?;
-    let trimmed = existing.trim_end();
-    let inner = trimmed
-        .strip_prefix('{')
-        .and_then(|rest| rest.strip_suffix('}'))
-        .unwrap_or_else(|| panic!("{} is not a JSON object", file.display()));
-    // Member boundaries: a newline followed by a two-space-indented quote.
-    let mut starts: Vec<usize> = inner
-        .match_indices("\n  \"")
-        .map(|(at, _)| at + 1)
-        .collect();
-    let first = starts.first().copied().unwrap_or(inner.len());
-    assert!(
-        inner[..first].trim().is_empty(),
-        "{}: unrecognized JSON layout (expected two-space pretty-printed \
-         members; refusing to splice and drop existing content)",
-        file.display()
-    );
-    starts.push(inner.len());
-    let members = starts
-        .windows(2)
-        .map(|w| {
-            let chunk = inner[w[0]..w[1]].trim_end();
-            chunk.strip_suffix(',').unwrap_or(chunk).to_owned()
-        })
-        .collect();
-    Some(members)
-}
-
-/// Splices `"key": value` into the top-level JSON object in `file`:
-/// replaces the member in place if one of the benchmark writers added it
-/// before (other members are untouched, wherever they sit), appends it
-/// otherwise, and creates the file as a fresh object when missing.
-/// `value_json` is re-indented one level so the result stays readable.
-///
-/// This is how the benchmark binaries co-locate their numbers in
-/// `BENCH_decode.json` (`bench_batch` → `"batch"`, `bench_frontend` →
-/// `"frontend"`) without a JSON parser — the offline `serde_json` shim
-/// only serializes.
-///
-/// # Panics
-///
-/// Panics if the existing file is not a top-level JSON object.
-pub fn splice_json_section(file: &std::path::Path, key: &str, value_json: &str) {
-    let mut members = read_members(file).unwrap_or_default();
-    let prefix = format!("  \"{key}\":");
-    let rendered = format!("  \"{key}\": {}", value_json.replace('\n', "\n  "));
-    match members.iter_mut().find(|m| m.starts_with(&prefix)) {
-        Some(member) => *member = rendered,
-        None => members.push(rendered),
-    }
-    let merged = format!("{{\n{}\n}}\n", members.join(",\n"));
-    std::fs::write(file, merged).expect("write spliced json");
-}
-
-/// Extracts the value of a top-level `key` previously added with
-/// [`splice_json_section`], de-indented so it can be re-spliced verbatim.
-/// `None` when the file or the section is absent.
-///
-/// Used by writers that regenerate a whole file (`bench_decode`) to
-/// carry foreign sections (the `"batch"` and `"frontend"` numbers)
-/// across the rewrite.
-pub fn extract_json_section(file: &std::path::Path, key: &str) -> Option<String> {
-    let members = read_members(file)?;
-    let prefix = format!("  \"{key}\": ");
-    let member = members.iter().find(|m| m.starts_with(&prefix))?;
-    Some(member[prefix.len()..].replace("\n  ", "\n"))
-}
-
 /// Prints the standard experiment banner.
 pub fn banner(id: &str, title: &str, paper: &str) {
     println!("================================================================");
@@ -317,104 +236,6 @@ mod tests {
         assert_eq!(wfst.num_states(), 5_000);
         assert_eq!(scores.num_frames(), 10);
         assert!(scores.num_phones() >= wfst.num_phones() as usize);
-    }
-
-    #[test]
-    fn splice_json_section_appends_and_replaces() {
-        let path = std::env::temp_dir().join(format!(
-            "asr-bench-splice-{}-{}.json",
-            std::process::id(),
-            std::thread::current().name().unwrap_or("t").len()
-        ));
-        let _ = std::fs::remove_file(&path);
-        // Missing file: creates a fresh object.
-        splice_json_section(&path, "serving", "{\n  \"a\": 1\n}");
-        let first = std::fs::read_to_string(&path).unwrap();
-        assert!(first.contains("\"serving\""));
-        assert!(first.trim_end().ends_with('}'));
-        // Existing object: appended after prior members.
-        std::fs::write(&path, "{\n  \"benchmark\": \"x\"\n}\n").unwrap();
-        splice_json_section(&path, "serving", "{\n  \"a\": 1\n}");
-        let second = std::fs::read_to_string(&path).unwrap();
-        assert!(second.contains("\"benchmark\": \"x\","));
-        assert!(second.contains("\"serving\""));
-        // Re-splicing replaces rather than duplicates.
-        splice_json_section(&path, "serving", "{\n  \"a\": 2\n}");
-        let third = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(third.matches("\"serving\"").count(), 1);
-        assert!(third.contains("\"a\": 2"));
-        assert!(!third.contains("\"a\": 1"));
-        // Re-splicing a file the helper itself created (key is the first
-        // member, no leading comma) must also replace, not duplicate.
-        let _ = std::fs::remove_file(&path);
-        splice_json_section(&path, "serving", "{\n  \"a\": 3\n}");
-        splice_json_section(&path, "serving", "{\n  \"a\": 4\n}");
-        let fourth = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(fourth.matches("\"serving\"").count(), 1);
-        assert!(fourth.contains("\"a\": 4"));
-        assert!(!fourth.contains("\"a\": 3"));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn splicing_one_section_preserves_the_others() {
-        let path =
-            std::env::temp_dir().join(format!("asr-bench-multisplice-{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        std::fs::write(&path, "{\n  \"benchmark\": \"x\"\n}\n").unwrap();
-        splice_json_section(&path, "serving", "{\n  \"a\": 1\n}");
-        splice_json_section(&path, "frontend", "{\n  \"b\": 2\n}");
-        // Re-splicing the *earlier* section must not clobber the later one.
-        splice_json_section(&path, "serving", "{\n  \"a\": 3\n}");
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(content.matches("\"serving\"").count(), 1);
-        assert_eq!(content.matches("\"frontend\"").count(), 1);
-        assert!(content.contains("\"a\": 3"));
-        assert!(content.contains("\"b\": 2"));
-        assert!(content.contains("\"benchmark\": \"x\""));
-        // Both sections extract cleanly regardless of position.
-        assert_eq!(
-            extract_json_section(&path, "serving").as_deref(),
-            Some("{\n  \"a\": 3\n}")
-        );
-        assert_eq!(
-            extract_json_section(&path, "frontend").as_deref(),
-            Some("{\n  \"b\": 2\n}")
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    #[should_panic(expected = "unrecognized JSON layout")]
-    fn splice_refuses_compacted_files_rather_than_dropping_content() {
-        let path =
-            std::env::temp_dir().join(format!("asr-bench-compact-{}.json", std::process::id()));
-        std::fs::write(&path, "{\"benchmark\":\"x\"}\n").unwrap();
-        let result = std::panic::catch_unwind(|| {
-            splice_json_section(&path, "serving", "{\n  \"a\": 1\n}");
-        });
-        let _ = std::fs::remove_file(&path);
-        if let Err(panic) = result {
-            std::panic::resume_unwind(panic);
-        }
-    }
-
-    #[test]
-    fn extract_json_section_round_trips_through_splice() {
-        let path =
-            std::env::temp_dir().join(format!("asr-bench-extract-{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        std::fs::write(&path, "{\n  \"benchmark\": \"x\"\n}\n").unwrap();
-        let value = "{\n  \"a\": 1,\n  \"nested\": {\n    \"b\": 2\n  }\n}";
-        splice_json_section(&path, "serving", value);
-        assert_eq!(
-            extract_json_section(&path, "serving").as_deref(),
-            Some(value),
-            "extraction must undo the splice's re-indentation exactly"
-        );
-        assert!(extract_json_section(&path, "absent").is_none());
-        let _ = std::fs::remove_file(&path);
-        assert!(extract_json_section(&path, "serving").is_none());
     }
 
     #[test]

@@ -29,10 +29,9 @@
 //! After warm-up the steady-state frame loop performs zero heap
 //! allocations (asserted by an allocation-counting test). The seed
 //! `HashMap` implementation is retained as
-//! [`reference::ReferenceDecoder`]; an equivalence suite asserts the
-//! token-table decoder reproduces its `words`, `cost`, and `best_state`
-//! byte-identically, and `asr-bench`'s `bench_decode` binary records the
-//! speedup (`BENCH_decode.json`).
+//! [`reference::ReferenceDecoder`], the tests' oracle: an equivalence
+//! suite asserts the token-table decoder reproduces its `words`, `cost`,
+//! and `best_state` byte-identically.
 //!
 //! Modules:
 //!

@@ -1,15 +1,13 @@
 //! The retained `HashMap` reference decoder — the seed implementation the
-//! token-table engine in [`crate::search`] is measured and verified
-//! against.
+//! token-table engine in [`crate::search`] is verified against.
 //!
 //! Semantics are the original frame-synchronous Viterbi beam search:
 //! tokens live in a per-frame `HashMap<u32, Cell>`, every frame collects,
 //! filters, and sorts the whole map, and every relax unconditionally
 //! pushes a lattice entry. It is deliberately kept allocation-heavy and
-//! simple: the equivalence suite asserts the optimized decoder produces
-//! byte-identical `words`, `cost`, and `best_state`, and the decode
-//! benchmark (`BENCH_decode.json`) reports the speedup over this
-//! baseline.
+//! simple: it is the tests' oracle, not a baseline to report a speedup
+//! over — the equivalence suite asserts the optimized decoder produces
+//! byte-identical `words`, `cost`, and `best_state`.
 //!
 //! The only change from the seed is the `max_active` path of the
 //! (private) `ReferenceDecoder::prune`: survivors are now rank-selected

@@ -1,12 +1,15 @@
 //! Equivalence suite: the token-table decoder must reproduce the retained
 //! `HashMap` reference decoder byte-for-byte on `words`, `cost`, and
-//! `best_state` — across graph sizes, beams and histogram caps. This is
-//! what licenses replacing the hot path: prune-on-insert may only skip
-//! work, never change the answer.
+//! `best_state` — across graph sizes, beams, histogram caps and graph
+//! backings (owned arrays, zero-copy store image). This is what licenses
+//! replacing the hot path: prune-on-insert may only skip work, never
+//! change the answer.
 
 use asr_acoustic::scores::AcousticTable;
 use asr_decoder::reference::ReferenceDecoder;
-use asr_decoder::search::{DecodeOptions, DecodeScratch, ViterbiDecoder};
+use asr_decoder::search::{DecodeOptions, DecodeResult, DecodeScratch, ViterbiDecoder};
+use asr_wfst::sorted::SortedWfst;
+use asr_wfst::store::{self, GraphImage};
 use asr_wfst::synth::{SynthConfig, SynthWfst};
 use asr_wfst::Wfst;
 
@@ -21,7 +24,14 @@ fn workload(states: usize, frames: usize, seed: u64) -> (Wfst, AcousticTable) {
     (wfst, scores)
 }
 
-fn assert_equivalent(opts: &DecodeOptions, wfst: &Wfst, scores: &AcousticTable, label: &str) {
+/// Returns the token-table decoder's result once it is known to equal
+/// the reference's.
+fn assert_equivalent(
+    opts: &DecodeOptions,
+    wfst: &Wfst,
+    scores: &AcousticTable,
+    label: &str,
+) -> DecodeResult {
     let reference = ReferenceDecoder::new(opts.clone()).decode(wfst, scores);
     let table = ViterbiDecoder::new(opts.clone()).decode(wfst, scores);
     assert_eq!(
@@ -38,6 +48,7 @@ fn assert_equivalent(opts: &DecodeOptions, wfst: &Wfst, scores: &AcousticTable, 
         table.reached_final, reference.reached_final,
         "{label}: reached_final"
     );
+    table
 }
 
 #[test]
@@ -103,6 +114,26 @@ fn equivalent_on_truncated_audio_without_finals_in_beam() {
         let opts = DecodeOptions::with_beam(1.5);
         assert_equivalent(&opts, &wfst, &scores, &format!("tight beam, seed {seed}"));
     }
+}
+
+#[test]
+fn equivalent_over_an_image_backed_graph_and_its_owned_rebuild() {
+    // The same degree-sorted graph twice: records read in place from a v2
+    // store image, and the owned arrays the image was written from. Each
+    // must match the reference run over the same backing, and the two
+    // backings must give the same answer.
+    let wfst = SynthWfst::generate(&SynthConfig::with_states(20_000).with_seed(0x570E)).unwrap();
+    let scores = AcousticTable::random(50, wfst.num_phones() as usize, (0.5, 4.0), 0xACC0);
+    let sorted = SortedWfst::new(&wfst).unwrap();
+    let image = GraphImage::from_bytes(&store::to_bytes(&sorted)).unwrap();
+    assert!(image.wfst().is_image_backed());
+    assert!(!sorted.wfst().is_image_backed());
+    let opts = DecodeOptions::with_beam(8.0);
+    let over_image = assert_equivalent(&opts, image.wfst(), &scores, "image-backed");
+    let over_owned = assert_equivalent(&opts, sorted.wfst(), &scores, "owned");
+    assert_eq!(over_image.words, over_owned.words);
+    assert_eq!(over_image.cost.to_bits(), over_owned.cost.to_bits());
+    assert_eq!(over_image.best_state, over_owned.best_state);
 }
 
 #[test]

@@ -13,17 +13,14 @@
 //!   [`crate::sorted::SortedWfst`] — records, unit registers, maps — in
 //!   aligned sections viewed in place after a single validation pass.
 //!
-//! [`load_sorted`] / [`sorted_from_bytes`] accept either container
-//! version and are what serving code should call.
+//! Serving code loads the v2 image with [`crate::store::GraphImage::load`];
+//! [`sorted_from_bytes`] accepts either container version.
 
 use crate::layout;
 use crate::sorted::SortedWfst;
 use crate::store;
 use crate::{Result, StateId, Wfst, WfstError};
 use bytes::{Buf, BufMut};
-use std::fs::File;
-use std::io::{Read as _, Write as _};
-use std::path::Path;
 
 /// Magic number of the packed container: "WFST" followed by a version byte.
 const MAGIC: &[u8; 4] = b"WFST";
@@ -86,32 +83,6 @@ pub fn from_bytes(mut bytes: &[u8]) -> Result<Wfst> {
     Wfst::from_parts(states, arcs, start, final_costs)
 }
 
-/// Writes the packed container to `path`.
-///
-/// # Errors
-///
-/// Returns [`WfstError::Corrupt`] wrapping the underlying I/O failure.
-pub fn save(wfst: &Wfst, path: &Path) -> Result<()> {
-    let bytes = to_bytes(wfst);
-    let mut f =
-        File::create(path).map_err(|e| WfstError::Corrupt(format!("create {path:?}: {e}")))?;
-    f.write_all(&bytes)
-        .map_err(|e| WfstError::Corrupt(format!("write {path:?}: {e}")))
-}
-
-/// Reads a packed container from `path`.
-///
-/// # Errors
-///
-/// Returns [`WfstError::Corrupt`] for I/O or format failures.
-pub fn load(path: &Path) -> Result<Wfst> {
-    let mut f = File::open(path).map_err(|e| WfstError::Corrupt(format!("open {path:?}: {e}")))?;
-    let mut bytes = Vec::new();
-    f.read_to_end(&mut bytes)
-        .map_err(|e| WfstError::Corrupt(format!("read {path:?}: {e}")))?;
-    from_bytes(&bytes)
-}
-
 /// Deserializes a degree-sorted transducer from either container version.
 ///
 /// * **v2** bytes validate into a [`crate::store::GraphImage`] and the
@@ -132,22 +103,6 @@ pub fn sorted_from_bytes(bytes: &[u8]) -> Result<SortedWfst> {
         return Ok(store::GraphImage::from_bytes(bytes)?.to_sorted());
     }
     SortedWfst::new(&from_bytes(bytes)?)
-}
-
-/// Reads a degree-sorted transducer from `path`, accepting either
-/// container version (see [`sorted_from_bytes`] for the v1 recompute
-/// semantics). A v2 file is read directly into an aligned buffer and
-/// viewed zero-copy.
-///
-/// # Errors
-///
-/// Returns a typed [`WfstError`] for I/O failures or corrupt content.
-pub fn load_sorted(path: &Path) -> Result<SortedWfst> {
-    let buf = store::ImageBytes::read_file(path)?;
-    if store::image_version(buf.as_bytes()) == Some(store::STORE_VERSION) {
-        return Ok(store::GraphImage::from_image_bytes(buf)?.to_sorted());
-    }
-    SortedWfst::new(&from_bytes(buf.as_bytes())?)
 }
 
 #[cfg(test)]
@@ -181,18 +136,6 @@ mod tests {
         let bytes = to_bytes(&w);
         let back = from_bytes(&bytes).unwrap();
         assert_same(&w, &back);
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let w = sample();
-        let dir = std::env::temp_dir().join("asr_wfst_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.wfst");
-        save(&w, &path).unwrap();
-        let back = load(&path).unwrap();
-        assert_same(&w, &back);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -250,31 +193,14 @@ mod tests {
         );
         assert_eq!(from_v1.unit(), from_v2.unit());
         assert_eq!(from_v2.wfst().start(), sorted.wfst().start());
+        assert!(from_v2.wfst().is_image_backed());
+        assert!(!from_v1.wfst().is_image_backed());
         // Only v2 carries the true maps; v1's recompute degraded to identity
         // (asserted above), while v2 preserves them byte-for-byte.
         for i in 0..sorted.wfst().num_states() {
             let sid = StateId(i as u32);
             assert_eq!(from_v2.unmap_state(sid), sorted.unmap_state(sid));
         }
-    }
-
-    #[test]
-    fn load_sorted_dispatches_on_version() {
-        let sorted = crate::sorted::SortedWfst::new(&sample()).unwrap();
-        let dir = std::env::temp_dir().join("asr_wfst_io_sorted_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let v1_path = dir.join("model_v1.wfst");
-        let v2_path = dir.join("model_v2.wfst");
-        save(sorted.wfst(), &v1_path).unwrap();
-        crate::store::save(&sorted, &v2_path).unwrap();
-        let a = load_sorted(&v1_path).unwrap();
-        let b = load_sorted(&v2_path).unwrap();
-        assert_eq!(a.wfst().state_entries(), b.wfst().state_entries());
-        assert_eq!(a.unit(), b.unit());
-        assert!(b.wfst().is_image_backed());
-        assert!(!a.wfst().is_image_backed());
-        std::fs::remove_file(&v1_path).ok();
-        std::fs::remove_file(&v2_path).ok();
     }
 
     #[test]

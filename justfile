@@ -162,53 +162,17 @@ handoff:
 loc:
     @git ls-files '*.rs' | grep -v '^benchmark/' | xargs wc -l | awk '$2 != "total" { split($2, p, "/"); k = p[1] == "crates" ? "crates/" p[2] : "root"; n[k] += $1; t += $1 } END { for (k in n) print n[k], k; print t, "total" }' | sort -k2
 
-# Decode-throughput benchmark: token-table engine vs the HashMap
-# reference; writes BENCH_decode.json at the repo root.
-bench-decode:
-    cargo run --release -p asr-bench --bin bench_decode
-
 # Open-loop overload harness: Poisson arrivals at 1x/2x the calibrated
-# saturation rate against fixed-beam vs QoS-degrading runtimes; splices a
-# "load" section into BENCH_decode.json (bar: fixed p99 >= 3x QoS p99 at
-# 2x, zero panics, shed counts reported).
+# saturation rate against fixed-beam vs QoS-degrading runtimes; writes
+# target/experiments/bench_load.json (fixed vs QoS p99, shed and degraded
+# counts) and fails only if a worker panicked. The one measurement of
+# the QoS layer until ROADMAP item 4 prices or cuts it.
 bench-load:
     cargo run --release -p asr-bench --bin bench_load -- --arrivals 150 --loads 1,2
-
-# Cross-session batched scoring benchmark: N concurrent sessions through
-# the gather window (one block forward pass per window) vs per-session
-# forward passes, byte-identity checked on every transcript; splices a
-# "batch" section into BENCH_decode.json (bar: batched beats per-session
-# frames/sec at 8+ concurrent sessions).
-bench-batch:
-    cargo run --release -p asr-bench --bin bench_batch
-
-# Graph-store benchmark: v2 image load vs SortedWfst rebuild across graph
-# sizes, plus a decode head-to-head over the image-backed vs owned graph;
-# splices a "store" section into BENCH_decode.json (bar: 200k-state image
-# load >= 10x faster than the builder, decode byte-identical).
-bench-store:
-    cargo run --release -p asr-bench --bin bench_store
-
-# Front-end benchmark: streaming MFCC/scorer vs the batch path; splices a
-# "frontend" section into BENCH_decode.json (bar: online <= 1.25x batch).
-bench-frontend:
-    cargo run --release -p asr-bench --bin bench_frontend
-
-# Accelerator-simulator benchmark: all four design points on the pinned
-# fixture, cycles/frame + RTF at the paper's 600 MHz clock, base-design
-# counter deltas vs the pre-port (HashMap-era) simulator; splices an
-# "accel" section into BENCH_decode.json and fails if any delta is
-# non-zero.
-bench-accel:
-    cargo run --release -p asr-bench --bin bench_accel
 
 # Rustdoc for the whole workspace, warnings denied (as CI runs it).
 doc:
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
-
-# Criterion microbenchmarks (hardware building blocks + decoders).
-bench-micro:
-    cargo bench -p asr-bench --bench micro
 
 # Per-figure experiment binaries land JSON under target/experiments/.
 figures:
