@@ -9,29 +9,38 @@
 //! provides the realistic compute/memory workload for the platform models
 //! (FLOP counts, batch scoring).
 
-use crate::fold::dot_rows;
 pub use crate::fold::ROW_TILE;
+use crate::fold::{dot_rows, narrow};
 use crate::scores::AcousticTable;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// One dense layer: `y = W x + b`.
+///
+/// Weights are *stored* as bf16 (an f32's upper 16 bits), rounded to
+/// nearest-even once when the layer is made, and widened exactly inside
+/// the dot-product fold; inputs, products, sums, biases and outputs are
+/// all f32. Half the bytes stream per row, the arithmetic is unchanged —
+/// [`Dense::flops`] counts the same multiply-accumulates.
 #[derive(Debug, Clone)]
 pub struct Dense {
-    weights: Vec<f32>, // row-major [out][in]
+    weights: Vec<u16>, // bf16, row-major [out][in]
     bias: Vec<f32>,
     in_dim: usize,
     out_dim: usize,
 }
 
 impl Dense {
-    /// Creates a layer with Xavier-uniform weights drawn from `rng`.
+    /// Creates a layer with Xavier-uniform weights drawn from `rng`
+    /// (row-major, one f32 `gen_range(-limit..limit)` per weight), each
+    /// rounded to bf16 here — the only place weights are made, and the
+    /// only rounding they ever see.
     pub fn random<R: Rng>(in_dim: usize, out_dim: usize, rng: &mut R) -> Self {
         assert!(in_dim > 0 && out_dim > 0, "degenerate layer shape");
         let limit = (6.0 / (in_dim + out_dim) as f32).sqrt();
         let weights = (0..in_dim * out_dim)
-            .map(|_| rng.gen_range(-limit..limit))
+            .map(|_| narrow(rng.gen_range(-limit..limit)))
             .collect();
         let bias = vec![0.0; out_dim];
         Self {
@@ -40,6 +49,13 @@ impl Dense {
             in_dim,
             out_dim,
         }
+    }
+
+    /// Plants one stored weight as a bf16 pattern, so a test can only
+    /// plant what the stored format can hold.
+    #[cfg(test)]
+    fn set_weight(&mut self, idx: usize, bits: u16) {
+        self.weights[idx] = bits;
     }
 
     /// Applies the affine map.
@@ -70,7 +86,8 @@ impl Dense {
     }
 
     /// Floating-point operation count of one forward pass: two (a
-    /// multiply and an add) per multiply-accumulate.
+    /// multiply and an add) per multiply-accumulate — f32 operations
+    /// both, whatever the weights are stored as.
     pub fn flops(&self) -> u64 {
         2 * (self.in_dim as u64) * (self.out_dim as u64)
     }
@@ -154,7 +171,12 @@ pub struct Mlp {
 
 impl Mlp {
     /// Builds an MLP with the given layer sizes, e.g. `[39, 512, 512, 2001]`
-    /// (input dim, hidden dims..., phone count). Deterministic in `seed`.
+    /// (input dim, hidden dims..., phone count). Deterministic in `seed`:
+    /// one `ChaCha8Rng::seed_from_u64(seed)` stream feeds
+    /// [`Dense::random`] layer by layer, which rounds each drawn weight
+    /// to bf16 on the spot, so the model *is* its bf16 weights (no f32
+    /// copy exists to drift from). [`Mlp::flops_per_frame`] and the
+    /// benchmark's `macs_per_frame` do not change with the storage.
     ///
     /// # Panics
     ///
@@ -557,15 +579,22 @@ mod tests {
 
     #[test]
     fn block_log_posteriors_match_single_rows_bit_for_bit() {
-        // Odd and even layer counts exercise both ping-pong parities.
-        for dims in [&[7usize, 16, 5][..], &[7, 16, 12, 5][..]] {
+        // Odd and even layer counts exercise both ping-pong parities; the
+        // last shape walks the weight loads past every boundary (layer
+        // widths 39, 17, 16, 15: chunk + tail, chunk + 1, chunk, tail).
+        for dims in [
+            &[7usize, 16, 5][..],
+            &[7, 16, 12, 5][..],
+            &[39, 17, 16, 15, 5][..],
+        ] {
             let mlp = Mlp::new(dims, 11);
+            let in_dim = dims[0];
             for rows in [1usize, 2, 3, 8] {
                 let feats = feature_block(&mlp, rows, rows as u64);
                 let mut scratch = vec![0.0; mlp.block_scratch_len(rows)];
                 let stride = mlp.log_posteriors_block_into(&feats, rows, &mut scratch);
                 for r in 0..rows {
-                    let single = mlp.log_posteriors(&feats[r * 7..(r + 1) * 7]);
+                    let single = mlp.log_posteriors(&feats[r * in_dim..(r + 1) * in_dim]);
                     let block = &scratch[r * stride..r * stride + mlp.output_dim()];
                     for (b, s) in block.iter().zip(&single) {
                         assert_eq!(
@@ -694,7 +723,9 @@ mod tests {
     #[test]
     fn kernel_matches_the_portable_fold_bit_for_bit() {
         let max_rows = if cfg!(miri) { 3 } else { 9 };
-        for in_dim in [1usize, 3, 15, 16, 17, 39, 512, 513] {
+        // Below, at and past the 8-weight load, the 16-lane chunk and
+        // whole multiples of it.
+        for in_dim in [1usize, 3, 7, 8, 9, 15, 16, 17, 24, 39, 511, 512, 513] {
             let layer = random_layer(in_dim, 3, in_dim as u64);
             let mut rng = ChaCha8Rng::seed_from_u64(99);
             let data: Vec<f32> = (0..max_rows * in_dim)
@@ -728,12 +759,19 @@ mod tests {
             f32::MAX,
         ];
         // 39 = two full 16-lane chunks and a 7-element tail.
-        let mut layer = random_layer(39, 4, 8);
-        // Weights that keep tiny products tiny, and one zero weight so
-        // `inf * 0` makes a NaN inside the fold.
-        layer.weights[0] = denormal;
-        layer.weights[5] = 0.0;
-        layer.weights[39 + 33] = f32::MIN_POSITIVE;
+        let mut layer = random_layer(39, 7, 8);
+        // Weights that keep tiny products tiny (the smallest bf16
+        // denormal, `MIN_POSITIVE`), one zero weight so `inf * 0` makes a
+        // NaN inside the fold, and a row each of +Inf, -Inf and NaN
+        // weights, in either half of a load and in the tail.
+        layer.set_weight(0, 0x0001);
+        layer.set_weight(5, 0x0000);
+        layer.set_weight(39 + 33, 0x0080);
+        layer.set_weight(4 * 39 + 2, 0x7F80);
+        layer.set_weight(4 * 39 + 33, 0x7F80);
+        layer.set_weight(5 * 39 + 14, 0xFF80);
+        layer.set_weight(6 * 39 + 21, 0x7FC0);
+        layer.set_weight(6 * 39 + 36, 0xFF81);
         for (s, special) in specials.iter().enumerate() {
             for at in [0usize, 5, 17, 31, 33, 38] {
                 // Row 0 carries one special value, row 1 is all that

@@ -40,7 +40,7 @@ miri:
              cargo +nightly miri test -p asr-decoder --lib search; \
              cargo +nightly miri test -p asr-decoder --lib stream; \
              cargo +nightly miri test -p asr-wfst --lib store; \
-             cargo +nightly miri test -p asr-acoustic --lib dnn; } \
+             cargo +nightly miri test -p asr-acoustic --lib -- dnn fold; } \
         || echo "miri: nightly component not installed; skipping (CI runs this)"
 
 # ThreadSanitizer over the executor and runtime concurrency suites
