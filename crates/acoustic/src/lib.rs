@@ -51,7 +51,6 @@ pub mod dnn;
 pub mod fft;
 mod fold;
 pub mod frame;
-pub mod gmm;
 pub mod mel;
 pub mod mfcc;
 pub mod online;

@@ -68,6 +68,12 @@ impl TemplateScorer {
         (self.templates.len() - 1) as u32
     }
 
+    /// Width of the feature vectors the scorer takes (the pipeline's
+    /// [`MfccPipeline::dim`]).
+    pub fn feat_dim(&self) -> usize {
+        self.pipeline.dim()
+    }
+
     /// The MFCC configuration the scorer extracts features with — an
     /// [`crate::online::OnlineMfcc`] built from it feeds
     /// [`TemplateScorer::frame_cost`] features bit-identical to the batch
@@ -104,7 +110,7 @@ impl TemplateScorer {
     /// vectors of the expected widths.
     pub fn score_block_into(&self, features: &[f32], rows: usize, out: &mut [f32]) {
         let row_len = self.templates.len();
-        let dim = self.templates.last().map_or(0, Vec::len);
+        let dim = self.feat_dim();
         assert_eq!(
             features.len(),
             rows * dim,

@@ -33,10 +33,9 @@
 //!
 //! The paper's stages hand work to each other through single hardware
 //! FIFOs, and this executor's tenants have the same shape: jobs are
-//! non-recursive (a task never forks), carry a handful of chunks (at
-//! most `1 + overlap_depth` for a session's score/search overlap, at
-//! most `lanes` for the batch service's sharded flush), and arrive at
-//! frame rate. Per-lane work-stealing deques pay for themselves on
+//! non-recursive (a task never forks), carry a handful of chunks
+//! (exactly 2 for a session's score/search overlap, at most `lanes` for
+//! the batch service's sharded flush), and arrive at frame rate. Per-lane work-stealing deques pay for themselves on
 //! fine-grained, recursively spawned tasks; here every queued chunk is
 //! already poppable by every lane and every helping submitter, so a
 //! per-lane structure would only add a hop between them (measured:

@@ -24,22 +24,24 @@
 //! hold the newest back for `finish`*. It is spelled exactly twice, both
 //! on [`AlbQueue`]:
 //!
-//! * [`AlbQueue::advance`] runs when `fresh >= 1` new rows are about to
-//!   exist. Their existence proves no already-queued row is the last, so
-//!   it steps **every** queued row, in FIFO order, while the caller's
-//!   `fill` produces the fresh rows — sequentially, or as one fork-join
-//!   on a [`WorkerPool`] (the Section VI overlap: search on chunk 0,
-//!   `fill(i, ..)` on chunk `i + 1`). It then retires what it stepped
-//!   and enqueues the fresh rows in index order. The search therefore
-//!   always trails the producer by the rows of the latest `advance`.
+//! * [`AlbQueue::advance`] runs when a block of `fresh >= 1` new rows is
+//!   about to exist. Its existence proves no already-queued row is the
+//!   last, so it steps **every** row of the front buffer, oldest first,
+//!   while one call of the caller's `fill(block)` writes the fresh rows
+//!   into the back buffer — sequentially, or as the two chunks of one
+//!   fork-join on a [`WorkerPool`] (the Section VI overlap: search on
+//!   chunk 0, `fill` on chunk 1). Then the buffers swap. The search
+//!   therefore always trails the producer by the rows of the latest
+//!   `advance`.
 //! * [`AlbQueue::finish`] steps all queued rows but the newest and hands
 //!   the newest to [`StreamingDecode::finish`].
 //!
-//! Where rows come from — a copy of a caller's pre-scored row, an inline
-//! acoustic forward pass, `k` overlapped forward passes, a row scattered
-//! back from a cross-session batch — is entirely the `fill` closure's
-//! business; the runtime's sessions are the composer and pass a
-//! different `fill` per source.
+//! Where a block comes from — a copy of a caller's pre-scored row, one
+//! block acoustic forward pass over the frames gathered since the last
+//! call (inline or overlapped), a row scattered back from a
+//! cross-session batch — is entirely the `fill` closure's business; the
+//! runtime's sessions are the composer and pass a different `fill` per
+//! source.
 //!
 //! # Byte-identical to the batch decoder
 //!
@@ -49,9 +51,9 @@
 //! `finish` produces a [`DecodeResult`] that is byte-identical — `words`,
 //! `cost`, `best_state`, `reached_final`, lattice length — to
 //! `ViterbiDecoder::decode` over the same `n` rows, which is how the
-//! runtime's sessions pin their correctness. Row buffers recycle through
-//! a free list, so after the first two `advance` calls the handoff
-//! allocates nothing.
+//! runtime's sessions pin their correctness. The queue is exactly two
+//! buffers that swap, so once both have grown to the largest block the
+//! handoff allocates nothing.
 
 use crate::lattice::Lattice;
 use crate::pool::WorkerPool;
@@ -60,7 +62,6 @@ use crate::search::{
     DecodeStats,
 };
 use asr_wfst::{StateId, Wfst, WordId};
-use std::collections::VecDeque;
 use std::ops::Deref;
 use std::sync::{Mutex, PoisonError};
 
@@ -235,54 +236,66 @@ impl<G: Deref<Target = Wfst>> StreamingDecode<G> {
     }
 }
 
-/// The software Acoustic Likelihood Buffer: a FIFO of scored rows the
-/// search has not yet consumed, and the single owner of the hold-back
-/// protocol (see the module docs).
+/// The software Acoustic Likelihood Buffer: the paper's double buffer,
+/// and the single owner of the hold-back protocol (see the module docs).
 ///
-/// The paper's ALB is double-buffered and holds *multi-frame* score
-/// batches precisely to amortize the score/search handoff; this queue is
-/// that shape in software. Rows only ever enter through
-/// [`AlbQueue::advance`] and leave through it or [`AlbQueue::finish`],
-/// so no caller can step the row that might turn out to be the
-/// utterance's last.
+/// The paper's ALB holds two *multi-frame* score batches — the scorer
+/// fills one while the search reads the other, swapped at the batch
+/// edge — precisely to amortize the score/search handoff; this is that
+/// shape in software. Rows only ever enter through [`AlbQueue::advance`]
+/// and leave through it or [`AlbQueue::finish`], so no caller can step
+/// the row that might turn out to be the utterance's last.
 #[derive(Debug, Default)]
 pub struct AlbQueue {
-    /// Scored rows awaiting the search, oldest first.
-    ready: VecDeque<Vec<f32>>,
-    /// Retired row buffers awaiting reuse.
-    free: Vec<Vec<f32>>,
-    /// Landing buffers for the fresh rows of one `advance`, each behind
-    /// a mutex so the fill chunks of a fork-join can write them through
-    /// a shared reference (never contended: chunk `i + 1` alone locks
-    /// slot `i`).
-    stage: Vec<Mutex<Vec<f32>>>,
+    /// The block the search reads: scored rows it has not yet consumed,
+    /// packed oldest first at `stride` floats each.
+    front: Vec<f32>,
+    /// The block the scorer fills during an `advance`; it becomes
+    /// `front` when the call returns.
+    back: Vec<f32>,
+    /// Row stride of `front`: the row length its block was filled at
+    /// (each block remembers its own, so successive advances may differ
+    /// in width), counted as 1 for zero-width rows so they still queue.
+    stride: usize,
 }
 
 impl AlbQueue {
-    /// An empty queue; buffers are created (then recycled) on demand.
+    /// An empty queue; the two buffers grow on demand and then swap
+    /// forever.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Number of scored rows held back from the search.
-    pub fn ready_len(&self) -> usize {
-        self.ready.len()
+    /// The rows of `front`, oldest first. Borrows the two fields, not
+    /// `self`, so `advance` can fill `back` while the search reads them.
+    fn rows(front: &[f32], stride: usize) -> std::slice::ChunksExact<'_, f32> {
+        // `max(1)`: a fresh queue has stride 0, and `chunks_exact(0)`
+        // panics even over an empty slice.
+        front.chunks_exact(stride.max(1))
     }
 
-    /// Admits `fresh` new rows of `row_len` costs each and steps the
-    /// search over every row queued before them.
+    /// Number of scored rows held back from the search.
+    pub fn ready_len(&self) -> usize {
+        Self::rows(&self.front, self.stride).len()
+    }
+
+    /// Admits a block of `fresh` new rows of `row_len` costs each and
+    /// steps the search over every row queued before them.
     ///
-    /// `fill(i, row)` must write fresh row `i` (of `0..fresh`, in frame
-    /// order) into `row`, which arrives sized to `row_len` with stale
-    /// contents. With a `pool`, the search runs as chunk 0 of one
-    /// [`WorkerPool::fork_join`] and `fill(i, ..)` as chunk `i + 1`, so
-    /// `fill` calls run concurrently with the search and with each
-    /// other; without one, everything runs on the calling thread. The
-    /// two share no state — the search reads only rows queued by earlier
-    /// calls — so the result is the same bytes either way.
+    /// `fill(block)` is called **exactly once** and must write the fresh
+    /// rows, packed in frame order, into `block`, which arrives as
+    /// exactly `fresh * row_len` floats of stale contents. With a
+    /// `pool`, the search runs as chunk 0 and `fill` as chunk 1 of one
+    /// two-chunk [`WorkerPool::fork_join`], so `fill` runs concurrently
+    /// with the search; without one, both run on the calling thread. The
+    /// two share no state — the search reads only the block queued by
+    /// the previous call — so the result is the same bytes either way.
+    /// The buffers then swap: the block just filled is what the next
+    /// call steps.
     ///
-    /// `fresh == 0` is a no-op: with no newer row in sight, the newest
-    /// queued row may be the utterance's last and must not be stepped.
+    /// `fresh == 0` is a no-op (`fill` is not called): with no newer
+    /// row in sight, the newest queued row may be the utterance's last
+    /// and must not be stepped.
     ///
     /// # Panics
     ///
@@ -295,66 +308,56 @@ impl AlbQueue {
         pool: Option<&WorkerPool>,
         row_len: usize,
         fresh: usize,
-        fill: &(dyn Fn(usize, &mut [f32]) + Sync),
+        fill: &mut (dyn FnMut(&mut [f32]) + Send),
     ) {
         if fresh == 0 {
             return;
         }
-        while self.stage.len() < fresh {
-            self.stage.push(Mutex::default());
-        }
-        for slot in self.stage.iter_mut().take(fresh) {
-            slot.get_mut()
-                .unwrap_or_else(PoisonError::into_inner)
-                .resize(row_len, 0.0);
-        }
+        let stride = row_len.max(1);
+        self.back.resize(fresh * stride, 0.0);
         {
-            let ready = &self.ready;
-            let stage = &self.stage;
-            let decode = Mutex::new(decode);
-            let run = |chunk: usize| match chunk.checked_sub(1) {
-                None => {
-                    let mut decode = decode.lock().unwrap_or_else(PoisonError::into_inner);
-                    for row in ready {
+            let front = Self::rows(&self.front, self.stride);
+            // Each half's state sits behind a mutex only so the two
+            // chunks can reach it through the shared closure a fork-join
+            // takes; chunk 0 alone locks the search, chunk 1 the block.
+            let search = Mutex::new(decode);
+            let block = Mutex::new((fill, &mut self.back[..fresh * row_len]));
+            let run = |chunk: usize| {
+                if chunk == 0 {
+                    let mut decode = search.lock().unwrap_or_else(PoisonError::into_inner);
+                    for row in front.clone() {
                         decode.step(row);
                     }
-                }
-                Some(i) => {
-                    if let Some(slot) = stage.get(i) {
-                        fill(i, &mut slot.lock().unwrap_or_else(PoisonError::into_inner));
-                    }
+                } else {
+                    let mut block = block.lock().unwrap_or_else(PoisonError::into_inner);
+                    let (fill, rows) = &mut *block;
+                    fill(rows);
                 }
             };
             match pool {
-                Some(pool) => pool.fork_join(1 + fresh, &run),
-                None => (0..=fresh).for_each(run),
+                Some(pool) => pool.fork_join(2, &run),
+                None => (0..2).for_each(run),
             }
         }
-        // Retire before refilling the stage, so the buffers just stepped
-        // are the ones the next fresh rows land in.
-        self.free.extend(self.ready.drain(..));
-        for slot in self.stage.iter_mut().take(fresh) {
-            let slot = slot.get_mut().unwrap_or_else(PoisonError::into_inner);
-            let row = std::mem::replace(slot, self.free.pop().unwrap_or_default());
-            self.ready.push_back(row);
-        }
+        std::mem::swap(&mut self.front, &mut self.back);
+        self.stride = stride;
     }
 
     /// Ends the utterance: steps every queued row but the newest, gives
     /// the newest the batch decoder's last-frame treatment through
-    /// [`StreamingDecode::finish`], and leaves the queue empty with its
-    /// buffers recycled.
+    /// [`StreamingDecode::finish`], and leaves the queue empty with both
+    /// buffers kept for reuse.
     pub fn finish<G: Deref<Target = Wfst>>(
         &mut self,
         mut decode: StreamingDecode<G>,
     ) -> (DecodeResult, DecodeScratch) {
-        let last = self.ready.pop_back();
-        for row in self.ready.drain(..) {
-            decode.step(&row);
-            self.free.push(row);
+        let mut rows = Self::rows(&self.front, self.stride);
+        let last = rows.next_back();
+        for row in rows {
+            decode.step(row);
         }
-        let out = decode.finish(last.as_deref());
-        self.free.extend(last);
+        let out = decode.finish(last);
+        self.front.clear();
         out
     }
 }
@@ -519,7 +522,8 @@ mod tests {
 
     /// Feeds `scores` through an [`AlbQueue`] as `advance` calls of the
     /// given `fresh` sizes (the last one clipped to the rows that are
-    /// left), checking after every call that the search has consumed
+    /// left), checking after every call that `fill` ran exactly once
+    /// over exactly the fresh block and that the search has consumed
     /// exactly the rows enqueued *before* it, then finishes.
     fn alb_decode(
         wfst: &Wfst,
@@ -534,9 +538,14 @@ mod tests {
         let mut pushed = 0;
         while pushed < scores.num_frames() {
             let fresh = split().min(scores.num_frames() - pushed);
-            q.advance(&mut d, pool, row_len, fresh, &|i, row| {
-                row.copy_from_slice(scores.frame_row(pushed + i));
+            let mut fills = Vec::new();
+            q.advance(&mut d, pool, row_len, fresh, &mut |block| {
+                fills.push(block.len());
+                for (i, row) in block.chunks_exact_mut(row_len).enumerate() {
+                    row.copy_from_slice(scores.frame_row(pushed + i));
+                }
             });
+            assert_eq!(fills, [fresh * row_len], "one fill, over the whole block");
             assert_eq!(d.frames(), pushed, "the newest rows are never stepped");
             assert_eq!(q.ready_len(), fresh);
             pushed += fresh;
@@ -591,10 +600,15 @@ mod tests {
         // last one, so a zero-row advance must not step it.
         let mut d = StreamingDecode::new(&w, opts, DecodeScratch::new(w.num_states()));
         let mut q = AlbQueue::new();
-        let copy = |_: usize, row: &mut [f32]| row.copy_from_slice(scores.frame_row(0));
-        q.advance(&mut d, None, scores.num_phones(), 1, &copy);
-        q.advance(&mut d, None, scores.num_phones(), 0, &copy);
+        let mut copy = |row: &mut [f32]| row.copy_from_slice(scores.frame_row(0));
+        q.advance(&mut d, None, scores.num_phones(), 1, &mut copy);
+        q.advance(&mut d, None, scores.num_phones(), 0, &mut copy);
         assert_eq!((d.frames(), q.ready_len()), (0, 1));
+
+        // Zero-width rows carry no costs but still count as rows.
+        let mut q = AlbQueue::new();
+        q.advance(&mut d, None, 0, 2, &mut |block| assert!(block.is_empty()));
+        assert_eq!((d.frames(), q.ready_len()), (0, 2));
     }
 
     #[test]
@@ -621,35 +635,40 @@ mod tests {
             DecodeOptions::with_beam(8.0),
             DecodeScratch::new(w.num_states()),
         );
+        let fill_with = |first: f32| {
+            move |block: &mut [f32]| {
+                for (i, row) in block.chunks_exact_mut(row_len).enumerate() {
+                    row.fill(first + i as f32);
+                }
+            }
+        };
+        // Three rows in one advance sit in the block in index order.
         let mut q = AlbQueue::new();
-        // Three rows in one advance enter the FIFO in index order.
-        q.advance(&mut d, None, row_len, 3, &|i, row| row.fill(1.0 + i as f32));
-        let order: Vec<f32> = q.ready.iter().map(|row| row[0]).collect();
+        q.advance(&mut d, None, row_len, 3, &mut fill_with(1.0));
+        let order: Vec<f32> = AlbQueue::rows(&q.front, q.stride)
+            .map(|row| row[0])
+            .collect();
         assert_eq!(order, vec![1.0, 2.0, 3.0], "FIFO frame order");
 
-        // At one row per advance the buffers settle after two calls: the
-        // row just stepped is the buffer the next fresh row lands in.
-        let buffers = |q: &AlbQueue| {
-            let mut ptrs: Vec<*const f32> = (q.ready.iter())
-                .chain(&q.free)
-                .map(|row| row.as_ptr())
-                .collect();
-            ptrs.extend(q.stage.iter().map(|slot| slot.lock().unwrap().as_ptr()));
-            ptrs.sort_unstable();
-            ptrs
-        };
+        // The queue is two buffers: after two advances both exist, and
+        // from then on the same two allocations swap forever — the block
+        // just stepped is the one the next fresh rows land in.
         let mut q = AlbQueue::new();
-        q.advance(&mut d, None, row_len, 1, &|_, row| row.fill(4.0));
-        q.advance(&mut d, None, row_len, 1, &|_, row| row.fill(5.0));
-        let settled = buffers(&q);
+        q.advance(&mut d, None, row_len, 1, &mut fill_with(4.0));
+        q.advance(&mut d, None, row_len, 1, &mut fill_with(5.0));
+        let (a, b) = (q.front.as_ptr(), q.back.as_ptr());
         for v in 6..12 {
-            q.advance(&mut d, None, row_len, 1, &|_, row| row.fill(v as f32));
+            q.advance(&mut d, None, row_len, 1, &mut fill_with(v as f32));
             assert_eq!(q.ready_len(), 1);
-            assert_eq!(buffers(&q), settled, "no buffer is created or dropped");
+            assert_eq!(q.front[0], v as f32);
+            let swapped = if v % 2 == 0 { (b, a) } else { (a, b) };
+            assert_eq!((q.front.as_ptr(), q.back.as_ptr()), swapped);
         }
-        // `finish` drains the queue and keeps the buffers for reuse.
+        // `finish` drains the queue and keeps both buffers for reuse.
+        let buffers = (q.front.as_ptr(), q.back.as_ptr());
         let _ = q.finish(d);
         assert_eq!(q.ready_len(), 0);
-        assert_eq!(buffers(&q), settled);
+        assert_eq!((q.front.as_ptr(), q.back.as_ptr()), buffers);
+        assert!(q.front.capacity() >= row_len && q.back.capacity() >= row_len);
     }
 }

@@ -6,6 +6,7 @@
 //! ```
 
 use asr_repro::accel::config::{AcceleratorConfig, DesignPoint};
+use asr_repro::on_accelerator;
 use asr_repro::runtime::AsrRuntime;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -31,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Cycle-accurate accelerator simulation (the paper's final design).
     let cfg = AcceleratorConfig::for_design(DesignPoint::StateAndArc);
-    let (hw, result) = runtime.recognize_on_accelerator(&audio, cfg)?;
+    let (hw, result) = on_accelerator::recognize(&runtime, &audio, cfg)?;
     println!("accelerator:        {:?} (cost {:.2})", hw.words, hw.cost);
     println!(
         "hardware: {} cycles ({:.1} us at 600 MHz), {} arcs evaluated, {} bytes off-chip",

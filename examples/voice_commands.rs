@@ -11,6 +11,7 @@
 
 use asr_repro::accel::config::{AcceleratorConfig, DesignPoint};
 use asr_repro::accel::energy::EnergyModel;
+use asr_repro::on_accelerator;
 use asr_repro::platform::{CpuModel, GpuModel};
 use asr_repro::runtime::AsrRuntime;
 
@@ -41,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for cmd in &commands {
         let audio = runtime.render_words(cmd)?;
-        let (transcript, result) = runtime.recognize_on_accelerator(&audio, cfg.clone())?;
+        let (transcript, result) = on_accelerator::recognize(&runtime, &audio, cfg.clone())?;
         let wer = runtime.wer(cmd, &transcript);
         total_wer += wer;
         total_cycles += result.stats.cycles;

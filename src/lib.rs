@@ -23,6 +23,11 @@
 //! allocation-free per frame; on a multi-lane runtime each session
 //! overlaps the scoring of frame *i + 1* with the search of frame *i*
 //! (the paper's Section VI pipelining) with byte-identical results.
+//! The layer is five modules under `src/runtime/` — the handle, and
+//! `session`, `qos`, `batch`, `registry`, each owning one protocol —
+//! all re-exported at [`runtime`]. [`on_accelerator`] runs the same
+//! utterances on the simulated accelerator through the runtime's
+//! public accessors.
 //!
 //! # Quick start
 //!
@@ -51,10 +56,10 @@ pub use asr_decoder as decoder;
 pub use asr_platform as platform;
 pub use asr_wfst as wfst;
 
+pub mod on_accelerator;
 pub mod runtime;
 
 pub use runtime::{
     AsrRuntime, BatchScoringConfig, BatchScoringStats, Hypothesis, ModelStats, PipelineError,
-    QosPolicy, QosTier, RuntimeConfig, RuntimeError, RuntimeStats, Session, SessionOptions,
-    Transcript,
+    QosPolicy, QosTier, RuntimeConfig, RuntimeStats, Session, SessionOptions, Transcript,
 };

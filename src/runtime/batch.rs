@@ -1,0 +1,507 @@
+//! Cross-session batched scoring: the gather window, its flush, and the
+//! per-session slots rows scatter back to.
+//!
+//! Per-session scoring runs one forward pass per session per frame;
+//! production inference servers amortize the matrix work by batching
+//! across requests. Installing a [`BatchScoringConfig`]
+//! ([`RuntimeConfig::batch_scoring`]) adds a batched scoring
+//! service to the runtime: audio-fed sessions enqueue each completed
+//! feature frame into a shared **gather window**, one matrix–matrix
+//! forward pass (the row-block entry points in `asr-acoustic`) scores
+//! the whole block, and the rows **scatter** back to each session's
+//! slot, from where the session hands them to its own ALB — the
+//! CPU-lane image of the paper's Acoustic Likelihood Buffer decoupling
+//! scoring throughput from search. The window is bounded by a
+//! configurable row cap and per-session wait budget, its flush target
+//! is the number of live sessions, and a lone session falls back to
+//! scoring its own one-row block synchronously (it never stalls on a
+//! batch that will not fill).
+//! Transcripts are **byte-identical** per session regardless of batch
+//! composition: every row of a block is computed with the single-row
+//! fold order, and each session's search still consumes its own rows in
+//! push order (see `tests/runtime_batch_equivalence.rs`).
+//!
+//! [`BatchService`] owns the whole protocol — slot generations, the
+//! window, who flushes and when — and takes the acoustic model and the
+//! executor as arguments, so it depends on nothing else in the runtime.
+//! The sharded flush's raw-pointer views ([`BlockShards`]) are the
+//! serving layer's only `unsafe`.
+
+use super::{AcousticModel, RuntimeConfig};
+use asr_acoustic::dnn::ROW_TILE;
+use asr_decoder::pool::WorkerPool;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
+
+/// Counters of the cross-session batched scoring service, from
+/// [`super::RuntimeStats::batch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct BatchScoringStats {
+    /// Gather windows flushed through the block forward pass.
+    pub batches: u64,
+    /// Score rows produced by block flushes (across all sessions).
+    pub batched_rows: u64,
+    /// Rows scored synchronously because the session was alone on the
+    /// service (the lone-session fallback).
+    pub single_row_fallbacks: u64,
+    /// The widest block any flush has scored.
+    pub widest_batch: usize,
+    /// Flushes performed by an idle executor lane draining a partially
+    /// filled gather window (rows that would otherwise have waited for
+    /// the next submitter).
+    pub idle_flushes: u64,
+    /// Sessions currently registered with the service (audio-fed
+    /// sessions that have pushed at least one sample).
+    pub open_slots: usize,
+    /// Rows sitting in the gather window right now, awaiting the next
+    /// flush (by a submitter or an idle lane).
+    pub pending_rows: usize,
+}
+
+/// Configuration of the cross-session batched scoring service, as a
+/// builder for [`RuntimeConfig::batch_scoring`].
+///
+/// The gather window is bounded two ways: `max_rows` caps how many
+/// frames one block forward pass may score, and `max_wait_frames` caps
+/// how many of its *own* frames any session lets ride unscored before
+/// it forces a flush — so a session's search never lags its audio by
+/// more than the wait budget, however idle its batch mates are. The
+/// flush target between those bounds is the number of live sessions
+/// (one row each per round-robin cycle).
+///
+/// ```
+/// use asr_repro::runtime::BatchScoringConfig;
+///
+/// let cfg = BatchScoringConfig::new(32).max_wait_frames(3);
+/// assert_eq!(cfg.max_rows(), 32);
+/// assert_eq!(cfg.max_wait_frames_limit(), 3);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BatchScoringConfig {
+    max_rows: usize,
+    max_wait_frames: usize,
+}
+
+impl BatchScoringConfig {
+    /// A service whose gather window holds at most `max_rows` frames,
+    /// with the default wait budget of two frames per session.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_rows == 0`.
+    pub fn new(max_rows: usize) -> Self {
+        assert!(max_rows > 0, "the gather window needs at least one row");
+        Self {
+            max_rows,
+            max_wait_frames: 2,
+        }
+    }
+
+    /// Sets the per-session wait budget: once a session has more than
+    /// `frames` of its own rows in the gather window, its next submit
+    /// flushes the window regardless of the gather target.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frames == 0`.
+    pub fn max_wait_frames(mut self, frames: usize) -> Self {
+        assert!(frames > 0, "sessions must be allowed one in-flight row");
+        self.max_wait_frames = frames;
+        self
+    }
+
+    /// The gather window's row cap.
+    pub fn max_rows(&self) -> usize {
+        self.max_rows
+    }
+
+    /// The per-session wait budget, in frames.
+    pub fn max_wait_frames_limit(&self) -> usize {
+        self.max_wait_frames
+    }
+}
+
+impl RuntimeConfig {
+    /// Installs the cross-session batched scoring service: raw-audio
+    /// sessions gather completed feature frames into a shared window
+    /// and score them with one block forward pass (see the module
+    /// docs). Transcripts are byte-identical with or without the
+    /// service, for any window bound — pinned by the differential test
+    /// layer.
+    pub fn batch_scoring(mut self, cfg: BatchScoringConfig) -> Self {
+        self.batch = Some(cfg);
+        self
+    }
+}
+
+/// A session's registration with the batched scoring service: the slot
+/// index plus a generation counter, so a slot recycled after a
+/// mid-batch `Session::Drop` can never receive (or steal) a stale row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct BatchSlot {
+    index: usize,
+    gen: u64,
+}
+
+/// Per-session state inside the batched scoring service.
+#[derive(Debug, Default)]
+struct SlotState {
+    gen: u64,
+    live: bool,
+    /// Rows this session has in the gather window, not yet flushed.
+    in_flight: usize,
+    /// Scored rows awaiting this session's next drain, FIFO, flattened
+    /// at the service row length.
+    ready: VecDeque<f32>,
+}
+
+/// The mutable heart of the batched scoring service: the gather window
+/// plus per-session slots, all preallocated at construction so the
+/// steady-state submit → flush → scatter cycle never allocates.
+///
+/// One mutex guards the whole state, **held across the flush**: the
+/// block forward pass runs under the lock. That serializes flushes and
+/// makes per-session row order trivially FIFO (a session's rows cannot
+/// leapfrog each other through overlapping flushes); submitting
+/// sessions briefly queue on the mutex instead — they would otherwise
+/// be queueing on the same matrix compute anyway.
+#[derive(Debug)]
+struct BatchState {
+    slots: Vec<SlotState>,
+    free: Vec<usize>,
+    /// Registered (live) slots.
+    live: usize,
+    /// The gather window: `pending` packed feature rows.
+    feats: Vec<f32>,
+    /// Which slot each pending row belongs to.
+    owners: Vec<BatchSlot>,
+    pending: usize,
+    /// The scatter buffer one flush scores into.
+    out: Vec<f32>,
+    /// Block activation scratch (empty for the template model).
+    scratch: Vec<f32>,
+}
+
+/// The cross-session batched scoring service (see the module docs).
+#[derive(Debug)]
+pub(super) struct BatchService {
+    cfg: BatchScoringConfig,
+    feat_dim: usize,
+    row_len: usize,
+    state: Mutex<BatchState>,
+    batches: AtomicU64,
+    batched_rows: AtomicU64,
+    single_row_fallbacks: AtomicU64,
+    widest_batch: AtomicUsize,
+    idle_flushes: AtomicU64,
+}
+
+/// What [`BatchService::submit`] asks the session to do with the frame
+/// it just completed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum SubmitOutcome {
+    /// The frame joined the gather window (and any due flush already
+    /// ran); drain the ready queue.
+    Queued,
+    /// The session is alone on the service: score the frame
+    /// synchronously as a one-row block (bit-identical to any row of a
+    /// wider one) — the lone-session fallback that keeps a single
+    /// caller from ever waiting out a batch window.
+    ScoreInline,
+}
+
+impl BatchService {
+    pub(super) fn new(cfg: BatchScoringConfig, model: &AcousticModel) -> Self {
+        let feat_dim = model.feat_dim();
+        let row_len = model.row_len();
+        let max = cfg.max_rows;
+        Self {
+            cfg,
+            feat_dim,
+            row_len,
+            state: Mutex::new(BatchState {
+                slots: Vec::new(),
+                free: Vec::new(),
+                live: 0,
+                feats: vec![0.0; max * feat_dim],
+                owners: vec![BatchSlot { index: 0, gen: 0 }; max],
+                pending: 0,
+                out: vec![0.0; max * row_len],
+                scratch: vec![0.0; model.block_scratch_len(max)],
+            }),
+            batches: AtomicU64::new(0),
+            batched_rows: AtomicU64::new(0),
+            single_row_fallbacks: AtomicU64::new(0),
+            widest_batch: AtomicUsize::new(0),
+            idle_flushes: AtomicU64::new(0),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, BatchState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    pub(super) fn stats(&self) -> BatchScoringStats {
+        let (live, pending) = {
+            let st = self.lock();
+            (st.live, st.pending)
+        };
+        BatchScoringStats {
+            batches: self.batches.load(Ordering::Acquire),
+            batched_rows: self.batched_rows.load(Ordering::Acquire),
+            single_row_fallbacks: self.single_row_fallbacks.load(Ordering::Acquire),
+            widest_batch: self.widest_batch.load(Ordering::Acquire),
+            idle_flushes: self.idle_flushes.load(Ordering::Acquire),
+            open_slots: live,
+            pending_rows: pending,
+        }
+    }
+
+    /// Registers a session with the service, handing it a
+    /// generation-stamped slot.
+    pub(super) fn register(&self) -> BatchSlot {
+        let mut st = self.lock();
+        let index = match st.free.pop() {
+            Some(index) => index,
+            None => {
+                st.slots.push(SlotState::default());
+                st.slots.len() - 1
+            }
+        };
+        let live = st.live + 1;
+        st.live = live;
+        let slot = &mut st.slots[index];
+        slot.live = true;
+        slot.in_flight = 0;
+        slot.ready.clear();
+        BatchSlot {
+            index,
+            gen: slot.gen,
+        }
+    }
+
+    /// Unregisters a session's slot: bumps the generation (so any stale
+    /// handle is dead), drops its ready rows, and compacts its pending
+    /// rows out of the gather window — a mid-batch `Session::Drop`
+    /// leaves the service healthy for everyone else.
+    pub(super) fn unregister(&self, handle: BatchSlot) {
+        let mut st = self.lock();
+        let st = &mut *st;
+        let slot = &mut st.slots[handle.index];
+        if !slot.live || slot.gen != handle.gen {
+            return;
+        }
+        slot.live = false;
+        slot.gen += 1;
+        slot.in_flight = 0;
+        slot.ready.clear();
+        let fd = self.feat_dim;
+        let mut kept = 0;
+        for r in 0..st.pending {
+            let owner = st.owners[r];
+            if owner == handle {
+                continue;
+            }
+            if kept != r {
+                st.owners[kept] = owner;
+                st.feats.copy_within(r * fd..(r + 1) * fd, kept * fd);
+            }
+            kept += 1;
+        }
+        st.pending = kept;
+        st.live -= 1;
+        st.free.push(handle.index);
+    }
+
+    /// Submits one completed feature frame to the gather window,
+    /// flushing it inline (under the service lock, on the submitting
+    /// thread, sharded over `pool` when there is one) when the window
+    /// reaches its target or this session's wait budget is spent.
+    /// Returns [`SubmitOutcome::ScoreInline`] instead when the session
+    /// is alone on the service — the lone caller scores synchronously
+    /// and never waits out a window.
+    pub(super) fn submit(
+        &self,
+        handle: BatchSlot,
+        feat: &[f32],
+        model: &AcousticModel,
+        pool: Option<&WorkerPool>,
+    ) -> SubmitOutcome {
+        let mut st = self.lock();
+        let state = &mut *st;
+        let slot = &state.slots[handle.index];
+        debug_assert!(slot.live && slot.gen == handle.gen, "stale batch slot");
+        if state.live == 1 && slot.in_flight == 0 && slot.ready.is_empty() && state.pending == 0 {
+            self.single_row_fallbacks.fetch_add(1, Ordering::Relaxed);
+            return SubmitOutcome::ScoreInline;
+        }
+        let fd = self.feat_dim;
+        debug_assert_eq!(feat.len(), fd, "feature width mismatch");
+        let r = state.pending;
+        state.feats[r * fd..(r + 1) * fd].copy_from_slice(feat);
+        state.owners[r] = handle;
+        state.pending += 1;
+        state.slots[handle.index].in_flight += 1;
+        // One row per live session per round-robin cycle fills the
+        // window; a session past its own wait budget flushes early.
+        let target = state.live.clamp(1, self.cfg.max_rows);
+        if state.pending >= target || state.slots[handle.index].in_flight > self.cfg.max_wait_frames
+        {
+            self.flush_locked(state, model, pool);
+        }
+        SubmitOutcome::Queued
+    }
+
+    /// Scores the whole gather window with one block forward pass and
+    /// scatters each row to its owner's ready queue. Runs with the
+    /// service lock held (see [`BatchState`]); given a `pool`, the block
+    /// is sharded across its lanes, which cannot change a single byte
+    /// because every output row depends only on its own feature vector.
+    /// `pool: None` is the inline block path — the idle-flush hook runs
+    /// *on* a pool lane, so it must not fork-join back into the same
+    /// pool.
+    fn flush_locked(&self, st: &mut BatchState, model: &AcousticModel, pool: Option<&WorkerPool>) {
+        let rows = st.pending;
+        if rows == 0 {
+            return;
+        }
+        let fd = self.feat_dim;
+        let rl = self.row_len;
+        {
+            let feats = &st.feats[..rows * fd];
+            let out = &mut st.out[..rows * rl];
+            let scratch = &mut st.scratch[..model.block_scratch_len(rows)];
+            let chunks = pool.map_or(1, |p| p.lanes().min(rows));
+            match pool {
+                Some(pool) if chunks > 1 => {
+                    // Whole kernel row tiles per lane: a shard that ended
+                    // mid-tile would push its last row down the untiled path.
+                    let per = rows.div_ceil(chunks).next_multiple_of(ROW_TILE);
+                    let srl = model.block_scratch_len(1);
+                    let shards = BlockShards {
+                        out: out.as_mut_ptr(),
+                        scratch: scratch.as_mut_ptr(),
+                    };
+                    pool.fork_join(chunks, &|chunk| {
+                        // Capture the shard struct whole (not its raw-pointer
+                        // fields) so its `Sync` impl applies.
+                        let shards = &shards;
+                        let lo = chunk * per;
+                        let hi = rows.min(lo + per);
+                        if lo >= hi {
+                            return;
+                        }
+                        let n = hi - lo;
+                        // SAFETY: chunk ranges [lo, hi) are disjoint, so
+                        // each lane writes a private row range of `out`; the
+                        // base pointer outlives the fork_join (the buffer
+                        // lives in the locked BatchState).
+                        let out = unsafe {
+                            std::slice::from_raw_parts_mut(shards.out.add(lo * rl), n * rl)
+                        };
+                        // SAFETY: same disjointness and lifetime argument
+                        // for each lane's private region of `scratch`.
+                        let scratch = unsafe {
+                            std::slice::from_raw_parts_mut(shards.scratch.add(lo * srl), n * srl)
+                        };
+                        model.score_block_into(&feats[lo * fd..hi * fd], n, out, scratch);
+                    });
+                }
+                _ => model.score_block_into(feats, rows, out, scratch),
+            }
+        }
+        // Scatter in window order: submits are serialized by the
+        // service lock, so this preserves strict per-session FIFO.
+        let BatchState {
+            slots,
+            owners,
+            out,
+            pending,
+            ..
+        } = st;
+        for r in 0..rows {
+            let owner = owners[r];
+            let slot = &mut slots[owner.index];
+            debug_assert!(
+                slot.live && slot.gen == owner.gen,
+                "scattering a row to a dead slot"
+            );
+            debug_assert!(slot.in_flight > 0, "scatter/in-flight bookkeeping drifted");
+            slot.in_flight -= 1;
+            slot.ready.extend(out[r * rl..(r + 1) * rl].iter().copied());
+        }
+        *pending = 0;
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.batched_rows.fetch_add(rows as u64, Ordering::Relaxed);
+        self.widest_batch.fetch_max(rows, Ordering::Relaxed);
+    }
+
+    /// Pops the session's oldest scored row into `buf` (cleared and
+    /// refilled; allocation-free once warm). `false` when no row is
+    /// ready.
+    pub(super) fn pop_into(&self, handle: BatchSlot, buf: &mut Vec<f32>) -> bool {
+        let mut st = self.lock();
+        let slot = &mut st.slots[handle.index];
+        debug_assert!(slot.live && slot.gen == handle.gen, "stale batch slot");
+        if slot.ready.is_empty() {
+            return false;
+        }
+        debug_assert!(slot.ready.len() >= self.row_len, "partial row in the slot");
+        buf.clear();
+        buf.extend(slot.ready.drain(..self.row_len));
+        true
+    }
+
+    /// Flushes the gather window if this session still has rows in it —
+    /// the sync point behind [`super::Session::flush_scoring`] and
+    /// finalize.
+    pub(super) fn flush_for(
+        &self,
+        handle: BatchSlot,
+        model: &AcousticModel,
+        pool: Option<&WorkerPool>,
+    ) {
+        let mut st = self.lock();
+        let state = &mut *st;
+        let slot = &state.slots[handle.index];
+        debug_assert!(slot.live && slot.gen == handle.gen, "stale batch slot");
+        if slot.in_flight > 0 {
+            self.flush_locked(state, model, pool);
+        }
+    }
+
+    /// The executor's idle hook: a lane about to park drains a partially
+    /// filled gather window instead of leaving those rows to wait on the
+    /// next submitter (PR 7's "remaining headroom"). `try_lock` only — a
+    /// parking lane must never contend with the submit hot path — and
+    /// the block scores inline on the idle lane itself, because the hook
+    /// runs *on* a pool lane and must not fork-join back into the same
+    /// pool. Returns whether it flushed anything (the hook contract:
+    /// `true` re-scans for work instead of parking).
+    pub(super) fn try_idle_flush(&self, model: &AcousticModel) -> bool {
+        let Ok(mut st) = self.state.try_lock() else {
+            return false;
+        };
+        if st.pending == 0 {
+            return false;
+        }
+        self.flush_locked(&mut st, model, None);
+        self.idle_flushes.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+}
+
+/// Raw-pointer shards of one flush's output and scratch buffers,
+/// letting pool lanes score disjoint row ranges of the block in place.
+#[derive(Clone, Copy)]
+struct BlockShards {
+    out: *mut f32,
+    scratch: *mut f32,
+}
+
+// SAFETY: lanes only ever dereference these through disjoint row ranges
+// (see `BatchService::flush_locked`), so sharing the base pointers is
+// sound.
+unsafe impl Send for BlockShards {}
+unsafe impl Sync for BlockShards {}

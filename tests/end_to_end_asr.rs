@@ -3,6 +3,7 @@
 //! audio — on the software decoder and on every accelerator design point.
 
 use asr_repro::accel::config::{AcceleratorConfig, DesignPoint};
+use asr_repro::on_accelerator;
 use asr_repro::runtime::AsrRuntime;
 
 #[test]
@@ -49,9 +50,8 @@ fn accelerator_design_points_agree_end_to_end() {
     let sw = p.recognize(&audio);
     assert_eq!(sw.words, vec!["lights", "off"]);
     for design in DesignPoint::ALL {
-        let (hw, result) = p
-            .recognize_on_accelerator(&audio, AcceleratorConfig::for_design(design))
-            .unwrap();
+        let cfg = AcceleratorConfig::for_design(design);
+        let (hw, result) = on_accelerator::recognize(&p, &audio, cfg).unwrap();
         assert_eq!(hw.words, sw.words, "{design:?}");
         assert_eq!(hw.cost, sw.cost, "{design:?}");
         assert!(result.stats.cycles > 0);
@@ -79,39 +79,9 @@ fn hardware_stats_reflect_utterance_length() {
     let short = p.render_words(&["go"]).unwrap();
     let long = p.render_words(&["go", "home", "lights", "on"]).unwrap();
     let cfg = AcceleratorConfig::for_design(DesignPoint::StateAndArc);
-    let (_, short_r) = p.recognize_on_accelerator(&short, cfg.clone()).unwrap();
-    let (_, long_r) = p.recognize_on_accelerator(&long, cfg).unwrap();
+    let (_, short_r) = on_accelerator::recognize(&p, &short, cfg.clone()).unwrap();
+    let (_, long_r) = on_accelerator::recognize(&p, &long, cfg).unwrap();
     assert!(long_r.stats.frames > short_r.stats.frames);
     assert!(long_r.stats.cycles > short_r.stats.cycles);
     assert!(long_r.stats.tokens_created > short_r.stats.tokens_created);
-}
-
-#[test]
-fn gmm_acoustic_model_decodes_like_the_template_scorer() {
-    // The accelerator/decoder are agnostic to the acoustic model; a GMM
-    // fitted on the synthetic phones must drive the same pipeline.
-    use asr_repro::acoustic::gmm::GmmModel;
-    use asr_repro::acoustic::signal::{render_phones, SignalConfig};
-    use asr_repro::decoder::search::{DecodeOptions, ViterbiDecoder};
-    use asr_repro::wfst::compose::build_decoding_graph;
-    use asr_repro::wfst::grammar::Grammar;
-    use asr_repro::wfst::lexicon::demo_lexicon;
-    use asr_repro::wfst::WordId;
-
-    let lex = demo_lexicon();
-    let words: Vec<WordId> = (1..=lex.num_words() as u32).map(WordId).collect();
-    let graph = build_decoding_graph(&lex, &Grammar::uniform(&words)).unwrap();
-    let cfg = SignalConfig::default();
-    let model = GmmModel::fit_from_synthetic(lex.num_phones() as u32, &cfg);
-
-    let mut phones = Vec::new();
-    for w in ["go", "home"] {
-        let id = lex.word_id(w).unwrap();
-        let pron = lex.pronunciations().iter().find(|(x, _)| *x == id).unwrap();
-        phones.extend_from_slice(&pron.1);
-    }
-    let wave = render_phones(&phones, 6, &cfg);
-    let scores = model.score_waveform(&wave);
-    let result = ViterbiDecoder::new(DecodeOptions::with_beam(60.0)).decode(&graph, &scores);
-    assert_eq!(lex.transcript(&result.words), vec!["go", "home"]);
 }

@@ -28,6 +28,7 @@
 
 use asr_repro::accel::config::{AcceleratorConfig, DesignPoint};
 use asr_repro::accel::sim::PreparedWfst;
+use asr_repro::on_accelerator;
 use asr_repro::runtime::{AsrRuntime, PipelineError, QosPolicy, RuntimeConfig, SessionOptions};
 use asr_repro::wfst::sorted::{DirectIndexUnit, SortedWfst};
 use asr_repro::wfst::store::{self, GraphImage};
@@ -171,10 +172,9 @@ fn corrupted_layout_is_a_typed_error_under_live_sessions() {
 
     // A healthy prepared layout decodes fine; then corrupt its
     // direct-index registers out from under the runtime.
-    let healthy = runtime.prepare_accelerator(&cfg).unwrap();
-    let (transcript, _) = runtime
-        .recognize_on_prepared(&audio, cfg.clone(), &healthy)
-        .unwrap();
+    let healthy = on_accelerator::prepare(&runtime, &cfg).unwrap();
+    let (transcript, _) =
+        on_accelerator::recognize_prepared(&runtime, &audio, cfg.clone(), &healthy).unwrap();
     assert_eq!(transcript.words, vec!["call", "mom"]);
     let corrupted = corrupt_layout(healthy);
 
@@ -198,7 +198,7 @@ fn corrupted_layout_is_a_typed_error_under_live_sessions() {
         }
 
         for _ in 0..6 {
-            match runtime.recognize_on_prepared(&audio, cfg.clone(), &corrupted) {
+            match on_accelerator::recognize_prepared(&runtime, &audio, cfg.clone(), &corrupted) {
                 Err(PipelineError::Wfst(WfstError::LayoutMismatch { .. })) => {}
                 Ok(_) => panic!("corrupted layout must be refused"),
                 Err(other) => panic!("expected LayoutMismatch, got {other}"),
@@ -220,10 +220,9 @@ fn corrupted_layout_is_a_typed_error_under_live_sessions() {
     );
     assert_eq!(stats.active_sessions, 0);
     assert_eq!(runtime.recognize(&audio).words, vec!["call", "mom"]);
-    let reprepared = runtime.prepare_accelerator(&cfg).unwrap();
-    let (again, _) = runtime
-        .recognize_on_prepared(&audio, cfg, &reprepared)
-        .unwrap();
+    let reprepared = on_accelerator::prepare(&runtime, &cfg).unwrap();
+    let (again, _) =
+        on_accelerator::recognize_prepared(&runtime, &audio, cfg, &reprepared).unwrap();
     assert_eq!(again.words, vec!["call", "mom"]);
 }
 
