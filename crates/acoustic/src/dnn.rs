@@ -8,9 +8,15 @@
 //! decoding accuracy comes from [`crate::template`], while this MLP
 //! provides the realistic compute/memory workload for the platform models
 //! (FLOP counts, batch scoring).
+//!
+//! Every layer runs the crate's one dense kernel (`fold.rs`): bf16
+//! weights stored input-major, and only the weight columns of nonzero
+//! inputs read — after ReLU about half of each hidden layer's inputs are
+//! exact zeros (`tests/relu_sparsity.rs` in the workspace root pins the
+//! share), so a frame streams about half the model and does half the
+//! multiply-accumulates, to the same bits as the full sum.
 
-pub use crate::fold::ROW_TILE;
-use crate::fold::{dot_rows, narrow};
+use crate::fold::{affine, narrow, STEP};
 use crate::scores::AcousticTable;
 use rand::Rng;
 use rand::SeedableRng;
@@ -19,43 +25,53 @@ use rand_chacha::ChaCha8Rng;
 /// One dense layer: `y = W x + b`.
 ///
 /// Weights are *stored* as bf16 (an f32's upper 16 bits), rounded to
-/// nearest-even once when the layer is made, and widened exactly inside
-/// the dot-product fold; inputs, products, sums, biases and outputs are
-/// all f32. Half the bytes stream per row, the arithmetic is unchanged —
-/// [`Dense::flops`] counts the same multiply-accumulates.
+/// nearest-even once when the layer is made, **input-major** — input
+/// `i`'s weights to every output are contiguous, so an input that is
+/// exactly zero (about half of what a ReLU hands on) costs no weight
+/// read at all — and widened exactly inside the kernel; inputs,
+/// products, sums, biases and outputs are all f32. [`Dense::flops`]
+/// counts the layer's dense multiply-accumulates, skipped or not.
 #[derive(Debug, Clone)]
 pub struct Dense {
-    weights: Vec<u16>, // bf16, row-major [out][in]
+    weights: Vec<u16>, // bf16, input-major [in][out_pad]
     bias: Vec<f32>,
     in_dim: usize,
     out_dim: usize,
+    /// `out_dim` rounded up to the kernel's 8-weight load.
+    out_pad: usize,
 }
 
 impl Dense {
     /// Creates a layer with Xavier-uniform weights drawn from `rng`
-    /// (row-major, one f32 `gen_range(-limit..limit)` per weight), each
-    /// rounded to bf16 here — the only place weights are made, and the
-    /// only rounding they ever see.
+    /// (row-major `[out][in]`, one f32 `gen_range(-limit..limit)` per
+    /// weight), each rounded to bf16 here — the only place weights are
+    /// made, and the only rounding they ever see — and stored at its
+    /// input-major place.
     pub fn random<R: Rng>(in_dim: usize, out_dim: usize, rng: &mut R) -> Self {
         assert!(in_dim > 0 && out_dim > 0, "degenerate layer shape");
         let limit = (6.0 / (in_dim + out_dim) as f32).sqrt();
-        let weights = (0..in_dim * out_dim)
-            .map(|_| narrow(rng.gen_range(-limit..limit)))
-            .collect();
+        let out_pad = out_dim.next_multiple_of(STEP);
+        let mut weights = vec![0; in_dim * out_pad];
+        for o in 0..out_dim {
+            for i in 0..in_dim {
+                weights[i * out_pad + o] = narrow(rng.gen_range(-limit..limit));
+            }
+        }
         let bias = vec![0.0; out_dim];
         Self {
             weights,
             bias,
             in_dim,
             out_dim,
+            out_pad,
         }
     }
 
-    /// Plants one stored weight as a bf16 pattern, so a test can only
-    /// plant what the stored format can hold.
+    /// Plants the stored weight from input `i` to output `o` as a bf16
+    /// pattern, so a test can only plant what the stored format can hold.
     #[cfg(test)]
-    fn set_weight(&mut self, idx: usize, bits: u16) {
-        self.weights[idx] = bits;
+    fn set_weight(&mut self, o: usize, i: usize, bits: u16) {
+        self.weights[i * self.out_pad + o] = bits;
     }
 
     /// Applies the affine map.
@@ -85,27 +101,31 @@ impl Dense {
         self.forward_block_into(input, self.in_dim, 1, out, self.out_dim);
     }
 
-    /// Floating-point operation count of one forward pass: two (a
-    /// multiply and an add) per multiply-accumulate — f32 operations
-    /// both, whatever the weights are stored as.
+    /// Floating-point operation count of one forward pass over the dense
+    /// topology: two (a multiply and an add) per weight — f32 operations
+    /// both, whatever the weights are stored as, and whether or not a
+    /// zero input lets the kernel skip them.
     pub fn flops(&self) -> u64 {
         2 * (self.in_dim as u64) * (self.out_dim as u64)
     }
 
     /// Applies the affine map to a *block* of `rows` input vectors — the
-    /// single dense kernel; [`Dense::forward_into`] is its `rows = 1`
-    /// call. The outer loop is **weight-row stationary**: each weight row
-    /// is dotted against every input row before the next one is touched,
-    /// [`ROW_TILE`] input rows at a time sharing each weight load, so a
-    /// block of `B` rows streams the weight matrix once instead of `B`
-    /// times.
+    /// single dense kernel, a row at a time; [`Dense::forward_into`] is
+    /// its `rows = 1` call. Each row reads the weight columns of its own
+    /// nonzero inputs and nothing else, so a block's rows share weights
+    /// only through the cache (a different half of the layer each, the
+    /// layer itself no larger than L2 here). Cutting the outputs into
+    /// tiles that every row finishes before the next is touched was
+    /// measured and left out: it shortens each column's run below what
+    /// the hardware prefetcher follows and was slower at every block
+    /// height (ARCHITECTURE.md, "Batched scoring").
     ///
-    /// Every dot product is reduced under the crate's one fold contract
-    /// (16 lanes striped over the input index, a fixed reduction tree,
-    /// a sequential tail, then the bias — see `fold.rs`), which fixes the
-    /// result independently of the tile a row lands in. So every row of
-    /// the block is **bit-identical** to scoring that row alone,
-    /// regardless of which other rows share the block.
+    /// Every output is the crate's one dense contract (the terms of the
+    /// nonzero inputs in increasing input order, from `+0.0`, then the
+    /// bias — see `fold.rs`), a function of nothing but its own row. So
+    /// every row of the block is **bit-identical** to scoring that row
+    /// alone, regardless of which other rows share the block or where a
+    /// caller splits it.
     ///
     /// `input` and `out` are caller-owned slices holding one vector per
     /// row at the given strides (`input[r * in_stride ..][.. in_dim]`,
@@ -140,24 +160,14 @@ impl Dense {
             out.len() >= (rows - 1) * out_stride + self.out_dim,
             "output block too short for {rows} rows"
         );
-        let x = |r: usize| &input[r * in_stride..r * in_stride + self.in_dim];
-        let tiled = rows - rows % ROW_TILE;
-        for (o, (w, b)) in self
-            .weights
-            .chunks_exact(self.in_dim)
-            .zip(&self.bias)
-            .enumerate()
-        {
-            for r in (0..tiled).step_by(ROW_TILE) {
-                let sums: [f32; ROW_TILE] = dot_rows(w, std::array::from_fn(|t| x(r + t)));
-                for (t, sum) in sums.iter().enumerate() {
-                    out[(r + t) * out_stride + o] = sum + b;
-                }
-            }
-            for r in tiled..rows {
-                let [sum] = dot_rows(w, [x(r)]);
-                out[r * out_stride + o] = sum + b;
-            }
+        for r in 0..rows {
+            affine(
+                &self.weights,
+                self.out_pad,
+                &self.bias,
+                &input[r * in_stride..][..self.in_dim],
+                &mut out[r * out_stride..][..self.out_dim],
+            );
         }
     }
 }
@@ -176,7 +186,9 @@ impl Mlp {
     /// [`Dense::random`] layer by layer, which rounds each drawn weight
     /// to bf16 on the spot, so the model *is* its bf16 weights (no f32
     /// copy exists to drift from). [`Mlp::flops_per_frame`] and the
-    /// benchmark's `macs_per_frame` do not change with the storage.
+    /// benchmark's `macs_per_frame` count the topology: they change
+    /// neither with the storage nor with what a zero input lets the
+    /// kernel skip.
     ///
     /// # Panics
     ///
@@ -277,7 +289,7 @@ impl Mlp {
     ///
     /// Every row's result is **bit-identical** to
     /// [`Mlp::log_posteriors_into`] on that row alone: each element is
-    /// computed with the same dot-product fold order, the same ReLU, and
+    /// computed under the same dense contract, the same ReLU, and
     /// the same log-softmax, and no value ever crosses between rows —
     /// batch composition is numerically invisible.
     ///
@@ -451,7 +463,7 @@ fn log_softmax(x: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fold::dot_ref;
+    use crate::fold::affine_ref;
 
     #[test]
     fn log_posteriors_normalize() {
@@ -651,6 +663,44 @@ mod tests {
         let mut with_noise = feature_block(&mlp, 3, 5);
         with_noise.extend_from_slice(&probe);
         assert_eq!(score_at(&with_noise, 4, 3), alone);
+
+        // Rows whose zeros fall on disjoint inputs walk disjoint weight
+        // columns, over output layers that end seven past, one past and
+        // one past a whole number of 8-output steps; a row scores the same
+        // at any place in such a block.
+        for out_dim in [511usize, 513, 1025] {
+            let mlp = Mlp::new(&[12, 24, out_dim], 37);
+            let dense = feature_block(&mlp, 1, 9);
+            let zeroed = |keep: fn(usize) -> bool| -> Vec<f32> {
+                let row = dense.iter().enumerate();
+                row.map(|(i, v)| if keep(i) { *v } else { 0.0 }).collect()
+            };
+            let rows = [
+                zeroed(|i| i % 2 == 0),
+                zeroed(|i| i % 2 == 1),
+                zeroed(|_| false),
+                dense.clone(),
+            ];
+            let stride = mlp.max_width();
+            let score = |order: &[usize]| -> Vec<Vec<u32>> {
+                let block: Vec<f32> = order.iter().flat_map(|r| rows[*r].clone()).collect();
+                let mut scratch = vec![0.0; mlp.block_scratch_len(order.len())];
+                mlp.log_posteriors_block_into(&block, order.len(), &mut scratch);
+                let row = |at: usize| &scratch[at * stride..at * stride + out_dim];
+                (0..order.len())
+                    .map(|at| row(at).iter().map(|v| v.to_bits()).collect())
+                    .collect()
+            };
+            let alone: Vec<Vec<u32>> = (0..4).map(|r| score(&[r]).remove(0)).collect();
+            for order in [[0usize, 1, 2, 3], [3, 2, 1, 0], [1, 1, 0, 0], [2, 0, 3, 1]] {
+                for (at, got) in score(&order).iter().enumerate() {
+                    assert_eq!(
+                        got, &alone[order[at]],
+                        "out_dim {out_dim} {order:?} at {at}"
+                    );
+                }
+            }
+        }
     }
 
     /// A layer with pseudo-random weights *and* biases.
@@ -663,54 +713,57 @@ mod tests {
         layer
     }
 
-    /// The layer applied with the portable fold — the oracle the kernel
-    /// must match.
+    /// The layer applied with the scalar statement of the contract — the
+    /// oracle the kernel must match.
     fn reference_forward(layer: &Dense, x: &[f32]) -> Vec<f32> {
-        layer
-            .weights
-            .chunks_exact(layer.in_dim)
-            .zip(&layer.bias)
-            .map(|(w, b)| dot_ref(w, x) + b)
-            .collect()
+        let mut y = vec![0.0; layer.out_dim];
+        affine_ref(&layer.weights, layer.out_pad, &layer.bias, x, &mut y);
+        y
     }
 
-    /// Bit equality; a NaN matches any NaN (Rust, like the fold contract,
+    /// Bit equality; a NaN matches any NaN (Rust, like the dense contract,
     /// leaves the payload of a computed NaN unspecified).
     fn same_bits(a: f32, b: f32) -> bool {
         a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
     }
 
-    /// Runs `rows` strided rows through the kernel, with both buffers
-    /// starting `offset` floats into their allocations, and checks every
-    /// output against the oracle and every gap for stray writes.
+    /// Runs the strided `rows` through the kernel as one block, with both
+    /// buffers starting `offset` floats into their allocations, and checks
+    /// every output against `want` (the oracle's, row by row) and every
+    /// gap for stray writes.
     fn assert_kernel_matches_reference(
         layer: &Dense,
-        row: impl Fn(usize) -> Vec<f32>,
-        rows: usize,
+        rows: &[Vec<f32>],
+        want: &[Vec<f32>],
         offset: usize,
     ) {
         const GAP: f32 = -77.0;
         let (in_stride, out_stride) = (layer.in_dim + 5, layer.out_dim + 3);
-        let mut input = vec![0.5; offset + rows * in_stride];
-        for r in 0..rows {
-            input[offset + r * in_stride..][..layer.in_dim].copy_from_slice(&row(r));
+        let mut input = vec![0.5; offset + rows.len() * in_stride];
+        for (r, row) in rows.iter().enumerate() {
+            input[offset + r * in_stride..][..layer.in_dim].copy_from_slice(row);
         }
-        let mut out = vec![GAP; offset + rows * out_stride];
+        let mut out = vec![GAP; offset + rows.len() * out_stride];
         layer.forward_block_into(
             &input[offset..],
             in_stride,
-            rows,
+            rows.len(),
             &mut out[offset..],
             out_stride,
         );
-        for r in 0..rows {
+        assert!(
+            out[..offset].iter().all(|v| *v == GAP),
+            "wrote before row 0"
+        );
+        for (r, want) in want[..rows.len()].iter().enumerate() {
             let got = &out[offset + r * out_stride..][..out_stride];
-            let want = reference_forward(layer, &row(r));
-            for (o, (g, w)) in got.iter().zip(&want).enumerate() {
+            for (o, (g, w)) in got.iter().zip(want).enumerate() {
                 assert!(
                     same_bits(*g, *w),
-                    "in_dim {} rows {rows} offset {offset}: row {r} output {o} is {g:e}, oracle {w:e}",
-                    layer.in_dim
+                    "{}x{} rows {} offset {offset}: row {r} output {o} is {g:e}, oracle {w:e}",
+                    layer.in_dim,
+                    layer.out_dim,
+                    rows.len()
                 );
             }
             assert!(
@@ -723,24 +776,52 @@ mod tests {
     #[test]
     fn kernel_matches_the_portable_fold_bit_for_bit() {
         let max_rows = if cfg!(miri) { 3 } else { 9 };
-        // Below, at and past the 8-weight load, the 16-lane chunk and
-        // whole multiples of it.
+        // Inputs below, at and past the group of four live columns at
+        // every remainder; outputs below, at and past the 8-weight step,
+        // and the benchmark's output layer with and without a ragged end.
+        let wide = if cfg!(miri) {
+            [24usize, 25]
+        } else {
+            [2000, 2001]
+        };
         for in_dim in [1usize, 3, 7, 8, 9, 15, 16, 17, 24, 39, 511, 512, 513] {
-            let layer = random_layer(in_dim, 3, in_dim as u64);
-            let mut rng = ChaCha8Rng::seed_from_u64(99);
-            let data: Vec<f32> = (0..max_rows * in_dim)
-                .map(|_| rng.gen_range(-2.0..2.0))
-                .collect();
-            let row = |r: usize| data[r * in_dim..(r + 1) * in_dim].to_vec();
-            for rows in 1..=max_rows {
-                for offset in 0..4 {
-                    assert_kernel_matches_reference(&layer, row, rows, offset);
+            for out_dim in [1usize, 3, 8, 9, wide[0], wide[1]] {
+                if cfg!(miri) && in_dim > 39 && out_dim > 9 {
+                    continue; // twelve thousand weights a row, interpreted
                 }
-            }
-            // `forward_into` is the one-row call of the same kernel.
-            let single = layer.forward(&row(0));
-            for (s, w) in single.iter().zip(reference_forward(&layer, &row(0))) {
-                assert_eq!(s.to_bits(), w.to_bits());
+                let layer = random_layer(in_dim, out_dim, (in_dim * out_dim) as u64);
+                let mut rng = ChaCha8Rng::seed_from_u64(99);
+                // Every third row is dense; the others are half zeros (of
+                // either sign), as a ReLU leaves them.
+                let data: Vec<Vec<f32>> = (0..max_rows)
+                    .map(|r| {
+                        (0..in_dim)
+                            .map(|_| match rng.gen_range(0..4) {
+                                0 if r % 3 != 0 => 0.0,
+                                1 if r % 3 != 0 => -0.0,
+                                _ => rng.gen_range(-2.0..2.0),
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let want: Vec<Vec<f32>> =
+                    data.iter().map(|x| reference_forward(&layer, x)).collect();
+                // Unoptimized, the half-million-weight layers take two
+                // block heights at one alignment each; every height and
+                // alignment only in release. The rows are the same.
+                let sampled = cfg!(debug_assertions) && in_dim * out_dim > 100_000;
+                for rows in 1..=max_rows {
+                    for offset in 0..4 {
+                        if sampled && !([1, max_rows].contains(&rows) && offset == rows % 4) {
+                            continue;
+                        }
+                        assert_kernel_matches_reference(&layer, &data[..rows], &want, offset);
+                    }
+                }
+                // `forward_into` is the one-row call of the same kernel.
+                for (s, w) in layer.forward(&data[1]).iter().zip(&want[1]) {
+                    assert_eq!(s.to_bits(), w.to_bits());
+                }
             }
         }
     }
@@ -756,38 +837,58 @@ mod tests {
             -denormal,
             f32::MIN_POSITIVE / 2.0,
             -0.0,
+            0.0,
             f32::MAX,
         ];
-        // 39 = two full 16-lane chunks and a 7-element tail.
-        let mut layer = random_layer(39, 7, 8);
+        // 39 inputs = nine groups of four live columns and a remainder of
+        // three when all are nonzero; 19 outputs = two 8-output steps and
+        // a scalar tail of three.
+        let mut layer = random_layer(39, 19, 8);
         // Weights that keep tiny products tiny (the smallest bf16
         // denormal, `MIN_POSITIVE`), one zero weight so `inf * 0` makes a
-        // NaN inside the fold, and a row each of +Inf, -Inf and NaN
+        // NaN inside the sum, and an output each of +Inf, -Inf and NaN
         // weights, in either half of a load and in the tail.
-        layer.set_weight(0, 0x0001);
-        layer.set_weight(5, 0x0000);
-        layer.set_weight(39 + 33, 0x0080);
-        layer.set_weight(4 * 39 + 2, 0x7F80);
-        layer.set_weight(4 * 39 + 33, 0x7F80);
-        layer.set_weight(5 * 39 + 14, 0xFF80);
-        layer.set_weight(6 * 39 + 21, 0x7FC0);
-        layer.set_weight(6 * 39 + 36, 0xFF81);
+        layer.set_weight(0, 0, 0x0001);
+        layer.set_weight(0, 5, 0x0000);
+        layer.set_weight(1, 33, 0x0080);
+        layer.set_weight(4, 2, 0x7F80);
+        layer.set_weight(4, 33, 0x7F80);
+        layer.set_weight(5, 14, 0xFF80);
+        layer.set_weight(6, 21, 0x7FC0);
+        layer.set_weight(6, 36, 0xFF81);
+        layer.set_weight(12, 7, 0x7F80);
+        layer.set_weight(17, 30, 0xFF80);
+        layer.set_weight(18, 11, 0x7FC0);
+        let planted = [2usize, 7, 11, 14, 21, 30, 33, 36];
         for (s, special) in specials.iter().enumerate() {
-            for at in [0usize, 5, 17, 31, 33, 38] {
+            for at in [0usize, 2, 5, 14, 17, 21, 30, 31, 33, 36, 38] {
                 // Row 0 carries one special value, row 1 is all that
                 // value, row 2 is ordinary.
-                let row = |r: usize| match r {
-                    0 => {
-                        let mut x = vec![0.25; 39];
-                        x[at] = *special;
-                        x
-                    }
-                    1 => vec![*special; 39],
-                    _ => vec![-1.5; 39],
-                };
-                assert_kernel_matches_reference(&layer, row, 3, s % 4);
+                let mut one = vec![0.25; 39];
+                one[at] = *special;
+                let rows = [one, vec![*special; 39], vec![-1.5; 39]];
+                let want: Vec<Vec<f32>> =
+                    rows.iter().map(|x| reference_forward(&layer, x)).collect();
+                assert_kernel_matches_reference(&layer, &rows, &want, s % 4);
             }
         }
+        // The sparse product's definition, stated outright rather than
+        // through the oracle: a non-finite weight under a zero input (of
+        // either sign) is never read, under a nonzero one it propagates.
+        let with_planted = |v: f32| -> Vec<f32> {
+            let mut x = vec![0.25; 39];
+            planted.iter().for_each(|i| x[*i] = v);
+            layer.forward(&x)
+        };
+        for zero in [0.0, -0.0] {
+            assert!(with_planted(zero).iter().all(|y| y.is_finite()));
+        }
+        let hit = with_planted(0.25);
+        assert_eq!((hit[4], hit[12]), (f32::INFINITY, f32::INFINITY));
+        assert_eq!((hit[5], hit[17]), (f32::NEG_INFINITY, f32::NEG_INFINITY));
+        assert!(hit[6].is_nan() && hit[18].is_nan());
+        let finite = |o: &usize| ![4, 5, 6, 12, 17, 18].contains(o);
+        assert!((0..19).filter(finite).all(|o| hit[o].is_finite()));
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //! scoring its own one-row block synchronously (it never stalls on a
 //! batch that will not fill).
 //! Transcripts are **byte-identical** per session regardless of batch
-//! composition: every row of a block is computed with the single-row
-//! fold order, and each session's search still consumes its own rows in
-//! push order (see `tests/runtime_batch_equivalence.rs`).
+//! composition: every row of a block is a function of that row alone
+//! (the dense kernel's contract), and each session's search still
+//! consumes its own rows in push order (see
+//! `tests/runtime_batch_equivalence.rs`).
 //!
 //! [`BatchService`] owns the whole protocol — slot generations, the
 //! window, who flushes and when — and takes the acoustic model and the
@@ -28,7 +29,6 @@
 //! serving layer's only `unsafe`.
 
 use super::{AcousticModel, RuntimeConfig};
-use asr_acoustic::dnn::ROW_TILE;
 use asr_decoder::pool::WorkerPool;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -375,9 +375,7 @@ impl BatchService {
             let chunks = pool.map_or(1, |p| p.lanes().min(rows));
             match pool {
                 Some(pool) if chunks > 1 => {
-                    // Whole kernel row tiles per lane: a shard that ended
-                    // mid-tile would push its last row down the untiled path.
-                    let per = rows.div_ceil(chunks).next_multiple_of(ROW_TILE);
+                    let per = rows.div_ceil(chunks);
                     let srl = model.block_scratch_len(1);
                     let shards = BlockShards {
                         out: out.as_mut_ptr(),

@@ -2,7 +2,7 @@
 //! 2(b)'s gate, test-sized). The library keeps no f32 weights and no f32
 //! forward path, so this test redraws the f32 weights itself from the
 //! documented stream and runs them through a scalar forward pass in the
-//! fold's own order. On the benchmark's shape (39→512→512→2000, 50k-state
+//! kernel's own order. On the benchmark's shape (39→512→512→2000, 50k-state
 //! graph, beam 40, `max_active` 2000) it prints — `cargo test --release
 //! --test bf16_sensitivity -- --nocapture`, recorded in ARCHITECTURE.md
 //! under "What bf16 costs" — and bounds how far the bf16 model's
@@ -26,20 +26,13 @@ const MLP_SEED: u64 = 21;
 /// Phones per utterance at five frames a phone: 285 rows in all.
 const UTTERANCE_PHONES: [usize; 4] = [12, 14, 15, 16];
 
-/// `fold::dot_ref` over f32 weights: 16 lanes striped over the index, a
-/// separate multiply and add, the fixed tree, then the tail in order.
+/// `fold::affine_ref`'s sum over one output's f32 weights: the terms of
+/// the nonzero inputs in increasing order, from `+0.0`, a separate
+/// multiply and add — so this model differs from the library's by the
+/// rounding of the weights and nothing else.
 fn dot_f32(w: &[f32], x: &[f32]) -> f32 {
-    let mut acc = [0.0f32; 16];
-    let full = w.len() - w.len() % 16;
-    for i in 0..full {
-        acc[i % 16] += w[i] * x[i];
-    }
-    for width in [8, 4, 2, 1] {
-        for j in 0..width {
-            acc[j] += acc[j + width];
-        }
-    }
-    (full..w.len()).fold(acc[0], |sum, i| sum + w[i] * x[i])
+    let live = w.iter().zip(x).filter(|(_, x)| **x != 0.0);
+    live.fold(0.0, |sum, (w, x)| sum + w * x)
 }
 
 /// The f32 weights `Mlp::new(&DIMS, MLP_SEED)` rounds, layer by layer:
