@@ -46,11 +46,10 @@
 //!   baseline;
 //! * [`pool`]: the serving substrate — the shared fork-join
 //!   [`pool::WorkerPool`] (one bounded MPMC ring popped by worker lanes
-//!   and helping submitters, eventcount parking) whose fork-joins carry
-//!   the sessions' score/search overlap and the batch service's sharded
-//!   flush, and the
-//!   checkout/restore [`pool::ScratchPool`] that makes repeated facade
-//!   decodes allocation-free;
+//!   and helping submitters, eventcount parking) whose one tenant is the
+//!   sessions' score/search overlap, and the checkout/restore
+//!   [`pool::ScratchPool`] that makes repeated facade decodes
+//!   allocation-free;
 //! * [`stream`]: the batch frame loop cut open for streaming
 //!   ([`stream::StreamingDecode`], generic over borrowed or owned graph
 //!   handles): rows in, partial hypotheses out, byte-identical

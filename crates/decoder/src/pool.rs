@@ -20,8 +20,8 @@
 //!   nothing blocks except in one primitive used twice: a poll-then-park
 //!   eventcount for idle lanes, another for submitters waiting out a
 //!   join. [`WorkerPool::stats`] and [`WorkerPool::queue_depth`] are
-//!   lock-free reads of relaxed atomics, so the serving runtime's QoS
-//!   monitor never contends with the scheduler it is measuring.
+//!   lock-free reads of relaxed atomics, so observing the executor never
+//!   contends with the scheduler it is measuring.
 //! * [`ScratchPool`] recycles warmed [`DecodeScratch`] working sets, so a
 //!   serving facade that decodes request after request performs zero
 //!   steady-state allocations in the frame loop: checkout pops a warm
@@ -32,14 +32,13 @@
 //! # Why one ring suffices
 //!
 //! The paper's stages hand work to each other through single hardware
-//! FIFOs, and this executor's tenants have the same shape: jobs are
-//! non-recursive (a task never forks), carry a handful of chunks
-//! (exactly 2 for a session's score/search overlap, at most `lanes` for
-//! the batch service's sharded flush), and arrive at frame rate. Per-lane work-stealing deques pay for themselves on
-//! fine-grained, recursively spawned tasks; here every queued chunk is
-//! already poppable by every lane and every helping submitter, so a
-//! per-lane structure would only add a hop between them (measured:
-//! ARCHITECTURE.md, "Why one ring").
+//! FIFOs, and this executor's one tenant has the same shape: a session's
+//! score/search overlap is a non-recursive job (a task never forks) of
+//! exactly 2 chunks, arriving at frame rate. Per-lane work-stealing
+//! deques pay for themselves on fine-grained, recursively spawned
+//! tasks; here every queued chunk is already poppable by every lane and
+//! every helping submitter, so a per-lane structure would only add a hop
+//! between them (measured: ARCHITECTURE.md, "Why one ring").
 //!
 //! # Poll, then park
 //!
@@ -68,7 +67,7 @@ use crate::sync::{
     fence, poll_while, AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering,
 };
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, OnceLock, PoisonError};
+use std::sync::{Arc, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -311,11 +310,6 @@ impl Injector {
     }
 }
 
-/// A hook an idle worker lane runs before parking; returns `true` if it
-/// made progress (the lane re-polls the queue instead of sleeping).
-/// Must not call [`WorkerPool::fork_join`] on the same pool.
-pub type IdleHook = Box<dyn Fn() -> bool + Send + Sync>;
-
 /// How long a waiter polls before it sleeps: the smallest bound within
 /// 2 % of the best `voice_2s_overlap` throughput in the recorded sweep
 /// (ARCHITECTURE.md, "Poll, then park") — most of a frame, because a
@@ -416,9 +410,6 @@ struct ExecShared {
     idle: EventCount,
     /// Eventcount parking submitters until their join completes.
     done: EventCount,
-    /// Optional progress hook for idle lanes (e.g. the runtime's batch
-    /// scoring service flushing a partially filled gather window).
-    idle_hook: OnceLock<IdleHook>,
 }
 
 impl ExecShared {
@@ -484,14 +475,6 @@ fn worker_loop(shared: &ExecShared) {
                 .fetch_add(1, Ordering::Relaxed);
             execute_task(&shared.done, task);
             continue;
-        }
-        // Offer the idle hook a chance to make progress before waiting
-        // (kept panic-proof: a failing hook must not take the lane down).
-        if let Some(hook) = shared.idle_hook.get() {
-            let progressed = catch_unwind(AssertUnwindSafe(&**hook)).unwrap_or(false);
-            if progressed {
-                continue;
-            }
         }
         // Poll for the next job, then park: register, fence, re-check,
         // sleep — the producer's fence in `notify_workers` guarantees we
@@ -567,7 +550,6 @@ impl WorkerPool {
             shutdown: AtomicBool::new(false),
             idle: EventCount::new(poll_bound),
             done: EventCount::new(poll_bound),
-            idle_hook: OnceLock::new(),
         });
         let handles = (0..workers)
             .map(|lane| {
@@ -600,25 +582,9 @@ impl WorkerPool {
             .unwrap_or(1)
     }
 
-    /// Installs the idle hook: a callback idle worker lanes run before
-    /// parking, returning `true` when it made progress (the lane then
-    /// re-polls the queue instead of sleeping). One hook per pool; a
-    /// second installation is refused and `false` is returned. The hook
-    /// must not call [`WorkerPool::fork_join`] on this pool — a lane
-    /// blocked on a nested join could wait on work only it would run.
-    pub fn set_idle_hook(&self, hook: IdleHook) -> bool {
-        let installed = self.shared.idle_hook.set(hook).is_ok();
-        if installed {
-            // Give already-parked lanes a chance to run the hook.
-            self.shared.notify_workers(true);
-        }
-        installed
-    }
-
     /// Tasks currently waiting in the ring — the executor's live
-    /// saturation gauge, read lock-free so the serving runtime's QoS
-    /// pressure monitor never contends with the hot path it is
-    /// measuring. A pool keeping up reads `0` almost always: chunks are
+    /// saturation gauge, read lock-free so an observer never contends
+    /// with the hot path it is measuring. A pool keeping up reads `0` almost always: chunks are
     /// popped as fast as submitters publish them. Sustained depth means
     /// offered load exceeds lane capacity.
     pub fn queue_depth(&self) -> usize {
@@ -639,7 +605,7 @@ impl WorkerPool {
     /// Runs `f(chunk)` once for every `chunk in 0..chunks`, across the
     /// pool's lanes and the calling thread, and returns when all chunks
     /// have finished — the barrier under a session's score/search
-    /// overlap and the batch service's sharded flush.
+    /// overlap.
     ///
     /// The call is safe to issue from any number of threads at once:
     /// chunks from concurrent jobs interleave in the one ring and idle
@@ -1338,32 +1304,6 @@ mod tests {
                     per_join(stats.tasks_stolen_back),
                 );
             }
-        }
-    }
-
-    #[test]
-    fn idle_hook_runs_when_lanes_park_and_installs_once() {
-        let pool = WorkerPool::new(2);
-        let fired = Arc::new(AtomicUsize::new(0));
-        let hook_fired = Arc::clone(&fired);
-        assert!(pool.set_idle_hook(Box::new(move || {
-            hook_fired.fetch_add(1, Ordering::SeqCst);
-            false
-        })));
-        assert!(
-            !pool.set_idle_hook(Box::new(|| false)),
-            "second installation refused"
-        );
-        // Submitting work forces the lane through its idle path (before
-        // parking again) at least once afterwards.
-        pool.fork_join(2, &|_| {});
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while fired.load(Ordering::SeqCst) == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "idle hook never fired"
-            );
-            std::thread::yield_now();
         }
     }
 }

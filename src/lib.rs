@@ -47,6 +47,7 @@
 //! any thread — and `finalize()` into the same transcript the batch
 //! path produces.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 

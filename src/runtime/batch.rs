@@ -23,13 +23,13 @@
 //! `tests/runtime_batch_equivalence.rs`).
 //!
 //! [`BatchService`] owns the whole protocol — slot generations, the
-//! window, who flushes and when — and takes the acoustic model and the
-//! executor as arguments, so it depends on nothing else in the runtime.
-//! The sharded flush's raw-pointer views ([`BlockShards`]) are the
-//! serving layer's only `unsafe`.
+//! window, who flushes and when — and takes the acoustic model as an
+//! argument, so it depends on nothing else in the runtime. A flush is one
+//! `score_block_into` call on the thread that triggers it (a submitter
+//! filling the window or spending its wait budget, or a session's sync
+//! point): the service never touches the executor.
 
 use super::{AcousticModel, RuntimeConfig};
-use asr_decoder::pool::WorkerPool;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -47,15 +47,16 @@ pub struct BatchScoringStats {
     pub single_row_fallbacks: u64,
     /// The widest block any flush has scored.
     pub widest_batch: usize,
-    /// Flushes performed by an idle executor lane draining a partially
-    /// filled gather window (rows that would otherwise have waited for
-    /// the next submitter).
+    /// Always `0`: no executor lane flushes the window any more (the
+    /// idle-lane hook is gone). Kept only because the benchmark crate
+    /// reports it as `runtime.batch.idle_flushes`; it goes when that
+    /// metric is dropped (ROADMAP B1).
     pub idle_flushes: u64,
     /// Sessions currently registered with the service (audio-fed
     /// sessions that have pushed at least one sample).
     pub open_slots: usize,
     /// Rows sitting in the gather window right now, awaiting the next
-    /// flush (by a submitter or an idle lane).
+    /// flush.
     pub pending_rows: usize,
 }
 
@@ -194,7 +195,6 @@ pub(super) struct BatchService {
     batched_rows: AtomicU64,
     single_row_fallbacks: AtomicU64,
     widest_batch: AtomicUsize,
-    idle_flushes: AtomicU64,
 }
 
 /// What [`BatchService::submit`] asks the session to do with the frame
@@ -234,7 +234,6 @@ impl BatchService {
             batched_rows: AtomicU64::new(0),
             single_row_fallbacks: AtomicU64::new(0),
             widest_batch: AtomicUsize::new(0),
-            idle_flushes: AtomicU64::new(0),
         }
     }
 
@@ -252,7 +251,7 @@ impl BatchService {
             batched_rows: self.batched_rows.load(Ordering::Acquire),
             single_row_fallbacks: self.single_row_fallbacks.load(Ordering::Acquire),
             widest_batch: self.widest_batch.load(Ordering::Acquire),
-            idle_flushes: self.idle_flushes.load(Ordering::Acquire),
+            idle_flushes: 0,
             open_slots: live,
             pending_rows: pending,
         }
@@ -316,17 +315,15 @@ impl BatchService {
 
     /// Submits one completed feature frame to the gather window,
     /// flushing it inline (under the service lock, on the submitting
-    /// thread, sharded over `pool` when there is one) when the window
-    /// reaches its target or this session's wait budget is spent.
-    /// Returns [`SubmitOutcome::ScoreInline`] instead when the session
-    /// is alone on the service — the lone caller scores synchronously
-    /// and never waits out a window.
+    /// thread) when the window reaches its target or this session's wait
+    /// budget is spent. Returns [`SubmitOutcome::ScoreInline`] instead
+    /// when the session is alone on the service — the lone caller scores
+    /// synchronously and never waits out a window.
     pub(super) fn submit(
         &self,
         handle: BatchSlot,
         feat: &[f32],
         model: &AcousticModel,
-        pool: Option<&WorkerPool>,
     ) -> SubmitOutcome {
         let mut st = self.lock();
         let state = &mut *st;
@@ -348,76 +345,37 @@ impl BatchService {
         let target = state.live.clamp(1, self.cfg.max_rows);
         if state.pending >= target || state.slots[handle.index].in_flight > self.cfg.max_wait_frames
         {
-            self.flush_locked(state, model, pool);
+            self.flush_locked(state, model);
         }
         SubmitOutcome::Queued
     }
 
-    /// Scores the whole gather window with one block forward pass and
-    /// scatters each row to its owner's ready queue. Runs with the
-    /// service lock held (see [`BatchState`]); given a `pool`, the block
-    /// is sharded across its lanes, which cannot change a single byte
-    /// because every output row depends only on its own feature vector.
-    /// `pool: None` is the inline block path — the idle-flush hook runs
-    /// *on* a pool lane, so it must not fork-join back into the same
-    /// pool.
-    fn flush_locked(&self, st: &mut BatchState, model: &AcousticModel, pool: Option<&WorkerPool>) {
+    /// Scores the whole gather window with one block forward pass on the
+    /// flushing thread and scatters each row to its owner's ready queue.
+    /// Runs with the service lock held (see [`BatchState`]).
+    fn flush_locked(&self, st: &mut BatchState, model: &AcousticModel) {
         let rows = st.pending;
         if rows == 0 {
             return;
         }
-        let fd = self.feat_dim;
         let rl = self.row_len;
-        {
-            let feats = &st.feats[..rows * fd];
-            let out = &mut st.out[..rows * rl];
-            let scratch = &mut st.scratch[..model.block_scratch_len(rows)];
-            let chunks = pool.map_or(1, |p| p.lanes().min(rows));
-            match pool {
-                Some(pool) if chunks > 1 => {
-                    let per = rows.div_ceil(chunks);
-                    let srl = model.block_scratch_len(1);
-                    let shards = BlockShards {
-                        out: out.as_mut_ptr(),
-                        scratch: scratch.as_mut_ptr(),
-                    };
-                    pool.fork_join(chunks, &|chunk| {
-                        // Capture the shard struct whole (not its raw-pointer
-                        // fields) so its `Sync` impl applies.
-                        let shards = &shards;
-                        let lo = chunk * per;
-                        let hi = rows.min(lo + per);
-                        if lo >= hi {
-                            return;
-                        }
-                        let n = hi - lo;
-                        // SAFETY: chunk ranges [lo, hi) are disjoint, so
-                        // each lane writes a private row range of `out`; the
-                        // base pointer outlives the fork_join (the buffer
-                        // lives in the locked BatchState).
-                        let out = unsafe {
-                            std::slice::from_raw_parts_mut(shards.out.add(lo * rl), n * rl)
-                        };
-                        // SAFETY: same disjointness and lifetime argument
-                        // for each lane's private region of `scratch`.
-                        let scratch = unsafe {
-                            std::slice::from_raw_parts_mut(shards.scratch.add(lo * srl), n * srl)
-                        };
-                        model.score_block_into(&feats[lo * fd..hi * fd], n, out, scratch);
-                    });
-                }
-                _ => model.score_block_into(feats, rows, out, scratch),
-            }
-        }
-        // Scatter in window order: submits are serialized by the
-        // service lock, so this preserves strict per-session FIFO.
         let BatchState {
             slots,
+            feats,
             owners,
-            out,
             pending,
+            out,
+            scratch,
             ..
         } = st;
+        model.score_block_into(
+            &feats[..rows * self.feat_dim],
+            rows,
+            &mut out[..rows * rl],
+            &mut scratch[..model.block_scratch_len(rows)],
+        );
+        // Scatter in window order: submits are serialized by the
+        // service lock, so this preserves strict per-session FIFO.
         for r in 0..rows {
             let owner = owners[r];
             let slot = &mut slots[owner.index];
@@ -454,52 +412,13 @@ impl BatchService {
     /// Flushes the gather window if this session still has rows in it —
     /// the sync point behind [`super::Session::flush_scoring`] and
     /// finalize.
-    pub(super) fn flush_for(
-        &self,
-        handle: BatchSlot,
-        model: &AcousticModel,
-        pool: Option<&WorkerPool>,
-    ) {
+    pub(super) fn flush_for(&self, handle: BatchSlot, model: &AcousticModel) {
         let mut st = self.lock();
         let state = &mut *st;
         let slot = &state.slots[handle.index];
         debug_assert!(slot.live && slot.gen == handle.gen, "stale batch slot");
         if slot.in_flight > 0 {
-            self.flush_locked(state, model, pool);
+            self.flush_locked(state, model);
         }
     }
-
-    /// The executor's idle hook: a lane about to park drains a partially
-    /// filled gather window instead of leaving those rows to wait on the
-    /// next submitter (PR 7's "remaining headroom"). `try_lock` only — a
-    /// parking lane must never contend with the submit hot path — and
-    /// the block scores inline on the idle lane itself, because the hook
-    /// runs *on* a pool lane and must not fork-join back into the same
-    /// pool. Returns whether it flushed anything (the hook contract:
-    /// `true` re-scans for work instead of parking).
-    pub(super) fn try_idle_flush(&self, model: &AcousticModel) -> bool {
-        let Ok(mut st) = self.state.try_lock() else {
-            return false;
-        };
-        if st.pending == 0 {
-            return false;
-        }
-        self.flush_locked(&mut st, model, None);
-        self.idle_flushes.fetch_add(1, Ordering::Relaxed);
-        true
-    }
 }
-
-/// Raw-pointer shards of one flush's output and scratch buffers,
-/// letting pool lanes score disjoint row ranges of the block in place.
-#[derive(Clone, Copy)]
-struct BlockShards {
-    out: *mut f32,
-    scratch: *mut f32,
-}
-
-// SAFETY: lanes only ever dereference these through disjoint row ranges
-// (see `BatchService::flush_locked`), so sharing the base pointers is
-// sound.
-unsafe impl Send for BlockShards {}
-unsafe impl Sync for BlockShards {}

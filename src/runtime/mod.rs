@@ -15,13 +15,17 @@
 //! This module holds the handle, its construction and configuration,
 //! the error and stats types, and the acoustic model behind every
 //! scoring call. Each serving subsystem is a module that owns its own
-//! protocol and is handed what it needs (the model, the executor) as
-//! arguments; everything public is re-exported here.
+//! protocol and is handed what it needs (the model) as arguments;
+//! everything public is re-exported here. The executor has one tenant:
+//! a session's Section VI score/search overlap
+//! ([`asr_decoder::stream::AlbQueue::advance`]). Batch flushes run on the
+//! thread that triggers them, and the pressure monitor never reads the
+//! executor.
 //!
 //! | module | owns |
 //! |---|---|
 //! | `session` | [`Session`] / [`SessionOptions`]: the one frame loop, its row sources (pre-scored rows, inline / overlapped / batched audio scoring) and the ALB handoff — Section VI pipelining, byte-identical to the sequential path |
-//! | `qos` | [`QosPolicy`] tiers, the pressure monitor (session saturation, executor queue depth, per-frame RTF EWMA) and admission control ([`AsrRuntime::try_open_session`] sheds with [`PipelineError::Overloaded`]) |
+//! | `qos` | [`QosPolicy`] tiers, the pressure monitor (session occupancy, `active / max_sessions`) and admission control ([`AsrRuntime::try_open_session`] sheds with [`PipelineError::Overloaded`]) |
 //! | `batch` | [`BatchScoringConfig`]: the cross-session gather window, its one block forward pass per flush, and the per-session slots rows scatter back to — byte-identical per session for any batch composition |
 //! | `registry` | named models ([`AsrRuntime::register_model`], [`AsrRuntime::swap_model`], [`SessionOptions::model`]): sessions resolve a name once at open, replaced graphs retire when their last session drops |
 //!
@@ -33,7 +37,7 @@
 //! sessions (byte-identity to the batch decoder, zero steady-state
 //! allocations per frame) covers the batch API for free.
 //! [`AsrRuntime::stats`] exposes the whole signal chain
-//! ([`RuntimeStats`]): active/peak/shed sessions, EWMA RTF, pressure,
+//! ([`RuntimeStats`]): active/peak/shed sessions, pressure,
 //! current and peak tier, the scratch-pool, executor and batch-service
 //! counters, and the registry's per-model counts.
 
@@ -176,13 +180,9 @@ pub struct RuntimeStats {
     pub peak_sessions: usize,
     /// Sessions refused by [`AsrRuntime::try_open_session`].
     pub shed_sessions: u64,
-    /// Frames the pressure monitor has timed (0 without a policy).
-    pub frames_observed: u64,
-    /// EWMA of the per-frame real-time factor (decode seconds per 10 ms
-    /// frame); `0.0` before any frame is observed.
-    pub ewma_rtf: f64,
-    /// The combined pressure signal: the maximum of session saturation,
-    /// executor queue depth per lane, and the RTF EWMA.
+    /// The pressure signal: session occupancy, `active_sessions /
+    /// max_sessions` of the [`QosPolicy`] (`0.0` without a policy or a
+    /// session limit).
     pub pressure: f64,
     /// The degradation tier adaptive sessions currently decode at
     /// (`0` = base options).
@@ -407,8 +407,8 @@ struct RuntimeInner {
     executor: OnceLock<Arc<WorkerPool>>,
     frames_per_phone: usize,
     /// The QoS policy (when one is installed) and its pressure
-    /// bookkeeping: session counts always, frame timing and tier
-    /// selection only under a policy.
+    /// bookkeeping: session counts always, tier selection only under a
+    /// policy.
     monitor: PressureMonitor,
     /// The multi-model registry (empty until a model is registered; the
     /// construction-time `graph` stays the unnamed default).
@@ -438,13 +438,6 @@ impl RuntimeInner {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push(frontend);
-    }
-
-    /// The shared executor *if some decode has already spun it up*:
-    /// what observers (the pressure monitor, a batch flush) may use,
-    /// since they must never be what spawns the pool.
-    fn spun_executor(&self) -> Option<&WorkerPool> {
-        self.executor.get().map(|pool| &**pool)
     }
 }
 
@@ -610,15 +603,15 @@ impl AsrRuntime {
     /// executor — `executor` is `None` until some decode first needs
     /// the pool (and always on one-lane runtimes).
     pub fn stats(&self) -> RuntimeStats {
-        let executor = self.inner.spun_executor();
+        let executor = self.inner.executor.get();
         let (models, resident_model_bytes, retired_models) = self.registry().stats();
         RuntimeStats {
             models,
             resident_model_bytes,
             retired_models,
             scratch: self.inner.scratch_pool.stats(),
-            executor: executor.map(WorkerPool::stats),
-            executor_queue_depth: executor.map_or(0, WorkerPool::queue_depth),
+            executor: executor.map(|pool| pool.stats()),
+            executor_queue_depth: executor.map_or(0, |pool| pool.queue_depth()),
             batch: self.inner.batch.as_ref().map(BatchService::stats),
             ..self.inner.monitor.stats()
         }
@@ -626,25 +619,16 @@ impl AsrRuntime {
 
     /// The shared fork-join executor, or `None` on a one-lane
     /// runtime (which never spawns worker threads). Spun up lazily on
-    /// first call; every session shares it.
+    /// first call; every overlapping session shares it.
     pub fn executor(&self) -> Option<&Arc<WorkerPool>> {
         if self.inner.lanes <= 1 {
             return None;
         }
-        Some(self.inner.executor.get_or_init(|| {
-            let pool = Arc::new(WorkerPool::new(self.inner.lanes));
-            if self.inner.batch.is_some() {
-                // Weak, so the hook (owned by the pool, owned by the
-                // runtime) never keeps the runtime alive.
-                let inner = Arc::downgrade(&self.inner);
-                pool.set_idle_hook(Box::new(move || {
-                    inner.upgrade().is_some_and(|rt| {
-                        (rt.batch.as_ref()).is_some_and(|svc| svc.try_idle_flush(&rt.model))
-                    })
-                }));
-            }
-            pool
-        }))
+        Some(
+            self.inner
+                .executor
+                .get_or_init(|| Arc::new(WorkerPool::new(self.inner.lanes))),
+        )
     }
 
     /// Renders a synthetic utterance speaking `words`.

@@ -4,9 +4,9 @@
 //! time; the runtime turns the same knob at *serving* time. Installing
 //! a [`QosPolicy`] ([`RuntimeConfig::qos`]) gives the runtime
 //! ordered pressure tiers that narrow `beam`/`max_active` as a pressure
-//! signal rises — the maximum of session saturation, executor queue
-//! depth per lane, and an EWMA of the per-frame real-time factor — with
-//! configurable per-session floors. It also arms admission control:
+//! signal rises — session occupancy, `active_sessions / max_sessions`
+//! (`0` with no session limit, where tiers engage only through pins) —
+//! with configurable per-session floors. It also arms admission control:
 //! past the policy's saturation point,
 //! [`super::AsrRuntime::try_open_session`] sheds new sessions with a
 //! typed [`PipelineError::Overloaded`] instead of queueing them into
@@ -18,21 +18,14 @@
 //! runtime with no policy at all.
 //!
 //! [`PressureMonitor`] owns the whole protocol: the session count
-//! admission decides on, the frame timings sessions report, and the
-//! pressure → tier selection every adaptive session reads back at its
-//! next frame boundary. Nothing outside this module touches its
-//! atomics.
+//! admission decides on, and the occupancy → tier selection every
+//! adaptive session reads back at its next frame boundary. It reads no
+//! clock and no executor; the pressure moves only when a session opens
+//! or closes. Nothing outside this module touches its atomics.
 
 use super::{PipelineError, RuntimeConfig, RuntimeStats};
-use asr_decoder::pool::WorkerPool;
 use asr_decoder::search::DecodeOptions;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
-
-/// Nominal wall-clock duration of one acoustic frame (the 10 ms frame
-/// shift every front-end in the repo uses): the denominator of the
-/// real-time factor the pressure monitor tracks.
-const FRAME_SECONDS: f64 = 0.01;
 
 /// One rung of a [`QosPolicy`]: at or above `min_pressure`, adaptive
 /// sessions decode with this beam / max-active pair (clamped to the
@@ -67,7 +60,7 @@ impl QosTier {
 ///
 /// A policy is an ordered list of pressure tiers. Tier `0` is the
 /// runtime's base [`DecodeOptions`]; each [`QosPolicy::tier`] call adds
-/// the next rung, engaged when the pressure signal reaches its
+/// the next rung, engaged when the session occupancy reaches its
 /// threshold. Per-session floors ([`QosPolicy::floors`]) bound how far
 /// degradation may narrow the search, and
 /// [`QosPolicy::max_sessions`] arms admission control for
@@ -91,7 +84,6 @@ pub struct QosPolicy {
     beam_floor: f32,
     max_active_floor: usize,
     max_sessions: usize,
-    ewma_alpha: f64,
 }
 
 impl Default for QosPolicy {
@@ -103,14 +95,14 @@ impl Default for QosPolicy {
 impl QosPolicy {
     /// An empty policy: no degradation tiers, no admission limit. On
     /// its own it only turns on pressure tracking; add tiers and a
-    /// session limit to make it bite.
+    /// session limit to make it bite (without a limit the pressure stays
+    /// `0`, so tiers engage only through pins).
     pub fn new() -> Self {
         Self {
             tiers: Vec::new(),
             beam_floor: 0.0,
             max_active_floor: 1,
             max_sessions: 0,
-            ewma_alpha: 0.2,
         }
     }
 
@@ -158,22 +150,11 @@ impl QosPolicy {
     }
 
     /// Arms admission control: [`super::AsrRuntime::try_open_session`] sheds
-    /// new sessions once `limit` are in flight. `0` (the default)
-    /// leaves admission unlimited.
+    /// new sessions once `limit` are in flight, and the pressure signal
+    /// becomes `active_sessions / limit`. `0` (the default) leaves
+    /// admission unlimited and the pressure at `0`.
     pub fn max_sessions(mut self, limit: usize) -> Self {
         self.max_sessions = limit;
-        self
-    }
-
-    /// Smoothing factor of the per-frame RTF EWMA, in `(0, 1]`; higher
-    /// reacts faster. Defaults to `0.2`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn ewma_alpha(mut self, alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        self.ewma_alpha = alpha;
         self
     }
 
@@ -230,10 +211,9 @@ impl RuntimeConfig {
 
 /// Lock-free pressure bookkeeping shared by every runtime clone: the
 /// serving-side observability the accelerator exposes through its
-/// cycle counters, kept off the frame hot path (a handful of relaxed
-/// atomics per frame, none at all when no [`QosPolicy`] is installed).
-/// Session counts are kept always; frame timing and tier selection only
-/// under a policy.
+/// cycle counters, kept off the frame path entirely (it moves only at
+/// session open and close; a frame reads one tier atomic). Session
+/// counts are kept always; tier selection only under a policy.
 #[derive(Debug, Default)]
 pub(super) struct PressureMonitor {
     /// The load-adaptive degradation policy, when one is installed.
@@ -241,20 +221,12 @@ pub(super) struct PressureMonitor {
     active_sessions: AtomicUsize,
     peak_sessions: AtomicUsize,
     shed_sessions: AtomicU64,
-    frames_observed: AtomicU64,
-    /// EWMA of the per-frame real-time factor, as `f64` bits (`0` =
-    /// nothing observed yet).
-    ewma_rtf_bits: AtomicU64,
-    /// The latest combined pressure signal, as `f64` bits.
+    /// The latest session occupancy, as `f64` bits.
     pressure_bits: AtomicU64,
     tier: AtomicUsize,
     peak_tier: AtomicUsize,
 }
 
-/// Every method that can move the pressure signal takes the shared
-/// executor *if it is already running* (`None` otherwise): its queue
-/// depth per lane is one of the three pressure inputs, and observation
-/// must never be what spawns the pool.
 impl PressureMonitor {
     pub(super) fn new(policy: Option<QosPolicy>) -> Self {
         Self {
@@ -281,8 +253,6 @@ impl PressureMonitor {
             active_sessions: self.active_sessions.load(Ordering::Acquire),
             peak_sessions: self.peak_sessions.load(Ordering::Acquire),
             shed_sessions: self.shed_sessions.load(Ordering::Acquire),
-            frames_observed: self.frames_observed.load(Ordering::Acquire),
-            ewma_rtf: f64::from_bits(self.ewma_rtf_bits.load(Ordering::Acquire)),
             pressure: f64::from_bits(self.pressure_bits.load(Ordering::Acquire)),
             tier: self.tier(),
             peak_tier: self.peak_tier.load(Ordering::Acquire),
@@ -293,28 +263,28 @@ impl PressureMonitor {
     /// Unconditional admission: counts the session in and refreshes the
     /// pressure signal (the infallible
     /// [`super::AsrRuntime::open_session`] path).
-    pub(super) fn session_opened(&self, executor: Option<&WorkerPool>) {
+    pub(super) fn session_opened(&self) {
         let now = self.active_sessions.fetch_add(1, Ordering::AcqRel) + 1;
         self.peak_sessions.fetch_max(now, Ordering::AcqRel);
-        self.refresh_pressure(executor);
+        self.refresh_pressure();
     }
 
     /// Counts a session out (from `Session`'s `Drop`, so finalize and
     /// abandonment both land here exactly once) and lets the pressure
     /// signal relax.
-    pub(super) fn session_closed(&self, executor: Option<&WorkerPool>) {
+    pub(super) fn session_closed(&self) {
         self.active_sessions.fetch_sub(1, Ordering::AcqRel);
-        self.refresh_pressure(executor);
+        self.refresh_pressure();
     }
 
     /// Fallible admission: atomically admits the session iff the
     /// policy's limit leaves room, otherwise sheds it with a typed
     /// [`PipelineError::Overloaded`]. No limit (or no policy) admits
     /// unconditionally.
-    pub(super) fn try_admit(&self, executor: Option<&WorkerPool>) -> Result<(), PipelineError> {
+    pub(super) fn try_admit(&self) -> Result<(), PipelineError> {
         let limit = self.policy.as_ref().map_or(0, QosPolicy::session_limit);
         if limit == 0 {
-            self.session_opened(executor);
+            self.session_opened();
             return Ok(());
         }
         let admitted =
@@ -325,7 +295,7 @@ impl PressureMonitor {
         match admitted {
             Ok(previous) => {
                 self.peak_sessions.fetch_max(previous + 1, Ordering::AcqRel);
-                self.refresh_pressure(executor);
+                self.refresh_pressure();
                 Ok(())
             }
             Err(active) => {
@@ -335,41 +305,15 @@ impl PressureMonitor {
         }
     }
 
-    /// Feeds one frame's decode wall time into the RTF EWMA and
-    /// re-selects the degradation tier. Called at most once per frame,
-    /// and only when a policy is installed.
-    pub(super) fn observe_frame(&self, elapsed: Duration, executor: Option<&WorkerPool>) {
+    /// Recomputes the pressure signal — session occupancy,
+    /// `active / max_sessions`, or `0` with no limit — and the tier it
+    /// selects.
+    fn refresh_pressure(&self) {
         let Some(policy) = &self.policy else { return };
-        self.frames_observed.fetch_add(1, Ordering::Relaxed);
-        let rtf = elapsed.as_secs_f64() / FRAME_SECONDS;
-        let alpha = policy.ewma_alpha;
-        let _ = self
-            .ewma_rtf_bits
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |bits| {
-                let next = if bits == 0 {
-                    rtf
-                } else {
-                    let prev = f64::from_bits(bits);
-                    prev + alpha * (rtf - prev)
-                };
-                Some(next.to_bits())
-            });
-        self.refresh_pressure(executor);
-    }
-
-    /// Recomputes the combined pressure signal — the maximum of session
-    /// saturation, executor queue depth per lane, and the RTF EWMA —
-    /// and the tier it selects.
-    fn refresh_pressure(&self, executor: Option<&WorkerPool>) {
-        let Some(policy) = &self.policy else { return };
-        let mut pressure = f64::from_bits(self.ewma_rtf_bits.load(Ordering::Acquire));
-        if policy.max_sessions > 0 {
-            let active = self.active_sessions.load(Ordering::Acquire);
-            pressure = pressure.max(active as f64 / policy.max_sessions as f64);
-        }
-        if let Some(pool) = executor {
-            pressure = pressure.max(pool.queue_depth() as f64 / pool.lanes() as f64);
-        }
+        let pressure = match policy.max_sessions {
+            0 => 0.0,
+            limit => self.active_sessions.load(Ordering::Acquire) as f64 / limit as f64,
+        };
         self.pressure_bits
             .store(pressure.to_bits(), Ordering::Release);
         let tier = policy.select_tier(pressure);

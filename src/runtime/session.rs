@@ -45,7 +45,6 @@ use asr_decoder::pool::WorkerPool;
 use asr_decoder::stream::{AlbQueue, StreamingDecode};
 use asr_wfst::Wfst;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A mid-utterance hypothesis pulled from a [`Session`].
 #[derive(Debug, Clone, PartialEq)]
@@ -93,7 +92,8 @@ impl SessionOptions {
     /// session. Results are byte-identical either way; `false` removes
     /// all executor traffic from the session's pushes, `true` requests
     /// overlap even where it cannot win (it still degrades to inline
-    /// execution on a one-lane runtime).
+    /// execution on a one-lane runtime). A session that joins the
+    /// batched scoring service never overlaps and takes no executor.
     pub fn overlap_scoring(mut self, overlap: bool) -> Self {
         self.overlap = Some(overlap);
         self
@@ -261,9 +261,7 @@ impl AsrRuntime {
         let resolved = self
             .resolve_model(&options)
             .unwrap_or_else(|e| panic!("open_session_with: {e}"));
-        self.inner
-            .monitor
-            .session_opened(self.inner.spun_executor());
+        self.inner.monitor.session_opened();
         self.build_session(options, resolved)
     }
 
@@ -312,7 +310,7 @@ impl AsrRuntime {
         // Resolve the model first: an unknown name is the caller's
         // error, reported without charging admission or shed counters.
         let resolved = self.resolve_model(&options)?;
-        self.inner.monitor.try_admit(self.inner.spun_executor())?;
+        self.inner.monitor.try_admit()?;
         Ok(self.build_session(options, resolved))
     }
 
@@ -367,8 +365,10 @@ impl AsrRuntime {
             counters.session_opened();
         }
         let scratch = self.inner.scratch_pool.checkout();
-        let overlap = options.overlap.unwrap_or(true);
-        let executor = if overlap {
+        // A session on the batched service never overlaps (its rows come
+        // back from the gather window), so it takes no executor handle.
+        let batch_enabled = options.batched.unwrap_or(true) && self.inner.batch.is_some();
+        let executor = if options.overlap.unwrap_or(true) && !batch_enabled {
             self.executor().cloned()
         } else {
             None
@@ -390,7 +390,7 @@ impl AsrRuntime {
             frames_pushed: 0,
             qos_enabled,
             pinned_tier: options.pinned_tier,
-            batch_enabled: options.batched.unwrap_or(true) && self.inner.batch.is_some(),
+            batch_enabled,
             batch_slot: None,
             model_counters,
         }
@@ -505,7 +505,7 @@ impl Session {
     fn drain_frontend(&mut self, frontend: &mut SessionFrontend) {
         let runtime = Arc::clone(&self.runtime);
         let model = &runtime.model;
-        let overlap = self.batch_slot.is_none() && self.executor.is_some();
+        let overlap = self.executor.is_some();
         let depth = if overlap { self.overlap_depth } else { 1 };
         let dim = frontend.mfcc.dim();
         loop {
@@ -514,9 +514,8 @@ impl Session {
                 return;
             }
             if let (Some(svc), Some(slot)) = (&runtime.batch, self.batch_slot) {
-                let pool = runtime.spun_executor();
                 let feat = &frontend.feats[..dim];
-                if let SubmitOutcome::Queued = svc.submit(slot, feat, model, pool) {
+                if let SubmitOutcome::Queued = svc.submit(slot, feat, model) {
                     self.drain_batched_rows();
                     continue;
                 }
@@ -554,7 +553,7 @@ impl Session {
     /// for unbatched sessions.
     pub fn flush_scoring(&mut self) {
         if let (Some(svc), Some(slot)) = (&self.runtime.batch, self.batch_slot) {
-            svc.flush_for(slot, &self.runtime.model, self.runtime.spun_executor());
+            svc.flush_for(slot, &self.runtime.model);
             self.drain_batched_rows();
         }
     }
@@ -564,7 +563,7 @@ impl Session {
     /// step the search over every queued row while `fill` produces the
     /// block of `fresh` new ones (see [`AlbQueue::advance`]) — on the executor
     /// when `overlap` is set and the session has one, otherwise on this
-    /// thread — and feeds the wall time to the pressure monitor.
+    /// thread.
     ///
     /// Tier changes land here (and once more before the last frame, in
     /// [`Session::finalize`]), so they only ever apply at a frame
@@ -577,29 +576,12 @@ impl Session {
         fill: &mut (dyn FnMut(&mut [f32]) + Send),
     ) {
         self.apply_qos();
-        // Time the advance only when the pressure monitor will consume
-        // the sample, and only when it drives a search step: an
-        // utterance's first row is merely enqueued, and a near-zero
-        // sample would drag the RTF EWMA toward zero for free.
-        let timed =
-            self.qos_enabled && self.runtime.monitor.policy().is_some() && self.alb.ready_len() > 0;
-        let timer = timed.then(Instant::now);
         let Some(decode) = self.decode.as_mut() else {
             return;
         };
         let pool = self.executor.as_deref().filter(|_| overlap);
         self.alb.advance(decode, pool, row_len, fresh, fill);
         self.frames_pushed += fresh;
-        if let Some(started) = timer {
-            // One sample per row keeps the RTF EWMA comparable across
-            // advance sizes.
-            let per_frame = started.elapsed() / fresh as u32;
-            for _ in 0..fresh {
-                self.runtime
-                    .monitor
-                    .observe_frame(per_frame, self.runtime.spun_executor());
-            }
-        }
     }
 
     /// Pushes one frame's acoustic score row (`row[p]` = cost of phone
@@ -770,8 +752,6 @@ impl Drop for Session {
         // Finalized and abandoned sessions both come off the books here
         // (finalize consumes `self`, so this runs exactly once either
         // way); admission reopens as soon as in-flight work retires.
-        self.runtime
-            .monitor
-            .session_closed(self.runtime.spun_executor());
+        self.runtime.monitor.session_closed();
     }
 }

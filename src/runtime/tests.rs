@@ -5,7 +5,6 @@
 //! with the split.
 
 use super::*;
-use std::time::{Duration, Instant};
 
 // ---- `mod`: the handle, its configuration and pools, the one-shot entry points ----
 
@@ -424,22 +423,50 @@ fn open_session_never_sheds_even_at_the_limit() {
 }
 
 #[test]
-fn pressure_monitor_times_frames_under_a_policy() {
-    let policy = QosPolicy::new().tier(1e9, 5.0, None); // unreachable rung
+fn pressure_is_session_occupancy_and_tiers_follow_it() {
+    let policy = QosPolicy::new()
+        .tier(0.5, 30.0, None)
+        .tier(0.75, 20.0, Some(512))
+        .max_sessions(4);
     let runtime = AsrRuntime::demo_with(RuntimeConfig::new().lanes(1).qos(policy)).unwrap();
-    let audio = runtime.render_words(&["go"]).unwrap();
-    assert_eq!(runtime.recognize(&audio).words, vec!["go"]);
-    let stats = runtime.stats();
-    assert!(stats.frames_observed > 0, "frames get timed under a policy");
-    assert!(stats.ewma_rtf > 0.0);
-    assert_eq!(stats.tier, 0, "unreachable threshold never engages");
-    assert_eq!(stats.peak_tier, 0);
+    let expect = |sessions: &[Session], tier: usize, peak_tier: usize| {
+        let stats = runtime.stats();
+        assert_eq!(stats.active_sessions, sessions.len());
+        assert_eq!(stats.pressure, sessions.len() as f64 / 4.0);
+        assert_eq!(
+            (stats.tier, stats.peak_tier),
+            (tier, peak_tier),
+            "{} sessions",
+            sessions.len()
+        );
+        assert!(sessions.iter().all(|s| s.tier() == tier));
+    };
+    let mut open = Vec::new();
+    expect(&open, 0, 0);
+    for tier in [0, 1, 2, 2] {
+        open.push(runtime.try_open_session().unwrap());
+        expect(&open, tier, tier);
+    }
+    for tier in [2, 1, 0, 0] {
+        drop(open.pop());
+        expect(&open, tier, 2);
+    }
 
-    // Without a policy, the frame path is never timed.
-    let plain = AsrRuntime::demo_with(RuntimeConfig::new().lanes(1)).unwrap();
-    assert_eq!(plain.recognize(&audio).words, vec!["go"]);
-    assert_eq!(plain.stats().frames_observed, 0);
-    assert_eq!(plain.stats().ewma_rtf, 0.0);
+    // Tiers but no session limit: the pressure stays 0, so only a pin
+    // moves a session off the base tier.
+    let unlimited = AsrRuntime::demo_with(
+        RuntimeConfig::new()
+            .lanes(1)
+            .qos(QosPolicy::new().tier(0.5, 30.0, None)),
+    )
+    .unwrap();
+    let crowd: Vec<Session> = (0..8).map(|_| unlimited.open_session()).collect();
+    let pinned = unlimited.open_session_with(SessionOptions::new().pin_tier(1));
+    assert!(crowd.iter().all(|s| s.tier() == 0));
+    assert_eq!(pinned.tier(), 1);
+    let stats = unlimited.stats();
+    assert_eq!(stats.active_sessions, 9);
+    assert_eq!((stats.pressure, stats.tier, stats.peak_tier), (0.0, 0, 0));
 }
 
 #[test]
@@ -457,68 +484,7 @@ fn sessions_follow_pins_and_report_tiers() {
     drop(opted_out);
 }
 
-// ---- `batch`: the gather window, the lone-session fallback, idle flush, mid-window drops ----
-
-#[test]
-fn idle_lane_flushes_a_partial_gather_window() {
-    let runtime = AsrRuntime::demo_with(
-        RuntimeConfig::new()
-            .lanes(2)
-            .batch_scoring(BatchScoringConfig::new(16).max_wait_frames(8)),
-    )
-    .unwrap();
-    let audio = runtime.render_words(&["go"]).unwrap();
-    // Three registered sessions set the gather target to 3 rows, so
-    // single frames can sit in the window without tripping a submit
-    // flush. Registration happens on the first push; 100 samples
-    // complete no frame, so nothing pends yet.
-    let mut a = runtime.open_session();
-    let mut b = runtime.open_session();
-    let mut c = runtime.open_session();
-    a.push_samples(&audio.samples[..100]);
-    b.push_samples(&audio.samples[..100]);
-    c.push_samples(&audio.samples[..100]);
-    // Feed `a` in sub-frame chunks until the window holds a partial
-    // batch (pending > 0 and below the 3-row target).
-    let mut fed = 100;
-    while runtime
-        .stats()
-        .batch
-        .expect("service installed")
-        .pending_rows
-        == 0
-    {
-        assert!(
-            fed < audio.samples.len(),
-            "audio exhausted before a row pended"
-        );
-        let next = (fed + 170).min(audio.samples.len());
-        a.push_samples(&audio.samples[fed..next]);
-        fed = next;
-    }
-    // No submitter will touch the window now; waking the lanes runs
-    // the idle hook on their way back to parking, which must drain
-    // the partial window inline.
-    let pool = Arc::clone(runtime.executor().expect("two lanes"));
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let batch = runtime.stats().batch.expect("service installed");
-        if batch.idle_flushes > 0 && batch.pending_rows == 0 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "idle lanes never flushed the gather window"
-        );
-        pool.fork_join(2, &|_| {});
-        std::thread::yield_now();
-    }
-    // The drained rows are real scores: the sessions still finalize
-    // to the exact batch-path transcripts.
-    a.push_samples(&audio.samples[fed..]);
-    assert_eq!(a.finalize().words, vec!["go"]);
-    drop((b, c));
-}
+// ---- `batch`: the gather window, the lone-session fallback, mid-window drops ----
 
 #[test]
 fn lone_batched_session_scores_synchronously() {
@@ -580,6 +546,39 @@ fn interleaved_batched_sessions_match_unbatched_byte_for_byte() {
     assert!(stats.batches > 0, "two interleaved sessions must batch");
     assert!(stats.widest_batch >= 2);
     assert_eq!(stats.open_slots, 0);
+}
+
+#[test]
+fn batched_sessions_never_spin_up_the_executor() {
+    // A batched session's rows come back from the gather window, so it
+    // never overlaps and takes no executor handle, even on two lanes.
+    let runtime = AsrRuntime::demo_with(
+        RuntimeConfig::new()
+            .lanes(2)
+            .batch_scoring(BatchScoringConfig::new(4)),
+    )
+    .unwrap();
+    let a = runtime.render_words(&["call", "mom"]).unwrap();
+    let b = runtime.render_words(&["lights", "off"]).unwrap();
+    let mut sa = runtime.open_session();
+    let mut sb = runtime.open_session();
+    let n = a.samples.len().min(b.samples.len());
+    for (pa, pb) in a.samples[..n].chunks(160).zip(b.samples[..n].chunks(160)) {
+        sa.push_samples(pa);
+        sb.push_samples(pb);
+    }
+    sa.push_samples(&a.samples[n..]);
+    sb.push_samples(&b.samples[n..]);
+    assert_eq!(sa.finalize().words, vec!["call", "mom"]);
+    assert_eq!(sb.finalize().words, vec!["lights", "off"]);
+    assert_eq!(runtime.recognize(&a).words, vec!["call", "mom"]);
+    let stats = runtime.stats();
+    assert!(stats.batch.expect("service configured").batches > 0);
+    assert!(stats.batch.unwrap().single_row_fallbacks > 0);
+    assert!(
+        stats.executor.is_none(),
+        "batched decodes spun the executor up"
+    );
 }
 
 #[test]
