@@ -14,9 +14,13 @@
 //! inputs read — after ReLU about half of each hidden layer's inputs are
 //! exact zeros (`tests/relu_sparsity.rs` in the workspace root pins the
 //! share), so a frame streams about half the model and does half the
-//! multiply-accumulates, to the same bits as the full sum.
+//! multiply-accumulates, to the same bits as the full sum. The kernel is
+//! one body compiled for three vector widths (the baseline, AVX2,
+//! AVX-512); every layer runs the widest this CPU has, and all three
+//! return the same bits, because none reorders an output's sum or fuses
+//! its multiplies and adds.
 
-use crate::fold::{affine, narrow, STEP};
+use crate::fold::{narrow, Kernel};
 use crate::scores::AcousticTable;
 use rand::Rng;
 use rand::SeedableRng;
@@ -33,12 +37,10 @@ use rand_chacha::ChaCha8Rng;
 /// counts the layer's dense multiply-accumulates, skipped or not.
 #[derive(Debug, Clone)]
 pub struct Dense {
-    weights: Vec<u16>, // bf16, input-major [in][out_pad]
+    weights: Vec<u16>, // bf16, input-major [in][out]
     bias: Vec<f32>,
     in_dim: usize,
     out_dim: usize,
-    /// `out_dim` rounded up to the kernel's 8-weight load.
-    out_pad: usize,
 }
 
 impl Dense {
@@ -50,11 +52,10 @@ impl Dense {
     pub fn random<R: Rng>(in_dim: usize, out_dim: usize, rng: &mut R) -> Self {
         assert!(in_dim > 0 && out_dim > 0, "degenerate layer shape");
         let limit = (6.0 / (in_dim + out_dim) as f32).sqrt();
-        let out_pad = out_dim.next_multiple_of(STEP);
-        let mut weights = vec![0; in_dim * out_pad];
+        let mut weights = vec![0; in_dim * out_dim];
         for o in 0..out_dim {
             for i in 0..in_dim {
-                weights[i * out_pad + o] = narrow(rng.gen_range(-limit..limit));
+                weights[i * out_dim + o] = narrow(rng.gen_range(-limit..limit));
             }
         }
         let bias = vec![0.0; out_dim];
@@ -63,7 +64,6 @@ impl Dense {
             bias,
             in_dim,
             out_dim,
-            out_pad,
         }
     }
 
@@ -71,7 +71,7 @@ impl Dense {
     /// pattern, so a test can only plant what the stored format can hold.
     #[cfg(test)]
     fn set_weight(&mut self, o: usize, i: usize, bits: u16) {
-        self.weights[i * self.out_pad + o] = bits;
+        self.weights[i * self.out_dim + o] = bits;
     }
 
     /// Applies the affine map.
@@ -113,12 +113,11 @@ impl Dense {
     /// single dense kernel, a row at a time; [`Dense::forward_into`] is
     /// its `rows = 1` call. Each row reads the weight columns of its own
     /// nonzero inputs and nothing else, so a block's rows share weights
-    /// only through the cache (a different half of the layer each, the
-    /// layer itself no larger than L2 here). Cutting the outputs into
-    /// tiles that every row finishes before the next is touched was
-    /// measured and left out: it shortens each column's run below what
-    /// the hardware prefetcher follows and was slower at every block
-    /// height (ARCHITECTURE.md, "Batched scoring").
+    /// only through the cache (a different half of the layer each).
+    /// Cutting the outputs into tiles that every row finishes before the
+    /// next is touched was measured and left out: it shortens each
+    /// column's run below what the hardware prefetcher follows and was
+    /// slower at every block height (ARCHITECTURE.md, "Batched scoring").
     ///
     /// Every output is the crate's one dense contract (the terms of the
     /// nonzero inputs in increasing input order, from `+0.0`, then the
@@ -144,6 +143,20 @@ impl Dense {
         out: &mut [f32],
         out_stride: usize,
     ) {
+        self.forward_block_with(Kernel::widest(), input, in_stride, rows, out, out_stride);
+    }
+
+    /// [`Dense::forward_block_into`] through a given instantiation of the
+    /// kernel, so the tests can hold every one to the contract.
+    fn forward_block_with(
+        &self,
+        kernel: Kernel,
+        input: &[f32],
+        in_stride: usize,
+        rows: usize,
+        out: &mut [f32],
+        out_stride: usize,
+    ) {
         if rows == 0 {
             return;
         }
@@ -161,9 +174,8 @@ impl Dense {
             "output block too short for {rows} rows"
         );
         for r in 0..rows {
-            affine(
+            kernel.affine(
                 &self.weights,
-                self.out_pad,
                 &self.bias,
                 &input[r * in_stride..][..self.in_dim],
                 &mut out[r * out_stride..][..self.out_dim],
@@ -304,6 +316,18 @@ impl Mlp {
         rows: usize,
         scratch: &mut [f32],
     ) -> usize {
+        self.log_posteriors_block_with(Kernel::widest(), features, rows, scratch)
+    }
+
+    /// [`Mlp::log_posteriors_block_into`] through a given instantiation
+    /// of the kernel.
+    fn log_posteriors_block_with(
+        &self,
+        kernel: Kernel,
+        features: &[f32],
+        rows: usize,
+        scratch: &mut [f32],
+    ) -> usize {
         let w = self.max_width();
         assert_eq!(
             features.len(),
@@ -339,7 +363,7 @@ impl Mlp {
                 self.block_scratch_len(rows),
                 "block scratch planes grew mid-batch"
             );
-            layer.forward_block_into(cur, w, rows, next, w);
+            layer.forward_block_with(kernel, cur, w, rows, next, w);
             std::mem::swap(&mut cur, &mut next);
             if i != last {
                 for r in 0..rows {
@@ -489,7 +513,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "seeding a million weights is too slow interpreted")]
     fn flops_count_matches_topology() {
         let mlp = Mlp::new(&[39, 512, 2001], 0);
         assert_eq!(mlp.flops_per_frame(), 2 * (39 * 512 + 512 * 2001) as u64);
@@ -528,7 +551,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "65 M multiply-accumulates is too slow interpreted")]
     fn score_utterance_runs_one_forward_pass_per_frame() {
         // One pass per (frame, phone) cell would be 100 000 forward
         // passes here, 2000x the cost of scoring the 50 frames.
@@ -574,7 +596,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "seeding a million weights is too slow interpreted")]
     fn kaldi_like_topology() {
         let mlp = Mlp::kaldi_like(39, 2000, 0);
         assert_eq!(mlp.input_dim(), 39);
@@ -643,61 +664,64 @@ mod tests {
 
     #[test]
     fn block_rows_are_independent_of_batch_composition() {
-        // The same feature row must score to the same bytes whether its
-        // batch mates are zeros, itself, or noise.
-        let mlp = Mlp::new(&[5, 20, 7], 31);
-        let probe: Vec<f32> = feature_block(&mlp, 1, 7);
-        let stride = mlp.max_width();
-        let score_at = |block: &[f32], rows: usize, at: usize| -> Vec<u32> {
-            let mut scratch = vec![0.0; mlp.block_scratch_len(rows)];
-            mlp.log_posteriors_block_into(block, rows, &mut scratch);
-            scratch[at * stride..at * stride + mlp.output_dim()]
-                .iter()
-                .map(|v| v.to_bits())
-                .collect()
-        };
-        let alone = score_at(&probe, 1, 0);
-        let mut with_zeros = vec![0.0; 5];
-        with_zeros.extend_from_slice(&probe);
-        assert_eq!(score_at(&with_zeros, 2, 1), alone);
-        let mut with_noise = feature_block(&mlp, 3, 5);
-        with_noise.extend_from_slice(&probe);
-        assert_eq!(score_at(&with_noise, 4, 3), alone);
-
-        // Rows whose zeros fall on disjoint inputs walk disjoint weight
-        // columns, over output layers that end seven past, one past and
-        // one past a whole number of 8-output steps; a row scores the same
-        // at any place in such a block.
-        for out_dim in [511usize, 513, 1025] {
-            let mlp = Mlp::new(&[12, 24, out_dim], 37);
-            let dense = feature_block(&mlp, 1, 9);
-            let zeroed = |keep: fn(usize) -> bool| -> Vec<f32> {
-                let row = dense.iter().enumerate();
-                row.map(|(i, v)| if keep(i) { *v } else { 0.0 }).collect()
-            };
-            let rows = [
-                zeroed(|i| i % 2 == 0),
-                zeroed(|i| i % 2 == 1),
-                zeroed(|_| false),
-                dense.clone(),
-            ];
+        for kernel in Kernel::supported() {
+            let name = kernel.name();
+            // The same feature row must score to the same bytes whether
+            // its batch mates are zeros, itself, or noise.
+            let mlp = Mlp::new(&[5, 20, 7], 31);
+            let probe: Vec<f32> = feature_block(&mlp, 1, 7);
             let stride = mlp.max_width();
-            let score = |order: &[usize]| -> Vec<Vec<u32>> {
-                let block: Vec<f32> = order.iter().flat_map(|r| rows[*r].clone()).collect();
-                let mut scratch = vec![0.0; mlp.block_scratch_len(order.len())];
-                mlp.log_posteriors_block_into(&block, order.len(), &mut scratch);
-                let row = |at: usize| &scratch[at * stride..at * stride + out_dim];
-                (0..order.len())
-                    .map(|at| row(at).iter().map(|v| v.to_bits()).collect())
+            let score_at = |block: &[f32], rows: usize, at: usize| -> Vec<u32> {
+                let mut scratch = vec![0.0; mlp.block_scratch_len(rows)];
+                mlp.log_posteriors_block_with(kernel, block, rows, &mut scratch);
+                scratch[at * stride..at * stride + mlp.output_dim()]
+                    .iter()
+                    .map(|v| v.to_bits())
                     .collect()
             };
-            let alone: Vec<Vec<u32>> = (0..4).map(|r| score(&[r]).remove(0)).collect();
-            for order in [[0usize, 1, 2, 3], [3, 2, 1, 0], [1, 1, 0, 0], [2, 0, 3, 1]] {
-                for (at, got) in score(&order).iter().enumerate() {
-                    assert_eq!(
-                        got, &alone[order[at]],
-                        "out_dim {out_dim} {order:?} at {at}"
-                    );
+            let alone = score_at(&probe, 1, 0);
+            let mut with_zeros = vec![0.0; 5];
+            with_zeros.extend_from_slice(&probe);
+            assert_eq!(score_at(&with_zeros, 2, 1), alone, "{name}");
+            let mut with_noise = feature_block(&mlp, 3, 5);
+            with_noise.extend_from_slice(&probe);
+            assert_eq!(score_at(&with_noise, 4, 3), alone, "{name}");
+
+            // Rows whose zeros fall on disjoint inputs walk disjoint
+            // weight columns, over output layers that end fifteen past,
+            // one past and one past a whole number of 16-output vector
+            // steps; a row scores the same at any place in such a block.
+            for out_dim in [511usize, 513, 1025] {
+                let mlp = Mlp::new(&[12, 24, out_dim], 37);
+                let dense = feature_block(&mlp, 1, 9);
+                let zeroed = |keep: fn(usize) -> bool| -> Vec<f32> {
+                    let row = dense.iter().enumerate();
+                    row.map(|(i, v)| if keep(i) { *v } else { 0.0 }).collect()
+                };
+                let rows = [
+                    zeroed(|i| i % 2 == 0),
+                    zeroed(|i| i % 2 == 1),
+                    zeroed(|_| false),
+                    dense.clone(),
+                ];
+                let stride = mlp.max_width();
+                let score = |order: &[usize]| -> Vec<Vec<u32>> {
+                    let block: Vec<f32> = order.iter().flat_map(|r| rows[*r].clone()).collect();
+                    let mut scratch = vec![0.0; mlp.block_scratch_len(order.len())];
+                    mlp.log_posteriors_block_with(kernel, &block, order.len(), &mut scratch);
+                    let row = |at: usize| &scratch[at * stride..at * stride + out_dim];
+                    (0..order.len())
+                        .map(|at| row(at).iter().map(|v| v.to_bits()).collect())
+                        .collect()
+                };
+                let alone: Vec<Vec<u32>> = (0..4).map(|r| score(&[r]).remove(0)).collect();
+                for order in [[0usize, 1, 2, 3], [3, 2, 1, 0], [1, 1, 0, 0], [2, 0, 3, 1]] {
+                    for (at, got) in score(&order).iter().enumerate() {
+                        assert_eq!(
+                            got, &alone[order[at]],
+                            "{name}: out_dim {out_dim} {order:?} at {at}"
+                        );
+                    }
                 }
             }
         }
@@ -717,7 +741,7 @@ mod tests {
     /// oracle the kernel must match.
     fn reference_forward(layer: &Dense, x: &[f32]) -> Vec<f32> {
         let mut y = vec![0.0; layer.out_dim];
-        affine_ref(&layer.weights, layer.out_pad, &layer.bias, x, &mut y);
+        affine_ref(&layer.weights, &layer.bias, x, &mut y);
         y
     }
 
@@ -727,10 +751,10 @@ mod tests {
         a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
     }
 
-    /// Runs the strided `rows` through the kernel as one block, with both
-    /// buffers starting `offset` floats into their allocations, and checks
-    /// every output against `want` (the oracle's, row by row) and every
-    /// gap for stray writes.
+    /// Runs the strided `rows` as one block through every instantiation
+    /// of the kernel this CPU runs, with both buffers starting `offset`
+    /// floats into their allocations, and checks every output against
+    /// `want` (the oracle's, row by row) and every gap for stray writes.
     fn assert_kernel_matches_reference(
         layer: &Dense,
         rows: &[Vec<f32>],
@@ -743,52 +767,50 @@ mod tests {
         for (r, row) in rows.iter().enumerate() {
             input[offset + r * in_stride..][..layer.in_dim].copy_from_slice(row);
         }
-        let mut out = vec![GAP; offset + rows.len() * out_stride];
-        layer.forward_block_into(
-            &input[offset..],
-            in_stride,
-            rows.len(),
-            &mut out[offset..],
-            out_stride,
-        );
-        assert!(
-            out[..offset].iter().all(|v| *v == GAP),
-            "wrote before row 0"
-        );
-        for (r, want) in want[..rows.len()].iter().enumerate() {
-            let got = &out[offset + r * out_stride..][..out_stride];
-            for (o, (g, w)) in got.iter().zip(want).enumerate() {
+        for kernel in Kernel::supported() {
+            let name = kernel.name();
+            let mut out = vec![GAP; offset + rows.len() * out_stride];
+            layer.forward_block_with(
+                kernel,
+                &input[offset..],
+                in_stride,
+                rows.len(),
+                &mut out[offset..],
+                out_stride,
+            );
+            assert!(
+                out[..offset].iter().all(|v| *v == GAP),
+                "{name}: wrote before row 0"
+            );
+            for (r, want) in want[..rows.len()].iter().enumerate() {
+                let got = &out[offset + r * out_stride..][..out_stride];
+                for (o, (g, w)) in got.iter().zip(want).enumerate() {
+                    assert!(
+                        same_bits(*g, *w),
+                        "{name}: {}x{} rows {} offset {offset}: row {r} output {o} is {g:e}, \
+                         oracle {w:e}",
+                        layer.in_dim,
+                        layer.out_dim,
+                        rows.len()
+                    );
+                }
                 assert!(
-                    same_bits(*g, *w),
-                    "{}x{} rows {} offset {offset}: row {r} output {o} is {g:e}, oracle {w:e}",
-                    layer.in_dim,
-                    layer.out_dim,
-                    rows.len()
+                    got[layer.out_dim..].iter().all(|v| *v == GAP),
+                    "{name}: wrote past row {r}"
                 );
             }
-            assert!(
-                got[layer.out_dim..].iter().all(|v| *v == GAP),
-                "wrote past row {r}"
-            );
         }
     }
 
     #[test]
     fn kernel_matches_the_portable_fold_bit_for_bit() {
-        let max_rows = if cfg!(miri) { 3 } else { 9 };
+        let max_rows = 9;
         // Inputs below, at and past the group of four live columns at
-        // every remainder; outputs below, at and past the 8-weight step,
-        // and the benchmark's output layer with and without a ragged end.
-        let wide = if cfg!(miri) {
-            [24usize, 25]
-        } else {
-            [2000, 2001]
-        };
+        // every remainder; outputs below, at and past one and two
+        // 16-output vector steps (and so every narrower one), and the
+        // benchmark's output layer with and without a ragged end.
         for in_dim in [1usize, 3, 7, 8, 9, 15, 16, 17, 24, 39, 511, 512, 513] {
-            for out_dim in [1usize, 3, 8, 9, wide[0], wide[1]] {
-                if cfg!(miri) && in_dim > 39 && out_dim > 9 {
-                    continue; // twelve thousand weights a row, interpreted
-                }
+            for out_dim in [1usize, 3, 8, 9, 15, 16, 17, 31, 33, 2000, 2001] {
                 let layer = random_layer(in_dim, out_dim, (in_dim * out_dim) as u64);
                 let mut rng = ChaCha8Rng::seed_from_u64(99);
                 // Every third row is dense; the others are half zeros (of
@@ -841,13 +863,13 @@ mod tests {
             f32::MAX,
         ];
         // 39 inputs = nine groups of four live columns and a remainder of
-        // three when all are nonzero; 19 outputs = two 8-output steps and
-        // a scalar tail of three.
+        // three when all are nonzero; 19 outputs = one 16-output vector
+        // step and a scalar tail of three.
         let mut layer = random_layer(39, 19, 8);
         // Weights that keep tiny products tiny (the smallest bf16
         // denormal, `MIN_POSITIVE`), one zero weight so `inf * 0` makes a
         // NaN inside the sum, and an output each of +Inf, -Inf and NaN
-        // weights, in either half of a load and in the tail.
+        // weights, in the vector step and in the tail.
         layer.set_weight(0, 0, 0x0001);
         layer.set_weight(0, 5, 0x0000);
         layer.set_weight(1, 33, 0x0080);
@@ -889,6 +911,98 @@ mod tests {
         assert!(hit[6].is_nan() && hit[18].is_nan());
         let finite = |o: &usize| ![4, 5, 6, 12, 17, 18].contains(o);
         assert!((0..19).filter(finite).all(|o| hit[o].is_finite()));
+    }
+
+    /// What each instantiation of the kernel costs (`just kernels`):
+    /// kernel-only µs per row on the benchmark's three layer shapes, best
+    /// of `PASSES` passes over the `ROWS` inputs each layer is handed when
+    /// rendered MFCC rows run through the model (random features would
+    /// give the wrong zero pattern), then log-softmax over the output
+    /// rows. Each instantiation's outputs are checked against the
+    /// baseline's first. A width the compiler stops vectorizing shows as
+    /// a row no faster than the baseline's.
+    #[test]
+    #[ignore = "a profiler, not a check: run with `just kernels`"]
+    fn kernel_timings() {
+        use crate::mfcc::{MfccConfig, MfccPipeline};
+        use crate::signal::{SignalConfig, Utterance};
+        use asr_wfst::PhoneId;
+        use std::hint::black_box;
+        use std::time::{Duration, Instant};
+        const PASSES: usize = 40;
+        const ROWS: usize = 64;
+        /// µs per row of the fastest of `PASSES` calls of `pass`, which
+        /// handles `ROWS` rows.
+        fn best_us(mut pass: impl FnMut()) -> f64 {
+            let mut best = Duration::MAX;
+            for _ in 0..PASSES {
+                let start = Instant::now();
+                pass();
+                best = best.min(start.elapsed());
+            }
+            best.as_secs_f64() * 1e6 / ROWS as f64
+        }
+
+        // The benchmark's shape (`tests/relu_sparsity.rs` lists its zero
+        // shares under this weight seed).
+        let mlp = Mlp::new(&[39, 512, 512, 2000], 21);
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let phones: Vec<PhoneId> = (0..16).map(|_| PhoneId(rng.gen_range(1..2001))).collect();
+        let samples = Utterance::render(&phones, 5, &SignalConfig::default()).samples;
+        let features = MfccPipeline::new(MfccConfig::default()).process(&samples);
+        assert!(features.len() >= ROWS, "{} frames rendered", features.len());
+        // What each layer is handed: the features, then every hidden
+        // layer's ReLU output; the last entry is the output layer's logits.
+        let mut inputs: Vec<Vec<Vec<f32>>> = vec![features[..ROWS].to_vec()];
+        for (l, layer) in mlp.layers.iter().enumerate() {
+            let next = inputs[l].iter().map(|x| {
+                let mut y = layer.forward(x);
+                if l + 1 < mlp.layers.len() {
+                    y.iter_mut().for_each(|v| *v = v.max(0.0));
+                }
+                y
+            });
+            inputs.push(next.collect());
+        }
+
+        let kernels: Vec<Kernel> = Kernel::supported().collect();
+        println!(
+            "affine runs {}; kernel-only us per row, best of {PASSES} passes x {ROWS} rendered rows",
+            Kernel::widest().name()
+        );
+        print!("{:>12}  zero share", "layer");
+        kernels.iter().for_each(|k| print!("  {:>8}", k.name()));
+        println!();
+        for (layer, rows) in mlp.layers.iter().zip(&inputs) {
+            let zeros = rows.iter().flatten().filter(|v| **v == 0.0).count();
+            let share = zeros as f64 / (ROWS * layer.in_dim) as f64;
+            print!("{:>5} -> {:<4}  {share:10.3}", layer.in_dim, layer.out_dim);
+            let (mut y, mut base) = (vec![0.0; layer.out_dim], vec![0.0; layer.out_dim]);
+            for kernel in &kernels {
+                for x in rows {
+                    kernel.affine(&layer.weights, &layer.bias, x, &mut y);
+                    kernels[0].affine(&layer.weights, &layer.bias, x, &mut base);
+                    assert!(y.iter().zip(&base).all(|(a, b)| same_bits(*a, *b)));
+                }
+                let us = best_us(|| {
+                    for x in rows {
+                        kernel.affine(&layer.weights, &layer.bias, black_box(x), &mut y);
+                        black_box(&y);
+                    }
+                });
+                print!("  {us:8.2}");
+            }
+            println!();
+        }
+        // Log-softmax of a log-softmax row is the same arithmetic again,
+        // so the rows are normalized in place pass after pass.
+        let mut logits = inputs.pop().unwrap();
+        let us = best_us(|| {
+            logits
+                .iter_mut()
+                .for_each(|row| log_softmax(black_box(row)))
+        });
+        println!("log-softmax over {} outputs: {us:.2}", mlp.output_dim());
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! The one dense kernel every layer runs: input-stationary over bf16
 //! weights, reading only the weight columns of nonzero inputs.
 //!
-//! A layer's weights are stored **input-major**, `[in][out_pad]`: input
-//! `i`'s weights to every output are contiguous (its *column* of `W`),
-//! padded to `out_pad`, the output count rounded up to the eight weights
-//! of one 128-bit load ([`STEP`]), so every column starts in the same
-//! phase of that load. The result is a *contract*, independent of vector
-//! width, that every implementation — and every block shape — reproduces
-//! bit for bit:
+//! A layer's weights are stored **input-major**, `[in][out]`: input `i`'s
+//! weights to every output are contiguous (its *column* of `W`). The
+//! result is a *contract*, independent of vector width, that every
+//! instantiation of the kernel — and every block shape — reproduces bit
+//! for bit:
 //!
 //! ```text
 //! y[o] = (Σ over i ascending with x[i] != 0 of widen(w[i][o]) * x[i]) + b[o]
@@ -35,25 +33,31 @@
 //! `Dense::random` cannot draw one.
 //!
 //! Why input-major: each output's sum depends on nothing but its own
-//! row's inputs, so eight outputs ride one vector with no reduction tree
-//! to agree on, and a zero input's column — half of each hidden layer's
-//! inputs after ReLU — is never read at all. A weight-row-major dot
-//! product has to load every weight to learn it was multiplied by zero.
+//! row's inputs, so a vector of outputs needs no reduction tree to agree
+//! on, and a zero input's column — half of each hidden layer's inputs
+//! after ReLU — is never read at all. A weight-row-major dot product has
+//! to load every weight to learn it was multiplied by zero.
 //!
-//! [`affine_ref`] spells the contract as a plain scalar loop: it is the
-//! kernel on every target without SSE2 and the oracle the tests compare
-//! against. On x86_64 [`affine`] walks the inputs once, collects the
+//! **One body, three widths.** [`affine_ref`] spells the contract as a
+//! plain scalar loop: the oracle the tests compare against. The kernel is
+//! one body in plain safe Rust: it walks the inputs once, collects the
 //! nonzero ones four at a time on the stack, and adds those four columns
-//! to `y` eight outputs a step — one 128-bit weight load per column
-//! widened by two integer unpacks, `y` loaded and stored once per four
-//! columns. SSE2 is part of the x86_64 baseline, so there is no runtime
-//! detection and no second path to keep in agreement. A NaN stays a NaN
-//! through either implementation; its payload bits are the one thing the
-//! contract leaves open, as Rust does.
-
-/// bf16 weights per 128-bit load: the vector kernel's output step, and
-/// what a column's length is padded to a multiple of.
-pub(crate) const STEP: usize = 8;
+//! to `y` in one loop over the outputs, `y` loaded and stored once per
+//! four columns. The compiler vectorizes that loop once for the target's
+//! baseline (SSE2 on x86_64) and once inside each of two
+//! `#[target_feature]` wrappers, AVX2 and AVX-512;
+//! [`Kernel::supported`] lists the ones this CPU runs and
+//! [`Kernel::widest`] is what every layer uses. They are bit-identical by
+//! construction, not by tuning: vectorizing across outputs never reorders
+//! any one output's sum, and Rust never fuses a multiply and an add into
+//! an FMA, so each is [`affine_ref`] in a different register width. A NaN
+//! stays a NaN through any of them; its payload bits are the one thing
+//! the contract leaves open, as Rust does.
+//!
+//! The loop is written per output, not as fixed `[f32; 16]` chunks of
+//! `y`: the compiler vectorized the chunked form *across* chunks, with a
+//! 16-weight stride between lanes, and it ran about 3× (baseline) to 9×
+//! (AVX-512) slower on the 512 → 2000 layer.
 
 /// Rounds an f32 to bf16 — its sign, its eight exponent bits and the top
 /// seven bits of its mantissa — to nearest, ties to even. Total: a NaN
@@ -80,137 +84,131 @@ pub(crate) fn widen(w: u16) -> f32 {
 }
 
 /// Panics unless the operands have the shapes the contract is stated
-/// over: `x.len()` columns of `out_pad` weights, one bias and one `y` per
-/// output.
-fn check_shapes(w: &[u16], out_pad: usize, bias: &[f32], x: &[f32], y: &[f32]) {
-    assert_eq!(w.len(), x.len() * out_pad, "weights are not [in][out_pad]");
-    assert!(bias.len() <= out_pad, "more outputs than a column holds");
+/// over: `x.len()` columns of one weight per output, one bias and one `y`
+/// per output.
+fn check_shapes(w: &[u16], bias: &[f32], x: &[f32], y: &[f32]) {
+    assert_eq!(w.len(), x.len() * y.len(), "weights are not [in][out]");
     assert_eq!(y.len(), bias.len(), "output row and bias differ in length");
 }
 
 /// The dense contract as a portable scalar loop: writes every `y[o]` from
-/// the input-major weights `w` (`[x.len()][out_pad]`).
+/// the input-major weights `w` (`[x.len()][y.len()]`).
 ///
 /// # Panics
 ///
 /// Panics if the operand shapes disagree (see the module docs).
-#[cfg_attr(
-    all(target_arch = "x86_64", target_feature = "sse2", not(test)),
-    allow(dead_code)
-)]
-pub(crate) fn affine_ref(w: &[u16], out_pad: usize, bias: &[f32], x: &[f32], y: &mut [f32]) {
-    check_shapes(w, out_pad, bias, x, y);
+#[cfg_attr(not(test), allow(dead_code))]
+pub(crate) fn affine_ref(w: &[u16], bias: &[f32], x: &[f32], y: &mut [f32]) {
+    check_shapes(w, bias, x, y);
+    let out = y.len();
     for (o, (y, b)) in y.iter_mut().zip(bias).enumerate() {
         let mut sum = 0.0f32;
         for (i, xi) in x.iter().enumerate() {
             if *xi != 0.0 {
-                sum += widen(w[i * out_pad + o]) * xi;
+                sum += widen(w[i * out + o]) * xi;
             }
         }
         *y = sum + b;
     }
 }
 
-/// Writes every `y[o]` under the dense contract — one input row through
-/// one layer.
-///
-/// # Panics
-///
-/// Panics if the operand shapes disagree (see the module docs).
-#[inline]
-pub(crate) fn affine(w: &[u16], out_pad: usize, bias: &[f32], x: &[f32], y: &mut [f32]) {
-    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-    {
-        // SAFETY: this branch is compiled only when the whole build
-        // already assumes SSE2 (`cfg(target_feature = "sse2")`, the
-        // x86_64 baseline), so the feature `affine_sse2` enables is
-        // present on every CPU this binary may run on.
-        unsafe { affine_sse2(w, out_pad, bias, x, y) }
-    }
-    #[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
-    affine_ref(w, out_pad, bias, x, y)
+/// One instantiation of the kernel body: the vector width it was compiled
+/// for. Only [`Kernel::supported`] makes one, after the CPU has reported
+/// that width's features, so holding a `Kernel` is what makes
+/// [`Kernel::affine`]'s calls into the feature-gated wrappers sound.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Kernel(Width);
+
+#[derive(Clone, Copy, Debug)]
+enum Width {
+    Baseline,
+    Avx2,
+    Avx512,
 }
 
-/// Eight bf16 weights widened to two f32 vectors (lanes 0..4, 4..8):
-/// interleaving each 16-bit pattern above a zero half is [`widen`]'s
-/// shift, eight at a time.
-#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-#[target_feature(enable = "sse2")]
-#[inline]
-fn widen8_sse2(w: std::arch::x86_64::__m128i) -> [std::arch::x86_64::__m128; 2] {
-    use std::arch::x86_64::{
-        _mm_castsi128_ps, _mm_setzero_si128, _mm_unpackhi_epi16, _mm_unpacklo_epi16,
-    };
-    let zero = _mm_setzero_si128();
-    [
-        _mm_castsi128_ps(_mm_unpacklo_epi16(zero, w)),
-        _mm_castsi128_ps(_mm_unpackhi_epi16(zero, w)),
-    ]
-}
-
-/// [`affine`] on SSE2: one pass over the inputs, the nonzero ones
-/// gathered four at a time into a stack array (`live` never holds more,
-/// so nothing is allocated) and their columns added to `y` in input
-/// order.
-#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-#[target_feature(enable = "sse2")]
-#[inline]
-fn affine_sse2(w: &[u16], out_pad: usize, bias: &[f32], x: &[f32], y: &mut [f32]) {
-    /// `y[o] += widen(w[i][o]) * x[i]` over every `o` for the first `K`
-    /// `(i, x[i])` pairs of `live`, in that order for each `o`.
-    #[target_feature(enable = "sse2")]
-    #[inline]
-    fn add_columns<const K: usize>(
-        w: &[u16],
-        out_pad: usize,
-        live: &[(usize, f32)],
-        y: &mut [f32],
-    ) {
-        use std::arch::x86_64::{
-            __m128i, _mm_add_ps, _mm_loadu_ps, _mm_loadu_si128, _mm_mul_ps, _mm_set1_ps,
-            _mm_storeu_ps,
+impl Kernel {
+    /// Every instantiation this CPU runs, narrowest first: the baseline
+    /// on every target, then AVX2 and AVX-512 where detected (never off
+    /// x86_64).
+    pub(crate) fn supported() -> impl Iterator<Item = Kernel> {
+        let detected = |width: &Width| match width {
+            Width::Baseline => true,
+            #[cfg(target_arch = "x86_64")]
+            Width::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Width::Avx512 => {
+                is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw")
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
         };
-        let cols: [&[u16]; K] = std::array::from_fn(|k| &w[live[k].0 * out_pad..][..out_pad]);
-        let xs: [f32; K] = std::array::from_fn(|k| live[k].1);
-        let to = y.len();
-        assert!(to <= out_pad, "more outputs than a column holds");
-        let xv = xs.map(|x| _mm_set1_ps(x));
-        let yp = y.as_mut_ptr();
-        let mut o = 0;
-        while o + STEP <= to {
-            // SAFETY: `o + 8 <= to == y.len()`, so both unaligned 4-float
-            // loads stay inside `y`.
-            let (mut lo, mut hi) =
-                unsafe { (_mm_loadu_ps(yp.add(o)), _mm_loadu_ps(yp.add(o + 4))) };
-            for (col, xk) in cols.iter().zip(xv) {
-                // SAFETY: `o + 8 <= to <= out_pad == col.len()` (asserted
-                // above; each column was sliced to `out_pad` weights), so
-                // the unaligned load of eight 16-bit weights stays inside
-                // the column.
-                let wv = unsafe { _mm_loadu_si128(col.as_ptr().add(o).cast::<__m128i>()) };
-                let [wl, wh] = widen8_sse2(wv);
-                lo = _mm_add_ps(lo, _mm_mul_ps(wl, xk));
-                hi = _mm_add_ps(hi, _mm_mul_ps(wh, xk));
-            }
-            // SAFETY: the same `o + 8 <= to == y.len()` covers the two
-            // unaligned 4-float stores; `yp` came from the exclusive
-            // borrow `y`, which nothing else touches until the loop ends.
-            unsafe {
-                _mm_storeu_ps(yp.add(o), lo);
-                _mm_storeu_ps(yp.add(o + 4), hi);
-            }
-            o += STEP;
-        }
-        // The ragged last `to % 8` outputs of a layer: scalar, so no
-        // store ever reaches past `to`.
-        for o in o..to {
-            for (col, xk) in cols.iter().zip(xs) {
-                y[o] += widen(col[o]) * xk;
-            }
+        [Width::Baseline, Width::Avx2, Width::Avx512]
+            .into_iter()
+            .filter(detected)
+            .map(Kernel)
+    }
+
+    /// The widest instantiation this CPU runs: the one every layer uses.
+    pub(crate) fn widest() -> Kernel {
+        Self::supported().last().unwrap_or(Kernel(Width::Baseline))
+    }
+
+    /// The instantiation's name, as `just kernels` prints it.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) fn name(self) -> &'static str {
+        match self.0 {
+            Width::Baseline => "baseline",
+            Width::Avx2 => "avx2",
+            Width::Avx512 => "avx512",
         }
     }
 
-    check_shapes(w, out_pad, bias, x, y);
+    /// Writes every `y[o]` under the dense contract — one input row
+    /// through one layer, with weights `[x.len()][y.len()]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operand shapes disagree (see the module docs).
+    #[inline]
+    pub(crate) fn affine(self, w: &[u16], bias: &[f32], x: &[f32], y: &mut [f32]) {
+        match self.0 {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `supported` made this `Kernel` only after
+            // `is_x86_feature_detected!("avx2")` reported AVX2, the one
+            // feature `affine_avx2` enables.
+            Width::Avx2 => unsafe { affine_avx2(w, bias, x, y) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `supported` made this `Kernel` only after
+            // `is_x86_feature_detected!` reported both `avx512f` and
+            // `avx512bw`, the features `affine_avx512` enables.
+            Width::Avx512 => unsafe { affine_avx512(w, bias, x, y) },
+            _ => affine_body(w, bias, x, y),
+        }
+    }
+}
+
+/// [`affine_body`] compiled for AVX2: eight outputs a 256-bit vector.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn affine_avx2(w: &[u16], bias: &[f32], x: &[f32], y: &mut [f32]) {
+    affine_body(w, bias, x, y);
+}
+
+/// [`affine_body`] compiled for AVX-512: sixteen outputs a 512-bit
+/// vector.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw")]
+fn affine_avx512(w: &[u16], bias: &[f32], x: &[f32], y: &mut [f32]) {
+    affine_body(w, bias, x, y);
+}
+
+/// The kernel: one pass over the inputs, the nonzero ones gathered four
+/// at a time into a stack array (`live` never holds more, so nothing is
+/// allocated) and their columns added to `y` in input order. Inlined
+/// into every instantiation, so each compiles it for its own width.
+#[inline(always)]
+fn affine_body(w: &[u16], bias: &[f32], x: &[f32], y: &mut [f32]) {
+    check_shapes(w, bias, x, y);
     y.fill(0.0);
     let mut live = [(0usize, 0.0f32); 4];
     let mut n = 0;
@@ -220,18 +218,40 @@ fn affine_sse2(w: &[u16], out_pad: usize, bias: &[f32], x: &[f32], y: &mut [f32]
         live[n] = (i, *xi);
         n += usize::from(*xi != 0.0);
         if n == live.len() {
-            add_columns::<4>(w, out_pad, &live, y);
+            add_columns::<4>(w, &live, y);
             n = 0;
         }
     }
     match n {
-        1 => add_columns::<1>(w, out_pad, &live, y),
-        2 => add_columns::<2>(w, out_pad, &live, y),
-        3 => add_columns::<3>(w, out_pad, &live, y),
+        1 => add_columns::<1>(w, &live, y),
+        2 => add_columns::<2>(w, &live, y),
+        3 => add_columns::<3>(w, &live, y),
         _ => {}
     }
     for (y, b) in y.iter_mut().zip(bias) {
         *y += b;
+    }
+}
+
+/// `y[o] += widen(w[i][o]) * x[i]` over every `o` for the first `K`
+/// `(i, x[i])` pairs of `live`, in that order for each `o`. The loop over
+/// `o` is the one the compiler vectorizes: a register of outputs a step
+/// (4 at the baseline, 8 under AVX2, 16 under AVX-512) with the last
+/// `out %` that many done one at a time.
+#[inline(always)]
+fn add_columns<const K: usize>(w: &[u16], live: &[(usize, f32); 4], y: &mut [f32]) {
+    let out = y.len();
+    let cols: [&[u16]; K] = std::array::from_fn(|k| &w[live[k].0 * out..][..out]);
+    let xs: [f32; K] = std::array::from_fn(|k| live[k].1);
+    // True by construction; stated so the optimizer sees every `col[o]`
+    // below in bounds and vectorizes with no check per weight.
+    assert!(cols.iter().all(|col| col.len() == out));
+    for (o, yo) in y.iter_mut().enumerate() {
+        let mut acc = *yo;
+        for (col, xk) in cols.iter().zip(xs) {
+            acc += widen(col[o]) * xk;
+        }
+        *yo = acc;
     }
 }
 
@@ -329,61 +349,57 @@ mod tests {
         }
     }
 
-    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    /// Every one of the 65,536 bf16 weight patterns, planted alone in its
+    /// column (every other weight `+0.0`) under a ones input, through
+    /// every instantiation [`Kernel::supported`] lists, on every target:
+    /// the kernel's widening agrees bit for bit with the oracle's scalar
+    /// shift, and a pattern alone sums to itself. (The name is older than
+    /// the kernel: the sweep first pinned an SSE2 unpack that widened
+    /// eight patterns a load.)
     #[test]
     fn sse2_unpack_and_scalar_shift_agree_on_every_weight() {
-        use std::arch::x86_64::{__m128i, _mm_loadu_si128, _mm_storeu_ps};
-        let all: [u16; 65536] = std::array::from_fn(|h| h as u16);
-        // The widening itself, eight patterns a load, bit for bit (NaN
-        // payloads included: an unpack is not arithmetic).
-        for eight in all.chunks_exact(8) {
-            let mut wide = [0.0f32; 8];
-            // SAFETY: `eight` is exactly eight u16s (one 128-bit unaligned
-            // load), `wide` eight f32s (two 128-bit unaligned stores at
-            // floats 0 and 4); SSE2 is a compile-time feature here.
-            unsafe {
-                let [lo, hi] = widen8_sse2(_mm_loadu_si128(eight.as_ptr().cast::<__m128i>()));
-                _mm_storeu_ps(wide.as_mut_ptr(), lo);
-                _mm_storeu_ps(wide.as_mut_ptr().add(4), hi);
-            }
-            for (h, f) in eight.iter().zip(wide) {
-                assert_eq!(f.to_bits(), widen(*h).to_bits(), "pattern {h:#06x}");
-            }
-        }
-        // And through the kernel against a ones input: the pattern alone
-        // in its column (every other weight `+0.0`) sums to itself. Five
-        // inputs are one group of four columns and a remainder of one;
-        // eleven outputs one 8-output step and a scalar tail of three.
-        let (in_dim, out_dim, out_pad) = (5, 11, 16);
-        let (ones, bias) = ([1.0f32; 5], [0.0f32; 11]);
-        let stride = if cfg!(miri) { 251 } else { 1 };
-        for (n, h) in all.iter().enumerate().step_by(stride) {
-            let (i, o) = (n % in_dim, n % out_dim);
-            let mut w = [0u16; 5 * 16];
-            w[i * out_pad + o] = *h;
-            let (mut got, mut want) = ([-1.0f32; 11], [-1.0f32; 11]);
-            affine(&w, out_pad, &bias, &ones, &mut got);
-            affine_ref(&w, out_pad, &bias, &ones, &mut want);
-            for (at, (g, w)) in got.iter().zip(want).enumerate() {
-                assert!(
-                    g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
-                    "pattern {h:#06x} at input {i} output {o}: kernel {g:e}, oracle {w:e} at {at}"
-                );
-            }
-            if want[o] != 0.0 && !want[o].is_nan() {
-                assert_eq!(want[o].to_bits(), widen(*h).to_bits());
+        // Five inputs are one group of four columns and a remainder of
+        // one; the output widths put a vector step and its scalar tail on
+        // either side of each edge, up to AVX-512's 16 outputs a step.
+        const IN: usize = 5;
+        const OUT: [usize; 6] = [11, 15, 16, 17, 31, 33];
+        let (ones, bias) = ([1.0f32; IN], [0.0f32; 33]);
+        for kernel in Kernel::supported() {
+            for h in 0..=u16::MAX {
+                let n = usize::from(h);
+                let out = OUT[n % OUT.len()];
+                let (i, o) = (n % IN, n / OUT.len() % out);
+                let mut w = [0u16; IN * 33];
+                let w = &mut w[..IN * out];
+                w[i * out + o] = h;
+                let (mut got, mut want) = ([-1.0f32; 33], [-1.0f32; 33]);
+                let (got, want) = (&mut got[..out], &mut want[..out]);
+                kernel.affine(w, &bias[..out], &ones, got);
+                affine_ref(w, &bias[..out], &ones, want);
+                for (at, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+                    assert!(
+                        g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                        "{}: pattern {h:#06x} at input {i} output {o} of {out}: \
+                         kernel {g:e}, oracle {w:e} at {at}",
+                        kernel.name()
+                    );
+                }
+                if want[o] != 0.0 && !want[o].is_nan() {
+                    assert_eq!(want[o].to_bits(), widen(h).to_bits());
+                }
             }
         }
     }
 
     /// The contract with the `x[i] != 0` test taken out: every term of
     /// every column, in the same order.
-    fn include_every_term(w: &[u16], out_pad: usize, bias: &[f32], x: &[f32]) -> Vec<f32> {
-        (0..bias.len())
+    fn include_every_term(w: &[u16], bias: &[f32], x: &[f32]) -> Vec<f32> {
+        let out = bias.len();
+        (0..out)
             .map(|o| {
                 let mut sum = 0.0f32;
                 for (i, xi) in x.iter().enumerate() {
-                    sum += widen(w[i * out_pad + o]) * xi;
+                    sum += widen(w[i * out + o]) * xi;
                 }
                 sum + bias[o]
             })
@@ -391,21 +407,21 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 8 } else { 512 }))]
+        #![proptest_config(ProptestConfig::with_cases(512))]
 
         // The exactness lemma: over finite weights, leaving out the terms
-        // of the zero inputs changes no bit of any output.
+        // of the zero inputs changes no bit of any output, in any
+        // instantiation.
         #[test]
         fn skipping_zero_inputs_equals_the_dense_sum_for_finite_weights(
             in_dim in 1usize..48,
-            out_dim in 1usize..28,
+            out_dim in 1usize..40,
             seed in any::<u64>(),
         ) {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let out_pad = out_dim.next_multiple_of(STEP);
             // Any sign and mantissa under any finite exponent, zeros and
             // denormals included.
-            let w: Vec<u16> = (0..in_dim * out_pad)
+            let w: Vec<u16> = (0..in_dim * out_dim)
                 .map(|_| match rng.gen::<u16>() {
                     h if h & 0x7F80 == 0x7F80 => h & 0xBFFF,
                     h => h,
@@ -422,14 +438,17 @@ mod tests {
                 })
                 .collect();
             let bias: Vec<f32> = (0..out_dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let mut got = vec![f32::NAN; out_dim];
-            affine(&w, out_pad, &bias, &x, &mut got);
-            let want = include_every_term(&w, out_pad, &bias, &x);
-            for (o, (g, w)) in got.iter().zip(&want).enumerate() {
-                prop_assert!(
-                    g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
-                    "{in_dim}x{out_dim} output {o}: skipping {g:e}, dense {w:e}"
-                );
+            let want = include_every_term(&w, &bias, &x);
+            for kernel in Kernel::supported() {
+                let mut got = vec![f32::NAN; out_dim];
+                kernel.affine(&w, &bias, &x, &mut got);
+                for (o, (g, w)) in got.iter().zip(&want).enumerate() {
+                    prop_assert!(
+                        g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                        "{}: {in_dim}x{out_dim} output {o}: skipping {g:e}, dense {w:e}",
+                        kernel.name()
+                    );
+                }
             }
         }
     }
@@ -438,17 +457,19 @@ mod tests {
     fn an_all_zero_input_returns_the_bias_exactly() {
         // Whatever the weights hold — every third one here is an
         // infinity or a NaN of either sign — no column is read.
-        let (in_dim, out_dim, out_pad) = (9, 13, 16);
-        let w: Vec<u16> = (0..in_dim * out_pad)
+        let (in_dim, out_dim) = (9, 19);
+        let w: Vec<u16> = (0..in_dim * out_dim)
             .map(|n| (n * 449) as u16 | if n % 3 == 0 { 0x7F80 } else { 0 })
             .collect();
         let bias: Vec<f32> = (0..out_dim).map(|o| o as f32 * 0.37 - 2.0).collect();
         let x: Vec<f32> = (0..in_dim)
             .map(|i| if i % 2 == 0 { 0.0 } else { -0.0 })
             .collect();
-        let mut got = vec![f32::NAN; out_dim];
-        affine(&w, out_pad, &bias, &x, &mut got);
         let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&got), bits(&bias));
+        for kernel in Kernel::supported() {
+            let mut got = vec![f32::NAN; out_dim];
+            kernel.affine(&w, &bias, &x, &mut got);
+            assert_eq!(bits(&got), bits(&bias), "{}", kernel.name());
+        }
     }
 }

@@ -39,8 +39,7 @@ miri:
         && { cargo +nightly miri test -p asr-decoder --lib token_table; \
              cargo +nightly miri test -p asr-decoder --lib search; \
              cargo +nightly miri test -p asr-decoder --lib stream; \
-             cargo +nightly miri test -p asr-wfst --lib store; \
-             cargo +nightly miri test -p asr-acoustic --lib -- dnn fold; } \
+             cargo +nightly miri test -p asr-wfst --lib store; } \
         || echo "miri: nightly component not installed; skipping (CI runs this)"
 
 # ThreadSanitizer over the executor and runtime concurrency suites
@@ -156,6 +155,15 @@ stages:
 # join — the sweep behind `POLL_BOUND` in pool.rs (~15 s).
 handoff:
     cargo test --release -q -p asr-decoder --lib pool::tests::handoff_cost -- --ignored --nocapture
+
+# What each compiled width of the dense kernel costs: an ignored test
+# times kernel-only us per row for every instantiation this CPU runs
+# (baseline, AVX2, AVX-512) on the benchmark's three layer shapes over
+# rendered MFCC rows, plus log-softmax, and names the one the layers use.
+# A width that stops vectorizing shows as a row no faster than the
+# baseline's (~1 s).
+kernels:
+    cargo test --release -q -p asr-acoustic --lib dnn::tests::kernel_timings -- --ignored --nocapture
 
 # Tracked Rust lines outside benchmark/, per crate and in total (the
 # ROADMAP's "net reduction" trend; count after `cargo fmt`).
