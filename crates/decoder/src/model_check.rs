@@ -42,9 +42,10 @@ fn cfg() -> Config {
     }
 }
 
-/// The two poll budgets an eventcount waiter can have under the checker,
+/// The two poll budgets a joining submitter can have under the checker,
 /// where `sync::poll_while` turns any non-zero window into exactly one
 /// poll: straight to registration, and one look at the predicate first.
+/// An idle lane has only the first: it never polls.
 const POLL_BUDGETS: [Duration; 2] = [Duration::ZERO, Duration::from_micros(1)];
 
 /// A dummy job header address used purely as a tag: harness tasks are
@@ -195,27 +196,26 @@ fn injector_full_ring_helping_accounts_every_task() {
 
 /// The eventcount never loses a wakeup: a lane that parks on "no work"
 /// is always unparked by a producer that published work, in every
-/// interleaving of poll/register/fence/re-check against
-/// publish/fence/notify. A lost wakeup would strand the sleeper and the
-/// model reports it as a deadlock.
+/// interleaving of register/fence/re-check against publish/fence/notify.
+/// The lane parks with no poll window, as `ExecShared::idle` does. A
+/// lost wakeup would strand the sleeper and the model reports it as a
+/// deadlock.
 #[test]
 fn eventcount_parking_never_loses_the_wakeup() {
-    for poll in POLL_BUDGETS {
-        model::check(cfg(), move || {
-            let ec = Arc::new(EventCount::new(poll));
-            let work = Arc::new(AtomicUsize::new(0));
-            let (e2, w2) = (Arc::clone(&ec), Arc::clone(&work));
-            let lane = model::spawn(move || {
-                e2.park_if(|| w2.load(Ordering::Acquire) == 0);
-                // Parked at most once; by the eventcount contract the
-                // wakeup (or the pre-sleep re-check) has seen the
-                // publication.
-            });
-            work.store(1, Ordering::Release);
-            ec.notify(true);
-            lane.join();
+    model::check(cfg(), || {
+        let ec = Arc::new(EventCount::new(Duration::ZERO));
+        let work = Arc::new(AtomicUsize::new(0));
+        let (e2, w2) = (Arc::clone(&ec), Arc::clone(&work));
+        let lane = model::spawn(move || {
+            e2.park_if(|| w2.load(Ordering::Acquire) == 0);
+            // Parked at most once; by the eventcount contract the
+            // wakeup (or the pre-sleep re-check) has seen the
+            // publication.
         });
-    }
+        work.store(1, Ordering::Release);
+        ec.notify(true);
+        lane.join();
+    });
 }
 
 /// A join never strands its submitter: the lane retiring a job's last

@@ -17,9 +17,9 @@
 //!   own still-queued chunks (steal-back) or another job's (counted
 //!   separately) — so a busy pool degrades gracefully to inline
 //!   execution instead of queueing up. No mutex guards the queue, and
-//!   nothing blocks except in one primitive used twice: a poll-then-park
-//!   eventcount for idle lanes, another for submitters waiting out a
-//!   join. [`WorkerPool::stats`] and [`WorkerPool::queue_depth`] are
+//!   nothing blocks except in one primitive used twice: an eventcount
+//!   parking idle lanes, another (polling first) for submitters waiting
+//!   out a join. [`WorkerPool::stats`] and [`WorkerPool::queue_depth`] are
 //!   lock-free reads of relaxed atomics, so observing the executor never
 //!   contends with the scheduler it is measuring.
 //! * [`ScratchPool`] recycles warmed [`DecodeScratch`] working sets, so a
@@ -40,15 +40,19 @@
 //! every helping submitter, so a per-lane structure would only add a hop
 //! between them (measured: ARCHITECTURE.md, "Why one ring").
 //!
-//! # Poll, then park
+//! # Poll, then park — only where the work is already running
 //!
 //! Section VI hands batch *i + 1*'s scores to the search with no
-//! operating system in between; a sleeping thread costs a futex wake and
-//! a reschedule (12–25 µs of a 250 µs frame, each way). So both waiters
-//! of a frame — the lane between two `fork_join`s, the submitter whose
-//! search chunk beat the scoring chunk — poll before they sleep, and
-//! while nobody sleeps a wake is a fence and a load (measured:
-//! ARCHITECTURE.md, "Poll, then park").
+//! operating system in between, but a frame has two waiters and only one
+//! of them waits on something that is already under way. The submitter
+//! whose search chunk beat the scoring chunk waits on a chunk a lane is
+//! running, so it polls before it sleeps: a sleeping submitter costs the
+//! frame a futex wake and a reschedule. A lane between two `fork_join`s
+//! waits for work nobody has submitted yet, so it parks at once: its
+//! wake on the next submit hides behind the submitter's own chunk 0, and
+//! a lane that is late only loses its chunk to steal-back. While nobody
+//! sleeps a wake is a fence and a load (measured: ARCHITECTURE.md,
+//! "Poll, then park").
 //!
 //! # Memory ordering
 //!
@@ -154,9 +158,11 @@ pub struct WorkerPoolStats {
     /// for its own join — submitters are work-conserving helpers, not
     /// idle waiters.
     pub tasks_helped: u64,
-    /// Times an idle lane outlasted its poll window and really slept:
-    /// the next submitter pays a futex wake, and steals its chunk back
-    /// (above) if the lane is slow to get up.
+    /// Times an idle lane found the ring empty and really slept. Lanes do
+    /// not poll for work, so this is about one per job whenever the
+    /// submitter's chunk 0 outlasts the lane's chunk (≈ 1 per job on
+    /// `voice_2s_overlap`); the next submitter pays a futex wake, and
+    /// steals its chunk back (above) if the lane is slow to get up.
     pub lane_parks: u64,
     /// Times a submitter outlasted its poll window waiting for a join
     /// and really slept; the lane finishing the job pays the wake.
@@ -310,24 +316,30 @@ impl Injector {
     }
 }
 
-/// How long a waiter polls before it sleeps: the smallest bound within
-/// 2 % of the best `voice_2s_overlap` throughput in the recorded sweep
-/// (ARCHITECTURE.md, "Poll, then park") — most of a frame, because a
-/// submitter whose search frame was short waits out nearly a whole
-/// scoring row (~250 us).
+/// How long a submitter polls for its join before it sleeps. Only the
+/// join wait polls: a lane waiting for the next submit parks at once
+/// (`lane_parks` ≈ 1 per job on `voice_2s_overlap`). On that workload
+/// the scoring row (~24 us) is the short side of a ~70 us search step,
+/// so most joins find the lane's chunk retired and never wait; one that
+/// does (a short early-utterance search frame, a lane slow to get up)
+/// waits at most a row, well inside the window, and a wait that ends
+/// costs only the poll it took. The bound was sized when the row was
+/// ~250 us, as the smallest within 2 % of the best throughput; nothing
+/// on today's frame comes near it (ARCHITECTURE.md, "Poll, then park").
 const POLL_BOUND: Duration = Duration::from_micros(200);
 
 /// An eventcount: the executor's one blocking primitive, poll-then-park.
 ///
 /// A waiter first polls its own sleep condition for up to `poll_bound`
-/// without telling anyone. Only if the condition outlasts the window
-/// does it register in `sleepers`, fence, re-check, and take the
-/// (data-free) parking mutex to wait. Notifiers publish their work
-/// first, then call [`EventCount::notify`], whose `SeqCst` fence pairs
-/// with the waiter's: either the notifier observes the registration (and
-/// signals under the lock), or the waiter's post-registration re-check
-/// observes the published work. The lost-wakeup freedom of exactly this
-/// protocol is model-checked in `model_check.rs`.
+/// (which may be zero) without telling anyone. Only if the condition
+/// outlasts the window does it register in `sleepers`, fence, re-check,
+/// and take the (data-free) parking mutex to wait. Notifiers publish
+/// their work first, then call [`EventCount::notify`], whose `SeqCst`
+/// fence pairs with the waiter's: either the notifier observes the
+/// registration (and signals under the lock), or the waiter's
+/// post-registration re-check observes the published work. The
+/// lost-wakeup freedom of exactly this protocol is model-checked in
+/// `model_check.rs`.
 pub(crate) struct EventCount {
     /// Threads registered as parked or about to park.
     sleepers: AtomicUsize,
@@ -397,18 +409,20 @@ impl EventCount {
 
 /// Executor state shared by the worker lanes and every submitter. The
 /// queue and counters are lock-free; the only mutexes are the parking
-/// lots inside the two eventcounts, reached only by a waiter that
-/// outlasted its poll window and the notifier waking it, and never held
-/// while a task runs or the queue is touched.
+/// lots inside the two eventcounts, reached only by a waiter about to
+/// sleep and the notifier waking it, and never held while a task runs
+/// or the queue is touched.
 struct ExecShared {
     /// The one task queue: every chunk is pushed here by its submitter
     /// and popped by a lane or a helping submitter.
     injector: Injector,
     counters: PoolCounters,
     shutdown: AtomicBool,
-    /// Eventcount parking idle lanes until work or shutdown arrives.
+    /// Eventcount parking idle lanes until work or shutdown arrives; no
+    /// poll window, since nothing it waits for is running yet.
     idle: EventCount,
-    /// Eventcount parking submitters until their join completes.
+    /// Eventcount parking submitters until their join completes, after
+    /// polling for `POLL_BOUND`.
     done: EventCount,
 }
 
@@ -476,9 +490,9 @@ fn worker_loop(shared: &ExecShared) {
             execute_task(&shared.done, task);
             continue;
         }
-        // Poll for the next job, then park: register, fence, re-check,
-        // sleep — the producer's fence in `notify_workers` guarantees we
-        // either see its push here or it sees our registration there.
+        // Park: register, fence, re-check, sleep — the producer's fence
+        // in `notify_workers` guarantees we either see its push here or
+        // it sees our registration there.
         shared
             .idle
             .park_if(|| !shared.has_work() && !shared.shutdown.load(Ordering::Acquire));
@@ -537,19 +551,20 @@ impl WorkerPool {
     ///
     /// Panics if `lanes == 0`.
     pub fn new(lanes: usize) -> Self {
-        Self::with_poll_bound(lanes, POLL_BOUND)
+        Self::with_lane_window(lanes, Duration::ZERO)
     }
 
-    /// [`WorkerPool::new`] at another poll bound, for the handoff probe.
-    fn with_poll_bound(lanes: usize, poll_bound: Duration) -> Self {
+    /// [`WorkerPool::new`] with idle lanes polling for `lane_window`
+    /// before they park, for the handoff probe.
+    fn with_lane_window(lanes: usize, lane_window: Duration) -> Self {
         assert!(lanes > 0, "need at least one lane");
         let workers = lanes - 1;
         let shared = Arc::new(ExecShared {
             injector: Injector::new(),
             counters: PoolCounters::default(),
             shutdown: AtomicBool::new(false),
-            idle: EventCount::new(poll_bound),
-            done: EventCount::new(poll_bound),
+            idle: EventCount::new(lane_window),
+            done: EventCount::new(POLL_BOUND),
         });
         let handles = (0..workers)
             .map(|lane| {
@@ -831,6 +846,15 @@ mod tests {
         }
     }
 
+    /// Serializes `injector_mpmc_delivers_each_task_once`, whose four
+    /// spinning threads can hold every CPU of a small machine, with
+    /// `a_parked_lane_still_takes_the_short_chunk`, which needs a woken
+    /// lane to get a CPU within one chunk.
+    fn cpus_to_ourselves() -> std::sync::MutexGuard<'static, ()> {
+        static SPINNERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        SPINNERS.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// A two-chunk job whose chunk 1 is certain to run on the lane:
     /// chunk 0 keeps the submitter (the only other popper) busy until
     /// chunk 1 has started, then runs `search`; chunk 1 runs `score`.
@@ -1059,6 +1083,7 @@ mod tests {
         const PER_PRODUCER: usize = 10_000;
         const PRODUCERS: usize = 2;
         const CONSUMERS: usize = 2;
+        let _cpus = cpus_to_ourselves();
         let injector = Injector::new();
         let taken: Vec<AtomicUsize> = (0..PER_PRODUCER * PRODUCERS)
             .map(|_| AtomicUsize::new(0))
@@ -1182,11 +1207,11 @@ mod tests {
     #[test]
     fn waiters_that_outlast_the_poll_window_park_and_are_woken() {
         let pool = WorkerPool::new(2);
-        // Nothing to do: the lane polls out its window and sleeps.
+        // Nothing to do: the lane has no window and sleeps at once.
         wait_for("the idle lane to park", || pool.stats().lane_parks >= 1);
         // The submit wakes it (chunk 1 cannot run anywhere else), and
         // chunk 1 holds the join open until the submitter has polled out
-        // its own window and sleeps; its completion must wake that too.
+        // its window and sleeps; its completion must wake that too.
         let lane_parks = AtomicU64::new(u64::MAX);
         overlap(
             &pool,
@@ -1248,41 +1273,106 @@ mod tests {
     }
 
     #[test]
-    fn dropping_a_pool_whose_lane_is_polling_joins_it() {
-        // A window that never closes: the lane can only ever poll, so
-        // shutdown has to be part of what it polls for.
-        let pool = WorkerPool::with_poll_bound(2, Duration::MAX);
-        overlap(&pool, || {}, || {});
-        assert_eq!(pool.stats().lane_parks, 0);
+    fn an_idle_lane_parks_without_polling() {
+        const GAPS: u64 = 5;
+        let pool = WorkerPool::new(2);
+        assert_eq!(pool.shared.idle.poll_bound, Duration::ZERO);
+        wait_for("the idle lane to park", || pool.stats().lane_parks >= 1);
+        for gap in 1..=GAPS {
+            // The lane retires chunk 1 and is asleep again while the
+            // submitter is still inside chunk 0: one park per idle gap.
+            overlap(
+                &pool,
+                || {
+                    wait_for("the lane to park after chunk 1", || {
+                        pool.stats().lane_parks > gap
+                    });
+                },
+                || {},
+            );
+        }
+        let stats = pool.stats();
+        assert_eq!(stats.lane_parks, GAPS + 1);
+        assert_eq!(stats.tasks_taken_by_lanes, GAPS);
+        // Shutdown reaches a lane that is asleep, not polling.
         let dropper = std::thread::spawn(move || drop(pool));
-        wait_for("the polling lane to see the shutdown", || {
+        wait_for("the parked lane to see the shutdown", || {
             dropper.is_finished()
         });
         dropper.join().expect("drop");
     }
 
+    #[test]
+    fn a_parked_lane_still_takes_the_short_chunk() {
+        const JOBS: u64 = 50;
+        let _cpus = cpus_to_ourselves();
+        let pool = WorkerPool::new(2);
+        for _ in 0..JOBS {
+            // Chunk 0 stands in for a search step far longer than the
+            // lane's wake: the parked lane gets up in time to take
+            // chunk 1 before the submitter could steal it back.
+            pool.fork_join(2, &|chunk| {
+                if chunk == 0 {
+                    let start = Instant::now();
+                    while start.elapsed() < Duration::from_millis(2) {
+                        std::hint::spin_loop();
+                    }
+                }
+            });
+        }
+        let stats = pool.stats();
+        assert!(
+            stats.tasks_taken_by_lanes * 10 >= JOBS * 9,
+            "lanes took {} of {JOBS} chunk 1s",
+            stats.tasks_taken_by_lanes
+        );
+        assert!(
+            stats.lane_parks >= JOBS * 9 / 10,
+            "{} lane parks over {JOBS} jobs",
+            stats.lane_parks
+        );
+    }
+
+    /// CPU time this process's threads have run, in us: the first field
+    /// of every `/proc/self/task/*/schedstat`, the source the benchmark's
+    /// `cpu_s_per_audio_s` reads.
+    fn process_cpu_us() -> f64 {
+        let tasks = std::fs::read_dir("/proc/self/task").expect("/proc/self/task");
+        tasks
+            .filter_map(|task| {
+                let stat = std::fs::read_to_string(task.ok()?.path().join("schedstat")).ok()?;
+                stat.split_whitespace().next()?.parse::<f64>().ok()
+            })
+            .sum::<f64>()
+            / 1e3
+    }
+
     /// `just handoff`: what the executor adds to one overlapped frame,
-    /// per poll bound. Two calibrated spin chunks stand in for the
-    /// search (chunk 0) and the scoring row (chunk 1) of
-    /// `voice_2s_overlap`, either one the longer, with the front-end's
-    /// 20 us between joins; prints us per join beyond the longer chunk
-    /// (best of three rounds) and, per join, how often the lane and the
+    /// per lane poll window, with the join window at `POLL_BOUND`. Two
+    /// calibrated spin chunks stand in for the search (chunk 0) and the
+    /// scoring row (chunk 1) of `voice_2s_overlap`, either one the
+    /// longer, with 5 us between joins; prints, per join, the wall us
+    /// beyond the longer chunk (best of three rounds), the CPU us beyond
+    /// the work spun (all three rounds), how often the lane and the
     /// submitter slept and how often the chunk was stolen back.
     #[test]
     #[ignore = "a probe, not a check: run with --ignored --nocapture"]
     fn handoff_cost() {
-        const JOINS: u32 = 2000;
-        const GAP_US: u64 = 20;
+        const JOINS: u32 = 4000;
+        const ROUNDS: u32 = 3;
+        const GAP_US: u64 = 5;
         fn spin(us: u64) {
             let start = Instant::now();
             while start.elapsed() < Duration::from_micros(us) {
                 std::hint::spin_loop();
             }
         }
-        println!("bound_us search||score_us cost_us lane_parks join_parks stolen_back (per join)");
-        for bound_us in [0, 50, 100, 200] {
-            for (search_us, score_us) in [(170, 250), (250, 170)] {
-                let pool = WorkerPool::with_poll_bound(2, Duration::from_micros(bound_us));
+        println!(
+            "lane_window_us search||score_us wall_us cpu_us lane_parks join_parks stolen_back (per join)"
+        );
+        for window_us in [0, 25, 200] {
+            for (search_us, score_us) in [(70, 25), (25, 70)] {
+                let pool = WorkerPool::with_lane_window(2, Duration::from_micros(window_us));
                 let round = || {
                     let start = Instant::now();
                     for _ in 0..JOINS {
@@ -1293,15 +1383,18 @@ mod tests {
                     }
                     start.elapsed().as_secs_f64() * 1e6 / f64::from(JOINS)
                 };
-                let best = (0..3).map(|_| round()).fold(f64::INFINITY, f64::min);
+                let cpu_before = process_cpu_us();
+                let best = (0..ROUNDS).map(|_| round()).fold(f64::INFINITY, f64::min);
+                let cpu = process_cpu_us() - cpu_before;
                 let stats = pool.stats();
-                let per_join = |count: u64| count as f64 / f64::from(3 * JOINS);
+                let per_join = |count: f64| count / f64::from(ROUNDS * JOINS);
                 println!(
-                    "{bound_us:>8} {search_us:>9}||{score_us:<3} {:>11.1} {:>10.3} {:>10.3} {:>11.3}",
+                    "{window_us:>14} {search_us:>9}||{score_us:<3} {:>8.1} {:>6.1} {:>10.3} {:>10.3} {:>11.3}",
                     best - (GAP_US + search_us.max(score_us)) as f64,
-                    per_join(stats.lane_parks),
-                    per_join(stats.join_parks),
-                    per_join(stats.tasks_stolen_back),
+                    per_join(cpu) - (GAP_US + search_us + score_us) as f64,
+                    per_join(stats.lane_parks as f64),
+                    per_join(stats.join_parks as f64),
+                    per_join(stats.tasks_stolen_back as f64),
                 );
             }
         }

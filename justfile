@@ -24,9 +24,9 @@ lint:
 # Exhaustive model checking of the lock-free executor: the checker's
 # own litmus self-tests (correct idioms pass, seeded bugs are caught),
 # then the pool harnesses (injector last element and full-ring helping,
-# eventcount lost wakeup for a lane and for a joining submitter at poll
-# budgets 0 and 1, batch slot generations) compiled against the shadow
-# sync facade.
+# eventcount lost wakeup for a lane at poll budget 0 and for a joining
+# submitter at budgets 0 and 1, batch slot generations) compiled against
+# the shadow sync facade.
 model-check:
     cargo test -q -p asr-verify
     cargo test -q -p asr-decoder --features model-check --lib model_check
@@ -147,12 +147,15 @@ ab parent workload pairs="10" metric="frames_per_s":
 stages:
     cargo test --release -q -p asr-decoder --lib search::tests::stage_split -- --ignored --nocapture
 
-# What the executor adds to one overlapped frame, per poll bound: an
-# ignored test times `fork_join(2)` of two calibrated spin chunks
-# (170 || 250 us and 250 || 170 us, 20 us between joins) on pools built
-# with bounds 0 / 50 / 100 / 200 us and prints us per join beyond the
-# longer chunk, lane and submitter parks per join, and steal-backs per
-# join — the sweep behind `POLL_BOUND` in pool.rs (~15 s).
+# What the executor adds to one overlapped frame, per lane poll window:
+# an ignored test times `fork_join(2)` of two calibrated spin chunks
+# (70 || 25 us and 25 || 70 us, today's search step and scoring row,
+# 5 us between joins) on pools whose idle lanes poll 0 / 25 / 200 us
+# before parking (the join window fixed at `POLL_BOUND`), and prints per
+# join the wall us beyond the longer chunk, the CPU us beyond the work
+# spun (summed /proc/self/task/*/schedstat), lane and submitter parks,
+# and steal-backs — the sweep behind "lanes park at once" in pool.rs
+# (~5 s).
 handoff:
     cargo test --release -q -p asr-decoder --lib pool::tests::handoff_cost -- --ignored --nocapture
 
