@@ -459,8 +459,7 @@ impl<'a> Engine<'a> {
             {
                 let rescan = cur
                     .active()
-                    .iter()
-                    .map(|&s| cur.cost(s))
+                    .map(|s| cur.cost(s))
                     .fold(f32::INFINITY, f32::min);
                 assert_eq!(
                     rescan,
@@ -481,7 +480,7 @@ impl<'a> Engine<'a> {
         // linked-list walk is the table's active list. Stored epsilon
         // relaxes re-enter at the tail.
         worklist.clear();
-        worklist.extend_from_slice(cur.active());
+        worklist.extend(cur.active());
         let mut cursor = 0usize;
 
         // Timing cursors. The back-end (Acoustic Likelihood Issuer ->
@@ -661,7 +660,7 @@ impl<'a> Engine<'a> {
     /// [`ViterbiDecoder`]: asr_decoder::search::ViterbiDecoder
     fn finish(self) -> SimResult {
         let wfst = self.prepared.wfst();
-        let mut states: Vec<u32> = self.cur.active().to_vec();
+        let mut states: Vec<u32> = self.cur.active().collect();
         states.sort_unstable_by_key(|&s| self.prepared.to_original(StateId(s)).0);
         let mut best_final: Option<(u32, f32, TraceId)> = None;
         let mut best_any: Option<(u32, f32, TraceId)> = None;

@@ -19,10 +19,10 @@
 //!
 //! | accelerator (paper) | this crate |
 //! |---|---|
-//! | two on-chip token hash tables (current/next frame) | double-buffered [`token_table::TokenTable`]s, swapped at the frame barrier |
-//! | hash lookup-or-insert with likelihood compare | [`token_table::TokenTable::relax`]: dense slot per state, epoch tag for liveness |
+//! | two on-chip token hash tables (current/next frame), owned by the device | one `StateIndex` per thread, lent to each frame, plus each decode's current/next `LiveTokens` lists, swapped at the frame barrier |
+//! | hash lookup-or-insert with likelihood compare | `StateIndex::relax` (in [`token_table`]): dense `{epoch, position}` slot per state, epoch tag for liveness |
 //! | table flush between frames | one epoch-counter bump (`begin_frame`) — no clearing, no rehash |
-//! | insertion-ordered linked list walked by the State Issuer | the table's append-only active list, deduped by the epoch check |
+//! | insertion-ordered linked list walked by the State Issuer | the live list itself, append-only, deduped by the epoch check |
 //! | on-insert beam test against the running frame-best | prune-on-insert in [`search::ViterbiDecoder`]: arcs landing beyond `running_best + beam` skip relax *and* lattice push |
 //! | backpointer/word writes to DRAM | [`lattice::Lattice`] appends, periodically mark-compacted ([`lattice::Lattice::compact`], Kaldi-style token GC) |
 //!
@@ -39,7 +39,8 @@
 //!   word label per token, exactly the data the accelerator's Token Issuer
 //!   writes out, the input to backtracking, and the target of the periodic
 //!   compaction GC;
-//! * [`token_table`]: the epoch-tagged flat token store;
+//! * [`token_table`]: the epoch-tagged sparse-set token store (per-thread
+//!   state index, per-decode live lists);
 //! * [`search`]: the beam search itself ([`search::ViterbiDecoder`]);
 //! * [`reference`](mod@reference): the retained seed `HashMap` decoder
 //!   ([`reference::ReferenceDecoder`]), the equivalence and benchmark

@@ -744,13 +744,16 @@ impl ScratchPoolStats {
 ///
 /// The serving runtime holds one of these per decoding graph: every
 /// `recognize` call and every session checks a scratch out, and returns
-/// it when done. After the pool's high-water mark is reached, the steady
-/// state allocates nothing — checkout is a `Vec::pop`, restore a
-/// `Vec::push` within capacity, and the scratch itself keeps the token
-/// tables warm (see `tests/alloc_free.rs` and the facade's
-/// `facade_alloc` test). The cold/warm split is observable through
-/// [`ScratchPool::stats`], so a serving loop can verify it stopped
-/// paying cold checkouts.
+/// it when done. What is pooled is a decode's own part of the search: its
+/// two live-token lists, sized by the active set (12 bytes a token, about
+/// 100 KB once grown under a 2000-token cap), not by the graph; the
+/// graph-sized state index is one per thread and never pooled. After the
+/// pool's high-water mark is reached, the steady state allocates nothing
+/// — checkout is a `Vec::pop`, restore a `Vec::push` within capacity, and
+/// the scratch itself keeps its lists grown (see `tests/alloc_free.rs`
+/// and the facade's `facade_alloc` test). The cold/warm split is
+/// observable through [`ScratchPool::stats`], so a serving loop can
+/// verify it stopped paying cold checkouts.
 ///
 /// Thread-safe: concurrent sessions each pop their own scratch; the
 /// mutex is held only for the pop/push itself, and every operation

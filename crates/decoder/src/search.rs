@@ -15,12 +15,21 @@
 //! unconditional lattice pushes, this decoder mirrors the accelerator's
 //! structure (Section III of the paper):
 //!
-//! * **Token storage** is the double-buffered, epoch-tagged
-//!   [`crate::token_table::TokenTable`] — the software stand-in for the
-//!   two on-chip token hash tables. Clearing a frame is one epoch bump;
-//!   after warm-up the whole frame loop performs **zero heap
-//!   allocations** (asserted by `tests/alloc_free.rs`).
-//! * **Prune-on-insert**: the table tracks the running frame-best during
+//! * **Token storage is split by lifetime.** A decode keeps only its live
+//!   tokens between frames: a `LiveTokens` list of
+//!   `{state, cost, backpointer}`, 12 bytes a token, sized by the active
+//!   set (and a second one the next frame fills, swapped in at its end:
+//!   a `Vec` swap, not a copy). The graph-sized part — the
+//!   epoch-tagged `StateIndex` that deduplicates
+//!   relaxes, 8 bytes a state — lives only for one frame, so each thread
+//!   keeps one (with the frontier, worklist, key and GC buffers) and
+//!   lends it to whichever decode it steps; the frame's epoch bump is
+//!   what isolates one decode's frame from the next. Sixteen decodes
+//!   stepped round-robin on a thread therefore share one table instead
+//!   of bringing 32 cold ones into its cache. After warm-up the whole
+//!   frame loop performs **zero heap allocations** (asserted by
+//!   `tests/alloc_free.rs`, interleaved decodes included).
+//! * **Prune-on-insert**: the list tracks the running frame-best during
 //!   expansion, and arcs whose destination cost already exceeds
 //!   `running_best + beam` skip both the relax and the lattice push — the
 //!   accelerator's on-insert beam test. Because the running best can only
@@ -30,13 +39,17 @@
 //!   `words`, `cost`, and `best_state` match). On the final frame the
 //!   filter is disabled so end-of-utterance final-state selection sees
 //!   the same token set as the reference.
-//! * **Active tracking** is the table's append-only active list (deduped
-//!   by the epoch check). Per-frame bookkeeping touches as few tokens as
+//! * **Active tracking** is the live list itself, in insertion order
+//!   (deduped by the epoch check), so the frontier, the cap's cutoff, the
+//!   GC and final-state selection walk a dense array and never the
+//!   graph-sized index. Per-frame bookkeeping touches as few tokens as
 //!   the algorithm allows: the frontier and the closure seeds are put in
-//!   state order by a linear-time radix sort (`sort_states`), `max_active`
-//!   is a single rank-selection over flat `(cost, state)` integer keys
-//!   (Kaldi's `GetCutoff` over a copied cost array, never a comparator
-//!   chasing token slots), and the epsilon closure consults
+//!   state order by a linear-time radix sort (`sort_states`) over
+//!   `{state, position}` items that carry everything the expansion reads,
+//!   `max_active` is a single rank-selection over flat `(cost, position)`
+//!   integer keys (Kaldi's `GetCutoff` over a copied cost array, never a
+//!   comparator chasing token slots; a tie straddling the cut falls back
+//!   to state order), and the epsilon closure consults
 //!   [`Wfst::has_epsilon`] — one cache-resident bit per state — so only
 //!   the tokens whose state owns an epsilon arc are collected, sorted and
 //!   fetched.
@@ -68,11 +81,13 @@
 //! see it; ARCHITECTURE.md, "Where a frame goes", has the counts.
 
 use crate::lattice::{CompactScratch, Lattice, TraceId};
-use crate::token_table::TokenTable;
+use crate::token_table::{LiveTokens, StateIndex};
 use asr_acoustic::scores::AcousticTable;
 use asr_wfst::{StateId, Wfst, WordId};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Tuning knobs of the beam search.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -184,28 +199,32 @@ pub struct DecodeResult {
     pub lattice: Lattice,
 }
 
-/// Reusable decode working set: the double-buffered token tables plus the
-/// frontier/worklist/GC buffers. Holding one across decodes makes repeated
-/// decoding of same-sized graphs allocation-free end to end.
-#[derive(Debug, Clone)]
+/// Live tokens a fresh [`DecodeScratch`] has room for before its lists
+/// first grow: about what a 2000-token cap leaves alive per frame.
+const RESERVED_TOKENS: usize = 4096;
+
+/// A decode's own working set, carried from frame to frame: its live
+/// tokens as a list sized by the active set (12 bytes a token, not per
+/// graph state), the list the next frame fills, and what the last frame
+/// learnt about the cap's cutoff.
+///
+/// Everything a frame needs only while it runs — the graph-sized state
+/// index that deduplicates relaxes, the frontier, the closure worklist,
+/// the rank-select keys and the GC buffers — is one per thread instead,
+/// borrowed by each frame and shared by every decode the thread steps.
+/// Holding a scratch across decodes (or pooling it, see
+/// [`crate::pool::ScratchPool`]) makes repeated decoding allocation-free
+/// end to end once the lists have grown to the largest live set.
+#[derive(Debug)]
 pub struct DecodeScratch {
-    pub(crate) cur: TokenTable<TraceId>,
-    next: TokenTable<TraceId>,
-    /// Beam survivors of the current frame, sorted by state id.
-    frontier: Vec<u32>,
-    /// Epsilon-closure worklist.
-    worklist: Vec<u32>,
-    /// `max_active` rank-select keys ([`frontier_key`]); holds live tokens
-    /// only while the cap binds, so it grows on demand.
-    keys: Vec<u64>,
-    /// [`sort_states`]' second buffer; grows on demand like `keys`.
-    sort_buf: Vec<u32>,
+    /// The live tokens: the start closure's, then each consumed frame's.
+    pub(crate) cur: LiveTokens<TraceId>,
+    /// The list the frame in flight fills and then swaps into `cur`;
+    /// between frames, only spare capacity.
+    next: LiveTokens<TraceId>,
     /// What the previous frame's emitting phase learnt about this frame's
     /// `max_active` cutoff.
     limit: CapLimit,
-    /// Live trace roots handed to the lattice GC.
-    gc_roots: Vec<TraceId>,
-    gc: CompactScratch,
 }
 
 /// An upper bound on the cost a token may have and still be among the
@@ -226,28 +245,90 @@ impl CapLimit {
 }
 
 impl DecodeScratch {
-    /// Allocates scratch for graphs of up to `num_states` states.
+    /// Allocates scratch for decodes over graphs of `num_states` states,
+    /// with room for that many live tokens up to 4096; the lists grow on
+    /// demand beyond that.
     pub fn new(num_states: usize) -> Self {
+        let room = num_states.min(RESERVED_TOKENS);
+        *live_scratches() += 1;
         Self {
-            cur: TokenTable::new(num_states, TraceId::ROOT),
-            next: TokenTable::new(num_states, TraceId::ROOT),
-            frontier: Vec::with_capacity(num_states.min(1 << 16)),
-            worklist: Vec::with_capacity(num_states.min(1 << 16)),
-            keys: Vec::new(),
-            sort_buf: Vec::new(),
+            cur: LiveTokens::with_capacity(room),
+            next: LiveTokens::with_capacity(room),
             limit: CapLimit::NONE,
-            gc_roots: Vec::with_capacity(num_states.min(1 << 16)),
-            gc: CompactScratch::new(),
         }
     }
+}
 
-    /// Grows the token tables if `num_states` exceeds their capacity.
-    pub(crate) fn ensure(&mut self, num_states: usize) {
-        if self.cur.capacity() < num_states {
-            self.cur = TokenTable::new(num_states, TraceId::ROOT);
-            self.next = TokenTable::new(num_states, TraceId::ROOT);
+impl Clone for DecodeScratch {
+    fn clone(&self) -> Self {
+        *live_scratches() += 1;
+        Self {
+            cur: self.cur.clone(),
+            next: self.next.clone(),
+            limit: self.limit,
         }
     }
+}
+
+impl Drop for DecodeScratch {
+    /// The last scratch of the process takes the dropping thread's frame
+    /// scratch with it: with no decode left there is nothing for the
+    /// graph-sized index to serve, and an index that outlived every
+    /// decode would pin the heap freed below it (a process that drops one
+    /// runtime and builds the next would carry the first one's memory).
+    fn drop(&mut self) {
+        let mut live = live_scratches();
+        *live -= 1;
+        if *live == 0 {
+            // `try_with`: this thread may be tearing its locals down.
+            let _ = FRAME.try_with(|frame| {
+                if let Ok(mut frame) = frame.try_borrow_mut() {
+                    *frame = FrameScratch::default();
+                }
+            });
+        }
+    }
+}
+
+/// Decode scratches alive in the process (see `DecodeScratch`'s `Drop`).
+static LIVE_SCRATCHES: Mutex<usize> = Mutex::new(0);
+
+/// The live-scratch count; a `usize` is never left half-updated, so a
+/// poisoned lock is recovered.
+fn live_scratches() -> MutexGuard<'static, usize> {
+    LIVE_SCRATCHES
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What one frame needs and no frame leaves behind; each thread keeps one
+/// ([`FRAME`]) for every decode it steps.
+#[derive(Debug, Default)]
+struct FrameScratch {
+    /// State → position in the list the frame fills: the graph-sized
+    /// part, 8 bytes a state, grown to the largest graph searched.
+    index: StateIndex,
+    /// The frame's beam survivors as [`item`]s, in state order.
+    frontier: Vec<u64>,
+    /// Epsilon-closure worklist: [`item`]s of the list being closed.
+    worklist: Vec<u64>,
+    /// `max_active` rank-select keys ([`frontier_key`]); holds live tokens
+    /// only while the cap binds, so it grows on demand.
+    keys: Vec<u64>,
+    /// [`sort_states`]' second buffer; grows on demand like `keys`.
+    sort_buf: Vec<u64>,
+    /// Live trace roots handed to the lattice GC.
+    gc_roots: Vec<TraceId>,
+    gc: CompactScratch,
+}
+
+thread_local! {
+    /// This thread's [`FrameScratch`]. A frame borrows it from its first
+    /// relax to its GC and bumps the index's epoch before relaxing, so no
+    /// position one decode's frame stored is visible to the next frame,
+    /// whichever decode that is. It lives until the thread exits or drops
+    /// the process's last `DecodeScratch`.
+    static FRAME: RefCell<FrameScratch> = RefCell::default();
 }
 
 /// The token-table beam-search decoder.
@@ -284,7 +365,7 @@ impl ViterbiDecoder {
     }
 
     /// Runs the search reusing `scratch`; repeated decodes through the
-    /// same scratch skip all token-table allocation.
+    /// same scratch skip all token-list allocation.
     ///
     /// # Panics
     ///
@@ -320,31 +401,42 @@ impl ViterbiDecoder {
     }
 }
 
-/// Starts a decode in `scratch`: sizes the tables for `wfst`, seeds the
-/// start state's token and runs the initial epsilon closure, before any
-/// frame is consumed; no beam applies yet (mirrors the reference). The
-/// one preamble of the batch and streaming drivers.
+/// Starts a decode in `scratch`: seeds the start state's token and runs
+/// the initial epsilon closure, before any frame is consumed; no beam
+/// applies yet (mirrors the reference). The one preamble of the batch and
+/// streaming drivers.
 pub(crate) fn seed_start(wfst: &Wfst, scratch: &mut DecodeScratch, lattice: &mut Lattice) {
-    scratch.ensure(wfst.num_states());
-    scratch.limit = CapLimit::NONE;
-    scratch.cur.begin_frame();
-    let start_trace = lattice.push(TraceId::ROOT, WordId::NONE);
-    scratch.cur.relax(wfst.start().0, 0.0, || start_trace);
-    epsilon_closure(
-        wfst,
-        &mut scratch.cur,
-        lattice,
-        &mut FrameStats::default(),
-        f32::INFINITY,
-        f32::INFINITY,
-        &mut scratch.worklist,
-        &mut scratch.sort_buf,
-    );
+    FRAME.with_borrow_mut(|frame| {
+        let FrameScratch {
+            index,
+            worklist,
+            sort_buf,
+            ..
+        } = frame;
+        scratch.limit = CapLimit::NONE;
+        let cur = &mut scratch.cur;
+        cur.clear();
+        index.ensure(wfst.num_states());
+        index.begin_frame();
+        let start_trace = lattice.push(TraceId::ROOT, WordId::NONE);
+        index.relax(cur, wfst.start().0, 0.0, || start_trace);
+        epsilon_closure(
+            wfst,
+            index,
+            cur,
+            lattice,
+            &mut FrameStats::default(),
+            f32::INFINITY,
+            f32::INFINITY,
+            worklist,
+            sort_buf,
+        );
+    });
 }
 
 /// Consumes one frame's score row: prune into the frontier, expand the
 /// emitting arcs, take the cap's cutoff, close over epsilon arcs under
-/// it, swap the tables, record the frame's stats (frame
+/// it, swap the lists, record the frame's stats (frame
 /// `stats.frames.len()` of the utterance) and run the periodic lattice
 /// GC. The one frame body of the batch and streaming drivers, so the two
 /// can never drift apart. Returns `false` once the beam has killed every
@@ -364,78 +456,74 @@ pub(crate) fn search_frame(
     row: &[f32],
     last_frame: bool,
 ) -> bool {
-    let DecodeScratch {
-        cur,
-        next,
-        frontier,
-        worklist,
-        keys,
-        sort_buf,
-        limit,
-        gc_roots,
-        gc,
-    } = scratch;
-    let beam = opts.beam;
-    let frame = stats.frames.len();
-
-    let mut fs = FrameStats {
-        active_tokens: cur.len(),
-        ..FrameStats::default()
-    };
-    build_frontier(cur, frontier, keys, sort_buf, beam, opts.max_active, *limit);
-    fs.expanded_tokens = frontier.len();
-    if opts.record_state_accesses {
-        for &state in frontier.iter() {
-            *stats.state_accesses.entry(state).or_insert(0) += 1;
-        }
-    }
-
-    relax_frame(
-        wfst, cur, next, frontier, lattice, &mut fs, beam, last_frame, row,
-    );
-    // Epsilon closure under thresholds frozen at the end of the emitting
-    // phase, so the closure is independent of the worklist order: the
-    // beam, and whatever the cap already rules out.
-    let mut closure_threshold = f32::INFINITY;
-    *limit = CapLimit::NONE;
-    if !last_frame {
-        closure_threshold = next.best() + beam;
-        *limit = cap_limit(next, keys, closure_threshold, opts.max_active);
-    }
-    epsilon_closure(
-        wfst,
-        next,
-        lattice,
-        &mut fs,
-        closure_threshold,
-        limit.cost,
-        worklist,
-        sort_buf,
-    );
-    std::mem::swap(cur, next);
-    stats.frames.push(fs);
-    if cur.is_empty() {
-        return false;
-    }
-    if !last_frame {
-        maybe_gc(
-            opts.lattice_gc_interval,
-            frame,
-            cur,
-            lattice,
-            gc_roots,
+    FRAME.with_borrow_mut(|frame| {
+        let FrameScratch {
+            index,
             frontier,
+            worklist,
+            keys,
+            sort_buf,
+            gc_roots,
             gc,
+        } = frame;
+        let DecodeScratch { cur, next, limit } = scratch;
+        let beam = opts.beam;
+
+        let mut fs = FrameStats {
+            active_tokens: cur.len(),
+            ..FrameStats::default()
+        };
+        build_frontier(cur, frontier, keys, sort_buf, beam, opts.max_active, *limit);
+        fs.expanded_tokens = frontier.len();
+        if opts.record_state_accesses {
+            for &item in frontier.iter() {
+                *stats.state_accesses.entry(item_state(item)).or_insert(0) += 1;
+            }
+        }
+
+        index.ensure(wfst.num_states());
+        relax_frame(
+            wfst, index, cur, next, frontier, lattice, &mut fs, beam, last_frame, row,
         );
-    }
-    true
+        // Epsilon closure under thresholds frozen at the end of the emitting
+        // phase, so the closure is independent of the worklist order: the
+        // beam, and whatever the cap already rules out.
+        let mut closure_threshold = f32::INFINITY;
+        *limit = CapLimit::NONE;
+        if !last_frame {
+            closure_threshold = next.best() + beam;
+            *limit = cap_limit(next, keys, closure_threshold, opts.max_active);
+        }
+        epsilon_closure(
+            wfst,
+            index,
+            next,
+            lattice,
+            &mut fs,
+            closure_threshold,
+            limit.cost,
+            worklist,
+            sort_buf,
+        );
+        std::mem::swap(cur, next);
+        let frame = stats.frames.len();
+        stats.frames.push(fs);
+        if cur.is_empty() {
+            return false;
+        }
+        if !last_frame {
+            maybe_gc(opts.lattice_gc_interval, frame, cur, lattice, gc_roots, gc);
+        }
+        true
+    })
 }
 
 /// Rank-select key of a token: the cost mapped to an unsigned integer in
-/// `f32::total_cmp` order above the state id, so comparing keys as plain
-/// integers is exactly `total_cmp(cost).then(state)`.
+/// `f32::total_cmp` order above a 32-bit tie-breaker `low` (the search
+/// puts the token's position in its list there), so comparing keys as
+/// plain integers is exactly `total_cmp(cost).then(low)`.
 #[inline]
-fn frontier_key(cost: f32, state: u32) -> u64 {
+fn frontier_key(cost: f32, low: u32) -> u64 {
     let bits = cost.to_bits();
     // Negative floats order by descending magnitude: flip every bit.
     // Non-negative ones only need to sort above those: set the sign bit.
@@ -444,7 +532,7 @@ fn frontier_key(cost: f32, state: u32) -> u64 {
     } else {
         bits | 1 << 31
     };
-    u64::from(monotone) << 32 | u64::from(state)
+    u64::from(monotone) << 32 | u64::from(low)
 }
 
 /// The cost a [`frontier_key`] was built from.
@@ -458,75 +546,115 @@ fn key_cost(key: u64) -> f32 {
     })
 }
 
-/// Replaces `keys` with the [`frontier_key`] of every token of `table`
-/// costing at most `bound` (none when `bound` is NaN).
+/// Replaces `keys` with the [`frontier_key`] of every token of `tokens`
+/// costing at most `bound` (none when `bound` is NaN), over its position.
 ///
 /// Under the cap's cutoff about half the tokens pass, which no branch
 /// predictor learns: every key is written and the test only decides
 /// whether the next one overwrites it.
-fn gather_keys(table: &TokenTable<TraceId>, keys: &mut Vec<u64>, bound: f32) {
-    keys.resize(table.len(), 0);
+fn gather_keys(tokens: &LiveTokens<TraceId>, keys: &mut Vec<u64>, bound: f32) {
+    keys.resize(tokens.len(), 0);
     let mut kept = 0;
-    for &state in table.active() {
-        let cost = table.cost(state);
-        keys[kept] = frontier_key(cost, state);
-        kept += usize::from(cost <= bound);
+    for (pos, token) in tokens.tokens().iter().enumerate() {
+        keys[kept] = frontier_key(token.cost, pos as u32);
+        kept += usize::from(token.cost <= bound);
     }
     keys.truncate(kept);
 }
 
-/// Collects the beam (and optional histogram) survivors of `table` into
-/// `frontier`, sorted by state id — the deterministic expansion order.
+/// A token as the frontier and the closure worklist hold it: its state
+/// above its position in its list, so sorting items by state needs no
+/// lookup and expanding one needs no search.
+#[inline]
+fn item(state: u32, pos: usize) -> u64 {
+    u64::from(state) << 32 | pos as u64
+}
+
+/// The state of an [`item`].
+#[inline]
+fn item_state(item: u64) -> u32 {
+    (item >> 32) as u32
+}
+
+/// The list position of an [`item`].
+#[inline]
+fn item_pos(item: u64) -> usize {
+    item as u32 as usize
+}
+
+/// Collects the beam (and optional histogram) survivors of `tokens` into
+/// `frontier` as [`item`]s, in state order — the deterministic expansion
+/// order.
 ///
-/// `limit` is what the frame that filled `table` learnt about the cap's
+/// `limit` is what the frame that filled `tokens` learnt about the cap's
 /// cutoff. Taken under a cap at least as wide as this frame's, it rules
 /// out every token above it before a key is built; under a narrower one
 /// (the search was retuned wider in between) it says nothing about this
 /// frame's cut and is ignored.
 fn build_frontier(
-    table: &TokenTable<TraceId>,
-    frontier: &mut Vec<u32>,
+    tokens: &LiveTokens<TraceId>,
+    frontier: &mut Vec<u64>,
     keys: &mut Vec<u64>,
-    sort_buf: &mut Vec<u32>,
+    sort_buf: &mut Vec<u64>,
     beam: f32,
     max_active: Option<usize>,
     limit: CapLimit,
 ) {
     frontier.clear();
-    let threshold = table.best() + beam;
+    let threshold = tokens.best() + beam;
+    let key_item = |key: u64| {
+        let pos = key as u32 as usize;
+        item(tokens.tokens()[pos].state, pos)
+    };
     match max_active {
         Some(0) => {}
         // The cap can only bind with more live tokens than `cap`: gather
-        // flat keys so the rank-select compares integers it already holds
-        // instead of chasing two token slots per comparison. The `cap`
-        // cheapest (ties by state id) are a set, independent of the
-        // selection's internal order, so the one state-order sort below
-        // suffices.
-        Some(cap) if table.len() > cap => {
+        // flat keys so the rank-select compares integers it already holds.
+        // The `cap` cheapest are a set, independent of the selection's
+        // internal order, so the one state-order sort below suffices.
+        Some(cap) if tokens.len() > cap => {
             let bound = if cap <= limit.cap && limit.cost < threshold {
                 limit.cost
             } else {
                 threshold
             };
-            gather_keys(table, keys, bound);
-            if keys.len() > cap {
-                keys.select_nth_unstable(cap - 1);
-                keys.truncate(cap);
-            }
-            frontier.extend(keys.iter().map(|&key| key as u32));
-        }
-        _ => {
-            for &state in table.active() {
-                if table.cost(state) <= threshold {
-                    frontier.push(state);
+            gather_keys(tokens, keys, bound);
+            if keys.len() <= cap {
+                frontier.extend(keys.iter().map(|&key| key_item(key)));
+            } else {
+                let cut = *keys.select_nth_unstable(cap - 1).1 >> 32;
+                let (chosen, rest) = keys.split_at(cap);
+                if rest.iter().all(|&key| key >> 32 != cut) {
+                    frontier.extend(chosen.iter().map(|&key| key_item(key)));
+                } else {
+                    // Tokens costing exactly the cut straddle it, and the
+                    // keys broke their tie by position: the cap takes the
+                    // lowest state ids among them instead (the reference's
+                    // order), after every strictly cheaper token.
+                    let cheaper = chosen.iter().filter(|&&key| key >> 32 < cut);
+                    frontier.extend(cheaper.map(|&key| key_item(key)));
+                    let tied_from = frontier.len();
+                    let tied = keys.iter().filter(|&&key| key >> 32 == cut);
+                    frontier.extend(tied.map(|&key| key_item(key)));
+                    frontier[tied_from..].sort_unstable();
+                    frontier.truncate(cap);
                 }
             }
+        }
+        _ => {
+            frontier.resize(tokens.len(), 0);
+            let mut kept = 0;
+            for (pos, token) in tokens.tokens().iter().enumerate() {
+                frontier[kept] = item(token.state, pos);
+                kept += usize::from(token.cost <= threshold);
+            }
+            frontier.truncate(kept);
         }
     }
     sort_states(frontier, sort_buf);
 }
 
-/// The cap's cutoff, taken once the emitting phase has filled `table`:
+/// The cap's cutoff, taken once the emitting phase has filled `tokens`:
 /// with more than `cap` tokens inside `threshold`, the cost of the
 /// `cap`-th cheapest (the rank-select [`build_frontier`] runs, over the
 /// same keys).
@@ -540,7 +668,7 @@ fn build_frontier(
 /// least as much. Tokens costing exactly the limit may still make the
 /// cut (the state id decides), so they stay.
 fn cap_limit(
-    table: &TokenTable<TraceId>,
+    tokens: &LiveTokens<TraceId>,
     keys: &mut Vec<u64>,
     threshold: f32,
     max_active: Option<usize>,
@@ -548,10 +676,10 @@ fn cap_limit(
     let Some(cap) = max_active else {
         return CapLimit::NONE;
     };
-    if cap == 0 || table.len() <= cap {
+    if cap == 0 || tokens.len() <= cap {
         return CapLimit::NONE;
     }
-    gather_keys(table, keys, threshold);
+    gather_keys(tokens, keys, threshold);
     if keys.len() <= cap {
         return CapLimit::NONE;
     }
@@ -562,55 +690,65 @@ fn cap_limit(
     }
 }
 
-/// Digit width of [`sort_states`]: two passes cover 4M states.
+/// Widest digit of [`sort_states`]: two passes cover 4M states.
 const RADIX_BITS: u32 = 11;
 /// Below this many ids a comparison sort is cheaper than clearing and
 /// summing `2^RADIX_BITS` buckets per pass.
 const RADIX_MIN_LEN: usize = 384;
 
-/// Sorts state ids ascending: an LSD radix sort over as many
-/// [`RADIX_BITS`]-bit digits as the largest id present needs, ping-ponging
-/// between `states` and `buf`; short inputs take `sort_unstable`.
-fn sort_states(states: &mut [u32], buf: &mut Vec<u32>) {
-    if states.len() < RADIX_MIN_LEN {
-        states.sort_unstable();
+/// Sorts [`item`]s by state: an LSD radix sort over as few digits of at
+/// most [`RADIX_BITS`] bits as the largest state present needs, split
+/// evenly (so a 16-bit range takes two passes over 256 buckets, not one
+/// over 2048 and one over 32), ping-ponging between `items` and `buf`;
+/// short inputs take `sort_unstable`. The search sorts each state at most
+/// once, so stability never matters.
+fn sort_states(items: &mut [u64], buf: &mut Vec<u64>) {
+    if items.len() < RADIX_MIN_LEN {
+        items.sort_unstable();
         return;
     }
-    if buf.len() < states.len() {
-        buf.resize(states.len(), 0);
+    if buf.len() < items.len() {
+        buf.resize(items.len(), 0);
     }
-    let buf = &mut buf[..states.len()];
-    let used_bits = u32::BITS - states.iter().fold(0, |all, &s| all | s).leading_zeros();
+    let buf = &mut buf[..items.len()];
+    let used_bits =
+        u32::BITS - item_state(items.iter().fold(0, |all, &item| all | item)).leading_zeros();
+    let passes = used_bits.div_ceil(RADIX_BITS);
+    let width = used_bits.div_ceil(passes.max(1));
+    let mut offsets = [0u32; 1 << RADIX_BITS];
+    let offsets = &mut offsets[..1 << width];
     let mut in_buf = false;
-    for shift in (0..used_bits).step_by(RADIX_BITS as usize) {
+    for pass in 0..passes {
         let (src, dst) = if in_buf {
-            (&*buf, &mut *states)
+            (&*buf, &mut *items)
         } else {
-            (&*states, &mut *buf)
+            (&*items, &mut *buf)
         };
-        let digit = |state: u32| (state >> shift) as usize & ((1 << RADIX_BITS) - 1);
-        let mut offsets = [0u32; 1 << RADIX_BITS];
-        for &state in src {
-            offsets[digit(state)] += 1;
+        let shift = pass * width;
+        let digit = |item: u64| (item_state(item) >> shift) as usize & ((1 << width) - 1);
+        offsets.fill(0);
+        for &item in src {
+            offsets[digit(item)] += 1;
         }
         let mut sum = 0;
-        for offset in &mut offsets {
+        for offset in offsets.iter_mut() {
             sum += std::mem::replace(offset, sum);
         }
-        for &state in src {
-            let offset = &mut offsets[digit(state)];
-            dst[*offset as usize] = state;
+        for &item in src {
+            let offset = &mut offsets[digit(item)];
+            dst[*offset as usize] = item;
             *offset += 1;
         }
         in_buf = !in_buf;
     }
     if in_buf {
-        states.copy_from_slice(buf);
+        items.copy_from_slice(buf);
     }
 }
 
-/// Expands one frame's emitting arcs from `frontier` into `next` with
-/// prune-on-insert and inline lattice pushes.
+/// Expands one frame's emitting arcs from the `frontier` [`item`]s of
+/// `cur` into `next` with prune-on-insert and inline lattice pushes,
+/// starting a new epoch of `index` and emptying `next` first.
 ///
 /// Prune-on-insert: the running frame-best can only over-estimate the
 /// final best, so anything skipped here is a token the next frame's prune
@@ -622,33 +760,36 @@ fn sort_states(states: &mut [u32], buf: &mut Vec<u32>) {
 #[allow(clippy::too_many_arguments)]
 fn relax_frame(
     wfst: &Wfst,
-    cur: &TokenTable<TraceId>,
-    next: &mut TokenTable<TraceId>,
-    frontier: &[u32],
+    index: &mut StateIndex,
+    cur: &LiveTokens<TraceId>,
+    next: &mut LiveTokens<TraceId>,
+    frontier: &[u64],
     lattice: &mut Lattice,
     fs: &mut FrameStats,
     beam: f32,
     last_frame: bool,
     row: &[f32],
 ) {
-    next.begin_frame();
-    for &state_raw in frontier {
-        let cost0 = cur.cost(state_raw);
-        let trace = cur.payload(state_raw);
-        for arc in wfst.emitting_arcs(StateId(state_raw)) {
+    index.begin_frame();
+    next.clear();
+    for &item in frontier {
+        let token = cur.tokens()[item_pos(item)];
+        for arc in wfst.emitting_arcs(StateId(token.state)) {
             fs.arcs_traversed += 1;
-            let cost = cost0 + arc.weight + row[arc.ilabel.index()];
+            let cost = token.cost + arc.weight + row[arc.ilabel.index()];
             if !last_frame && cost > next.best() + beam {
                 continue;
             }
-            if next.relax(arc.dest.0, cost, || lattice.push(trace, arc.olabel)) {
+            let push = || lattice.push(token.payload, arc.olabel);
+            if index.relax(next, arc.dest.0, cost, push).is_some() {
                 fs.tokens_created += 1;
             }
         }
     }
 }
 
-/// Transitively relaxes epsilon arcs inside one frame's token table.
+/// Transitively relaxes epsilon arcs inside one frame's token list,
+/// through the `index` that filled it this epoch.
 ///
 /// Worklist algorithm: whenever a token improves, its epsilon arcs are
 /// reconsidered. Non-negative weights guarantee termination (zero-weight
@@ -674,41 +815,41 @@ fn relax_frame(
 #[allow(clippy::too_many_arguments)]
 fn epsilon_closure(
     wfst: &Wfst,
-    table: &mut TokenTable<TraceId>,
+    index: &mut StateIndex,
+    tokens: &mut LiveTokens<TraceId>,
     lattice: &mut Lattice,
     fs: &mut FrameStats,
     threshold: f32,
     limit: f32,
-    worklist: &mut Vec<u32>,
-    sort_buf: &mut Vec<u32>,
+    worklist: &mut Vec<u64>,
+    sort_buf: &mut Vec<u64>,
 ) {
     worklist.clear();
-    for &state in table.active() {
-        if wfst.has_epsilon(StateId(state)) && table.cost(state) <= threshold {
-            worklist.push(state);
+    for (pos, token) in tokens.tokens().iter().enumerate() {
+        if wfst.has_epsilon(StateId(token.state)) && token.cost <= threshold {
+            worklist.push(item(token.state, pos));
         }
     }
     sort_states(worklist, sort_buf);
     let cutoff = if limit < threshold { limit } else { threshold };
     let mut idx = 0;
     while idx < worklist.len() {
-        let state_raw = worklist[idx];
+        let token = tokens.tokens()[item_pos(worklist[idx])];
         idx += 1;
-        let cost = table.cost(state_raw);
-        if cost > cutoff {
+        if token.cost > cutoff {
             continue;
         }
-        let trace = table.payload(state_raw);
-        for arc in wfst.epsilon_arcs(StateId(state_raw)) {
+        for arc in wfst.epsilon_arcs(StateId(token.state)) {
             fs.arcs_traversed += 1;
-            let dest_cost = cost + arc.weight;
+            let dest_cost = token.cost + arc.weight;
             if dest_cost > cutoff {
                 continue;
             }
-            if table.relax(arc.dest.0, dest_cost, || lattice.push(trace, arc.olabel)) {
+            let push = || lattice.push(token.payload, arc.olabel);
+            if let Some(pos) = index.relax(tokens, arc.dest.0, dest_cost, push) {
                 fs.tokens_created += 1;
                 if wfst.has_epsilon(arc.dest) {
-                    worklist.push(arc.dest.0);
+                    worklist.push(item(arc.dest.0, pos));
                 }
             }
         }
@@ -716,15 +857,14 @@ fn epsilon_closure(
 }
 
 /// Runs lattice GC when `frame` crosses the configured interval: live
-/// roots are the stored tokens' traces, and every surviving token's
-/// backpointer is retargeted to the compacted trace.
+/// roots are the tokens' traces, and every token's backpointer is
+/// retargeted to the compacted trace.
 fn maybe_gc(
     interval: Option<u32>,
     frame: usize,
-    table: &mut TokenTable<TraceId>,
+    tokens: &mut LiveTokens<TraceId>,
     lattice: &mut Lattice,
     gc_roots: &mut Vec<TraceId>,
-    states_scratch: &mut Vec<u32>,
     gc: &mut CompactScratch,
 ) {
     let Some(interval) = interval else {
@@ -733,15 +873,11 @@ fn maybe_gc(
     if interval == 0 || !(frame as u64 + 1).is_multiple_of(interval as u64) {
         return;
     }
-    states_scratch.clear();
-    states_scratch.extend_from_slice(table.active());
     gc_roots.clear();
-    for &state in states_scratch.iter() {
-        gc_roots.push(table.payload(state));
-    }
+    gc_roots.extend(tokens.tokens().iter().map(|token| token.payload));
     lattice.compact(gc_roots, gc);
-    for (&state, &root) in states_scratch.iter().zip(gc_roots.iter()) {
-        table.set_payload(state, root);
+    for (trace, &root) in tokens.payloads_mut().zip(gc_roots.iter()) {
+        *trace = root;
     }
 }
 
@@ -790,13 +926,11 @@ pub(crate) fn finish(
     let cur = &scratch.cur;
     let mut best_final = AscendingScan::default();
     let mut best_any = AscendingScan::default();
-    for &state in cur.active() {
-        let cost = cur.cost(state);
-        let trace = cur.payload(state);
-        best_any.offer(state, cost, trace);
-        let f = wfst.final_cost(StateId(state));
+    for token in cur.tokens() {
+        best_any.offer(token.state, token.cost, token.payload);
+        let f = wfst.final_cost(StateId(token.state));
         if f.is_finite() {
-            best_final.offer(state, cost + f, trace);
+            best_final.offer(token.state, token.cost + f, token.payload);
         }
     }
     let (reached_final, chosen) = match (best_final.pick(), best_any.pick()) {
@@ -1057,20 +1191,22 @@ mod tests {
 
     // --- frontier: keyed rank-select ---------------------------------
 
-    /// A frame's token table holding exactly `tokens`, inserted in order.
-    fn table_of(tokens: &[(u32, f32)]) -> TokenTable<TraceId> {
-        let mut table = TokenTable::new(16, TraceId::ROOT);
-        table.begin_frame();
+    /// A frame's token list holding exactly `tokens`, inserted in order.
+    fn table_of(tokens: &[(u32, f32)]) -> LiveTokens<TraceId> {
+        let (mut index, mut table) = (StateIndex::new(16), LiveTokens::with_capacity(0));
+        index.begin_frame();
         for &(state, cost) in tokens {
-            assert!(table.relax(state, cost, || TraceId::ROOT));
+            assert!(index
+                .relax(&mut table, state, cost, || TraceId::ROOT)
+                .is_some());
         }
         table
     }
 
     /// [`build_frontier`] over `table` with fresh buffers but the caller's
-    /// `keys`, whose growth some tests watch.
+    /// `keys`, whose growth some tests watch: the frontier's states.
     fn frontier_of(
-        table: &TokenTable<TraceId>,
+        table: &LiveTokens<TraceId>,
         keys: &mut Vec<u64>,
         beam: f32,
         max_active: Option<usize>,
@@ -1086,7 +1222,7 @@ mod tests {
             max_active,
             limit,
         );
-        frontier
+        frontier.into_iter().map(item_state).collect()
     }
 
     proptest! {
@@ -1125,6 +1261,23 @@ mod tests {
 
     // --- state order: radix sort ---------------------------------------
 
+    /// [`sort_states`] over `ids` as items at positions `0..`, checked to
+    /// have kept every item; returns the sorted states.
+    fn sorted_states(ids: &[u32], buf: &mut Vec<u64>) -> Vec<u32> {
+        let mut items: Vec<u64> = ids
+            .iter()
+            .enumerate()
+            .map(|(pos, &id)| item(id, pos))
+            .collect();
+        let mut kept = items.clone();
+        sort_states(&mut items, buf);
+        let mut got = items.clone();
+        got.sort_unstable();
+        kept.sort_unstable();
+        assert_eq!(got, kept, "every item survives the sort");
+        items.into_iter().map(item_state).collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 6 } else { 512 }))]
 
@@ -1146,33 +1299,31 @@ mod tests {
             let mut want = ids.clone();
             want.sort_unstable();
             // A buffer left over from a longer sort must not leak in.
-            let mut buf = vec![u32::MAX; raw.len() / 2];
-            sort_states(&mut ids, &mut buf);
-            prop_assert_eq!(ids, want);
+            let mut buf = vec![u64::MAX; raw.len() / 2];
+            prop_assert_eq!(sorted_states(&ids, &mut buf), want);
         }
     }
 
     #[test]
     fn sort_states_either_side_of_the_radix_cutoff() {
         let mut buf = Vec::new();
-        sort_states(&mut [], &mut buf);
+        assert!(sorted_states(&[], &mut buf).is_empty());
         for len in [2, RADIX_MIN_LEN - 1, RADIX_MIN_LEN, RADIX_MIN_LEN + 1] {
             // Descending, spread over all 32 bits, both extremes present.
             let step = u32::MAX / len as u32;
             let mut ids: Vec<u32> = (0..len as u32).rev().map(|i| i * step).collect();
             ids[0] = u32::MAX;
-            sort_states(&mut ids, &mut buf);
+            let ids = sorted_states(&ids, &mut buf);
             assert!(ids.is_sorted(), "len {len}");
             assert_eq!((ids[0], ids[len - 1]), (0, u32::MAX), "len {len}");
             // Small ids: one pass, which ends in the buffer.
-            let mut ids: Vec<u32> = (0..len as u32).rev().collect();
-            sort_states(&mut ids, &mut buf);
+            let ids: Vec<u32> = (0..len as u32).rev().collect();
+            let ids = sorted_states(&ids, &mut buf);
             assert!(ids.iter().copied().eq(0..len as u32), "len {len}");
         }
         assert_eq!(buf.len(), RADIX_MIN_LEN + 1, "grown to the longest input");
         // All zero: no digit to sort on.
-        let mut ids = vec![0; RADIX_MIN_LEN];
-        sort_states(&mut ids, &mut buf);
+        let ids = sorted_states(&[0; RADIX_MIN_LEN], &mut buf);
         assert_eq!(ids, vec![0; RADIX_MIN_LEN]);
     }
 
@@ -1575,40 +1726,40 @@ mod tests {
     #[allow(clippy::too_many_arguments)]
     fn epsilon_closure_every_token(
         wfst: &Wfst,
-        table: &mut TokenTable<TraceId>,
+        index: &mut StateIndex,
+        tokens: &mut LiveTokens<TraceId>,
         lattice: &mut Lattice,
         fs: &mut FrameStats,
         threshold: f32,
         limit: f32,
-        worklist: &mut Vec<u32>,
-        _sort_buf: &mut Vec<u32>,
+        worklist: &mut Vec<u64>,
+        _sort_buf: &mut Vec<u64>,
     ) {
         worklist.clear();
-        for &state in table.active() {
-            if table.cost(state) <= threshold {
-                worklist.push(state);
+        for (pos, token) in tokens.tokens().iter().enumerate() {
+            if token.cost <= threshold {
+                worklist.push(item(token.state, pos));
             }
         }
         worklist.sort_unstable();
         let cutoff = if limit < threshold { limit } else { threshold };
         let mut idx = 0;
         while idx < worklist.len() {
-            let state_raw = worklist[idx];
+            let token = tokens.tokens()[item_pos(worklist[idx])];
             idx += 1;
-            let cost = table.cost(state_raw);
-            if cost > cutoff {
+            if token.cost > cutoff {
                 continue;
             }
-            let trace = table.payload(state_raw);
-            for arc in wfst.epsilon_arcs(StateId(state_raw)) {
+            for arc in wfst.epsilon_arcs(StateId(token.state)) {
                 fs.arcs_traversed += 1;
-                let dest_cost = cost + arc.weight;
+                let dest_cost = token.cost + arc.weight;
                 if dest_cost > cutoff {
                     continue;
                 }
-                if table.relax(arc.dest.0, dest_cost, || lattice.push(trace, arc.olabel)) {
+                let push = || lattice.push(token.payload, arc.olabel);
+                if let Some(pos) = index.relax(tokens, arc.dest.0, dest_cost, push) {
                     fs.tokens_created += 1;
-                    worklist.push(arc.dest.0);
+                    worklist.push(item(arc.dest.0, pos));
                 }
             }
         }
@@ -1661,20 +1812,26 @@ mod tests {
         fn oracle_seed_start(&mut self, wfst: &Wfst) {
             self.scratch.limit = CapLimit::NONE;
             let cur = &mut self.scratch.cur;
-            cur.begin_frame();
-            let start_trace = self.lattice.push(TraceId::ROOT, WordId::NONE);
-            cur.relax(wfst.start().0, 0.0, || start_trace);
+            cur.clear();
             let mut closure = FrameStats::default();
-            epsilon_closure_every_token(
-                wfst,
-                cur,
-                &mut self.lattice,
-                &mut closure,
-                f32::INFINITY,
-                f32::INFINITY,
-                &mut self.scratch.worklist,
-                &mut self.scratch.sort_buf,
-            );
+            FRAME.with_borrow_mut(|frame| {
+                let index = &mut frame.index;
+                index.ensure(wfst.num_states());
+                index.begin_frame();
+                let start_trace = self.lattice.push(TraceId::ROOT, WordId::NONE);
+                index.relax(cur, wfst.start().0, 0.0, || start_trace);
+                epsilon_closure_every_token(
+                    wfst,
+                    index,
+                    cur,
+                    &mut self.lattice,
+                    &mut closure,
+                    f32::INFINITY,
+                    f32::INFINITY,
+                    &mut frame.worklist,
+                    &mut frame.sort_buf,
+                );
+            });
             self.split.closure_tokens += closure.tokens_created;
         }
 
@@ -1691,105 +1848,106 @@ mod tests {
             row: &[f32],
             last_frame: bool,
         ) -> bool {
-            let DecodeScratch {
-                cur,
-                next,
-                frontier,
-                worklist,
-                keys,
-                sort_buf,
-                limit,
-                gc_roots,
-                gc,
-            } = &mut self.scratch;
-            let (lattice, split) = (&mut self.lattice, &mut self.split);
-            let frame = self.stats.frames.len();
-            let mut fs = FrameStats {
-                active_tokens: cur.len(),
-                ..FrameStats::default()
-            };
+            FRAME.with_borrow_mut(|frame| {
+                let FrameScratch {
+                    index,
+                    frontier,
+                    worklist,
+                    keys,
+                    sort_buf,
+                    gc_roots,
+                    gc,
+                } = frame;
+                let DecodeScratch { cur, next, limit } = &mut self.scratch;
+                let (lattice, split) = (&mut self.lattice, &mut self.split);
+                let frame = self.stats.frames.len();
+                let mut fs = FrameStats {
+                    active_tokens: cur.len(),
+                    ..FrameStats::default()
+                };
 
-            let clock = Instant::now();
-            let trusted = if ORACLE { CapLimit::NONE } else { *limit };
-            build_frontier(
-                cur,
-                frontier,
-                keys,
-                sort_buf,
-                opts.beam,
-                opts.max_active,
-                trusted,
-            );
-            fs.expanded_tokens = frontier.len();
-            split.frontier += clock.elapsed();
-
-            let clock = Instant::now();
-            relax_frame(
-                wfst, cur, next, frontier, lattice, &mut fs, opts.beam, last_frame, row,
-            );
-            split.relax += clock.elapsed();
-            split.relax_arcs += fs.arcs_traversed;
-            split.relax_tokens += fs.tokens_created;
-
-            let clock = Instant::now();
-            let mut threshold = f32::INFINITY;
-            *limit = CapLimit::NONE;
-            if !last_frame {
-                threshold = next.best() + opts.beam;
-                *limit = cap_limit(next, keys, threshold, opts.max_active);
-            }
-            split.cutoff += clock.elapsed();
-
-            let clock = Instant::now();
-            let mut closure = FrameStats::default();
-            let run = if ORACLE {
-                epsilon_closure_every_token
-            } else {
-                epsilon_closure
-            };
-            run(
-                wfst,
-                next,
-                lattice,
-                &mut closure,
-                threshold,
-                limit.cost,
-                worklist,
-                sort_buf,
-            );
-            split.closure += clock.elapsed();
-            split.closure_arcs += closure.arcs_traversed;
-            split.closure_tokens += closure.tokens_created;
-            fs.arcs_traversed += closure.arcs_traversed;
-            fs.tokens_created += closure.tokens_created;
-
-            std::mem::swap(cur, next);
-            self.stats.frames.push(fs);
-            if cur.is_empty() {
-                return false;
-            }
-            if !last_frame {
                 let clock = Instant::now();
-                let interval = opts.lattice_gc_interval;
-                maybe_gc(interval, frame, cur, lattice, gc_roots, frontier, gc);
-                split.gc += clock.elapsed();
-            }
-            true
+                let trusted = if ORACLE { CapLimit::NONE } else { *limit };
+                build_frontier(
+                    cur,
+                    frontier,
+                    keys,
+                    sort_buf,
+                    opts.beam,
+                    opts.max_active,
+                    trusted,
+                );
+                fs.expanded_tokens = frontier.len();
+                split.frontier += clock.elapsed();
+
+                let clock = Instant::now();
+                index.ensure(wfst.num_states());
+                relax_frame(
+                    wfst, index, cur, next, frontier, lattice, &mut fs, opts.beam, last_frame, row,
+                );
+                split.relax += clock.elapsed();
+                split.relax_arcs += fs.arcs_traversed;
+                split.relax_tokens += fs.tokens_created;
+
+                let clock = Instant::now();
+                let mut threshold = f32::INFINITY;
+                *limit = CapLimit::NONE;
+                if !last_frame {
+                    threshold = next.best() + opts.beam;
+                    *limit = cap_limit(next, keys, threshold, opts.max_active);
+                }
+                split.cutoff += clock.elapsed();
+
+                let clock = Instant::now();
+                let mut closure = FrameStats::default();
+                let run = if ORACLE {
+                    epsilon_closure_every_token
+                } else {
+                    epsilon_closure
+                };
+                run(
+                    wfst,
+                    index,
+                    next,
+                    lattice,
+                    &mut closure,
+                    threshold,
+                    limit.cost,
+                    worklist,
+                    sort_buf,
+                );
+                split.closure += clock.elapsed();
+                split.closure_arcs += closure.arcs_traversed;
+                split.closure_tokens += closure.tokens_created;
+                fs.arcs_traversed += closure.arcs_traversed;
+                fs.tokens_created += closure.tokens_created;
+
+                std::mem::swap(cur, next);
+                self.stats.frames.push(fs);
+                if cur.is_empty() {
+                    return false;
+                }
+                if !last_frame {
+                    let clock = Instant::now();
+                    let interval = opts.lattice_gc_interval;
+                    maybe_gc(interval, frame, cur, lattice, gc_roots, gc);
+                    split.gc += clock.elapsed();
+                }
+                true
+            })
         }
 
         /// Live tokens in insertion order: `(state, cost bits, trace)`.
         fn tokens(&self) -> Vec<(u32, u32, TraceId)> {
-            let cur = &self.scratch.cur;
-            cur.active()
-                .iter()
-                .map(|&s| (s, cur.cost(s).to_bits(), cur.payload(s)))
+            let cur = self.scratch.cur.tokens().iter();
+            cur.map(|t| (t.state, t.cost.to_bits(), t.payload))
                 .collect()
         }
     }
 
     /// Decodes `scores` twice in lock step — [`search_frame`] and the
     /// oracle frame, frame `t` under `opts_at(t)` — asserting identical
-    /// stats, token tables and lattice entries after the start closure
+    /// stats, live tokens and lattice entries after the start closure
     /// and after every frame. Returns the two runs.
     fn lock_step(
         wfst: &Wfst,
@@ -2046,7 +2204,8 @@ mod tests {
     /// two search shapes and their beam-only counterparts stage by stage
     /// through [`Run::frame`], checks every result against
     /// [`search_frame`]'s, and prints the best of `ROUNDS` passes over
-    /// eight 100-frame tables on a warm scratch.
+    /// eight 100-frame tables on a warm scratch; then what stepping 16
+    /// decodes round-robin costs ([`interleave_split`]).
     #[test]
     #[ignore = "a profiler, not a check: run with `just stages`"]
     fn stage_split() {
@@ -2143,39 +2302,158 @@ mod tests {
             println!("  gc       {:7.1}", us(best.gc));
             println!("  frame    {:7.1}", us(best.total()));
         }
+        interleave_split();
     }
 
-    // --- epoch wrap under the double-buffer swap ---------------------
+    // --- one index per thread, many decodes ---------------------------
 
+    /// `n` decodes of `scores` (one table each) stepped on this thread
+    /// through its shared index, every decode one frame in turn when
+    /// `round_robin`, else each to its end before the next starts, and
+    /// finished with the last row. Returns the results and the wall time
+    /// of the steps alone.
+    fn step_decodes(
+        wfst: &Wfst,
+        opts: &DecodeOptions,
+        scores: &[AcousticTable],
+        round_robin: bool,
+    ) -> (Vec<DecodeResult>, Duration) {
+        let mut runs: Vec<Run> = scores.iter().map(|_| Run::new(wfst)).collect();
+        for run in &mut runs {
+            seed_start(wfst, &mut run.scratch, &mut run.lattice);
+        }
+        let frames = scores
+            .iter()
+            .map(AcousticTable::num_frames)
+            .max()
+            .unwrap_or(0);
+        let step = |run: &mut Run, scores: &AcousticTable, frame: usize| {
+            if frame + 1 < scores.num_frames() {
+                let (scratch, lattice) = (&mut run.scratch, &mut run.lattice);
+                let row = scores.frame_row(frame);
+                search_frame(wfst, opts, scratch, lattice, &mut run.stats, row, false);
+            }
+        };
+        let clock = Instant::now();
+        if round_robin {
+            for frame in 0..frames {
+                for (run, scores) in runs.iter_mut().zip(scores) {
+                    step(run, scores, frame);
+                }
+            }
+        } else {
+            for (run, scores) in runs.iter_mut().zip(scores) {
+                for frame in 0..frames {
+                    step(run, scores, frame);
+                }
+            }
+        }
+        let wall = clock.elapsed();
+        let results = (runs.into_iter().zip(scores))
+            .map(|(mut run, scores)| {
+                let last = scores.num_frames() - 1;
+                let (row, scratch) = (scores.frame_row(last), &mut run.scratch);
+                search_frame(
+                    wfst,
+                    opts,
+                    scratch,
+                    &mut run.lattice,
+                    &mut run.stats,
+                    row,
+                    true,
+                );
+                finish(wfst, &run.scratch, run.lattice, run.stats)
+            })
+            .collect();
+        (results, wall)
+    }
+
+    /// [`stage_split`]'s last shape, what interleaving decodes costs the
+    /// search: 16 decodes over the 50k-state graph at cap 2000, stepped
+    /// round-robin (the `voice_16s_batched` pattern) and back to back, in
+    /// us per step, best of `ROUNDS`; both orders must decode the same
+    /// bytes.
+    fn interleave_split() {
+        use asr_wfst::synth::{SynthConfig, SynthWfst};
+        const ROUNDS: usize = 6;
+        const DECODES: u64 = 16;
+        const FRAMES: usize = 60;
+        let w = SynthWfst::generate(&SynthConfig {
+            num_phones: 2_000,
+            vocab_size: 2_000,
+            final_fraction: 0.05,
+            ..SynthConfig::with_states(50_000).with_seed(1)
+        })
+        .unwrap();
+        let opts = DecodeOptions {
+            max_active: Some(2_000),
+            ..DecodeOptions::with_beam(40.0)
+        };
+        let tables: Vec<AcousticTable> = (0..DECODES)
+            .map(|seed| AcousticTable::random(FRAMES, 2_001, (0.5, 4.0), seed))
+            .collect();
+        let steps = (DECODES as usize * (FRAMES - 1)) as f64;
+        let mut best = [f64::INFINITY; 2];
+        let mut decoded: [Vec<DecodeResult>; 2] = Default::default();
+        for _ in 0..=ROUNDS {
+            for round_robin in [false, true] {
+                let (results, wall) = step_decodes(&w, &opts, &tables, round_robin);
+                let us = wall.as_secs_f64() * 1e6 / steps;
+                best[usize::from(round_robin)] = best[usize::from(round_robin)].min(us);
+                decoded[usize::from(round_robin)] = results;
+            }
+        }
+        for (a, b) in decoded[0].iter().zip(&decoded[1]) {
+            assert_eq!(a.words, b.words);
+            assert_eq!(a.cost.to_bits(), b.cost.to_bits());
+            assert_eq!(entries(&a.lattice), entries(&b.lattice));
+        }
+        println!(
+            "50000 states, beam 40, max_active Some(2000): {DECODES} decodes x {} steps, \
+             best of {ROUNDS} rounds, us per step",
+            FRAMES - 1
+        );
+        println!("  back to back {:7.1}", best[0]);
+        println!("  round robin  {:7.1}   x{:.2}", best[1], best[1] / best[0]);
+    }
+
+    /// Two decodes interleaved on this thread across the wrap of its
+    /// shared index's epoch, after decodes that left small tags in the
+    /// slots they reach: each must match the same decode before the wrap.
     #[test]
     fn decode_across_the_epoch_wrap_matches_a_fresh_scratch() {
         use asr_wfst::synth::{SynthConfig, SynthWfst};
         let states = if cfg!(miri) { 150 } else { 2_000 };
         let w = SynthWfst::generate(&SynthConfig::with_states(states)).unwrap();
-        let scores = AcousticTable::random(60, w.num_phones() as usize, (0.5, 4.0), 5);
-        let d = ViterbiDecoder::new(DecodeOptions {
+        let tables: Vec<AcousticTable> = (5..7)
+            .map(|seed| AcousticTable::random(60, w.num_phones() as usize, (0.5, 4.0), seed))
+            .collect();
+        let opts = DecodeOptions {
             lattice_gc_interval: Some(8),
             ..DecodeOptions::with_beam(6.0)
-        });
-        let fresh = d.decode(&w, &scores);
-        assert_eq!(fresh.stats.frames.len(), 60, "the beam must not empty");
+        };
+        // A scratch held throughout keeps this thread's index alive.
+        let _held = DecodeScratch::new(w.num_states());
+        let d = ViterbiDecoder::new(opts.clone());
+        let fresh: Vec<DecodeResult> = tables.iter().map(|scores| d.decode(&w, scores)).collect();
+        for fresh in &fresh {
+            assert_eq!(fresh.stats.frames.len(), 60, "the beam must not empty");
+        }
 
-        let mut scratch = DecodeScratch::new(w.num_states());
-        // A first decode over other scores leaves small tags in slots this
-        // utterance reaches later: exactly what a wrap that forgot to
-        // reset them would bring back to life.
-        let other = AcousticTable::random(60, w.num_phones() as usize, (0.5, 4.0), 6);
-        d.decode_with(&mut scratch, &w, &other);
-        scratch.cur.seed_epoch(u32::MAX - 7);
-        scratch.next.seed_epoch(u32::MAX - 12);
-        let wrapped = d.decode_with(&mut scratch, &w, &scores);
-        assert!(scratch.cur.epoch() < 64 && scratch.next.epoch() < 64);
+        // The fresh decodes left small tags in the slots these utterances
+        // reach: exactly what a wrap that forgot to reset them would
+        // bring back to life.
+        FRAME.with_borrow_mut(|frame| frame.index.seed_epoch(u32::MAX - 7));
+        let (wrapped, _) = step_decodes(&w, &opts, &tables, true);
+        assert!(FRAME.with_borrow(|frame| frame.index.epoch()) < 128);
 
-        assert_eq!(wrapped.words, fresh.words);
-        assert_eq!(wrapped.cost.to_bits(), fresh.cost.to_bits());
-        assert_eq!(wrapped.best_state, fresh.best_state);
-        assert_eq!(wrapped.reached_final, fresh.reached_final);
-        assert_eq!(wrapped.stats.frames, fresh.stats.frames);
-        assert_eq!(entries(&wrapped.lattice), entries(&fresh.lattice));
+        for (wrapped, fresh) in wrapped.iter().zip(&fresh) {
+            assert_eq!(wrapped.words, fresh.words);
+            assert_eq!(wrapped.cost.to_bits(), fresh.cost.to_bits());
+            assert_eq!(wrapped.best_state, fresh.best_state);
+            assert_eq!(wrapped.reached_final, fresh.reached_final);
+            assert_eq!(wrapped.stats.frames, fresh.stats.frames);
+            assert_eq!(entries(&wrapped.lattice), entries(&fresh.lattice));
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! (Section VI). The two types here are the two sides of that handoff:
 //!
 //! * [`StreamingDecode`] is the search. It consumes score rows as they
-//!   are produced and keeps the full decode state (token tables, lattice,
+//!   are produced and keeps the full decode state (live tokens, lattice,
 //!   statistics) alive between rows, so hypotheses can be read out
 //!   mid-utterance. [`StreamingDecode::step`] advances one *non-final*
 //!   frame; [`StreamingDecode::finish`] takes the utterance's last row.
@@ -55,12 +55,13 @@
 //! buffers that swap, so once both have grown to the largest block the
 //! handoff allocates nothing.
 
-use crate::lattice::Lattice;
+use crate::lattice::{Lattice, TraceId};
 use crate::pool::WorkerPool;
 use crate::search::{
     finish as finish_decode, search_frame, seed_start, DecodeOptions, DecodeResult, DecodeScratch,
     DecodeStats,
 };
+use crate::token_table::Token;
 use asr_wfst::{StateId, Wfst, WordId};
 use std::ops::Deref;
 use std::sync::{Mutex, PoisonError};
@@ -175,22 +176,19 @@ impl<G: Deref<Target = Wfst>> StreamingDecode<G> {
         if !self.alive {
             return None;
         }
-        let cur = &self.scratch.cur;
-        let mut best: Option<(u32, f32)> = None;
-        for &state in cur.active() {
-            let cost = cur.cost(state);
-            let better = match best {
-                None => true,
-                Some((bs, bc)) => cost < bc || (cost == bc && state < bs),
-            };
+        let mut best: Option<Token<TraceId>> = None;
+        for &token in self.scratch.cur.tokens() {
+            let better = best.is_none_or(|best| {
+                token.cost < best.cost || (token.cost == best.cost && token.state < best.state)
+            });
             if better {
-                best = Some((state, cost));
+                best = Some(token);
             }
         }
-        best.map(|(state, cost)| PartialHypothesis {
-            words: self.lattice.backtrack(cur.payload(state)),
-            cost,
-            state: StateId(state),
+        best.map(|best| PartialHypothesis {
+            words: self.lattice.backtrack(best.payload),
+            cost: best.cost,
+            state: StateId(best.state),
             frames: self.frames(),
         })
     }

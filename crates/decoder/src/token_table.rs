@@ -1,37 +1,42 @@
-//! Epoch-tagged flat token store: the software twin of the accelerator's
-//! on-chip token hash tables (`asr-accel`'s `hash` module, Section III of
-//! the paper).
+//! Epoch-tagged sparse-set token store: the software twin of the
+//! accelerator's on-chip token hash tables (`asr-accel`'s `hash` module,
+//! Section III of the paper).
 //!
 //! The hardware keeps the current and next frame's active tokens in two
 //! 32K-entry hash tables whose entries hold the token likelihood plus a
 //! next-pointer chaining all active entries for the State Issuer's walk;
-//! swapping and clearing the tables is what ends a frame. This module
-//! plays that datapath in software with the luxury of a *perfect* hash —
-//! a dense array indexed by state id:
+//! swapping and clearing the tables is what ends a frame. Like the
+//! accelerator, whose tables belong to the device and not to any one
+//! utterance, this module splits what a frame needs from what outlives
+//! it, and plays the datapath with the luxury of a *perfect* hash:
 //!
-//! * **slots** mirror the hash entries: one packed `{epoch, cost,
-//!   payload}` record per state (12 bytes with a
-//!   [`crate::lattice::TraceId`] payload, so a relax touches one cache
-//!   line, not one per field), carrying the path cost and a caller-chosen
-//!   payload (the backpointer in the decoders and the simulator, `()`
-//!   where only membership matters);
+//! * a `StateIndex` is the hash: one packed `{epoch, position}` slot
+//!   per state (8 bytes), mapping a state to the position of its token in
+//!   a token list. It is valid for one frame only, so the search keeps
+//!   **one per thread**, grown to the largest graph the thread has
+//!   searched and shared by every decode that thread steps;
 //! * the **epoch tag** of a slot replaces clearing: a slot is live only if
-//!   its tag equals the table's current epoch, so "flushing the hash
-//!   table" between frames is one counter bump ([`TokenTable::begin_frame`])
+//!   its tag equals the index's current epoch, so "flushing the hash
+//!   table" between frames is one counter bump (`StateIndex::begin_frame`)
 //!   instead of an `O(entries)` wipe or a `HashMap` rehash — and since a
-//!   stale slot is all-zero bytes, building a table is one zeroed
+//!   stale slot is all-zero bytes, building an index is one zeroed
 //!   allocation whose pages the search faults in as it reaches them;
-//! * the **active list** mirrors the hardware's insertion-ordered linked
-//!   list: an append-only `Vec<u32>` of the states inserted this epoch,
-//!   deduplicated for free by the epoch check on first touch.
+//! * a `LiveTokens` list is what the hash entries hold: `{state, cost,
+//!   payload}` tokens stored densely in insertion order (the
+//!   hardware's linked-list walk), deduplicated for free by the epoch
+//!   check on first touch. It is sized by the active set, not the graph,
+//!   so a decode keeps its live tokens between frames for 12 bytes each
+//!   (with a [`crate::lattice::TraceId`] payload), and walking them
+//!   never touches a graph-sized table.
 //!
-//! After warm-up the table performs no heap allocation: lookups, inserts,
+//! [`TokenTable`] pairs an index with its own list, for callers that keep
+//! one table per frame (the accelerator simulator).
+//!
+//! After warm-up neither performs a heap allocation: lookups, inserts,
 //! improvements, and per-frame resets all reuse the same storage. The
 //! running frame-best cost is tracked on insert so the beam test
 //! (`cost <= best + beam`) — the accelerator's prune-on-insert — is one
 //! compare away.
-
-use std::mem::MaybeUninit;
 
 /// Slot-level outcome of one [`TokenTable::relax`], as reported to an
 /// [`InsertObserver`].
@@ -70,7 +75,7 @@ impl RelaxOutcome {
 }
 
 /// Hook receiving one event per [`TokenTable::relax_observed`] call,
-/// *before* the slot is written (and before the payload closure runs).
+/// *before* the token is written (and before the payload closure runs).
 ///
 /// This is how a timing model rides along the functional search without
 /// owning any search state: `asr-accel`'s simulator implements it to
@@ -95,75 +100,112 @@ impl InsertObserver for NoopObserver {
     fn observe(&mut self, _state: u32, _outcome: RelaxOutcome) {}
 }
 
-/// One frame's tokens, stored flat and cleared by epoch bump.
+/// One live token: its state, path cost and payload, side by side (12
+/// bytes with a [`crate::lattice::TraceId`] payload), so a relax touches
+/// one entry and an append is one push.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Token<P> {
+    /// The token's state.
+    pub state: u32,
+    /// Cost of the best path into `state`.
+    pub cost: f32,
+    /// The caller's payload (the backpointer in the decoders).
+    pub payload: P,
+}
+
+/// One frame's tokens, stored densely in insertion order (the hardware's
+/// linked-list walk), plus the running minimum cost.
 ///
-/// `P` is the per-token payload stored next to the path cost; it must be
-/// `Copy` (slots are recycled wholesale between epochs).
-///
-/// # Example
-///
-/// ```
-/// use asr_decoder::token_table::TokenTable;
-///
-/// let mut table: TokenTable<u32> = TokenTable::new(100, 0);
-/// table.begin_frame();
-/// assert!(table.relax(7, 1.5, || 41));   // insert
-/// assert!(table.relax(7, 1.0, || 42));   // improve
-/// assert!(!table.relax(7, 2.0, || 43));  // worse: rejected
-/// assert_eq!(table.get(7), Some((1.0, 42)));
-/// assert_eq!(table.active(), &[7]);
-/// assert_eq!(table.best(), 1.0);
-/// table.begin_frame();                   // O(1) clear
-/// assert!(table.is_empty());
-/// assert_eq!(table.get(7), None);
-/// ```
+/// `P` is the per-token payload (the backpointer in the decoders and the
+/// simulator, `()` where only membership matters). A list is filled only
+/// through a [`StateIndex`], which keeps each state at most once.
 #[derive(Debug, Clone)]
-pub struct TokenTable<P: Copy> {
-    /// Current epoch; slots are live iff their tag matches.
-    epoch: u32,
-    /// One slot per state. Invariant: a slot whose tag is non-zero holds
-    /// an initialized payload, and `epoch` is never 0 when a slot is read —
-    /// tags are written only by `relax_observed`, after the payload, and
-    /// payloads are `Copy`, so nothing ever de-initializes one.
-    slots: Box<[Slot<P>]>,
-    /// States inserted this epoch, in insertion order.
-    active: Vec<u32>,
-    /// Cheapest cost inserted this epoch (`f32::INFINITY` when empty).
+pub(crate) struct LiveTokens<P> {
+    tokens: Vec<Token<P>>,
+    /// Cheapest cost stored (`f32::INFINITY` when empty).
     best: f32,
 }
 
-/// One state's token: tag, cost and payload side by side. All-zero bytes
-/// are a valid stale slot, so a fresh table is one zeroed allocation.
-#[derive(Debug, Clone, Copy)]
-#[repr(C)]
-struct Slot<P: Copy> {
-    /// Epoch tag; the slot is live iff it equals the table's epoch.
-    epoch: u32,
-    /// Path cost (meaningful only while live).
-    cost: f32,
-    /// Payload; initialized whenever the tag is non-zero.
-    payload: MaybeUninit<P>,
+impl<P> LiveTokens<P> {
+    /// An empty list with room for `tokens` tokens.
+    pub fn with_capacity(tokens: usize) -> Self {
+        Self {
+            tokens: Vec::with_capacity(tokens),
+            best: f32::INFINITY,
+        }
+    }
+
+    /// Empties the list, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.tokens.clear();
+        self.best = f32::INFINITY;
+    }
+
+    /// Number of tokens.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.tokens.len()
+    }
+
+    /// `true` when the list holds no token.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.tokens.is_empty()
+    }
+
+    /// The tokens, in insertion order.
+    #[inline]
+    pub fn tokens(&self) -> &[Token<P>] {
+        &self.tokens
+    }
+
+    /// The payloads in insertion order, writable in place (the lattice GC
+    /// retargets backpointers through them).
+    pub fn payloads_mut(&mut self) -> impl Iterator<Item = &mut P> {
+        self.tokens.iter_mut().map(|token| &mut token.payload)
+    }
+
+    /// Cheapest cost stored (`f32::INFINITY` when empty) — the running
+    /// frame-best that drives prune-on-insert.
+    #[inline]
+    pub fn best(&self) -> f32 {
+        self.best
+    }
 }
 
-impl<P: Copy> TokenTable<P> {
-    /// Creates a table covering states `0..num_states`.
-    ///
-    /// `fill` is unused: a payload is read only after a live write, and
-    /// stale slots stay zeroed rather than being filled. The parameter
-    /// remains so the constructor is the one callers were written against.
-    pub fn new(num_states: usize, fill: P) -> Self {
-        let _ = fill;
-        let slots = Box::<[Slot<P>]>::new_zeroed_slice(num_states);
+/// The perfect hash of one frame: state id → position of the state's
+/// token in a [`LiveTokens`] list, cleared by epoch bump.
+///
+/// An index does not own the tokens it points at, so one index can serve
+/// any number of lists, one frame at a time: [`StateIndex::begin_frame`]
+/// forgets every position, and the relaxes that follow fill whichever
+/// list the caller hands them. The search keeps one per thread for every
+/// decode the thread steps.
+#[derive(Debug, Clone)]
+pub(crate) struct StateIndex {
+    /// Current epoch, never 0; slots are live iff their tag matches.
+    epoch: u32,
+    /// One slot per state: the epoch tag in the low 32 bits, the token's
+    /// position in the high 32. All-zero is a stale slot, so the slots
+    /// are one zeroed allocation.
+    slots: Vec<u64>,
+}
+
+impl Default for StateIndex {
+    fn default() -> Self {
+        Self::new(0)
+    }
+}
+
+impl StateIndex {
+    /// Creates an index covering states `0..num_states`.
+    pub fn new(num_states: usize) -> Self {
         Self {
             // Tags start at 0, the epoch at 1: every slot is stale by
-            // construction, so a fresh table is empty even before the
+            // construction, so a fresh index is empty even before the
             // first `begin_frame`.
             epoch: 1,
-            // SAFETY: a `Slot` is a `u32`, an `f32` and a `MaybeUninit`;
-            // each accepts all-zero bytes.
-            slots: unsafe { slots.assume_init() },
-            active: Vec::with_capacity(num_states.min(1 << 16)),
-            best: f32::INFINITY,
+            slots: vec![0; num_states],
         }
     }
 
@@ -172,17 +214,26 @@ impl<P: Copy> TokenTable<P> {
         self.slots.len()
     }
 
+    /// Grows the index to cover `num_states` states; never shrinks. A
+    /// grown index has forgotten every position, like
+    /// [`StateIndex::begin_frame`].
+    pub fn ensure(&mut self, num_states: usize) {
+        if self.slots.len() < num_states {
+            // A fresh zeroed allocation rather than a resize: the old
+            // slots would be copied only to be stale.
+            self.slots = vec![0; num_states];
+        }
+    }
+
     /// Starts a new frame: one counter bump invalidates every slot (the
     /// hardware's table swap-and-clear).
     pub fn begin_frame(&mut self) {
         if self.epoch == u32::MAX {
             // Epoch wrap: the only O(n) reset, once every 2^32 frames.
-            self.slots.iter_mut().for_each(|s| s.epoch = 0);
+            self.slots.fill(0);
             self.epoch = 0;
         }
         self.epoch += 1;
-        self.active.clear();
-        self.best = f32::INFINITY;
     }
 
     /// Test hook: jumps the epoch counter (to just below `u32::MAX`, so a
@@ -199,51 +250,185 @@ impl<P: Copy> TokenTable<P> {
         self.epoch
     }
 
+    /// Position of `state`'s token this frame, if it has one.
+    #[inline]
+    pub fn position(&self, state: u32) -> Option<usize> {
+        let slot = self.slots[state as usize];
+        (slot as u32 == self.epoch).then_some((slot >> 32) as usize)
+    }
+
+    /// Keeps only the best in-going path per state — the accelerator's
+    /// lookup-or-insert with likelihood compare — storing into `tokens`,
+    /// which must be the list every relax since the last
+    /// [`StateIndex::begin_frame`] stored into. Returns the token's
+    /// position if it was inserted or improved; `payload` is evaluated
+    /// only then (the decoders allocate their lattice entry inside it).
+    #[inline]
+    pub fn relax<P>(
+        &mut self,
+        tokens: &mut LiveTokens<P>,
+        state: u32,
+        cost: f32,
+        payload: impl FnOnce() -> P,
+    ) -> Option<usize> {
+        self.relax_observed(tokens, state, cost, payload, &mut NoopObserver)
+    }
+
+    /// [`StateIndex::relax`] with a slot-event hook: `observer` sees the
+    /// [`RelaxOutcome`] of every attempt (including rejections) before the
+    /// token is written and before `payload` runs. The accelerator
+    /// simulator's scoreboard hangs its hash/token timing off this; with
+    /// [`NoopObserver`] it compiles down to exactly [`StateIndex::relax`].
+    #[inline]
+    pub fn relax_observed<P>(
+        &mut self,
+        tokens: &mut LiveTokens<P>,
+        state: u32,
+        cost: f32,
+        payload: impl FnOnce() -> P,
+        observer: &mut impl InsertObserver,
+    ) -> Option<usize> {
+        let slot = &mut self.slots[state as usize];
+        let position = if *slot as u32 == self.epoch {
+            let position = (*slot >> 32) as usize;
+            let token = &mut tokens.tokens[position];
+            if token.cost <= cost {
+                observer.observe(state, RelaxOutcome::Rejected);
+                return None;
+            }
+            observer.observe(state, RelaxOutcome::Improved);
+            // The payload is taken before anything is written, so a
+            // panicking `payload` leaves the token as it was.
+            token.payload = payload();
+            token.cost = cost;
+            position
+        } else {
+            observer.observe(state, RelaxOutcome::Appended);
+            let position = tokens.tokens.len();
+            tokens.tokens.push(Token {
+                state,
+                cost,
+                payload: payload(),
+            });
+            *slot = (position as u64) << 32 | u64::from(self.epoch);
+            position
+        };
+        if cost < tokens.best {
+            tokens.best = cost;
+        }
+        Some(position)
+    }
+}
+
+/// One frame's tokens, stored flat and cleared by epoch bump: a state
+/// index with the one token list it fills.
+///
+/// `P` is the per-token payload stored next to the path cost; it must be
+/// `Copy` (payloads are read out by value).
+///
+/// # Example
+///
+/// ```
+/// use asr_decoder::token_table::TokenTable;
+///
+/// let mut table: TokenTable<u32> = TokenTable::new(100, 0);
+/// table.begin_frame();
+/// assert!(table.relax(7, 1.5, || 41));   // insert
+/// assert!(table.relax(7, 1.0, || 42));   // improve
+/// assert!(!table.relax(7, 2.0, || 43));  // worse: rejected
+/// assert_eq!(table.get(7), Some((1.0, 42)));
+/// assert!(table.active().eq([7]));
+/// assert_eq!(table.best(), 1.0);
+/// table.begin_frame();                   // O(1) clear
+/// assert!(table.is_empty());
+/// assert_eq!(table.get(7), None);
+/// ```
+#[derive(Debug, Clone)]
+pub struct TokenTable<P: Copy> {
+    index: StateIndex,
+    tokens: LiveTokens<P>,
+}
+
+impl<P: Copy> TokenTable<P> {
+    /// Creates a table covering states `0..num_states`.
+    ///
+    /// `fill` is unused: a payload is stored only by a live write. The
+    /// parameter remains so the constructor is the one callers were
+    /// written against.
+    pub fn new(num_states: usize, fill: P) -> Self {
+        let _ = fill;
+        Self {
+            index: StateIndex::new(num_states),
+            tokens: LiveTokens::with_capacity(num_states.min(1 << 16)),
+        }
+    }
+
+    /// Number of state slots.
+    pub fn capacity(&self) -> usize {
+        self.index.capacity()
+    }
+
+    /// Starts a new frame: one counter bump invalidates every slot (the
+    /// hardware's table swap-and-clear).
+    pub fn begin_frame(&mut self) {
+        self.index.begin_frame();
+        self.tokens.clear();
+    }
+
+    /// Test hook: jumps the epoch counter (see `StateIndex::seed_epoch`).
+    #[cfg(test)]
+    pub(crate) fn seed_epoch(&mut self, epoch: u32) {
+        self.index.seed_epoch(epoch);
+    }
+
+    /// Position of a live token.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `what` if the token is not live.
+    #[inline]
+    fn live(&self, state: u32, what: &str) -> usize {
+        match self.index.position(state) {
+            Some(position) => position,
+            None => panic!("{what}"),
+        }
+    }
+
     /// Looks up a live token.
     #[inline]
     pub fn get(&self, state: u32) -> Option<(f32, P)> {
-        let slot = &self.slots[state as usize];
-        // SAFETY: the tag equals the non-zero epoch, so by the `slots`
-        // invariant the payload was written.
-        (slot.epoch == self.epoch).then(|| (slot.cost, unsafe { slot.payload.assume_init() }))
+        let token = self.tokens.tokens[self.index.position(state)?];
+        Some((token.cost, token.payload))
     }
 
     /// Cost of a live token.
     ///
     /// # Panics
     ///
-    /// Panics (debug) or returns stale data (release) if the token is not
-    /// live; callers iterate [`TokenTable::active`], whose entries always
-    /// are.
+    /// Panics if the token is not live; callers iterate
+    /// [`TokenTable::active`], whose entries always are.
     #[inline]
     pub fn cost(&self, state: u32) -> f32 {
-        let slot = &self.slots[state as usize];
-        debug_assert_eq!(slot.epoch, self.epoch, "stale token read");
-        slot.cost
+        self.tokens.tokens[self.live(state, "stale token read")].cost
     }
 
     /// Payload of a live token.
     ///
     /// # Panics
     ///
-    /// Panics if the token is not live (a stale slot may never have held a
-    /// payload); callers iterate [`TokenTable::active`], whose entries
-    /// always are.
+    /// Panics if the token is not live; callers iterate
+    /// [`TokenTable::active`], whose entries always are.
     #[inline]
     pub fn payload(&self, state: u32) -> P {
-        let slot = &self.slots[state as usize];
-        assert_eq!(slot.epoch, self.epoch, "stale token read");
-        // SAFETY: as in `get`.
-        unsafe { slot.payload.assume_init() }
+        self.tokens.tokens[self.live(state, "stale token read")].payload
     }
 
     /// Overwrites the payload of a live token (used by lattice GC to
     /// retarget backpointers).
     #[inline]
     pub fn set_payload(&mut self, state: u32, payload: P) {
-        let slot = &mut self.slots[state as usize];
-        assert_eq!(slot.epoch, self.epoch, "stale token write");
-        slot.payload = MaybeUninit::new(payload);
+        let position = self.live(state, "stale token write");
+        self.tokens.tokens[position].payload = payload;
     }
 
     /// Keeps only the best in-going path per state — the accelerator's
@@ -257,7 +442,7 @@ impl<P: Copy> TokenTable<P> {
 
     /// [`TokenTable::relax`] with a slot-event hook: `observer` sees the
     /// [`RelaxOutcome`] of every attempt (including rejections) before the
-    /// slot is written and before `payload` runs. The accelerator
+    /// token is written and before `payload` runs. The accelerator
     /// simulator's scoreboard hangs its hash/token timing off this; with
     /// [`NoopObserver`] it compiles down to exactly [`TokenTable::relax`].
     #[inline]
@@ -268,56 +453,31 @@ impl<P: Copy> TokenTable<P> {
         payload: impl FnOnce() -> P,
         observer: &mut impl InsertObserver,
     ) -> bool {
-        let slot = &mut self.slots[state as usize];
-        let appended = slot.epoch != self.epoch;
-        if appended {
-            observer.observe(state, RelaxOutcome::Appended);
-        } else if slot.cost <= cost {
-            observer.observe(state, RelaxOutcome::Rejected);
-            return false;
-        } else {
-            observer.observe(state, RelaxOutcome::Improved);
-        }
-        // The payload lands before the tag, so a panicking `payload`
-        // cannot leave a live slot without one.
-        slot.payload = MaybeUninit::new(payload());
-        slot.cost = cost;
-        if appended {
-            slot.epoch = self.epoch;
-            self.active.push(state);
-        }
-        if cost < self.best {
-            self.best = cost;
-        }
-        true
+        (self.index)
+            .relax_observed(&mut self.tokens, state, cost, payload, observer)
+            .is_some()
     }
 
     /// The states inserted this epoch, in insertion order (the hardware
     /// linked-list walk).
-    pub fn active(&self) -> &[u32] {
-        &self.active
-    }
-
-    /// Sorts the active list by state id in place (the deterministic
-    /// expansion order of the reference decoder).
-    pub fn sort_active(&mut self) {
-        self.active.sort_unstable();
+    pub fn active(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        self.tokens.tokens().iter().map(|token| token.state)
     }
 
     /// Number of live tokens.
     pub fn len(&self) -> usize {
-        self.active.len()
+        self.tokens.len()
     }
 
     /// `true` when no token is live.
     pub fn is_empty(&self) -> bool {
-        self.active.is_empty()
+        self.tokens.is_empty()
     }
 
     /// Cheapest live cost (`f32::INFINITY` when empty) — the running
     /// frame-best that drives prune-on-insert.
     pub fn best(&self) -> f32 {
-        self.best
+        self.tokens.best()
     }
 }
 
@@ -350,7 +510,7 @@ mod tests {
         assert_eq!(t.best(), f32::INFINITY);
         // Slots are reusable immediately.
         assert!(t.relax(5, 0.25, || ()));
-        assert_eq!(t.active(), &[5]);
+        assert!(t.active().eq([5]));
     }
 
     #[test]
@@ -361,9 +521,13 @@ mod tests {
         t.relax(2, 1.0, || 1);
         t.relax(1, 2.0, || 2);
         t.relax(2, 0.5, || 3);
-        assert_eq!(t.active(), &[2, 1], "insertion order, no duplicates");
-        t.sort_active();
-        assert_eq!(t.active(), &[1, 2]);
+        assert!(t.active().eq([2, 1]), "insertion order, no duplicates");
+        let tokens = [(2, 0.5, 3), (1, 2.0, 2)].map(|(state, cost, payload)| Token {
+            state,
+            cost,
+            payload,
+        });
+        assert_eq!(t.tokens.tokens(), &tokens, "improved in place");
     }
 
     #[test]
@@ -389,7 +553,7 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.get(1), None);
         t.relax(2, 2.0, || ());
-        assert_eq!(t.active(), &[2]);
+        assert!(t.active().eq([2]));
     }
 
     #[test]
@@ -415,6 +579,11 @@ mod tests {
         assert!(std::panic::catch_unwind(relax).is_err());
         assert_eq!(t.get(1), None, "no tag without a payload");
         assert!(t.is_empty());
+        // Nor does one that improves a live token change it.
+        assert!(t.relax(1, 2.0, || 7));
+        let relax = std::panic::AssertUnwindSafe(|| t.relax(1, 1.0, || panic!("no payload")));
+        assert!(std::panic::catch_unwind(relax).is_err());
+        assert_eq!(t.get(1), Some((2.0, 7)));
     }
 
     #[test]
@@ -462,5 +631,34 @@ mod tests {
         t.set_payload(0, 99);
         assert_eq!(t.payload(0), 99);
         assert_eq!(t.cost(0), 1.0);
+    }
+
+    #[test]
+    fn one_index_serves_many_lists_one_frame_at_a_time() {
+        let mut index = StateIndex::new(8);
+        let (mut a, mut b) = (LiveTokens::with_capacity(0), LiveTokens::with_capacity(0));
+        index.begin_frame();
+        assert_eq!(index.relax(&mut a, 6, 1.0, || 'a'), Some(0));
+        assert_eq!(index.relax(&mut a, 2, 2.0, || 'b'), Some(1));
+        assert_eq!(index.position(2), Some(1));
+        // The next frame fills another list: `a` keeps its tokens, and
+        // none of its positions leaks into `b`.
+        index.begin_frame();
+        assert_eq!(index.position(2), None);
+        assert_eq!(index.relax(&mut b, 2, 5.0, || 'c'), Some(0));
+        assert_eq!(index.relax(&mut b, 2, 6.0, || 'd'), None);
+        let tokens = |list: &LiveTokens<char>| -> Vec<(u32, f32, char)> {
+            list.tokens()
+                .iter()
+                .map(|t| (t.state, t.cost, t.payload))
+                .collect()
+        };
+        assert_eq!(tokens(&a), [(6, 1.0, 'a'), (2, 2.0, 'b')]);
+        assert_eq!((tokens(&b), b.best()), (vec![(2, 5.0, 'c')], 5.0));
+        // Growing keeps the epoch and forgets every position.
+        index.ensure(16);
+        assert_eq!((index.capacity(), index.position(2)), (16, None));
+        index.ensure(4);
+        assert_eq!(index.capacity(), 16, "never shrinks");
     }
 }

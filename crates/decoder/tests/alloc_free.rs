@@ -7,10 +7,12 @@
 //! logarithmically, not linearly, in the number of frames. A single
 //! allocation per frame would separate a 200-frame decode from a 50-frame
 //! decode by 150+ counts; the test allows a slack of 16 for the
-//! logarithmic growth.
+//! logarithmic growth. The same holds for streaming decodes stepped
+//! round-robin on one thread, sharing its state index.
 
 use asr_acoustic::scores::AcousticTable;
 use asr_decoder::search::{DecodeOptions, DecodeScratch, ViterbiDecoder};
+use asr_decoder::stream::StreamingDecode;
 use asr_wfst::synth::{SynthConfig, SynthWfst};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,5 +109,102 @@ fn warmed_repeat_decodes_have_identical_allocation_counts() {
     assert_eq!(
         first, second,
         "identical decodes through warmed scratch must allocate identically"
+    );
+}
+
+/// Four streaming decodes over `tables`, one row each in turn on this
+/// thread (so they share its state index), each through a scratch from
+/// `scratches` that is handed back for the next run. Returns a number
+/// that keeps the results alive.
+fn round_robin(
+    wfst: &asr_wfst::Wfst,
+    opts: &DecodeOptions,
+    tables: &[AcousticTable],
+    scratches: &mut Vec<DecodeScratch>,
+) -> u64 {
+    let mut decodes: Vec<StreamingDecode<&asr_wfst::Wfst>> = tables
+        .iter()
+        .zip(scratches.drain(..))
+        .map(|(_, scratch)| StreamingDecode::new(wfst, opts.clone(), scratch))
+        .collect();
+    let frames = tables[0].num_frames();
+    for frame in 0..frames - 1 {
+        for (decode, scores) in decodes.iter_mut().zip(tables) {
+            decode.step(scores.frame_row(frame));
+        }
+    }
+    let mut kept = 0;
+    for (decode, scores) in decodes.into_iter().zip(tables) {
+        let (result, scratch) = decode.finish(Some(scores.frame_row(frames - 1)));
+        kept += result.lattice.len() as u64;
+        scratches.push(scratch);
+    }
+    kept
+}
+
+#[test]
+fn interleaved_sessions_step_without_allocating() {
+    let _guard = serialized();
+    let wfst = SynthWfst::generate(&SynthConfig::with_states(5_000).with_seed(3)).unwrap();
+    let phones = wfst.num_phones() as usize;
+    let tables = |frames| -> Vec<AcousticTable> {
+        (0..4)
+            .map(|seed| AcousticTable::random(frames, phones, (0.5, 4.0), 20 + seed))
+            .collect()
+    };
+    let (short, long) = (tables(50), tables(200));
+    let opts = DecodeOptions {
+        max_active: Some(300),
+        ..DecodeOptions::with_beam(6.0)
+    };
+    let mut scratches: Vec<DecodeScratch> = (0..4)
+        .map(|_| DecodeScratch::new(wfst.num_states()))
+        .collect();
+
+    // Warm the thread's index and every list with the longest workload.
+    assert!(round_robin(&wfst, &opts, &long, &mut scratches) > 0);
+
+    let mut kept = 0;
+    let short_allocs = count_allocs(|| kept += round_robin(&wfst, &opts, &short, &mut scratches));
+    let long_allocs = count_allocs(|| kept += round_robin(&wfst, &opts, &long, &mut scratches));
+    let again = count_allocs(|| kept += round_robin(&wfst, &opts, &long, &mut scratches));
+    assert!(kept > 0);
+    // 4 x 150 more frames: one allocation per frame would add 600.
+    assert!(
+        long_allocs <= short_allocs + 32,
+        "4x the interleaved frames cost {long_allocs} allocations vs {short_allocs}: \
+         the frame loop is allocating per frame"
+    );
+    assert_eq!(
+        long_allocs, again,
+        "warmed repeats must allocate identically"
+    );
+}
+
+#[test]
+fn the_last_scratch_takes_the_threads_frame_scratch_with_it() {
+    let _guard = serialized();
+    let wfst = SynthWfst::generate(&SynthConfig::with_states(5_000).with_seed(3)).unwrap();
+    let scores = AcousticTable::random(40, wfst.num_phones() as usize, (0.5, 4.0), 7);
+    let decoder = ViterbiDecoder::new(DecodeOptions::with_beam(6.0));
+    let decode_fresh = || {
+        let mut scratch = DecodeScratch::new(wfst.num_states());
+        count_allocs(|| {
+            decoder.decode_with(&mut scratch, &wfst, &scores);
+        })
+    };
+
+    // While a scratch is alive the thread keeps its state index and frame
+    // buffers, so a decode on a fresh scratch allocates only its own.
+    let mut held = DecodeScratch::new(wfst.num_states());
+    decoder.decode_with(&mut held, &wfst, &scores);
+    let kept = decode_fresh();
+    // Dropping the last one releases them: the next decode grows them
+    // again.
+    drop(held);
+    let released = decode_fresh();
+    assert!(
+        released > kept,
+        "{released} allocations after the release vs {kept} with the index kept"
     );
 }
