@@ -40,7 +40,7 @@ impl Default for EnergyParams {
         // read ~0.3 nJ/MB^0.5, ~5 pJ FP ops, tens of mW SRAM leakage),
         // jointly rescaled so the *base* accelerator's energy advantage
         // over the modelled GPU reproduces the paper's published 171x on
-        // the standard workload (see EXPERIMENTS.md fig11).
+        // the standard workload (`asr-bench`'s `fig11_energy` binary).
         Self {
             sram_nj_at_1mb: 0.29,
             dram_line_nj: 5.0,

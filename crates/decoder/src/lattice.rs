@@ -5,6 +5,17 @@
 //! while the *backpointer to the best predecessor* and the *word index* are
 //! written to main memory — they are what backtracking walks when the
 //! utterance ends. This module is that main-memory array.
+//!
+//! The accelerator writes an entry for every token it stores, and its
+//! simulator (`asr-accel`) and the seed [`crate::reference`] decoder do
+//! the same. The software search writes one only for a token that
+//! *expands*: a live token carries its entry's two fields as a
+//! `Pending` backpointer, and pushes them the first time it stores a
+//! successor, which needs the entry as its `prev`. Most tokens a frame
+//! makes are dropped by the beam, the cap or a better rival before that,
+//! so the trace shrinks to about two fifths (ARCHITECTURE.md, "Memory per
+//! session"). Every expanding token still gets exactly one entry, word or
+//! no word: this is not a trace of word-emitting tokens only.
 
 use asr_wfst::WordId;
 use serde::{Deserialize, Serialize};
@@ -81,6 +92,11 @@ impl Lattice {
         self.entries[id.0 as usize]
     }
 
+    /// Empties the trace, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
     /// Walks backpointers from `last` to the root, returning the emitted
     /// words in utterance order (the paper's backtracking step, run on the
     /// CPU).
@@ -89,16 +105,28 @@ impl Lattice {
     ///
     /// Panics if `last` is out of range.
     pub fn backtrack(&self, last: TraceId) -> Vec<WordId> {
-        let mut words = Vec::new();
-        let mut cur = last;
-        while !cur.is_root() {
-            let e = self.entry(cur);
-            if !e.word.is_none() {
-                words.push(e.word);
-            }
-            cur = e.prev;
-        }
+        self.backtrack_then(last, WordId::NONE)
+    }
+
+    /// [`Lattice::backtrack`] with `word` appended unless it is
+    /// [`WordId::NONE`]. The chain is walked twice, once to count the
+    /// words, so the result is one allocation of exactly their number.
+    fn backtrack_then(&self, last: TraceId, word: WordId) -> Vec<WordId> {
+        let chain = || {
+            let mut cur = last;
+            std::iter::from_fn(move || {
+                let e = (!cur.is_root()).then(|| self.entry(cur))?;
+                cur = e.prev;
+                Some(e.word)
+            })
+            .filter(|word| !word.is_none())
+        };
+        let mut words = Vec::with_capacity(chain().count() + usize::from(!word.is_none()));
+        words.extend(chain());
         words.reverse();
+        if !word.is_none() {
+            words.push(word);
+        }
         words
     }
 
@@ -166,6 +194,90 @@ impl Lattice {
             }
         }
         kept
+    }
+}
+
+/// A live token's backpointer: the `{prev, word}` entry the token will
+/// push once it expands, or, once it has, the id of that entry.
+///
+/// A token is made by a relax that stores it (the `prev` of its creator
+/// and the word of the arc), and it needs an entry of its own only when
+/// it stores a successor: [`Pending::entry`] pushes it then, once. A
+/// token the beam, the cap or a better rival drops first never reaches
+/// the trace. The two forms cost the same 8 bytes, so a token is 16.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Pending {
+    /// The predecessor's entry; once pushed, the token's own.
+    prev: TraceId,
+    /// The word of the arc that made the token; [`Pending::PUSHED`] once
+    /// the entry is in the trace.
+    word: WordId,
+}
+
+impl Pending {
+    /// The word label that marks a pushed entry; [`Pending::new`] refuses
+    /// it as an arc's word.
+    const PUSHED: WordId = WordId(u32::MAX);
+
+    /// A token made by an arc emitting `word` out of the token whose
+    /// entry is `prev` (or [`TraceId::ROOT`] for the start token).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `word` is the reserved label `WordId(u32::MAX)`, which
+    /// would read back as a pushed entry.
+    #[inline]
+    pub fn new(prev: TraceId, word: WordId) -> Self {
+        assert!(word != Self::PUSHED, "word label u32::MAX is reserved");
+        Self { prev, word }
+    }
+
+    /// A token whose entry `id` is already in the trace.
+    #[inline]
+    pub fn pushed(id: TraceId) -> Self {
+        Self {
+            prev: id,
+            word: Self::PUSHED,
+        }
+    }
+
+    /// The token's entry, pushed into `lattice` on the first call.
+    #[inline]
+    pub fn entry(&mut self, lattice: &mut Lattice) -> TraceId {
+        if self.word != Self::PUSHED {
+            *self = Self::pushed(lattice.push(self.prev, self.word));
+        }
+        self.prev
+    }
+
+    /// The entry this backpointer keeps alive: the predecessor's, or the
+    /// token's own once pushed. The lattice GC marks from it, and
+    /// retargets it through [`Pending::root_mut`].
+    #[inline]
+    pub fn root(self) -> TraceId {
+        self.prev
+    }
+
+    /// [`Pending::root`], writable.
+    #[inline]
+    pub fn root_mut(&mut self) -> &mut TraceId {
+        &mut self.prev
+    }
+
+    /// The words on the token's path, in utterance order: the backtrack
+    /// from [`Pending::root`], then the token's own word if it is still
+    /// pending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the root is out of range of `lattice`.
+    pub fn backtrack(self, lattice: &Lattice) -> Vec<WordId> {
+        let word = if self.word == Self::PUSHED {
+            WordId::NONE
+        } else {
+            self.word
+        };
+        lattice.backtrack_then(self.prev, word)
     }
 }
 
@@ -292,6 +404,49 @@ mod tests {
         assert_eq!(first, second, "second pass finds nothing new to drop");
         assert_eq!(l.backtrack(roots[0]), words);
         assert_eq!(words.len(), 20);
+    }
+
+    #[test]
+    fn a_pending_entry_is_pushed_once_and_backtracks_like_a_pushed_one() {
+        let mut l = Lattice::new();
+        let a = l.push(TraceId::ROOT, WordId(1));
+        let mut pending = Pending::new(a, WordId(2));
+        assert_eq!(pending.backtrack(&l), vec![WordId(1), WordId(2)]);
+        assert_eq!(pending.root(), a);
+        assert!(l.len() == 1, "nothing pushed before the token expands");
+        let b = pending.entry(&mut l);
+        assert_eq!((pending.entry(&mut l), l.len()), (b, 2), "pushed once");
+        assert_eq!(pending, Pending::pushed(b));
+        assert_eq!(pending.root(), b);
+        assert_eq!(pending.backtrack(&l), vec![WordId(1), WordId(2)]);
+        assert_eq!(l.backtrack(b), vec![WordId(1), WordId(2)]);
+        // No word, and the start token's root predecessor.
+        let mut start = Pending::new(TraceId::ROOT, WordId::NONE);
+        assert!(start.backtrack(&l).is_empty());
+        let s = start.entry(&mut l);
+        assert_eq!(l.entry(s).prev, TraceId::ROOT);
+        assert!(Pending::new(s, WordId::NONE).backtrack(&l).is_empty());
+        assert_eq!(Pending::new(s, WordId(3)).backtrack(&l), vec![WordId(3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved")]
+    fn the_pushed_marker_is_no_arc_word() {
+        Pending::new(TraceId::ROOT, WordId(u32::MAX));
+    }
+
+    #[test]
+    fn backtrack_allocates_exactly_the_words() {
+        let mut l = Lattice::new();
+        let mut cur = TraceId::ROOT;
+        for w in [0, 4, 0, 0, 5, 6, 0] {
+            cur = l.push(cur, WordId(w));
+        }
+        let words = l.backtrack(cur);
+        assert_eq!(words, vec![WordId(4), WordId(5), WordId(6)]);
+        assert_eq!(words.capacity(), 3);
+        let words = Pending::new(cur, WordId(7)).backtrack(&l);
+        assert_eq!((words.len(), words.capacity()), (4, 4));
     }
 
     #[test]

@@ -19,12 +19,12 @@
 //!
 //! | accelerator (paper) | this crate |
 //! |---|---|
-//! | two on-chip token hash tables (current/next frame), owned by the device | one `StateIndex` per thread, lent to each frame, plus each decode's current/next `LiveTokens` lists, swapped at the frame barrier |
+//! | two on-chip token hash tables (current/next frame), owned by the device | one `StateIndex` per thread, lent to each frame, plus each decode's current/next `LiveTokens` lists of 16-byte `{state, cost, pending backpointer}` tokens, swapped at the frame barrier |
 //! | hash lookup-or-insert with likelihood compare | `StateIndex::relax` (in [`token_table`]): dense `{epoch, position}` slot per state, epoch tag for liveness |
 //! | table flush between frames | one epoch-counter bump (`begin_frame`) — no clearing, no rehash |
 //! | insertion-ordered linked list walked by the State Issuer | the live list itself, append-only, deduped by the epoch check |
-//! | on-insert beam test against the running frame-best | prune-on-insert in [`search::ViterbiDecoder`]: arcs landing beyond `running_best + beam` skip relax *and* lattice push |
-//! | backpointer/word writes to DRAM | [`lattice::Lattice`] appends, periodically mark-compacted ([`lattice::Lattice::compact`], Kaldi-style token GC) |
+//! | on-insert beam test against the running frame-best | prune-on-insert in [`search::ViterbiDecoder`]: arcs landing beyond `running_best + beam` skip the relax |
+//! | backpointer/word writes to DRAM, one per stored token | one [`lattice::Lattice`] append per token that *expands*, pushed when it stores its first successor (a stored token carries its `{prev, word}` until then), into the trace its `DecodeScratch` recycles, periodically mark-compacted ([`lattice::Lattice::compact`], Kaldi-style token GC); the simulator keeps the per-token writes |
 //!
 //! After warm-up the steady-state frame loop performs zero heap
 //! allocations (asserted by an allocation-counting test). The seed
@@ -36,8 +36,9 @@
 //! Modules:
 //!
 //! * [`lattice`]: the token trace kept in main memory — backpointer plus
-//!   word label per token, exactly the data the accelerator's Token Issuer
-//!   writes out, the input to backtracking, and the target of the periodic
+//!   word label, exactly the data the accelerator's Token Issuer writes
+//!   out for every token (the search writes it only for tokens that
+//!   expand), the input to backtracking, and the target of the periodic
 //!   compaction GC;
 //! * [`token_table`]: the epoch-tagged sparse-set token store (per-thread
 //!   state index, per-decode live lists);

@@ -744,16 +744,19 @@ impl ScratchPoolStats {
 ///
 /// The serving runtime holds one of these per decoding graph: every
 /// `recognize` call and every session checks a scratch out, and returns
-/// it when done. What is pooled is a decode's own part of the search: its
-/// two live-token lists, sized by the active set (12 bytes a token, about
-/// 100 KB once grown under a 2000-token cap), not by the graph; the
-/// graph-sized state index is one per thread and never pooled. After the
-/// pool's high-water mark is reached, the steady state allocates nothing
-/// — checkout is a `Vec::pop`, restore a `Vec::push` within capacity, and
-/// the scratch itself keeps its lists grown (see `tests/alloc_free.rs`
-/// and the facade's `facade_alloc` test). The cold/warm split is
-/// observable through [`ScratchPool::stats`], so a serving loop can
-/// verify it stopped paying cold checkouts.
+/// it when done. What is pooled is a decode's own part of the search,
+/// sized by the active set and the utterance, not by the graph: its two
+/// live-token lists (16 bytes a token, 128 KB each once grown under a
+/// 2000-token cap) and its token trace (8 bytes an expanding token,
+/// about 67k entries at its peak between two lattice GCs under that cap,
+/// in a buffer grown to 1 MiB). The graph-sized state index is one per
+/// thread and never pooled. After the pool's high-water mark is reached,
+/// the steady state allocates nothing — checkout is a `Vec::pop`,
+/// restore a `Vec::push` within capacity, and the scratch itself keeps
+/// its lists and its trace grown, so no utterance regrows them (see
+/// `tests/alloc_free.rs` and the facade's `facade_alloc` test). The
+/// cold/warm split is observable through [`ScratchPool::stats`], so a
+/// serving loop can verify it stopped paying cold checkouts.
 ///
 /// Thread-safe: concurrent sessions each pop their own scratch; the
 /// mutex is held only for the pop/push itself, and every operation

@@ -6,7 +6,8 @@
 //! additions replace multiplications), destination tokens keep only their
 //! best ingoing path, and epsilon arcs are then followed transitively
 //! without consuming a frame. Backpointers and word labels go to the
-//! [`crate::lattice::Lattice`]; backtracking recovers the word sequence.
+//! [`crate::lattice::Lattice`] of tokens that expand; backtracking
+//! recovers the word sequence.
 //!
 //! # The hot path
 //!
@@ -17,9 +18,10 @@
 //!
 //! * **Token storage is split by lifetime.** A decode keeps only its live
 //!   tokens between frames: a `LiveTokens` list of
-//!   `{state, cost, backpointer}`, 12 bytes a token, sized by the active
-//!   set (and a second one the next frame fills, swapped in at its end:
-//!   a `Vec` swap, not a copy). The graph-sized part — the
+//!   `{state, cost, pending backpointer}`, 16 bytes a token, sized by the
+//!   active set (and a second one the next frame fills, swapped in at its
+//!   end: a `Vec` swap, not a copy), plus its token trace. The
+//!   graph-sized part — the
 //!   epoch-tagged `StateIndex` that deduplicates
 //!   relaxes, 8 bytes a state — lives only for one frame, so each thread
 //!   keeps one (with the frontier, worklist, key and GC buffers) and
@@ -29,10 +31,18 @@
 //!   of bringing 32 cold ones into its cache. After warm-up the whole
 //!   frame loop performs **zero heap allocations** (asserted by
 //!   `tests/alloc_free.rs`, interleaved decodes included).
+//! * **A trace entry only for a token that expands**: a stored token
+//!   carries its `{prev, word}` as a pending backpointer
+//!   ([`crate::lattice`]) and pushes it when it first stores a successor,
+//!   in the emitting phase or the closure; a token dropped before that
+//!   never reaches the trace. At 50k states and a 2000-token cap that is
+//!   ~1,700 entries a frame instead of the ~4,700 tokens stored. The
+//!   trace lives in the [`DecodeScratch`], so a recycled scratch decodes
+//!   the next utterance into the capacity the last one grew.
 //! * **Prune-on-insert**: the list tracks the running frame-best during
 //!   expansion, and arcs whose destination cost already exceeds
-//!   `running_best + beam` skip both the relax and the lattice push — the
-//!   accelerator's on-insert beam test. Because the running best can only
+//!   `running_best + beam` skip the relax — the accelerator's on-insert
+//!   beam test. Because the running best can only
 //!   over-estimate the final frame best, every skipped token is exactly
 //!   one the next frame's prune would discard: decode results stay
 //!   byte-identical to the reference (the equivalence suite asserts
@@ -68,8 +78,9 @@
 //!   [`FrameStats`]).
 //! * **Lattice compaction**: every
 //!   [`DecodeOptions::lattice_gc_interval`] frames the backpointer trace
-//!   is mark-compacted from the live tokens (Kaldi's periodic token GC),
-//!   so long utterances stop growing the trace unboundedly.
+//!   is mark-compacted from the live tokens' pending backpointers
+//!   (Kaldi's periodic token GC), so long utterances stop growing the
+//!   trace unboundedly.
 //!
 //! Pruning inside a frame (on insert, and in the closure under the beam
 //! and the cap's cutoff) has one visible edge. Between two paths of
@@ -80,7 +91,7 @@
 //! takes a graph built to tie (weights and scores on a coarse grid) to
 //! see it; ARCHITECTURE.md, "Where a frame goes", has the counts.
 
-use crate::lattice::{CompactScratch, Lattice, TraceId};
+use crate::lattice::{CompactScratch, Lattice, Pending, TraceId};
 use crate::token_table::{LiveTokens, StateIndex};
 use asr_acoustic::scores::AcousticTable;
 use asr_wfst::{StateId, Wfst, WordId};
@@ -195,8 +206,6 @@ pub struct DecodeResult {
     pub best_state: StateId,
     /// Activity statistics.
     pub stats: DecodeStats,
-    /// The full token trace (for inspection and memory accounting).
-    pub lattice: Lattice,
 }
 
 /// Live tokens a fresh [`DecodeScratch`] has room for before its lists
@@ -204,9 +213,17 @@ pub struct DecodeResult {
 const RESERVED_TOKENS: usize = 4096;
 
 /// A decode's own working set, carried from frame to frame: its live
-/// tokens as a list sized by the active set (12 bytes a token, not per
-/// graph state), the list the next frame fills, and what the last frame
-/// learnt about the cap's cutoff.
+/// tokens as a list sized by the active set (16 bytes a token, not per
+/// graph state), the list the next frame fills, its token trace, and
+/// what the last frame learnt about the cap's cutoff.
+///
+/// The trace holds one 8-byte entry per token that expanded since the
+/// last lattice GC. Under the benchmark's 2000-token cap on a 50k-state
+/// graph it peaks at about 67k entries (540 KB) between two GCs, in a
+/// buffer grown to 1 MiB; with the two lists (128 KB each once grown) a
+/// warm scratch holds about 1.3 MiB of capacity, of which the search
+/// touches about 0.7 MB. The decode that starts in a scratch empties its
+/// trace and keeps the capacity.
 ///
 /// Everything a frame needs only while it runs — the graph-sized state
 /// index that deduplicates relaxes, the frontier, the closure worklist,
@@ -214,14 +231,18 @@ const RESERVED_TOKENS: usize = 4096;
 /// borrowed by each frame and shared by every decode the thread steps.
 /// Holding a scratch across decodes (or pooling it, see
 /// [`crate::pool::ScratchPool`]) makes repeated decoding allocation-free
-/// end to end once the lists have grown to the largest live set.
+/// end to end once the lists and the trace have grown to the largest
+/// utterance's.
 #[derive(Debug)]
 pub struct DecodeScratch {
     /// The live tokens: the start closure's, then each consumed frame's.
-    pub(crate) cur: LiveTokens<TraceId>,
+    pub(crate) cur: LiveTokens<Pending>,
     /// The list the frame in flight fills and then swaps into `cur`;
     /// between frames, only spare capacity.
-    next: LiveTokens<TraceId>,
+    next: LiveTokens<Pending>,
+    /// The entries of the tokens that expanded, for backtracking; kept
+    /// after the decode until the next one starts.
+    pub(crate) trace: Lattice,
     /// What the previous frame's emitting phase learnt about this frame's
     /// `max_active` cutoff.
     limit: CapLimit,
@@ -254,8 +275,16 @@ impl DecodeScratch {
         Self {
             cur: LiveTokens::with_capacity(room),
             next: LiveTokens::with_capacity(room),
+            trace: Lattice::new(),
             limit: CapLimit::NONE,
         }
+    }
+
+    /// Entries in the token trace of the decode this scratch last ran (or
+    /// is running): one per token that expanded since its last lattice
+    /// GC.
+    pub fn trace_len(&self) -> usize {
+        self.trace.len()
     }
 }
 
@@ -265,6 +294,7 @@ impl Clone for DecodeScratch {
         Self {
             cur: self.cur.clone(),
             next: self.next.clone(),
+            trace: self.trace.clone(),
             limit: self.limit,
         }
     }
@@ -317,7 +347,8 @@ struct FrameScratch {
     keys: Vec<u64>,
     /// [`sort_states`]' second buffer; grows on demand like `keys`.
     sort_buf: Vec<u64>,
-    /// Live trace roots handed to the lattice GC.
+    /// Live trace roots handed to the lattice GC: the live tokens'
+    /// [`Pending::root`]s.
     gc_roots: Vec<TraceId>,
     gc: CompactScratch,
 }
@@ -334,7 +365,7 @@ thread_local! {
 /// The token-table beam-search decoder.
 ///
 /// Deterministic: tokens are expanded in ascending state order, so equal
-/// inputs produce identical lattices and results on every run and
+/// inputs produce identical traces and results on every run and
 /// platform. Results (`words`, `cost`, `best_state`, `reached_final`) are
 /// byte-identical to [`crate::reference::ReferenceDecoder`] on the same
 /// inputs.
@@ -365,7 +396,8 @@ impl ViterbiDecoder {
     }
 
     /// Runs the search reusing `scratch`; repeated decodes through the
-    /// same scratch skip all token-list allocation.
+    /// same scratch skip all token-list and trace allocation. The
+    /// decode's trace stays in `scratch` until the next one starts.
     ///
     /// # Panics
     ///
@@ -376,9 +408,8 @@ impl ViterbiDecoder {
         wfst: &Wfst,
         scores: &AcousticTable,
     ) -> DecodeResult {
-        let mut lattice = Lattice::new();
         let mut stats = DecodeStats::default();
-        seed_start(wfst, scratch, &mut lattice);
+        seed_start(wfst, scratch);
         let num_frames = scores.num_frames();
         for frame in 0..num_frames {
             // The final frame keeps every token so final-state selection
@@ -388,7 +419,6 @@ impl ViterbiDecoder {
                 wfst,
                 &self.opts,
                 scratch,
-                &mut lattice,
                 &mut stats,
                 scores.frame_row(frame),
                 last_frame,
@@ -397,15 +427,15 @@ impl ViterbiDecoder {
                 break; // the beam killed every path; decode fails gracefully
             }
         }
-        finish(wfst, scratch, lattice, stats)
+        finish(wfst, scratch, stats)
     }
 }
 
-/// Starts a decode in `scratch`: seeds the start state's token and runs
-/// the initial epsilon closure, before any frame is consumed; no beam
-/// applies yet (mirrors the reference). The one preamble of the batch and
-/// streaming drivers.
-pub(crate) fn seed_start(wfst: &Wfst, scratch: &mut DecodeScratch, lattice: &mut Lattice) {
+/// Starts a decode in `scratch`: empties its trace, seeds the start
+/// state's token and runs the initial epsilon closure, before any frame
+/// is consumed; no beam applies yet (mirrors the reference). The one
+/// preamble of the batch and streaming drivers.
+pub(crate) fn seed_start(wfst: &Wfst, scratch: &mut DecodeScratch) {
     FRAME.with_borrow_mut(|frame| {
         let FrameScratch {
             index,
@@ -414,17 +444,18 @@ pub(crate) fn seed_start(wfst: &Wfst, scratch: &mut DecodeScratch, lattice: &mut
             ..
         } = frame;
         scratch.limit = CapLimit::NONE;
+        scratch.trace.clear();
         let cur = &mut scratch.cur;
         cur.clear();
         index.ensure(wfst.num_states());
         index.begin_frame();
-        let start_trace = lattice.push(TraceId::ROOT, WordId::NONE);
-        index.relax(cur, wfst.start().0, 0.0, || start_trace);
+        let start = Pending::new(TraceId::ROOT, WordId::NONE);
+        index.relax(cur, wfst.start().0, 0.0, || start);
         epsilon_closure(
             wfst,
             index,
             cur,
-            lattice,
+            &mut scratch.trace,
             &mut FrameStats::default(),
             f32::INFINITY,
             f32::INFINITY,
@@ -451,7 +482,6 @@ pub(crate) fn search_frame(
     wfst: &Wfst,
     opts: &DecodeOptions,
     scratch: &mut DecodeScratch,
-    lattice: &mut Lattice,
     stats: &mut DecodeStats,
     row: &[f32],
     last_frame: bool,
@@ -466,7 +496,12 @@ pub(crate) fn search_frame(
             gc_roots,
             gc,
         } = frame;
-        let DecodeScratch { cur, next, limit } = scratch;
+        let DecodeScratch {
+            cur,
+            next,
+            trace,
+            limit,
+        } = scratch;
         let beam = opts.beam;
 
         let mut fs = FrameStats {
@@ -483,7 +518,7 @@ pub(crate) fn search_frame(
 
         index.ensure(wfst.num_states());
         relax_frame(
-            wfst, index, cur, next, frontier, lattice, &mut fs, beam, last_frame, row,
+            wfst, index, cur, next, frontier, trace, &mut fs, beam, last_frame, row,
         );
         // Epsilon closure under thresholds frozen at the end of the emitting
         // phase, so the closure is independent of the worklist order: the
@@ -498,7 +533,7 @@ pub(crate) fn search_frame(
             wfst,
             index,
             next,
-            lattice,
+            trace,
             &mut fs,
             closure_threshold,
             limit.cost,
@@ -512,7 +547,7 @@ pub(crate) fn search_frame(
             return false;
         }
         if !last_frame {
-            maybe_gc(opts.lattice_gc_interval, frame, cur, lattice, gc_roots, gc);
+            maybe_gc(opts.lattice_gc_interval, frame, cur, trace, gc_roots, gc);
         }
         true
     })
@@ -552,7 +587,7 @@ fn key_cost(key: u64) -> f32 {
 /// Under the cap's cutoff about half the tokens pass, which no branch
 /// predictor learns: every key is written and the test only decides
 /// whether the next one overwrites it.
-fn gather_keys(tokens: &LiveTokens<TraceId>, keys: &mut Vec<u64>, bound: f32) {
+fn gather_keys(tokens: &LiveTokens<Pending>, keys: &mut Vec<u64>, bound: f32) {
     keys.resize(tokens.len(), 0);
     let mut kept = 0;
     for (pos, token) in tokens.tokens().iter().enumerate() {
@@ -592,7 +627,7 @@ fn item_pos(item: u64) -> usize {
 /// (the search was retuned wider in between) it says nothing about this
 /// frame's cut and is ignored.
 fn build_frontier(
-    tokens: &LiveTokens<TraceId>,
+    tokens: &LiveTokens<Pending>,
     frontier: &mut Vec<u64>,
     keys: &mut Vec<u64>,
     sort_buf: &mut Vec<u64>,
@@ -668,7 +703,7 @@ fn build_frontier(
 /// least as much. Tokens costing exactly the limit may still make the
 /// cut (the state id decides), so they stay.
 fn cap_limit(
-    tokens: &LiveTokens<TraceId>,
+    tokens: &LiveTokens<Pending>,
     keys: &mut Vec<u64>,
     threshold: f32,
     max_active: Option<usize>,
@@ -747,8 +782,10 @@ fn sort_states(items: &mut [u64], buf: &mut Vec<u64>) {
 }
 
 /// Expands one frame's emitting arcs from the `frontier` [`item`]s of
-/// `cur` into `next` with prune-on-insert and inline lattice pushes,
-/// starting a new epoch of `index` and emptying `next` first.
+/// `cur` into `next` with prune-on-insert, starting a new epoch of
+/// `index` and emptying `next` first. A frontier token pushes its
+/// pending trace entry into `trace` when it stores its first successor,
+/// and not at all if it stores none.
 ///
 /// Prune-on-insert: the running frame-best can only over-estimate the
 /// final best, so anything skipped here is a token the next frame's prune
@@ -761,10 +798,10 @@ fn sort_states(items: &mut [u64], buf: &mut Vec<u64>) {
 fn relax_frame(
     wfst: &Wfst,
     index: &mut StateIndex,
-    cur: &LiveTokens<TraceId>,
-    next: &mut LiveTokens<TraceId>,
+    cur: &LiveTokens<Pending>,
+    next: &mut LiveTokens<Pending>,
     frontier: &[u64],
-    lattice: &mut Lattice,
+    trace: &mut Lattice,
     fs: &mut FrameStats,
     beam: f32,
     last_frame: bool,
@@ -774,14 +811,16 @@ fn relax_frame(
     next.clear();
     for &item in frontier {
         let token = cur.tokens()[item_pos(item)];
+        // `cur` dies with this frame: the pushed form need not go back.
+        let mut pending = token.payload;
         for arc in wfst.emitting_arcs(StateId(token.state)) {
             fs.arcs_traversed += 1;
             let cost = token.cost + arc.weight + row[arc.ilabel.index()];
             if !last_frame && cost > next.best() + beam {
                 continue;
             }
-            let push = || lattice.push(token.payload, arc.olabel);
-            if index.relax(next, arc.dest.0, cost, push).is_some() {
+            let made = || Pending::new(pending.entry(trace), arc.olabel);
+            if index.relax(next, arc.dest.0, cost, made).is_some() {
                 fs.tokens_created += 1;
             }
         }
@@ -812,12 +851,16 @@ fn relax_frame(
 /// counts no arc, and dropping them keeps the rest in the same relative
 /// order, so the relaxations and lattice pushes happen in exactly the
 /// sequence a walk over every live token would produce.
+///
+/// A token pushes its pending trace entry when it stores its first
+/// successor, and keeps the pushed form, so the next frame's expansion of
+/// the same token reuses the entry.
 #[allow(clippy::too_many_arguments)]
 fn epsilon_closure(
     wfst: &Wfst,
     index: &mut StateIndex,
-    tokens: &mut LiveTokens<TraceId>,
-    lattice: &mut Lattice,
+    tokens: &mut LiveTokens<Pending>,
+    trace: &mut Lattice,
     fs: &mut FrameStats,
     threshold: f32,
     limit: f32,
@@ -834,35 +877,45 @@ fn epsilon_closure(
     let cutoff = if limit < threshold { limit } else { threshold };
     let mut idx = 0;
     while idx < worklist.len() {
-        let token = tokens.tokens()[item_pos(worklist[idx])];
+        let pos = item_pos(worklist[idx]);
+        let token = tokens.tokens()[pos];
         idx += 1;
         if token.cost > cutoff {
             continue;
         }
+        let mut pending = token.payload;
+        // Whether a relax replaced this very token: its new backpointer
+        // then stands (only a negative-weight self-loop improves on
+        // itself).
+        let mut replaced = false;
         for arc in wfst.epsilon_arcs(StateId(token.state)) {
             fs.arcs_traversed += 1;
             let dest_cost = token.cost + arc.weight;
             if dest_cost > cutoff {
                 continue;
             }
-            let push = || lattice.push(token.payload, arc.olabel);
-            if let Some(pos) = index.relax(tokens, arc.dest.0, dest_cost, push) {
+            let made = || Pending::new(pending.entry(trace), arc.olabel);
+            if let Some(dest) = index.relax(tokens, arc.dest.0, dest_cost, made) {
                 fs.tokens_created += 1;
+                replaced |= dest == pos;
                 if wfst.has_epsilon(arc.dest) {
-                    worklist.push(item(arc.dest.0, pos));
+                    worklist.push(item(arc.dest.0, dest));
                 }
             }
+        }
+        if !replaced && pending != token.payload {
+            *tokens.payload_mut(pos) = pending;
         }
     }
 }
 
 /// Runs lattice GC when `frame` crosses the configured interval: live
-/// roots are the tokens' traces, and every token's backpointer is
-/// retargeted to the compacted trace.
+/// roots are the tokens' [`Pending::root`]s, and every one is retargeted
+/// to the compacted trace.
 fn maybe_gc(
     interval: Option<u32>,
     frame: usize,
-    tokens: &mut LiveTokens<TraceId>,
+    tokens: &mut LiveTokens<Pending>,
     lattice: &mut Lattice,
     gc_roots: &mut Vec<TraceId>,
     gc: &mut CompactScratch,
@@ -874,10 +927,10 @@ fn maybe_gc(
         return;
     }
     gc_roots.clear();
-    gc_roots.extend(tokens.tokens().iter().map(|token| token.payload));
+    gc_roots.extend(tokens.tokens().iter().map(|token| token.payload.root()));
     lattice.compact(gc_roots, gc);
-    for (trace, &root) in tokens.payloads_mut().zip(gc_roots.iter()) {
-        *trace = root;
+    for (pending, &root) in tokens.payloads_mut().zip(gc_roots.iter()) {
+        *pending.root_mut() = root;
     }
 }
 
@@ -890,22 +943,22 @@ fn maybe_gc(
 /// token, ties to the lower state id.
 #[derive(Default)]
 struct AscendingScan {
-    lowest: Option<(u32, f32, TraceId)>,
-    cheapest: Option<(u32, f32, TraceId)>,
+    lowest: Option<(u32, f32, Pending)>,
+    cheapest: Option<(u32, f32, Pending)>,
 }
 
 impl AscendingScan {
-    fn offer(&mut self, state: u32, cost: f32, trace: TraceId) {
+    fn offer(&mut self, state: u32, cost: f32, trace: Pending) {
         if self.lowest.is_none_or(|(s, _, _)| state < s) {
             self.lowest = Some((state, cost, trace));
         }
-        let cheaper = |(s, c, _): (u32, f32, TraceId)| cost < c || (cost == c && state < s);
+        let cheaper = |(s, c, _): (u32, f32, Pending)| cost < c || (cost == c && state < s);
         if !cost.is_nan() && self.cheapest.is_none_or(cheaper) {
             self.cheapest = Some((state, cost, trace));
         }
     }
 
-    fn pick(self) -> Option<(u32, f32, TraceId)> {
+    fn pick(self) -> Option<(u32, f32, Pending)> {
         match self.lowest {
             Some((_, cost, _)) if !cost.is_nan() => self.cheapest,
             lowest => lowest,
@@ -916,13 +969,9 @@ impl AscendingScan {
 /// End-of-utterance selection: prefer tokens in final states (cost +
 /// final cost); fall back to the globally cheapest token, as Kaldi does
 /// for truncated audio. Cost ties fall to the lower state id, as in the
-/// reference's scan in ascending state order.
-pub(crate) fn finish(
-    wfst: &Wfst,
-    scratch: &DecodeScratch,
-    lattice: Lattice,
-    stats: DecodeStats,
-) -> DecodeResult {
+/// reference's scan in ascending state order. The words are backtracked
+/// through the scratch's trace, which stays there.
+pub(crate) fn finish(wfst: &Wfst, scratch: &DecodeScratch, stats: DecodeStats) -> DecodeResult {
     let cur = &scratch.cur;
     let mut best_final = AscendingScan::default();
     let mut best_any = AscendingScan::default();
@@ -938,24 +987,19 @@ pub(crate) fn finish(
         (None, any) => (false, any),
     };
     match chosen {
-        Some((state, cost, trace)) => {
-            let words = lattice.backtrack(trace);
-            DecodeResult {
-                words,
-                cost,
-                reached_final,
-                best_state: StateId(state),
-                stats,
-                lattice,
-            }
-        }
+        Some((state, cost, pending)) => DecodeResult {
+            words: pending.backtrack(&scratch.trace),
+            cost,
+            reached_final,
+            best_state: StateId(state),
+            stats,
+        },
         None => DecodeResult {
             words: Vec::new(),
             cost: f32::INFINITY,
             reached_final: false,
             best_state: wfst.start(),
             stats,
-            lattice,
         },
     }
 }
@@ -1136,11 +1180,11 @@ mod tests {
         let w = SynthWfst::generate(&SynthConfig::with_states(2_000)).unwrap();
         let scores = AcousticTable::random(30, w.num_phones() as usize, (0.5, 4.0), 3);
         let d = ViterbiDecoder::new(DecodeOptions::with_beam(6.0));
-        let a = d.decode(&w, &scores);
-        let b = d.decode(&w, &scores);
+        let (a, a_trace) = decode_traced(&d, &w, &scores);
+        let (b, b_trace) = decode_traced(&d, &w, &scores);
         assert_eq!(a.cost, b.cost);
         assert_eq!(a.words, b.words);
-        assert_eq!(a.lattice.len(), b.lattice.len());
+        assert_eq!(a_trace, b_trace);
         assert_eq!(a.best_state, b.best_state);
     }
 
@@ -1151,14 +1195,14 @@ mod tests {
         let w = SynthWfst::generate(&SynthConfig::with_states(2_000)).unwrap();
         let scores = AcousticTable::random(25, w.num_phones() as usize, (0.5, 4.0), 9);
         let d = ViterbiDecoder::new(DecodeOptions::with_beam(6.0));
-        let fresh = d.decode(&w, &scores);
+        let (fresh, fresh_trace) = decode_traced(&d, &w, &scores);
         let mut scratch = DecodeScratch::new(w.num_states());
         for _ in 0..3 {
             let reused = d.decode_with(&mut scratch, &w, &scores);
             assert_eq!(reused.cost, fresh.cost);
             assert_eq!(reused.words, fresh.words);
             assert_eq!(reused.best_state, fresh.best_state);
-            assert_eq!(reused.lattice.len(), fresh.lattice.len());
+            assert_eq!(entries(&scratch.trace), fresh_trace);
         }
     }
 
@@ -1168,37 +1212,35 @@ mod tests {
         use asr_wfst::synth::{SynthConfig, SynthWfst};
         let w = SynthWfst::generate(&SynthConfig::with_states(3_000)).unwrap();
         let scores = AcousticTable::random(60, w.num_phones() as usize, (0.5, 4.0), 21);
-        let keep_all = ViterbiDecoder::new(DecodeOptions {
-            lattice_gc_interval: None,
-            ..DecodeOptions::with_beam(6.0)
-        })
-        .decode(&w, &scores);
-        let gc = ViterbiDecoder::new(DecodeOptions {
-            lattice_gc_interval: Some(8),
-            ..DecodeOptions::with_beam(6.0)
-        })
-        .decode(&w, &scores);
+        let decode = |interval| {
+            let opts = DecodeOptions {
+                lattice_gc_interval: interval,
+                ..DecodeOptions::with_beam(6.0)
+            };
+            decode_traced(&ViterbiDecoder::new(opts), &w, &scores)
+        };
+        let (keep_all, keep_all_trace) = decode(None);
+        let (gc, gc_trace) = decode(Some(8));
         assert_eq!(gc.cost, keep_all.cost);
         assert_eq!(gc.words, keep_all.words);
         assert_eq!(gc.best_state, keep_all.best_state);
         assert!(
-            gc.lattice.len() < keep_all.lattice.len(),
+            gc_trace.len() < keep_all_trace.len(),
             "GC {} vs full {}",
-            gc.lattice.len(),
-            keep_all.lattice.len()
+            gc_trace.len(),
+            keep_all_trace.len()
         );
     }
 
     // --- frontier: keyed rank-select ---------------------------------
 
     /// A frame's token list holding exactly `tokens`, inserted in order.
-    fn table_of(tokens: &[(u32, f32)]) -> LiveTokens<TraceId> {
+    fn table_of(tokens: &[(u32, f32)]) -> LiveTokens<Pending> {
         let (mut index, mut table) = (StateIndex::new(16), LiveTokens::with_capacity(0));
         index.begin_frame();
+        let start = Pending::new(TraceId::ROOT, WordId::NONE);
         for &(state, cost) in tokens {
-            assert!(index
-                .relax(&mut table, state, cost, || TraceId::ROOT)
-                .is_some());
+            assert!(index.relax(&mut table, state, cost, || start).is_some());
         }
         table
     }
@@ -1206,7 +1248,7 @@ mod tests {
     /// [`build_frontier`] over `table` with fresh buffers but the caller's
     /// `keys`, whose growth some tests watch: the frontier's states.
     fn frontier_of(
-        table: &LiveTokens<TraceId>,
+        table: &LiveTokens<Pending>,
         keys: &mut Vec<u64>,
         beam: f32,
         max_active: Option<usize>,
@@ -1399,10 +1441,10 @@ mod tests {
             // Few distinct costs (ties are the point), NaN among them;
             // states offered in arbitrary order, each at most once.
             const COSTS: [f32; 5] = [0.5, 1.0, f32::NAN, f32::INFINITY, -1.0];
-            let mut tokens: Vec<(u32, f32, TraceId)> = Vec::new();
+            let mut tokens: Vec<(u32, f32, Pending)> = Vec::new();
             for &(state, cost) in &offers {
                 if tokens.iter().all(|&(s, _, _)| s != state) {
-                    tokens.push((state, COSTS[cost], TraceId(state)));
+                    tokens.push((state, COSTS[cost], Pending::pushed(TraceId(state))));
                 }
             }
             let mut scan = AscendingScan::default();
@@ -1411,13 +1453,13 @@ mod tests {
             }
             // The reference's rule, verbatim.
             tokens.sort_unstable_by_key(|&(state, _, _)| state);
-            let mut want: Option<(u32, f32, TraceId)> = None;
+            let mut want: Option<(u32, f32, Pending)> = None;
             for &(state, cost, trace) in &tokens {
                 if want.is_none_or(|(_, c, _)| cost < c) {
                     want = Some((state, cost, trace));
                 }
             }
-            let bits = |pick: Option<(u32, f32, TraceId)>| pick.map(|(s, c, t)| (s, c.to_bits(), t));
+            let bits = |pick: Option<(u32, f32, Pending)>| pick.map(|(s, c, t)| (s, c.to_bits(), t));
             prop_assert_eq!(bits(scan.pick()), bits(want));
         }
     }
@@ -1594,19 +1636,18 @@ mod tests {
         // frame after it: the final state is never reached, which is why
         // a stream holds its newest row back for `finish`.
         let mut run = Run::new(&w);
-        seed_start(&w, &mut run.scratch, &mut run.lattice);
+        seed_start(&w, &mut run.scratch);
         let row = one.frame_row(0);
         assert!(search_frame(
             &w,
             &opts,
             &mut run.scratch,
-            &mut run.lattice,
             &mut run.stats,
             row,
             false
         ));
         assert_eq!(run.scratch.limit.cost, 1.0);
-        let stepped = finish(&w, &run.scratch, run.lattice, run.stats);
+        let stepped = finish(&w, &run.scratch, run.stats);
         assert!(!stepped.reached_final);
         assert_eq!(stepped.best_state, s[1]);
 
@@ -1714,21 +1755,60 @@ mod tests {
         let (again, _) = lock_step(&w, &scores, opts_at);
         assert_eq!(again.stats.frames, fast.stats.frames);
         assert_eq!(again.tokens(), fast.tokens());
-        assert_eq!(entries(&again.lattice), entries(&fast.lattice));
+        assert_eq!(entries(&again.scratch.trace), entries(&fast.scratch.trace));
     }
 
     // --- closure differential ----------------------------------------
 
-    /// The closure as it stood before the epsilon summary: every live
-    /// in-beam token enters the worklist, whether or not its state owns
-    /// an epsilon arc. The oracle for [`epsilon_closure`], with its
-    /// signature so that [`Run::frame`] takes either.
+    /// [`relax_frame`] as it stood before pending backpointers: every
+    /// stored token pushes its trace entry at once, as the accelerator
+    /// (and its simulator) writes every token to DRAM. The oracle's
+    /// emitting phase, with [`relax_frame`]'s signature; its tokens all
+    /// carry pushed entries.
+    #[allow(clippy::too_many_arguments)]
+    fn relax_frame_every_token(
+        wfst: &Wfst,
+        index: &mut StateIndex,
+        cur: &LiveTokens<Pending>,
+        next: &mut LiveTokens<Pending>,
+        frontier: &[u64],
+        trace: &mut Lattice,
+        fs: &mut FrameStats,
+        beam: f32,
+        last_frame: bool,
+        row: &[f32],
+    ) {
+        index.begin_frame();
+        next.clear();
+        for &item in frontier {
+            let token = cur.tokens()[item_pos(item)];
+            let prev = { token.payload }.entry(trace);
+            for arc in wfst.emitting_arcs(StateId(token.state)) {
+                fs.arcs_traversed += 1;
+                let cost = token.cost + arc.weight + row[arc.ilabel.index()];
+                if !last_frame && cost > next.best() + beam {
+                    continue;
+                }
+                let push = || Pending::pushed(trace.push(prev, arc.olabel));
+                if index.relax(next, arc.dest.0, cost, push).is_some() {
+                    fs.tokens_created += 1;
+                }
+            }
+        }
+    }
+
+    /// The closure as it stood before the epsilon summary and pending
+    /// backpointers: every live in-beam token enters the worklist,
+    /// whether or not its state owns an epsilon arc, and every stored
+    /// token pushes its trace entry at once. The oracle for
+    /// [`epsilon_closure`], with its signature so that [`Run::frame`]
+    /// takes either.
     #[allow(clippy::too_many_arguments)]
     fn epsilon_closure_every_token(
         wfst: &Wfst,
         index: &mut StateIndex,
-        tokens: &mut LiveTokens<TraceId>,
-        lattice: &mut Lattice,
+        tokens: &mut LiveTokens<Pending>,
+        trace: &mut Lattice,
         fs: &mut FrameStats,
         threshold: f32,
         limit: f32,
@@ -1750,13 +1830,14 @@ mod tests {
             if token.cost > cutoff {
                 continue;
             }
+            let prev = { token.payload }.entry(trace);
             for arc in wfst.epsilon_arcs(StateId(token.state)) {
                 fs.arcs_traversed += 1;
                 let dest_cost = token.cost + arc.weight;
                 if dest_cost > cutoff {
                     continue;
                 }
-                let push = || lattice.push(token.payload, arc.olabel);
+                let push = || Pending::pushed(trace.push(prev, arc.olabel));
                 if let Some(pos) = index.relax(tokens, arc.dest.0, dest_cost, push) {
                     fs.tokens_created += 1;
                     worklist.push(item(arc.dest.0, pos));
@@ -1772,6 +1853,16 @@ mod tests {
             .collect()
     }
 
+    /// A finished decode and the trace it left, dead entries included.
+    type Traced = (DecodeResult, Vec<crate::lattice::TraceEntry>);
+
+    /// `decoder` over `scores` on a fresh scratch.
+    fn decode_traced(decoder: &ViterbiDecoder, wfst: &Wfst, scores: &AcousticTable) -> Traced {
+        let mut scratch = DecodeScratch::new(wfst.num_states());
+        let result = decoder.decode_with(&mut scratch, wfst, scores);
+        (result, entries(&scratch.trace))
+    }
+
     /// Wall time and work of the frames a [`Run`] has consumed, by stage.
     #[derive(Debug, Clone, Copy, Default)]
     struct StageSplit {
@@ -1784,12 +1875,18 @@ mod tests {
         relax_tokens: usize,
         closure_arcs: usize,
         closure_tokens: usize,
+        /// Closure worklist items popped: a bound on the tokens the
+        /// closure expanded.
+        closure_popped: usize,
+        /// Trace entries pushed.
+        entries: usize,
+        /// Longest the trace grew, before a GC shrank it.
+        trace_peak: usize,
     }
 
     /// One decode in flight: what a driver threads from frame to frame.
     struct Run {
         scratch: DecodeScratch,
-        lattice: Lattice,
         stats: DecodeStats,
         split: StageSplit,
     }
@@ -1802,29 +1899,31 @@ mod tests {
         fn with_scratch(scratch: DecodeScratch) -> Self {
             Self {
                 scratch,
-                lattice: Lattice::new(),
                 stats: DecodeStats::default(),
                 split: StageSplit::default(),
             }
         }
 
-        /// [`seed_start`] with the oracle closure.
+        /// [`seed_start`] with the oracle closure and an eager start entry.
         fn oracle_seed_start(&mut self, wfst: &Wfst) {
-            self.scratch.limit = CapLimit::NONE;
-            let cur = &mut self.scratch.cur;
+            let DecodeScratch {
+                cur, trace, limit, ..
+            } = &mut self.scratch;
+            *limit = CapLimit::NONE;
+            trace.clear();
             cur.clear();
             let mut closure = FrameStats::default();
             FRAME.with_borrow_mut(|frame| {
                 let index = &mut frame.index;
                 index.ensure(wfst.num_states());
                 index.begin_frame();
-                let start_trace = self.lattice.push(TraceId::ROOT, WordId::NONE);
-                index.relax(cur, wfst.start().0, 0.0, || start_trace);
+                let start = Pending::pushed(trace.push(TraceId::ROOT, WordId::NONE));
+                index.relax(cur, wfst.start().0, 0.0, || start);
                 epsilon_closure_every_token(
                     wfst,
                     index,
                     cur,
-                    &mut self.lattice,
+                    trace,
                     &mut closure,
                     f32::INFINITY,
                     f32::INFINITY,
@@ -1839,8 +1938,9 @@ mod tests {
         /// stages in the same order with a clock around each, so it
         /// serves both as the stage profiler (`ORACLE = false`: every
         /// stage is the production function) and as the lock-step oracle
-        /// (`ORACLE = true`: the walk-every-token closure, and a frontier
-        /// that never trusts the previous frame's limit).
+        /// (`ORACLE = true`: an entry pushed for every stored token, the
+        /// walk-every-token closure, and a frontier that never trusts the
+        /// previous frame's limit).
         fn frame<const ORACLE: bool>(
             &mut self,
             wfst: &Wfst,
@@ -1858,9 +1958,15 @@ mod tests {
                     gc_roots,
                     gc,
                 } = frame;
-                let DecodeScratch { cur, next, limit } = &mut self.scratch;
-                let (lattice, split) = (&mut self.lattice, &mut self.split);
+                let DecodeScratch {
+                    cur,
+                    next,
+                    trace,
+                    limit,
+                } = &mut self.scratch;
+                let split = &mut self.split;
                 let frame = self.stats.frames.len();
+                let trace_before = trace.len();
                 let mut fs = FrameStats {
                     active_tokens: cur.len(),
                     ..FrameStats::default()
@@ -1882,8 +1988,13 @@ mod tests {
 
                 let clock = Instant::now();
                 index.ensure(wfst.num_states());
-                relax_frame(
-                    wfst, index, cur, next, frontier, lattice, &mut fs, opts.beam, last_frame, row,
+                let relax = if ORACLE {
+                    relax_frame_every_token
+                } else {
+                    relax_frame
+                };
+                relax(
+                    wfst, index, cur, next, frontier, trace, &mut fs, opts.beam, last_frame, row,
                 );
                 split.relax += clock.elapsed();
                 split.relax_arcs += fs.arcs_traversed;
@@ -1909,7 +2020,7 @@ mod tests {
                     wfst,
                     index,
                     next,
-                    lattice,
+                    trace,
                     &mut closure,
                     threshold,
                     limit.cost,
@@ -1919,6 +2030,9 @@ mod tests {
                 split.closure += clock.elapsed();
                 split.closure_arcs += closure.arcs_traversed;
                 split.closure_tokens += closure.tokens_created;
+                split.closure_popped += worklist.len();
+                split.entries += trace.len() - trace_before;
+                split.trace_peak = split.trace_peak.max(trace.len());
                 fs.arcs_traversed += closure.arcs_traversed;
                 fs.tokens_created += closure.tokens_created;
 
@@ -1930,58 +2044,63 @@ mod tests {
                 if !last_frame {
                     let clock = Instant::now();
                     let interval = opts.lattice_gc_interval;
-                    maybe_gc(interval, frame, cur, lattice, gc_roots, gc);
+                    maybe_gc(interval, frame, cur, trace, gc_roots, gc);
                     split.gc += clock.elapsed();
                 }
                 true
             })
         }
 
-        /// Live tokens in insertion order: `(state, cost bits, trace)`.
-        fn tokens(&self) -> Vec<(u32, u32, TraceId)> {
+        /// Live tokens in insertion order: `(state, cost bits, pending)`.
+        fn tokens(&self) -> Vec<(u32, u32, Pending)> {
             let cur = self.scratch.cur.tokens().iter();
             cur.map(|t| (t.state, t.cost.to_bits(), t.payload))
                 .collect()
+        }
+
+        /// [`StreamingDecode::partial`](crate::stream::StreamingDecode::partial)
+        /// of this decode.
+        fn partial(&self) -> Option<crate::stream::PartialHypothesis> {
+            crate::stream::best_hypothesis(&self.scratch, self.stats.frames.len())
         }
     }
 
     /// Decodes `scores` twice in lock step — [`search_frame`] and the
     /// oracle frame, frame `t` under `opts_at(t)` — asserting identical
-    /// stats, live tokens and lattice entries after the start closure
-    /// and after every frame. Returns the two runs.
+    /// stats, live states and costs, and best hypotheses (words, cost and
+    /// state) after the start closure and after every frame, and a trace
+    /// no longer than the oracle's, which pushes an entry for every
+    /// stored token. Returns the two runs.
     fn lock_step(
         wfst: &Wfst,
         scores: &AcousticTable,
         opts_at: impl Fn(usize) -> DecodeOptions,
     ) -> (Run, Run) {
         let (mut fast, mut oracle) = (Run::new(wfst), Run::new(wfst));
-        seed_start(wfst, &mut fast.scratch, &mut fast.lattice);
+        seed_start(wfst, &mut fast.scratch);
         oracle.oracle_seed_start(wfst);
         let same = |fast: &Run, oracle: &Run, at: &str| {
             assert_eq!(fast.stats.frames, oracle.stats.frames, "{at}: stats");
-            assert_eq!(fast.tokens(), oracle.tokens(), "{at}: tokens");
+            let live = |run: &Run| -> Vec<(u32, u32)> {
+                run.tokens().iter().map(|&(s, c, _)| (s, c)).collect()
+            };
+            assert_eq!(live(fast), live(oracle), "{at}: tokens");
             let (a, b) = (&fast.scratch.cur, &oracle.scratch.cur);
             assert_eq!(a.best().to_bits(), b.best().to_bits(), "{at}: best");
-            assert_eq!(
-                entries(&fast.lattice),
-                entries(&oracle.lattice),
-                "{at}: lattice"
-            );
+            let (a, b) = (fast.partial(), oracle.partial());
+            let bits = |p: Option<crate::stream::PartialHypothesis>| {
+                p.map(|p| (p.words, p.cost.to_bits(), p.state, p.frames))
+            };
+            assert_eq!(bits(a), bits(b), "{at}: partial");
+            let (a, b) = (fast.scratch.trace_len(), oracle.scratch.trace_len());
+            assert!(a <= b, "{at}: trace {a} vs the oracle's {b}");
         };
         same(&fast, &oracle, "start closure");
         let num_frames = scores.num_frames();
         for frame in 0..num_frames {
             let (row, last) = (scores.frame_row(frame), frame + 1 == num_frames);
             let opts = opts_at(frame);
-            let alive = search_frame(
-                wfst,
-                &opts,
-                &mut fast.scratch,
-                &mut fast.lattice,
-                &mut fast.stats,
-                row,
-                last,
-            );
+            let alive = search_frame(wfst, &opts, &mut fast.scratch, &mut fast.stats, row, last);
             assert_eq!(alive, oracle.frame::<true>(wfst, &opts, row, last));
             same(&fast, &oracle, &format!("frame {frame}, {opts:?}"));
             if !alive {
@@ -2020,33 +2139,44 @@ mod tests {
     }
 
     /// [`lock_step`] under constant options, then the finished decode
-    /// against the reference.
+    /// against the oracle's (words included) and the reference.
     fn assert_closure_matches_oracle(
         wfst: &Wfst,
         scores: &AcousticTable,
         opts: &DecodeOptions,
     ) -> Checked {
         let (fast, oracle) = lock_step(wfst, scores, |_| opts.clone());
-        let fast = finish(wfst, &fast.scratch, fast.lattice, fast.stats);
+        let closure_tokens = oracle.split.closure_tokens;
+        let fast = finish(wfst, &fast.scratch, fast.stats);
+        let oracle = finish(wfst, &oracle.scratch, oracle.stats);
         let what = format!("{opts:?}");
+        assert_eq!(fast.words, oracle.words, "{what}: words");
+        assert_same_search(&fast, &oracle, &what);
         let reference = ReferenceDecoder::new(opts.clone()).decode(wfst, scores);
         assert_same_search(&fast, &reference, &what);
         Checked {
             fast,
             reference,
-            closure_tokens: oracle.split.closure_tokens,
+            closure_tokens,
         }
     }
 
     /// The option sets every differential graph is decoded under: wide
-    /// and tight beams, frequent and no GC, and caps from "expand
-    /// nothing" through binding ones to one no graph here can reach.
+    /// and tight beams, GC every 1, 2, 3, 4 and 32 frames and never, and
+    /// caps from "expand nothing" through binding ones to one no graph
+    /// here can reach.
     fn differential_options() -> Vec<DecodeOptions> {
         let gc = |interval| DecodeOptions {
             lattice_gc_interval: interval,
             ..DecodeOptions::with_beam(6.0)
         };
-        let mut sets = vec![DecodeOptions::with_beam(1e9), gc(Some(4)), gc(None)];
+        let mut sets = vec![
+            DecodeOptions::with_beam(1e9),
+            gc(Some(1)),
+            gc(Some(2)),
+            gc(Some(4)),
+            gc(None),
+        ];
         // Interpreted, the sets multiply a slow decode: keep two that bind.
         let caps: &[usize] = if cfg!(miri) {
             &[1, 12]
@@ -2192,6 +2322,107 @@ mod tests {
         }
     }
 
+    // --- pending backpointers ------------------------------------------
+
+    /// The lazy trace against the oracle's every-token trace under every
+    /// GC interval from each frame to never, on a float graph with a
+    /// third of its states owning epsilon arcs and on the tie mazes, beam
+    /// only and capped: [`lock_step`] holds the best hypothesis to the
+    /// oracle's after every frame, [`assert_closure_matches_oracle`] the
+    /// finished words.
+    #[test]
+    fn pending_backpointers_match_the_every_token_trace_under_every_gc_interval() {
+        use asr_wfst::synth::{SynthConfig, SynthWfst};
+        let intervals = [Some(1), Some(2), Some(3), Some(32), None];
+        let options = |beam: f32| {
+            intervals.into_iter().flat_map(move |interval| {
+                [None, Some(12)].map(|max_active| DecodeOptions {
+                    max_active,
+                    lattice_gc_interval: interval,
+                    ..DecodeOptions::with_beam(beam)
+                })
+            })
+        };
+        let (states, frames) = if cfg!(miri) { (150, 6) } else { (2_000, 40) };
+        let w = SynthWfst::generate(&SynthConfig {
+            epsilon_fraction: 0.3,
+            ..SynthConfig::with_states(states).with_seed(7)
+        })
+        .unwrap();
+        let scores = AcousticTable::random(frames, w.num_phones() as usize, (0.5, 4.0), 17);
+        for opts in options(6.0) {
+            let checked = assert_closure_matches_oracle(&w, &scores, &opts);
+            assert_eq!(checked.fast.words, checked.reference.words, "{opts:?}");
+        }
+        let maze_frames = if cfg!(miri) { 6 } else { 24 };
+        let grid = AcousticTable::from_fn(maze_frames, 4, |f, p| 0.5 + 0.5 * ((f + p) % 2) as f32);
+        for seed in 0..if cfg!(miri) { 1 } else { 4 } {
+            let w = epsilon_maze(seed);
+            for opts in options(1e9) {
+                assert_closure_matches_oracle(&w, &grid, &opts);
+            }
+        }
+    }
+
+    /// A long capped utterance under the benchmark's beam, cap and GC:
+    /// the trace's peak over frames 1000..2000 stays within 10 % of its
+    /// peak over the first 200 frames, and every frame pushes at most one
+    /// entry per token it expanded (the frontier, and at most every
+    /// closure pop).
+    ///
+    /// What the peak may gain is the chain the live paths share, about an
+    /// entry a frame (the best path's backpointers, which backtracking
+    /// needs), against the ~950 entries a frame between two GCs here.
+    #[test]
+    #[cfg_attr(miri, ignore = "a synthetic graph is too slow interpreted")]
+    fn a_long_capped_decode_keeps_its_trace_bounded() {
+        use asr_wfst::synth::{SynthConfig, SynthWfst};
+        const FRAMES: usize = 2_000;
+        let w = SynthWfst::generate(&SynthConfig {
+            epsilon_fraction: 0.3,
+            ..SynthConfig::with_states(10_000).with_seed(4)
+        })
+        .unwrap();
+        let scores = AcousticTable::random(FRAMES, w.num_phones() as usize, (0.5, 4.0), 19);
+        let opts = DecodeOptions {
+            max_active: Some(1_000),
+            ..DecodeOptions::with_beam(40.0)
+        };
+        let mut run = Run::new(&w);
+        seed_start(&w, &mut run.scratch);
+        let mut peaks = Vec::with_capacity(FRAMES);
+        for frame in 0..FRAMES {
+            let before = run.split;
+            run.split.trace_peak = 0;
+            let last = frame + 1 == FRAMES;
+            assert!(run.frame::<false>(&w, &opts, scores.frame_row(frame), last));
+            let fs = run.stats.frames[frame];
+            let entries = run.split.entries - before.entries;
+            let popped = run.split.closure_popped - before.closure_popped;
+            assert!(
+                entries <= fs.expanded_tokens + popped,
+                "frame {frame}: {entries} entries, {} expanded, {popped} popped",
+                fs.expanded_tokens
+            );
+            peaks.push(run.split.trace_peak);
+        }
+        let peak = |frames: std::ops::Range<usize>| peaks[frames].iter().copied().max().unwrap();
+        let (early, late) = (peak(0..200), peak(1_000..FRAMES));
+        assert!(
+            late as f64 <= early as f64 * 1.1,
+            "peak {late} over frames 1000..2000 vs {early} over 0..200"
+        );
+        let expanded: usize = run.stats.frames.iter().map(|f| f.expanded_tokens).sum();
+        let stored: usize = run.stats.frames.iter().map(|f| f.tokens_created).sum();
+        assert!(run.split.entries < stored, "{} entries", run.split.entries);
+        assert!(
+            expanded > FRAMES * 900,
+            "the cap binds: {expanded} expanded"
+        );
+        let fast = finish(&w, &run.scratch, run.stats);
+        assert!(fast.cost.is_finite());
+    }
+
     // --- stage split ---------------------------------------------------
 
     impl StageSplit {
@@ -2243,7 +2474,7 @@ mod tests {
                 for scores in &tables {
                     let mut run = Run::with_scratch(scratch);
                     run.split = split;
-                    seed_start(&w, &mut run.scratch, &mut run.lattice);
+                    seed_start(&w, &mut run.scratch);
                     for frame in 0..FRAMES {
                         let last = frame + 1 == FRAMES;
                         if !run.frame::<false>(&w, &opts, scores.frame_row(frame), last) {
@@ -2251,17 +2482,18 @@ mod tests {
                         }
                     }
                     split = run.split;
-                    let staged = finish(&w, &run.scratch, run.lattice, run.stats);
+                    let staged = finish(&w, &run.scratch, run.stats);
                     scratch = run.scratch;
                     if round == 0 {
                         // The warm-up pass doubles as the check.
+                        let staged_trace = entries(&scratch.trace);
                         let whole = decoder.decode_with(&mut scratch, &w, scores);
                         assert_eq!(staged.words, whole.words);
                         assert_eq!(staged.cost.to_bits(), whole.cost.to_bits());
                         assert_eq!(staged.best_state, whole.best_state);
                         assert_eq!(staged.reached_final, whole.reached_final);
                         assert_eq!(staged.stats.frames, whole.stats.frames);
-                        assert_eq!(entries(&staged.lattice), entries(&whole.lattice));
+                        assert_eq!(staged_trace, entries(&scratch.trace));
                         frames += staged.stats.frames.len();
                         for fs in &staged.stats.frames {
                             live += fs.active_tokens;
@@ -2301,6 +2533,13 @@ mod tests {
             );
             println!("  gc       {:7.1}", us(best.gc));
             println!("  frame    {:7.1}", us(best.total()));
+            // Entries and the peak are the same every round.
+            println!(
+                "  trace    entries {:.1} per frame (tokens stored {:.1}), peak {} entries",
+                per_frame(best.entries),
+                per_frame(best.relax_tokens + best.closure_tokens),
+                best.trace_peak
+            );
         }
         interleave_split();
     }
@@ -2310,17 +2549,17 @@ mod tests {
     /// `n` decodes of `scores` (one table each) stepped on this thread
     /// through its shared index, every decode one frame in turn when
     /// `round_robin`, else each to its end before the next starts, and
-    /// finished with the last row. Returns the results and the wall time
-    /// of the steps alone.
+    /// finished with the last row. Returns the results with their traces
+    /// and the wall time of the steps alone.
     fn step_decodes(
         wfst: &Wfst,
         opts: &DecodeOptions,
         scores: &[AcousticTable],
         round_robin: bool,
-    ) -> (Vec<DecodeResult>, Duration) {
+    ) -> (Vec<Traced>, Duration) {
         let mut runs: Vec<Run> = scores.iter().map(|_| Run::new(wfst)).collect();
         for run in &mut runs {
-            seed_start(wfst, &mut run.scratch, &mut run.lattice);
+            seed_start(wfst, &mut run.scratch);
         }
         let frames = scores
             .iter()
@@ -2329,9 +2568,8 @@ mod tests {
             .unwrap_or(0);
         let step = |run: &mut Run, scores: &AcousticTable, frame: usize| {
             if frame + 1 < scores.num_frames() {
-                let (scratch, lattice) = (&mut run.scratch, &mut run.lattice);
                 let row = scores.frame_row(frame);
-                search_frame(wfst, opts, scratch, lattice, &mut run.stats, row, false);
+                search_frame(wfst, opts, &mut run.scratch, &mut run.stats, row, false);
             }
         };
         let clock = Instant::now();
@@ -2351,18 +2589,10 @@ mod tests {
         let wall = clock.elapsed();
         let results = (runs.into_iter().zip(scores))
             .map(|(mut run, scores)| {
-                let last = scores.num_frames() - 1;
-                let (row, scratch) = (scores.frame_row(last), &mut run.scratch);
-                search_frame(
-                    wfst,
-                    opts,
-                    scratch,
-                    &mut run.lattice,
-                    &mut run.stats,
-                    row,
-                    true,
-                );
-                finish(wfst, &run.scratch, run.lattice, run.stats)
+                let row = scores.frame_row(scores.num_frames() - 1);
+                search_frame(wfst, opts, &mut run.scratch, &mut run.stats, row, true);
+                let result = finish(wfst, &run.scratch, run.stats);
+                (result, entries(&run.scratch.trace))
             })
             .collect();
         (results, wall)
@@ -2394,7 +2624,7 @@ mod tests {
             .collect();
         let steps = (DECODES as usize * (FRAMES - 1)) as f64;
         let mut best = [f64::INFINITY; 2];
-        let mut decoded: [Vec<DecodeResult>; 2] = Default::default();
+        let mut decoded: [Vec<Traced>; 2] = Default::default();
         for _ in 0..=ROUNDS {
             for round_robin in [false, true] {
                 let (results, wall) = step_decodes(&w, &opts, &tables, round_robin);
@@ -2403,10 +2633,10 @@ mod tests {
                 decoded[usize::from(round_robin)] = results;
             }
         }
-        for (a, b) in decoded[0].iter().zip(&decoded[1]) {
+        for ((a, a_trace), (b, b_trace)) in decoded[0].iter().zip(&decoded[1]) {
             assert_eq!(a.words, b.words);
             assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-            assert_eq!(entries(&a.lattice), entries(&b.lattice));
+            assert_eq!(a_trace, b_trace);
         }
         println!(
             "50000 states, beam 40, max_active Some(2000): {DECODES} decodes x {} steps, \
@@ -2435,8 +2665,10 @@ mod tests {
         // A scratch held throughout keeps this thread's index alive.
         let _held = DecodeScratch::new(w.num_states());
         let d = ViterbiDecoder::new(opts.clone());
-        let fresh: Vec<DecodeResult> = tables.iter().map(|scores| d.decode(&w, scores)).collect();
-        for fresh in &fresh {
+        let fresh: Vec<Traced> = (tables.iter())
+            .map(|scores| decode_traced(&d, &w, scores))
+            .collect();
+        for (fresh, _) in &fresh {
             assert_eq!(fresh.stats.frames.len(), 60, "the beam must not empty");
         }
 
@@ -2447,13 +2679,13 @@ mod tests {
         let (wrapped, _) = step_decodes(&w, &opts, &tables, true);
         assert!(FRAME.with_borrow(|frame| frame.index.epoch()) < 128);
 
-        for (wrapped, fresh) in wrapped.iter().zip(&fresh) {
+        for ((wrapped, wrapped_trace), (fresh, fresh_trace)) in wrapped.iter().zip(&fresh) {
             assert_eq!(wrapped.words, fresh.words);
             assert_eq!(wrapped.cost.to_bits(), fresh.cost.to_bits());
             assert_eq!(wrapped.best_state, fresh.best_state);
             assert_eq!(wrapped.reached_final, fresh.reached_final);
             assert_eq!(wrapped.stats.frames, fresh.stats.frames);
-            assert_eq!(entries(&wrapped.lattice), entries(&fresh.lattice));
+            assert_eq!(wrapped_trace, fresh_trace);
         }
     }
 }

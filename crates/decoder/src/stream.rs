@@ -9,7 +9,7 @@
 //! (Section VI). The two types here are the two sides of that handoff:
 //!
 //! * [`StreamingDecode`] is the search. It consumes score rows as they
-//!   are produced and keeps the full decode state (live tokens, lattice,
+//!   are produced and keeps the full decode state (live tokens, trace,
 //!   statistics) alive between rows, so hypotheses can be read out
 //!   mid-utterance. [`StreamingDecode::step`] advances one *non-final*
 //!   frame; [`StreamingDecode::finish`] takes the utterance's last row.
@@ -49,13 +49,13 @@
 //! feeding `n` rows through any sequence of `advance` calls (any `fresh`
 //! split, with or without a pool, under any task schedule) and then
 //! `finish` produces a [`DecodeResult`] that is byte-identical — `words`,
-//! `cost`, `best_state`, `reached_final`, lattice length — to
-//! `ViterbiDecoder::decode` over the same `n` rows, which is how the
-//! runtime's sessions pin their correctness. The queue is exactly two
-//! buffers that swap, so once both have grown to the largest block the
-//! handoff allocates nothing.
+//! `cost`, `best_state`, `reached_final`, and the trace it leaves in the
+//! scratch — to `ViterbiDecoder::decode` over the same `n` rows, which
+//! is how the runtime's sessions pin their correctness. The queue is
+//! exactly two buffers that swap, so once both have grown to the largest
+//! block the handoff allocates nothing.
 
-use crate::lattice::{Lattice, TraceId};
+use crate::lattice::Pending;
 use crate::pool::WorkerPool;
 use crate::search::{
     finish as finish_decode, search_frame, seed_start, DecodeOptions, DecodeResult, DecodeScratch,
@@ -96,22 +96,20 @@ pub struct StreamingDecode<G: Deref<Target = Wfst>> {
     wfst: G,
     opts: DecodeOptions,
     scratch: DecodeScratch,
-    lattice: Lattice,
     stats: DecodeStats,
     alive: bool,
 }
 
 impl<G: Deref<Target = Wfst>> StreamingDecode<G> {
     /// Starts a decode: seeds the start state and runs the initial
-    /// epsilon closure, exactly like the batch decoder's preamble.
+    /// epsilon closure, exactly like the batch decoder's preamble. The
+    /// decode's trace lives in `scratch`, which it empties.
     pub fn new(wfst: G, opts: DecodeOptions, mut scratch: DecodeScratch) -> Self {
-        let mut lattice = Lattice::new();
-        seed_start(&wfst, &mut scratch, &mut lattice);
+        seed_start(&wfst, &mut scratch);
         Self {
             wfst,
             opts,
             scratch,
-            lattice,
             stats: DecodeStats::default(),
             alive: true,
         }
@@ -167,7 +165,7 @@ impl<G: Deref<Target = Wfst>> StreamingDecode<G> {
     }
 
     /// The current best hypothesis: the cheapest live token (ties broken
-    /// toward the lowest state id), backtracked through the lattice. A
+    /// toward the lowest state id), backtracked through the trace. A
     /// fresh stream already has live tokens (the start state's epsilon
     /// closure), so this returns `Some` with empty words and `frames: 0`
     /// before any row is consumed; `None` only once the beam has killed
@@ -176,21 +174,7 @@ impl<G: Deref<Target = Wfst>> StreamingDecode<G> {
         if !self.alive {
             return None;
         }
-        let mut best: Option<Token<TraceId>> = None;
-        for &token in self.scratch.cur.tokens() {
-            let better = best.is_none_or(|best| {
-                token.cost < best.cost || (token.cost == best.cost && token.state < best.state)
-            });
-            if better {
-                best = Some(token);
-            }
-        }
-        best.map(|best| PartialHypothesis {
-            words: self.lattice.backtrack(best.payload),
-            cost: best.cost,
-            state: StateId(best.state),
-            frames: self.frames(),
-        })
+        best_hypothesis(&self.scratch, self.frames())
     }
 
     /// Ends the utterance: consumes the held-back final row (if any) with
@@ -203,11 +187,10 @@ impl<G: Deref<Target = Wfst>> StreamingDecode<G> {
         let Self {
             wfst,
             scratch,
-            lattice,
             stats,
             ..
         } = self;
-        let result = finish_decode(&wfst, &scratch, lattice, stats);
+        let result = finish_decode(&wfst, &scratch, stats);
         (result, scratch)
     }
 
@@ -226,12 +209,32 @@ impl<G: Deref<Target = Wfst>> StreamingDecode<G> {
             &self.wfst,
             &self.opts,
             &mut self.scratch,
-            &mut self.lattice,
             &mut self.stats,
             row,
             last_frame,
         );
     }
+}
+
+/// The cheapest live token of the decode in `scratch` (ties broken
+/// toward the lowest state id), backtracked through its trace, after
+/// `frames` frames; `None` when no token is live.
+pub(crate) fn best_hypothesis(scratch: &DecodeScratch, frames: usize) -> Option<PartialHypothesis> {
+    let mut best: Option<Token<Pending>> = None;
+    for &token in scratch.cur.tokens() {
+        let better = best.is_none_or(|best| {
+            token.cost < best.cost || (token.cost == best.cost && token.state < best.state)
+        });
+        if better {
+            best = Some(token);
+        }
+    }
+    best.map(|best| PartialHypothesis {
+        words: best.payload.backtrack(&scratch.trace),
+        cost: best.cost,
+        state: StateId(best.state),
+        frames,
+    })
 }
 
 /// The software Acoustic Likelihood Buffer: the paper's double buffer,
@@ -374,6 +377,15 @@ mod tests {
     }
 
     fn stream_decode(wfst: &Wfst, scores: &AcousticTable, opts: DecodeOptions) -> DecodeResult {
+        stream_decode_traced(wfst, scores, opts).0
+    }
+
+    /// [`stream_decode`], and the length of the trace it left.
+    fn stream_decode_traced(
+        wfst: &Wfst,
+        scores: &AcousticTable,
+        opts: DecodeOptions,
+    ) -> (DecodeResult, usize) {
         let mut d = StreamingDecode::new(wfst, opts, DecodeScratch::new(wfst.num_states()));
         let n = scores.num_frames();
         for frame in 0..n.saturating_sub(1) {
@@ -384,20 +396,32 @@ mod tests {
         } else {
             None
         };
-        d.finish(last).0
+        let (result, scratch) = d.finish(last);
+        (result, scratch.trace_len())
+    }
+
+    /// The batch decode of `scores`, and the length of the trace it left.
+    fn batch_decode_traced(
+        wfst: &Wfst,
+        scores: &AcousticTable,
+        opts: DecodeOptions,
+    ) -> (DecodeResult, usize) {
+        let mut scratch = DecodeScratch::new(wfst.num_states());
+        let result = ViterbiDecoder::new(opts).decode_with(&mut scratch, wfst, scores);
+        (result, scratch.trace_len())
     }
 
     #[test]
     fn streaming_matches_batch_byte_for_byte() {
         let (w, scores) = workload(3_000, 40, 29);
         let opts = DecodeOptions::with_beam(6.0);
-        let batch = ViterbiDecoder::new(opts.clone()).decode(&w, &scores);
-        let streamed = stream_decode(&w, &scores, opts);
+        let (batch, batch_trace) = batch_decode_traced(&w, &scores, opts.clone());
+        let (streamed, streamed_trace) = stream_decode_traced(&w, &scores, opts);
         assert_eq!(streamed.cost.to_bits(), batch.cost.to_bits());
         assert_eq!(streamed.words, batch.words);
         assert_eq!(streamed.best_state, batch.best_state);
         assert_eq!(streamed.reached_final, batch.reached_final);
-        assert_eq!(streamed.lattice.len(), batch.lattice.len());
+        assert_eq!(streamed_trace, batch_trace);
         assert_eq!(streamed.stats.frames.len(), batch.stats.frames.len());
     }
 
@@ -508,28 +532,30 @@ mod tests {
                 d.set_search_params(beam, cap);
                 d.step(scores.frame_row(frame));
             }
-            d.finish(Some(scores.frame_row(scores.num_frames() - 1))).0
+            let (result, scratch) = d.finish(Some(scores.frame_row(scores.num_frames() - 1)));
+            (result, scratch.trace_len())
         };
-        let a = run();
-        let b = run();
+        let (a, a_trace) = run();
+        let (b, b_trace) = run();
         assert_eq!(a.cost.to_bits(), b.cost.to_bits());
         assert_eq!(a.words, b.words);
         assert_eq!(a.best_state, b.best_state);
-        assert_eq!(a.lattice.len(), b.lattice.len());
+        assert_eq!(a_trace, b_trace);
     }
 
     /// Feeds `scores` through an [`AlbQueue`] as `advance` calls of the
     /// given `fresh` sizes (the last one clipped to the rows that are
     /// left), checking after every call that `fill` ran exactly once
     /// over exactly the fresh block and that the search has consumed
-    /// exactly the rows enqueued *before* it, then finishes.
+    /// exactly the rows enqueued *before* it, then finishes. Returns the
+    /// result and the length of the trace it left.
     fn alb_decode(
         wfst: &Wfst,
         scores: &AcousticTable,
         opts: DecodeOptions,
         pool: Option<&WorkerPool>,
         mut split: impl FnMut() -> usize,
-    ) -> DecodeResult {
+    ) -> (DecodeResult, usize) {
         let mut d = StreamingDecode::new(wfst, opts, DecodeScratch::new(wfst.num_states()));
         let mut q = AlbQueue::new();
         let row_len = wfst.num_phones() as usize;
@@ -548,15 +574,18 @@ mod tests {
             assert_eq!(q.ready_len(), fresh);
             pushed += fresh;
         }
-        q.finish(d).0
+        let (result, scratch) = q.finish(d);
+        (result, scratch.trace_len())
     }
 
-    fn assert_same_bytes(got: &DecodeResult, want: &DecodeResult, what: &str) {
+    /// Results and trace lengths equal.
+    fn assert_same_bytes(got: &(DecodeResult, usize), want: &(DecodeResult, usize), what: &str) {
+        let ((got, got_trace), (want, want_trace)) = (got, want);
         assert_eq!(got.words, want.words, "{what}");
         assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "{what}");
         assert_eq!(got.best_state, want.best_state, "{what}");
         assert_eq!(got.reached_final, want.reached_final, "{what}");
-        assert_eq!(got.lattice.len(), want.lattice.len(), "{what}");
+        assert_eq!(got_trace, want_trace, "{what}");
     }
 
     #[test]
@@ -567,7 +596,7 @@ mod tests {
         let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
         for rows in 0..=40usize {
             let scores = AcousticTable::random(rows, w.num_phones() as usize, (0.5, 4.0), 61);
-            let batch = ViterbiDecoder::new(opts.clone()).decode(&w, &scores);
+            let batch = batch_decode_traced(&w, &scores, opts.clone());
             for pool in [None, Some(&pool)] {
                 let split = || {
                     // xorshift64: a different 1..=5 split per (rows, pool).
@@ -590,7 +619,7 @@ mod tests {
         // `finish` may consume (`alb_decode` asserts the lag per call).
         let (w, scores) = workload(500, 12, 67);
         let opts = DecodeOptions::with_beam(8.0);
-        let batch = ViterbiDecoder::new(opts.clone()).decode(&w, &scores);
+        let batch = batch_decode_traced(&w, &scores, opts.clone());
         let streamed = alb_decode(&w, &scores, opts.clone(), None, || 1);
         assert_same_bytes(&streamed, &batch, "one row per advance");
 

@@ -25,8 +25,8 @@
 //!   payload}` tokens stored densely in insertion order (the
 //!   hardware's linked-list walk), deduplicated for free by the epoch
 //!   check on first touch. It is sized by the active set, not the graph,
-//!   so a decode keeps its live tokens between frames for 12 bytes each
-//!   (with a [`crate::lattice::TraceId`] payload), and walking them
+//!   so a decode keeps its live tokens between frames for 16 bytes each
+//!   (with the search's pending-backpointer payload), and walking them
 //!   never touches a graph-sized table.
 //!
 //! [`TokenTable`] pairs an index with its own list, for callers that keep
@@ -100,9 +100,10 @@ impl InsertObserver for NoopObserver {
     fn observe(&mut self, _state: u32, _outcome: RelaxOutcome) {}
 }
 
-/// One live token: its state, path cost and payload, side by side (12
-/// bytes with a [`crate::lattice::TraceId`] payload), so a relax touches
-/// one entry and an append is one push.
+/// One live token: its state, path cost and payload, side by side (16
+/// bytes with the search's pending backpointer, 12 with a
+/// [`crate::lattice::TraceId`]), so a relax touches one entry and an
+/// append is one push.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Token<P> {
     /// The token's state.
@@ -163,6 +164,13 @@ impl<P> LiveTokens<P> {
     /// retargets backpointers through them).
     pub fn payloads_mut(&mut self) -> impl Iterator<Item = &mut P> {
         self.tokens.iter_mut().map(|token| &mut token.payload)
+    }
+
+    /// The payload of the token at `position`, writable in place (the
+    /// epsilon closure records a pushed trace entry through it).
+    #[inline]
+    pub fn payload_mut(&mut self, position: usize) -> &mut P {
+        &mut self.tokens[position].payload
     }
 
     /// Cheapest cost stored (`f32::INFINITY` when empty) — the running
@@ -262,7 +270,8 @@ impl StateIndex {
     /// which must be the list every relax since the last
     /// [`StateIndex::begin_frame`] stored into. Returns the token's
     /// position if it was inserted or improved; `payload` is evaluated
-    /// only then (the decoders allocate their lattice entry inside it).
+    /// only then (the search pushes the expanding token's trace entry
+    /// inside it, on the token's first stored successor).
     #[inline]
     pub fn relax<P>(
         &mut self,

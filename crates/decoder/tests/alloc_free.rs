@@ -2,16 +2,18 @@
 //!
 //! The claim under test: the steady-state frame loop performs **zero heap
 //! allocations per frame**. With a warmed [`DecodeScratch`], the only
-//! allocations a decode may perform are amortized container growth
-//! (lattice doubling, the per-frame stats vector) — counts that grow
-//! logarithmically, not linearly, in the number of frames. A single
+//! allocations a decode may perform are amortized container growth (the
+//! per-frame stats vector) — counts that grow logarithmically, not
+//! linearly, in the number of frames — and the result's words. A single
 //! allocation per frame would separate a 200-frame decode from a 50-frame
 //! decode by 150+ counts; the test allows a slack of 16 for the
 //! logarithmic growth. The same holds for streaming decodes stepped
-//! round-robin on one thread, sharing its state index.
+//! round-robin on one thread, sharing its state index. The token trace
+//! lives in the scratch, so a warmed scratch repeating an utterance
+//! allocates exactly the stats vector's doublings and the words.
 
 use asr_acoustic::scores::AcousticTable;
-use asr_decoder::search::{DecodeOptions, DecodeScratch, ViterbiDecoder};
+use asr_decoder::search::{DecodeOptions, DecodeScratch, FrameStats, ViterbiDecoder};
 use asr_decoder::stream::StreamingDecode;
 use asr_wfst::synth::{SynthConfig, SynthWfst};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -57,6 +59,17 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed) - before
 }
 
+/// Allocations a `Vec<T>` makes growing from empty to `len` elements by
+/// `push`: its doublings.
+fn push_growth<T: Default>(len: usize) -> u64 {
+    let mut grown: Vec<T> = Vec::new();
+    count_allocs(|| {
+        for _ in 0..len {
+            grown.push(T::default());
+        }
+    })
+}
+
 #[test]
 fn steady_state_frame_loop_is_allocation_free() {
     let _guard = serialized();
@@ -74,12 +87,12 @@ fn steady_state_frame_loop_is_allocation_free() {
     let mut short_allocs = 0;
     let short_result = count_allocs(|| {
         let r = decoder.decode_with(&mut scratch, &wfst, &short_scores);
-        short_allocs = r.lattice.len() as u64; // keep the result alive
+        short_allocs = r.stats.frames.len() as u64; // keep the result alive
     });
     let mut long_allocs = 0;
     let long_result = count_allocs(|| {
         let r = decoder.decode_with(&mut scratch, &wfst, &long_scores);
-        long_allocs = r.lattice.len() as u64;
+        long_allocs = r.stats.frames.len() as u64;
     });
 
     assert!(
@@ -89,6 +102,53 @@ fn steady_state_frame_loop_is_allocation_free() {
     );
     // Sanity: both decodes did real work.
     assert!(short_allocs > 0 && long_allocs > 0);
+}
+
+/// A warmed scratch repeating a long utterance (three lattice GCs, a
+/// binding cap), batch and streamed: the decode allocates the stats
+/// vector's doublings and the result's words, and nothing for its trace.
+#[test]
+fn a_recycled_trace_allocates_nothing() {
+    let _guard = serialized();
+    let wfst = SynthWfst::generate(&SynthConfig::with_states(5_000).with_seed(3)).unwrap();
+    let scores = AcousticTable::random(120, wfst.num_phones() as usize, (0.5, 4.0), 11);
+    let opts = DecodeOptions {
+        max_active: Some(300),
+        ..DecodeOptions::with_beam(6.0)
+    };
+    let decoder = ViterbiDecoder::new(opts.clone());
+    let mut scratch = DecodeScratch::new(wfst.num_states());
+    let warm = decoder.decode_with(&mut scratch, &wfst, &scores);
+    assert!(!warm.words.is_empty(), "the words must allocate");
+    let trace = scratch.trace_len();
+    let expected = |frames: &[FrameStats], words: usize| {
+        push_growth::<FrameStats>(frames.len()) + u64::from(words > 0)
+    };
+    for _ in 0..3 {
+        let mut result = None;
+        let allocs =
+            count_allocs(|| result = Some(decoder.decode_with(&mut scratch, &wfst, &scores)));
+        let result = result.unwrap();
+        assert_eq!(result.words, warm.words);
+        assert_eq!(scratch.trace_len(), trace);
+        let want = expected(&result.stats.frames, result.words.len());
+        assert_eq!(allocs, want, "batch: stats doublings and words only");
+
+        let mut out = None;
+        let allocs = count_allocs(|| {
+            let mut decode = StreamingDecode::new(&wfst, opts.clone(), scratch);
+            let frames = scores.num_frames();
+            for frame in 0..frames - 1 {
+                decode.step(scores.frame_row(frame));
+            }
+            out = Some(decode.finish(Some(scores.frame_row(frames - 1))));
+        });
+        let (result, recycled) = out.unwrap();
+        scratch = recycled;
+        assert_eq!(result.words, warm.words);
+        let want = expected(&result.stats.frames, result.words.len());
+        assert_eq!(allocs, want, "streamed: stats doublings and words only");
+    }
 }
 
 #[test]
@@ -136,7 +196,7 @@ fn round_robin(
     let mut kept = 0;
     for (decode, scores) in decodes.into_iter().zip(tables) {
         let (result, scratch) = decode.finish(Some(scores.frame_row(frames - 1)));
-        kept += result.lattice.len() as u64;
+        kept += (result.stats.frames.len() + scratch.trace_len()) as u64;
         scratches.push(scratch);
     }
     kept

@@ -51,8 +51,8 @@ impl Job<'_> {
     }
 
     /// The decode on its own: every row but the last stepped, the last
-    /// one finished.
-    fn alone(&self) -> DecodeResult {
+    /// one finished. Returns the result and the length of its trace.
+    fn alone(&self) -> (DecodeResult, usize) {
         let mut decode = self.open();
         let frames = self.scores.num_frames();
         for frame in 0..frames - 1 {
@@ -60,7 +60,8 @@ impl Job<'_> {
             decode.step(self.scores.frame_row(frame));
         }
         self.retune(&mut decode);
-        decode.finish(Some(self.scores.frame_row(frames - 1))).0
+        let (result, scratch) = decode.finish(Some(self.scores.frame_row(frames - 1)));
+        (result, scratch.trace_len())
     }
 }
 
@@ -95,9 +96,9 @@ fn jobs<'g>(small: &'g Wfst, large: &'g Wfst, seed: u64) -> Vec<Job<'g>> {
 
 /// Steps every job round-robin on this thread: in round `r` each job that
 /// has started consumes its next row, the last one through `finish`.
-fn interleaved(jobs: &[Job]) -> Vec<DecodeResult> {
+fn interleaved(jobs: &[Job]) -> Vec<(DecodeResult, usize)> {
     let mut open: Vec<Option<StreamingDecode<&Wfst>>> = jobs.iter().map(|_| None).collect();
-    let mut done: Vec<Option<DecodeResult>> = jobs.iter().map(|_| None).collect();
+    let mut done: Vec<Option<(DecodeResult, usize)>> = jobs.iter().map(|_| None).collect();
     let mut round = 0;
     while done.iter().any(Option::is_none) {
         for (i, job) in jobs.iter().enumerate() {
@@ -111,7 +112,10 @@ fn interleaved(jobs: &[Job]) -> Vec<DecodeResult> {
             if frame + 1 < job.scores.num_frames() {
                 decode.step(row);
             } else {
-                done[i] = open[i].take().map(|decode| decode.finish(Some(row)).0);
+                done[i] = open[i].take().map(|decode| {
+                    let (result, scratch) = decode.finish(Some(row));
+                    (result, scratch.trace_len())
+                });
             }
         }
         round += 1;
@@ -134,7 +138,7 @@ fn assert_same(got: &DecodeResult, want: &DecodeResult, what: &str) {
 fn run_and_check(jobs: &[Job], thread: &str) {
     let results = interleaved(jobs);
     assert_eq!(results.len(), jobs.len());
-    for (i, (job, got)) in jobs.iter().zip(&results).enumerate() {
+    for (i, (job, (got, got_trace))) in jobs.iter().zip(&results).enumerate() {
         let what = format!(
             "{thread}, decode {i} ({:?}, retuned {})",
             job.opts, job.retuned
@@ -145,10 +149,10 @@ fn run_and_check(jobs: &[Job], thread: &str) {
             "{what}: alive"
         );
         assert!(got.cost.is_finite(), "{what}: cost");
-        let alone = job.alone();
+        let (alone, alone_trace) = job.alone();
         assert_same(got, &alone, &format!("{what} vs alone"));
         assert_eq!(got.stats.frames, alone.stats.frames, "{what}: frame stats");
-        assert_eq!(got.lattice.len(), alone.lattice.len(), "{what}: lattice");
+        assert_eq!(got_trace, &alone_trace, "{what}: trace");
         let batch = ViterbiDecoder::new(job.opts.clone()).decode(job.wfst, &job.scores);
         assert_same(got, &batch, &format!("{what} vs batch"));
         let reference = ReferenceDecoder::new(job.opts.clone()).decode(job.wfst, &job.scores);

@@ -141,9 +141,12 @@ ab parent workload pairs="10" metric="frames_per_s":
 # Where a search frame goes: frontier / emitting relax / cap cutoff /
 # epsilon closure / lattice GC in us per frame, with tokens and arcs per
 # stage, on the benchmark's two search shapes (200k states, cap 1500;
-# 50k, cap 2000) and their beam-only counterparts; then what sharing a
-# thread costs: us per step of 16 decodes at 50k states, cap 2000,
-# stepped round-robin (the voice_16s_batched pattern) and back to back.
+# 50k, cap 2000) and their beam-only counterparts, and per shape the
+# token trace: entries pushed per frame (one per expanding token, next
+# to the tokens stored) and its peak length between two lattice GCs;
+# then what sharing a thread costs: us per step of 16 decodes at 50k
+# states, cap 2000, stepped round-robin (the voice_16s_batched pattern)
+# and back to back.
 # The harness is an ignored test driving the search's private stage
 # functions, so no instrumentation lives in the library.
 stages:

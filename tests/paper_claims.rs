@@ -2,8 +2,9 @@
 //!
 //! These assertions pin the *shape* of every headline result — orderings,
 //! rough factors, crossovers — on a reduced workload so they run in CI.
-//! The full-scale numbers live in EXPERIMENTS.md and are regenerated by
-//! the `asr-bench` binaries.
+//! The full-scale numbers are regenerated by the `asr-bench` figure
+//! binaries (`crates/bench/src/bin/fig*.rs`), which print each table and
+//! write it to `target/experiments/<id>.json`.
 
 use asr_accel::config::{AcceleratorConfig, DesignPoint};
 use asr_accel::energy::{AreaModel, EnergyModel};
