@@ -37,6 +37,18 @@ impl Default for MfccConfig {
     }
 }
 
+impl MfccConfig {
+    /// Feature dimension of the vectors a pipeline built from this
+    /// configuration emits: the cepstra, tripled when deltas are on.
+    pub fn dim(&self) -> usize {
+        if self.deltas {
+            self.num_ceps * 3
+        } else {
+            self.num_ceps
+        }
+    }
+}
+
 /// Reusable MFCC extractor (filterbank and DCT tables are precomputed).
 #[derive(Debug, Clone)]
 pub struct MfccPipeline {
@@ -73,11 +85,7 @@ impl MfccPipeline {
 
     /// Feature dimension of the output vectors.
     pub fn dim(&self) -> usize {
-        if self.cfg.deltas {
-            self.cfg.num_ceps * 3
-        } else {
-            self.cfg.num_ceps
-        }
+        self.cfg.dim()
     }
 
     /// Allocates the caller-owned scratch [`MfccPipeline::static_features_into`]

@@ -126,123 +126,138 @@ pub struct Wfst {
 
 impl Wfst {
     /// Checks every structural invariant over borrowed arrays and returns
-    /// the derived `(num_phones, num_words)` label-space sizes.
+    /// what the search derives from them: the `(num_phones, num_words)`
+    /// label-space sizes and the one-bit-per-state epsilon summary.
+    ///
+    /// `degree_groups` are the cumulative boundaries of a degree-sorted
+    /// region (a [`crate::sorted::DirectIndexUnit`]'s boundary registers;
+    /// empty for any other graph). They are not an invariant of the
+    /// transducer: the fast path only reports, in [`Derived::grouped`],
+    /// whether every state of group `g` has `g + 1` arcs, so the store can
+    /// vouch for its registers without a second walk over the states.
     ///
     /// This is the single validation choke point: [`Wfst::from_parts`] runs
     /// it over freshly built `Vec`s and the zero-copy store
     /// ([`crate::store::GraphImage`]) runs it once over the typed views of a
     /// loaded image, after which traversal never re-validates.
-    pub(crate) fn validate(
+    fn validate(
         states: &[StateEntry],
         arcs: &[Arc],
         start: StateId,
         final_costs: &[f32],
-    ) -> Result<(u32, u32)> {
+        degree_groups: &[u32],
+    ) -> Result<Derived> {
         assert_eq!(
             states.len(),
             final_costs.len(),
             "one final cost per state required"
         );
-        // Fast path: one branch-light streaming pass. It answers only
-        // "all invariants hold" on layouts whose states partition the arc
-        // array in order — which every construction path produces — so a
-        // 200k-state image validates at memory-bandwidth speed. Anything
-        // else (a violation somewhere, or an exotic overlapping layout)
-        // falls back to the exhaustive walk below, which reports the exact
-        // typed error or vets the layouts the fast pass refuses to judge.
-        if let Some(sizes) = Self::validate_bulk(states, arcs, start, final_costs) {
-            return Ok(sizes);
+        // Fast path: one streaming pass over the arcs, one over the states.
+        // It answers only "all invariants hold" on layouts whose states
+        // partition the arc array in order — which every construction path
+        // produces — so a 200k-state image validates at memory-bandwidth
+        // speed. Anything else (a violation somewhere, or an exotic
+        // overlapping layout) falls back to the exhaustive walk below,
+        // which reports the exact typed error or vets the layouts the fast
+        // pass refuses to judge.
+        if let Some(derived) = Self::validate_bulk(states, arcs, start, final_costs, degree_groups)
+        {
+            return Ok(derived);
         }
-        Self::validate_precise(states, arcs, start, final_costs)
+        let (num_phones, num_words) = Self::validate_precise(states, arcs, start, final_costs)?;
+        Ok(Derived {
+            num_phones,
+            num_words,
+            epsilon_states: states.chunks(64).map(epsilon_word).collect(),
+            grouped: false,
+        })
     }
 
     /// The streaming fast path of [`Wfst::validate`]: `Some` means every
     /// invariant checked out; `None` means "let the precise walk decide".
     ///
-    /// Two sequential passes. The first streams the arc array once — AVX2
-    /// over the packed records where available — checking the
-    /// position-independent invariants (weights finite, destinations in
-    /// range, label maxima) and distilling each arc's epsilon flag into a
-    /// bitmap (1 bit per arc, so ~0.8% of the arc bytes and cache-resident
-    /// for graphs that matter). The second walks the state table, requiring
-    /// each state's window to start exactly where the previous ended and
-    /// comparing the window's flag bits against the one valid pattern
-    /// `non-eps^emit eps^(deg-emit)` with 64-bit mask compares — exact,
-    /// and it never touches the 16-byte arc records again.
+    /// The arc pass streams the arc array once — AVX2 over the packed
+    /// records where available — checking the position-independent
+    /// invariants (weights finite, destinations in range, label maxima) and
+    /// distilling each arc's epsilon flag into a bitmap (1 bit per arc, so
+    /// ~0.8% of the arc bytes and cache-resident for graphs that matter).
+    ///
+    /// The state pass walks the state table once. It checks *cover* — each
+    /// state's arc window starts where the previous one ended, and the last
+    /// ends at the arc count — sums `num_epsilon`, builds the epsilon
+    /// summary words, and compares each degree-group state's degree with
+    /// its group's. The epsilon/emitting order then needs only two checks
+    /// over the bitmap, never the arc records again:
+    ///
+    /// * its popcount equals the sum of `num_epsilon`;
+    /// * every state with epsilon arcs (a summary bit; ~13% of states) has
+    ///   its epsilon window all ones.
+    ///
+    /// Cover makes the windows disjoint, so the ones inside the epsilon
+    /// windows account for every set flag: no flag is set in an emitting
+    /// window, which is exactly "emitting arcs first, then epsilon arcs".
     fn validate_bulk(
         states: &[StateEntry],
         arcs: &[Arc],
         start: StateId,
         final_costs: &[f32],
-    ) -> Option<(u32, u32)> {
-        /// Arcs per scan block: 8192 records keep the pass L2-resident and
-        /// are a multiple of 64, so the bitmap frontier lands on a word
-        /// boundary after every block.
-        const BLOCK: usize = 8192;
-
+        degree_groups: &[u32],
+    ) -> Option<Derived> {
         if start.index() >= states.len() || states.len() > u32::MAX as usize {
             return None;
         }
         let mut scan = BulkArcScan::new(states.len() as u32, arcs.len());
-        let mut si = 0usize; // next state to consume
-        let mut cursor = 0usize; // arcs covered by consumed states
-        let mut processed = 0usize; // arcs folded into the scan
-        let mut ok = true;
-        loop {
-            // Consume every state whose arc window the scanned prefix
-            // covers, while the block's bitmap words are still hot; the
-            // scalar pattern checks also hide in the next block's memory
-            // stalls. Zero-degree states consume eagerly.
-            while si < states.len() {
-                let st = &states[si];
-                let deg = st.num_arcs();
-                if st.first_arc.index() != cursor {
-                    return None;
-                }
-                if processed - cursor < deg {
-                    break;
-                }
-                if deg != 0 {
-                    ok &= epsilon_pattern_ok(&scan.eps_bits, cursor, deg, st.num_emitting as usize);
-                }
-                cursor += deg;
-                si += 1;
-            }
-            if processed == arcs.len() {
-                break;
-            }
-            let next = (processed + BLOCK).min(arcs.len());
-            scan.scan(&arcs[processed..next]);
-            processed = next;
-            if processed == arcs.len() {
-                // Whole blocks flush on word boundaries on their own; the
-                // final partial block leaves its tail bits buffered, and
-                // they must land before the loop consumes the last states.
-                scan.flush();
-            }
-        }
-        // Exact cover: every state consumed, every arc owned by one. A
-        // state here can only be left over because its window overran the
-        // arc array (the frontier reached the end without covering it).
-        if si != states.len() || cursor != arcs.len() {
+        scan.scan(arcs);
+        scan.flush();
+        if !scan.ok {
             return None;
         }
-        if !ok || !scan.ok {
+
+        let mut walk = StateWalk::new(degree_groups);
+        let epsilon_states: std::sync::Arc<[u64]> = (states.chunks(64).enumerate())
+            .map(|(w, chunk)| walk.chunk(w * 64, chunk))
+            .collect();
+        if walk.gaps != 0 || walk.cursor != arcs.len() as u64 {
             return None;
         }
-        let mut any_usable = false;
-        let mut any_finite = false;
-        for &c in final_costs {
-            any_usable |= c.is_finite() | (c == f32::INFINITY);
-            any_finite |= c.is_finite();
-        }
-        if !any_usable || !any_finite {
+        let flags: u64 = scan
+            .eps_bits
+            .iter()
+            .map(|w| u64::from(w.count_ones()))
+            .sum();
+        if flags != walk.epsilon_arcs {
             return None;
         }
-        if arcs.is_empty() {
-            return Some((0, 0));
+        let mut windows_ok = true;
+        for (w, &word) in epsilon_states.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let st = &states[w * 64 + bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+                let first = st.first_arc.index() + st.num_emitting as usize;
+                windows_ok &= all_ones(&scan.eps_bits, first, st.num_epsilon as usize);
+            }
         }
-        Some((scan.max_il + 1, scan.max_ol + 1))
+        if !windows_ok {
+            return None;
+        }
+
+        // A finite final cost is also a usable one, so this one scan, which
+        // stops at the first final state, settles both final-cost checks.
+        if !final_costs.iter().any(|c| c.is_finite()) {
+            return None;
+        }
+        let (num_phones, num_words) = if arcs.is_empty() {
+            (0, 0)
+        } else {
+            (scan.max_il + 1, scan.max_ol + 1)
+        };
+        Some(Derived {
+            num_phones,
+            num_words,
+            epsilon_states,
+            grouped: walk.misgrouped == 0,
+        })
     }
 
     /// The exhaustive walk of [`Wfst::validate`]: visits every state's arc
@@ -314,21 +329,29 @@ impl Wfst {
         start: StateId,
         final_costs: Vec<f32>,
     ) -> Result<Self> {
-        Self::from_sections(states.into(), arcs.into(), start, final_costs.into())
+        let (wfst, _) =
+            Self::from_sections(states.into(), arcs.into(), start, final_costs.into(), &[])?;
+        Ok(wfst)
     }
 
     /// Assembles a transducer over [`Section`] storage — owned vectors or
     /// zero-copy views into a shared image buffer — running the exact same
-    /// validation as [`Wfst::from_parts`].
+    /// validation as [`Wfst::from_parts`]. Also returns
+    /// [`Derived::grouped`] for `degree_groups` (see [`Wfst::validate`]).
     pub(crate) fn from_sections(
         states: Section<StateEntry>,
         arcs: Section<Arc>,
         start: StateId,
         final_costs: Section<f32>,
-    ) -> Result<Self> {
-        let (num_phones, num_words) = Self::validate(&states, &arcs, start, &final_costs)?;
-        let epsilon_states = states.chunks(64).map(epsilon_word).collect();
-        Ok(Self {
+        degree_groups: &[u32],
+    ) -> Result<(Self, bool)> {
+        let Derived {
+            num_phones,
+            num_words,
+            epsilon_states,
+            grouped,
+        } = Self::validate(&states, &arcs, start, &final_costs, degree_groups)?;
+        let wfst = Self {
             states,
             arcs,
             start,
@@ -336,7 +359,8 @@ impl Wfst {
             epsilon_states,
             num_phones,
             num_words,
-        })
+        };
+        Ok((wfst, grouped))
     }
 
     /// Number of states.
@@ -498,6 +522,12 @@ fn epsilon_word(states: &[StateEntry]) -> u64 {
     for (flag, st) in flags.as_flattened_mut().iter_mut().zip(states) {
         *flag = u8::from(st.num_epsilon != 0);
     }
+    pack_flags(&flags)
+}
+
+/// Packs 64 flag bytes (each 0 or 1) into one word, byte `k` to bit `k`.
+#[inline(always)]
+fn pack_flags(flags: &[[u8; 8]; 8]) -> u64 {
     let mut word = 0;
     for (i, eight) in flags.iter().enumerate() {
         // Each byte holds 0 or 1; the product's top byte collects byte `k`
@@ -518,30 +548,119 @@ fn window64(bits: &[u64], bit: usize) -> u64 {
     (bits[word] >> shift) | ((bits[word + 1] << 1) << (63 - shift))
 }
 
-/// Checks that the `deg` epsilon flags starting at bit `first` are exactly
-/// the one pattern the state's counts permit: `emit` zeros, then ones.
+/// Whether the `len` epsilon flags starting at bit `first` are all set.
 #[inline(always)]
-fn epsilon_pattern_ok(bits: &[u64], first: usize, deg: usize, emit: usize) -> bool {
-    if deg <= 64 {
-        let mask = u64::MAX >> (64 - deg);
-        // `checked_shl` handles `emit == deg == 64` (all-emitting: no flag
-        // set) without an overflowing shift.
-        let expected = mask.checked_shl(emit as u32).unwrap_or(0) & mask;
-        (window64(bits, first) & mask) == expected
-    } else {
-        let mut ok = true;
-        let mut emit = emit;
-        let mut rem = deg;
-        while rem > 0 {
-            let take = rem.min(64);
-            let mask = u64::MAX >> (64 - take);
-            let e = emit.min(take);
-            let expected = mask.checked_shl(e as u32).unwrap_or(0) & mask;
-            ok &= (window64(bits, first + deg - rem) & mask) == expected;
-            rem -= take;
-            emit -= e;
+fn all_ones(bits: &[u64], first: usize, len: usize) -> bool {
+    let mut ok = true;
+    let mut at = first;
+    let mut rem = len;
+    while rem > 0 {
+        let take = rem.min(64);
+        let mask = u64::MAX >> (64 - take);
+        ok &= window64(bits, at) & mask == mask;
+        at += take;
+        rem -= take;
+    }
+    ok
+}
+
+/// What [`Wfst::validate`] derives from a valid graph.
+struct Derived {
+    num_phones: u32,
+    num_words: u32,
+    epsilon_states: std::sync::Arc<[u64]>,
+    /// The fast path vouches that the states partition the arc array in
+    /// order and that every state of degree group `g` has `g + 1` arcs —
+    /// so each state's first arc is its group's first plus a multiple of
+    /// the degree. Always `false` from the precise walk.
+    grouped: bool,
+}
+
+/// Accumulator for the state pass of [`Wfst::validate_bulk`], fed the
+/// state table 64 states at a time.
+struct StateWalk<'a> {
+    /// Cumulative degree-group boundaries: state `x` is in the first group
+    /// `g` with `degree_groups[g] > x`, and past the last one in none.
+    degree_groups: &'a [u32],
+    /// The group of the next state to walk (`degree_groups.len()` past
+    /// the sorted region).
+    group: usize,
+    /// Where the next state's window must start: the previous state's
+    /// `first_arc + degree` (so every check compares neighbours, and no
+    /// running sum serializes the walk).
+    cursor: u64,
+    /// Nonzero once some window did not start at its cursor.
+    gaps: u64,
+    /// Nonzero once some grouped state's degree differed from its group's.
+    misgrouped: u64,
+    /// Sum of `num_epsilon` over the walked states.
+    epsilon_arcs: u64,
+}
+
+impl<'a> StateWalk<'a> {
+    fn new(degree_groups: &'a [u32]) -> Self {
+        Self {
+            degree_groups,
+            group: 0,
+            cursor: 0,
+            gaps: 0,
+            misgrouped: 0,
+            epsilon_arcs: 0,
         }
-        ok
+    }
+
+    /// Walks up to 64 states starting at state `base` and returns their
+    /// epsilon summary word. The chunk splits into runs of one degree group
+    /// each (a group boundary lands inside at most one chunk per group).
+    fn chunk(&mut self, base: usize, states: &[StateEntry]) -> u64 {
+        let mut flags = [[0u8; 8]; 8];
+        let mut done = 0;
+        while done < states.len() {
+            // Step over the groups that end at or before this state (empty
+            // groups included).
+            let groups = self.degree_groups;
+            while groups
+                .get(self.group)
+                .is_some_and(|&b| b as usize <= base + done)
+            {
+                self.group += 1;
+            }
+            let (degree, end) = match groups.get(self.group) {
+                Some(&b) => (self.group as u64 + 1, (b as usize - base).min(states.len())),
+                None => (0, states.len()),
+            };
+            self.run(
+                &states[done..end],
+                &mut flags.as_flattened_mut()[done..end],
+                degree,
+            );
+            done = end;
+        }
+        pack_flags(&flags)
+    }
+
+    /// Walks one run of states whose degree must be `degree` (`0`: any),
+    /// setting each state's epsilon flag byte; branch-free per state.
+    #[inline(always)]
+    fn run(&mut self, states: &[StateEntry], flags: &mut [u8], degree: u64) {
+        let grouped = if degree == 0 { 0 } else { u64::MAX };
+        let mut cursor = self.cursor;
+        let mut gaps = 0u64;
+        let mut misgrouped = 0u64;
+        let mut epsilon_arcs = 0u64;
+        for (flag, st) in flags.iter_mut().zip(states) {
+            let first = u64::from(st.first_arc.0);
+            let arcs = u64::from(st.num_emitting) + u64::from(st.num_epsilon);
+            gaps |= first ^ cursor;
+            misgrouped |= (arcs ^ degree) & grouped;
+            cursor = first + arcs;
+            epsilon_arcs += u64::from(st.num_epsilon);
+            *flag = u8::from(st.num_epsilon != 0);
+        }
+        self.cursor = cursor;
+        self.gaps |= gaps;
+        self.misgrouped |= misgrouped;
+        self.epsilon_arcs += epsilon_arcs;
     }
 }
 
@@ -550,9 +669,10 @@ fn epsilon_pattern_ok(bits: &[u64], first: usize, deg: usize, emit: usize) -> bo
 /// Streams arc records and checks everything that does not depend on which
 /// state owns an arc — weights finite, destinations in `0..n`, running label
 /// maxima — while distilling each arc's epsilon flag into a bitmap for the
-/// state pass to pattern-match. On x86-64 with AVX2 the scan runs 8 arcs
-/// per step directly over the packed records; elsewhere a scalar loop
-/// computes the identical result.
+/// popcount and epsilon-window checks that follow the state pass. On
+/// x86-64 with AVX2 the scan runs 64 arcs (one bitmap word) per step
+/// directly over the packed records; elsewhere a scalar loop computes the
+/// identical result.
 struct BulkArcScan {
     /// Number of states; every destination must be below it.
     n: u32,
@@ -587,8 +707,8 @@ impl BulkArcScan {
         }
     }
 
-    /// Scans a run of consecutive arcs (callable repeatedly; the epsilon
-    /// bitmap keeps filling where the previous run left off).
+    /// Scans the whole arc array into a fresh accumulator;
+    /// [`BulkArcScan::flush`] then completes the bitmap.
     fn scan(&mut self, block: &[Arc]) {
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx2") {
@@ -609,105 +729,109 @@ impl BulkArcScan {
         }
     }
 
-    /// Appends `count` epsilon flags packed in the low bits of `bits`.
+    /// Appends one epsilon flag.
     #[inline(always)]
-    fn push_bits(&mut self, bits: u64, count: u32) {
-        self.word |= bits << self.filled;
-        self.filled += count;
-        if self.filled >= 64 {
+    fn push_bit(&mut self, flag: bool) {
+        self.word |= u64::from(flag) << self.filled;
+        self.filled += 1;
+        if self.filled == 64 {
             self.eps_bits[self.word_idx] = self.word;
             self.word_idx += 1;
-            self.filled -= 64;
-            // Bits that did not fit in the flushed word (when the push
-            // straddles a boundary); `count` 64 would overflow the shift,
-            // but pushes are at most 8 bits.
-            self.word = bits >> (count - self.filled);
+            self.word = 0;
+            self.filled = 0;
         }
     }
 
-    /// Portable scan; also finishes sub-vector tails of the AVX2 path.
+    /// Portable scan; also finishes the sub-word tail of the AVX2 path.
     fn scan_scalar(&mut self, block: &[Arc]) {
         for a in block {
-            self.push_bits(a.is_epsilon() as u64, 1);
+            self.push_bit(a.is_epsilon());
             self.ok &= a.weight.is_finite() & (a.dest.0 < self.n);
             self.max_il = self.max_il.max(a.ilabel.0);
             self.max_ol = self.max_ol.max(a.olabel.0);
         }
     }
 
-    /// Vector scan over the packed 16-byte records, 8 arcs per iteration.
+    /// Vector scan over the packed 16-byte records, one bitmap word (64
+    /// arcs) per outer step; the scalar loop finishes the tail.
     ///
     /// Each 256-bit load covers two arcs, dwords `[dest, weight, ilabel,
     /// olabel]` twice over (`Arc` is `#[repr(C)]`, pinned by the layout
-    /// asserts above), so per-field checks are whole-vector compares masked
-    /// to that field's dword positions. Destinations use an unsigned
-    /// `max(v, n) == v` test; weights are non-finite exactly when
-    /// `bits & 0x7fff_ffff > 0x7f7f_ffff`; epsilon flags (`ilabel == 0`)
-    /// drop out of a zero-compare movemask at the ilabel dword positions.
+    /// asserts above). One running unsigned max per dword position settles
+    /// every position-independent check once the loop ends: destinations
+    /// below `n`; weights finite, since the weight dwords are maxed with
+    /// the sign bit masked off and a finite `f32`'s magnitude bits are at
+    /// most `0x7f7f_ffff`; and the label maxima. The epsilon flags
+    /// (`ilabel == 0`) of eight arcs are four zero-compares blended into
+    /// one vector — byte shifts move each compare's two ilabel dwords into
+    /// slots of their own, a dword permute puts the arcs in order — read
+    /// by one movemask.
     ///
     /// # Safety
     ///
     /// The caller must ensure the CPU supports AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn scan_avx2(&mut self, block: &[Arc]) {
+    unsafe fn scan_avx2(&mut self, arcs: &[Arc]) {
         use std::arch::x86_64::*;
 
-        let full = block.len() / 8 * 8;
-        let dest_pos = _mm256_setr_epi32(-1, 0, 0, 0, -1, 0, 0, 0);
-        let weight_pos = _mm256_setr_epi32(0, -1, 0, 0, 0, -1, 0, 0);
-        let n_vec = _mm256_set1_epi32(self.n as i32);
-        let abs_mask = _mm256_set1_epi32(0x7fff_ffff);
-        let finite_max = _mm256_set1_epi32(0x7f7f_ffff);
+        // Whole bitmap words only: the scan starts on a word boundary.
+        debug_assert_eq!(self.filled, 0);
+        let words = arcs.len() / 64;
+        let magnitude = _mm256_setr_epi32(-1, 0x7fff_ffff, -1, -1, -1, 0x7fff_ffff, -1, -1);
+        // The blend leaves arcs 0, 2, 4, 6, 1, 3, 5, 7 in slots 0..8.
+        let in_order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
         let zero = _mm256_setzero_si256();
-
-        let mut viol = zero;
         let mut max_acc = zero;
-
-        let mut i = 0usize;
-        while i < full {
-            // SAFETY: `i + 8 <= block.len()` and `Arc` is 16 bytes, so all
-            // four unaligned 32-byte loads stay inside `block`.
-            let p = unsafe { block.as_ptr().add(i) } as *const __m256i;
-            // Prefetch never faults, and `wrapping_add` keeps the address
-            // computation defined even past the slice end. Hinting ~4 KiB
-            // ahead keeps the stream off the hardware prefetcher's worst
-            // case on freshly mapped pages.
-            _mm_prefetch(
-                block.as_ptr().wrapping_add(i + 256) as *const i8,
-                _MM_HINT_T0,
-            );
-            let mut eps8 = 0u64;
-            for k in 0..4 {
-                // SAFETY: vector `k` covers arcs `i + 2k` and `i + 2k + 1`,
-                // both below `full <= block.len()`.
-                let v = unsafe { _mm256_loadu_si256(p.add(k)) };
-                let dest_ge_n = _mm256_cmpeq_epi32(_mm256_max_epu32(v, n_vec), v);
-                let w_abs = _mm256_and_si256(v, abs_mask);
-                let non_finite = _mm256_cmpgt_epi32(w_abs, finite_max);
-                viol = _mm256_or_si256(
-                    viol,
-                    _mm256_or_si256(
-                        _mm256_and_si256(dest_ge_n, dest_pos),
-                        _mm256_and_si256(non_finite, weight_pos),
-                    ),
+        for w in 0..words {
+            let mut word = 0u64;
+            for step in 0..8 {
+                let i = w * 64 + step * 8;
+                // Prefetch never faults, and `wrapping_add` keeps the
+                // address computation defined even past the slice end.
+                // Hinting ~4 KiB ahead keeps the stream off the hardware
+                // prefetcher's worst case on freshly mapped pages.
+                _mm_prefetch(
+                    arcs.as_ptr().wrapping_add(i + 256) as *const i8,
+                    _MM_HINT_T0,
                 );
-                max_acc = _mm256_max_epu32(max_acc, v);
-                // Epsilon flags live at the ilabel dwords 2 and 6.
-                let m = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(v, zero))) as u64;
-                eps8 |= (((m >> 2) & 1) | ((m >> 5) & 2)) << (2 * k);
+                // SAFETY: `i + 8 <= words * 64 <= arcs.len()` and `Arc` is
+                // 16 bytes, so vector `k` (arcs `i + 2k` and `i + 2k + 1`)
+                // lies inside `arcs`; the loads are unaligned.
+                let v: [__m256i; 4] = std::array::from_fn(|k| unsafe {
+                    _mm256_loadu_si256((arcs.as_ptr().add(i) as *const __m256i).add(k))
+                });
+                for x in v {
+                    max_acc = _mm256_max_epu32(max_acc, _mm256_and_si256(x, magnitude));
+                }
+                // Compare `k`'s ilabel dwords (slots 2 and 6) are arcs
+                // `2k` and `2k + 1`.
+                let c = v.map(|x| _mm256_cmpeq_epi32(x, zero));
+                let slots = _mm256_blend_epi32::<0b0010_0010>(
+                    _mm256_bsrli_epi128::<8>(c[0]),
+                    _mm256_bsrli_epi128::<4>(c[1]),
+                );
+                let slots = _mm256_blend_epi32::<0b0100_0100>(slots, c[2]);
+                let slots =
+                    _mm256_blend_epi32::<0b1000_1000>(slots, _mm256_bslli_epi128::<4>(c[3]));
+                let flags = _mm256_permutevar8x32_epi32(slots, in_order);
+                let eight = _mm256_movemask_ps(_mm256_castsi256_ps(flags)) as u8;
+                word |= u64::from(eight) << (8 * step);
             }
-            self.push_bits(eps8, 8);
-            i += 8;
+            self.eps_bits[self.word_idx] = word;
+            self.word_idx += 1;
         }
 
-        self.ok &= _mm256_testz_si256(viol, viol) == 1;
-        let mut lanes = [0u32; 8];
-        // SAFETY: `lanes` is exactly 32 bytes; the store is unaligned.
-        unsafe { _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, max_acc) };
-        self.max_il = self.max_il.max(lanes[2]).max(lanes[6]);
-        self.max_ol = self.max_ol.max(lanes[3]).max(lanes[7]);
-        self.scan_scalar(&block[full..]);
+        if words > 0 {
+            let mut lanes = [0u32; 8];
+            // SAFETY: `lanes` is exactly 32 bytes; the store is unaligned.
+            unsafe { _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, max_acc) };
+            self.ok &= lanes[0].max(lanes[4]) < self.n;
+            self.ok &= lanes[1].max(lanes[5]) <= 0x7f7f_ffff;
+            self.max_il = self.max_il.max(lanes[2]).max(lanes[6]);
+            self.max_ol = self.max_ol.max(lanes[3]).max(lanes[7]);
+        }
+        self.scan_scalar(&arcs[words * 64..]);
     }
 }
 
@@ -777,6 +901,192 @@ mod tests {
                 with_epsilon += usize::from(has);
             }
             assert!(with_epsilon > 0 && with_epsilon < w.num_states());
+        }
+    }
+
+    /// One mutant of a graph's owned arrays: states, arcs, start, final
+    /// costs and degree-group boundaries.
+    type Parts = (Vec<StateEntry>, Vec<Arc>, StateId, Vec<f32>, Vec<u32>);
+
+    /// A degree-sorted synthetic graph's arrays, unmutated and mutated one
+    /// field at a time the way the image mutation suite mutates records.
+    fn record_mutants() -> Vec<(String, Parts)> {
+        use crate::sorted::SortedWfst;
+        use crate::synth::{SynthConfig, SynthWfst};
+        let config = SynthConfig::with_states(600).with_seed(23);
+        let sorted = SortedWfst::new(&SynthWfst::generate(&config).unwrap()).unwrap();
+        let w = sorted.wfst();
+        let groups = (0..sorted.threshold())
+            .map(|g| sorted.unit().group_boundary(g))
+            .collect();
+        let base: Parts = (
+            w.state_entries().to_vec(),
+            w.arc_entries().to_vec(),
+            w.start(),
+            w.final_costs_raw().to_vec(),
+            groups,
+        );
+        let states = &base.0;
+        let mut out = vec![("unmutated".to_owned(), base.clone())];
+        let mut add = |name: String, edit: &dyn Fn(&mut Parts)| {
+            let mut parts = base.clone();
+            edit(&mut parts);
+            out.push((name, parts));
+        };
+        let sorted_end = sorted.unit().sorted_region_end() as usize;
+        let with_epsilon = states.iter().position(|st| st.num_epsilon > 0).unwrap();
+        let mixed = states
+            .iter()
+            .position(|st| st.num_emitting > 0 && st.num_epsilon > 0)
+            .unwrap();
+        let emitting = states.iter().position(|st| st.num_emitting > 1).unwrap();
+        let last = states.len() - 1;
+        for s in [0, sorted_end / 2, sorted_end, last, with_epsilon] {
+            for d in [-1i32, 1] {
+                add(format!("state {s} first_arc {d:+}"), &|p| {
+                    let first = &mut p.0[s].first_arc.0;
+                    *first = first.wrapping_add_signed(d);
+                });
+            }
+        }
+        for s in [with_epsilon, mixed] {
+            add(format!("state {s} counts swapped"), &|p| {
+                let st = &mut p.0[s];
+                std::mem::swap(&mut st.num_emitting, &mut st.num_epsilon);
+            });
+            add(format!("state {s} one more epsilon arc"), &|p| {
+                let st = &mut p.0[s];
+                st.num_emitting = st.num_emitting.wrapping_sub(1);
+                st.num_epsilon += 1;
+            });
+        }
+        add(format!("state {mixed} one fewer epsilon arc"), &|p| {
+            p.0[mixed].num_emitting += 1;
+            p.0[mixed].num_epsilon -= 1;
+        });
+        let first = states[emitting].first_arc.index();
+        let last_emitting = first + states[emitting].num_emitting as usize - 1;
+        let eps = states[with_epsilon].epsilon_range();
+        for (name, arc, label) in [
+            ("first emitting arc relabelled epsilon", first, 0),
+            ("last emitting arc relabelled epsilon", last_emitting, 0),
+            ("first epsilon arc relabelled phone 1", eps.start, 1),
+            ("last epsilon arc relabelled phone 7", eps.end - 1, 7),
+        ] {
+            add(name.to_owned(), &|p| p.1[arc].ilabel = PhoneId(label));
+        }
+        let both = &states[mixed];
+        let (x, y) = (both.first_arc.index(), both.epsilon_range().start);
+        add("emitting and epsilon arc swapped".to_owned(), &|p| {
+            p.1.swap(x, y)
+        });
+        for g in [0, 1, 7, 15] {
+            for d in [-1i32, 1] {
+                add(format!("degree group {g} boundary {d:+}"), &|p| {
+                    p.4[g] = p.4[g].wrapping_add_signed(d);
+                });
+            }
+        }
+        let final_state = base.3.iter().position(|c| c.is_finite()).unwrap();
+        let inner_state = base.3.iter().position(|c| !c.is_finite()).unwrap();
+        for cost in [f32::NAN, f32::NEG_INFINITY] {
+            for s in [final_state, inner_state] {
+                add(format!("state {s} final cost {cost}"), &|p| p.3[s] = cost);
+            }
+        }
+        add("every final cost NaN".to_owned(), &|p| p.3.fill(f32::NAN));
+        add("start past the last state".to_owned(), &|p| {
+            p.2 = StateId::from_index(last + 1)
+        });
+        add("start on the last state".to_owned(), &|p| {
+            p.2 = StateId::from_index(last)
+        });
+        out
+    }
+
+    #[test]
+    fn bulk_validation_never_accepts_what_the_precise_walk_rejects() {
+        let (mut accepted, mut declined) = (0, 0);
+        for (name, (states, arcs, start, finals, groups)) in record_mutants() {
+            let bulk = Wfst::validate_bulk(&states, &arcs, start, &finals, &groups);
+            let precise = Wfst::validate_precise(&states, &arcs, start, &finals);
+            let Some(derived) = bulk else {
+                declined += 1;
+                continue;
+            };
+            // Bulk `Some` implies precise `Ok` (equivalently: precise
+            // `Err` implies bulk `None`), with the same derived facts.
+            let sizes = precise
+                .unwrap_or_else(|e| panic!("{name}: bulk accepted what precise rejects: {e}"));
+            assert_eq!((derived.num_phones, derived.num_words), sizes, "{name}");
+            let summary: Vec<u64> = states.chunks(64).map(epsilon_word).collect();
+            assert_eq!(&*derived.epsilon_states, &summary[..], "{name}");
+            assert!(derived.grouped || name != "unmutated");
+            if derived.grouped {
+                let mut prev = 0;
+                for (g, &boundary) in groups.iter().enumerate() {
+                    for st in states.get(prev..boundary as usize).unwrap_or(&[]) {
+                        assert_eq!(st.num_arcs(), g + 1, "{name}: misgrouped state");
+                    }
+                    prev = prev.max(boundary as usize);
+                }
+            }
+            accepted += 1;
+        }
+        assert!(
+            accepted >= 5 && declined >= 15,
+            "{accepted} accepted, {declined} declined"
+        );
+    }
+
+    #[test]
+    fn vector_arc_scan_matches_the_scalar_scan() {
+        // Pseudo-random arcs over every length class around the 64-arc
+        // word, with epsilon labels, out-of-range destinations, NaN, inf
+        // and negative weights planted at varying places.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for len in [0, 1, 7, 8, 63, 64, 65, 127, 128, 1000, 4099] {
+            for plant in 0..5 {
+                let mut arcs: Vec<Arc> = (0..len)
+                    .map(|_| Arc {
+                        dest: StateId((next() % 90) as u32),
+                        weight: (next() % 1000) as f32 / 100.0 - 2.0,
+                        ilabel: PhoneId((next() % 4) as u32 * (next() % 50) as u32),
+                        olabel: WordId((next() % 3000) as u32),
+                    })
+                    .collect();
+                if len > 0 {
+                    let at = next() as usize % len;
+                    match plant {
+                        1 => arcs[at].weight = f32::NAN,
+                        2 => arcs[at].weight = f32::NEG_INFINITY,
+                        3 => arcs[at].dest = StateId(100),
+                        4 => arcs[at].weight = -f32::MAX,
+                        _ => {}
+                    }
+                }
+                let mut scalar = BulkArcScan::new(100, len);
+                scalar.scan_scalar(&arcs);
+                scalar.flush();
+                let mut fast = BulkArcScan::new(100, len);
+                fast.scan(&arcs);
+                fast.flush();
+                let case = format!("len {len}, plant {plant}");
+                assert_eq!(fast.eps_bits, scalar.eps_bits, "{case}");
+                assert_eq!(fast.ok, scalar.ok, "{case}");
+                assert_eq!(fast.ok, !matches!(plant, 1..=3) || len == 0, "{case}");
+                assert_eq!(
+                    (fast.max_il, fast.max_ol),
+                    (scalar.max_il, scalar.max_ol),
+                    "{case}"
+                );
+            }
         }
     }
 

@@ -11,7 +11,8 @@
 //! * [`to_bytes`] serializes the *full* [`SortedWfst`] — state table, arc
 //!   array (both in the exact wire format of [`crate::layout`]), final
 //!   costs, the [`DirectIndexUnit`] registers, and the state renumbering
-//!   maps — into sections that are each 64-byte aligned inside the file;
+//!   maps — into sections that are each 64-byte aligned inside the file,
+//!   and [`save`] streams the same bytes to disk through the same writer;
 //! * [`ImageBytes`] is a reference-counted buffer whose base address is
 //!   64-byte aligned, so a file read lands every section at a correctly
 //!   aligned address;
@@ -538,16 +539,45 @@ impl<T: Record> Section<T> {
 ///               old_to_new  num_states x 4
 ///               new_to_old  num_states x 4
 /// ```
+///
+/// The bytes are exactly what [`save`] writes to a file: both sinks run
+/// the one section writer.
 pub fn to_bytes(sorted: &SortedWfst) -> Vec<u8> {
-    let w = sorted.wfst();
-    let unit = sorted.unit();
-    let ns = w.num_states();
-    let na = w.num_arcs();
-    let n = sorted.threshold();
+    let (offsets, sizes) = section_layout(sorted);
+    let mut out = Vec::with_capacity(offsets[NUM_SECTIONS - 1] + sizes[NUM_SECTIONS - 1]);
+    // LINT-ALLOW: panic — writing into a `Vec` never fails.
+    write_image(sorted, &mut out).expect("in-memory write");
+    out
+}
 
+/// Writes the v2 image of `sorted` to `path`.
+///
+/// The image streams to the file section by section through one buffered
+/// writer — the serializer of [`to_bytes`] — so it never exists in memory
+/// whole: saving a 200k-state graph holds a 64 KiB buffer, not a second
+/// 13 MiB copy of the graph.
+///
+/// # Errors
+///
+/// Returns [`WfstError::Corrupt`] wrapping the underlying I/O failure.
+pub fn save(sorted: &SortedWfst, path: &Path) -> Result<()> {
+    use std::io::Write as _;
+    let f = std::fs::File::create(path).map_err(|e| corrupt(format!("create {path:?}: {e}")))?;
+    let mut out = std::io::BufWriter::with_capacity(1 << 16, f);
+    write_image(sorted, &mut out)
+        .and_then(|()| out.flush())
+        .map_err(|e| corrupt(format!("write {path:?}: {e}")))
+}
+
+/// Section offsets and byte lengths of `sorted`'s image, in file order:
+/// each section starts at the next 64-byte boundary after the previous
+/// one, and the image ends where the last section does.
+fn section_layout(sorted: &SortedWfst) -> ([usize; NUM_SECTIONS], [usize; NUM_SECTIONS]) {
+    let ns = sorted.wfst().num_states();
+    let n = sorted.threshold();
     let sizes = [
         ns * STATE_BYTES as usize,
-        na * ARC_BYTES as usize,
+        sorted.wfst().num_arcs() * ARC_BYTES as usize,
         ns * 4,
         n * 4,
         n * 8,
@@ -560,67 +590,73 @@ pub fn to_bytes(sorted: &SortedWfst) -> Vec<u8> {
         *off = cur;
         cur = align64(cur + size);
     }
-    let total = offsets[NUM_SECTIONS - 1] + sizes[NUM_SECTIONS - 1];
-
-    let mut out = vec![0u8; total];
-    out[0..4].copy_from_slice(MAGIC);
-    out[4] = STORE_VERSION;
-    out[8..16].copy_from_slice(&(ns as u64).to_le_bytes());
-    out[16..24].copy_from_slice(&(na as u64).to_le_bytes());
-    out[24..28].copy_from_slice(&w.start().0.to_le_bytes());
-    out[28..32].copy_from_slice(&(n as u32).to_le_bytes());
-    out[32..36].copy_from_slice(&w.num_phones().to_le_bytes());
-    out[36..40].copy_from_slice(&w.num_words().to_le_bytes());
-    out[40..44].copy_from_slice(&(NUM_SECTIONS as u32).to_le_bytes());
-
-    for (i, (kind, (off, size))) in KINDS.iter().zip(offsets.iter().zip(sizes)).enumerate() {
-        let e = HEADER_BYTES + i * TABLE_ENTRY_BYTES;
-        out[e..e + 8].copy_from_slice(&kind.to_le_bytes());
-        out[e + 8..e + 16].copy_from_slice(&(*off as u64).to_le_bytes());
-        out[e + 16..e + 24].copy_from_slice(&(size as u64).to_le_bytes());
-    }
-
-    for (i, entry) in w.state_entries().iter().enumerate() {
-        let o = offsets[0] + i * STATE_BYTES as usize;
-        out[o..o + 8].copy_from_slice(&layout::pack_state(*entry).to_le_bytes());
-    }
-    for (i, arc) in w.arc_entries().iter().enumerate() {
-        let o = offsets[1] + i * ARC_BYTES as usize;
-        out[o..o + 16].copy_from_slice(&layout::pack_arc(*arc).to_le_bytes());
-    }
-    for (i, cost) in w.final_costs_raw().iter().enumerate() {
-        let o = offsets[2] + i * 4;
-        out[o..o + 4].copy_from_slice(&cost.to_le_bytes());
-    }
-    for g in 0..n {
-        let o = offsets[3] + g * 4;
-        out[o..o + 4].copy_from_slice(&unit.group_boundary(g).to_le_bytes());
-        let o = offsets[4] + g * 8;
-        out[o..o + 8].copy_from_slice(&unit.group_offset(g).to_le_bytes());
-    }
-    for (i, v) in sorted.old_to_new_raw().iter().enumerate() {
-        let o = offsets[5] + i * 4;
-        out[o..o + 4].copy_from_slice(&v.to_le_bytes());
-    }
-    for (i, v) in sorted.new_to_old_raw().iter().enumerate() {
-        let o = offsets[6] + i * 4;
-        out[o..o + 4].copy_from_slice(&v.to_le_bytes());
-    }
-    out
+    (offsets, sizes)
 }
 
-/// Writes the v2 image of `sorted` to `path`.
-///
-/// # Errors
-///
-/// Returns [`WfstError::Corrupt`] wrapping the underlying I/O failure.
-pub fn save(sorted: &SortedWfst, path: &Path) -> Result<()> {
-    use std::io::Write as _;
-    let bytes = to_bytes(sorted);
-    let mut f =
-        std::fs::File::create(path).map_err(|e| corrupt(format!("create {path:?}: {e}")))?;
-    f.write_all(&bytes)
-        .map_err(|e| corrupt(format!("write {path:?}: {e}")))
+/// The one serializer behind [`to_bytes`] and [`save`]: header and
+/// section table, then every section in file order with zero padding up
+/// to its offset, records packed by [`crate::layout`].
+fn write_image(sorted: &SortedWfst, out: &mut impl std::io::Write) -> std::io::Result<()> {
+    let w = sorted.wfst();
+    let unit = sorted.unit();
+    let n = sorted.threshold();
+    let (offsets, sizes) = section_layout(sorted);
+
+    let mut head = [0u8; FIRST_SECTION_OFFSET];
+    head[0..4].copy_from_slice(MAGIC);
+    head[4] = STORE_VERSION;
+    head[8..16].copy_from_slice(&(w.num_states() as u64).to_le_bytes());
+    head[16..24].copy_from_slice(&(w.num_arcs() as u64).to_le_bytes());
+    head[24..28].copy_from_slice(&w.start().0.to_le_bytes());
+    head[28..32].copy_from_slice(&(n as u32).to_le_bytes());
+    head[32..36].copy_from_slice(&w.num_phones().to_le_bytes());
+    head[36..40].copy_from_slice(&w.num_words().to_le_bytes());
+    head[40..44].copy_from_slice(&(NUM_SECTIONS as u32).to_le_bytes());
+    for (i, (kind, (off, size))) in KINDS.iter().zip(offsets.iter().zip(sizes)).enumerate() {
+        let e = HEADER_BYTES + i * TABLE_ENTRY_BYTES;
+        head[e..e + 8].copy_from_slice(&kind.to_le_bytes());
+        head[e + 8..e + 16].copy_from_slice(&(*off as u64).to_le_bytes());
+        head[e + 16..e + 24].copy_from_slice(&(size as u64).to_le_bytes());
+    }
+    out.write_all(&head)?;
+
+    let mut pos = FIRST_SECTION_OFFSET;
+    for (i, (&off, size)) in offsets.iter().zip(sizes).enumerate() {
+        out.write_all(&[0u8; SECTION_ALIGN][..off - pos])?;
+        // Sections in `KINDS` order.
+        match i {
+            0 => write_records(
+                out,
+                w.state_entries()
+                    .iter()
+                    .map(|s| layout::pack_state(*s).to_le_bytes()),
+            ),
+            1 => write_records(
+                out,
+                w.arc_entries()
+                    .iter()
+                    .map(|a| layout::pack_arc(*a).to_le_bytes()),
+            ),
+            2 => write_records(out, w.final_costs_raw().iter().map(|c| c.to_le_bytes())),
+            3 => write_records(out, (0..n).map(|g| unit.group_boundary(g).to_le_bytes())),
+            4 => write_records(out, (0..n).map(|g| unit.group_offset(g).to_le_bytes())),
+            5 => write_records(out, sorted.old_to_new_raw().iter().map(|v| v.to_le_bytes())),
+            _ => write_records(out, sorted.new_to_old_raw().iter().map(|v| v.to_le_bytes())),
+        }?;
+        pos = off + size;
+    }
+    Ok(())
+}
+
+/// Writes `B`-byte records back to back (the sinks buffer them).
+fn write_records<const B: usize>(
+    out: &mut impl std::io::Write,
+    records: impl Iterator<Item = [u8; B]>,
+) -> std::io::Result<()> {
+    for record in records {
+        out.write_all(&record)?;
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -656,6 +692,83 @@ pub(crate) fn image_version(bytes: &[u8]) -> Option<u8> {
     }
 }
 
+/// The registers' fast check, for a state table validation found
+/// `grouped` (in order, and each group's states of the group's degree):
+/// the boundaries count states cumulatively, and each non-empty group's
+/// first state starts at `x * d + offset[d - 1]`. Every later state `x` of
+/// the group then does too — its window starts `d` arcs after its
+/// predecessor's — so this answers for the whole sorted region.
+fn group_starts_agree(states: &[StateEntry], boundaries: &[u32], offsets: &[i64]) -> bool {
+    let mut prev = 0u32;
+    for (g, (&boundary, &offset)) in boundaries.iter().zip(offsets).enumerate() {
+        if boundary < prev || boundary as usize > states.len() {
+            return false;
+        }
+        let first = i64::from(prev) * (g as i64 + 1) + offset;
+        if boundary > prev && i64::from(states[prev as usize].first_arc.0) != first {
+            return false;
+        }
+        prev = boundary;
+    }
+    true
+}
+
+/// Checks that the [`DirectIndexUnit`] registers describe `states`, state
+/// by state: the boundaries count states cumulatively, and every state `x`
+/// of degree group `d` has `d` arcs starting at `x * d + offset[d - 1]`.
+/// Reports the first violation as a typed error.
+fn check_registers(states: &[StateEntry], boundaries: &[u32], offsets: &[i64]) -> Result<()> {
+    let mut prev = 0u32;
+    for (g, (&boundary, &offset)) in boundaries.iter().zip(offsets).enumerate() {
+        if boundary < prev || boundary as usize > states.len() {
+            return Err(corrupt(format!(
+                "boundary register {g} ({boundary}) is not a cumulative state count"
+            )));
+        }
+        let degree = g + 1;
+        for x in prev..boundary {
+            let entry = states[x as usize];
+            let computed = i64::from(x) * degree as i64 + offset;
+            let actual_first = entry.first_arc;
+            if computed != i64::from(actual_first.0) || entry.num_arcs() != degree {
+                return Err(WfstError::LayoutMismatch {
+                    state: StateId(x),
+                    computed_first: ArcId(computed.clamp(0, i64::from(u32::MAX)) as u32),
+                    computed_degree: degree,
+                    actual_first,
+                    actual_degree: entry.num_arcs(),
+                });
+            }
+        }
+        prev = boundary;
+    }
+    Ok(())
+}
+
+/// Checks that the state renumbering maps are inverse permutations:
+/// `new_to_old[old_to_new[old]] == old` for every `old`. Branch-free over
+/// the gather; a failure rescans for the first bad state.
+fn check_inverse(old_to_new: &[u32], new_to_old: &[u32]) -> Result<()> {
+    let round_trip = |(old, &new): (usize, &u32)| {
+        new_to_old
+            .get(new as usize)
+            .is_some_and(|&back| back as usize == old)
+    };
+    let all = old_to_new
+        .iter()
+        .enumerate()
+        .fold(true, |all, entry| all & round_trip(entry));
+    if all {
+        return Ok(());
+    }
+    match old_to_new.iter().enumerate().position(|e| !round_trip(e)) {
+        Some(old) => Err(corrupt(format!(
+            "state maps are not inverse permutations at old state {old}"
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// A validated, immutable, shareable graph image.
 ///
 /// Construction parses and validates the container exactly once — magic,
@@ -664,6 +777,13 @@ pub(crate) fn image_version(bytes: &[u8]) -> Option<u8> {
 /// registers with the state table, and that the renumbering maps are
 /// inverse permutations. Corrupt input of any shape yields a typed
 /// [`WfstError`]; construction never panics.
+///
+/// Validation reads each array once: one pass over the arcs, one over the
+/// state table (window cover, epsilon counts, the epsilon summary and the
+/// degree of every direct-index state), then the epsilon windows of the
+/// states that have any, each group's first state against its register,
+/// and the maps. Anything that pass cannot vouch for is re-checked by the
+/// exhaustive walk, which names the first violation.
 ///
 /// After validation, [`GraphImage::sorted`] hands out a [`SortedWfst`]
 /// whose arrays are typed views straight over the shared buffer: cloning
@@ -780,7 +900,7 @@ impl GraphImage {
 
         // Structural invariants — the exact checks of `Wfst::from_parts`,
         // run once over the views.
-        let wfst = Wfst::from_sections(states, arcs, start, finals)?;
+        let (wfst, grouped) = Wfst::from_sections(states, arcs, start, finals, &boundaries)?;
         if wfst.num_phones() != num_phones || wfst.num_words() != num_words {
             return Err(corrupt(format!(
                 "label spaces ({}, {}) disagree with header ({num_phones}, {num_words})",
@@ -792,41 +912,11 @@ impl GraphImage {
         // The DirectIndexUnit registers must agree with the state table
         // over the whole sorted region, else direct arc indexing would
         // silently read the wrong arcs.
-        let mut prev_boundary = 0u32;
-        for (g, (&boundary, &unit_offset)) in boundaries.iter().zip(unit_offsets.iter()).enumerate()
-        {
-            if boundary < prev_boundary || boundary as usize > wfst.num_states() {
-                return Err(corrupt(format!(
-                    "boundary register {g} ({boundary}) is not a cumulative state count"
-                )));
-            }
-            let degree = g + 1;
-            for x in prev_boundary..boundary {
-                let entry = wfst.state(StateId(x));
-                let computed = i64::from(x) * degree as i64 + unit_offset;
-                let actual_first = entry.first_arc;
-                if computed != i64::from(actual_first.0) || entry.num_arcs() != degree {
-                    return Err(WfstError::LayoutMismatch {
-                        state: StateId(x),
-                        computed_first: ArcId(computed.clamp(0, i64::from(u32::MAX)) as u32),
-                        computed_degree: degree,
-                        actual_first,
-                        actual_degree: entry.num_arcs(),
-                    });
-                }
-            }
-            prev_boundary = boundary;
+        if !(grouped && group_starts_agree(wfst.state_entries(), &boundaries, &unit_offsets)) {
+            check_registers(wfst.state_entries(), &boundaries, &unit_offsets)?;
         }
-
         // The renumbering maps must be inverse permutations of each other.
-        for (old, &new) in old_to_new.iter().enumerate() {
-            if new as usize >= wfst.num_states() || new_to_old[new as usize] as usize != old {
-                return Err(corrupt(format!(
-                    "state maps are not inverse permutations at old state {old}"
-                )));
-            }
-        }
-
+        check_inverse(&old_to_new, &new_to_old)?;
         let unit = DirectIndexUnit::from_registers(boundaries.to_vec(), unit_offsets.to_vec());
         let sorted = SortedWfst::from_image_parts(wfst, unit, old_to_new, new_to_old, threshold);
         Ok(Self { bytes, sorted })
@@ -841,7 +931,9 @@ impl GraphImage {
         Self::from_image_bytes(ImageBytes::from_slice(bytes))
     }
 
-    /// Reads `path` into an aligned buffer and validates it.
+    /// Maps `path` (see [`ImageBytes::read_file`]) and validates it in
+    /// place: no record is copied, the arcs are streamed once and the
+    /// state table is walked once.
     ///
     /// # Errors
     ///

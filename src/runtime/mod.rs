@@ -219,67 +219,121 @@ pub struct RuntimeStats {
 /// row block — with every row of a block bit-identical to that row
 /// scored alone (the foundation the determinism of batching and of
 /// multi-row overlap rests on).
+///
+/// The model's *shape* — row width, feature width, MFCC configuration,
+/// block scratch — follows from the [`RuntimeConfig`] and the lexicon,
+/// so construction, the registry's compatibility check, the batch
+/// service and every session that pushes pre-scored rows read it without
+/// a scorer existing. The scorer itself is built by the first call that
+/// scores audio: a runtime fed only rows (the accelerator's ALB
+/// interface: scores in, words out) never renders a phone template or
+/// draws a weight.
 #[derive(Debug)]
-enum AcousticModel {
+struct AcousticModel {
+    spec: AcousticSpec,
+    /// Phones scored per frame (the epsilon column excluded).
+    num_phones: usize,
+    mfcc: MfccConfig,
+    /// Widest activation of the block forward pass; `0` for the template
+    /// model, which scores a block without scratch.
+    block_width: usize,
+    scorer: OnceLock<Scorer>,
+}
+
+/// The built scorer behind an [`AcousticModel`].
+#[derive(Debug)]
+enum Scorer {
     Template(TemplateScorer),
     Mlp { mlp: Mlp, pipeline: MfccPipeline },
 }
 
 impl AcousticModel {
+    /// The model `spec` describes over `num_phones` phones, unbuilt.
+    fn new(spec: AcousticSpec, num_phones: usize) -> Self {
+        let mfcc = MfccConfig::default();
+        let block_width = match &spec {
+            AcousticSpec::Template => 0,
+            // The MLP's layer widths are `[feat_dim, hidden.., phones]`.
+            AcousticSpec::Mlp { hidden, .. } => hidden
+                .iter()
+                .copied()
+                .chain([mfcc.dim(), num_phones])
+                .max()
+                .unwrap_or(0),
+        };
+        Self {
+            spec,
+            num_phones,
+            mfcc,
+            block_width,
+            scorer: OnceLock::new(),
+        }
+    }
+
+    /// The scorer, built on first use (concurrent first callers wait for
+    /// one build).
+    fn scorer(&self) -> &Scorer {
+        self.scorer.get_or_init(|| match &self.spec {
+            AcousticSpec::Template => {
+                let t = TemplateScorer::with_default_signal(self.num_phones as u32);
+                debug_assert_eq!(*t.mfcc_config(), self.mfcc);
+                Scorer::Template(t)
+            }
+            AcousticSpec::Mlp { hidden, seed } => {
+                let pipeline = MfccPipeline::new(self.mfcc);
+                let mut dims = vec![pipeline.dim()];
+                dims.extend_from_slice(hidden);
+                dims.push(self.num_phones);
+                let mlp = Mlp::new(&dims, *seed);
+                debug_assert_eq!(mlp.block_scratch_len(1), self.block_scratch_len(1));
+                Scorer::Mlp { mlp, pipeline }
+            }
+        })
+    }
+
     /// The MFCC configuration session front-ends must extract with.
     fn mfcc_config(&self) -> &MfccConfig {
-        match self {
-            AcousticModel::Template(t) => t.mfcc_config(),
-            AcousticModel::Mlp { pipeline, .. } => pipeline.config(),
-        }
+        &self.mfcc
     }
 
     /// Feature vector width of one frame.
     fn feat_dim(&self) -> usize {
-        match self {
-            AcousticModel::Template(t) => t.feat_dim(),
-            AcousticModel::Mlp { mlp, .. } => mlp.input_dim(),
-        }
+        self.mfcc.dim()
     }
 
     /// Width of one acoustic cost row (phones + the epsilon column).
     fn row_len(&self) -> usize {
-        match self {
-            AcousticModel::Template(t) => t.num_phones() as usize + 1,
-            AcousticModel::Mlp { mlp, .. } => mlp.output_dim() + 1,
-        }
+        self.num_phones + 1
     }
 
     /// Batch-scores a whole waveform (the one-shot [`AsrRuntime::score`]
     /// path).
     fn score_waveform(&self, samples: &[f32]) -> AcousticTable {
-        match self {
-            AcousticModel::Template(t) => t.score_waveform(samples),
-            AcousticModel::Mlp { mlp, pipeline } => mlp.score_utterance(&pipeline.process(samples)),
+        match self.scorer() {
+            Scorer::Template(t) => t.score_waveform(samples),
+            Scorer::Mlp { mlp, pipeline } => mlp.score_utterance(&pipeline.process(samples)),
         }
     }
 
-    /// Exact scratch length the block path needs for `rows` frames.
+    /// Exact scratch length the block path needs for `rows` frames: two
+    /// ping-pong activation planes of the widest layer for the MLP.
     fn block_scratch_len(&self, rows: usize) -> usize {
-        match self {
-            AcousticModel::Template(_) => 0,
-            AcousticModel::Mlp { mlp, .. } => mlp.block_scratch_len(rows),
-        }
+        2 * rows * self.block_width
     }
 
     /// Scores a packed block of `rows` feature vectors into packed cost
     /// rows — the runtime's one scoring call. Each row is bit-identical
     /// whatever block it rides in, a one-row block included.
     fn score_block_into(&self, feats: &[f32], rows: usize, out: &mut [f32], scratch: &mut [f32]) {
-        match self {
-            AcousticModel::Template(t) => {
+        match self.scorer() {
+            Scorer::Template(t) => {
                 debug_assert!(
                     scratch.is_empty(),
                     "template block scoring takes no scratch"
                 );
                 t.score_block_into(feats, rows, out);
             }
-            AcousticModel::Mlp { mlp, .. } => mlp.score_block_into(feats, rows, out, scratch),
+            Scorer::Mlp { mlp, .. } => mlp.score_block_into(feats, rows, out, scratch),
         }
     }
 }
@@ -501,23 +555,15 @@ impl AsrRuntime {
     /// phone space for the *raw-audio* path; sessions fed pre-scored
     /// rows only need the rows to match the graph's phone labels.
     /// Unknown word IDs on decoded paths render as `"<?>"`.
+    ///
+    /// Construction builds no acoustic model: the scorer (templates
+    /// rendered for every phone, or the MLP's weights) is built by the
+    /// first call that scores audio — [`AsrRuntime::score`], or a
+    /// session fed [`Session::push_samples`] — so a runtime whose
+    /// sessions only push rows never pays for one.
     pub fn with_graph(graph: Wfst, lexicon: Lexicon, config: RuntimeConfig) -> Self {
         let graph = Arc::new(graph);
-        let model = match &config.acoustic {
-            AcousticSpec::Template => AcousticModel::Template(TemplateScorer::with_default_signal(
-                lexicon.num_phones() as u32,
-            )),
-            AcousticSpec::Mlp { hidden, seed } => {
-                let pipeline = MfccPipeline::new(MfccConfig::default());
-                let mut dims = vec![pipeline.dim()];
-                dims.extend_from_slice(hidden);
-                dims.push(lexicon.num_phones());
-                AcousticModel::Mlp {
-                    mlp: Mlp::new(&dims, *seed),
-                    pipeline,
-                }
-            }
-        };
+        let model = AcousticModel::new(config.acoustic, lexicon.num_phones());
         let batch = config
             .batch
             .as_ref()

@@ -1,5 +1,6 @@
-//! The serving layer's unit tests, all through the public API, grouped
-//! by the module they exercise. They stay in one flat `runtime::tests`
+//! The serving layer's unit tests, all through the public API (save one
+//! crate-private look at whether the acoustic model has been built),
+//! grouped by the module they exercise. They stay in one flat `runtime::tests`
 //! module (rather than a `tests` module inside each file) so their
 //! names — which the tier-1 floor lists one by one — do not change
 //! with the split.
@@ -158,6 +159,95 @@ fn recognize_scores_panics_at_the_call_on_a_narrow_table_and_frees_its_slot() {
     assert_eq!(runtime.stats().active_sessions, 0, "the slot was freed");
     // The runtime still serves.
     assert!(runtime.recognize_scores(&scores).cost.is_finite());
+}
+
+/// Whether `runtime`'s acoustic scorer has been built yet.
+fn scorer_built(runtime: &AsrRuntime) -> bool {
+    runtime.inner.model.scorer.get().is_some()
+}
+
+#[test]
+fn row_fed_runtime_decodes_like_the_search_and_never_builds_a_scorer() {
+    use asr_decoder::search::ViterbiDecoder;
+    use asr_wfst::synth::{SynthConfig, SynthWfst};
+    // A phone range the demo lexicon covers, so the registry admits it.
+    let lexicon = demo_lexicon();
+    let config = SynthConfig {
+        num_phones: lexicon.num_phones() as u32,
+        ..SynthConfig::with_states(5_000)
+    };
+    let graph = SynthWfst::generate(&config).unwrap();
+    let scores = AcousticTable::random(30, graph.num_phones() as usize, (0.5, 4.0), 29);
+    let reference = ViterbiDecoder::new(DecodeOptions::with_beam(8.0)).decode(&graph, &scores);
+    for config in [
+        RuntimeConfig::new(),
+        RuntimeConfig::new().mlp_acoustic(&[16], 3),
+        RuntimeConfig::new().batch_scoring(BatchScoringConfig::new(4)),
+    ] {
+        let runtime = AsrRuntime::with_graph(graph.clone(), lexicon.clone(), config.beam(8.0));
+        runtime.register_model("second", graph.clone()).unwrap();
+        let one_shot = runtime.recognize_scores(&scores);
+        let mut session = runtime.open_session_with(SessionOptions::new().model("second"));
+        for frame in 0..scores.num_frames() {
+            session.push_row(scores.frame_row(frame));
+        }
+        let streamed = session.finalize();
+        for got in [&one_shot, &streamed] {
+            assert_eq!(got.words, runtime.lexicon().transcript(&reference.words));
+            assert_eq!(got.cost.to_bits(), reference.cost.to_bits());
+            assert_eq!(got.reached_final, reference.reached_final);
+        }
+        assert!(
+            !scorer_built(&runtime),
+            "construction, registration and row-fed sessions build no scorer"
+        );
+    }
+}
+
+#[test]
+fn concurrent_first_audio_sessions_share_one_lazily_built_scorer() {
+    use asr_acoustic::template::TemplateScorer;
+    use asr_decoder::search::ViterbiDecoder;
+    let runtime = AsrRuntime::demo_with(RuntimeConfig::new().lanes(2)).unwrap();
+    assert!(!scorer_built(&runtime));
+    let phrases = [
+        vec!["call", "mom"],
+        vec!["lights", "on"],
+        vec!["go"],
+        vec!["play", "music"],
+    ];
+    let audio: Vec<_> = (phrases.iter())
+        .map(|words| runtime.render_words(words).unwrap())
+        .collect();
+    let barrier = std::sync::Barrier::new(audio.len());
+    let transcripts: Vec<Transcript> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (audio.iter())
+            .map(|utterance| {
+                let (runtime, barrier) = (runtime.clone(), &barrier);
+                scope.spawn(move || {
+                    let mut session = runtime.open_session();
+                    barrier.wait();
+                    for packet in utterance.samples.chunks(160) {
+                        session.push_samples(packet);
+                    }
+                    session.finalize()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert!(scorer_built(&runtime));
+    // The runtime-free oracle: the same template model, built by hand,
+    // scoring each whole waveform for the batch decoder.
+    let scorer = TemplateScorer::with_default_signal(runtime.lexicon().num_phones() as u32);
+    let decoder = ViterbiDecoder::new(runtime.options().clone());
+    for ((words, utterance), got) in phrases.iter().zip(&audio).zip(&transcripts) {
+        let expected = decoder.decode(runtime.graph(), &scorer.score_waveform(&utterance.samples));
+        assert_eq!(got.words, runtime.lexicon().transcript(&expected.words));
+        assert_eq!(got.cost.to_bits(), expected.cost.to_bits(), "{words:?}");
+        assert_eq!(got.reached_final, expected.reached_final);
+        assert_eq!(&got.words, words);
+    }
 }
 
 // ---- `session`: the frame loop, its row sources and the overlap ----
