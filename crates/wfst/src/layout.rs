@@ -5,12 +5,14 @@
 //! three attributes into 64 bits (first-arc index: 32 bits, non-epsilon arc
 //! count: 16 bits, epsilon arc count: 16 bits); each arc packs four 32-bit
 //! attributes into 128 bits (destination state, weight, input label, output
-//! label). The cycle-accurate simulator computes cache/DRAM addresses from
-//! this layout, and the Kaldi English WFST (13.2M states, 34.5M arcs) comes
-//! out at 618 MB — reproduced by `kaldi_scale_size_matches_paper` below.
+//! label). [`pack_state`] / [`pack_arc`] are those wire records: the graph
+//! store ([`crate::store`]) writes its state and arc sections in them. The
+//! cycle-accurate simulator computes cache/DRAM addresses from
+//! [`MemoryLayout`], and the Kaldi English WFST (13.2M states, 34.5M arcs)
+//! comes out at 618 MB — reproduced by `kaldi_scale_size_matches_paper`
+//! below.
 
 use crate::{Arc, ArcId, PhoneId, StateEntry, StateId, Wfst, WordId};
-use bytes::{Buf, BufMut};
 
 /// Bytes per packed state record (64 bits).
 pub const STATE_BYTES: u64 = 8;
@@ -130,59 +132,9 @@ pub fn unpack_arc(word: u128) -> Arc {
     }
 }
 
-/// Serializes the full memory image (state array, alignment padding, arc
-/// array) exactly as the accelerator would see it in DRAM.
-pub fn write_image(wfst: &Wfst, out: &mut Vec<u8>) {
-    let layout = MemoryLayout::new(wfst, 0);
-    out.reserve(layout.total_bytes() as usize);
-    for entry in wfst.state_entries() {
-        out.put_u64_le(pack_state(*entry));
-    }
-    let pad = (layout.arcs_base() - layout.states_base()) as usize
-        - wfst.state_entries().len() * STATE_BYTES as usize;
-    out.extend(std::iter::repeat_n(0u8, pad));
-    for arc in wfst.arc_entries() {
-        out.put_u128_le(pack_arc(*arc));
-    }
-}
-
-/// Reads back the state and arc arrays from a memory image produced by
-/// [`write_image`].
-///
-/// # Errors
-///
-/// Returns [`crate::WfstError::Corrupt`] if the buffer is shorter than the
-/// declared element counts require.
-pub fn read_image(
-    mut bytes: &[u8],
-    num_states: usize,
-    num_arcs: usize,
-) -> crate::Result<(Vec<StateEntry>, Vec<Arc>)> {
-    let layout = MemoryLayout::with_counts(num_states as u64, num_arcs as u64, 0);
-    if (bytes.len() as u64) < layout.total_bytes() {
-        return Err(crate::WfstError::Corrupt(format!(
-            "image of {} bytes, need {}",
-            bytes.len(),
-            layout.total_bytes()
-        )));
-    }
-    let mut states = Vec::with_capacity(num_states);
-    for _ in 0..num_states {
-        states.push(unpack_state(bytes.get_u64_le()));
-    }
-    let pad = (layout.arcs_base() - num_states as u64 * STATE_BYTES) as usize;
-    bytes.advance(pad);
-    let mut arcs = Vec::with_capacity(num_arcs);
-    for _ in 0..num_arcs {
-        arcs.push(unpack_arc(bytes.get_u128_le()));
-    }
-    Ok((states, arcs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::WfstBuilder;
 
     #[test]
     fn state_pack_roundtrip() {
@@ -235,33 +187,5 @@ mod tests {
         );
         assert_eq!(layout.arc_addr(ArcId(1)) - layout.arc_addr(ArcId(0)), 16);
         assert!(layout.arcs_base() >= layout.states_base() + 5 * STATE_BYTES);
-    }
-
-    #[test]
-    fn image_roundtrip() {
-        let mut b = WfstBuilder::new();
-        let s0 = b.add_state();
-        let s1 = b.add_state();
-        b.set_start(s0);
-        b.set_final(s1, 0.5);
-        b.add_arc(s0, s1, PhoneId(1), WordId(2), 1.5);
-        b.add_epsilon_arc(s1, s0, 0.25);
-        let w = b.build().unwrap();
-
-        let mut image = Vec::new();
-        write_image(&w, &mut image);
-        let layout = MemoryLayout::new(&w, 0);
-        assert_eq!(image.len() as u64, layout.total_bytes());
-
-        let (states, arcs) = read_image(&image, w.num_states(), w.num_arcs()).unwrap();
-        assert_eq!(states, w.state_entries());
-        assert_eq!(arcs.len(), w.num_arcs());
-        assert_eq!(arcs[0].olabel, WordId(2));
-    }
-
-    #[test]
-    fn read_image_rejects_truncation() {
-        let err = read_image(&[0u8; 4], 1, 1).unwrap_err();
-        assert!(matches!(err, crate::WfstError::Corrupt(_)));
     }
 }

@@ -12,15 +12,17 @@
 //!   packed representation of the paper (Section III): 64-bit state records
 //!   and 128-bit arc records, non-epsilon arcs stored before epsilon arcs;
 //! * [`builder::WfstBuilder`] for programmatic construction;
-//! * [`layout`]: the byte-exact main-memory image of the transducer, used by
-//!   the cycle-accurate simulator to derive cache/DRAM addresses;
+//! * [`layout`]: the byte-exact main-memory image of the transducer — the
+//!   64-bit state and 128-bit arc wire records the [`store`] writes, and the
+//!   address map the cycle-accurate simulator derives cache/DRAM addresses
+//!   from;
 //! * [`sorted`]: the bandwidth-saving layout of Section IV-B, where states
 //!   with at most `N` arcs are moved to the front of the state array and
 //!   sorted by out-degree so arc indices can be computed directly;
-//! * [`store`]: the zero-copy graph store — a byte-stable v2 image of the
-//!   full [`sorted::SortedWfst`] whose loaded buffer is viewed in place
-//!   (no per-load rebuild, no record copies), validated once into a
-//!   [`store::GraphImage`];
+//! * [`store`]: the zero-copy graph store and the crate's one file format
+//!   — a byte-stable image of the full [`sorted::SortedWfst`] whose loaded
+//!   buffer is viewed in place (no per-load rebuild, no record copies),
+//!   validated once into a [`store::GraphImage`];
 //! * [`synth`]: a deterministic generator reproducing the published
 //!   statistics of Kaldi's 125k-word English WFST (degree distribution with
 //!   ~97% of visited states having <= 15 arcs, 11.5% epsilon arcs);
@@ -69,7 +71,6 @@
 pub mod builder;
 pub mod compose;
 pub mod grammar;
-pub mod io;
 pub mod layout;
 pub mod lexicon;
 pub mod ops;

@@ -208,7 +208,6 @@ impl Wfst {
         }
         let mut scan = BulkArcScan::new(states.len() as u32, arcs.len());
         scan.scan(arcs);
-        scan.flush();
         if !scan.ok {
             return None;
         }
@@ -669,10 +668,10 @@ impl<'a> StateWalk<'a> {
 /// Streams arc records and checks everything that does not depend on which
 /// state owns an arc — weights finite, destinations in `0..n`, running label
 /// maxima — while distilling each arc's epsilon flag into a bitmap for the
-/// popcount and epsilon-window checks that follow the state pass. On
-/// x86-64 with AVX2 the scan runs 64 arcs (one bitmap word) per step
-/// directly over the packed records; elsewhere a scalar loop computes the
-/// identical result.
+/// popcount and epsilon-window checks that follow the state pass. The scan
+/// is one plain body over whole 64-arc words ([`BulkArcScan::scan_words`]),
+/// compiled once per [`ScanWidth`]; the scalar loop finishes the tail and
+/// is the oracle every width must match bit for bit.
 struct BulkArcScan {
     /// Number of states; every destination must be below it.
     n: u32,
@@ -685,12 +684,6 @@ struct BulkArcScan {
     /// One epsilon flag per arc, little-endian bit order, padded so that
     /// reading one word past the last data word is always in bounds.
     eps_bits: Vec<u64>,
-    /// Partial word being filled (low `filled` bits are valid).
-    word: u64,
-    /// Bits accumulated in `word`.
-    filled: u32,
-    /// Index of the word `word` will be flushed to.
-    word_idx: usize,
 }
 
 impl BulkArcScan {
@@ -701,138 +694,117 @@ impl BulkArcScan {
             max_il: 0,
             max_ol: 0,
             eps_bits: vec![0u64; num_arcs / 64 + 2],
-            word: 0,
-            filled: 0,
-            word_idx: 0,
         }
     }
 
-    /// Scans the whole arc array into a fresh accumulator;
-    /// [`BulkArcScan::flush`] then completes the bitmap.
-    fn scan(&mut self, block: &[Arc]) {
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { self.scan_avx2(block) };
-            return;
-        }
-        self.scan_scalar(block);
+    /// Scans the whole arc array into a fresh accumulator at the widest
+    /// width the CPU runs.
+    fn scan(&mut self, arcs: &[Arc]) {
+        let widest = ScanWidth::supported().last();
+        widest.unwrap_or(ScanWidth::Baseline).scan(self, arcs);
     }
 
-    /// Flushes the buffered partial word into the bitmap (idempotent).
-    fn flush(&mut self) {
-        if self.filled > 0 {
-            self.eps_bits[self.word_idx] = self.word;
-            self.word = 0;
-            self.filled = 0;
-            self.word_idx += 1;
-        }
-    }
-
-    /// Appends one epsilon flag.
-    #[inline(always)]
-    fn push_bit(&mut self, flag: bool) {
-        self.word |= u64::from(flag) << self.filled;
-        self.filled += 1;
-        if self.filled == 64 {
-            self.eps_bits[self.word_idx] = self.word;
-            self.word_idx += 1;
-            self.word = 0;
-            self.filled = 0;
-        }
-    }
-
-    /// Portable scan; also finishes the sub-word tail of the AVX2 path.
-    fn scan_scalar(&mut self, block: &[Arc]) {
-        for a in block {
-            self.push_bit(a.is_epsilon());
+    /// Portable scan of `arcs[from..]`, one arc at a time: the oracle, and
+    /// the sub-word tail of [`BulkArcScan::scan_words`].
+    fn scan_scalar(&mut self, arcs: &[Arc], from: usize) {
+        for (i, a) in arcs.iter().enumerate().skip(from) {
+            self.eps_bits[i / 64] |= u64::from(a.is_epsilon()) << (i % 64);
             self.ok &= a.weight.is_finite() & (a.dest.0 < self.n);
             self.max_il = self.max_il.max(a.ilabel.0);
             self.max_ol = self.max_ol.max(a.olabel.0);
         }
     }
 
-    /// Vector scan over the packed 16-byte records, one bitmap word (64
-    /// arcs) per outer step; the scalar loop finishes the tail.
-    ///
-    /// Each 256-bit load covers two arcs, dwords `[dest, weight, ilabel,
-    /// olabel]` twice over (`Arc` is `#[repr(C)]`, pinned by the layout
-    /// asserts above). One running unsigned max per dword position settles
-    /// every position-independent check once the loop ends: destinations
-    /// below `n`; weights finite, since the weight dwords are maxed with
-    /// the sign bit masked off and a finite `f32`'s magnitude bits are at
-    /// most `0x7f7f_ffff`; and the label maxima. The epsilon flags
-    /// (`ilabel == 0`) of eight arcs are four zero-compares blended into
-    /// one vector — byte shifts move each compare's two ilabel dwords into
-    /// slots of their own, a dword permute puts the arcs in order — read
-    /// by one movemask.
-    ///
-    /// # Safety
-    ///
-    /// The caller must ensure the CPU supports AVX2.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn scan_avx2(&mut self, arcs: &[Arc]) {
-        use std::arch::x86_64::*;
-
-        // Whole bitmap words only: the scan starts on a word boundary.
-        debug_assert_eq!(self.filled, 0);
-        let words = arcs.len() / 64;
-        let magnitude = _mm256_setr_epi32(-1, 0x7fff_ffff, -1, -1, -1, 0x7fff_ffff, -1, -1);
-        // The blend leaves arcs 0, 2, 4, 6, 1, 3, 5, 7 in slots 0..8.
-        let in_order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
-        let zero = _mm256_setzero_si256();
-        let mut max_acc = zero;
-        for w in 0..words {
+    /// The scan body, one bitmap word (64 arcs) per outer step, inlined
+    /// into every [`ScanWidth`]. Per arc it sets the epsilon bit and keeps
+    /// four running unsigned maxima, which settle every check at the end:
+    /// destinations below `n`; weights finite, since a finite `f32`'s
+    /// magnitude bits (sign masked off) are at most `0x7f7f_ffff`; and the
+    /// label maxima.
+    #[inline(always)]
+    fn scan_words(&mut self, arcs: &[Arc]) {
+        let (mut dest, mut weight, mut il, mut ol) = (0u32, 0u32, 0u32, 0u32);
+        for (bits, chunk) in self.eps_bits.iter_mut().zip(arcs.chunks_exact(64)) {
             let mut word = 0u64;
-            for step in 0..8 {
-                let i = w * 64 + step * 8;
-                // Prefetch never faults, and `wrapping_add` keeps the
-                // address computation defined even past the slice end.
-                // Hinting ~4 KiB ahead keeps the stream off the hardware
-                // prefetcher's worst case on freshly mapped pages.
-                _mm_prefetch(
-                    arcs.as_ptr().wrapping_add(i + 256) as *const i8,
-                    _MM_HINT_T0,
-                );
-                // SAFETY: `i + 8 <= words * 64 <= arcs.len()` and `Arc` is
-                // 16 bytes, so vector `k` (arcs `i + 2k` and `i + 2k + 1`)
-                // lies inside `arcs`; the loads are unaligned.
-                let v: [__m256i; 4] = std::array::from_fn(|k| unsafe {
-                    _mm256_loadu_si256((arcs.as_ptr().add(i) as *const __m256i).add(k))
-                });
-                for x in v {
-                    max_acc = _mm256_max_epu32(max_acc, _mm256_and_si256(x, magnitude));
-                }
-                // Compare `k`'s ilabel dwords (slots 2 and 6) are arcs
-                // `2k` and `2k + 1`.
-                let c = v.map(|x| _mm256_cmpeq_epi32(x, zero));
-                let slots = _mm256_blend_epi32::<0b0010_0010>(
-                    _mm256_bsrli_epi128::<8>(c[0]),
-                    _mm256_bsrli_epi128::<4>(c[1]),
-                );
-                let slots = _mm256_blend_epi32::<0b0100_0100>(slots, c[2]);
-                let slots =
-                    _mm256_blend_epi32::<0b1000_1000>(slots, _mm256_bslli_epi128::<4>(c[3]));
-                let flags = _mm256_permutevar8x32_epi32(slots, in_order);
-                let eight = _mm256_movemask_ps(_mm256_castsi256_ps(flags)) as u8;
-                word |= u64::from(eight) << (8 * step);
+            for (i, a) in chunk.iter().enumerate() {
+                word |= u64::from(a.ilabel.0 == 0) << i;
+                dest = dest.max(a.dest.0);
+                weight = weight.max(a.weight.to_bits() & 0x7fff_ffff);
+                il = il.max(a.ilabel.0);
+                ol = ol.max(a.olabel.0);
             }
-            self.eps_bits[self.word_idx] = word;
-            self.word_idx += 1;
+            *bits = word;
         }
-
-        if words > 0 {
-            let mut lanes = [0u32; 8];
-            // SAFETY: `lanes` is exactly 32 bytes; the store is unaligned.
-            unsafe { _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, max_acc) };
-            self.ok &= lanes[0].max(lanes[4]) < self.n;
-            self.ok &= lanes[1].max(lanes[5]) <= 0x7f7f_ffff;
-            self.max_il = self.max_il.max(lanes[2]).max(lanes[6]);
-            self.max_ol = self.max_ol.max(lanes[3]).max(lanes[7]);
+        let whole = arcs.len() / 64 * 64;
+        if whole > 0 {
+            self.ok &= (dest < self.n) & (weight <= 0x7f7f_ffff);
+            self.max_il = self.max_il.max(il);
+            self.max_ol = self.max_ol.max(ol);
         }
-        self.scan_scalar(&arcs[words * 64..]);
+        self.scan_scalar(arcs, whole);
     }
+}
+
+/// The widths [`BulkArcScan::scan_words`] is compiled for.
+#[derive(Clone, Copy, Debug)]
+enum ScanWidth {
+    Baseline,
+    Avx2,
+    Avx512,
+}
+
+impl ScanWidth {
+    /// Every width this CPU runs, narrowest first: the baseline on every
+    /// target, then AVX2 and AVX-512 where detected (never off x86_64).
+    fn supported() -> impl Iterator<Item = ScanWidth> {
+        [Self::Baseline, Self::Avx2, Self::Avx512]
+            .into_iter()
+            .filter(|width| width.detected())
+    }
+
+    fn detected(self) -> bool {
+        match self {
+            Self::Baseline => true,
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx512 => {
+                is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw")
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// Runs [`BulkArcScan::scan_words`] compiled for this width; a width
+    /// the CPU lacks runs the baseline.
+    fn scan(self, acc: &mut BulkArcScan, arcs: &[Arc]) {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the guard saw the CPU report AVX2, the one feature
+            // `scan_avx2` enables.
+            Self::Avx2 if self.detected() => unsafe { scan_avx2(acc, arcs) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the guard saw the CPU report `avx512f` and
+            // `avx512bw`, the features `scan_avx512` enables.
+            Self::Avx512 if self.detected() => unsafe { scan_avx512(acc, arcs) },
+            _ => acc.scan_words(arcs),
+        }
+    }
+}
+
+/// [`BulkArcScan::scan_words`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn scan_avx2(acc: &mut BulkArcScan, arcs: &[Arc]) {
+    acc.scan_words(arcs);
+}
+
+/// [`BulkArcScan::scan_words`] compiled for AVX-512.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw")]
+fn scan_avx512(acc: &mut BulkArcScan, arcs: &[Arc]) {
+    acc.scan_words(arcs);
 }
 
 #[cfg(test)]
@@ -1043,7 +1015,8 @@ mod tests {
     fn vector_arc_scan_matches_the_scalar_scan() {
         // Pseudo-random arcs over every length class around the 64-arc
         // word, with epsilon labels, out-of-range destinations, NaN, inf
-        // and negative weights planted at varying places.
+        // and negative weights planted at varying places; every width the
+        // CPU runs must match the scalar oracle, not only the widest.
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move || {
             x ^= x << 13;
@@ -1072,20 +1045,20 @@ mod tests {
                     }
                 }
                 let mut scalar = BulkArcScan::new(100, len);
-                scalar.scan_scalar(&arcs);
-                scalar.flush();
-                let mut fast = BulkArcScan::new(100, len);
-                fast.scan(&arcs);
-                fast.flush();
-                let case = format!("len {len}, plant {plant}");
-                assert_eq!(fast.eps_bits, scalar.eps_bits, "{case}");
-                assert_eq!(fast.ok, scalar.ok, "{case}");
-                assert_eq!(fast.ok, !matches!(plant, 1..=3) || len == 0, "{case}");
-                assert_eq!(
-                    (fast.max_il, fast.max_ol),
-                    (scalar.max_il, scalar.max_ol),
-                    "{case}"
-                );
+                scalar.scan_scalar(&arcs, 0);
+                for width in ScanWidth::supported() {
+                    let mut fast = BulkArcScan::new(100, len);
+                    width.scan(&mut fast, &arcs);
+                    let case = format!("{width:?}, len {len}, plant {plant}");
+                    assert_eq!(fast.eps_bits, scalar.eps_bits, "{case}");
+                    assert_eq!(fast.ok, scalar.ok, "{case}");
+                    assert_eq!(fast.ok, !matches!(plant, 1..=3) || len == 0, "{case}");
+                    assert_eq!(
+                        (fast.max_il, fast.max_ol),
+                        (scalar.max_il, scalar.max_ol),
+                        "{case}"
+                    );
+                }
             }
         }
     }

@@ -1,12 +1,9 @@
-//! Zero-copy graph store: the version-2 serialized image of a
-//! [`SortedWfst`].
+//! Zero-copy graph store: the one serialized image of a [`SortedWfst`].
 //!
 //! Section IV of the paper is a bandwidth argument: the accelerator walks
 //! compact arc records straight out of DRAM, with no intermediate
-//! reconstruction. The v1 container ([`crate::io`]) undoes that on the
-//! software side — every load re-parses records one by one into fresh
-//! `Vec`s and re-derives the degree-sorted layout. This module keeps the
-//! paper's property end to end:
+//! reconstruction. This module keeps that property on the software side,
+//! end to end:
 //!
 //! * [`to_bytes`] serializes the *full* [`SortedWfst`] — state table, arc
 //!   array (both in the exact wire format of [`crate::layout`]), final
@@ -35,11 +32,12 @@ use crate::sorted::{DirectIndexUnit, SortedWfst};
 use crate::{Arc, ArcId, Result, StateEntry, StateId, Wfst, WfstError};
 use std::path::Path;
 
-/// Version byte of the zero-copy image container (the v1 byte stream lives
-/// in [`crate::io`] and carries no layout registers).
+/// Version byte of the image container. It reads 2 because an earlier
+/// container, which carried no layout registers, was version 1; no reader
+/// of it remains, and any other version is rejected.
 pub const STORE_VERSION: u8 = 2;
 
-/// Shared magic with the v1 container: `b"WFST"`.
+/// Magic number that opens every image: `b"WFST"`.
 const MAGIC: &[u8; 4] = b"WFST";
 
 /// Alignment of the buffer base and of every section offset: one cache
@@ -50,7 +48,7 @@ const SECTION_ALIGN: usize = 64;
 const HEADER_BYTES: usize = 48;
 /// Bytes per section-table entry: kind, offset, length (u64 each).
 const TABLE_ENTRY_BYTES: usize = 24;
-/// Number of sections in a v2 image, in fixed order.
+/// Number of sections in an image, in fixed order.
 const NUM_SECTIONS: usize = 7;
 /// Offset of the first section: `align64(48 + 7 * 24) = 256`.
 const FIRST_SECTION_OFFSET: usize = 256;
@@ -512,7 +510,7 @@ impl<T: Record> Section<T> {
 // Writer: the authoring side.
 // ---------------------------------------------------------------------------
 
-/// Serializes the full degree-sorted transducer into a v2 image.
+/// Serializes the full degree-sorted transducer into an image.
 ///
 /// Layout (all integers little-endian):
 ///
@@ -550,7 +548,7 @@ pub fn to_bytes(sorted: &SortedWfst) -> Vec<u8> {
     out
 }
 
-/// Writes the v2 image of `sorted` to `path`.
+/// Writes the image of `sorted` to `path`.
 ///
 /// The image streams to the file section by section through one buffered
 /// writer — the serializer of [`to_bytes`] — so it never exists in memory
@@ -683,15 +681,6 @@ fn rd_count(b: &[u8], off: usize, what: &str) -> Result<usize> {
     usize::try_from(rd_u64(b, off)?).map_err(|_| corrupt(format!("{what} exceeds address space")))
 }
 
-/// Returns the container version of `bytes` when the magic matches.
-pub(crate) fn image_version(bytes: &[u8]) -> Option<u8> {
-    if bytes.len() >= 5 && &bytes[..4] == MAGIC {
-        Some(bytes[4])
-    } else {
-        None
-    }
-}
-
 /// The registers' fast check, for a state table validation found
 /// `grouped` (in order, and each group's states of the group's degree):
 /// the boundaries count states cumulatively, and each non-empty group's
@@ -796,7 +785,7 @@ pub struct GraphImage {
 }
 
 impl GraphImage {
-    /// Validates an aligned buffer as a v2 image. This is the zero-copy
+    /// Validates an aligned buffer as an image. This is the zero-copy
     /// entry point: no bytes are moved, only checked.
     ///
     /// # Errors

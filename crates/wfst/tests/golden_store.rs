@@ -1,4 +1,4 @@
-//! Golden-image tests for the v2 zero-copy graph store: the container is a
+//! Golden-image tests for the zero-copy graph store: the container is a
 //! byte-stable on-disk contract, so the exact bytes — header, section
 //! table, record layouts — are pinned against a committed fixture and
 //! against first-principles offset arithmetic. Any accidental format
@@ -155,27 +155,6 @@ fn committed_fixture_loads_and_matches_the_builder_graph() {
             sorted.map_state(StateId(old))
         );
     }
-}
-
-#[test]
-fn v1_to_v2_read_compat() {
-    // The same sorted graph written through the v1 container must load
-    // (via the version-dispatching reader) into the same transducer and
-    // unit the v2 image carries — v1 just recomputes what v2 stores.
-    let sorted = fixture_sorted();
-    let v1 = asr_wfst::io::to_bytes(sorted.wfst());
-    // The fixture was sorted with threshold 4; recompute with the same N
-    // for an apples-to-apples unit comparison.
-    let from_v1 = SortedWfst::with_threshold(&asr_wfst::io::from_bytes(&v1).unwrap(), 4).unwrap();
-    let from_v2 = GraphImage::from_bytes(FIXTURE).unwrap();
-    assert_eq!(
-        from_v1.wfst().state_entries(),
-        from_v2.wfst().state_entries()
-    );
-    assert_eq!(from_v1.unit(), from_v2.sorted().unit());
-    // And the default-threshold dispatcher accepts both byte streams.
-    assert!(asr_wfst::io::sorted_from_bytes(&v1).is_ok());
-    assert!(asr_wfst::io::sorted_from_bytes(FIXTURE).is_ok());
 }
 
 /// Regenerates the committed fixture. Run explicitly after an intentional

@@ -341,9 +341,13 @@ impl AcousticModel {
 /// Construction-time configuration for an [`AsrRuntime`], as a builder.
 ///
 /// ```
+/// use asr_repro::decoder::search::DecodeOptions;
 /// use asr_repro::runtime::{AsrRuntime, RuntimeConfig};
 ///
-/// let runtime = AsrRuntime::demo_with(RuntimeConfig::new().lanes(2).beam(40.0))?;
+/// let config = RuntimeConfig::new()
+///     .lanes(2)
+///     .decode_options(DecodeOptions::with_beam(40.0));
+/// let runtime = AsrRuntime::demo_with(config)?;
 /// assert_eq!(runtime.lanes(), 2);
 /// # Ok::<(), asr_repro::PipelineError>(())
 /// ```
@@ -395,12 +399,6 @@ impl RuntimeConfig {
     pub fn lanes(mut self, lanes: usize) -> Self {
         assert!(lanes > 0, "need at least one lane");
         self.lanes = lanes;
-        self
-    }
-
-    /// Sets the beam width every decode uses.
-    pub fn beam(mut self, beam: f32) -> Self {
-        self.options.beam = beam;
         self
     }
 

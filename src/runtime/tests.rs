@@ -92,9 +92,13 @@ fn one_lane_runtime_has_no_executor() {
 
 #[test]
 fn config_builder_is_applied() {
-    let runtime =
-        AsrRuntime::demo_with(RuntimeConfig::new().lanes(3).beam(12.0).frames_per_phone(4))
-            .unwrap();
+    let runtime = AsrRuntime::demo_with(
+        RuntimeConfig::new()
+            .lanes(3)
+            .decode_options(DecodeOptions::with_beam(12.0))
+            .frames_per_phone(4),
+    )
+    .unwrap();
     assert_eq!(runtime.lanes(), 3);
     assert_eq!(runtime.options().beam, 12.0);
     let audio = runtime.render_words(&["go"]).unwrap();
@@ -108,7 +112,9 @@ fn synth_runtime(states: usize, frames: usize, lanes: usize) -> (AsrRuntime, Aco
     use asr_wfst::synth::{SynthConfig, SynthWfst};
     let graph = SynthWfst::generate(&SynthConfig::with_states(states)).unwrap();
     let scores = AcousticTable::random(frames, graph.num_phones() as usize, (0.5, 4.0), 17);
-    let config = RuntimeConfig::new().lanes(lanes).beam(8.0);
+    let config = RuntimeConfig::new()
+        .lanes(lanes)
+        .decode_options(DecodeOptions::with_beam(8.0));
     (
         AsrRuntime::with_graph(graph, demo_lexicon(), config),
         scores,
@@ -184,7 +190,11 @@ fn row_fed_runtime_decodes_like_the_search_and_never_builds_a_scorer() {
         RuntimeConfig::new().mlp_acoustic(&[16], 3),
         RuntimeConfig::new().batch_scoring(BatchScoringConfig::new(4)),
     ] {
-        let runtime = AsrRuntime::with_graph(graph.clone(), lexicon.clone(), config.beam(8.0));
+        let runtime = AsrRuntime::with_graph(
+            graph.clone(),
+            lexicon.clone(),
+            config.decode_options(DecodeOptions::with_beam(8.0)),
+        );
         runtime.register_model("second", graph.clone()).unwrap();
         let one_shot = runtime.recognize_scores(&scores);
         let mut session = runtime.open_session_with(SessionOptions::new().model("second"));
@@ -676,7 +686,7 @@ fn mlp_acoustic_runtime_batches_identically() {
     let config = || {
         RuntimeConfig::new()
             .lanes(1)
-            .beam(1.0e9)
+            .decode_options(DecodeOptions::with_beam(1.0e9))
             .mlp_acoustic(&[32], 7)
     };
     let batched_rt =

@@ -5,8 +5,9 @@ use asr_decoder::wer::align;
 use asr_wfst::builder::WfstBuilder;
 use asr_wfst::layout::{pack_arc, pack_state, unpack_arc, unpack_state};
 use asr_wfst::sorted::SortedWfst;
+use asr_wfst::store::{self, GraphImage};
 use asr_wfst::synth::{SynthConfig, SynthWfst};
-use asr_wfst::{Arc, ArcId, PhoneId, StateEntry, StateId, WordId};
+use asr_wfst::{Arc, ArcId, PhoneId, StateEntry, StateId, Wfst, WordId};
 use proptest::prelude::*;
 
 proptest! {
@@ -36,7 +37,7 @@ proptest! {
     }
 
     #[test]
-    fn wfst_io_roundtrips_arbitrary_graphs(
+    fn store_image_roundtrips_arbitrary_graphs(
         num_states in 2usize..40,
         arcs in prop::collection::vec((0usize..40, 0usize..40, 1u32..10, 0u32..5, 0.0f32..5.0), 1..120),
         final_state in 0usize..40,
@@ -53,13 +54,20 @@ proptest! {
             let olabel = if ilabel.is_epsilon() { WordId::NONE } else { WordId(ol) };
             b.add_arc(src, dst, ilabel, olabel, w);
         }
-        let wfst = b.build().unwrap();
-        let bytes = asr_wfst::io::to_bytes(&wfst);
-        let back = asr_wfst::io::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(back.num_states(), wfst.num_states());
-        prop_assert_eq!(back.num_arcs(), wfst.num_arcs());
-        prop_assert_eq!(back.start(), wfst.start());
-        prop_assert_eq!(back.state_entries(), wfst.state_entries());
+        let sorted = SortedWfst::new(&b.build().unwrap()).unwrap();
+        let image = GraphImage::from_bytes(&store::to_bytes(&sorted)).unwrap();
+        let (want, back) = (sorted.wfst(), image.wfst());
+        prop_assert_eq!(back.start(), want.start());
+        prop_assert_eq!(back.state_entries(), want.state_entries());
+        // Packed records compare every field bit for bit, weights included.
+        let packed = |w: &Wfst| w.arc_entries().iter().map(|a| pack_arc(*a)).collect::<Vec<_>>();
+        prop_assert_eq!(packed(back), packed(want));
+        for idx in 0..want.num_states() {
+            let s = StateId(idx as u32);
+            prop_assert_eq!(back.final_cost(s).to_bits(), want.final_cost(s).to_bits());
+            prop_assert_eq!(image.sorted().map_state(s), sorted.map_state(s));
+            prop_assert_eq!(image.sorted().unmap_state(s), sorted.unmap_state(s));
+        }
     }
 
     #[test]

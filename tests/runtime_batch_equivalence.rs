@@ -27,7 +27,7 @@
 //! [`ViterbiDecoder`]: asr_repro::decoder::search::ViterbiDecoder
 
 use asr_repro::acoustic::signal::Utterance;
-use asr_repro::decoder::search::ViterbiDecoder;
+use asr_repro::decoder::search::{DecodeOptions, ViterbiDecoder};
 use asr_repro::runtime::{
     AsrRuntime, BatchScoringConfig, QosPolicy, RuntimeConfig, Session, SessionOptions, Transcript,
 };
@@ -196,7 +196,7 @@ fn mlp_runtime_batches_byte_identically_across_windows() {
         let runtime = AsrRuntime::demo_with(
             RuntimeConfig::new()
                 .lanes(1)
-                .beam(1.0e9)
+                .decode_options(DecodeOptions::with_beam(1.0e9))
                 .mlp_acoustic(&[48], 11)
                 .batch_scoring(BatchScoringConfig::new(window)),
         )

@@ -1,6 +1,6 @@
-//! Stress and failure-injection tests: undersized structures, degenerate
-//! workloads and corrupted inputs must degrade gracefully, never silently
-//! corrupt results.
+//! Stress and failure-injection tests: undersized structures and degenerate
+//! workloads must degrade gracefully, never silently corrupt results.
+//! Corrupted graph images are `asr-wfst`'s `store_corrupt` suite.
 
 use asr_accel::config::{AcceleratorConfig, DesignPoint};
 use asr_accel::sim::Simulator;
@@ -74,33 +74,6 @@ fn single_state_graph_decodes() {
     assert_eq!(r.cost, reference.cost);
     assert_eq!(r.words, vec![WordId(1); 4]);
     assert_eq!(r.best_state, StateId(0));
-}
-
-#[test]
-fn corrupted_serialized_models_are_rejected() {
-    let wfst = SynthWfst::generate(&SynthConfig::with_states(200)).unwrap();
-    let mut bytes = asr_wfst::io::to_bytes(&wfst);
-    // Flip a byte inside the state array: either the arc window goes out
-    // of range or the epsilon partition breaks — both must be caught.
-    let header = 4 + 1 + 8 + 8 + 4 + 8;
-    let victim = header + 64;
-    bytes[victim] ^= 0xFF;
-    match asr_wfst::io::from_bytes(&bytes) {
-        Ok(w) => {
-            // A flipped first-arc low byte can still be in range; the
-            // rebuilt transducer must at least be self-consistent.
-            for idx in 0..w.num_states() {
-                let e = w.state(asr_wfst::StateId(idx as u32));
-                assert!(e.arc_range().end <= w.num_arcs());
-            }
-        }
-        Err(e) => {
-            let msg = e.to_string();
-            assert!(!msg.is_empty());
-        }
-    }
-    // Truncation must always fail.
-    assert!(asr_wfst::io::from_bytes(&bytes[..bytes.len() - 7]).is_err());
 }
 
 #[test]
