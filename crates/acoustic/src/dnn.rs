@@ -74,31 +74,17 @@ impl Dense {
         self.weights[i * self.out_dim + o] = bits;
     }
 
-    /// Applies the affine map.
+    /// Applies the affine map to one input vector — the one-row call of
+    /// [`Dense::forward_block_into`], allocating its output.
     ///
     /// # Panics
     ///
     /// Panics if `input.len() != in_dim`.
     pub fn forward(&self, input: &[f32]) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.forward_into(input, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`Dense::forward`]: `out` is cleared and
-    /// refilled (no allocation once its capacity reaches the layer
-    /// width). This is the one-row call of
-    /// [`Dense::forward_block_into`], so a lone frame and a row of a
-    /// block go through the same kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != in_dim`.
-    pub fn forward_into(&self, input: &[f32], out: &mut Vec<f32>) {
         assert_eq!(input.len(), self.in_dim, "layer input dimension mismatch");
-        out.clear();
-        out.resize(self.out_dim, 0.0);
-        self.forward_block_into(input, self.in_dim, 1, out, self.out_dim);
+        let mut out = vec![0.0; self.out_dim];
+        self.forward_block_into(input, self.in_dim, 1, &mut out, self.out_dim);
+        out
     }
 
     /// Floating-point operation count of one forward pass over the dense
@@ -110,8 +96,8 @@ impl Dense {
     }
 
     /// Applies the affine map to a *block* of `rows` input vectors — the
-    /// single dense kernel, a row at a time; [`Dense::forward_into`] is
-    /// its `rows = 1` call. Each row reads the weight columns of its own
+    /// single dense kernel, a row at a time; [`Dense::forward`] is its
+    /// `rows = 1` call. Each row reads the weight columns of its own
     /// nonzero inputs and nothing else, so a block's rows share weights
     /// only through the cache (a different half of the layer each).
     /// Cutting the outputs into tiles that every row finishes before the
@@ -215,12 +201,6 @@ impl Mlp {
         Self { layers }
     }
 
-    /// The paper-like topology used by the platform models: 39-dim MFCC
-    /// input, a few wide hidden layers, `num_phones` outputs.
-    pub fn kaldi_like(input_dim: usize, num_phones: usize, seed: u64) -> Self {
-        Self::new(&[input_dim, 512, 512, 512, num_phones], seed)
-    }
-
     /// Input feature dimension.
     pub fn input_dim(&self) -> usize {
         self.layers[0].in_dim
@@ -229,43 +209,6 @@ impl Mlp {
     /// Number of output classes (phones).
     pub fn output_dim(&self) -> usize {
         self.layers.last().unwrap().out_dim
-    }
-
-    /// Forward pass returning log-posteriors (log-softmax output).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features.len()` differs from the input dimension.
-    pub fn log_posteriors(&self, features: &[f32]) -> Vec<f32> {
-        let mut x = Vec::new();
-        let mut y = Vec::new();
-        self.log_posteriors_into(features, &mut x, &mut y);
-        x
-    }
-
-    /// Allocation-free form of [`Mlp::log_posteriors`] over two
-    /// caller-owned activation buffers (ping-ponged between layers); the
-    /// log-posteriors are left in `x`. Once both buffers have grown to
-    /// the widest layer, repeated calls allocate nothing — this is what
-    /// [`crate::online::MlpScorer`] pumps per streamed frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features.len()` differs from the input dimension.
-    pub fn log_posteriors_into(&self, features: &[f32], x: &mut Vec<f32>, y: &mut Vec<f32>) {
-        x.clear();
-        x.extend_from_slice(features);
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            layer.forward_into(x, y);
-            std::mem::swap(x, y);
-            if i != last {
-                for v in x.iter_mut() {
-                    *v = v.max(0.0); // ReLU
-                }
-            }
-        }
-        log_softmax(x);
     }
 
     /// The widest activation any layer produces or consumes — the row
@@ -278,49 +221,20 @@ impl Mlp {
             .unwrap()
     }
 
-    /// Exact scratch length (in `f32`s) [`Mlp::log_posteriors_block_into`]
-    /// and [`Mlp::score_block_into`] require for a block of `rows`
-    /// frames: two ping-pong activation planes of `rows` × the widest
-    /// layer.
+    /// Exact scratch length (in `f32`s) [`Mlp::score_block_into`]
+    /// requires for a block of `rows` frames: two ping-pong activation
+    /// planes of `rows` × the widest layer.
     pub fn block_scratch_len(&self, rows: usize) -> usize {
         2 * rows * self.max_width()
     }
 
-    /// Forward pass over a *block* of `rows` feature vectors — the
-    /// matrix–matrix form of [`Mlp::log_posteriors_into`] that batched
-    /// scoring runs once per gather window instead of once per session.
-    ///
-    /// `features` holds the block packed row-major (`rows` ×
-    /// [`Mlp::input_dim`], no padding). `scratch` is a caller-owned
-    /// slice of **exactly** [`Mlp::block_scratch_len`]`(rows)` — a
-    /// fixed-size borrow, unlike the `&mut Vec<f32>` buffers of the
-    /// single-row path, so the batch hot loop cannot silently grow or
-    /// allocate. On return the log-posteriors of row `r` sit at
-    /// `scratch[r * stride ..][.. output_dim]` where `stride` is the
-    /// returned row stride ([`Mlp::max_width`]).
-    ///
-    /// Every row's result is **bit-identical** to
-    /// [`Mlp::log_posteriors_into`] on that row alone: each element is
-    /// computed under the same dense contract, the same ReLU, and
-    /// the same log-softmax, and no value ever crosses between rows —
-    /// batch composition is numerically invisible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features.len() != rows * input_dim` or the scratch
-    /// slice is not exactly the documented length (the allocation-free
-    /// contract is also pinned by a debug assert at every layer step).
-    pub fn log_posteriors_block_into(
-        &self,
-        features: &[f32],
-        rows: usize,
-        scratch: &mut [f32],
-    ) -> usize {
-        self.log_posteriors_block_with(Kernel::widest(), features, rows, scratch)
-    }
-
-    /// [`Mlp::log_posteriors_block_into`] through a given instantiation
-    /// of the kernel.
+    /// The forward pass over a block of `rows` packed feature vectors,
+    /// through a given instantiation of the kernel (the tests hold every
+    /// one to the contract). On return the log-posteriors of row `r` sit
+    /// at `scratch[r * stride ..][.. output_dim]`, where `stride` is the
+    /// returned row stride ([`Mlp::max_width`]). Each element is computed
+    /// under the one dense contract, ReLU and log-softmax of its own row,
+    /// and no value ever crosses between rows.
     fn log_posteriors_block_with(
         &self,
         kernel: Kernel,
@@ -380,42 +294,28 @@ impl Mlp {
         w
     }
 
-    /// Scores one frame's features into an acoustic *cost row*
-    /// (`row[0]` the epsilon column at `0.0`, `row[1 + p]` the negative
-    /// log-posterior of phone class `p`) over caller-owned activation
-    /// buffers — the single-row path the batched service's lone-session
-    /// fallback takes, byte-identical to one row of
-    /// [`Mlp::score_block_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len() != output_dim + 1` or the feature dimension
-    /// mismatches.
-    pub fn score_row_into(
-        &self,
-        features: &[f32],
-        row: &mut [f32],
-        x: &mut Vec<f32>,
-        y: &mut Vec<f32>,
-    ) {
-        assert_eq!(row.len(), self.output_dim() + 1, "row length mismatch");
-        self.log_posteriors_into(features, x, y);
-        row[0] = 0.0;
-        for (slot, lp) in row[1..].iter_mut().zip(x.iter()) {
-            *slot = -lp;
-        }
-    }
-
     /// Scores a block of `rows` feature vectors into packed acoustic
-    /// cost rows — one [`Mlp::log_posteriors_block_into`] pass plus the
-    /// cost mapping of [`Mlp::score_row_into`] per row. `out` is packed
-    /// row-major (`rows` × `output_dim + 1`); `scratch` must be exactly
-    /// [`Mlp::block_scratch_len`]`(rows)`.
+    /// *cost rows* — the one forward path: batched scoring runs it once
+    /// per gather window, and a lone frame is a block of one.
+    ///
+    /// `features` holds the block packed row-major (`rows` ×
+    /// [`Mlp::input_dim`], no padding); `out` is packed row-major
+    /// (`rows` × `output_dim + 1`). In each cost row, `row[0]` (the
+    /// epsilon column) is `0.0` and `row[1 + p]` is the negative
+    /// log-posterior of phone class `p`. A row's bits are a function of
+    /// its own features only: they do not depend on which block it is
+    /// in, where in the block, or how a caller splits its frames.
+    ///
+    /// `scratch` is a caller-owned slice of **exactly**
+    /// [`Mlp::block_scratch_len`]`(rows)` — a fixed-size borrow, so the
+    /// hot loop cannot silently grow or allocate.
     ///
     /// # Panics
     ///
-    /// Panics on any dimension mismatch (see
-    /// [`Mlp::log_posteriors_block_into`]).
+    /// Panics if `features` or `out` does not hold exactly `rows` packed
+    /// vectors of the model's widths, or the scratch slice is not
+    /// exactly the documented length (the allocation-free contract is
+    /// also pinned by a debug assert at every layer step).
     pub fn score_block_into(
         &self,
         features: &[f32],
@@ -425,7 +325,7 @@ impl Mlp {
     ) {
         let row_len = self.output_dim() + 1;
         assert_eq!(out.len(), rows * row_len, "output block dimension mismatch");
-        let stride = self.log_posteriors_block_into(features, rows, scratch);
+        let stride = self.log_posteriors_block_with(Kernel::widest(), features, rows, scratch);
         for r in 0..rows {
             let row = &mut out[r * row_len..(r + 1) * row_len];
             row[0] = 0.0;
@@ -439,7 +339,7 @@ impl Mlp {
     /// (negative log-posteriors), with phone id 0 (epsilon) left at cost
     /// 0. Each frame is scored once, in blocks through
     /// [`Mlp::score_block_into`], so every table row is bit-identical to
-    /// [`Mlp::score_row_into`] on that frame.
+    /// scoring that frame as a block of one.
     ///
     /// # Panics
     ///
@@ -489,26 +389,35 @@ mod tests {
     use super::*;
     use crate::fold::affine_ref;
 
+    /// One frame's cost row, scored as a block of one.
+    fn score_row(mlp: &Mlp, features: &[f32]) -> Vec<f32> {
+        let mut row = vec![0.0; mlp.output_dim() + 1];
+        let mut scratch = vec![0.0; mlp.block_scratch_len(1)];
+        mlp.score_block_into(features, 1, &mut row, &mut scratch);
+        row
+    }
+
     #[test]
     fn log_posteriors_normalize() {
         let mlp = Mlp::new(&[4, 8, 5], 1);
-        let lp = mlp.log_posteriors(&[0.1, -0.2, 0.3, 0.4]);
-        let total: f32 = lp.iter().map(|v| v.exp()).sum();
+        let row = score_row(&mlp, &[0.1, -0.2, 0.3, 0.4]);
+        assert_eq!(row[0], 0.0, "epsilon column");
+        let total: f32 = row[1..].iter().map(|c| (-c).exp()).sum();
         assert!((total - 1.0).abs() < 1e-4, "posteriors sum to {total}");
-        assert!(lp.iter().all(|v| *v <= 0.0));
+        assert!(row.iter().all(|c| *c >= 0.0));
     }
 
     #[test]
     fn construction_is_deterministic() {
-        let a = Mlp::new(&[4, 6, 3], 42).log_posteriors(&[1.0, 2.0, 3.0, 4.0]);
-        let b = Mlp::new(&[4, 6, 3], 42).log_posteriors(&[1.0, 2.0, 3.0, 4.0]);
+        let a = score_row(&Mlp::new(&[4, 6, 3], 42), &[1.0, 2.0, 3.0, 4.0]);
+        let b = score_row(&Mlp::new(&[4, 6, 3], 42), &[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(a, b);
     }
 
     #[test]
     fn different_seed_different_weights() {
-        let a = Mlp::new(&[4, 6, 3], 1).log_posteriors(&[1.0; 4]);
-        let b = Mlp::new(&[4, 6, 3], 2).log_posteriors(&[1.0; 4]);
+        let a = score_row(&Mlp::new(&[4, 6, 3], 1), &[1.0; 4]);
+        let b = score_row(&Mlp::new(&[4, 6, 3], 2), &[1.0; 4]);
         assert_ne!(a, b);
     }
 
@@ -534,17 +443,15 @@ mod tests {
     }
 
     #[test]
-    fn score_utterance_matches_score_row_into_bit_for_bit() {
+    fn score_utterance_matches_blocks_of_one_bit_for_bit() {
         // 37 frames: two full 16-frame blocks and a ragged third.
         let mlp = Mlp::new(&[6, 24, 9], 5);
         let flat = feature_block(&mlp, 37, 3);
         let feats: Vec<Vec<f32>> = flat.chunks(6).map(<[f32]>::to_vec).collect();
         let table = mlp.score_utterance(&feats);
         assert_eq!(table.num_frames(), 37);
-        let (mut x, mut y) = (Vec::new(), Vec::new());
-        let mut single = vec![0.0; mlp.output_dim() + 1];
         for (f, frame) in feats.iter().enumerate() {
-            mlp.score_row_into(frame, &mut single, &mut x, &mut y);
+            let single = score_row(&mlp, frame);
             let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(table.frame_row(f)), bits(&single), "frame {f}");
         }
@@ -562,11 +469,11 @@ mod tests {
         let wall = start.elapsed();
         assert_eq!((table.num_frames(), table.num_phones()), (50, 2001));
 
-        let (mut x, mut y) = (Vec::new(), Vec::new());
         let mut row = vec![0.0; 2001];
+        let mut scratch = vec![0.0; mlp.block_scratch_len(1)];
         let start = std::time::Instant::now();
         for frame in &feats[..5] {
-            mlp.score_row_into(frame, &mut row, &mut x, &mut y);
+            mlp.score_block_into(frame, 1, &mut row, &mut scratch);
         }
         let fifty_rows = start.elapsed() * 10;
         assert!(
@@ -592,14 +499,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn wrong_input_dim_panics() {
-        Mlp::new(&[4, 3], 0).log_posteriors(&[0.0; 5]);
-    }
-
-    #[test]
-    fn kaldi_like_topology() {
-        let mlp = Mlp::kaldi_like(39, 2000, 0);
-        assert_eq!(mlp.input_dim(), 39);
-        assert_eq!(mlp.output_dim(), 2000);
+        score_row(&Mlp::new(&[4, 3], 0), &[0.0; 5]);
     }
 
     /// A deterministic block of pseudo-random feature rows.
@@ -611,7 +511,7 @@ mod tests {
     }
 
     #[test]
-    fn block_log_posteriors_match_single_rows_bit_for_bit() {
+    fn block_rows_match_blocks_of_one_bit_for_bit() {
         // Odd and even layer counts exercise both ping-pong parities; the
         // last shape walks the weight loads past every boundary (layer
         // widths 39, 17, 16, 15: chunk + tail, chunk + 1, chunk, tail).
@@ -621,14 +521,16 @@ mod tests {
             &[39, 17, 16, 15, 5][..],
         ] {
             let mlp = Mlp::new(dims, 11);
-            let in_dim = dims[0];
+            let (in_dim, row_len) = (dims[0], mlp.output_dim() + 1);
             for rows in [1usize, 2, 3, 8] {
                 let feats = feature_block(&mlp, rows, rows as u64);
+                let mut out = vec![0.0; rows * row_len];
                 let mut scratch = vec![0.0; mlp.block_scratch_len(rows)];
-                let stride = mlp.log_posteriors_block_into(&feats, rows, &mut scratch);
+                mlp.score_block_into(&feats, rows, &mut out, &mut scratch);
                 for r in 0..rows {
-                    let single = mlp.log_posteriors(&feats[r * in_dim..(r + 1) * in_dim]);
-                    let block = &scratch[r * stride..r * stride + mlp.output_dim()];
+                    let single = score_row(&mlp, &feats[r * in_dim..(r + 1) * in_dim]);
+                    let block = &out[r * row_len..(r + 1) * row_len];
+                    assert_eq!(block[0], 0.0, "epsilon column");
                     for (b, s) in block.iter().zip(&single) {
                         assert_eq!(
                             b.to_bits(),
@@ -637,27 +539,6 @@ mod tests {
                         );
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn block_cost_rows_match_score_row_into_bit_for_bit() {
-        let mlp = Mlp::new(&[6, 24, 9], 23);
-        let rows = 5;
-        let feats = feature_block(&mlp, rows, 99);
-        let row_len = mlp.output_dim() + 1;
-        let mut out = vec![0.0; rows * row_len];
-        let mut scratch = vec![0.0; mlp.block_scratch_len(rows)];
-        mlp.score_block_into(&feats, rows, &mut out, &mut scratch);
-        let (mut x, mut y) = (Vec::new(), Vec::new());
-        let mut single = vec![0.0; row_len];
-        for r in 0..rows {
-            mlp.score_row_into(&feats[r * 6..(r + 1) * 6], &mut single, &mut x, &mut y);
-            let block_row = &out[r * row_len..(r + 1) * row_len];
-            assert_eq!(block_row[0], 0.0, "epsilon column");
-            for (b, s) in block_row.iter().zip(&single) {
-                assert_eq!(b.to_bits(), s.to_bits(), "cost row {r} diverged");
             }
         }
     }
@@ -840,7 +721,7 @@ mod tests {
                         assert_kernel_matches_reference(&layer, &data[..rows], &want, offset);
                     }
                 }
-                // `forward_into` is the one-row call of the same kernel.
+                // `forward` is the one-row call of the same kernel.
                 for (s, w) in layer.forward(&data[1]).iter().zip(&want[1]) {
                     assert_eq!(s.to_bits(), w.to_bits());
                 }
@@ -1010,17 +891,14 @@ mod tests {
     fn block_scratch_must_be_exactly_sized() {
         let mlp = Mlp::new(&[4, 8, 3], 0);
         let feats = vec![0.0; 8];
+        let mut out = vec![0.0; 2 * 4];
         let mut oversized = vec![0.0; mlp.block_scratch_len(2) + 1];
-        mlp.log_posteriors_block_into(&feats, 2, &mut oversized);
+        mlp.score_block_into(&feats, 2, &mut out, &mut oversized);
     }
 
     #[test]
     fn empty_block_is_a_no_op() {
         let mlp = Mlp::new(&[4, 8, 3], 0);
-        let mut scratch: Vec<f32> = Vec::new();
-        assert_eq!(
-            mlp.log_posteriors_block_into(&[], 0, &mut scratch),
-            mlp.max_width()
-        );
+        mlp.score_block_into(&[], 0, &mut [], &mut []);
     }
 }

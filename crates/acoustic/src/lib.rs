@@ -22,8 +22,8 @@
 //! * [`scores`]: the per-frame acoustic cost table the accelerator's
 //!   Acoustic Likelihood Buffer is filled from;
 //! * [`online`]: the incremental front-end — push raw samples, pop feature
-//!   vectors ([`online::OnlineMfcc`]) or acoustic cost rows
-//!   ([`online::OnlineScorer`]), bit-identical to the batch pipeline.
+//!   vectors ([`online::OnlineMfcc`]) bit-identical to the batch pipeline,
+//!   each scored by the model's block path as a block of one or more.
 //!
 //! Scores follow the same convention as `asr-wfst`: *costs* (negative log
 //! probabilities), added along paths.
@@ -57,7 +57,6 @@ pub mod online;
 pub mod scores;
 pub mod signal;
 pub mod template;
-pub mod vad;
 
 /// Sample rate used throughout the crate (16 kHz, the ASR standard).
 pub const SAMPLE_RATE: u32 = 16_000;

@@ -12,11 +12,16 @@
 //!   buffer carrying frame overlap and a bounded two-frame lookahead
 //!   window for the Δ/ΔΔ recurrence (the streaming analogue of Kaldi's
 //!   online feature pipeline, byte-identical to offline);
-//! * [`FrameScorer`] + [`OnlineScorer`] — wraps the template or DNN
-//!   scorer so acoustic *cost rows* (what the accelerator's ALB holds)
-//!   stream out frame by frame;
-//! * [`MlpScorer`] — the allocation-free [`FrameScorer`] adapter for the
-//!   [`Mlp`] acoustic model.
+//! * [`FrameScorer`] + [`MlpScorer`] — one frame's features into one
+//!   acoustic *cost row* (what the accelerator's ALB holds) through
+//!   [`Mlp::score_block_into`] as a block of one.
+//!
+//! There is one streaming composition, and it lives in the serving
+//! runtime: a session pops [`OnlineMfcc`] frames as they complete and
+//! scores them in blocks through the acoustic model's
+//! `score_block_into`, one frame or a gathered block at a time. Because a
+//! cost row's bits depend on nothing but its own features, every such
+//! row is bit-identical to batch scoring the same audio.
 //!
 //! Every stage runs over caller-owned or internally pooled scratch: after
 //! the first few frames, pushing samples and popping frames performs
@@ -25,8 +30,6 @@
 use crate::dnn::Mlp;
 use crate::frame::PreEmphasis;
 use crate::mfcc::{delta_into, FrameScratch, MfccConfig, MfccPipeline};
-use crate::template::TemplateScorer;
-use asr_wfst::PhoneId;
 use std::collections::VecDeque;
 
 /// Streaming MFCC extractor: push raw samples, pop feature vectors.
@@ -363,11 +366,12 @@ fn push_frame(ready: &mut VecDeque<f32>, base: &[f32], deltas: Option<(&[f32], &
 
 /// An acoustic model that can score one frame's features into a cost row
 /// (`row[0]` the epsilon column, fixed at 0; `row[p]` the cost of phone
-/// `p`) — the per-frame contract [`OnlineScorer`] pumps.
+/// `p`).
 ///
 /// Implementations take `&mut self` so models that need scratch (the MLP)
-/// can score without allocating; pure models ([`TemplateScorer`]) also
-/// implement the trait for shared references.
+/// can score without allocating. The serving runtime does not use it: a
+/// session scores through the model's block path directly, and the
+/// benchmark's layer replay is this trait's one caller.
 pub trait FrameScorer {
     /// Length of a cost row (phone count including the epsilon column 0).
     fn row_len(&self) -> usize;
@@ -381,53 +385,15 @@ pub trait FrameScorer {
     fn score_into(&mut self, features: &[f32], row: &mut [f32]);
 }
 
-impl<S: FrameScorer + ?Sized> FrameScorer for &mut S {
-    fn row_len(&self) -> usize {
-        (**self).row_len()
-    }
-
-    fn score_into(&mut self, features: &[f32], row: &mut [f32]) {
-        (**self).score_into(features, row)
-    }
-}
-
-impl FrameScorer for &TemplateScorer {
-    fn row_len(&self) -> usize {
-        self.num_phones() as usize + 1
-    }
-
-    fn score_into(&mut self, features: &[f32], row: &mut [f32]) {
-        assert_eq!(
-            row.len(),
-            self.num_phones() as usize + 1,
-            "row length mismatch"
-        );
-        row[0] = 0.0;
-        for (p, slot) in row.iter_mut().enumerate().skip(1) {
-            *slot = self.frame_cost(features, PhoneId(p as u32));
-        }
-    }
-}
-
-impl FrameScorer for TemplateScorer {
-    fn row_len(&self) -> usize {
-        self.num_phones() as usize + 1
-    }
-
-    fn score_into(&mut self, features: &[f32], row: &mut [f32]) {
-        let mut shared = &*self;
-        shared.score_into(features, row);
-    }
-}
-
 /// Allocation-free [`FrameScorer`] adapter for the [`Mlp`] acoustic model:
-/// owns the layer activation scratch and emits the same costs as
-/// [`Mlp::score_utterance`] (negative log-posteriors, epsilon at 0).
+/// owns the scratch of a one-row block and scores each frame as a block
+/// of one through [`Mlp::score_block_into`], so its rows are the same
+/// bits as [`Mlp::score_utterance`]'s (negative log-posteriors, epsilon
+/// at 0).
 #[derive(Debug)]
 pub struct MlpScorer<'m> {
     mlp: &'m Mlp,
-    x: Vec<f32>,
-    y: Vec<f32>,
+    scratch: Vec<f32>,
 }
 
 impl<'m> MlpScorer<'m> {
@@ -435,8 +401,7 @@ impl<'m> MlpScorer<'m> {
     pub fn new(mlp: &'m Mlp) -> Self {
         Self {
             mlp,
-            x: Vec::new(),
-            y: Vec::new(),
+            scratch: vec![0.0; mlp.block_scratch_len(1)],
         }
     }
 }
@@ -448,127 +413,7 @@ impl FrameScorer for MlpScorer<'_> {
 
     fn score_into(&mut self, features: &[f32], row: &mut [f32]) {
         self.mlp
-            .score_row_into(features, row, &mut self.x, &mut self.y);
-    }
-}
-
-/// Streaming acoustic scorer: push raw samples, pop per-frame cost rows —
-/// the software form of the GPU filling the accelerator's Acoustic
-/// Likelihood Buffer while the search drains it.
-///
-/// Composes an [`OnlineMfcc`] with any [`FrameScorer`]; rows are
-/// bit-identical to batch scoring
-/// ([`TemplateScorer::score_waveform`] / [`Mlp::score_utterance`] over
-/// [`MfccPipeline::process`] features) for the same audio.
-#[derive(Debug)]
-pub struct OnlineScorer<S> {
-    mfcc: OnlineMfcc,
-    scorer: S,
-    feat: Vec<f32>,
-    row: Vec<f32>,
-    ready: VecDeque<f32>,
-    row_len: usize,
-}
-
-impl<S: FrameScorer> OnlineScorer<S> {
-    /// Builds the scorer with a fresh [`OnlineMfcc`] for `cfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inconsistent MFCC configurations (see
-    /// [`MfccPipeline::new`]).
-    pub fn new(cfg: MfccConfig, scorer: S) -> Self {
-        Self::with_mfcc(OnlineMfcc::new(cfg), scorer)
-    }
-
-    /// Builds the scorer around an existing (pooled) extractor, which is
-    /// reset first.
-    pub fn with_mfcc(mut mfcc: OnlineMfcc, scorer: S) -> Self {
-        mfcc.reset();
-        let row_len = scorer.row_len();
-        let dim = mfcc.dim();
-        Self {
-            mfcc,
-            scorer,
-            feat: vec![0.0; dim],
-            row: vec![0.0; row_len],
-            ready: VecDeque::new(),
-            row_len,
-        }
-    }
-
-    /// Length of each cost row (phones including the epsilon column).
-    pub fn row_len(&self) -> usize {
-        self.row_len
-    }
-
-    /// Cost rows currently available to pop.
-    pub fn ready_rows(&self) -> usize {
-        self.ready.len() / self.row_len
-    }
-
-    /// Feeds raw audio samples; newly completed frames are scored
-    /// immediately. Allocation-free once warm.
-    ///
-    /// # Panics
-    ///
-    /// Panics after [`OnlineScorer::finish`] without a reset.
-    pub fn push_samples(&mut self, samples: &[f32]) {
-        self.mfcc.push_samples(samples);
-        self.drain_frames();
-    }
-
-    /// Ends the utterance, scoring the flushed lookahead frames.
-    /// Idempotent.
-    pub fn finish(&mut self) {
-        self.mfcc.finish();
-        self.drain_frames();
-    }
-
-    /// Pops the oldest cost row into `out`; `false` when none is ready.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != self.row_len()`.
-    pub fn pop_row_into(&mut self, out: &mut [f32]) -> bool {
-        assert_eq!(out.len(), self.row_len, "row length mismatch");
-        let n = out.len();
-        if self.ready.len() < n {
-            return false;
-        }
-        for (o, v) in out.iter_mut().zip(self.ready.drain(..n)) {
-            *o = v;
-        }
-        true
-    }
-
-    /// Allocating convenience form of [`OnlineScorer::pop_row_into`].
-    pub fn pop_row(&mut self) -> Option<Vec<f32>> {
-        let mut out = vec![0.0; self.row_len];
-        if self.pop_row_into(&mut out) {
-            Some(out)
-        } else {
-            None
-        }
-    }
-
-    /// Clears all streaming state for the next utterance, keeping every
-    /// buffer.
-    pub fn reset(&mut self) {
-        self.mfcc.reset();
-        self.ready.clear();
-    }
-
-    /// Recovers the extractor (for pooling) and the scorer.
-    pub fn into_parts(self) -> (OnlineMfcc, S) {
-        (self.mfcc, self.scorer)
-    }
-
-    fn drain_frames(&mut self) {
-        while self.mfcc.pop_frame_into(&mut self.feat) {
-            self.scorer.score_into(&self.feat, &mut self.row);
-            self.ready.extend(self.row.iter().copied());
-        }
+            .score_block_into(features, 1, row, &mut self.scratch);
     }
 }
 
@@ -576,6 +421,7 @@ impl<S: FrameScorer> OnlineScorer<S> {
 mod tests {
     use super::*;
     use crate::signal::{render_phones, SignalConfig};
+    use asr_wfst::PhoneId;
 
     fn wave(frames: usize) -> Vec<f32> {
         render_phones(&[PhoneId(1), PhoneId(4)], frames, &SignalConfig::default())
@@ -642,41 +488,35 @@ mod tests {
     }
 
     #[test]
-    fn template_rows_match_batch_scoring() {
-        let scorer = TemplateScorer::with_default_signal(6);
-        let audio = wave(3);
-        let table = scorer.score_waveform(&audio);
-        let mut online = OnlineScorer::new(MfccConfig::default(), &scorer);
-        online.push_samples(&audio);
-        online.finish();
-        for frame in 0..table.num_frames() {
-            let row = online.pop_row().expect("row per frame");
-            let expect = table.frame_row(frame);
-            assert_eq!(row.len(), expect.len());
-            for (a, b) in row.iter().zip(expect) {
-                assert_eq!(a.to_bits(), b.to_bits(), "frame {frame}");
-            }
-        }
-        assert_eq!(online.ready_rows(), 0);
-    }
-
-    #[test]
     fn mlp_rows_match_score_utterance() {
-        let mlp = Mlp::new(&[39, 16, 5], 9);
-        let pipeline = MfccPipeline::new(MfccConfig::default());
-        let audio = wave(2);
-        let feats = pipeline.process(&audio);
-        let table = mlp.score_utterance(&feats);
-        let mut online = OnlineScorer::new(MfccConfig::default(), MlpScorer::new(&mlp));
-        for chunk in audio.chunks(101) {
-            online.push_samples(chunk);
-        }
-        online.finish();
-        for frame in 0..table.num_frames() {
-            let row = online.pop_row().expect("row per frame");
-            for (p, (a, b)) in row.iter().zip(table.frame_row(frame)).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "frame {frame} phone {p}");
+        // 18 frames: one full block of `score_utterance` and a ragged
+        // second. The benchmark's shape is the one whose 2000-wide output
+        // layer, not its input, sets the block stride.
+        let audio = wave(9);
+        let feats = MfccPipeline::new(MfccConfig::default()).process(&audio);
+        assert_eq!(feats.len(), 18);
+        for dims in [&[39usize, 16, 5][..], &[39, 512, 512, 2000][..]] {
+            let mlp = Mlp::new(dims, 9);
+            let table = mlp.score_utterance(&feats);
+            let mut scorer = MlpScorer::new(&mlp);
+            let mut online = OnlineMfcc::new(MfccConfig::default());
+            let (mut feat, mut row) = (vec![0.0; online.dim()], vec![0.0; scorer.row_len()]);
+            let mut frame = 0;
+            // Pop eagerly after every push and after the finishing flush.
+            for chunk in audio.chunks(101).map(Some).chain([None]) {
+                match chunk {
+                    Some(chunk) => online.push_samples(chunk),
+                    None => online.finish(),
+                }
+                while online.pop_frame_into(&mut feat) {
+                    scorer.score_into(&feat, &mut row);
+                    for (p, (a, b)) in row.iter().zip(table.frame_row(frame)).enumerate() {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{dims:?} frame {frame} phone {p}");
+                    }
+                    frame += 1;
+                }
             }
+            assert_eq!(frame, table.num_frames(), "{dims:?}");
         }
     }
 }

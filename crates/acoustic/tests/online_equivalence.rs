@@ -1,14 +1,15 @@
-//! The streaming front-end's acceptance contract: [`OnlineMfcc`] and
-//! [`OnlineScorer`] are **bit-identical** to the batch pipeline
-//! ([`MfccPipeline::process`], [`TemplateScorer::score_waveform`]) for the
-//! same audio, for every chunking of the sample stream — one sample at a
-//! time, 10 ms packets, odd prime strides, or the whole utterance at once
-//! — and across framing configurations (overlapping hops, gapped hops,
-//! deltas off, trailing partial frames).
+//! The streaming front-end's acceptance contract: [`OnlineMfcc`] features,
+//! and the cost rows a session scores from them one frame at a time, are
+//! **bit-identical** to the batch pipeline ([`MfccPipeline::process`],
+//! [`TemplateScorer::score_waveform`]) for the same audio, for every
+//! chunking of the sample stream — one sample at a time, 10 ms packets,
+//! odd prime strides, or the whole utterance at once — and across framing
+//! configurations (overlapping hops, gapped hops, deltas off, trailing
+//! partial frames).
 
 use asr_acoustic::frame::FrameConfig;
 use asr_acoustic::mfcc::{MfccConfig, MfccPipeline};
-use asr_acoustic::online::{OnlineMfcc, OnlineScorer};
+use asr_acoustic::online::OnlineMfcc;
 use asr_acoustic::signal::{render_phones, SignalConfig};
 use asr_acoustic::template::TemplateScorer;
 use asr_wfst::PhoneId;
@@ -160,19 +161,17 @@ fn empty_utterance_matches() {
 
 #[test]
 fn scorer_rows_match_batch_table_across_chunkings() {
+    // The serving session's composition: each streamed frame is scored as
+    // a block of one, and every row matches the batch table.
     let scorer = TemplateScorer::with_default_signal(8);
     let samples = speech(6);
     let table = scorer.score_waveform(&samples);
     for &chunk in &[1usize, 97, 160, usize::MAX] {
-        let mut online = OnlineScorer::new(*scorer.mfcc_config(), &scorer);
-        assert_eq!(online.row_len(), table.num_phones());
-        for piece in samples.chunks(chunk.min(samples.len())) {
-            online.push_samples(piece);
-        }
-        online.finish();
-        let mut row = vec![0.0f32; online.row_len()];
-        for frame in 0..table.num_frames() {
-            assert!(online.pop_row_into(&mut row), "row {frame} missing");
+        let rows = stream_features(*scorer.mfcc_config(), &samples, chunk);
+        assert_eq!(rows.len(), table.num_frames(), "chunk {chunk}");
+        let mut row = vec![0.0f32; table.num_phones()];
+        for (frame, feat) in rows.iter().enumerate() {
+            scorer.score_block_into(feat, 1, &mut row);
             for (p, (a, b)) in row.iter().zip(table.frame_row(frame)).enumerate() {
                 assert_eq!(
                     a.to_bits(),
@@ -181,27 +180,5 @@ fn scorer_rows_match_batch_table_across_chunkings() {
                 );
             }
         }
-        assert_eq!(online.ready_rows(), 0, "no surplus rows");
-    }
-}
-
-#[test]
-fn scorer_reset_recycles_buffers_bit_identically() {
-    let scorer = TemplateScorer::with_default_signal(4);
-    let a = speech(4);
-    let b = render_phones(&[PhoneId(3)], 5, &SignalConfig::default());
-    let mut online = OnlineScorer::new(*scorer.mfcc_config(), &scorer);
-    for samples in [&a, &b, &a] {
-        let table = scorer.score_waveform(samples);
-        online.push_samples(samples);
-        online.finish();
-        let mut row = vec![0.0f32; online.row_len()];
-        for frame in 0..table.num_frames() {
-            assert!(online.pop_row_into(&mut row));
-            for (x, y) in row.iter().zip(table.frame_row(frame)) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-        online.reset();
     }
 }

@@ -1,32 +1,29 @@
 //! Microphone-style streaming recognition on the shared runtime: two
-//! concurrent mics, raw audio in, words out, with VAD-gated
-//! auto-endpointing.
+//! concurrent mics, raw audio in, words out.
 //!
-//! An always-on device hears long audio streams in which short commands
-//! are separated by silence — and a *serving* deployment hears many such
-//! streams at once. This example runs two microphone threads against
-//! **one** [`AsrRuntime`]: the runtime handle is cloned into each thread
-//! (an `Arc` bump), and every utterance opens an owned [`Session`] —
-//! `Send + 'static`, no pipeline borrow — so each connection drives its
-//! own recognition while sharing the runtime's scratch pool, front-end
-//! pool, and work-stealing executor. Per stream:
+//! A *serving* deployment hears many audio streams at once. This example
+//! runs two microphone threads against **one** [`AsrRuntime`]: the
+//! runtime handle is cloned into each thread (an `Arc` bump), and every
+//! command opens an owned [`Session`] — `Send + 'static`, no pipeline
+//! borrow — so each connection drives its own recognition while sharing
+//! the runtime's scratch pool, front-end pool, and work-stealing
+//! executor. Per command:
 //!
 //! * samples arrive in 10 ms packets (160 samples at 16 kHz), exactly as
 //!   a microphone driver would deliver them;
-//! * a streaming [`Endpointer`] (causal energy VAD + trailing-silence
-//!   counter) decides when speech starts and when an utterance has ended;
-//! * while speech is active, packets flow into the session via
-//!   `push_samples`: the pooled online front-end fills the session's
-//!   double-buffered row pair — the software image of the paper's GPU
-//!   filling the Acoustic Likelihood Buffer — and, on a multi-lane
-//!   runtime, each new frame's scoring runs as a stolen executor task
-//!   while the search relaxes the previous row (Section VI pipelining);
-//! * a small packet delay line drops the VAD's hangover padding before it
-//!   reaches the search, so trailing near-silence is never force-aligned
-//!   onto phones;
-//! * at the endpoint the session finalizes with the batch decoder's
+//! * packets flow into the session via `push_samples`: the pooled online
+//!   front-end fills the session's double-buffered row pair — the
+//!   software image of the paper's GPU filling the Acoustic Likelihood
+//!   Buffer — and, on a multi-lane runtime, each new frame's scoring runs
+//!   as a stolen executor task while the search relaxes the previous row
+//!   (Section VI pipelining);
+//! * a partial hypothesis is read every 10 packets;
+//! * at the command's end the session finalizes with the batch decoder's
 //!   end-of-utterance semantics: the transcript is byte-identical to
-//!   batch-recognizing the same speech frames.
+//!   batch-recognizing the same audio.
+//!
+//! The example exits with an error unless every command decodes to its
+//! words.
 //!
 //! ```text
 //! cargo run --release --example streaming
@@ -34,120 +31,46 @@
 //!
 //! [`AsrRuntime`]: asr_repro::runtime::AsrRuntime
 //! [`Session`]: asr_repro::runtime::Session
-//! [`Endpointer`]: asr_repro::acoustic::vad::Endpointer
 
-use asr_repro::acoustic::signal::{render_phones, SignalConfig};
-use asr_repro::acoustic::vad::{Endpointer, VadConfig};
 use asr_repro::runtime::AsrRuntime;
-use asr_repro::wfst::PhoneId;
-use std::collections::VecDeque;
 
 /// Samples per packet: one 10 ms frame, the microphone-driver granularity.
 const PACKET: usize = 160;
 
-/// Frames of raw silence after speech that close the utterance (300 ms).
-const ENDPOINT_SILENCE: usize = 30;
-
-/// One always-on microphone: builds a silence-separated command stream,
-/// then runs the VAD-gated packet loop, opening an owned session per
-/// utterance. Runs on its own thread; `runtime` is a cheap clone of the
-/// shared handle.
+/// One microphone: streams each command in packets through its own owned
+/// session and returns the transcripts. Runs on its own thread; `runtime`
+/// is a cheap clone of the shared handle.
 fn run_mic(
     runtime: AsrRuntime,
     mic: &str,
     commands: Vec<Vec<&str>>,
 ) -> Result<Vec<String>, Box<dyn std::error::Error + Send + Sync>> {
-    let signal = SignalConfig::default();
-    let silence = |frames: usize| render_phones(&[PhoneId::EPSILON], frames, &signal);
-
-    // Silence, command, silence, command...
-    let mut stream: Vec<f32> = silence(40);
+    let mut decoded = Vec::new();
     for cmd in &commands {
-        let utt = runtime.render_words(cmd)?;
-        stream.extend_from_slice(&utt.samples);
-        stream.extend(silence(40));
-    }
-    println!(
-        "[{mic}] stream: {:.1} s of audio, {} embedded commands, {PACKET}-sample packets",
-        stream.len() as f64 / 16_000.0,
-        commands.len()
-    );
-
-    let vad_cfg = VadConfig::default();
-    let mut endpointer = Endpointer::new(vad_cfg, ENDPOINT_SILENCE);
-    // Packets ride a delay line `hangover` deep while speech is active, so
-    // the VAD's hangover padding (near-silence kept active to bridge
-    // short pauses) can be dropped at the endpoint instead of decoded.
-    let mut delay: VecDeque<Vec<f32>> = VecDeque::new();
-    let mut session = None;
-    let mut decoded: Vec<String> = Vec::new();
-    let mut speech_packets = 0usize;
-
-    for packet in stream.chunks(PACKET) {
-        let endpoint = endpointer.push_samples(packet);
-        // Gate on the per-frame VAD decision: packets flow to the
-        // recognizer only while the detector hears speech (or its
-        // hangover), not through the pre-endpoint silence.
-        if endpointer.last_frame_active() {
-            if session.is_none() {
-                println!(
-                    "[{mic}]   [{:>5.2}s] speech detected, session opened",
-                    endpointer.frames() as f64 * 0.01
-                );
-                session = Some(runtime.open_session());
-                delay.clear();
-            }
-            delay.push_back(packet.to_vec());
-            while delay.len() > vad_cfg.hangover {
-                let ready = delay.pop_front().expect("non-empty delay line");
-                let s = session.as_mut().expect("open session");
-                s.push_samples(&ready);
-                speech_packets += 1;
-                if speech_packets.is_multiple_of(10) {
-                    if let Some(partial) = s.partial() {
-                        println!(
-                            "[{mic}]     after {:>3} frames: {:?} (cost {:.2})",
-                            partial.frames_decoded, partial.words, partial.cost
-                        );
-                    }
+        let samples = runtime.render_words(cmd)?.samples;
+        println!(
+            "[{mic}] {cmd:?}: {:.2} s of audio in {PACKET}-sample packets",
+            samples.len() as f64 / 16_000.0
+        );
+        let mut session = runtime.open_session();
+        for (i, packet) in samples.chunks(PACKET).enumerate() {
+            session.push_samples(packet);
+            if (i + 1).is_multiple_of(10) {
+                if let Some(partial) = session.partial() {
+                    println!(
+                        "[{mic}]     after {:>3} frames: {:?} (cost {:.2})",
+                        partial.frames_decoded, partial.words, partial.cost
+                    );
                 }
             }
         }
-        if endpoint {
-            // The delay line still holds the hangover padding: drop it.
-            let dropped = delay.len();
-            delay.clear();
-            let transcript = session.take().expect("endpoint implies session").finalize();
-            println!(
-                "[{mic}]   [{:>5.2}s] endpoint after {ENDPOINT_SILENCE} silent frames \
-                 ({dropped} hangover packets trimmed)",
-                endpointer.frames() as f64 * 0.01
-            );
-            println!(
-                "[{mic}]     final: {:?} (cost {:.2}, reached final: {})",
-                transcript.words, transcript.cost, transcript.reached_final
-            );
-            decoded.push(transcript.words.join(" "));
-        }
+        let transcript = session.finalize();
+        println!(
+            "[{mic}]     final: {:?} (cost {:.2}, reached final: {})",
+            transcript.words, transcript.cost, transcript.reached_final
+        );
+        decoded.push(transcript.words.join(" "));
     }
-    if let Some(mut s) = session.take() {
-        // Stream ended before an endpoint fired. If the VAD was still
-        // active on the final frame the delay line holds real speech —
-        // drain it before finalizing; if the tail had already gone
-        // silent it holds hangover padding, which stays trimmed.
-        if endpointer.last_frame_active() {
-            for packet in delay.drain(..) {
-                s.push_samples(&packet);
-            }
-        }
-        decoded.push(s.finalize().words.join(" "));
-    }
-
-    let idle_fraction = 1.0 - speech_packets as f64 / (stream.len() / PACKET) as f64;
-    println!(
-        "[{mic}] idle {:.0}% of the stream never reached the front-end or the search.",
-        100.0 * idle_fraction
-    );
     Ok(decoded)
 }
 
@@ -213,5 +136,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.warm_checkouts,
         runtime.scratch_pool().idle()
     );
+    if correct != total {
+        return Err(format!("{} of {total} commands misrecognized", total - correct).into());
+    }
     Ok(())
 }

@@ -355,7 +355,6 @@ impl AcousticModel {
 pub struct RuntimeConfig {
     lanes: usize,
     options: DecodeOptions,
-    frames_per_phone: usize,
     qos: Option<QosPolicy>,
     acoustic: AcousticSpec,
     batch: Option<BatchScoringConfig>,
@@ -369,13 +368,11 @@ enum AcousticSpec {
 }
 
 impl Default for RuntimeConfig {
-    /// Machine-sized executor, the demo beam, six frames per rendered
-    /// phone, no QoS policy.
+    /// Machine-sized executor, the demo beam, no QoS policy.
     fn default() -> Self {
         Self {
             lanes: WorkerPool::default_lanes(),
             options: DecodeOptions::with_beam(40.0),
-            frames_per_phone: 6,
             qos: None,
             acoustic: AcousticSpec::Template,
             batch: None,
@@ -405,18 +402,6 @@ impl RuntimeConfig {
     /// Replaces the full beam-search option set.
     pub fn decode_options(mut self, options: DecodeOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Frames per phone for [`AsrRuntime::render_words`]' synthetic
-    /// speech.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frames_per_phone == 0`.
-    pub fn frames_per_phone(mut self, frames_per_phone: usize) -> Self {
-        assert!(frames_per_phone > 0, "need at least one frame per phone");
-        self.frames_per_phone = frames_per_phone;
         self
     }
 
@@ -457,7 +442,6 @@ struct RuntimeInner {
     /// The shared fork-join executor, spun up on first use (a
     /// one-lane runtime never spawns it).
     executor: OnceLock<Arc<WorkerPool>>,
-    frames_per_phone: usize,
     /// The QoS policy (when one is installed) and its pressure
     /// bookkeeping: session counts always, tier selection only under a
     /// policy.
@@ -580,7 +564,6 @@ impl AsrRuntime {
                 scratch_pool,
                 frontend_pool: Mutex::new(Vec::new()),
                 executor: OnceLock::new(),
-                frames_per_phone: config.frames_per_phone,
                 monitor: PressureMonitor::new(config.qos),
                 models,
             }),
@@ -675,7 +658,8 @@ impl AsrRuntime {
         )
     }
 
-    /// Renders a synthetic utterance speaking `words`.
+    /// Renders a synthetic utterance speaking `words`, six frames
+    /// (60 ms) per phone.
     ///
     /// # Errors
     ///
@@ -698,9 +682,10 @@ impl AsrRuntime {
                 .expect("lexicon invariant: every word has a pronunciation");
             phones.extend_from_slice(&pron.1);
         }
+        const FRAMES_PER_PHONE: usize = 6;
         Ok(Utterance::render(
             &phones,
-            self.inner.frames_per_phone,
+            FRAMES_PER_PHONE,
             &self.inner.signal,
         ))
     }

@@ -95,8 +95,7 @@ fn config_builder_is_applied() {
     let runtime = AsrRuntime::demo_with(
         RuntimeConfig::new()
             .lanes(3)
-            .decode_options(DecodeOptions::with_beam(12.0))
-            .frames_per_phone(4),
+            .decode_options(DecodeOptions::with_beam(12.0)),
     )
     .unwrap();
     assert_eq!(runtime.lanes(), 3);

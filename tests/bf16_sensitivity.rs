@@ -49,8 +49,9 @@ fn f32_weights() -> Vec<Vec<f32>> {
     DIMS.windows(2).map(layer).collect()
 }
 
-/// `Mlp::log_posteriors` over the f32 weights: ReLU between layers, the
-/// same max-shifted log-softmax at the end.
+/// The MLP's forward pass (`Mlp::score_block_into` before its cost
+/// mapping) over the f32 weights: ReLU between layers, the same
+/// max-shifted log-softmax at the end.
 fn log_posteriors_f32(layers: &[Vec<f32>], features: &[f32]) -> Vec<f32> {
     let mut x = features.to_vec();
     for (i, w) in layers.iter().enumerate() {
