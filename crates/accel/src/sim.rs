@@ -19,12 +19,12 @@
 //! search implementation in the workspace, and the simulator is one more
 //! execution shape of it.
 //!
-//! The timing model rides along as an observer. Every insert attempt into
-//! a token table reports its slot-level outcome
-//! ([`asr_decoder::token_table::RelaxOutcome`]) through the
-//! [`asr_decoder::token_table::InsertObserver`] hook; the simulator's
-//! `TokenIssue` observer converts each outcome into hash-probe cycles,
-//! collision chains, and overflow round trips on the
+//! The timing model rides along as a probe. Every insert attempt into a
+//! token table reports its slot-level outcome
+//! ([`asr_decoder::token_table::RelaxOutcome`]) to
+//! [`asr_decoder::probe::Probe::insert`], a method of the search's one
+//! probe; the simulator's `TokenIssue` probe converts each outcome into
+//! hash-probe cycles, collision chains, and overflow round trips on the
 //! [`crate::hash::HashTable`] timing model — which itself stores no search
 //! state, only chain positions keyed off the same per-state slots.
 //!
@@ -68,7 +68,8 @@ use crate::prefetch::InOrderWindow;
 use crate::stats::SimStats;
 use asr_acoustic::scores::AcousticTable;
 use asr_decoder::lattice::{Lattice, TraceId};
-use asr_decoder::token_table::{InsertObserver, RelaxOutcome, TokenTable};
+use asr_decoder::probe::Probe;
+use asr_decoder::token_table::{RelaxOutcome, TokenTable};
 use asr_wfst::sorted::{DirectIndexUnit, SortedWfst};
 use asr_wfst::{ArcId, Result as WfstResult, StateId, Wfst, WfstError, WordId};
 
@@ -206,8 +207,8 @@ struct TokenIssue<'x> {
     cursor: &'x mut u64,
 }
 
-impl InsertObserver for TokenIssue<'_> {
-    fn observe(&mut self, state: u32, outcome: RelaxOutcome) {
+impl Probe for TokenIssue<'_> {
+    fn insert(&mut self, state: u32, outcome: RelaxOutcome) {
         let hacc = self.hash.access(state);
         debug_assert_eq!(
             hacc.existing,

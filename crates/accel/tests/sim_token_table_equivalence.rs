@@ -1,16 +1,19 @@
 //! Differential suite: the ported simulator (functional search on
-//! `asr-decoder::token_table` + `lattice`, timing as an observer) must be
+//! `asr-decoder::token_table` + `lattice`, timing as a probe) must be
 //! byte-identical to [`ViterbiDecoder`] — `words`, `cost`, `best_state`,
 //! `reached_final` — across design points, seeds, and beams, including the
 //! degenerate decodes (empty audio, dead-end graphs, unreachable finals),
 //! and its base-design hardware counters must match the pre-port
-//! simulator exactly.
+//! simulator exactly. On epsilon-free graphs its per-frame counters also
+//! match the software search's, read through the search's probe.
 
 use asr_accel::config::{AcceleratorConfig, DesignPoint};
 use asr_accel::sim::{PreparedWfst, SimResult, Simulator};
 use asr_acoustic::scores::AcousticTable;
-use asr_decoder::search::{DecodeOptions, DecodeResult, ViterbiDecoder};
+use asr_decoder::probe::RecordingProbe;
+use asr_decoder::search::{DecodeOptions, DecodeResult, DecodeScratch, ViterbiDecoder};
 use asr_wfst::builder::WfstBuilder;
+use asr_wfst::rmeps::remove_epsilons;
 use asr_wfst::synth::{SynthConfig, SynthWfst};
 use asr_wfst::{PhoneId, StateId, Wfst, WordId};
 
@@ -261,5 +264,54 @@ fn token_accounting_is_consistent_with_the_shared_search() {
             sim.stats.hash.requests,
             sim.stats.arcs_processed + sim.stats.eps_arcs_processed + 1
         );
+    }
+}
+
+/// The paper's per-frame counter method as a check: the software search,
+/// read through a [`RecordingProbe`], and the simulator count the same
+/// work on every frame. On epsilon-free graphs (the synth graphs with
+/// their epsilon arcs removed, beam only) each frame's arcs are equal,
+/// and the simulator reads at least the tokens the software held live
+/// (the software's prune-on-insert stores fewer).
+///
+/// On graphs with epsilon arcs the counts differ by design: the simulator
+/// closes epsilon one wave later and re-expands a token within a wave
+/// when it improves. Seed 1 at 1,500 states and beam 12, for one, reads
+/// 38,707 software arcs over 30 frames against 38,581 in the simulator's
+/// 30 frame waves (38,886 with its start and end closures).
+#[test]
+fn per_frame_counters_match_the_software_probe_on_epsilon_free_graphs() {
+    for seed in 1u64..=5 {
+        for states in [1_500, 20_000] {
+            let (w, scores) = workload(states, 30, seed);
+            let w = remove_epsilons(&w).unwrap();
+            assert_eq!(w.epsilon_fraction(), 0.0);
+            for beam in [3.0f32, 6.0, 12.0] {
+                let mut probe = RecordingProbe::default();
+                let mut scratch = DecodeScratch::new(w.num_states());
+                ViterbiDecoder::new(DecodeOptions::with_beam(beam)).decode_probed(
+                    &mut scratch,
+                    &w,
+                    &scores,
+                    &mut probe,
+                );
+                for design in DesignPoint::ALL {
+                    let sim = simulate(&w, &scores, design, beam);
+                    let what = format!("seed {seed}, {states} states, beam {beam}, {design:?}");
+                    let hw = &sim.stats.per_frame;
+                    assert_eq!(hw.len(), probe.frames.len(), "frames: {what}");
+                    for (f, (hw, sw)) in hw.iter().zip(&probe.frames).enumerate() {
+                        let arcs = (sw.relax_arcs + sw.closure_arcs) as u64;
+                        assert_eq!(hw.arcs, arcs, "frame {f} arcs: {what}");
+                        assert!(
+                            hw.tokens >= sw.live as u64,
+                            "frame {f}: {} tokens read, {} live: {what}",
+                            hw.tokens,
+                            sw.live
+                        );
+                    }
+                }
+            }
+        }
     }
 }

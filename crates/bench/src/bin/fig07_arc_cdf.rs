@@ -6,10 +6,23 @@
 //! observation behind the Section IV-B bandwidth-saving layout.
 
 use asr_bench::{banner, write_json, Scale};
-use asr_decoder::search::{DecodeOptions, ViterbiDecoder};
+use asr_decoder::probe::Probe;
+use asr_decoder::search::{DecodeOptions, DecodeScratch, ViterbiDecoder};
 use asr_wfst::stats::DegreeCdf;
 use asr_wfst::StateId;
 use serde::Serialize;
+use std::collections::HashMap;
+
+/// Counts how often the search expands each state: every expansion is a
+/// fetch of the state's record and arcs.
+#[derive(Default)]
+struct Fetches(HashMap<u32, u64>);
+
+impl Probe for Fetches {
+    fn expand(&mut self, state: u32) {
+        *self.0.entry(state).or_insert(0) += 1;
+    }
+}
 
 #[derive(Serialize)]
 struct Output {
@@ -32,20 +45,12 @@ fn main() {
     let (wfst, scores) = scale.build();
     let static_cdf = DegreeCdf::from_static(&wfst);
 
-    let decoder = ViterbiDecoder::new(DecodeOptions {
-        beam: scale.beam,
-        record_state_accesses: true,
-        ..DecodeOptions::default()
-    });
-    let result = decoder.decode(&wfst, &scores);
-    let dynamic_cdf = DegreeCdf::from_accesses(
-        &wfst,
-        result
-            .stats
-            .state_accesses
-            .iter()
-            .map(|(&s, &n)| (StateId(s), n)),
-    );
+    let decoder = ViterbiDecoder::new(DecodeOptions::with_beam(scale.beam));
+    let mut fetches = Fetches::default();
+    let mut scratch = DecodeScratch::new(wfst.num_states());
+    decoder.decode_probed(&mut scratch, &wfst, &scores, &mut fetches);
+    let dynamic_cdf =
+        DegreeCdf::from_accesses(&wfst, fetches.0.iter().map(|(&s, &n)| (StateId(s), n)));
 
     println!("{:>8} {:>12} {:>12}", "degree", "static", "dynamic");
     for d in [1usize, 2, 3, 5, 8, 10, 15, 16, 32, 64, 128, 770] {

@@ -43,6 +43,11 @@
 //! * [`token_table`]: the epoch-tagged sparse-set token store (per-thread
 //!   state index, per-decode live lists);
 //! * [`search`]: the beam search itself ([`search::ViterbiDecoder`]);
+//! * [`probe`]: the one [`probe::Probe`] the search reports to — stage
+//!   marks, per-frame counters, expanded states, and the token tables'
+//!   slot outcomes the simulator's timing rides on — with the no-op
+//!   [`probe::NoopProbe`] and the [`probe::RecordingProbe`] that `just
+//!   stages` reads;
 //! * [`reference`](mod@reference): the retained seed `HashMap` decoder
 //!   ([`reference::ReferenceDecoder`]), the equivalence and benchmark
 //!   baseline;
@@ -80,6 +85,7 @@ pub mod lattice;
 #[cfg(all(test, feature = "model-check"))]
 mod model_check;
 pub mod pool;
+pub mod probe;
 pub mod reference;
 pub mod search;
 pub mod stream;

@@ -80,9 +80,6 @@ impl ReferenceDecoder {
             let mut next: HashMap<u32, Cell> = HashMap::with_capacity(expanded.len() * 2);
             for &(state_raw, cell) in &expanded {
                 let state = StateId(state_raw);
-                if self.opts.record_state_accesses {
-                    *stats.state_accesses.entry(state_raw).or_insert(0) += 1;
-                }
                 for arc in wfst.emitting_arcs(state) {
                     fs.arcs_traversed += 1;
                     let cost = cell.cost + arc.weight + scores.cost(frame, arc.ilabel);

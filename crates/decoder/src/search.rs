@@ -92,12 +92,12 @@
 //! see it; ARCHITECTURE.md, "Where a frame goes", has the counts.
 
 use crate::lattice::{CompactScratch, Lattice, Pending, TraceId};
+use crate::probe::{FrameWork, Probe, Stage};
 use crate::token_table::{LiveTokens, StateIndex};
 use asr_acoustic::scores::AcousticTable;
 use asr_wfst::{StateId, Wfst, WordId};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Tuning knobs of the beam search.
@@ -108,8 +108,6 @@ pub struct DecodeOptions {
     /// Optional cap on tokens expanded per frame (histogram pruning); the
     /// paper's accelerator uses pure beam pruning, so this defaults off.
     pub max_active: Option<usize>,
-    /// Record per-state fetch counts (feeds the Figure 7 dynamic CDF).
-    pub record_state_accesses: bool,
     /// Compact the lattice every this many frames (`None` keeps the full
     /// trace, as the accelerator leaves stale tokens in DRAM). Ignored by
     /// the reference decoder.
@@ -121,7 +119,6 @@ impl Default for DecodeOptions {
         Self {
             beam: 8.0,
             max_active: None,
-            record_state_accesses: false,
             lattice_gc_interval: Some(32),
         }
     }
@@ -158,14 +155,18 @@ pub struct FrameStats {
     pub tokens_created: usize,
 }
 
-/// Aggregated decode statistics.
+/// Aggregated decode statistics: the [`Probe`] the batch and streaming
+/// decoders pass, which keeps one [`FrameStats`] a frame.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DecodeStats {
     /// One entry per frame.
     pub frames: Vec<FrameStats>,
-    /// State-fetch counts keyed by raw state id (present only when
-    /// [`DecodeOptions::record_state_accesses`] is set).
-    pub state_accesses: HashMap<u32, u64>,
+}
+
+impl Probe for DecodeStats {
+    fn frame(&mut self, work: &FrameWork) {
+        self.frames.push(work.stats());
+    }
 }
 
 impl DecodeStats {
@@ -181,15 +182,6 @@ impl DecodeStats {
             return 0.0;
         }
         self.total_arcs() as f64 / self.frames.len() as f64
-    }
-
-    /// Mean tokens expanded per frame.
-    pub fn mean_expanded_per_frame(&self) -> f64 {
-        if self.frames.is_empty() {
-            return 0.0;
-        }
-        let total: u64 = self.frames.iter().map(|f| f.expanded_tokens as u64).sum();
-        total as f64 / self.frames.len() as f64
     }
 }
 
@@ -214,8 +206,9 @@ const RESERVED_TOKENS: usize = 4096;
 
 /// A decode's own working set, carried from frame to frame: its live
 /// tokens as a list sized by the active set (16 bytes a token, not per
-/// graph state), the list the next frame fills, its token trace, and
-/// what the last frame learnt about the cap's cutoff.
+/// graph state), the list the next frame fills, its token trace, what
+/// the last frame learnt about the cap's cutoff, and how many frames it
+/// has consumed.
 ///
 /// The trace holds one 8-byte entry per token that expanded since the
 /// last lattice GC. Under the benchmark's 2000-token cap on a 50k-state
@@ -246,6 +239,9 @@ pub struct DecodeScratch {
     /// What the previous frame's emitting phase learnt about this frame's
     /// `max_active` cutoff.
     limit: CapLimit,
+    /// Frames the decode has consumed: what schedules the lattice GC,
+    /// whoever listens to the search.
+    pub(crate) frames: usize,
 }
 
 /// An upper bound on the cost a token may have and still be among the
@@ -277,6 +273,7 @@ impl DecodeScratch {
             next: LiveTokens::with_capacity(room),
             trace: Lattice::new(),
             limit: CapLimit::NONE,
+            frames: 0,
         }
     }
 
@@ -296,6 +293,7 @@ impl Clone for DecodeScratch {
             next: self.next.clone(),
             trace: self.trace.clone(),
             limit: self.limit,
+            frames: self.frames,
         }
     }
 }
@@ -409,7 +407,25 @@ impl ViterbiDecoder {
         scores: &AcousticTable,
     ) -> DecodeResult {
         let mut stats = DecodeStats::default();
-        seed_start(wfst, scratch);
+        let result = self.decode_probed(scratch, wfst, scores, &mut stats);
+        DecodeResult { stats, ..result }
+    }
+
+    /// [`ViterbiDecoder::decode_with`] reporting to `probe` (see
+    /// [`crate::probe`]) instead of recording [`DecodeStats`]: the
+    /// result's `stats` is empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the WFST references phone labels outside the score table.
+    pub fn decode_probed(
+        &self,
+        scratch: &mut DecodeScratch,
+        wfst: &Wfst,
+        scores: &AcousticTable,
+        probe: &mut impl Probe,
+    ) -> DecodeResult {
+        seed_start(wfst, scratch, probe);
         let num_frames = scores.num_frames();
         for frame in 0..num_frames {
             // The final frame keeps every token so final-state selection
@@ -419,7 +435,7 @@ impl ViterbiDecoder {
                 wfst,
                 &self.opts,
                 scratch,
-                &mut stats,
+                probe,
                 scores.frame_row(frame),
                 last_frame,
             );
@@ -427,15 +443,16 @@ impl ViterbiDecoder {
                 break; // the beam killed every path; decode fails gracefully
             }
         }
-        finish(wfst, scratch, stats)
+        finish(wfst, scratch, DecodeStats::default())
     }
 }
 
 /// Starts a decode in `scratch`: empties its trace, seeds the start
 /// state's token and runs the initial epsilon closure, before any frame
 /// is consumed; no beam applies yet (mirrors the reference). The one
-/// preamble of the batch and streaming drivers.
-pub(crate) fn seed_start(wfst: &Wfst, scratch: &mut DecodeScratch) {
+/// preamble of the batch and streaming decoders; the closure's work goes
+/// to [`Probe::start`].
+pub(crate) fn seed_start(wfst: &Wfst, scratch: &mut DecodeScratch, probe: &mut impl Probe) {
     FRAME.with_borrow_mut(|frame| {
         let FrameScratch {
             index,
@@ -444,6 +461,7 @@ pub(crate) fn seed_start(wfst: &Wfst, scratch: &mut DecodeScratch) {
             ..
         } = frame;
         scratch.limit = CapLimit::NONE;
+        scratch.frames = 0;
         scratch.trace.clear();
         let cur = &mut scratch.cur;
         cur.clear();
@@ -451,27 +469,32 @@ pub(crate) fn seed_start(wfst: &Wfst, scratch: &mut DecodeScratch) {
         index.begin_frame();
         let start = Pending::new(TraceId::ROOT, WordId::NONE);
         index.relax(cur, wfst.start().0, 0.0, || start);
+        let mut work = FrameWork::default();
         epsilon_closure(
             wfst,
             index,
             cur,
             &mut scratch.trace,
-            &mut FrameStats::default(),
+            &mut work,
             f32::INFINITY,
             f32::INFINITY,
             worklist,
             sort_buf,
         );
+        work.closure_popped = worklist.len();
+        work.trace_len = scratch.trace.len();
+        work.entries = work.trace_len;
+        probe.start(&work);
     });
 }
 
 /// Consumes one frame's score row: prune into the frontier, expand the
 /// emitting arcs, take the cap's cutoff, close over epsilon arcs under
-/// it, swap the lists, record the frame's stats (frame
-/// `stats.frames.len()` of the utterance) and run the periodic lattice
-/// GC. The one frame body of the batch and streaming drivers, so the two
-/// can never drift apart. Returns `false` once the beam has killed every
-/// path.
+/// it, swap the lists and run the periodic lattice GC, marking each
+/// [`Stage`] to `probe` as it begins and reporting the frame's
+/// [`FrameWork`] when it ends. The one frame body of the batch and
+/// streaming decoders, so the two can never drift apart. Returns `false`
+/// once the beam has killed every path.
 ///
 /// `row[p]` is the acoustic cost of phone `p` this frame. `last_frame`
 /// turns prune-on-insert, the cap's cutoff and the closure threshold off
@@ -482,7 +505,7 @@ pub(crate) fn search_frame(
     wfst: &Wfst,
     opts: &DecodeOptions,
     scratch: &mut DecodeScratch,
-    stats: &mut DecodeStats,
+    probe: &mut impl Probe,
     row: &[f32],
     last_frame: bool,
 ) -> bool {
@@ -501,55 +524,63 @@ pub(crate) fn search_frame(
             next,
             trace,
             limit,
+            frames,
         } = scratch;
         let beam = opts.beam;
-
-        let mut fs = FrameStats {
-            active_tokens: cur.len(),
-            ..FrameStats::default()
+        let trace_before = trace.len();
+        let mut work = FrameWork {
+            live: cur.len(),
+            ..FrameWork::default()
         };
+
+        probe.stage(Stage::Frontier);
         build_frontier(cur, frontier, keys, sort_buf, beam, opts.max_active, *limit);
-        fs.expanded_tokens = frontier.len();
-        if opts.record_state_accesses {
-            for &item in frontier.iter() {
-                *stats.state_accesses.entry(item_state(item)).or_insert(0) += 1;
-            }
+        work.expanded = frontier.len();
+        for &item in frontier.iter() {
+            probe.expand(item_state(item));
         }
 
+        probe.stage(Stage::Relax);
         index.ensure(wfst.num_states());
         relax_frame(
-            wfst, index, cur, next, frontier, trace, &mut fs, beam, last_frame, row,
+            wfst, index, cur, next, frontier, trace, &mut work, beam, last_frame, row,
         );
+
         // Epsilon closure under thresholds frozen at the end of the emitting
         // phase, so the closure is independent of the worklist order: the
         // beam, and whatever the cap already rules out.
+        probe.stage(Stage::Cutoff);
         let mut closure_threshold = f32::INFINITY;
         *limit = CapLimit::NONE;
         if !last_frame {
             closure_threshold = next.best() + beam;
             *limit = cap_limit(next, keys, closure_threshold, opts.max_active);
         }
+        probe.stage(Stage::Closure);
         epsilon_closure(
             wfst,
             index,
             next,
             trace,
-            &mut fs,
+            &mut work,
             closure_threshold,
             limit.cost,
             worklist,
             sort_buf,
         );
+        work.closure_popped = worklist.len();
+        work.trace_len = trace.len();
+        work.entries = work.trace_len - trace_before;
         std::mem::swap(cur, next);
-        let frame = stats.frames.len();
-        stats.frames.push(fs);
-        if cur.is_empty() {
-            return false;
-        }
-        if !last_frame {
+        let frame = *frames;
+        *frames += 1;
+        let alive = !cur.is_empty();
+        if alive && !last_frame {
+            probe.stage(Stage::Gc);
             maybe_gc(opts.lattice_gc_interval, frame, cur, trace, gc_roots, gc);
         }
-        true
+        probe.frame(&work);
+        alive
     })
 }
 
@@ -802,7 +833,7 @@ fn relax_frame(
     next: &mut LiveTokens<Pending>,
     frontier: &[u64],
     trace: &mut Lattice,
-    fs: &mut FrameStats,
+    work: &mut FrameWork,
     beam: f32,
     last_frame: bool,
     row: &[f32],
@@ -814,14 +845,14 @@ fn relax_frame(
         // `cur` dies with this frame: the pushed form need not go back.
         let mut pending = token.payload;
         for arc in wfst.emitting_arcs(StateId(token.state)) {
-            fs.arcs_traversed += 1;
+            work.relax_arcs += 1;
             let cost = token.cost + arc.weight + row[arc.ilabel.index()];
             if !last_frame && cost > next.best() + beam {
                 continue;
             }
             let made = || Pending::new(pending.entry(trace), arc.olabel);
             if index.relax(next, arc.dest.0, cost, made).is_some() {
-                fs.tokens_created += 1;
+                work.relax_stored += 1;
             }
         }
     }
@@ -861,7 +892,7 @@ fn epsilon_closure(
     index: &mut StateIndex,
     tokens: &mut LiveTokens<Pending>,
     trace: &mut Lattice,
-    fs: &mut FrameStats,
+    work: &mut FrameWork,
     threshold: f32,
     limit: f32,
     worklist: &mut Vec<u64>,
@@ -889,14 +920,14 @@ fn epsilon_closure(
         // itself).
         let mut replaced = false;
         for arc in wfst.epsilon_arcs(StateId(token.state)) {
-            fs.arcs_traversed += 1;
+            work.closure_arcs += 1;
             let dest_cost = token.cost + arc.weight;
             if dest_cost > cutoff {
                 continue;
             }
             let made = || Pending::new(pending.entry(trace), arc.olabel);
             if let Some(dest) = index.relax(tokens, arc.dest.0, dest_cost, made) {
-                fs.tokens_created += 1;
+                work.closure_stored += 1;
                 replaced |= dest == pos;
                 if wfst.has_epsilon(arc.dest) {
                     worklist.push(item(arc.dest.0, dest));
@@ -1007,6 +1038,7 @@ pub(crate) fn finish(wfst: &Wfst, scratch: &DecodeScratch, stats: DecodeStats) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::RecordingProbe;
     use crate::reference::ReferenceDecoder;
     use asr_wfst::builder::WfstBuilder;
     use asr_wfst::PhoneId;
@@ -1143,18 +1175,51 @@ mod tests {
         assert!(r.stats.mean_arcs_per_frame() > 0.0);
     }
 
+    /// What a decode reports to its probe: the start closure once, then
+    /// per frame its stage marks in order, one `expand` per expanded
+    /// token and the frame's work, whose stats are what the decoders
+    /// record.
     #[test]
-    fn state_access_recording_is_optional() {
+    fn a_probe_hears_every_stage_and_every_expanded_state() {
+        #[derive(Default)]
+        struct Log {
+            starts: usize,
+            marks: Vec<Stage>,
+            expanded: usize,
+            frames: Vec<FrameWork>,
+        }
+        impl Probe for Log {
+            fn stage(&mut self, stage: Stage) {
+                self.marks.push(stage);
+            }
+            fn expand(&mut self, _state: u32) {
+                self.expanded += 1;
+            }
+            fn start(&mut self, _work: &FrameWork) {
+                self.starts += 1;
+            }
+            fn frame(&mut self, work: &FrameWork) {
+                self.frames.push(*work);
+            }
+        }
         let (w, scores) = figure2();
-        let off = ViterbiDecoder::default().decode(&w, &scores);
-        assert!(off.stats.state_accesses.is_empty());
-        let on = ViterbiDecoder::new(DecodeOptions {
-            record_state_accesses: true,
-            ..DecodeOptions::default()
-        })
-        .decode(&w, &scores);
-        assert!(!on.stats.state_accesses.is_empty());
-        assert!(on.stats.state_accesses.contains_key(&0));
+        let d = ViterbiDecoder::new(DecodeOptions::with_beam(20.0));
+        let mut log = Log::default();
+        let mut scratch = DecodeScratch::new(w.num_states());
+        let probed = d.decode_probed(&mut scratch, &w, &scores, &mut log);
+        let plain = d.decode(&w, &scores);
+        assert!(probed.stats.frames.is_empty(), "the probe has the frames");
+        assert_eq!(probed.words, plain.words);
+        assert_eq!(probed.cost.to_bits(), plain.cost.to_bits());
+        assert_eq!(log.starts, 1);
+        let stats: Vec<FrameStats> = log.frames.iter().map(FrameWork::stats).collect();
+        assert_eq!(stats, plain.stats.frames);
+        let expanded = plain.stats.frames.iter().map(|f| f.expanded_tokens);
+        assert_eq!(log.expanded, expanded.sum::<usize>());
+        // Three frames; the last one runs no GC.
+        use Stage::*;
+        let frame = [Frontier, Relax, Cutoff, Closure, Gc];
+        assert_eq!(log.marks, [&frame[..], &frame[..], &frame[..4]].concat());
     }
 
     #[test]
@@ -1636,18 +1701,10 @@ mod tests {
         // frame after it: the final state is never reached, which is why
         // a stream holds its newest row back for `finish`.
         let mut run = Run::new(&w);
-        seed_start(&w, &mut run.scratch);
-        let row = one.frame_row(0);
-        assert!(search_frame(
-            &w,
-            &opts,
-            &mut run.scratch,
-            &mut run.stats,
-            row,
-            false
-        ));
+        run.seed_start(&w);
+        assert!(run.step(&w, &opts, one.frame_row(0), false));
         assert_eq!(run.scratch.limit.cost, 1.0);
-        let stepped = finish(&w, &run.scratch, run.stats);
+        let stepped = run.finish(&w);
         assert!(!stepped.reached_final);
         assert_eq!(stepped.best_state, s[1]);
 
@@ -1737,9 +1794,7 @@ mod tests {
             ..DecodeOptions::with_beam(if frame % 7 < 4 { 14.0 } else { 9.0 })
         };
         let (fast, _) = lock_step(&w, &scores, opts_at);
-        let expanded: Vec<usize> = (fast.stats.frames.iter())
-            .map(|f| f.expanded_tokens)
-            .collect();
+        let expanded: Vec<usize> = fast.probe.frames.iter().map(|f| f.expanded).collect();
         // The trace did what it says: the narrow caps bind on every
         // frame they govern, and the frame after a raise (40 to 1000 at
         // frame 6, 40 to 60 at frames 15 and 33) expands more tokens
@@ -1753,7 +1808,7 @@ mod tests {
         assert_eq!(expanded.len(), FRAMES);
 
         let (again, _) = lock_step(&w, &scores, opts_at);
-        assert_eq!(again.stats.frames, fast.stats.frames);
+        assert_eq!(again.probe.frames, fast.probe.frames);
         assert_eq!(again.tokens(), fast.tokens());
         assert_eq!(entries(&again.scratch.trace), entries(&fast.scratch.trace));
     }
@@ -1763,8 +1818,7 @@ mod tests {
     /// [`relax_frame`] as it stood before pending backpointers: every
     /// stored token pushes its trace entry at once, as the accelerator
     /// (and its simulator) writes every token to DRAM. The oracle's
-    /// emitting phase, with [`relax_frame`]'s signature; its tokens all
-    /// carry pushed entries.
+    /// emitting phase; its tokens all carry pushed entries.
     #[allow(clippy::too_many_arguments)]
     fn relax_frame_every_token(
         wfst: &Wfst,
@@ -1773,7 +1827,7 @@ mod tests {
         next: &mut LiveTokens<Pending>,
         frontier: &[u64],
         trace: &mut Lattice,
-        fs: &mut FrameStats,
+        work: &mut FrameWork,
         beam: f32,
         last_frame: bool,
         row: &[f32],
@@ -1784,14 +1838,14 @@ mod tests {
             let token = cur.tokens()[item_pos(item)];
             let prev = { token.payload }.entry(trace);
             for arc in wfst.emitting_arcs(StateId(token.state)) {
-                fs.arcs_traversed += 1;
+                work.relax_arcs += 1;
                 let cost = token.cost + arc.weight + row[arc.ilabel.index()];
                 if !last_frame && cost > next.best() + beam {
                     continue;
                 }
                 let push = || Pending::pushed(trace.push(prev, arc.olabel));
                 if index.relax(next, arc.dest.0, cost, push).is_some() {
-                    fs.tokens_created += 1;
+                    work.relax_stored += 1;
                 }
             }
         }
@@ -1801,19 +1855,17 @@ mod tests {
     /// backpointers: every live in-beam token enters the worklist,
     /// whether or not its state owns an epsilon arc, and every stored
     /// token pushes its trace entry at once. The oracle for
-    /// [`epsilon_closure`], with its signature so that [`Run::frame`]
-    /// takes either.
+    /// [`epsilon_closure`].
     #[allow(clippy::too_many_arguments)]
     fn epsilon_closure_every_token(
         wfst: &Wfst,
         index: &mut StateIndex,
         tokens: &mut LiveTokens<Pending>,
         trace: &mut Lattice,
-        fs: &mut FrameStats,
+        work: &mut FrameWork,
         threshold: f32,
         limit: f32,
         worklist: &mut Vec<u64>,
-        _sort_buf: &mut Vec<u64>,
     ) {
         worklist.clear();
         for (pos, token) in tokens.tokens().iter().enumerate() {
@@ -1832,14 +1884,14 @@ mod tests {
             }
             let prev = { token.payload }.entry(trace);
             for arc in wfst.epsilon_arcs(StateId(token.state)) {
-                fs.arcs_traversed += 1;
+                work.closure_arcs += 1;
                 let dest_cost = token.cost + arc.weight;
                 if dest_cost > cutoff {
                     continue;
                 }
                 let push = || Pending::pushed(trace.push(prev, arc.olabel));
                 if let Some(pos) = index.relax(tokens, arc.dest.0, dest_cost, push) {
-                    fs.tokens_created += 1;
+                    work.closure_stored += 1;
                     worklist.push(item(arc.dest.0, pos));
                 }
             }
@@ -1863,56 +1915,45 @@ mod tests {
         (result, entries(&scratch.trace))
     }
 
-    /// Wall time and work of the frames a [`Run`] has consumed, by stage.
-    #[derive(Debug, Clone, Copy, Default)]
-    struct StageSplit {
-        frontier: Duration,
-        relax: Duration,
-        cutoff: Duration,
-        closure: Duration,
-        gc: Duration,
-        relax_arcs: usize,
-        relax_tokens: usize,
-        closure_arcs: usize,
-        closure_tokens: usize,
-        /// Closure worklist items popped: a bound on the tokens the
-        /// closure expanded.
-        closure_popped: usize,
-        /// Trace entries pushed.
-        entries: usize,
-        /// Longest the trace grew, before a GC shrank it.
-        trace_peak: usize,
-    }
-
-    /// One decode in flight: what a driver threads from frame to frame.
+    /// One decode in flight: what a decoder threads from frame to frame,
+    /// with a probe that keeps every frame's work.
     struct Run {
         scratch: DecodeScratch,
-        stats: DecodeStats,
-        split: StageSplit,
+        probe: RecordingProbe,
     }
 
     impl Run {
         fn new(wfst: &Wfst) -> Self {
-            Self::with_scratch(DecodeScratch::new(wfst.num_states()))
+            Self {
+                scratch: DecodeScratch::new(wfst.num_states()),
+                probe: RecordingProbe::default(),
+            }
         }
 
-        fn with_scratch(scratch: DecodeScratch) -> Self {
-            Self {
-                scratch,
-                stats: DecodeStats::default(),
-                split: StageSplit::default(),
-            }
+        /// [`seed_start`] through the run's probe.
+        fn seed_start(&mut self, wfst: &Wfst) {
+            seed_start(wfst, &mut self.scratch, &mut self.probe);
+        }
+
+        /// [`search_frame`] through the run's probe.
+        fn step(&mut self, wfst: &Wfst, opts: &DecodeOptions, row: &[f32], last: bool) -> bool {
+            search_frame(wfst, opts, &mut self.scratch, &mut self.probe, row, last)
         }
 
         /// [`seed_start`] with the oracle closure and an eager start entry.
         fn oracle_seed_start(&mut self, wfst: &Wfst) {
             let DecodeScratch {
-                cur, trace, limit, ..
+                cur,
+                trace,
+                limit,
+                frames,
+                ..
             } = &mut self.scratch;
             *limit = CapLimit::NONE;
+            *frames = 0;
             trace.clear();
             cur.clear();
-            let mut closure = FrameStats::default();
+            let mut work = FrameWork::default();
             FRAME.with_borrow_mut(|frame| {
                 let index = &mut frame.index;
                 index.ensure(wfst.num_states());
@@ -1924,24 +1965,24 @@ mod tests {
                     index,
                     cur,
                     trace,
-                    &mut closure,
+                    &mut work,
                     f32::INFINITY,
                     f32::INFINITY,
                     &mut frame.worklist,
-                    &mut frame.sort_buf,
                 );
+                work.closure_popped = frame.worklist.len();
             });
-            self.split.closure_tokens += closure.tokens_created;
+            work.trace_len = trace.len();
+            work.entries = work.trace_len;
+            self.probe.start(&work);
         }
 
-        /// The test module's one copy of [`search_frame`]: the same
-        /// stages in the same order with a clock around each, so it
-        /// serves both as the stage profiler (`ORACLE = false`: every
-        /// stage is the production function) and as the lock-step oracle
-        /// (`ORACLE = true`: an entry pushed for every stored token, the
+        /// The lock-step oracle's frame: [`search_frame`]'s stages in its
+        /// order, with an entry pushed for every stored token, the
         /// walk-every-token closure, and a frontier that never trusts the
-        /// previous frame's limit).
-        fn frame<const ORACLE: bool>(
+        /// previous frame's limit. Reports each frame's work to the run's
+        /// probe, unmarked.
+        fn frame(
             &mut self,
             wfst: &Wfst,
             opts: &DecodeOptions,
@@ -1963,92 +2004,61 @@ mod tests {
                     next,
                     trace,
                     limit,
+                    frames,
                 } = &mut self.scratch;
-                let split = &mut self.split;
-                let frame = self.stats.frames.len();
                 let trace_before = trace.len();
-                let mut fs = FrameStats {
-                    active_tokens: cur.len(),
-                    ..FrameStats::default()
+                let mut work = FrameWork {
+                    live: cur.len(),
+                    ..FrameWork::default()
                 };
-
-                let clock = Instant::now();
-                let trusted = if ORACLE { CapLimit::NONE } else { *limit };
+                let (beam, max_active) = (opts.beam, opts.max_active);
                 build_frontier(
                     cur,
                     frontier,
                     keys,
                     sort_buf,
-                    opts.beam,
-                    opts.max_active,
-                    trusted,
+                    beam,
+                    max_active,
+                    CapLimit::NONE,
                 );
-                fs.expanded_tokens = frontier.len();
-                split.frontier += clock.elapsed();
-
-                let clock = Instant::now();
+                work.expanded = frontier.len();
                 index.ensure(wfst.num_states());
-                let relax = if ORACLE {
-                    relax_frame_every_token
-                } else {
-                    relax_frame
-                };
-                relax(
-                    wfst, index, cur, next, frontier, trace, &mut fs, opts.beam, last_frame, row,
+                relax_frame_every_token(
+                    wfst, index, cur, next, frontier, trace, &mut work, beam, last_frame, row,
                 );
-                split.relax += clock.elapsed();
-                split.relax_arcs += fs.arcs_traversed;
-                split.relax_tokens += fs.tokens_created;
-
-                let clock = Instant::now();
                 let mut threshold = f32::INFINITY;
                 *limit = CapLimit::NONE;
                 if !last_frame {
-                    threshold = next.best() + opts.beam;
-                    *limit = cap_limit(next, keys, threshold, opts.max_active);
+                    threshold = next.best() + beam;
+                    *limit = cap_limit(next, keys, threshold, max_active);
                 }
-                split.cutoff += clock.elapsed();
-
-                let clock = Instant::now();
-                let mut closure = FrameStats::default();
-                let run = if ORACLE {
-                    epsilon_closure_every_token
-                } else {
-                    epsilon_closure
-                };
-                run(
-                    wfst,
-                    index,
-                    next,
-                    trace,
-                    &mut closure,
-                    threshold,
-                    limit.cost,
-                    worklist,
-                    sort_buf,
+                epsilon_closure_every_token(
+                    wfst, index, next, trace, &mut work, threshold, limit.cost, worklist,
                 );
-                split.closure += clock.elapsed();
-                split.closure_arcs += closure.arcs_traversed;
-                split.closure_tokens += closure.tokens_created;
-                split.closure_popped += worklist.len();
-                split.entries += trace.len() - trace_before;
-                split.trace_peak = split.trace_peak.max(trace.len());
-                fs.arcs_traversed += closure.arcs_traversed;
-                fs.tokens_created += closure.tokens_created;
-
+                work.closure_popped = worklist.len();
+                work.trace_len = trace.len();
+                work.entries = work.trace_len - trace_before;
                 std::mem::swap(cur, next);
-                self.stats.frames.push(fs);
-                if cur.is_empty() {
-                    return false;
+                let frame = *frames;
+                *frames += 1;
+                let alive = !cur.is_empty();
+                if alive && !last_frame {
+                    maybe_gc(opts.lattice_gc_interval, frame, cur, trace, gc_roots, gc);
                 }
-                if !last_frame {
-                    let clock = Instant::now();
-                    let interval = opts.lattice_gc_interval;
-                    maybe_gc(interval, frame, cur, trace, gc_roots, gc);
-                    split.gc += clock.elapsed();
-                }
-                true
+                self.probe.frame(&work);
+                alive
             })
+        }
+
+        /// The [`DecodeStats`] a decoder would have recorded.
+        fn stats(&self) -> DecodeStats {
+            let frames = self.probe.frames.iter().map(FrameWork::stats).collect();
+            DecodeStats { frames }
+        }
+
+        /// [`finish`] of this decode.
+        fn finish(&self, wfst: &Wfst) -> DecodeResult {
+            finish(wfst, &self.scratch, self.stats())
         }
 
         /// Live tokens in insertion order: `(state, cost bits, pending)`.
@@ -2061,7 +2071,7 @@ mod tests {
         /// [`StreamingDecode::partial`](crate::stream::StreamingDecode::partial)
         /// of this decode.
         fn partial(&self) -> Option<crate::stream::PartialHypothesis> {
-            crate::stream::best_hypothesis(&self.scratch, self.stats.frames.len())
+            crate::stream::best_hypothesis(&self.scratch)
         }
     }
 
@@ -2077,10 +2087,12 @@ mod tests {
         opts_at: impl Fn(usize) -> DecodeOptions,
     ) -> (Run, Run) {
         let (mut fast, mut oracle) = (Run::new(wfst), Run::new(wfst));
-        seed_start(wfst, &mut fast.scratch);
+        fast.seed_start(wfst);
         oracle.oracle_seed_start(wfst);
+        let closure = |run: &Run| (run.probe.start.closure_arcs, run.probe.start.closure_stored);
+        assert_eq!(closure(&fast), closure(&oracle), "start closure");
         let same = |fast: &Run, oracle: &Run, at: &str| {
-            assert_eq!(fast.stats.frames, oracle.stats.frames, "{at}: stats");
+            assert_eq!(fast.stats().frames, oracle.stats().frames, "{at}: stats");
             let live = |run: &Run| -> Vec<(u32, u32)> {
                 run.tokens().iter().map(|&(s, c, _)| (s, c)).collect()
             };
@@ -2100,8 +2112,8 @@ mod tests {
         for frame in 0..num_frames {
             let (row, last) = (scores.frame_row(frame), frame + 1 == num_frames);
             let opts = opts_at(frame);
-            let alive = search_frame(wfst, &opts, &mut fast.scratch, &mut fast.stats, row, last);
-            assert_eq!(alive, oracle.frame::<true>(wfst, &opts, row, last));
+            let alive = fast.step(wfst, &opts, row, last);
+            assert_eq!(alive, oracle.frame(wfst, &opts, row, last));
             same(&fast, &oracle, &format!("frame {frame}, {opts:?}"));
             if !alive {
                 break;
@@ -2146,9 +2158,11 @@ mod tests {
         opts: &DecodeOptions,
     ) -> Checked {
         let (fast, oracle) = lock_step(wfst, scores, |_| opts.clone());
-        let closure_tokens = oracle.split.closure_tokens;
-        let fast = finish(wfst, &fast.scratch, fast.stats);
-        let oracle = finish(wfst, &oracle.scratch, oracle.stats);
+        let frames = oracle.probe.frames.iter();
+        let closure_tokens = oracle.probe.start.closure_stored
+            + frames.map(|work| work.closure_stored).sum::<usize>();
+        let fast = fast.finish(wfst);
+        let oracle = oracle.finish(wfst);
         let what = format!("{opts:?}");
         assert_eq!(fast.words, oracle.words, "{what}: words");
         assert_same_search(&fast, &oracle, &what);
@@ -2389,54 +2403,52 @@ mod tests {
             ..DecodeOptions::with_beam(40.0)
         };
         let mut run = Run::new(&w);
-        seed_start(&w, &mut run.scratch);
-        let mut peaks = Vec::with_capacity(FRAMES);
+        run.seed_start(&w);
         for frame in 0..FRAMES {
-            let before = run.split;
-            run.split.trace_peak = 0;
             let last = frame + 1 == FRAMES;
-            assert!(run.frame::<false>(&w, &opts, scores.frame_row(frame), last));
-            let fs = run.stats.frames[frame];
-            let entries = run.split.entries - before.entries;
-            let popped = run.split.closure_popped - before.closure_popped;
+            assert!(run.step(&w, &opts, scores.frame_row(frame), last));
+            let work = run.probe.frames[frame];
+            let (entries, popped) = (work.entries, work.closure_popped);
             assert!(
-                entries <= fs.expanded_tokens + popped,
+                entries <= work.expanded + popped,
                 "frame {frame}: {entries} entries, {} expanded, {popped} popped",
-                fs.expanded_tokens
+                work.expanded
             );
-            peaks.push(run.split.trace_peak);
         }
-        let peak = |frames: std::ops::Range<usize>| peaks[frames].iter().copied().max().unwrap();
+        let frames = &run.probe.frames;
+        let peak = |range: std::ops::Range<usize>| {
+            frames[range]
+                .iter()
+                .map(|work| work.trace_len)
+                .max()
+                .unwrap()
+        };
         let (early, late) = (peak(0..200), peak(1_000..FRAMES));
         assert!(
             late as f64 <= early as f64 * 1.1,
             "peak {late} over frames 1000..2000 vs {early} over 0..200"
         );
-        let expanded: usize = run.stats.frames.iter().map(|f| f.expanded_tokens).sum();
-        let stored: usize = run.stats.frames.iter().map(|f| f.tokens_created).sum();
-        assert!(run.split.entries < stored, "{} entries", run.split.entries);
+        let sum = |count: fn(&FrameWork) -> usize| frames.iter().map(count).sum::<usize>();
+        let (entries, expanded) = (sum(|w| w.entries), sum(|w| w.expanded));
+        let stored = sum(|w| w.relax_stored + w.closure_stored);
+        assert!(entries < stored, "{entries} entries");
         assert!(
             expanded > FRAMES * 900,
             "the cap binds: {expanded} expanded"
         );
-        let fast = finish(&w, &run.scratch, run.stats);
-        assert!(fast.cost.is_finite());
+        assert!(run.finish(&w).cost.is_finite());
     }
 
     // --- stage split ---------------------------------------------------
 
-    impl StageSplit {
-        fn total(&self) -> Duration {
-            self.frontier + self.relax + self.cutoff + self.closure + self.gc
-        }
-    }
-
     /// Where a search frame goes (`just stages`): decodes the benchmark's
-    /// two search shapes and their beam-only counterparts stage by stage
-    /// through [`Run::frame`], checks every result against
-    /// [`search_frame`]'s, and prints the best of `ROUNDS` passes over
-    /// eight 100-frame tables on a warm scratch; then what stepping 16
-    /// decodes round-robin costs ([`interleave_split`]).
+    /// two search shapes and their beam-only counterparts through
+    /// [`search_frame`] with a [`RecordingProbe`] and prints the best of
+    /// `ROUNDS` passes (the first is a warm-up) over eight 100-frame
+    /// tables on a warm scratch: each stage's time from the probe's marks,
+    /// and beside their sum a wall clock around the `search_frame` calls.
+    /// Then what stepping 16 decodes round-robin costs
+    /// ([`interleave_split`]).
     #[test]
     #[ignore = "a profiler, not a check: run with `just stages`"]
     fn stage_split() {
@@ -2462,83 +2474,72 @@ mod tests {
                 max_active,
                 ..DecodeOptions::with_beam(beam)
             };
-            let decoder = ViterbiDecoder::new(opts.clone());
             let tables: Vec<AcousticTable> = (0..TABLES)
                 .map(|seed| AcousticTable::random(FRAMES, 2_001, (0.5, 4.0), seed))
                 .collect();
             let mut scratch = DecodeScratch::new(w.num_states());
-            let (mut frames, mut live, mut expanded) = (0, 0, 0);
-            let mut best: Option<StageSplit> = None;
+            let mut best: Option<(RecordingProbe, Duration)> = None;
             for round in 0..=ROUNDS {
-                let mut split = StageSplit::default();
+                let (mut probe, mut wall) = (RecordingProbe::default(), Duration::ZERO);
                 for scores in &tables {
-                    let mut run = Run::with_scratch(scratch);
-                    run.split = split;
-                    seed_start(&w, &mut run.scratch);
+                    seed_start(&w, &mut scratch, &mut probe);
                     for frame in 0..FRAMES {
-                        let last = frame + 1 == FRAMES;
-                        if !run.frame::<false>(&w, &opts, scores.frame_row(frame), last) {
+                        let (row, last) = (scores.frame_row(frame), frame + 1 == FRAMES);
+                        let clock = Instant::now();
+                        let alive = search_frame(&w, &opts, &mut scratch, &mut probe, row, last);
+                        wall += clock.elapsed();
+                        if !alive {
                             break;
                         }
                     }
-                    split = run.split;
-                    let staged = finish(&w, &run.scratch, run.stats);
-                    scratch = run.scratch;
-                    if round == 0 {
-                        // The warm-up pass doubles as the check.
-                        let staged_trace = entries(&scratch.trace);
-                        let whole = decoder.decode_with(&mut scratch, &w, scores);
-                        assert_eq!(staged.words, whole.words);
-                        assert_eq!(staged.cost.to_bits(), whole.cost.to_bits());
-                        assert_eq!(staged.best_state, whole.best_state);
-                        assert_eq!(staged.reached_final, whole.reached_final);
-                        assert_eq!(staged.stats.frames, whole.stats.frames);
-                        assert_eq!(staged_trace, entries(&scratch.trace));
-                        frames += staged.stats.frames.len();
-                        for fs in &staged.stats.frames {
-                            live += fs.active_tokens;
-                            expanded += fs.expanded_tokens;
-                        }
-                    }
                 }
-                if round > 0 && best.is_none_or(|b| split.total() < b.total()) {
-                    best = Some(split);
+                let total = probe.total_time();
+                if round > 0 && best.as_ref().is_none_or(|(b, _)| total < b.total_time()) {
+                    best = Some((probe, wall));
                 }
             }
-            let best = best.unwrap();
-            let per_frame = |n: usize| n as f64 / frames as f64;
+            let (best, wall) = best.unwrap();
+            let frames = best.frames.len();
+            let per_frame = |count: fn(&FrameWork) -> usize| {
+                best.frames.iter().map(count).sum::<usize>() as f64 / frames as f64
+            };
             let us = |d: Duration| d.as_secs_f64() * 1e6 / frames as f64;
+            let time = |stage| us(best.time(stage));
             println!(
                 "{states} states, beam {beam}, max_active {max_active:?}: \
                  {frames} frames, best of {ROUNDS} rounds, us per frame"
             );
             println!(
                 "  frontier {:7.1}   live {:.1} -> expanded {:.1}",
-                us(best.frontier),
-                per_frame(live),
-                per_frame(expanded)
+                time(Stage::Frontier),
+                per_frame(|w| w.live),
+                per_frame(|w| w.expanded)
             );
             println!(
                 "  relax    {:7.1}   arcs {:.1}, tokens {:.1}",
-                us(best.relax),
-                per_frame(best.relax_arcs),
-                per_frame(best.relax_tokens)
+                time(Stage::Relax),
+                per_frame(|w| w.relax_arcs),
+                per_frame(|w| w.relax_stored)
             );
-            println!("  cutoff   {:7.1}", us(best.cutoff));
+            println!("  cutoff   {:7.1}", time(Stage::Cutoff));
             println!(
                 "  closure  {:7.1}   arcs {:.1}, tokens {:.1}",
-                us(best.closure),
-                per_frame(best.closure_arcs),
-                per_frame(best.closure_tokens)
+                time(Stage::Closure),
+                per_frame(|w| w.closure_arcs),
+                per_frame(|w| w.closure_stored)
             );
-            println!("  gc       {:7.1}", us(best.gc));
-            println!("  frame    {:7.1}", us(best.total()));
+            println!("  gc       {:7.1}", time(Stage::Gc));
+            let (sum, wall) = (us(best.total_time()), us(wall));
+            println!(
+                "  frame    {sum:7.1}   wall around search_frame {wall:.1} ({:+.1} %)",
+                100.0 * (sum - wall) / wall
+            );
             // Entries and the peak are the same every round.
             println!(
                 "  trace    entries {:.1} per frame (tokens stored {:.1}), peak {} entries",
-                per_frame(best.entries),
-                per_frame(best.relax_tokens + best.closure_tokens),
-                best.trace_peak
+                per_frame(|w| w.entries),
+                per_frame(|w| w.relax_stored + w.closure_stored),
+                best.frames.iter().map(|w| w.trace_len).max().unwrap_or(0)
             );
         }
         interleave_split();
@@ -2546,8 +2547,9 @@ mod tests {
 
     // --- one index per thread, many decodes ---------------------------
 
-    /// `n` decodes of `scores` (one table each) stepped on this thread
-    /// through its shared index, every decode one frame in turn when
+    /// `n` decodes of `scores` (one table each, each [`Run`] through its
+    /// own probe) stepped on this thread through its shared index, every
+    /// decode one frame in turn when
     /// `round_robin`, else each to its end before the next starts, and
     /// finished with the last row. Returns the results with their traces
     /// and the wall time of the steps alone.
@@ -2559,7 +2561,7 @@ mod tests {
     ) -> (Vec<Traced>, Duration) {
         let mut runs: Vec<Run> = scores.iter().map(|_| Run::new(wfst)).collect();
         for run in &mut runs {
-            seed_start(wfst, &mut run.scratch);
+            run.seed_start(wfst);
         }
         let frames = scores
             .iter()
@@ -2568,8 +2570,7 @@ mod tests {
             .unwrap_or(0);
         let step = |run: &mut Run, scores: &AcousticTable, frame: usize| {
             if frame + 1 < scores.num_frames() {
-                let row = scores.frame_row(frame);
-                search_frame(wfst, opts, &mut run.scratch, &mut run.stats, row, false);
+                run.step(wfst, opts, scores.frame_row(frame), false);
             }
         };
         let clock = Instant::now();
@@ -2589,10 +2590,8 @@ mod tests {
         let wall = clock.elapsed();
         let results = (runs.into_iter().zip(scores))
             .map(|(mut run, scores)| {
-                let row = scores.frame_row(scores.num_frames() - 1);
-                search_frame(wfst, opts, &mut run.scratch, &mut run.stats, row, true);
-                let result = finish(wfst, &run.scratch, run.stats);
-                (result, entries(&run.scratch.trace))
+                run.step(wfst, opts, scores.frame_row(scores.num_frames() - 1), true);
+                (run.finish(wfst), entries(&run.scratch.trace))
             })
             .collect();
         (results, wall)

@@ -105,19 +105,20 @@ impl<G: Deref<Target = Wfst>> StreamingDecode<G> {
     /// epsilon closure, exactly like the batch decoder's preamble. The
     /// decode's trace lives in `scratch`, which it empties.
     pub fn new(wfst: G, opts: DecodeOptions, mut scratch: DecodeScratch) -> Self {
-        seed_start(&wfst, &mut scratch);
+        let mut stats = DecodeStats::default();
+        seed_start(&wfst, &mut scratch, &mut stats);
         Self {
             wfst,
             opts,
             scratch,
-            stats: DecodeStats::default(),
+            stats,
             alive: true,
         }
     }
 
     /// Frames consumed so far.
     pub fn frames(&self) -> usize {
-        self.stats.frames.len()
+        self.scratch.frames
     }
 
     /// The search options currently in force.
@@ -174,7 +175,7 @@ impl<G: Deref<Target = Wfst>> StreamingDecode<G> {
         if !self.alive {
             return None;
         }
-        best_hypothesis(&self.scratch, self.frames())
+        best_hypothesis(&self.scratch)
     }
 
     /// Ends the utterance: consumes the held-back final row (if any) with
@@ -217,9 +218,9 @@ impl<G: Deref<Target = Wfst>> StreamingDecode<G> {
 }
 
 /// The cheapest live token of the decode in `scratch` (ties broken
-/// toward the lowest state id), backtracked through its trace, after
-/// `frames` frames; `None` when no token is live.
-pub(crate) fn best_hypothesis(scratch: &DecodeScratch, frames: usize) -> Option<PartialHypothesis> {
+/// toward the lowest state id), backtracked through its trace; `None`
+/// when no token is live.
+pub(crate) fn best_hypothesis(scratch: &DecodeScratch) -> Option<PartialHypothesis> {
     let mut best: Option<Token<Pending>> = None;
     for &token in scratch.cur.tokens() {
         let better = best.is_none_or(|best| {
@@ -233,7 +234,7 @@ pub(crate) fn best_hypothesis(scratch: &DecodeScratch, frames: usize) -> Option<
         words: best.payload.backtrack(&scratch.trace),
         cost: best.cost,
         state: StateId(best.state),
-        frames,
+        frames: scratch.frames,
     })
 }
 

@@ -30,7 +30,10 @@
 //!   never touches a graph-sized table.
 //!
 //! [`TokenTable`] pairs an index with its own list, for callers that keep
-//! one table per frame (the accelerator simulator).
+//! one table per frame (the accelerator simulator), and
+//! [`TokenTable::relax_observed`] reports each attempt's [`RelaxOutcome`]
+//! to the search's one [`Probe`], where the simulator's timing model
+//! listens.
 //!
 //! After warm-up neither performs a heap allocation: lookups, inserts,
 //! improvements, and per-frame resets all reuse the same storage. The
@@ -38,8 +41,10 @@
 //! (`cost <= best + beam`) — the accelerator's prune-on-insert — is one
 //! compare away.
 
-/// Slot-level outcome of one [`TokenTable::relax`], as reported to an
-/// [`InsertObserver`].
+use crate::probe::{NoopProbe, Probe};
+
+/// Slot-level outcome of one [`TokenTable::relax`], as reported to a
+/// [`Probe`].
 ///
 /// This is exactly the case split the accelerator's Token Issuer sees at
 /// the hash table: a probe either allocates a fresh entry (append to the
@@ -72,32 +77,6 @@ impl RelaxOutcome {
     pub fn existing(self) -> bool {
         !matches!(self, RelaxOutcome::Appended)
     }
-}
-
-/// Hook receiving one event per [`TokenTable::relax_observed`] call,
-/// *before* the token is written (and before the payload closure runs).
-///
-/// This is how a timing model rides along the functional search without
-/// owning any search state: `asr-accel`'s simulator implements it to
-/// charge hash-probe cycles, collision chains, and overflow round trips
-/// for every insert attempt — including rejected ones, which still cost a
-/// probe in hardware. The non-observing entry point
-/// ([`TokenTable::relax`]) passes the zero-sized [`NoopObserver`], which
-/// monomorphizes to nothing, so the decoder hot path pays no cost for the
-/// hook.
-pub trait InsertObserver {
-    /// Called once per relax attempt with the slot-level outcome.
-    fn observe(&mut self, state: u32, outcome: RelaxOutcome);
-}
-
-/// The do-nothing observer used by the non-instrumented search paths;
-/// calls through it compile away entirely.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopObserver;
-
-impl InsertObserver for NoopObserver {
-    #[inline(always)]
-    fn observe(&mut self, _state: u32, _outcome: RelaxOutcome) {}
 }
 
 /// One live token: its state, path cost and payload, side by side (16
@@ -280,14 +259,13 @@ impl StateIndex {
         cost: f32,
         payload: impl FnOnce() -> P,
     ) -> Option<usize> {
-        self.relax_observed(tokens, state, cost, payload, &mut NoopObserver)
+        self.relax_observed(tokens, state, cost, payload, &mut NoopProbe)
     }
 
-    /// [`StateIndex::relax`] with a slot-event hook: `observer` sees the
-    /// [`RelaxOutcome`] of every attempt (including rejections) before the
-    /// token is written and before `payload` runs. The accelerator
-    /// simulator's scoreboard hangs its hash/token timing off this; with
-    /// [`NoopObserver`] it compiles down to exactly [`StateIndex::relax`].
+    /// [`StateIndex::relax`] reporting the [`RelaxOutcome`] of the attempt
+    /// (rejections included) to `probe`'s [`Probe::insert`] before the
+    /// token is written and before `payload` runs; with [`NoopProbe`] it
+    /// compiles down to exactly [`StateIndex::relax`].
     #[inline]
     pub fn relax_observed<P>(
         &mut self,
@@ -295,24 +273,24 @@ impl StateIndex {
         state: u32,
         cost: f32,
         payload: impl FnOnce() -> P,
-        observer: &mut impl InsertObserver,
+        probe: &mut impl Probe,
     ) -> Option<usize> {
         let slot = &mut self.slots[state as usize];
         let position = if *slot as u32 == self.epoch {
             let position = (*slot >> 32) as usize;
             let token = &mut tokens.tokens[position];
             if token.cost <= cost {
-                observer.observe(state, RelaxOutcome::Rejected);
+                probe.insert(state, RelaxOutcome::Rejected);
                 return None;
             }
-            observer.observe(state, RelaxOutcome::Improved);
+            probe.insert(state, RelaxOutcome::Improved);
             // The payload is taken before anything is written, so a
             // panicking `payload` leaves the token as it was.
             token.payload = payload();
             token.cost = cost;
             position
         } else {
-            observer.observe(state, RelaxOutcome::Appended);
+            probe.insert(state, RelaxOutcome::Appended);
             let position = tokens.tokens.len();
             tokens.tokens.push(Token {
                 state,
@@ -399,6 +377,9 @@ impl<P: Copy> TokenTable<P> {
     fn live(&self, state: u32, what: &str) -> usize {
         match self.index.position(state) {
             Some(position) => position,
+            // LINT-ALLOW: panic — a stale read is the caller's bug (the
+            // simulator reads only tokens its active list names), and
+            // the message says which kind.
             None => panic!("{what}"),
         }
     }
@@ -446,24 +427,24 @@ impl<P: Copy> TokenTable<P> {
     /// sequential decoder allocates its lattice entry inside it).
     #[inline]
     pub fn relax(&mut self, state: u32, cost: f32, payload: impl FnOnce() -> P) -> bool {
-        self.relax_observed(state, cost, payload, &mut NoopObserver)
+        self.relax_observed(state, cost, payload, &mut NoopProbe)
     }
 
-    /// [`TokenTable::relax`] with a slot-event hook: `observer` sees the
-    /// [`RelaxOutcome`] of every attempt (including rejections) before the
+    /// [`TokenTable::relax`] reporting the [`RelaxOutcome`] of the attempt
+    /// (rejections included) to `probe`'s [`Probe::insert`] before the
     /// token is written and before `payload` runs. The accelerator
     /// simulator's scoreboard hangs its hash/token timing off this; with
-    /// [`NoopObserver`] it compiles down to exactly [`TokenTable::relax`].
+    /// [`NoopProbe`] it compiles down to exactly [`TokenTable::relax`].
     #[inline]
     pub fn relax_observed(
         &mut self,
         state: u32,
         cost: f32,
         payload: impl FnOnce() -> P,
-        observer: &mut impl InsertObserver,
+        probe: &mut impl Probe,
     ) -> bool {
         (self.index)
-            .relax_observed(&mut self.tokens, state, cost, payload, observer)
+            .relax_observed(&mut self.tokens, state, cost, payload, probe)
             .is_some()
     }
 
@@ -598,8 +579,8 @@ mod tests {
     #[test]
     fn observer_sees_every_relax_outcome() {
         struct Recorder(Vec<(u32, RelaxOutcome)>);
-        impl InsertObserver for Recorder {
-            fn observe(&mut self, state: u32, outcome: RelaxOutcome) {
+        impl Probe for Recorder {
+            fn insert(&mut self, state: u32, outcome: RelaxOutcome) {
                 self.0.push((state, outcome));
             }
         }

@@ -147,8 +147,9 @@ ab parent workload pairs="10" metric="frames_per_s":
 # then what sharing a thread costs: us per step of 16 decodes at 50k
 # states, cap 2000, stepped round-robin (the voice_16s_batched pattern)
 # and back to back.
-# The harness is an ignored test driving the search's private stage
-# functions, so no instrumentation lives in the library.
+# The harness is an ignored test that runs the production search_frame
+# through a RecordingProbe (stage marks and per-frame counters), and
+# prints the probe's stage sum beside a wall clock around search_frame.
 stages:
     cargo test --release -q -p asr-decoder --lib search::tests::stage_split -- --ignored --nocapture
 
