@@ -29,8 +29,8 @@ struct Cell {
 ///
 /// Deterministic: tokens are expanded in ascending state order, so equal
 /// inputs produce identical lattices and results on every run and
-/// platform. [`DecodeOptions::lattice_gc_interval`] is ignored — the
-/// reference keeps the full token trace, exactly as the seed did.
+/// platform. It keeps the full token trace, exactly as the seed did
+/// (the search compacts its own every 32 frames).
 #[derive(Debug, Clone, Default)]
 pub struct ReferenceDecoder {
     opts: DecodeOptions,
@@ -289,7 +289,6 @@ mod tests {
         let r = ReferenceDecoder::new(DecodeOptions {
             beam: 100.0,
             max_active: Some(3),
-            ..DecodeOptions::default()
         })
         .decode(&w, &scores);
         // Frame 1 expands at most the cap.

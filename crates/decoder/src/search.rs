@@ -76,11 +76,10 @@
 //!   exact bound instead of a heuristic one. Results stay byte-identical;
 //!   what shrinks is the epsilon work, the live set and the lattice (see
 //!   [`FrameStats`]).
-//! * **Lattice compaction**: every
-//!   [`DecodeOptions::lattice_gc_interval`] frames the backpointer trace
-//!   is mark-compacted from the live tokens' pending backpointers
-//!   (Kaldi's periodic token GC), so long utterances stop growing the
-//!   trace unboundedly.
+//! * **Lattice compaction**: every 32 frames the backpointer trace is
+//!   mark-compacted from the live tokens' pending backpointers (Kaldi's
+//!   periodic token GC), so long utterances stop growing the trace
+//!   unboundedly.
 //!
 //! Pruning inside a frame (on insert, and in the closure under the beam
 //! and the cap's cutoff) has one visible edge. Between two paths of
@@ -108,10 +107,6 @@ pub struct DecodeOptions {
     /// Optional cap on tokens expanded per frame (histogram pruning); the
     /// paper's accelerator uses pure beam pruning, so this defaults off.
     pub max_active: Option<usize>,
-    /// Compact the lattice every this many frames (`None` keeps the full
-    /// trace, as the accelerator leaves stale tokens in DRAM). Ignored by
-    /// the reference decoder.
-    pub lattice_gc_interval: Option<u32>,
 }
 
 impl Default for DecodeOptions {
@@ -119,7 +114,6 @@ impl Default for DecodeOptions {
         Self {
             beam: 8.0,
             max_active: None,
-            lattice_gc_interval: Some(32),
         }
     }
 }
@@ -577,7 +571,7 @@ pub(crate) fn search_frame(
         let alive = !cur.is_empty();
         if alive && !last_frame {
             probe.stage(Stage::Gc);
-            maybe_gc(opts.lattice_gc_interval, frame, cur, trace, gc_roots, gc);
+            maybe_gc(LATTICE_GC_INTERVAL, frame, cur, trace, gc_roots, gc);
         }
         probe.frame(&work);
         alive
@@ -940,21 +934,22 @@ fn epsilon_closure(
     }
 }
 
-/// Runs lattice GC when `frame` crosses the configured interval: live
+/// Frames between two lattice compactions: 64 peaked at a third more
+/// memory, 8 cost 5–10 % frames/s (ARCHITECTURE.md has the sweep).
+const LATTICE_GC_INTERVAL: usize = 32;
+
+/// Runs lattice GC when `frame` ends a run of `every` frames: live
 /// roots are the tokens' [`Pending::root`]s, and every one is retargeted
 /// to the compacted trace.
 fn maybe_gc(
-    interval: Option<u32>,
+    every: usize,
     frame: usize,
     tokens: &mut LiveTokens<Pending>,
     lattice: &mut Lattice,
     gc_roots: &mut Vec<TraceId>,
     gc: &mut CompactScratch,
 ) {
-    let Some(interval) = interval else {
-        return;
-    };
-    if interval == 0 || !(frame as u64 + 1).is_multiple_of(interval as u64) {
+    if !(frame + 1).is_multiple_of(every) {
         return;
     }
     gc_roots.clear();
@@ -1228,7 +1223,6 @@ mod tests {
         let r = ViterbiDecoder::new(DecodeOptions {
             beam: 100.0,
             max_active: Some(1),
-            ..DecodeOptions::default()
         })
         .decode(&w, &scores);
         for f in &r.stats.frames {
@@ -1275,25 +1269,27 @@ mod tests {
     #[cfg_attr(miri, ignore = "a synthetic graph is too slow interpreted")]
     fn lattice_gc_shrinks_the_trace_without_changing_results() {
         use asr_wfst::synth::{SynthConfig, SynthWfst};
+        // Three compactions, at frames 31, 63 and 95.
         let w = SynthWfst::generate(&SynthConfig::with_states(3_000)).unwrap();
-        let scores = AcousticTable::random(60, w.num_phones() as usize, (0.5, 4.0), 21);
-        let decode = |interval| {
-            let opts = DecodeOptions {
-                lattice_gc_interval: interval,
-                ..DecodeOptions::with_beam(6.0)
-            };
-            decode_traced(&ViterbiDecoder::new(opts), &w, &scores)
-        };
-        let (keep_all, keep_all_trace) = decode(None);
-        let (gc, gc_trace) = decode(Some(8));
+        let scores = AcousticTable::random(100, w.num_phones() as usize, (0.5, 4.0), 21);
+        let opts = DecodeOptions::with_beam(6.0);
+        let (mut scratch, mut probe) = (
+            DecodeScratch::new(w.num_states()),
+            RecordingProbe::default(),
+        );
+        let gc =
+            ViterbiDecoder::new(opts.clone()).decode_probed(&mut scratch, &w, &scores, &mut probe);
+        // The reference keeps its full trace.
+        let keep_all = ReferenceDecoder::new(opts).decode(&w, &scores);
         assert_eq!(gc.cost, keep_all.cost);
         assert_eq!(gc.words, keep_all.words);
         assert_eq!(gc.best_state, keep_all.best_state);
+        // Every entry pushed is the trace a decode that never compacts keeps.
+        let pushed = probe.start.entries + probe.frames.iter().map(|w| w.entries).sum::<usize>();
         assert!(
-            gc_trace.len() < keep_all_trace.len(),
-            "GC {} vs full {}",
-            gc_trace.len(),
-            keep_all_trace.len()
+            scratch.trace_len() < pushed,
+            "GC {} vs full {pushed}",
+            scratch.trace_len()
         );
     }
 
@@ -1455,7 +1451,6 @@ mod tests {
         let opts = DecodeOptions {
             beam: 100.0,
             max_active: Some(2),
-            ..DecodeOptions::default()
         };
         let fast = ViterbiDecoder::new(opts.clone()).decode(&w, &scores);
         let reference = ReferenceDecoder::new(opts).decode(&w, &scores);
@@ -1657,9 +1652,8 @@ mod tests {
         let opts = DecodeOptions {
             beam: 100.0,
             max_active: Some(2),
-            ..DecodeOptions::default()
         };
-        let checked = assert_closure_matches_oracle(&w, &scores, &opts);
+        let checked = assert_closure_matches_oracle(&w, &scores, None, &opts);
         let fast = &checked.fast;
         assert_eq!(
             fast.stats.frames[1].active_tokens, 6,
@@ -1689,10 +1683,9 @@ mod tests {
         let opts = DecodeOptions {
             beam: 100.0,
             max_active: Some(1),
-            ..DecodeOptions::default()
         };
         let one = AcousticTable::from_fn(1, 2, |_, _| 0.5);
-        let checked = assert_closure_matches_oracle(&w, &one, &opts);
+        let checked = assert_closure_matches_oracle(&w, &one, None, &opts);
         assert!(checked.fast.reached_final);
         assert_eq!(checked.fast.words, vec![WordId(2), WordId(3)]);
         assert_eq!(checked.fast.words, checked.reference.words);
@@ -1711,7 +1704,7 @@ mod tests {
         // Two frames: the skipped closure changes the live count of
         // frame 1 and nothing the reference can see.
         let two = AcousticTable::from_fn(2, 2, |_, _| 0.5);
-        let checked = assert_closure_matches_oracle(&w, &two, &opts);
+        let checked = assert_closure_matches_oracle(&w, &two, None, &opts);
         assert_eq!(checked.fast.stats.frames[1].active_tokens, 2);
         assert_eq!(checked.reference.stats.frames[1].active_tokens, 3);
         assert_eq!(checked.fast.words, checked.reference.words);
@@ -1758,9 +1751,9 @@ mod tests {
                         };
                         let what = format!("{bad} every {every}, {epsilon_fraction} eps, {cap:?}");
                         if bad.is_nan() && epsilon_fraction > 0.0 {
-                            lock_step(&w, &scores, |_| opts.clone());
+                            lock_step(&w, &scores, None, |_| opts.clone());
                         } else {
-                            let checked = assert_closure_matches_oracle(&w, &scores, &opts);
+                            let checked = assert_closure_matches_oracle(&w, &scores, None, &opts);
                             assert_eq!(checked.fast.words, checked.reference.words, "{what}");
                         }
                     }
@@ -1790,10 +1783,9 @@ mod tests {
         let caps = [Some(300), Some(40), Some(1000), None, Some(40), Some(60)];
         let opts_at = |frame: usize| DecodeOptions {
             max_active: caps[frame / 3 % caps.len()],
-            lattice_gc_interval: Some(5),
             ..DecodeOptions::with_beam(if frame % 7 < 4 { 14.0 } else { 9.0 })
         };
-        let (fast, _) = lock_step(&w, &scores, opts_at);
+        let (fast, _) = lock_step(&w, &scores, Some(5), opts_at);
         let expanded: Vec<usize> = fast.probe.frames.iter().map(|f| f.expanded).collect();
         // The trace did what it says: the narrow caps bind on every
         // frame they govern, and the frame after a raise (40 to 1000 at
@@ -1807,7 +1799,7 @@ mod tests {
         }
         assert_eq!(expanded.len(), FRAMES);
 
-        let (again, _) = lock_step(&w, &scores, opts_at);
+        let (again, _) = lock_step(&w, &scores, Some(5), opts_at);
         assert_eq!(again.probe.frames, fast.probe.frames);
         assert_eq!(again.tokens(), fast.tokens());
         assert_eq!(entries(&again.scratch.trace), entries(&fast.scratch.trace));
@@ -1940,6 +1932,16 @@ mod tests {
             search_frame(wfst, opts, &mut self.scratch, &mut self.probe, row, last)
         }
 
+        /// [`maybe_gc`] every `every` frames after stepping `frame`,
+        /// beside the search's own every [`LATTICE_GC_INTERVAL`]: what a
+        /// shorter interval would have run there.
+        fn compact(&mut self, every: usize, frame: usize) {
+            let DecodeScratch { cur, trace, .. } = &mut self.scratch;
+            FRAME.with_borrow_mut(|f| {
+                maybe_gc(every, frame, cur, trace, &mut f.gc_roots, &mut f.gc)
+            });
+        }
+
         /// [`seed_start`] with the oracle closure and an eager start entry.
         fn oracle_seed_start(&mut self, wfst: &Wfst) {
             let DecodeScratch {
@@ -2043,7 +2045,7 @@ mod tests {
                 *frames += 1;
                 let alive = !cur.is_empty();
                 if alive && !last_frame {
-                    maybe_gc(opts.lattice_gc_interval, frame, cur, trace, gc_roots, gc);
+                    maybe_gc(LATTICE_GC_INTERVAL, frame, cur, trace, gc_roots, gc);
                 }
                 self.probe.frame(&work);
                 alive
@@ -2076,14 +2078,16 @@ mod tests {
     }
 
     /// Decodes `scores` twice in lock step — [`search_frame`] and the
-    /// oracle frame, frame `t` under `opts_at(t)` — asserting identical
-    /// stats, live states and costs, and best hypotheses (words, cost and
-    /// state) after the start closure and after every frame, and a trace
-    /// no longer than the oracle's, which pushes an entry for every
-    /// stored token. Returns the two runs.
+    /// oracle frame, frame `t` under `opts_at(t)`, both compacting their
+    /// traces also every `gc_every` frames ([`Run::compact`]) — asserting
+    /// identical stats, live states and costs, and best hypotheses
+    /// (words, cost and state) after the start closure and after every
+    /// frame, and a trace no longer than the oracle's, which pushes an
+    /// entry for every stored token. Returns the two runs.
     fn lock_step(
         wfst: &Wfst,
         scores: &AcousticTable,
+        gc_every: Option<usize>,
         opts_at: impl Fn(usize) -> DecodeOptions,
     ) -> (Run, Run) {
         let (mut fast, mut oracle) = (Run::new(wfst), Run::new(wfst));
@@ -2114,7 +2118,15 @@ mod tests {
             let opts = opts_at(frame);
             let alive = fast.step(wfst, &opts, row, last);
             assert_eq!(alive, oracle.frame(wfst, &opts, row, last));
-            same(&fast, &oracle, &format!("frame {frame}, {opts:?}"));
+            if let Some(every) = gc_every.filter(|_| alive && !last) {
+                fast.compact(every, frame);
+                oracle.compact(every, frame);
+            }
+            same(
+                &fast,
+                &oracle,
+                &format!("frame {frame}, {opts:?}, GC every {gc_every:?}"),
+            );
             if !alive {
                 break;
             }
@@ -2155,15 +2167,16 @@ mod tests {
     fn assert_closure_matches_oracle(
         wfst: &Wfst,
         scores: &AcousticTable,
+        gc_every: Option<usize>,
         opts: &DecodeOptions,
     ) -> Checked {
-        let (fast, oracle) = lock_step(wfst, scores, |_| opts.clone());
+        let (fast, oracle) = lock_step(wfst, scores, gc_every, |_| opts.clone());
         let frames = oracle.probe.frames.iter();
         let closure_tokens = oracle.probe.start.closure_stored
             + frames.map(|work| work.closure_stored).sum::<usize>();
         let fast = fast.finish(wfst);
         let oracle = oracle.finish(wfst);
-        let what = format!("{opts:?}");
+        let what = format!("{opts:?}, GC every {gc_every:?}");
         assert_eq!(fast.words, oracle.words, "{what}: words");
         assert_same_search(&fast, &oracle, &what);
         let reference = ReferenceDecoder::new(opts.clone()).decode(wfst, scores);
@@ -2175,21 +2188,19 @@ mod tests {
         }
     }
 
-    /// The option sets every differential graph is decoded under: wide
-    /// and tight beams, GC every 1, 2, 3, 4 and 32 frames and never, and
-    /// caps from "expand nothing" through binding ones to one no graph
-    /// here can reach.
-    fn differential_options() -> Vec<DecodeOptions> {
-        let gc = |interval| DecodeOptions {
-            lattice_gc_interval: interval,
-            ..DecodeOptions::with_beam(6.0)
-        };
+    /// The option sets every differential graph is decoded under, each
+    /// with the extra GC interval [`lock_step`] runs it at: wide and
+    /// tight beams, GC every 1, 2, 3, 4 frames and only the search's own,
+    /// and caps from "expand nothing" through binding ones to one no
+    /// graph here can reach.
+    fn differential_options() -> Vec<(Option<usize>, DecodeOptions)> {
+        let tight = DecodeOptions::with_beam(6.0);
         let mut sets = vec![
-            DecodeOptions::with_beam(1e9),
-            gc(Some(1)),
-            gc(Some(2)),
-            gc(Some(4)),
-            gc(None),
+            (None, DecodeOptions::with_beam(1e9)),
+            (Some(1), tight.clone()),
+            (Some(2), tight.clone()),
+            (Some(4), tight.clone()),
+            (None, tight.clone()),
         ];
         // Interpreted, the sets multiply a slow decode: keep two that bind.
         let caps: &[usize] = if cfg!(miri) {
@@ -2198,15 +2209,17 @@ mod tests {
             &[0, 1, 5, 12, 40, 1 << 20]
         };
         for &cap in caps {
-            sets.push(DecodeOptions {
+            let capped = DecodeOptions {
                 max_active: Some(cap),
-                ..gc(Some(3))
-            });
+                ..tight.clone()
+            };
+            sets.push((Some(3), capped));
         }
-        sets.push(DecodeOptions {
+        let capped = DecodeOptions {
             max_active: Some(12),
             ..DecodeOptions::with_beam(1e9)
-        });
+        };
+        sets.push((None, capped));
         sets
     }
 
@@ -2282,8 +2295,8 @@ mod tests {
             let scores = AcousticTable::from_fn(frames, 4, |f, p| 0.5 + 0.5 * ((f + p) % 2) as f32);
             let mut closure_tokens = 0;
             let mut most_live = 0;
-            for opts in differential_options() {
-                let checked = assert_closure_matches_oracle(&w, &scores, &opts);
+            for (gc, opts) in differential_options() {
+                let checked = assert_closure_matches_oracle(&w, &scores, gc, &opts);
                 closure_tokens += checked.closure_tokens;
                 let live = checked.fast.stats.frames.iter().map(|f| f.active_tokens);
                 most_live = most_live.max(live.max().unwrap());
@@ -2295,7 +2308,7 @@ mod tests {
                     max_active: Some(cap),
                     ..DecodeOptions::with_beam(1e9)
                 };
-                assert_closure_matches_oracle(&w, &scores, &opts);
+                assert_closure_matches_oracle(&w, &scores, None, &opts);
             }
         }
     }
@@ -2319,8 +2332,8 @@ mod tests {
                 (raw.frame_row(f)[p] * 2.0).round() / 2.0
             });
             for scores in [&raw, &grid] {
-                for opts in differential_options() {
-                    let checked = assert_closure_matches_oracle(&w, scores, &opts);
+                for (gc, opts) in differential_options() {
+                    let checked = assert_closure_matches_oracle(&w, scores, gc, &opts);
                     assert_eq!(checked.fast.words, checked.reference.words, "{opts:?}");
                     if opts.max_active.is_none_or(|cap| cap >= 12) {
                         let made = checked.closure_tokens;
@@ -2347,13 +2360,15 @@ mod tests {
     #[test]
     fn pending_backpointers_match_the_every_token_trace_under_every_gc_interval() {
         use asr_wfst::synth::{SynthConfig, SynthWfst};
-        let intervals = [Some(1), Some(2), Some(3), Some(32), None];
+        let intervals = [Some(1), Some(2), Some(3), None];
         let options = |beam: f32| {
             intervals.into_iter().flat_map(move |interval| {
-                [None, Some(12)].map(|max_active| DecodeOptions {
-                    max_active,
-                    lattice_gc_interval: interval,
-                    ..DecodeOptions::with_beam(beam)
+                [None, Some(12)].map(|max_active| {
+                    let opts = DecodeOptions {
+                        max_active,
+                        ..DecodeOptions::with_beam(beam)
+                    };
+                    (interval, opts)
                 })
             })
         };
@@ -2364,16 +2379,16 @@ mod tests {
         })
         .unwrap();
         let scores = AcousticTable::random(frames, w.num_phones() as usize, (0.5, 4.0), 17);
-        for opts in options(6.0) {
-            let checked = assert_closure_matches_oracle(&w, &scores, &opts);
+        for (gc, opts) in options(6.0) {
+            let checked = assert_closure_matches_oracle(&w, &scores, gc, &opts);
             assert_eq!(checked.fast.words, checked.reference.words, "{opts:?}");
         }
         let maze_frames = if cfg!(miri) { 6 } else { 24 };
         let grid = AcousticTable::from_fn(maze_frames, 4, |f, p| 0.5 + 0.5 * ((f + p) % 2) as f32);
         for seed in 0..if cfg!(miri) { 1 } else { 4 } {
             let w = epsilon_maze(seed);
-            for opts in options(1e9) {
-                assert_closure_matches_oracle(&w, &grid, &opts);
+            for (gc, opts) in options(1e9) {
+                assert_closure_matches_oracle(&w, &grid, gc, &opts);
             }
         }
     }
@@ -2654,13 +2669,11 @@ mod tests {
         use asr_wfst::synth::{SynthConfig, SynthWfst};
         let states = if cfg!(miri) { 150 } else { 2_000 };
         let w = SynthWfst::generate(&SynthConfig::with_states(states)).unwrap();
+        // One lattice GC per decode, at frame 31: after the wrap below.
         let tables: Vec<AcousticTable> = (5..7)
             .map(|seed| AcousticTable::random(60, w.num_phones() as usize, (0.5, 4.0), seed))
             .collect();
-        let opts = DecodeOptions {
-            lattice_gc_interval: Some(8),
-            ..DecodeOptions::with_beam(6.0)
-        };
+        let opts = DecodeOptions::with_beam(6.0);
         // A scratch held throughout keeps this thread's index alive.
         let _held = DecodeScratch::new(w.num_states());
         let d = ViterbiDecoder::new(opts.clone());

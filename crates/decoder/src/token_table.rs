@@ -64,13 +64,6 @@ pub enum RelaxOutcome {
 }
 
 impl RelaxOutcome {
-    /// `true` when the relax stored cost + payload (insert or improve) —
-    /// the boolean [`TokenTable::relax`] returns.
-    #[inline]
-    pub fn stored(self) -> bool {
-        !matches!(self, RelaxOutcome::Rejected)
-    }
-
     /// `true` when the state was already live before the relax (the hash
     /// probe found an existing entry rather than allocating one).
     #[inline]
@@ -605,9 +598,6 @@ mod tests {
 
     #[test]
     fn relax_outcome_predicates() {
-        assert!(RelaxOutcome::Appended.stored());
-        assert!(RelaxOutcome::Improved.stored());
-        assert!(!RelaxOutcome::Rejected.stored());
         assert!(!RelaxOutcome::Appended.existing());
         assert!(RelaxOutcome::Improved.existing());
         assert!(RelaxOutcome::Rejected.existing());

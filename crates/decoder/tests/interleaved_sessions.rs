@@ -20,7 +20,7 @@ use asr_wfst::Wfst;
 
 /// Decodes per thread; the first half on the small graph.
 const DECODES: usize = 16;
-/// Round at which the large graph's decodes join.
+/// Rounds the large graph's decodes start after the small graph's.
 const LATE_START: usize = 6;
 
 /// One utterance: its graph, rows, options, and whether it is retuned.
@@ -71,7 +71,9 @@ fn jobs<'g>(small: &'g Wfst, large: &'g Wfst, seed: u64) -> Vec<Job<'g>> {
         .map(|i| {
             let late = i >= DECODES / 2;
             let wfst = if late { large } else { small };
-            let frames = 16 + (i * 7) % 11;
+            // At least 100 frames: three lattice GCs per decode, each in
+            // a round of its own, since no two decodes start together.
+            let frames = 100 + (i * 7) % 11;
             let scores = AcousticTable::random(
                 frames,
                 wfst.num_phones() as usize,
@@ -80,7 +82,6 @@ fn jobs<'g>(small: &'g Wfst, large: &'g Wfst, seed: u64) -> Vec<Job<'g>> {
             );
             let opts = DecodeOptions {
                 max_active: [None, Some(64), Some(300)][i % 3],
-                lattice_gc_interval: Some(4 + (i % 4) as u32),
                 ..DecodeOptions::with_beam(if i % 4 < 2 { 6.0 } else { 7.5 })
             };
             Job {
@@ -88,7 +89,7 @@ fn jobs<'g>(small: &'g Wfst, large: &'g Wfst, seed: u64) -> Vec<Job<'g>> {
                 scores,
                 opts,
                 retuned: i % 2 == 1,
-                start: if late { LATE_START } else { i % 3 },
+                start: i + if late { LATE_START } else { 0 },
             }
         })
         .collect()

@@ -85,7 +85,6 @@ fn equivalent_under_histogram_pruning() {
         let opts = DecodeOptions {
             beam: 12.0,
             max_active: Some(cap),
-            ..DecodeOptions::default()
         };
         assert_equivalent(&opts, &wfst, &scores, &format!("max_active {cap}"));
     }
@@ -93,14 +92,12 @@ fn equivalent_under_histogram_pruning() {
 
 #[test]
 fn equivalent_with_and_without_lattice_gc() {
-    let (wfst, scores) = workload(5_000, 50, 31);
-    for interval in [None, Some(1u32), Some(4), Some(16)] {
-        let opts = DecodeOptions {
-            beam: 6.0,
-            lattice_gc_interval: interval,
-            ..DecodeOptions::default()
-        };
-        assert_equivalent(&opts, &wfst, &scores, &format!("gc {interval:?}"));
+    // The search compacts its trace every 32 frames: 20 frames never
+    // reach a GC, 100 run three.
+    for frames in [20, 100] {
+        let (wfst, scores) = workload(5_000, frames, 31);
+        let opts = DecodeOptions::with_beam(6.0);
+        assert_equivalent(&opts, &wfst, &scores, &format!("{frames} frames"));
     }
 }
 

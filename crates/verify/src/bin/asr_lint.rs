@@ -6,9 +6,10 @@
 //! tests, benches and examples exempt) and enforces the invariants in
 //! [`asr_verify::lint`]: SAFETY comments on `unsafe`, `Ordering::` and
 //! raw-pointer types confined to allowlisted modules, no panicking
-//! calls in hot-path modules, and size/align asserts on every
-//! `#[repr(C)]` store record, and no allowlist entry for a file that is
-//! gone. Exits non-zero on any finding.
+//! calls in hot-path modules, size/align asserts on every `#[repr(C)]`
+//! store record, every public serving option named in ARCHITECTURE.md's
+//! "Knob census", and no allowlist entry for a file that is gone. Exits
+//! non-zero on any finding.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

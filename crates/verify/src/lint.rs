@@ -1,4 +1,4 @@
-//! The engine behind `asr-lint`: a hand-rolled Rust lexer plus six
+//! The engine behind `asr-lint`: a hand-rolled Rust lexer plus seven
 //! repo-invariant rules that clippy cannot express.
 //!
 //! | rule | invariant |
@@ -8,6 +8,7 @@
 //! | `raw-ptr-allowlist` | raw-pointer types (`*const T` / `*mut T`) appear only in the allowlisted unsafe-audited modules |
 //! | `no-panic-hot-path` | no `panic!` / `unwrap()` / `expect()` / `unreachable!` / `todo!` / `unimplemented!` in the hot-path modules (executor, session frame loop, search frame and token store, store load/validate) |
 //! | `repr-c-assert` | every `#[repr(C)]` record in the graph store keeps its compile-time `size_of` / `align_of` asserts |
+//! | `knob-census` | every public serving option — a by-value `pub fn` of an inherent `impl`, or a `pub` field, of `RuntimeConfig`, `SessionOptions`, `BatchScoringConfig`, `QosPolicy` or `DecodeOptions` — is named as `` `Type::name` `` in ARCHITECTURE.md's "Knob census" section (its table), so no option lands without the workload that needs it |
 //! | `stale-allowlist` | every path the rules above allowlist or target exists under the linted root, so a deleted module cannot leave its exemption behind |
 //!
 //! `#[cfg(test)] mod` bodies are excluded (tests may panic freely), and
@@ -84,6 +85,19 @@ const NO_PANIC: &[&str] = &[
 /// Files whose `#[repr(C)]` records must carry size/align asserts (the
 /// byte-stable store image format).
 const REPR_C_ASSERT: &[&str] = &["crates/wfst/src/store.rs"];
+
+/// The serving option types: each by-value `pub fn` of an inherent
+/// `impl` and each `pub` field of one is an option.
+const KNOBS: &[&str] = &[
+    "RuntimeConfig",
+    "SessionOptions",
+    "BatchScoringConfig",
+    "QosPolicy",
+    "DecodeOptions",
+];
+
+/// The document whose "Knob census" section names every option.
+const KNOB_CENSUS: &str = "ARCHITECTURE.md";
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Tok {
@@ -573,6 +587,61 @@ fn check_repr_c(file: &str, lexed: &Lexed, mask: &[bool]) -> Vec<Finding> {
     findings
 }
 
+/// Lints one file's public options against `census`, the text of the
+/// census section: each by-value `pub fn` of an inherent `impl`, and each
+/// `pub` field, of an option type (`RuntimeConfig`, `SessionOptions`,
+/// `BatchScoringConfig`, `QosPolicy`, `DecodeOptions`) must be named there
+/// as `` `Type::name` ``.
+pub fn knob_census(file: &str, source: &str, census: &str) -> Vec<Finding> {
+    let lexed = lex(source);
+    let mask = test_mod_mask(&lexed);
+    let toks = &lexed.tokens;
+    let ident = |i: usize| match toks.get(i).map(|t| &t.tok) {
+        Some(Tok::Ident(s)) => s.as_str(),
+        _ => "",
+    };
+    let punct = |i: usize, c: char| toks.get(i).is_some_and(|t| t.tok == Tok::Punct(c));
+    let mut findings = Vec::new();
+    // The option type whose body the scan is in (`impl` or `struct`),
+    // and the brace depth of its members.
+    let (mut owner, mut kind, mut body, mut depth) = ("", "", 0, 0);
+    for i in (0..toks.len()).filter(|&i| !mask[i]) {
+        depth += usize::from(punct(i, '{'));
+        if punct(i, '}') {
+            depth = depth.saturating_sub(1);
+            if depth < body {
+                owner = "";
+            }
+        }
+        // `impl Default for RuntimeConfig` declares no option.
+        if matches!(ident(i), "impl" | "struct")
+            && KNOBS.contains(&ident(i + 1))
+            && punct(i + 2, '{')
+        {
+            (owner, kind, body) = (ident(i + 1), ident(i), depth + 1);
+        }
+        if owner.is_empty() || depth != body || ident(i) != "pub" {
+            continue;
+        }
+        // A field, or a method whose first parameter is `self` or `mut self`.
+        let open = (i + 3..toks.len()).find(|&k| punct(k, '(')).unwrap_or(i);
+        let name = match (kind, ident(i + 1), (ident(open + 1), ident(open + 2))) {
+            ("struct", field, _) if punct(i + 2, ':') => field,
+            ("impl", "fn", ("self", _) | ("mut", "self")) => ident(i + 2),
+            _ => continue,
+        };
+        if !census.contains(&format!("`{owner}::{name}`")) {
+            findings.push(Finding {
+                file: file.to_string(),
+                line: toks[i].line,
+                rule: "knob-census",
+                message: format!("public option `{owner}::{name}` is not in the knob census"),
+            });
+        }
+    }
+    findings
+}
+
 /// Source directories scanned relative to the repo root; vendored
 /// shims, integration tests, benches and examples are exempt.
 fn collect_files(root: &Path) -> Vec<PathBuf> {
@@ -611,6 +680,7 @@ fn stale_allowlist(root: &Path) -> Vec<Finding> {
         ("RAW_PTR_ALLOW", RAW_PTR_ALLOW),
         ("NO_PANIC", NO_PANIC),
         ("REPR_C_ASSERT", REPR_C_ASSERT),
+        ("KNOB_CENSUS", &[KNOB_CENSUS]),
     ];
     let mut findings = Vec::new();
     for (list, paths) in lists {
@@ -629,6 +699,10 @@ fn stale_allowlist(root: &Path) -> Vec<Finding> {
 /// Lints the whole repo rooted at `root`; returns every finding.
 pub fn lint_repo(root: &Path) -> Vec<Finding> {
     let mut findings = stale_allowlist(root);
+    let doc = std::fs::read_to_string(root.join(KNOB_CENSUS)).unwrap_or_default();
+    let mut sections = doc.split("\n#");
+    let census = sections.find(|s| s.lines().next().is_some_and(|h| h.contains("Knob census")));
+    let census = census.unwrap_or_default();
     for path in collect_files(root) {
         let rel = path
             .strip_prefix(root)
@@ -639,6 +713,7 @@ pub fn lint_repo(root: &Path) -> Vec<Finding> {
             continue;
         };
         findings.extend(lint_source(&rel, &source));
+        findings.extend(knob_census(&rel, &source, census));
     }
     findings
 }
@@ -746,7 +821,7 @@ mod tests {
         let stale = lint_repo(&root);
         std::fs::remove_dir_all(&root).unwrap();
         let listed =
-            ORDERING_ALLOW.len() + RAW_PTR_ALLOW.len() + NO_PANIC.len() + REPR_C_ASSERT.len();
+            ORDERING_ALLOW.len() + RAW_PTR_ALLOW.len() + NO_PANIC.len() + REPR_C_ASSERT.len() + 1;
         assert_eq!(stale.len(), listed - 1, "every entry but the one present");
         assert!(stale
             .iter()
@@ -754,6 +829,31 @@ mod tests {
         // The repo's own lists name only files that exist.
         let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         assert_eq!(stale_allowlist(&repo), Vec::new());
+    }
+
+    #[test]
+    fn knob_census_flags_an_option_missing_from_the_table() {
+        let src = "pub struct DecodeOptions {\n    pub beam: f32,\n    frames: usize,\n}\n\
+                   impl SessionOptions {\n    pub fn new() -> Self { Self }\n    \
+                   pub fn model(mut self, name: String) -> Self { self }\n    \
+                   pub fn depth(&self) -> usize { 1 }\n    \
+                   pub(crate) fn inner(self) -> Self { self }\n    \
+                   pub fn unlisted(self) -> Self { self }\n}\n\
+                   impl Default for QosPolicy {\n    fn default() -> Self { Self }\n}";
+        let census = "| `DecodeOptions::beam` | 8 |\n| `SessionOptions::model` | default graph |";
+        let got = knob_census("src/runtime/session.rs", src, census);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!((got[0].rule, got[0].line), ("knob-census", 10));
+        assert!(got[0].message.contains("`SessionOptions::unlisted`"));
+        // Once the census names it, the fixture is clean.
+        let listed = format!("{census}\n| `SessionOptions::unlisted` | off |");
+        assert!(knob_census("src/runtime/session.rs", src, &listed).is_empty());
+        // The repo's own census names every option it declares.
+        let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let unlisted = lint_repo(&repo)
+            .into_iter()
+            .filter(|f| f.rule == "knob-census");
+        assert_eq!(unlisted.collect::<Vec<_>>(), Vec::new());
     }
 
     #[test]

@@ -6,9 +6,10 @@
 build:
     cargo build --release
 
-# Run the full workspace test suite (tier-1 verify).
+# Run the full workspace test suite (tier-1 verify). Every crate's
+# suite runs even after one fails; any failure still fails the recipe.
 test:
-    cargo build --release && cargo test -q
+    cargo build --release && cargo test -q --no-fail-fast
 
 # Formatting and lints, as CI runs them.
 check:

@@ -12,10 +12,10 @@
 //! slot, from where the session hands them to its own ALB — the
 //! CPU-lane image of the paper's Acoustic Likelihood Buffer decoupling
 //! scoring throughput from search. The window is bounded by a
-//! configurable row cap and per-session wait budget, its flush target
-//! is the number of live sessions, and a lone session falls back to
-//! scoring its own one-row block synchronously (it never stalls on a
-//! batch that will not fill).
+//! configurable row cap and a fixed per-session wait budget
+//! (`MAX_WAIT_FRAMES`), its flush target is the number of live
+//! sessions, and a lone session falls back to scoring its own one-row
+//! block synchronously (it never stalls on a batch that will not fill).
 //! Transcripts are **byte-identical** per session regardless of batch
 //! composition: every row of a block is a function of that row alone
 //! (the dense kernel's contract), and each session's search still
@@ -60,66 +60,42 @@ pub struct BatchScoringStats {
     pub pending_rows: usize,
 }
 
-/// Configuration of the cross-session batched scoring service, as a
-/// builder for [`RuntimeConfig::batch_scoring`].
+/// The per-session wait budget, in frames (see [`BatchScoringConfig`]).
+const MAX_WAIT_FRAMES: usize = 2;
+
+/// Configuration of the cross-session batched scoring service, for
+/// [`RuntimeConfig::batch_scoring`].
 ///
 /// The gather window is bounded two ways: `max_rows` caps how many
-/// frames one block forward pass may score, and `max_wait_frames` caps
-/// how many of its *own* frames any session lets ride unscored before
-/// it forces a flush — so a session's search never lags its audio by
-/// more than the wait budget, however idle its batch mates are. The
-/// flush target between those bounds is the number of live sessions
+/// frames one block forward pass may score, and a fixed wait budget of
+/// two frames caps how many of its *own* frames any session lets ride
+/// unscored before it forces a flush — so a session's search never lags
+/// its audio by more than the budget, however idle its batch mates are.
+/// The flush target between those bounds is the number of live sessions
 /// (one row each per round-robin cycle).
 ///
 /// ```
-/// use asr_repro::runtime::BatchScoringConfig;
+/// use asr_repro::runtime::{AsrRuntime, BatchScoringConfig, RuntimeConfig};
 ///
-/// let cfg = BatchScoringConfig::new(32).max_wait_frames(3);
-/// assert_eq!(cfg.max_rows(), 32);
-/// assert_eq!(cfg.max_wait_frames_limit(), 3);
+/// let config = RuntimeConfig::new().batch_scoring(BatchScoringConfig::new(32));
+/// let runtime = AsrRuntime::demo_with(config)?;
+/// assert_eq!(runtime.stats().batch.map(|b| b.pending_rows), Some(0));
+/// # Ok::<(), asr_repro::PipelineError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchScoringConfig {
     max_rows: usize,
-    max_wait_frames: usize,
 }
 
 impl BatchScoringConfig {
-    /// A service whose gather window holds at most `max_rows` frames,
-    /// with the default wait budget of two frames per session.
+    /// A service whose gather window holds at most `max_rows` frames.
     ///
     /// # Panics
     ///
     /// Panics if `max_rows == 0`.
     pub fn new(max_rows: usize) -> Self {
         assert!(max_rows > 0, "the gather window needs at least one row");
-        Self {
-            max_rows,
-            max_wait_frames: 2,
-        }
-    }
-
-    /// Sets the per-session wait budget: once a session has more than
-    /// `frames` of its own rows in the gather window, its next submit
-    /// flushes the window regardless of the gather target.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frames == 0`.
-    pub fn max_wait_frames(mut self, frames: usize) -> Self {
-        assert!(frames > 0, "sessions must be allowed one in-flight row");
-        self.max_wait_frames = frames;
-        self
-    }
-
-    /// The gather window's row cap.
-    pub fn max_rows(&self) -> usize {
-        self.max_rows
-    }
-
-    /// The per-session wait budget, in frames.
-    pub fn max_wait_frames_limit(&self) -> usize {
-        self.max_wait_frames
+        Self { max_rows }
     }
 }
 
@@ -343,8 +319,7 @@ impl BatchService {
         // One row per live session per round-robin cycle fills the
         // window; a session past its own wait budget flushes early.
         let target = state.live.clamp(1, self.cfg.max_rows);
-        if state.pending >= target || state.slots[handle.index].in_flight > self.cfg.max_wait_frames
-        {
+        if state.pending >= target || state.slots[handle.index].in_flight > MAX_WAIT_FRAMES {
             self.flush_locked(state, model);
         }
         SubmitOutcome::Queued

@@ -452,6 +452,12 @@ struct RuntimeInner {
 }
 
 impl RuntimeInner {
+    /// See [`AsrRuntime::executor`].
+    fn executor(&self) -> Option<&Arc<WorkerPool>> {
+        let spawn = || Arc::new(WorkerPool::new(self.lanes));
+        (self.lanes > 1).then(|| self.executor.get_or_init(spawn))
+    }
+
     /// Pops a warmed streaming front-end, or builds the first one.
     fn checkout_frontend(&self) -> SessionFrontend {
         let pooled = self
@@ -648,14 +654,7 @@ impl AsrRuntime {
     /// runtime (which never spawns worker threads). Spun up lazily on
     /// first call; every overlapping session shares it.
     pub fn executor(&self) -> Option<&Arc<WorkerPool>> {
-        if self.inner.lanes <= 1 {
-            return None;
-        }
-        Some(
-            self.inner
-                .executor
-                .get_or_init(|| Arc::new(WorkerPool::new(self.inner.lanes))),
-        )
+        self.inner.executor()
     }
 
     /// Renders a synthetic utterance speaking `words`, six frames
@@ -712,16 +711,16 @@ impl AsrRuntime {
     /// [`Session`] fed the score rows, riding a warmed scratch from the
     /// shared pool — the same admission accounting, QoS tiers and search
     /// as any other session, for every graph size and executor width.
-    /// Pre-scored rows leave nothing to overlap with the search, so the
-    /// session takes no executor handle: a multi-lane runtime that only
-    /// ever decodes tables never spawns its worker threads.
+    /// Pre-scored rows leave nothing to overlap, so, like every row-fed
+    /// session, it takes no executor handle: a multi-lane runtime that
+    /// only ever decodes tables never spawns its worker threads.
     ///
     /// # Panics
     ///
     /// Panics like [`Session::push_row`] if the table has fewer columns
     /// than the graph's phone-label range.
     pub fn recognize_scores(&self, scores: &AcousticTable) -> Transcript {
-        let mut session = self.open_session_with(SessionOptions::new().overlap_scoring(false));
+        let mut session = self.open_session();
         session.push_frames(scores);
         session.finalize()
     }

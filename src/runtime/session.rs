@@ -31,9 +31,11 @@
 //! halves touch disjoint state (the search never reads the block being
 //! scored, the scorer never reads the search) and the rows enter the
 //! search in the same order; determinism is structural, not lucky.
-//! When the runtime has a single lane (or overlap is disabled through
-//! [`SessionOptions`]), the session simply scores inline — same bytes,
-//! no synchronization.
+//! A session takes its executor handle with its first audio push, and
+//! only on a multi-lane runtime without the batched scoring service.
+//! Otherwise it takes none: on a single lane it simply scores inline —
+//! same bytes, no synchronization — a batched session's rows come back
+//! from the gather window, and a row-fed session has nothing to score.
 
 use super::batch::{BatchSlot, SubmitOutcome};
 use super::registry::ModelCounters;
@@ -62,9 +64,6 @@ pub struct Hypothesis {
 /// builder.
 #[derive(Debug, Clone, Default)]
 pub struct SessionOptions {
-    /// `None` = automatic: overlap scoring with the search whenever the
-    /// runtime's executor has more than one lane.
-    overlap: Option<bool>,
     /// `None` = depth 1: the classic single-row Section VI overlap.
     overlap_depth: Option<usize>,
     /// `None` = automatic: follow the runtime's [`super::QosPolicy`] tier
@@ -73,30 +72,16 @@ pub struct SessionOptions {
     /// Pin the session to one policy tier instead of following the
     /// pressure signal.
     pinned_tier: Option<usize>,
-    /// `None` = automatic: join the runtime's batched scoring service
-    /// whenever one is installed.
-    batched: Option<bool>,
     /// Decode over a registered model instead of the runtime's default
     /// graph.
     model: Option<String>,
 }
 
 impl SessionOptions {
-    /// The default options: overlap scoring and search automatically
-    /// when the executor has more than one lane.
+    /// The default options: the runtime's default graph, depth-1
+    /// overlap, and the runtime's QoS policy when one is installed.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Forces the Section VI scoring/search overlap on or off for this
-    /// session. Results are byte-identical either way; `false` removes
-    /// all executor traffic from the session's pushes, `true` requests
-    /// overlap even where it cannot win (it still degrades to inline
-    /// execution on a one-lane runtime). A session that joins the
-    /// batched scoring service never overlaps and takes no executor.
-    pub fn overlap_scoring(mut self, overlap: bool) -> Self {
-        self.overlap = Some(overlap);
-        self
     }
 
     /// Sets the block height of the overlapped scoring call: each push
@@ -113,8 +98,7 @@ impl SessionOptions {
     /// per-row arithmetic never change, only when rows are scored.
     /// [`Session::partial`] may lag the pushes by up to `depth` rows
     /// instead of one. Ignored when the session scores inline (a
-    /// one-lane runtime or [`SessionOptions::overlap_scoring`]`(false)`)
-    /// or joins the batched scoring service.
+    /// one-lane runtime) or joins the batched scoring service.
     ///
     /// # Panics
     ///
@@ -147,19 +131,6 @@ impl SessionOptions {
     /// is out of range, or the session also set `adaptive_qos(false)`.
     pub fn pin_tier(mut self, tier: usize) -> Self {
         self.pinned_tier = Some(tier);
-        self
-    }
-
-    /// Opts this raw-audio session out of (or explicitly into) the
-    /// runtime's batched scoring service. With `false` the session
-    /// scores every frame synchronously on its own — byte-identical to
-    /// the batched path (that is the service's core contract), which
-    /// makes `batched_scoring(false)` the differential baseline the
-    /// test layer diffs the service against. Ignored on runtimes
-    /// without [`super::RuntimeConfig::batch_scoring`] and for row-fed
-    /// sessions (pre-scored rows never re-score).
-    pub fn batched_scoring(mut self, batched: bool) -> Self {
-        self.batched = Some(batched);
         self
     }
 
@@ -365,14 +336,6 @@ impl AsrRuntime {
             counters.session_opened();
         }
         let scratch = self.inner.scratch_pool.checkout();
-        // A session on the batched service never overlaps (its rows come
-        // back from the gather window), so it takes no executor handle.
-        let batch_enabled = options.batched.unwrap_or(true) && self.inner.batch.is_some();
-        let executor = if options.overlap.unwrap_or(true) && !batch_enabled {
-            self.executor().cloned()
-        } else {
-            None
-        };
         let min_row_len = graph.num_phones() as usize;
         Session {
             runtime: Arc::clone(&self.inner),
@@ -382,7 +345,7 @@ impl AsrRuntime {
                 scratch,
             )),
             frontend: None,
-            executor,
+            executor: None,
             alb: AlbQueue::new(),
             overlap_depth: options.overlap_depth.unwrap_or(1),
             min_row_len,
@@ -390,7 +353,6 @@ impl AsrRuntime {
             frames_pushed: 0,
             qos_enabled,
             pinned_tier: options.pinned_tier,
-            batch_enabled,
             batch_slot: None,
             model_counters,
         }
@@ -421,7 +383,9 @@ pub struct Session {
     /// [`Session::push_samples`]. `None` for row-fed sessions.
     frontend: Option<SessionFrontend>,
     /// The shared executor, when this session overlaps scoring with the
-    /// search; `None` scores inline.
+    /// search (taken by the first [`Session::push_samples`] on a
+    /// multi-lane runtime without a batched scoring service); `None`
+    /// scores inline.
     executor: Option<Arc<WorkerPool>>,
     /// The score→search handoff: every row, whatever its source,
     /// enters the search through this queue, which holds the newest
@@ -442,9 +406,6 @@ pub struct Session {
     qos_enabled: bool,
     /// A fixed tier overriding the pressure signal, when pinned.
     pinned_tier: Option<usize>,
-    /// Whether this session joins the batched scoring service (always
-    /// `false` without one).
-    batch_enabled: bool,
     /// The session's registration with the service, made lazily by the
     /// first [`Session::push_samples`].
     batch_slot: Option<BatchSlot>,
@@ -463,7 +424,9 @@ impl Session {
     /// With a multi-lane runtime, each completed frame's scoring runs as
     /// a queued task on the shared executor *while* the search relaxes
     /// the previously staged row — the paper's Section VI overlap — with
-    /// byte-identical results to inline scoring.
+    /// byte-identical results to inline scoring; with a batched scoring
+    /// service, the frames join its gather window. The first push takes
+    /// the executor handle or the service slot.
     ///
     /// The Δ/ΔΔ recurrence looks two frames ahead, so the search lags
     /// the newest audio by up to three frames (two in the front-end, one
@@ -472,13 +435,16 @@ impl Session {
     /// rows: rows pushed while the front-end still holds lookahead
     /// frames would be searched ahead of them, reordering the utterance.
     pub fn push_samples(&mut self, samples: &[f32]) {
-        if self.batch_enabled && self.batch_slot.is_none() {
-            self.batch_slot = self.runtime.batch.as_ref().map(|svc| svc.register());
-        }
-        let mut frontend = self
-            .frontend
-            .take()
-            .unwrap_or_else(|| self.runtime.checkout_frontend());
+        let mut frontend = match self.frontend.take() {
+            Some(frontend) => frontend,
+            None => {
+                match &self.runtime.batch {
+                    Some(svc) => self.batch_slot = Some(svc.register()),
+                    None => self.executor = self.runtime.executor().cloned(),
+                }
+                self.runtime.checkout_frontend()
+            }
+        };
         frontend.mfcc.push_samples(samples);
         self.drain_frontend(&mut frontend);
         self.frontend = Some(frontend);
@@ -505,8 +471,7 @@ impl Session {
     fn drain_frontend(&mut self, frontend: &mut SessionFrontend) {
         let runtime = Arc::clone(&self.runtime);
         let model = &runtime.model;
-        let overlap = self.executor.is_some();
-        let depth = if overlap { self.overlap_depth } else { 1 };
+        let depth = self.executor.as_ref().map_or(1, |_| self.overlap_depth);
         let dim = frontend.mfcc.dim();
         loop {
             let rows = frontend.gather(depth);
@@ -522,7 +487,7 @@ impl Session {
             }
             let SessionFrontend { feats, scratch, .. } = &mut *frontend;
             scratch.resize(model.block_scratch_len(rows), 0.0);
-            self.advance(overlap, model.row_len(), rows, &mut |block| {
+            self.advance(model.row_len(), rows, &mut |block| {
                 model.score_block_into(&feats[..rows * dim], rows, block, scratch);
             });
         }
@@ -538,7 +503,7 @@ impl Session {
         };
         let mut row = std::mem::take(&mut self.scattered);
         while (self.runtime.batch.as_ref()).is_some_and(|svc| svc.pop_into(slot, &mut row)) {
-            self.advance(false, row.len(), 1, &mut |dst| dst.copy_from_slice(&row));
+            self.advance(row.len(), 1, &mut |dst| dst.copy_from_slice(&row));
         }
         self.scattered = row;
     }
@@ -562,25 +527,18 @@ impl Session {
     /// retunes the search to the current QoS tier, then lets the ALB
     /// step the search over every queued row while `fill` produces the
     /// block of `fresh` new ones (see [`AlbQueue::advance`]) — on the executor
-    /// when `overlap` is set and the session has one, otherwise on this
-    /// thread.
+    /// when the session has one, otherwise on this thread.
     ///
     /// Tier changes land here (and once more before the last frame, in
     /// [`Session::finalize`]), so they only ever apply at a frame
     /// boundary.
-    fn advance(
-        &mut self,
-        overlap: bool,
-        row_len: usize,
-        fresh: usize,
-        fill: &mut (dyn FnMut(&mut [f32]) + Send),
-    ) {
+    fn advance(&mut self, row_len: usize, fresh: usize, fill: &mut (dyn FnMut(&mut [f32]) + Send)) {
         self.apply_qos();
         let Some(decode) = self.decode.as_mut() else {
             return;
         };
-        let pool = self.executor.as_deref().filter(|_| overlap);
-        self.alb.advance(decode, pool, row_len, fresh, fill);
+        self.alb
+            .advance(decode, self.executor.as_deref(), row_len, fresh, fill);
         self.frames_pushed += fresh;
     }
 
@@ -614,7 +572,7 @@ impl Session {
             "push_row after push_samples: the online front-end still holds \
              lookahead frames, so this row would be searched out of order"
         );
-        self.advance(false, row.len(), 1, &mut |dst| dst.copy_from_slice(row));
+        self.advance(row.len(), 1, &mut |dst| dst.copy_from_slice(row));
     }
 
     /// Pushes every frame of a scored batch, in order — the per-batch

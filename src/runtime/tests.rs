@@ -150,6 +150,35 @@ fn recognize_scores_is_a_session_at_every_size_and_width() {
 }
 
 #[test]
+fn only_the_first_audio_push_spawns_the_executor() {
+    let runtime = demo_lanes(2);
+    let audio = runtime.render_words(&["lights", "on"]).unwrap();
+    let scores = runtime.score(&audio);
+    let mut rows = runtime.open_session();
+    for frame in 0..scores.num_frames() {
+        rows.push_row(scores.frame_row(frame));
+        assert!(runtime.stats().executor.is_none(), "frame {frame}");
+    }
+    assert_eq!(rows.finalize().words, vec!["lights", "on"]);
+    assert!(
+        runtime.stats().executor.is_none(),
+        "a row-fed session has nothing to fork"
+    );
+    let mut session = runtime.open_session();
+    assert!(
+        runtime.stats().executor.is_none(),
+        "opening takes no handle"
+    );
+    session.push_samples(&audio.samples[..160]);
+    assert!(
+        runtime.stats().executor.is_some(),
+        "the first audio push takes the handle"
+    );
+    session.push_samples(&audio.samples[160..]);
+    assert_eq!(session.finalize().words, vec!["lights", "on"]);
+}
+
+#[test]
 fn recognize_scores_panics_at_the_call_on_a_narrow_table_and_frees_its_slot() {
     let (runtime, scores) = synth_runtime(2_000, 5, 2);
     let narrow = AcousticTable::from_fn(5, scores.num_phones() - 1, |_, _| 1.0);
@@ -328,20 +357,25 @@ fn empty_session_finalizes_gracefully() {
     assert_eq!(t, batch);
 }
 
+/// The demo runtime at `lanes`: one lane scores inline, two overlap.
+fn demo_lanes(lanes: usize) -> AsrRuntime {
+    AsrRuntime::demo_with(RuntimeConfig::new().lanes(lanes)).unwrap()
+}
+
 #[test]
 fn overlapped_and_inline_scoring_are_byte_identical() {
-    let runtime = AsrRuntime::demo_with(RuntimeConfig::new().lanes(2)).unwrap();
+    let (runtime, one_lane) = (demo_lanes(2), demo_lanes(1));
     assert!(runtime.executor().is_some());
     let audio = runtime.render_words(&["lights", "on"]).unwrap();
-    let run = |overlap: bool| {
-        let mut session = runtime.open_session_with(SessionOptions::new().overlap_scoring(overlap));
+    let run = |runtime: &AsrRuntime| {
+        let mut session = runtime.open_session();
         for packet in audio.samples.chunks(160) {
             session.push_samples(packet);
         }
         session.finalize()
     };
-    let overlapped = run(true);
-    let inline = run(false);
+    let overlapped = run(&runtime);
+    let inline = run(&one_lane);
     assert_eq!(overlapped.words, inline.words);
     assert_eq!(overlapped.cost.to_bits(), inline.cost.to_bits());
     assert_eq!(overlapped.reached_final, inline.reached_final);
@@ -353,10 +387,10 @@ fn overlapped_and_inline_scoring_are_byte_identical() {
 
 #[test]
 fn multi_row_overlap_is_byte_identical_to_inline_for_every_depth() {
-    let runtime = AsrRuntime::demo_with(RuntimeConfig::new().lanes(2)).unwrap();
+    let runtime = demo_lanes(2);
     let audio = runtime.render_words(&["play", "music"]).unwrap();
     let inline = {
-        let mut session = runtime.open_session_with(SessionOptions::new().overlap_scoring(false));
+        let mut session = demo_lanes(1).open_session();
         for packet in audio.samples.chunks(160) {
             session.push_samples(packet);
         }
@@ -385,10 +419,10 @@ fn multi_row_session_migrates_a_pushed_row_into_the_queue() {
     // A row pushed before the first audio push sits in the same
     // queue the overlapped audio rows enter behind it, so it must
     // still be searched first, in order, at every overlap depth.
-    let runtime = AsrRuntime::demo_with(RuntimeConfig::new().lanes(2)).unwrap();
+    let (runtime, one_lane) = (demo_lanes(2), demo_lanes(1));
     let audio = runtime.render_words(&["go"]).unwrap();
     let scores = runtime.score(&audio);
-    let run = |options: SessionOptions| {
+    let run = |runtime: &AsrRuntime, options: SessionOptions| {
         let mut session = runtime.open_session_with(options);
         session.push_row(scores.frame_row(0));
         for packet in audio.samples.chunks(160) {
@@ -396,9 +430,9 @@ fn multi_row_session_migrates_a_pushed_row_into_the_queue() {
         }
         session.finalize()
     };
-    let inline = run(SessionOptions::new().overlap_scoring(false));
+    let inline = run(&one_lane, SessionOptions::new());
     for depth in [1usize, 3] {
-        let deep = run(SessionOptions::new().overlap_depth(depth));
+        let deep = run(&runtime, SessionOptions::new().overlap_depth(depth));
         assert_eq!(deep.words, inline.words, "depth {depth}");
         assert_eq!(deep.cost.to_bits(), inline.cost.to_bits(), "depth {depth}");
         assert_eq!(deep.reached_final, inline.reached_final, "depth {depth}");
@@ -612,10 +646,9 @@ fn interleaved_batched_sessions_match_unbatched_byte_for_byte() {
     .unwrap();
     let a = runtime.render_words(&["call", "mom"]).unwrap();
     let b = runtime.render_words(&["lights", "off"]).unwrap();
-    let run = |batched: bool| {
-        let opts = SessionOptions::new().batched_scoring(batched);
-        let mut sa = runtime.open_session_with(opts.clone());
-        let mut sb = runtime.open_session_with(opts);
+    let run = |runtime: &AsrRuntime| {
+        let mut sa = runtime.open_session();
+        let mut sb = runtime.open_session();
         let mut ia = a.samples.chunks(160);
         let mut ib = b.samples.chunks(160);
         loop {
@@ -633,8 +666,8 @@ fn interleaved_batched_sessions_match_unbatched_byte_for_byte() {
         }
         (sa.finalize(), sb.finalize())
     };
-    let (ba, bb) = run(true);
-    let (ua, ub) = run(false);
+    let (ba, bb) = run(&runtime);
+    let (ua, ub) = run(&demo_lanes(1));
     assert_eq!(ba.words, ua.words);
     assert_eq!(ba.cost.to_bits(), ua.cost.to_bits());
     assert_eq!(bb.words, ub.words);
@@ -724,7 +757,7 @@ fn dropping_a_batched_session_mid_window_leaves_the_service_healthy() {
     let runtime = AsrRuntime::demo_with(
         RuntimeConfig::new()
             .lanes(1)
-            .batch_scoring(BatchScoringConfig::new(16).max_wait_frames(4)),
+            .batch_scoring(BatchScoringConfig::new(16)),
     )
     .unwrap();
     let keep_audio = runtime.render_words(&["call", "mom"]).unwrap();
@@ -748,8 +781,8 @@ fn dropping_a_batched_session_mid_window_leaves_the_service_healthy() {
     }
     let survivor = keep.finalize();
     assert_eq!(survivor.words, vec!["call", "mom"]);
-    // The reference: the same audio on an unbatched session.
-    let mut unbatched = runtime.open_session_with(SessionOptions::new().batched_scoring(false));
+    // The reference: the same audio on an unbatched runtime.
+    let mut unbatched = demo_lanes(1).open_session();
     unbatched.push_samples(&keep_audio.samples);
     let reference = unbatched.finalize();
     assert_eq!(survivor.cost.to_bits(), reference.cost.to_bits());

@@ -143,11 +143,7 @@ fn bf16_weights_cost_less_than_the_mildest_qos_tier() {
         .floors(4.0, 128);
     let decode = |tier: usize, tables: &[AcousticTable]| -> Vec<DecodeResult> {
         let (beam, max_active) = policy.params(tier, &base);
-        let decoder = ViterbiDecoder::new(DecodeOptions {
-            beam,
-            max_active,
-            ..base.clone()
-        });
+        let decoder = ViterbiDecoder::new(DecodeOptions { beam, max_active });
         tables.iter().map(|t| decoder.decode(&graph, t)).collect()
     };
     let reference = decode(0, &tables_f32);

@@ -178,7 +178,7 @@ fn audio_session_pushes_are_allocation_free_after_warmup() {
 #[test]
 fn runtime_session_pushes_are_allocation_free_after_warmup() {
     let _guard = serialized();
-    // Two executor lanes with overlap forced on: the counted region is
+    // Two executor lanes, so the session overlaps: the counted region is
     // the *pipelined* push path — fork-join submission, steal-back, and
     // the worker-side scoring all inside the allocation count.
     let runtime = AsrRuntime::demo_with(RuntimeConfig::new().lanes(2)).unwrap();
@@ -190,12 +190,12 @@ fn runtime_session_pushes_are_allocation_free_after_warmup() {
     // the online front-end, the executor's injector/deque capacities,
     // and the worker thread's lazy initialization.
     {
-        let mut session = runtime.open_session_with(SessionOptions::new().overlap_scoring(true));
+        let mut session = runtime.open_session();
         session.push_samples(&audio.samples);
         session.finalize();
     }
 
-    let mut session = runtime.open_session_with(SessionOptions::new().overlap_scoring(true));
+    let mut session = runtime.open_session();
     let chunks: Vec<&[f32]> = audio.samples.chunks(160).collect();
     let tail_start = chunks.len() * 2 / 3;
     for piece in &chunks[..tail_start] {

@@ -4,9 +4,8 @@
 //! through the runtime's shared gather window produces transcripts,
 //! cost bits, and partial hypotheses **byte-identical** to
 //!
-//! 1. the same session with batching disabled
-//!    ([`SessionOptions::batched_scoring`]`(false)` — the synchronous
-//!    per-session scorer), and
+//! 1. the same session on a runtime without the service (the
+//!    synchronous per-session scorer), and
 //! 2. a fresh sequential [`ViterbiDecoder`] over the batch-scored
 //!    table,
 //!
@@ -23,7 +22,6 @@
 //! against its unbatched reference.
 //!
 //! [`Session`]: asr_repro::runtime::Session
-//! [`SessionOptions::batched_scoring`]: asr_repro::runtime::SessionOptions::batched_scoring
 //! [`ViterbiDecoder`]: asr_repro::decoder::search::ViterbiDecoder
 
 use asr_repro::acoustic::signal::Utterance;
@@ -112,6 +110,7 @@ fn staggered_sessions_are_byte_identical_across_window_sizes() {
     // {1, 2, 8, max}: window 1 degenerates to per-frame flushes, 64 is
     // far past what six sessions ever fill (the self-sizing target
     // flushes at the live-session count, so frames never stall).
+    let unbatched_rt = AsrRuntime::demo_with(RuntimeConfig::new().lanes(1)).unwrap();
     for window in [1usize, 2, 8, 64] {
         let runtime = AsrRuntime::demo_with(
             RuntimeConfig::new()
@@ -128,18 +127,8 @@ fn staggered_sessions_are_byte_identical_across_window_sizes() {
             .map(|a| sequential_reference(&runtime, a))
             .collect();
 
-        let batched = drive_staggered(
-            &runtime,
-            &audios,
-            &SessionOptions::new().batched_scoring(true),
-            5,
-        );
-        let unbatched = drive_staggered(
-            &runtime,
-            &audios,
-            &SessionOptions::new().batched_scoring(false),
-            5,
-        );
+        let batched = drive_staggered(&runtime, &audios, &SessionOptions::new(), 5);
+        let unbatched = drive_staggered(&unbatched_rt, &audios, &SessionOptions::new(), 5);
         assert_all_match(&batched, &expected, &format!("window {window} batched"));
         assert_all_match(&unbatched, &expected, &format!("window {window} unbatched"));
 
@@ -162,7 +151,7 @@ fn sixteen_sessions_share_one_window_byte_identically() {
     let runtime = AsrRuntime::demo_with(
         RuntimeConfig::new()
             .lanes(1)
-            .batch_scoring(BatchScoringConfig::new(8).max_wait_frames(3)),
+            .batch_scoring(BatchScoringConfig::new(8)),
     )
     .unwrap();
     // Sixteen sessions over the six scripts: several sessions speak the
@@ -175,12 +164,7 @@ fn sixteen_sessions_share_one_window_byte_identically() {
         .iter()
         .map(|a| sequential_reference(&runtime, a))
         .collect();
-    let batched = drive_staggered(
-        &runtime,
-        &audios,
-        &SessionOptions::new().batched_scoring(true),
-        2,
-    );
+    let batched = drive_staggered(&runtime, &audios, &SessionOptions::new(), 2);
     assert_all_match(&batched, &expected, "16 sessions");
     let stats = runtime.stats().batch.expect("service configured");
     assert!(stats.widest_batch >= 4, "16 live sessions must batch wide");
@@ -192,15 +176,16 @@ fn mlp_runtime_batches_byte_identically_across_windows() {
     // The realistic DNN compute shape: same differential, real matrix
     // math, where any cross-row reassociation in the block forward pass
     // would flip low-order bits immediately.
+    let config = || {
+        RuntimeConfig::new()
+            .lanes(1)
+            .decode_options(DecodeOptions::with_beam(1.0e9))
+            .mlp_acoustic(&[48], 11)
+    };
+    let unbatched_rt = AsrRuntime::demo_with(config()).unwrap();
     for window in [2usize, 8] {
-        let runtime = AsrRuntime::demo_with(
-            RuntimeConfig::new()
-                .lanes(1)
-                .decode_options(DecodeOptions::with_beam(1.0e9))
-                .mlp_acoustic(&[48], 11)
-                .batch_scoring(BatchScoringConfig::new(window)),
-        )
-        .unwrap();
+        let runtime =
+            AsrRuntime::demo_with(config().batch_scoring(BatchScoringConfig::new(window))).unwrap();
         let audios: Vec<Utterance> = SCRIPTS[..4]
             .iter()
             .map(|w| runtime.render_words(w).unwrap())
@@ -209,18 +194,8 @@ fn mlp_runtime_batches_byte_identically_across_windows() {
             .iter()
             .map(|a| sequential_reference(&runtime, a))
             .collect();
-        let batched = drive_staggered(
-            &runtime,
-            &audios,
-            &SessionOptions::new().batched_scoring(true),
-            3,
-        );
-        let unbatched = drive_staggered(
-            &runtime,
-            &audios,
-            &SessionOptions::new().batched_scoring(false),
-            3,
-        );
+        let batched = drive_staggered(&runtime, &audios, &SessionOptions::new(), 3);
+        let unbatched = drive_staggered(&unbatched_rt, &audios, &SessionOptions::new(), 3);
         assert_all_match(&batched, &expected, &format!("mlp window {window}"));
         assert_all_match(&unbatched, &expected, &format!("mlp unbatched {window}"));
         assert!(runtime.stats().batch.unwrap().batches > 0);
@@ -274,21 +249,22 @@ fn partials_agree_with_unbatched_at_flush_sync_points() {
     let runtime = AsrRuntime::demo_with(
         RuntimeConfig::new()
             .lanes(1)
-            .batch_scoring(BatchScoringConfig::new(8).max_wait_frames(4)),
+            .batch_scoring(BatchScoringConfig::new(8)),
     )
     .unwrap();
+    let unbatched_rt = AsrRuntime::demo_with(RuntimeConfig::new().lanes(1)).unwrap();
     let a = runtime.render_words(&["play", "music"]).unwrap();
     let b = runtime.render_words(&["call", "mom"]).unwrap();
 
-    // Two batched sessions sharing the window vs. two unbatched twins,
-    // compared packet by packet. `flush_scoring` is the sync point: it
+    // Two batched sessions sharing the window vs. two unbatched twins on
+    // a runtime without the service, compared packet by packet. `flush_scoring` is the sync point: it
     // forces the batched pair to consume exactly the frames their
     // front-ends have completed — the state the unbatched pair is in
     // after every push — so the partials must agree bit for bit.
-    let mut ba = runtime.open_session_with(SessionOptions::new().batched_scoring(true));
-    let mut bb = runtime.open_session_with(SessionOptions::new().batched_scoring(true));
-    let mut ua = runtime.open_session_with(SessionOptions::new().batched_scoring(false));
-    let mut ub = runtime.open_session_with(SessionOptions::new().batched_scoring(false));
+    let mut ba = runtime.open_session();
+    let mut bb = runtime.open_session();
+    let mut ua = unbatched_rt.open_session();
+    let mut ub = unbatched_rt.open_session();
     let mut ia = a.samples.chunks(PACKET);
     let mut ib = b.samples.chunks(PACKET);
     let mut compared = 0usize;
@@ -339,13 +315,10 @@ fn scripted_tier_trace_is_byte_identical_with_batching_on_and_off() {
         .tier(0.5, 20.0, Some(512))
         .tier(0.9, 6.0, Some(64))
         .floors(8.0, 32);
-    let runtime = AsrRuntime::demo_with(
-        RuntimeConfig::new()
-            .lanes(1)
-            .qos(policy)
-            .batch_scoring(BatchScoringConfig::new(8).max_wait_frames(4)),
-    )
-    .unwrap();
+    let config = || RuntimeConfig::new().lanes(1).qos(policy.clone());
+    let runtime =
+        AsrRuntime::demo_with(config().batch_scoring(BatchScoringConfig::new(8))).unwrap();
+    let unbatched_rt = AsrRuntime::demo_with(config()).unwrap();
     let a = runtime.render_words(&["lights", "on", "go"]).unwrap();
     let b = runtime.render_words(&["stop", "call", "mom"]).unwrap();
     let tier_for_epoch = |epoch: usize| match epoch % 4 {
@@ -354,8 +327,8 @@ fn scripted_tier_trace_is_byte_identical_with_batching_on_and_off() {
         2 => 1,
         _ => 0,
     };
-    let run = |batched: bool| {
-        let opts = SessionOptions::new().batched_scoring(batched).pin_tier(0);
+    let run = |runtime: &AsrRuntime| {
+        let opts = SessionOptions::new().pin_tier(0);
         let mut sa = runtime.open_session_with(opts.clone());
         let mut sb = runtime.open_session_with(opts);
         let mut ia = a.samples.chunks(PACKET);
@@ -387,8 +360,8 @@ fn scripted_tier_trace_is_byte_identical_with_batching_on_and_off() {
         }
         (sa.finalize(), sb.finalize())
     };
-    let (ba, bb) = run(true);
-    let (ua, ub) = run(false);
+    let (ba, bb) = run(&runtime);
+    let (ua, ub) = run(&unbatched_rt);
     assert_eq!(ba.words, ua.words);
     assert_eq!(ba.cost.to_bits(), ua.cost.to_bits());
     assert_eq!(bb.words, ub.words);
@@ -416,7 +389,7 @@ fn prop_fixture() -> &'static PropFixture {
         let runtime = AsrRuntime::demo_with(
             RuntimeConfig::new()
                 .lanes(1)
-                .batch_scoring(BatchScoringConfig::new(4).max_wait_frames(2)),
+                .batch_scoring(BatchScoringConfig::new(4)),
         )
         .unwrap();
         let scripts: [&[&str]; 4] = [

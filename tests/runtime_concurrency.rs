@@ -252,27 +252,34 @@ fn sessions_migrate_between_threads_mid_utterance() {
 
 #[test]
 fn overlapped_sessions_match_inline_sessions_under_concurrency() {
-    let runtime = AsrRuntime::demo_with(RuntimeConfig::new().lanes(4)).unwrap();
+    let overlapped = AsrRuntime::demo_with(RuntimeConfig::new().lanes(4)).unwrap();
+    let inline = AsrRuntime::demo_with(RuntimeConfig::new().lanes(1)).unwrap();
     let words = ["call", "mom"];
-    let expected = sequential_reference(&runtime, &words);
-    let audio = runtime.render_words(&words).unwrap();
+    let expected = sequential_reference(&overlapped, &words);
+    let audio = overlapped.render_words(&words).unwrap();
 
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
-        for overlap in [true, false, true, false, true, false] {
-            let runtime = &runtime;
+        for runtime in [
+            &overlapped,
+            &inline,
+            &overlapped,
+            &inline,
+            &overlapped,
+            &inline,
+        ] {
             let audio = &audio;
             let expected = &expected;
             handles.push(scope.spawn(move || {
+                let lanes = runtime.lanes();
                 for _ in 0..3 {
-                    let mut session =
-                        runtime.open_session_with(SessionOptions::new().overlap_scoring(overlap));
+                    let mut session = runtime.open_session();
                     for packet in audio.samples.chunks(160) {
                         session.push_samples(packet);
                     }
                     let t = session.finalize();
-                    assert_eq!(t.words, expected.0, "overlap={overlap}");
-                    assert_eq!(t.cost.to_bits(), expected.1, "overlap={overlap}");
+                    assert_eq!(t.words, expected.0, "lanes={lanes}");
+                    assert_eq!(t.cost.to_bits(), expected.1, "lanes={lanes}");
                 }
             }));
         }

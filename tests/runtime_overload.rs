@@ -325,7 +325,7 @@ fn stats_surface_scratch_and_executor_counters() {
     // shared pool.
     let audio = runtime.render_words(&["play", "music"]).unwrap();
     for _ in 0..3 {
-        let mut session = runtime.open_session_with(SessionOptions::new().overlap_scoring(true));
+        let mut session = runtime.open_session();
         for packet in audio.samples.chunks(160) {
             session.push_samples(packet);
         }

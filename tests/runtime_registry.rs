@@ -237,18 +237,15 @@ fn image_backed_and_owned_models_decode_byte_identically() {
 
     for utterance in [vec!["go"], vec!["lights", "on"], vec!["play", "music"]] {
         let scores = runtime.score(&runtime.render_words(&utterance).unwrap());
-        for overlap in [false, true] {
-            let decode = |model: &str| {
-                let mut s = runtime
-                    .open_session_with(SessionOptions::new().model(model).overlap_scoring(overlap));
-                s.push_frames(&scores);
-                s.finalize()
-            };
-            let owned = decode("owned");
-            let image = decode("image");
-            assert_bytes_eq(&owned, &image, "image-backed vs owned model");
-            assert_eq!(owned.words, utterance);
-        }
+        let decode = |model: &str| {
+            let mut s = runtime.open_session_with(SessionOptions::new().model(model));
+            s.push_frames(&scores);
+            s.finalize()
+        };
+        let owned = decode("owned");
+        let image = decode("image");
+        assert_bytes_eq(&owned, &image, "image-backed vs owned model");
+        assert_eq!(owned.words, utterance);
     }
 }
 
