@@ -1,18 +1,18 @@
-//! Open-loop overload harness: what the QoS layer buys past saturation.
+//! Open-loop overload harness: what admission control buys past
+//! saturation.
 //!
 //! An open-loop generator offers Poisson session arrivals (seeded, so
 //! both sides replay the *same* schedule) at multiples of the measured
 //! service capacity to two runtimes over the same 20k-state synthetic
-//! graph:
+//! graph, both decoding every session at the full beam and opening it
+//! with [`AsrRuntime::try_open_session`]:
 //!
-//! * **fixed** — today's runtime: every arrival is admitted
-//!   ([`AsrRuntime::open_session`]), every session decodes at the full
-//!   beam. Past saturation the backlog, and with it the end-to-end
-//!   latency, grows without bound.
-//! * **qos** — the same runtime with a [`QosPolicy`]: admission control
-//!   sheds arrivals past the session limit
-//!   ([`AsrRuntime::try_open_session`]), and pressure tiers narrow the
-//!   beam at frame boundaries while the runtime is saturated.
+//! * **unlimited** — no session limit, so every arrival is admitted.
+//!   Past saturation the backlog, and with it the end-to-end latency,
+//!   grows without bound.
+//! * **admission** — the same runtime with
+//!   [`RuntimeConfig::max_sessions`]: arrivals past the session limit
+//!   are shed.
 //!
 //! End-to-end latency is measured from the *scheduled arrival time*
 //! (queueing included — this is the open-loop point), so an unbounded
@@ -20,23 +20,24 @@
 //! closed-loop self-throttling. The report lands in
 //! `target/experiments/bench_load.json` like every figure binary's. The
 //! run fails (non-zero exit, after the report is written) if any worker
-//! or dispatcher thread panicked. `bounded_p99_under_overload` — a
-//! measured 2x point where the fixed runtime's p99 is at least
-//! [`DIVERGENCE_FACTOR`]x the QoS runtime's — is a timing ratio and only
-//! reported.
+//! or dispatcher thread panicked, or if any completed transcript on
+//! either side differs from the full-beam reference in a word or a cost
+//! bit: admission decides whether a session runs, never how.
+//! `bounded_p99_under_overload` — a measured 2x point where the
+//! unlimited runtime's p99 is at least [`DIVERGENCE_FACTOR`]x the
+//! admission runtime's — is a timing ratio and only reported.
 //!
 //! ```text
 //! cargo run --release -p asr-bench --bin bench_load \
 //!     [-- --arrivals 150 --loads 1,2 --seed 7]
 //! ```
 //!
-//! [`AsrRuntime::open_session`]: asr_repro::runtime::AsrRuntime::open_session
 //! [`AsrRuntime::try_open_session`]: asr_repro::runtime::AsrRuntime::try_open_session
-//! [`QosPolicy`]: asr_repro::runtime::QosPolicy
+//! [`RuntimeConfig::max_sessions`]: asr_repro::runtime::RuntimeConfig::max_sessions
 
 use asr_acoustic::scores::AcousticTable;
 use asr_decoder::search::DecodeOptions;
-use asr_repro::runtime::{AsrRuntime, PipelineError, QosPolicy, RuntimeConfig, Transcript};
+use asr_repro::runtime::{AsrRuntime, PipelineError, RuntimeConfig, Transcript};
 use asr_wfst::lexicon::demo_lexicon;
 use asr_wfst::synth::{SynthConfig, SynthWfst};
 use asr_wfst::Wfst;
@@ -55,35 +56,20 @@ const UTTERANCES: usize = 8;
 const FRAME_RANGE: (usize, usize) = (30, 80);
 /// Client worker threads draining the arrival queue on each side.
 const WORKERS: usize = 4;
-/// The QoS policy's admission limit. On the single-core CI box extra
+/// The admission side's session limit. On a single-core box extra
 /// concurrency adds no capacity, so capping concurrent sessions below
 /// the worker count sheds excess load without shrinking throughput.
 const MAX_SESSIONS: usize = 2;
 /// The bar `bounded_p99_under_overload` reports against: at 2x
-/// saturation the fixed runtime's p99 is at least this many times the
-/// QoS runtime's.
+/// saturation the unlimited runtime's p99 is at least this many times
+/// the admission runtime's.
 const DIVERGENCE_FACTOR: f64 = 3.0;
-
-/// The degradation policy the QoS side runs: tiers keyed to session
-/// saturation (1 of 2 slots busy -> 0.5, both busy -> 1.0), beams
-/// narrowing below the fixed side's 8.0, floored well above zero. The
-/// tiers are deliberately mild — they shave service time without
-/// absorbing a 2x overload on their own, so the artifact shows *both*
-/// mechanisms: degradation trimming the beam AND admission control
-/// shedding the excess.
-fn load_policy() -> QosPolicy {
-    QosPolicy::new()
-        .tier(0.45, 7.0, Some(2048))
-        .tier(0.95, 6.0, Some(512))
-        .floors(4.0, 128)
-        .max_sessions(MAX_SESSIONS)
-}
 
 #[derive(Debug, Clone, Serialize)]
 struct SideStats {
     /// Sessions admitted and finalized.
     completed: usize,
-    /// Arrivals refused by admission control (always 0 on the fixed
+    /// Arrivals refused by admission control (always 0 on the unlimited
     /// side, which cannot shed).
     shed: usize,
     /// End-to-end latency percentiles over completed sessions, from
@@ -94,12 +80,9 @@ struct SideStats {
     /// Mean decode-time / audio-duration over completed sessions
     /// (service only, no queueing).
     mean_rtf: f64,
-    /// Highest degradation tier the runtime reached (0 = never left the
-    /// base beam; always 0 on the fixed side).
-    peak_tier: usize,
-    /// Completed transcripts that differ from the full-beam reference —
-    /// the accuracy price of degradation.
-    degraded_transcripts: usize,
+    /// Completed transcripts that differ from the full-beam reference in
+    /// a word or a cost bit (must be 0 on both sides).
+    changed_transcripts: usize,
     /// Worker threads that panicked (must be 0 everywhere).
     panics: usize,
 }
@@ -109,10 +92,10 @@ struct LoadPoint {
     /// Offered load as a multiple of the calibrated service capacity.
     load_multiplier: f64,
     arrivals: usize,
-    fixed: SideStats,
-    qos: SideStats,
-    /// fixed.p99_ms over qos.p99_ms — the divergence headline.
-    p99_ratio_fixed_over_qos: f64,
+    unlimited: SideStats,
+    admission: SideStats,
+    /// unlimited.p99_ms over admission.p99_ms — the divergence headline.
+    p99_ratio_unlimited_over_admission: f64,
 }
 
 #[derive(Debug, Clone, Serialize)]
@@ -124,19 +107,22 @@ struct Report {
     utterances: usize,
     frame_range: (usize, usize),
     workers: usize,
-    qos_max_sessions: usize,
-    qos_tier_beams: Vec<f32>,
+    max_sessions: usize,
     seed: u64,
     /// Calibrated mean service time per utterance at the full beam —
     /// the 1x capacity the load multipliers scale.
     service_ms_per_utterance: f64,
     points: Vec<LoadPoint>,
-    /// A 2x+ point was measured AND the fixed runtime's p99 diverged to
-    /// at least `DIVERGENCE_FACTOR` times the QoS runtime's there.
+    /// A 2x+ point was measured AND the unlimited runtime's p99 diverged
+    /// to at least `DIVERGENCE_FACTOR` times the admission runtime's
+    /// there.
     /// `false` when no 2x+ point ran (unmeasured is not a pass).
     bounded_p99_under_overload: bool,
     /// No worker or dispatcher thread panicked anywhere in the sweep.
     zero_panics: bool,
+    /// Every completed transcript on both sides equals the full-beam
+    /// reference, words and cost bits.
+    transcripts_unchanged: bool,
 }
 
 /// One scheduled session arrival.
@@ -166,7 +152,7 @@ struct Completion {
 
 /// Draws a Poisson arrival schedule: exponential interarrivals at
 /// `rate_per_sec`, utterances drawn uniformly from the pool. Seeded, so
-/// the fixed and QoS sides replay the identical schedule.
+/// both sides replay the identical schedule.
 fn poisson_schedule(arrivals: usize, rate_per_sec: f64, seed: u64) -> Vec<Job> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut at = Duration::ZERO;
@@ -184,14 +170,12 @@ fn poisson_schedule(arrivals: usize, rate_per_sec: f64, seed: u64) -> Vec<Job> {
 }
 
 /// Runs one side of one load point: dispatches `schedule` open-loop
-/// against `runtime`, returns the per-side stats. `shedding` selects
-/// the fallible admission path.
+/// against `runtime`, returns the per-side stats.
 fn run_side(
     runtime: &AsrRuntime,
     schedule: &[Job],
     tables: &[AcousticTable],
     references: &[Transcript],
-    shedding: bool,
 ) -> SideStats {
     let queue = Arc::new((Mutex::new(JobQueue::default()), Condvar::new()));
     let completions: Mutex<Vec<Completion>> = Mutex::new(Vec::new());
@@ -222,19 +206,14 @@ fn run_side(
                         }
                     };
                     let Some(job) = job else { break };
-                    let session = if shedding {
-                        match runtime.try_open_session() {
-                            Ok(session) => Some(session),
-                            Err(PipelineError::Overloaded { .. }) => {
-                                *shed.lock().unwrap() += 1;
-                                None
-                            }
-                            Err(other) => panic!("unexpected admission error: {other}"),
+                    let mut session = match runtime.try_open_session() {
+                        Ok(session) => session,
+                        Err(PipelineError::Overloaded { .. }) => {
+                            *shed.lock().unwrap() += 1;
+                            continue;
                         }
-                    } else {
-                        Some(runtime.open_session())
+                        Err(other) => panic!("unexpected admission error: {other}"),
                     };
-                    let Some(mut session) = session else { continue };
                     let service_start = Instant::now();
                     session.push_frames(&tables[job.utterance]);
                     let transcript = session.finalize();
@@ -306,8 +285,7 @@ fn run_side(
         p99_ms: percentile(0.99),
         max_ms: percentile(1.0),
         mean_rtf,
-        peak_tier: runtime.stats().peak_tier,
-        degraded_transcripts: completions.iter().filter(|c| !c.matched_reference).count(),
+        changed_transcripts: completions.iter().filter(|c| !c.matched_reference).count(),
         panics,
     }
 }
@@ -349,8 +327,8 @@ fn args() -> (usize, Vec<f64>, u64) {
 fn main() {
     asr_bench::banner(
         "bench_load",
-        "open-loop Poisson overload: fixed-beam vs QoS-degrading runtime",
-        "beam/cycles/accuracy trade-off (Fig. 8) as a serving-time knob",
+        "open-loop Poisson overload: unlimited vs admission-controlled runtime",
+        "shared-accelerator serving (Section VI) past saturation",
     );
     let (arrivals, loads, seed) = args();
 
@@ -368,18 +346,15 @@ fn main() {
     let base = RuntimeConfig::new()
         .lanes(1)
         .decode_options(DecodeOptions::with_beam(BEAM));
-    let make_fixed = || AsrRuntime::with_graph(wfst.clone(), demo_lexicon(), base.clone());
-    let make_qos = || {
-        AsrRuntime::with_graph(
-            wfst.clone(),
-            demo_lexicon(),
-            base.clone().qos(load_policy()),
-        )
+    let make_runtime = |max_sessions: usize| {
+        let config = base.clone().max_sessions(max_sessions);
+        AsrRuntime::with_graph(wfst.clone(), demo_lexicon(), config)
     };
 
-    // Full-beam reference transcripts: the accuracy yardstick for the
-    // degraded decodes, and a warm-up for the calibration runtime.
-    let calibration = make_fixed();
+    // Full-beam reference transcripts: what every completed session on
+    // either side must reproduce, and a warm-up for the calibration
+    // runtime.
+    let calibration = make_runtime(0);
     let references: Vec<Transcript> = tables
         .iter()
         .map(|t| calibration.recognize_scores(t))
@@ -407,7 +382,7 @@ fn main() {
     );
 
     let mut points = Vec::new();
-    let mut zero_panics = true;
+    let (mut zero_panics, mut transcripts_unchanged) = (true, true);
     for &load in &loads {
         let schedule = poisson_schedule(arrivals, load * capacity_per_sec, seed ^ 0x10AD);
         println!(
@@ -415,37 +390,37 @@ fn main() {
             load * capacity_per_sec
         );
 
-        let fixed_runtime = make_fixed();
-        let fixed = run_side(&fixed_runtime, &schedule, &tables, &references, false);
-        let qos_runtime = make_qos();
-        let qos = run_side(&qos_runtime, &schedule, &tables, &references, true);
-        zero_panics &= fixed.panics == 0 && qos.panics == 0;
+        let side = |limit| run_side(&make_runtime(limit), &schedule, &tables, &references);
+        let (unlimited, admission) = (side(0), side(MAX_SESSIONS));
+        for side in [&unlimited, &admission] {
+            zero_panics &= side.panics == 0;
+            transcripts_unchanged &= side.changed_transcripts == 0;
+        }
 
-        let ratio = if qos.p99_ms > 0.0 {
-            fixed.p99_ms / qos.p99_ms
+        let ratio = if admission.p99_ms > 0.0 {
+            unlimited.p99_ms / admission.p99_ms
         } else {
             0.0
         };
-        for (name, side) in [("fixed", &fixed), ("qos", &qos)] {
+        for (name, side) in [("unlimited", &unlimited), ("admission", &admission)] {
             println!(
-                "  {name:<5} completed {:>4} | shed {:>4} | p50 {:>9.1} ms | p99 {:>9.1} ms \
-                 | mean rtf {:.3} | peak tier {} | degraded {}",
+                "  {name:<9} completed {:>4} | shed {:>4} | p50 {:>9.1} ms | p99 {:>9.1} ms \
+                 | mean rtf {:.3} | changed {}",
                 side.completed,
                 side.shed,
                 side.p50_ms,
                 side.p99_ms,
                 side.mean_rtf,
-                side.peak_tier,
-                side.degraded_transcripts,
+                side.changed_transcripts,
             );
         }
-        println!("  fixed p99 is {ratio:.2}x the qos p99");
+        println!("  unlimited p99 is {ratio:.2}x the admission p99");
         points.push(LoadPoint {
             load_multiplier: load,
             arrivals,
-            fixed,
-            qos,
-            p99_ratio_fixed_over_qos: ratio,
+            unlimited,
+            admission,
+            p99_ratio_unlimited_over_admission: ratio,
         });
     }
 
@@ -456,7 +431,7 @@ fn main() {
     let bounded_p99_under_overload = !overload_points.is_empty()
         && overload_points
             .iter()
-            .all(|p| p.p99_ratio_fixed_over_qos >= DIVERGENCE_FACTOR);
+            .all(|p| p.p99_ratio_unlimited_over_admission >= DIVERGENCE_FACTOR);
     if overload_points.is_empty() {
         println!(
             "\nNOTE: no load point reached 2x; bounded_p99_under_overload is \
@@ -464,8 +439,8 @@ fn main() {
         );
     } else if !bounded_p99_under_overload {
         println!(
-            "\nWARNING: the fixed runtime's p99 did not diverge to \
-             {DIVERGENCE_FACTOR}x the QoS p99 at overload on this machine"
+            "\nWARNING: the unlimited runtime's p99 did not diverge to \
+             {DIVERGENCE_FACTOR}x the admission p99 at overload on this machine"
         );
     }
 
@@ -477,18 +452,22 @@ fn main() {
         utterances: UTTERANCES,
         frame_range: FRAME_RANGE,
         workers: WORKERS,
-        qos_max_sessions: MAX_SESSIONS,
-        qos_tier_beams: load_policy().tiers().iter().map(|t| t.beam()).collect(),
+        max_sessions: MAX_SESSIONS,
         seed,
         service_ms_per_utterance: service_secs * 1e3,
         points,
         bounded_p99_under_overload,
         zero_panics,
+        transcripts_unchanged,
     };
 
     asr_bench::write_json("bench_load", &report);
     assert!(
         report.zero_panics,
         "a worker or dispatcher thread panicked during the sweep"
+    );
+    assert!(
+        report.transcripts_unchanged,
+        "a completed session's transcript differs from the full-beam reference"
     );
 }

@@ -6,8 +6,8 @@
 //! and writes `target/experiments/<id>.json` with the raw numbers.
 //!
 //! The exception is `bench_load`, the open-loop overload harness for the
-//! runtime's QoS layer: it writes its report the same way but takes its
-//! own flags.
+//! runtime's admission control: it writes its report the same way but
+//! takes its own flags.
 //!
 //! All the others accept the same flags:
 //!

@@ -230,29 +230,14 @@ pub struct DecodeScratch {
     /// The entries of the tokens that expanded, for backtracking; kept
     /// after the decode until the next one starts.
     pub(crate) trace: Lattice,
-    /// What the previous frame's emitting phase learnt about this frame's
-    /// `max_active` cutoff.
-    limit: CapLimit,
+    /// The cap's cutoff the previous frame's emitting phase took (see
+    /// [`cap_limit`]): no token costing more is among this frame's
+    /// `max_active` cheapest. `+inf` when nothing is known. A decode's
+    /// options are fixed, so the cap it was taken under is this frame's.
+    limit: f32,
     /// Frames the decode has consumed: what schedules the lattice GC,
     /// whoever listens to the search.
     pub(crate) frames: usize,
-}
-
-/// An upper bound on the cost a token may have and still be among the
-/// `cap` cheapest of its frame, valid for any cap up to `cap` (a smaller
-/// cap only lowers the real cutoff).
-#[derive(Debug, Clone, Copy)]
-struct CapLimit {
-    cost: f32,
-    cap: usize,
-}
-
-impl CapLimit {
-    /// Nothing is known: every cost passes, whatever the cap.
-    const NONE: Self = Self {
-        cost: f32::INFINITY,
-        cap: usize::MAX,
-    };
 }
 
 impl DecodeScratch {
@@ -266,7 +251,7 @@ impl DecodeScratch {
             cur: LiveTokens::with_capacity(room),
             next: LiveTokens::with_capacity(room),
             trace: Lattice::new(),
-            limit: CapLimit::NONE,
+            limit: f32::INFINITY,
             frames: 0,
         }
     }
@@ -454,7 +439,7 @@ pub(crate) fn seed_start(wfst: &Wfst, scratch: &mut DecodeScratch, probe: &mut i
             sort_buf,
             ..
         } = frame;
-        scratch.limit = CapLimit::NONE;
+        scratch.limit = f32::INFINITY;
         scratch.frames = 0;
         scratch.trace.clear();
         let cur = &mut scratch.cur;
@@ -545,7 +530,7 @@ pub(crate) fn search_frame(
         // beam, and whatever the cap already rules out.
         probe.stage(Stage::Cutoff);
         let mut closure_threshold = f32::INFINITY;
-        *limit = CapLimit::NONE;
+        *limit = f32::INFINITY;
         if !last_frame {
             closure_threshold = next.best() + beam;
             *limit = cap_limit(next, keys, closure_threshold, opts.max_active);
@@ -558,7 +543,7 @@ pub(crate) fn search_frame(
             trace,
             &mut work,
             closure_threshold,
-            limit.cost,
+            *limit,
             worklist,
             sort_buf,
         );
@@ -646,11 +631,9 @@ fn item_pos(item: u64) -> usize {
 /// `frontier` as [`item`]s, in state order — the deterministic expansion
 /// order.
 ///
-/// `limit` is what the frame that filled `tokens` learnt about the cap's
-/// cutoff. Taken under a cap at least as wide as this frame's, it rules
-/// out every token above it before a key is built; under a narrower one
-/// (the search was retuned wider in between) it says nothing about this
-/// frame's cut and is ignored.
+/// `limit` is the cap's cutoff the frame that filled `tokens` took
+/// ([`cap_limit`]): it rules out every token above it before a key is
+/// built.
 fn build_frontier(
     tokens: &LiveTokens<Pending>,
     frontier: &mut Vec<u64>,
@@ -658,7 +641,7 @@ fn build_frontier(
     sort_buf: &mut Vec<u64>,
     beam: f32,
     max_active: Option<usize>,
-    limit: CapLimit,
+    limit: f32,
 ) {
     frontier.clear();
     let threshold = tokens.best() + beam;
@@ -673,11 +656,7 @@ fn build_frontier(
         // The `cap` cheapest are a set, independent of the selection's
         // internal order, so the one state-order sort below suffices.
         Some(cap) if tokens.len() > cap => {
-            let bound = if cap <= limit.cap && limit.cost < threshold {
-                limit.cost
-            } else {
-                threshold
-            };
+            let bound = if limit < threshold { limit } else { threshold };
             gather_keys(tokens, keys, bound);
             if keys.len() <= cap {
                 frontier.extend(keys.iter().map(|&key| key_item(key)));
@@ -726,28 +705,26 @@ fn build_frontier(
 /// cheaper rivals whatever the closure does: the next frame's
 /// rank-select cannot keep it, and everything reached from it costs at
 /// least as much. Tokens costing exactly the limit may still make the
-/// cut (the state id decides), so they stay.
+/// cut (the state id decides), so they stay. `+inf` when the cap does not
+/// bind.
 fn cap_limit(
     tokens: &LiveTokens<Pending>,
     keys: &mut Vec<u64>,
     threshold: f32,
     max_active: Option<usize>,
-) -> CapLimit {
+) -> f32 {
     let Some(cap) = max_active else {
-        return CapLimit::NONE;
+        return f32::INFINITY;
     };
     if cap == 0 || tokens.len() <= cap {
-        return CapLimit::NONE;
+        return f32::INFINITY;
     }
     gather_keys(tokens, keys, threshold);
     if keys.len() <= cap {
-        return CapLimit::NONE;
+        return f32::INFINITY;
     }
     let (_, &mut kth, _) = keys.select_nth_unstable(cap - 1);
-    CapLimit {
-        cost: key_cost(kth),
-        cap,
-    }
+    key_cost(kth)
 }
 
 /// Widest digit of [`sort_states`]: two passes cover 4M states.
@@ -1313,7 +1290,7 @@ mod tests {
         keys: &mut Vec<u64>,
         beam: f32,
         max_active: Option<usize>,
-        limit: CapLimit,
+        limit: f32,
     ) -> Vec<u32> {
         let (mut frontier, mut buf) = (Vec::new(), Vec::new());
         build_frontier(
@@ -1433,7 +1410,7 @@ mod tests {
     #[test]
     fn equal_costs_straddling_the_cut_keep_the_lower_state_ids() {
         let table = table_of(&[(9, 1.0), (3, 1.0), (12, 0.5), (7, 1.0), (5, 1.0), (1, 2.0)]);
-        let frontier = frontier_of(&table, &mut Vec::new(), 100.0, Some(3), CapLimit::NONE);
+        let frontier = frontier_of(&table, &mut Vec::new(), 100.0, Some(3), f32::INFINITY);
         assert_eq!(frontier, [3, 5, 12], "cheapest first, ties by state id");
         // The same cut through the full decode agrees with the reference.
         let mut b = WfstBuilder::new();
@@ -1465,7 +1442,7 @@ mod tests {
     fn a_cap_that_cannot_bind_builds_no_keys() {
         let table = table_of(&[(9, 1.0), (3, 4.0), (12, 0.5), (7, 1.0)]);
         let mut keys = Vec::new();
-        let none = CapLimit::NONE;
+        let none = f32::INFINITY;
         for cap in [None, Some(4), Some(5), Some(usize::MAX), Some(0)] {
             let frontier = frontier_of(&table, &mut keys, 2.0, cap, none);
             if cap == Some(0) {
@@ -1474,7 +1451,7 @@ mod tests {
                 assert_eq!(frontier, [7, 9, 12], "beam survivors in state order");
             }
             assert_eq!(keys.capacity(), 0, "cap {cap:?}: no key traffic");
-            assert_eq!(cap_limit(&table, &mut keys, 2.5, cap).cost, f32::INFINITY);
+            assert_eq!(cap_limit(&table, &mut keys, 2.5, cap), f32::INFINITY);
             assert_eq!(keys.capacity(), 0, "cap {cap:?}: no cutoff to take");
         }
         // More live tokens than the cap, fewer beam survivors: keyed
@@ -1483,10 +1460,7 @@ mod tests {
             frontier_of(&table, &mut keys, 2.0, Some(3), none),
             [7, 9, 12]
         );
-        assert_eq!(
-            cap_limit(&table, &mut keys, 2.5, Some(3)).cost,
-            f32::INFINITY
-        );
+        assert_eq!(cap_limit(&table, &mut keys, 2.5, Some(3)), f32::INFINITY);
     }
 
     // --- end-of-utterance selection -------------------------------------
@@ -1572,11 +1546,7 @@ mod tests {
     fn cap_limit_is_the_cost_of_the_capth_cheapest_token_in_beam() {
         let table = table_of(&[(9, 1.0), (3, 1.0), (12, 0.5), (7, 1.0), (5, 1.0), (1, 2.0)]);
         let mut keys = Vec::new();
-        let mut limit = |threshold, cap| {
-            let limit = cap_limit(&table, &mut keys, threshold, Some(cap));
-            assert!(limit.cost == f32::INFINITY || limit.cap == cap);
-            limit.cost
-        };
+        let mut limit = |threshold, cap| cap_limit(&table, &mut keys, threshold, Some(cap));
         assert_eq!(limit(100.0, 1), 0.5);
         for cap in 2..=5 {
             assert_eq!(limit(100.0, cap), 1.0, "cap {cap} cuts through the tie");
@@ -1594,33 +1564,13 @@ mod tests {
         // limit although its key is, so it stays for the rank-select.
         let table = table_of(&[(4, 1.0), (3, 0.0), (2, -0.0), (1, -1.0)]);
         let limit = cap_limit(&table, &mut keys, 100.0, Some(2));
-        assert_eq!(limit.cost.to_bits(), (-0.0f32).to_bits());
+        assert_eq!(limit.to_bits(), (-0.0f32).to_bits());
         assert_eq!(
             frontier_of(&table, &mut keys, 100.0, Some(2), limit),
             [1, 2]
         );
         let narrower = frontier_of(&table, &mut keys, 100.0, Some(1), limit);
         assert_eq!(narrower, [1], "a narrower cap may use it too");
-    }
-
-    #[test]
-    fn a_limit_from_a_narrower_cap_does_not_filter_a_wider_frontier() {
-        let table = table_of(&[(9, 1.0), (3, 1.5), (12, 0.5), (7, 1.0), (5, 3.0), (1, 2.0)]);
-        let mut keys = Vec::new();
-        // What a frame under `max_active: Some(2)` leaves behind.
-        let narrow = cap_limit(&table, &mut keys, 100.0, Some(2));
-        assert_eq!((narrow.cost, narrow.cap), (1.0, 2));
-        let mut frontier_under = |cap, limit| frontier_of(&table, &mut keys, 100.0, cap, limit);
-        // Retuned wider before the next frame: the four cheapest include
-        // tokens above the old limit.
-        assert_eq!(frontier_under(Some(4), narrow), [1, 3, 7, 9, 12][1..]);
-        assert_eq!(frontier_under(Some(5), narrow), [1, 3, 7, 9, 12]);
-        assert_eq!(frontier_under(None, narrow), [1, 3, 5, 7, 9, 12]);
-        // Same or narrower: the limit applies and changes nothing.
-        for cap in [Some(2), Some(1)] {
-            let with = frontier_under(cap, narrow);
-            assert_eq!(with, frontier_under(cap, CapLimit::NONE));
-        }
     }
 
     /// `s0` fans out on one phone to a cheap state and three tied ones;
@@ -1696,7 +1646,7 @@ mod tests {
         let mut run = Run::new(&w);
         run.seed_start(&w);
         assert!(run.step(&w, &opts, one.frame_row(0), false));
-        assert_eq!(run.scratch.limit.cost, 1.0);
+        assert_eq!(run.scratch.limit, 1.0);
         let stepped = run.finish(&w);
         assert!(!stepped.reached_final);
         assert_eq!(stepped.best_state, s[1]);
@@ -1751,7 +1701,7 @@ mod tests {
                         };
                         let what = format!("{bad} every {every}, {epsilon_fraction} eps, {cap:?}");
                         if bad.is_nan() && epsilon_fraction > 0.0 {
-                            lock_step(&w, &scores, None, |_| opts.clone());
+                            lock_step(&w, &scores, None, &opts);
                         } else {
                             let checked = assert_closure_matches_oracle(&w, &scores, None, &opts);
                             assert_eq!(checked.fast.words, checked.reference.words, "{what}");
@@ -1760,49 +1710,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Caps lowered and raised every few frames (what
-    /// `StreamingDecode::set_search_params` does between rows). Frame by
-    /// frame the search must equal the oracle, whose frontier never
-    /// trusts the previous frame's limit: a limit is used only where it
-    /// cannot change the frontier. The trace is scripted, so two runs
-    /// of it are the same bytes, and a constant trace is the decoder
-    /// constructed with those options (every `lock_step` caller).
-    #[test]
-    #[cfg_attr(miri, ignore = "a synthetic graph is too slow interpreted")]
-    fn retuning_the_cap_between_frames_matches_the_oracle() {
-        use asr_wfst::synth::{SynthConfig, SynthWfst};
-        const FRAMES: usize = 48;
-        let w = SynthWfst::generate(&SynthConfig {
-            epsilon_fraction: 0.3,
-            ..SynthConfig::with_states(3_000).with_seed(5)
-        })
-        .unwrap();
-        let scores = AcousticTable::random(FRAMES, w.num_phones() as usize, (0.5, 4.0), 8);
-        let caps = [Some(300), Some(40), Some(1000), None, Some(40), Some(60)];
-        let opts_at = |frame: usize| DecodeOptions {
-            max_active: caps[frame / 3 % caps.len()],
-            ..DecodeOptions::with_beam(if frame % 7 < 4 { 14.0 } else { 9.0 })
-        };
-        let (fast, _) = lock_step(&w, &scores, Some(5), opts_at);
-        let expanded: Vec<usize> = fast.probe.frames.iter().map(|f| f.expanded).collect();
-        // The trace did what it says: the narrow caps bind on every
-        // frame they govern, and the frame after a raise (40 to 1000 at
-        // frame 6, 40 to 60 at frames 15 and 33) expands more tokens
-        // than the old cap, which its limit alone would not admit.
-        for (frame, &n) in expanded.iter().enumerate().skip(3) {
-            match opts_at(frame).max_active {
-                Some(cap) if cap <= 60 => assert_eq!(n, cap, "frame {frame}"),
-                _ => assert!(n > 60, "frame {frame}: {n}"),
-            }
-        }
-        assert_eq!(expanded.len(), FRAMES);
-
-        let (again, _) = lock_step(&w, &scores, Some(5), opts_at);
-        assert_eq!(again.probe.frames, fast.probe.frames);
-        assert_eq!(again.tokens(), fast.tokens());
-        assert_eq!(entries(&again.scratch.trace), entries(&fast.scratch.trace));
     }
 
     // --- closure differential ----------------------------------------
@@ -1951,7 +1858,7 @@ mod tests {
                 frames,
                 ..
             } = &mut self.scratch;
-            *limit = CapLimit::NONE;
+            *limit = f32::INFINITY;
             *frames = 0;
             trace.clear();
             cur.clear();
@@ -2021,7 +1928,7 @@ mod tests {
                     sort_buf,
                     beam,
                     max_active,
-                    CapLimit::NONE,
+                    f32::INFINITY,
                 );
                 work.expanded = frontier.len();
                 index.ensure(wfst.num_states());
@@ -2029,13 +1936,13 @@ mod tests {
                     wfst, index, cur, next, frontier, trace, &mut work, beam, last_frame, row,
                 );
                 let mut threshold = f32::INFINITY;
-                *limit = CapLimit::NONE;
+                *limit = f32::INFINITY;
                 if !last_frame {
                     threshold = next.best() + beam;
                     *limit = cap_limit(next, keys, threshold, max_active);
                 }
                 epsilon_closure_every_token(
-                    wfst, index, next, trace, &mut work, threshold, limit.cost, worklist,
+                    wfst, index, next, trace, &mut work, threshold, *limit, worklist,
                 );
                 work.closure_popped = worklist.len();
                 work.trace_len = trace.len();
@@ -2078,7 +1985,7 @@ mod tests {
     }
 
     /// Decodes `scores` twice in lock step — [`search_frame`] and the
-    /// oracle frame, frame `t` under `opts_at(t)`, both compacting their
+    /// oracle frame, both under `opts` and both compacting their
     /// traces also every `gc_every` frames ([`Run::compact`]) — asserting
     /// identical stats, live states and costs, and best hypotheses
     /// (words, cost and state) after the start closure and after every
@@ -2088,7 +1995,7 @@ mod tests {
         wfst: &Wfst,
         scores: &AcousticTable,
         gc_every: Option<usize>,
-        opts_at: impl Fn(usize) -> DecodeOptions,
+        opts: &DecodeOptions,
     ) -> (Run, Run) {
         let (mut fast, mut oracle) = (Run::new(wfst), Run::new(wfst));
         fast.seed_start(wfst);
@@ -2115,9 +2022,8 @@ mod tests {
         let num_frames = scores.num_frames();
         for frame in 0..num_frames {
             let (row, last) = (scores.frame_row(frame), frame + 1 == num_frames);
-            let opts = opts_at(frame);
-            let alive = fast.step(wfst, &opts, row, last);
-            assert_eq!(alive, oracle.frame(wfst, &opts, row, last));
+            let alive = fast.step(wfst, opts, row, last);
+            assert_eq!(alive, oracle.frame(wfst, opts, row, last));
             if let Some(every) = gc_every.filter(|_| alive && !last) {
                 fast.compact(every, frame);
                 oracle.compact(every, frame);
@@ -2170,7 +2076,7 @@ mod tests {
         gc_every: Option<usize>,
         opts: &DecodeOptions,
     ) -> Checked {
-        let (fast, oracle) = lock_step(wfst, scores, gc_every, |_| opts.clone());
+        let (fast, oracle) = lock_step(wfst, scores, gc_every, opts);
         let frames = oracle.probe.frames.iter();
         let closure_tokens = oracle.probe.start.closure_stored
             + frames.map(|work| work.closure_stored).sum::<usize>();

@@ -121,21 +121,10 @@ impl<G: Deref<Target = Wfst>> StreamingDecode<G> {
         self.scratch.frames
     }
 
-    /// The search options currently in force.
+    /// The search options the decode was constructed with; every frame
+    /// runs under them.
     pub fn options(&self) -> &DecodeOptions {
         &self.opts
-    }
-
-    /// Retunes the search width — the serving layer's QoS knob. The new
-    /// `beam`/`max_active` apply from the next consumed row on: a frame
-    /// boundary, so mid-utterance retuning never splits a frame's
-    /// pruning decisions. The decode is deterministic given the
-    /// parameter trace (which row ran under which width), and a decode
-    /// whose trace is constant is byte-identical to one constructed
-    /// with those options — the pin the runtime's QoS tiers rest on.
-    pub fn set_search_params(&mut self, beam: f32, max_active: Option<usize>) {
-        self.opts.beam = beam;
-        self.opts.max_active = max_active;
     }
 
     /// `false` once the beam has pruned every path; further rows are
@@ -482,66 +471,6 @@ mod tests {
             assert_eq!(result.words, batch.words);
             scratch = recovered;
         }
-    }
-
-    #[test]
-    fn constant_search_params_trace_matches_construction_options() {
-        let (w, scores) = workload(2_000, 30, 53);
-        let narrow = DecodeOptions {
-            max_active: Some(64),
-            ..DecodeOptions::with_beam(3.0)
-        };
-        let batch = ViterbiDecoder::new(narrow.clone()).decode(&w, &scores);
-        // Construct wide, immediately retune narrow: the preamble (start
-        // seeding + initial closure) is width-independent, so the decode
-        // must be byte-identical to one constructed narrow.
-        let mut d = StreamingDecode::new(
-            &w,
-            DecodeOptions::with_beam(12.0),
-            DecodeScratch::new(w.num_states()),
-        );
-        for frame in 0..scores.num_frames() - 1 {
-            d.set_search_params(narrow.beam, narrow.max_active);
-            d.step(scores.frame_row(frame));
-        }
-        d.set_search_params(narrow.beam, narrow.max_active);
-        let (result, _) = d.finish(Some(scores.frame_row(scores.num_frames() - 1)));
-        assert_eq!(result.cost.to_bits(), batch.cost.to_bits());
-        assert_eq!(result.words, batch.words);
-        assert_eq!(result.best_state, batch.best_state);
-        assert_eq!(result.reached_final, batch.reached_final);
-    }
-
-    #[test]
-    fn scripted_param_trace_is_deterministic() {
-        let (w, scores) = workload(2_000, 40, 59);
-        let run = || {
-            let mut d = StreamingDecode::new(
-                &w,
-                DecodeOptions::with_beam(8.0),
-                DecodeScratch::new(w.num_states()),
-            );
-            for frame in 0..scores.num_frames() - 1 {
-                // Narrow twice mid-utterance, widen back once: the same
-                // trace must reproduce the same bytes every run.
-                let (beam, cap) = match frame {
-                    0..=9 => (8.0, None),
-                    10..=19 => (4.0, Some(256)),
-                    20..=29 => (2.0, Some(64)),
-                    _ => (6.0, None),
-                };
-                d.set_search_params(beam, cap);
-                d.step(scores.frame_row(frame));
-            }
-            let (result, scratch) = d.finish(Some(scores.frame_row(scores.num_frames() - 1)));
-            (result, scratch.trace_len())
-        };
-        let (a, a_trace) = run();
-        let (b, b_trace) = run();
-        assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-        assert_eq!(a.words, b.words);
-        assert_eq!(a.best_state, b.best_state);
-        assert_eq!(a_trace, b_trace);
     }
 
     /// Feeds `scores` through an [`AlbQueue`] as `advance` calls of the

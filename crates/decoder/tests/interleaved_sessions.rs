@@ -5,8 +5,9 @@
 //! Each of two threads steps 16 streaming decodes round-robin, one frame
 //! each in turn, over two graphs of different sizes: the small graph's
 //! decodes start first and the large graph's join later, so the shared
-//! index grows mid-run. Half of the decodes are constructed wide and
-//! retuned with `set_search_params` before every row. Every decode must
+//! index grows mid-run. Half of the decodes run at a wider beam under a
+//! different cap, so decodes of different widths share the index. Every
+//! decode must
 //! equal the batch decoder on its rows, the `HashMap` reference decoder on
 //! the same rows, and the same streaming decode run alone, on `words`,
 //! `cost`, `best_state` and `reached_final`.
@@ -23,31 +24,18 @@ const DECODES: usize = 16;
 /// Rounds the large graph's decodes start after the small graph's.
 const LATE_START: usize = 6;
 
-/// One utterance: its graph, rows, options, and whether it is retuned.
+/// One utterance: its graph, rows, options, and the round it starts in.
 struct Job<'g> {
     wfst: &'g Wfst,
     scores: AcousticTable,
     opts: DecodeOptions,
-    retuned: bool,
     start: usize,
 }
 
 impl Job<'_> {
-    /// Opens the decode: constructed wide when retuned, so only the
-    /// retuning before each row makes it the decode `opts` describes.
     fn open(&self) -> StreamingDecode<&Wfst> {
-        let opts = if self.retuned {
-            DecodeOptions::with_beam(self.opts.beam * 2.0)
-        } else {
-            self.opts.clone()
-        };
-        StreamingDecode::new(self.wfst, opts, DecodeScratch::new(self.wfst.num_states()))
-    }
-
-    fn retune(&self, decode: &mut StreamingDecode<&Wfst>) {
-        if self.retuned {
-            decode.set_search_params(self.opts.beam, self.opts.max_active);
-        }
+        let scratch = DecodeScratch::new(self.wfst.num_states());
+        StreamingDecode::new(self.wfst, self.opts.clone(), scratch)
     }
 
     /// The decode on its own: every row but the last stepped, the last
@@ -56,10 +44,8 @@ impl Job<'_> {
         let mut decode = self.open();
         let frames = self.scores.num_frames();
         for frame in 0..frames - 1 {
-            self.retune(&mut decode);
             decode.step(self.scores.frame_row(frame));
         }
-        self.retune(&mut decode);
         let (result, scratch) = decode.finish(Some(self.scores.frame_row(frames - 1)));
         (result, scratch.trace_len())
     }
@@ -80,15 +66,21 @@ fn jobs<'g>(small: &'g Wfst, large: &'g Wfst, seed: u64) -> Vec<Job<'g>> {
                 (0.5, 4.0),
                 seed * 100 + i as u64,
             );
-            let opts = DecodeOptions {
-                max_active: [None, Some(64), Some(300)][i % 3],
-                ..DecodeOptions::with_beam(if i % 4 < 2 { 6.0 } else { 7.5 })
+            let opts = if i % 2 == 1 {
+                DecodeOptions {
+                    max_active: Some(1_000),
+                    ..DecodeOptions::with_beam(10.0)
+                }
+            } else {
+                DecodeOptions {
+                    max_active: [None, Some(64), Some(300)][i % 3],
+                    ..DecodeOptions::with_beam(if i % 4 < 2 { 6.0 } else { 7.5 })
+                }
             };
             Job {
                 wfst,
                 scores,
                 opts,
-                retuned: i % 2 == 1,
                 start: i + if late { LATE_START } else { 0 },
             }
         })
@@ -108,7 +100,6 @@ fn interleaved(jobs: &[Job]) -> Vec<(DecodeResult, usize)> {
             }
             let decode = open[i].get_or_insert_with(|| job.open());
             let frame = round - job.start;
-            job.retune(decode);
             let row = job.scores.frame_row(frame);
             if frame + 1 < job.scores.num_frames() {
                 decode.step(row);
@@ -140,10 +131,7 @@ fn run_and_check(jobs: &[Job], thread: &str) {
     let results = interleaved(jobs);
     assert_eq!(results.len(), jobs.len());
     for (i, (job, (got, got_trace))) in jobs.iter().zip(&results).enumerate() {
-        let what = format!(
-            "{thread}, decode {i} ({:?}, retuned {})",
-            job.opts, job.retuned
-        );
+        let what = format!("{thread}, decode {i} ({:?})", job.opts);
         assert_eq!(
             got.stats.frames.len(),
             job.scores.num_frames(),

@@ -8,7 +8,7 @@
 //! | `raw-ptr-allowlist` | raw-pointer types (`*const T` / `*mut T`) appear only in the allowlisted unsafe-audited modules |
 //! | `no-panic-hot-path` | no `panic!` / `unwrap()` / `expect()` / `unreachable!` / `todo!` / `unimplemented!` in the hot-path modules (executor, session frame loop, search frame and token store, store load/validate) |
 //! | `repr-c-assert` | every `#[repr(C)]` record in the graph store keeps its compile-time `size_of` / `align_of` asserts |
-//! | `knob-census` | every public serving option — a by-value `pub fn` of an inherent `impl`, or a `pub` field, of `RuntimeConfig`, `SessionOptions`, `BatchScoringConfig`, `QosPolicy` or `DecodeOptions` — is named as `` `Type::name` `` in ARCHITECTURE.md's "Knob census" section (its table), so no option lands without the workload that needs it |
+//! | `knob-census` | every public serving option — a by-value `pub fn` of an inherent `impl`, or a `pub` field, of `RuntimeConfig`, `SessionOptions`, `BatchScoringConfig` or `DecodeOptions` — is named as `` `Type::name` `` in ARCHITECTURE.md's "Knob census" section (its table), so no option lands without the workload that needs it |
 //! | `stale-allowlist` | every path the rules above allowlist or target exists under the linted root, so a deleted module cannot leave its exemption behind |
 //!
 //! `#[cfg(test)] mod` bodies are excluded (tests may panic freely), and
@@ -45,14 +45,14 @@ impl std::fmt::Display for Finding {
 }
 
 /// Files allowed to name `Ordering::*` — the lock-free executor, the
-/// facade, the three runtime modules that own atomics (pressure
-/// monitor, batch service counters, per-model session counters), and
+/// facade, the three runtime modules that own atomics (admission
+/// counts, batch service counters, per-model session counters), and
 /// the model checker itself.
 const ORDERING_ALLOW: &[&str] = &[
     "crates/decoder/src/pool.rs",
     "crates/decoder/src/sync.rs",
     "crates/decoder/src/model_check.rs",
-    "src/runtime/qos.rs",
+    "src/runtime/admission.rs",
     "src/runtime/batch.rs",
     "src/runtime/registry.rs",
     "crates/verify/src/model.rs",
@@ -92,7 +92,6 @@ const KNOBS: &[&str] = &[
     "RuntimeConfig",
     "SessionOptions",
     "BatchScoringConfig",
-    "QosPolicy",
     "DecodeOptions",
 ];
 
@@ -590,7 +589,7 @@ fn check_repr_c(file: &str, lexed: &Lexed, mask: &[bool]) -> Vec<Finding> {
 /// Lints one file's public options against `census`, the text of the
 /// census section: each by-value `pub fn` of an inherent `impl`, and each
 /// `pub` field, of an option type (`RuntimeConfig`, `SessionOptions`,
-/// `BatchScoringConfig`, `QosPolicy`, `DecodeOptions`) must be named there
+/// `BatchScoringConfig`, `DecodeOptions`) must be named there
 /// as `` `Type::name` ``.
 pub fn knob_census(file: &str, source: &str, census: &str) -> Vec<Finding> {
     let lexed = lex(source);
@@ -839,7 +838,7 @@ mod tests {
                    pub fn depth(&self) -> usize { 1 }\n    \
                    pub(crate) fn inner(self) -> Self { self }\n    \
                    pub fn unlisted(self) -> Self { self }\n}\n\
-                   impl Default for QosPolicy {\n    fn default() -> Self { Self }\n}";
+                   impl Default for RuntimeConfig {\n    fn default() -> Self { Self }\n}";
         let census = "| `DecodeOptions::beam` | 8 |\n| `SessionOptions::model` | default graph |";
         let got = knob_census("src/runtime/session.rs", src, census);
         assert_eq!(got.len(), 1, "{got:?}");

@@ -181,10 +181,11 @@ loc:
     @git ls-files '*.rs' | grep -v '^benchmark/' | xargs wc -l | awk '$2 != "total" { split($2, p, "/"); k = p[1] == "crates" ? "crates/" p[2] : "root"; n[k] += $1; t += $1 } END { for (k in n) print n[k], k; print t, "total" }' | sort -k2
 
 # Open-loop overload harness: Poisson arrivals at 1x/2x the calibrated
-# saturation rate against fixed-beam vs QoS-degrading runtimes; writes
-# target/experiments/bench_load.json (fixed vs QoS p99, shed and degraded
-# counts) and fails only if a worker panicked. The one measurement of
-# the QoS layer until ROADMAP item 4 prices or cuts it.
+# saturation rate against an unlimited and an admission-limited
+# (max_sessions 2) runtime; writes target/experiments/bench_load.json
+# (p50/p99 from scheduled arrival, shed counts) and fails if a worker
+# panicked or a completed transcript differs from the full-beam
+# reference. The one measurement of admission control.
 bench-load:
     cargo run --release -p asr-bench --bin bench_load -- --arrivals 150 --loads 1,2
 

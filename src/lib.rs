@@ -24,7 +24,7 @@
 //! overlaps the scoring of frame *i + 1* with the search of frame *i*
 //! (the paper's Section VI pipelining) with byte-identical results.
 //! The layer is five modules under `src/runtime/` — the handle, and
-//! `session`, `qos`, `batch`, `registry`, each owning one protocol —
+//! `session`, `admission`, `batch`, `registry`, each owning one protocol —
 //! all re-exported at [`runtime`]. [`on_accelerator`] runs the same
 //! utterances on the simulated accelerator through the runtime's
 //! public accessors.
@@ -62,5 +62,5 @@ pub mod runtime;
 
 pub use runtime::{
     AsrRuntime, BatchScoringConfig, BatchScoringStats, Hypothesis, ModelStats, PipelineError,
-    QosPolicy, QosTier, RuntimeConfig, RuntimeStats, Session, SessionOptions, Transcript,
+    RuntimeConfig, RuntimeStats, Session, SessionOptions, Transcript,
 };

@@ -19,13 +19,12 @@
 //! everything public is re-exported here. The executor has one tenant:
 //! a session's Section VI score/search overlap
 //! ([`asr_decoder::stream::AlbQueue::advance`]). Batch flushes run on the
-//! thread that triggers them, and the pressure monitor never reads the
-//! executor.
+//! thread that triggers them, and admission never reads the executor.
 //!
 //! | module | owns |
 //! |---|---|
 //! | `session` | [`Session`] / [`SessionOptions`]: the one frame loop, its row sources (pre-scored rows, inline / overlapped / batched audio scoring) and the ALB handoff — Section VI pipelining, byte-identical to the sequential path |
-//! | `qos` | [`QosPolicy`] tiers, the pressure monitor (session occupancy, `active / max_sessions`) and admission control ([`AsrRuntime::try_open_session`] sheds with [`PipelineError::Overloaded`]) |
+//! | `admission` | the session count and [`RuntimeConfig::max_sessions`]: [`AsrRuntime::try_open_session`] sheds with [`PipelineError::Overloaded`] at the limit |
 //! | `batch` | [`BatchScoringConfig`]: the cross-session gather window, its one block forward pass per flush, and the per-session slots rows scatter back to — byte-identical per session for any batch composition |
 //! | `registry` | named models ([`AsrRuntime::register_model`], [`AsrRuntime::swap_model`], [`SessionOptions::model`]): sessions resolve a name once at open, replaced graphs retire when their last session drops |
 //!
@@ -37,22 +36,22 @@
 //! sessions (byte-identity to the batch decoder, zero steady-state
 //! allocations per frame) covers the batch API for free.
 //! [`AsrRuntime::stats`] exposes the whole signal chain
-//! ([`RuntimeStats`]): active/peak/shed sessions, pressure,
-//! current and peak tier, the scratch-pool, executor and batch-service
-//! counters, and the registry's per-model counts.
+//! ([`RuntimeStats`]): active/peak/shed sessions, the scratch-pool,
+//! executor and batch-service counters, and the registry's per-model
+//! counts.
 
+mod admission;
 mod batch;
-mod qos;
 mod registry;
 mod session;
 #[cfg(test)]
 mod tests;
 
 pub use batch::{BatchScoringConfig, BatchScoringStats};
-pub use qos::{QosPolicy, QosTier};
 pub use registry::ModelStats;
 pub use session::{Hypothesis, Session, SessionOptions};
 
+use admission::Admission;
 use asr_acoustic::dnn::Mlp;
 use asr_acoustic::mfcc::{MfccConfig, MfccPipeline};
 use asr_acoustic::scores::AcousticTable;
@@ -66,7 +65,6 @@ use asr_wfst::grammar::Grammar;
 use asr_wfst::lexicon::{demo_lexicon, Lexicon};
 use asr_wfst::{PhoneId, Wfst, WfstError, WordId};
 use batch::BatchService;
-use qos::PressureMonitor;
 use registry::ModelRegistry;
 use session::SessionFrontend;
 use std::fmt;
@@ -81,14 +79,14 @@ pub enum PipelineError {
     /// A word is not in the runtime's lexicon.
     UnknownWord(String),
     /// Admission control refused a new session: the runtime is at its
-    /// [`QosPolicy`] saturation point. Returned by
+    /// [`RuntimeConfig::max_sessions`] limit. Returned by
     /// [`AsrRuntime::try_open_session`] — never a panic — so callers
     /// can shed load (reject, retry later, fail over) while every
     /// in-flight session runs to completion.
     Overloaded {
         /// Sessions in flight when admission was refused.
         active: usize,
-        /// The policy's configured session limit.
+        /// The configured session limit.
         limit: usize,
     },
     /// [`SessionOptions::model`] named a model the registry does not
@@ -180,15 +178,6 @@ pub struct RuntimeStats {
     pub peak_sessions: usize,
     /// Sessions refused by [`AsrRuntime::try_open_session`].
     pub shed_sessions: u64,
-    /// The pressure signal: session occupancy, `active_sessions /
-    /// max_sessions` of the [`QosPolicy`] (`0.0` without a policy or a
-    /// session limit).
-    pub pressure: f64,
-    /// The degradation tier adaptive sessions currently decode at
-    /// (`0` = base options).
-    pub tier: usize,
-    /// The highest tier the runtime has reached.
-    pub peak_tier: usize,
     /// Scratch-pool counters (cold checkouts vs warm restores).
     pub scratch: ScratchPoolStats,
     /// Executor scheduling counters, when the shared pool has been
@@ -355,7 +344,7 @@ impl AcousticModel {
 pub struct RuntimeConfig {
     lanes: usize,
     options: DecodeOptions,
-    qos: Option<QosPolicy>,
+    max_sessions: usize,
     acoustic: AcousticSpec,
     batch: Option<BatchScoringConfig>,
 }
@@ -368,12 +357,12 @@ enum AcousticSpec {
 }
 
 impl Default for RuntimeConfig {
-    /// Machine-sized executor, the demo beam, no QoS policy.
+    /// Machine-sized executor, the demo beam, unlimited admission.
     fn default() -> Self {
         Self {
             lanes: WorkerPool::default_lanes(),
             options: DecodeOptions::with_beam(40.0),
-            qos: None,
+            max_sessions: 0,
             acoustic: AcousticSpec::Template,
             batch: None,
         }
@@ -442,17 +431,17 @@ struct RuntimeInner {
     /// The shared fork-join executor, spun up on first use (a
     /// one-lane runtime never spawns it).
     executor: OnceLock<Arc<WorkerPool>>,
-    /// The QoS policy (when one is installed) and its pressure
-    /// bookkeeping: session counts always, tier selection only under a
-    /// policy.
-    monitor: PressureMonitor,
+    /// Session counts and the admission limit.
+    admission: Admission,
     /// The multi-model registry (empty until a model is registered; the
     /// construction-time `graph` stays the unnamed default).
     models: Mutex<ModelRegistry>,
 }
 
 impl RuntimeInner {
-    /// See [`AsrRuntime::executor`].
+    /// The shared fork-join executor, or `None` on a one-lane runtime
+    /// (which never spawns worker threads). Spun up lazily on first
+    /// call; every overlapping session shares it.
     fn executor(&self) -> Option<&Arc<WorkerPool>> {
         let spawn = || Arc::new(WorkerPool::new(self.lanes));
         (self.lanes > 1).then(|| self.executor.get_or_init(spawn))
@@ -570,7 +559,7 @@ impl AsrRuntime {
                 scratch_pool,
                 frontend_pool: Mutex::new(Vec::new()),
                 executor: OnceLock::new(),
-                monitor: PressureMonitor::new(config.qos),
+                admission: Admission::new(config.max_sessions),
                 models,
             }),
         }
@@ -625,14 +614,9 @@ impl AsrRuntime {
         &self.inner.scratch_pool
     }
 
-    /// The installed QoS policy, when the runtime has one.
-    pub fn qos_policy(&self) -> Option<&QosPolicy> {
-        self.inner.monitor.policy()
-    }
-
     /// A point-in-time snapshot of the serving state: session counts,
-    /// shed counts, pressure and tier, scratch-pool counters, and the
-    /// executor's scheduling counters. Reading stats never spawns the
+    /// shed counts, scratch-pool counters, and the executor's scheduling
+    /// counters. Reading stats never spawns the
     /// executor — `executor` is `None` until some decode first needs
     /// the pool (and always on one-lane runtimes).
     pub fn stats(&self) -> RuntimeStats {
@@ -646,15 +630,8 @@ impl AsrRuntime {
             executor: executor.map(|pool| pool.stats()),
             executor_queue_depth: executor.map_or(0, |pool| pool.queue_depth()),
             batch: self.inner.batch.as_ref().map(BatchService::stats),
-            ..self.inner.monitor.stats()
+            ..self.inner.admission.stats()
         }
-    }
-
-    /// The shared fork-join executor, or `None` on a one-lane
-    /// runtime (which never spawns worker threads). Spun up lazily on
-    /// first call; every overlapping session shares it.
-    pub fn executor(&self) -> Option<&Arc<WorkerPool>> {
-        self.inner.executor()
     }
 
     /// Renders a synthetic utterance speaking `words`, six frames
@@ -709,8 +686,8 @@ impl AsrRuntime {
     /// Recognizes a pre-scored utterance (the accelerator-style
     /// deployment, where the acoustic model runs elsewhere): a one-shot
     /// [`Session`] fed the score rows, riding a warmed scratch from the
-    /// shared pool — the same admission accounting, QoS tiers and search
-    /// as any other session, for every graph size and executor width.
+    /// shared pool — the same admission accounting and search as any
+    /// other session, for every graph size and executor width.
     /// Pre-scored rows leave nothing to overlap, so, like every row-fed
     /// session, it takes no executor handle: a multi-lane runtime that
     /// only ever decodes tables never spawns its worker threads.

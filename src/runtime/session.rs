@@ -66,20 +66,14 @@ pub struct Hypothesis {
 pub struct SessionOptions {
     /// `None` = depth 1: the classic single-row Section VI overlap.
     overlap_depth: Option<usize>,
-    /// `None` = automatic: follow the runtime's [`super::QosPolicy`] tier
-    /// whenever one is installed.
-    qos: Option<bool>,
-    /// Pin the session to one policy tier instead of following the
-    /// pressure signal.
-    pinned_tier: Option<usize>,
     /// Decode over a registered model instead of the runtime's default
     /// graph.
     model: Option<String>,
 }
 
 impl SessionOptions {
-    /// The default options: the runtime's default graph, depth-1
-    /// overlap, and the runtime's QoS policy when one is installed.
+    /// The default options: the runtime's default graph and depth-1
+    /// overlap.
     pub fn new() -> Self {
         Self::default()
     }
@@ -106,31 +100,6 @@ impl SessionOptions {
     pub fn overlap_depth(mut self, depth: usize) -> Self {
         assert!(depth > 0, "overlap_depth must be at least 1");
         self.overlap_depth = Some(depth);
-        self
-    }
-
-    /// Opts this session out of (or explicitly into) the runtime's
-    /// adaptive QoS. With `false` the session decodes at the runtime's
-    /// base decode options for its whole life — byte-identical to a
-    /// session on a runtime with no policy installed — though it still
-    /// counts toward admission control.
-    pub fn adaptive_qos(mut self, enabled: bool) -> Self {
-        self.qos = Some(enabled);
-        self
-    }
-
-    /// Pins the session to policy tier `tier` (0 = base options)
-    /// instead of following the pressure signal: every frame decodes at
-    /// that tier's beam/max-active, making the session byte-identical
-    /// to a fixed-beam decode at those parameters. Implies QoS is
-    /// enabled for the session.
-    ///
-    /// # Panics (at `open_session*`)
-    ///
-    /// Opening the session panics if the runtime has no policy, `tier`
-    /// is out of range, or the session also set `adaptive_qos(false)`.
-    pub fn pin_tier(mut self, tier: usize) -> Self {
-        self.pinned_tier = Some(tier);
         self
     }
 
@@ -226,20 +195,21 @@ impl AsrRuntime {
     /// Opens an owned streaming session with explicit options.
     ///
     /// Admission is unconditional: this path never sheds, even past the
-    /// policy's session limit (use [`AsrRuntime::try_open_session_with`]
-    /// for load-shedding admission).
+    /// [`super::RuntimeConfig::max_sessions`] limit (use
+    /// [`AsrRuntime::try_open_session_with`] for load-shedding
+    /// admission).
     pub fn open_session_with(&self, options: SessionOptions) -> Session {
         let resolved = self
             .resolve_model(&options)
             .unwrap_or_else(|e| panic!("open_session_with: {e}"));
-        self.inner.monitor.session_opened();
+        self.inner.admission.session_opened();
         self.build_session(options, resolved)
     }
 
     /// Opens a session with default options under admission control:
     /// sheds with [`PipelineError::Overloaded`] once the runtime's
-    /// [`super::QosPolicy`] session limit is reached. Without a policy (or
-    /// with a limit of `0`) admission is unlimited and this never
+    /// [`super::RuntimeConfig::max_sessions`] limit is reached. Without
+    /// a limit (the default, `0`) admission is unlimited and this never
     /// fails.
     ///
     /// # Errors
@@ -251,11 +221,9 @@ impl AsrRuntime {
     /// # Example
     ///
     /// ```
-    /// use asr_repro::runtime::{AsrRuntime, PipelineError, QosPolicy, RuntimeConfig};
+    /// use asr_repro::runtime::{AsrRuntime, PipelineError, RuntimeConfig};
     ///
-    /// let runtime = AsrRuntime::demo_with(
-    ///     RuntimeConfig::new().qos(QosPolicy::new().max_sessions(1)),
-    /// )?;
+    /// let runtime = AsrRuntime::demo_with(RuntimeConfig::new().max_sessions(1))?;
     /// let admitted = runtime.try_open_session()?;
     /// match runtime.try_open_session() {
     ///     Err(PipelineError::Overloaded { active, limit }) => {
@@ -281,7 +249,7 @@ impl AsrRuntime {
         // Resolve the model first: an unknown name is the caller's
         // error, reported without charging admission or shed counters.
         let resolved = self.resolve_model(&options)?;
-        self.inner.monitor.try_admit()?;
+        self.inner.admission.try_admit()?;
         Ok(self.build_session(options, resolved))
     }
 
@@ -308,30 +276,6 @@ impl AsrRuntime {
         options: SessionOptions,
         (graph, model_counters): (Arc<Wfst>, Option<Arc<ModelCounters>>),
     ) -> Session {
-        let qos_enabled = match self.inner.monitor.policy() {
-            Some(policy) => {
-                let enabled = options.qos.unwrap_or(true);
-                if let Some(tier) = options.pinned_tier {
-                    assert!(
-                        enabled,
-                        "SessionOptions::pin_tier contradicts adaptive_qos(false)"
-                    );
-                    assert!(
-                        tier < policy.num_tiers(),
-                        "pinned tier {tier} out of range: the policy has {} tiers",
-                        policy.num_tiers()
-                    );
-                }
-                enabled
-            }
-            None => {
-                assert!(
-                    options.pinned_tier.is_none(),
-                    "SessionOptions::pin_tier on a runtime without a QosPolicy"
-                );
-                false
-            }
-        };
         if let Some(counters) = &model_counters {
             counters.session_opened();
         }
@@ -351,8 +295,6 @@ impl AsrRuntime {
             min_row_len,
             scattered: Vec::new(),
             frames_pushed: 0,
-            qos_enabled,
-            pinned_tier: options.pinned_tier,
             batch_slot: None,
             model_counters,
         }
@@ -401,11 +343,6 @@ pub struct Session {
     /// service, on its way into `alb`.
     scattered: Vec<f32>,
     frames_pushed: usize,
-    /// Whether this session follows the runtime's QoS policy (always
-    /// `false` without a policy).
-    qos_enabled: bool,
-    /// A fixed tier overriding the pressure signal, when pinned.
-    pinned_tier: Option<usize>,
     /// The session's registration with the service, made lazily by the
     /// first [`Session::push_samples`].
     batch_slot: Option<BatchSlot>,
@@ -523,17 +460,12 @@ impl Session {
         }
     }
 
-    /// The session's one frame step, shared by every row source:
-    /// retunes the search to the current QoS tier, then lets the ALB
-    /// step the search over every queued row while `fill` produces the
-    /// block of `fresh` new ones (see [`AlbQueue::advance`]) — on the executor
-    /// when the session has one, otherwise on this thread.
-    ///
-    /// Tier changes land here (and once more before the last frame, in
-    /// [`Session::finalize`]), so they only ever apply at a frame
-    /// boundary.
+    /// The session's one frame step, shared by every row source: lets
+    /// the ALB step the search over every queued row while `fill`
+    /// produces the block of `fresh` new ones (see
+    /// [`AlbQueue::advance`]) — on the executor when the session has
+    /// one, otherwise on this thread.
     fn advance(&mut self, row_len: usize, fresh: usize, fill: &mut (dyn FnMut(&mut [f32]) + Send)) {
-        self.apply_qos();
         let Some(decode) = self.decode.as_mut() else {
             return;
         };
@@ -588,61 +520,6 @@ impl Session {
         self.frames_pushed
     }
 
-    /// The degradation tier the *next* frame will decode at: the pinned
-    /// tier if set, otherwise the runtime's current pressure tier.
-    /// Always `0` when QoS is off for this session.
-    pub fn tier(&self) -> usize {
-        if !self.qos_enabled {
-            return 0;
-        }
-        self.pinned_tier
-            .unwrap_or_else(|| self.runtime.monitor.tier())
-    }
-
-    /// Pins the session to policy tier `tier` from the next frame on —
-    /// the mid-utterance form of [`SessionOptions::pin_tier`], for
-    /// scripted tier traces. Tier changes only ever land at frame
-    /// boundaries, so the decode stays deterministic given the trace.
-    /// Implies QoS is enabled for the session from here on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the runtime has no [`super::QosPolicy`] or `tier` is out of
-    /// range.
-    pub fn pin_tier(&mut self, tier: usize) {
-        let policy = self
-            .runtime
-            .monitor
-            .policy()
-            .expect("Session::pin_tier on a runtime without a QosPolicy");
-        assert!(
-            tier < policy.num_tiers(),
-            "pinned tier {tier} out of range: the policy has {} tiers",
-            policy.num_tiers()
-        );
-        self.qos_enabled = true;
-        self.pinned_tier = Some(tier);
-    }
-
-    /// Retunes the search to the session's current tier — called at
-    /// every frame boundary (and before the final frame), so parameter
-    /// changes never land mid-frame.
-    fn apply_qos(&mut self) {
-        if !self.qos_enabled {
-            return;
-        }
-        let Some(policy) = self.runtime.monitor.policy() else {
-            return;
-        };
-        let tier = self
-            .pinned_tier
-            .unwrap_or_else(|| self.runtime.monitor.tier());
-        let (beam, max_active) = policy.params(tier, &self.runtime.options);
-        if let Some(decode) = self.decode.as_mut() {
-            decode.set_search_params(beam, max_active);
-        }
-    }
-
     /// The current best hypothesis (empty words before any audio: the
     /// start state's closure), or `None` after the beam pruned every
     /// path or the session was finalized. The search trails the pushes
@@ -676,7 +553,6 @@ impl Session {
             self.runtime.restore_frontend(frontend);
         }
         self.flush_scoring();
-        self.apply_qos();
         let decode = self.decode.take().expect("session not yet finalized");
         let (result, scratch) = self.alb.finish(decode);
         self.runtime.scratch_pool.restore(scratch);
@@ -710,6 +586,6 @@ impl Drop for Session {
         // Finalized and abandoned sessions both come off the books here
         // (finalize consumes `self`, so this runs exactly once either
         // way); admission reopens as soon as in-flight work retires.
-        self.runtime.monitor.session_closed();
+        self.runtime.admission.session_closed();
     }
 }

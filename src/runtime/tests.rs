@@ -85,7 +85,7 @@ fn runtime_clones_share_the_pools() {
 #[test]
 fn one_lane_runtime_has_no_executor() {
     let runtime = AsrRuntime::demo_with(RuntimeConfig::new().lanes(1)).unwrap();
-    assert!(runtime.executor().is_none());
+    assert!(runtime.inner.executor().is_none());
     let audio = runtime.render_words(&["stop"]).unwrap();
     assert_eq!(runtime.recognize(&audio).words, vec!["stop"]);
 }
@@ -365,7 +365,7 @@ fn demo_lanes(lanes: usize) -> AsrRuntime {
 #[test]
 fn overlapped_and_inline_scoring_are_byte_identical() {
     let (runtime, one_lane) = (demo_lanes(2), demo_lanes(1));
-    assert!(runtime.executor().is_some());
+    assert!(runtime.inner.executor().is_some());
     let audio = runtime.render_words(&["lights", "on"]).unwrap();
     let run = |runtime: &AsrRuntime| {
         let mut session = runtime.open_session();
@@ -476,38 +476,11 @@ fn push_row_takes_rows_of_alternating_widths() {
     assert_eq!(got.reached_final, reference.reached_final);
 }
 
-// ---- `qos`: tiers, the pressure monitor, admission ----
-
-#[test]
-fn qos_policy_tiers_floors_and_selection() {
-    let policy = QosPolicy::new()
-        .tier(0.5, 30.0, None)
-        .tier(0.75, 20.0, Some(2048))
-        .tier(0.95, 6.0, Some(64))
-        .floors(10.0, 256);
-    assert_eq!(policy.num_tiers(), 4);
-    assert_eq!(policy.select_tier(0.0), 0);
-    assert_eq!(policy.select_tier(0.5), 1);
-    assert_eq!(policy.select_tier(0.94), 2);
-    assert_eq!(policy.select_tier(7.0), 3);
-    let base = DecodeOptions::with_beam(40.0);
-    assert_eq!(policy.params(0, &base), (40.0, None));
-    assert_eq!(policy.params(1, &base), (30.0, None));
-    assert_eq!(policy.params(2, &base), (20.0, Some(2048)));
-    // The floors bite on the last rung...
-    assert_eq!(policy.params(3, &base), (10.0, Some(256)));
-    // ...and out-of-range tiers saturate there.
-    assert_eq!(policy.params(9, &base), (10.0, Some(256)));
-}
+// ---- `admission`: the session count and the limit ----
 
 #[test]
 fn try_open_session_sheds_at_the_limit_and_recovers() {
-    let runtime = AsrRuntime::demo_with(
-        RuntimeConfig::new()
-            .lanes(1)
-            .qos(QosPolicy::new().max_sessions(2)),
-    )
-    .unwrap();
+    let runtime = AsrRuntime::demo_with(RuntimeConfig::new().lanes(1).max_sessions(2)).unwrap();
     let first = runtime.try_open_session().unwrap();
     let second = runtime.try_open_session().unwrap();
     match runtime.try_open_session() {
@@ -520,11 +493,6 @@ fn try_open_session_sheds_at_the_limit_and_recovers() {
     assert_eq!(stats.active_sessions, 2);
     assert_eq!(stats.peak_sessions, 2);
     assert_eq!(stats.shed_sessions, 1);
-    assert!(
-        stats.pressure >= 1.0,
-        "saturated admission shows full pressure, got {}",
-        stats.pressure
-    );
     // Retiring an in-flight session reopens admission.
     drop(first);
     let third = runtime.try_open_session().unwrap();
@@ -538,12 +506,7 @@ fn try_open_session_sheds_at_the_limit_and_recovers() {
 
 #[test]
 fn open_session_never_sheds_even_at_the_limit() {
-    let runtime = AsrRuntime::demo_with(
-        RuntimeConfig::new()
-            .lanes(1)
-            .qos(QosPolicy::new().max_sessions(1)),
-    )
-    .unwrap();
+    let runtime = AsrRuntime::demo_with(RuntimeConfig::new().lanes(1).max_sessions(1)).unwrap();
     let _admitted = runtime.try_open_session().unwrap();
     // The infallible path keeps working past the limit...
     let audio = runtime.render_words(&["go"]).unwrap();
@@ -553,68 +516,6 @@ fn open_session_never_sheds_even_at_the_limit() {
         runtime.try_open_session(),
         Err(PipelineError::Overloaded { .. })
     ));
-}
-
-#[test]
-fn pressure_is_session_occupancy_and_tiers_follow_it() {
-    let policy = QosPolicy::new()
-        .tier(0.5, 30.0, None)
-        .tier(0.75, 20.0, Some(512))
-        .max_sessions(4);
-    let runtime = AsrRuntime::demo_with(RuntimeConfig::new().lanes(1).qos(policy)).unwrap();
-    let expect = |sessions: &[Session], tier: usize, peak_tier: usize| {
-        let stats = runtime.stats();
-        assert_eq!(stats.active_sessions, sessions.len());
-        assert_eq!(stats.pressure, sessions.len() as f64 / 4.0);
-        assert_eq!(
-            (stats.tier, stats.peak_tier),
-            (tier, peak_tier),
-            "{} sessions",
-            sessions.len()
-        );
-        assert!(sessions.iter().all(|s| s.tier() == tier));
-    };
-    let mut open = Vec::new();
-    expect(&open, 0, 0);
-    for tier in [0, 1, 2, 2] {
-        open.push(runtime.try_open_session().unwrap());
-        expect(&open, tier, tier);
-    }
-    for tier in [2, 1, 0, 0] {
-        drop(open.pop());
-        expect(&open, tier, 2);
-    }
-
-    // Tiers but no session limit: the pressure stays 0, so only a pin
-    // moves a session off the base tier.
-    let unlimited = AsrRuntime::demo_with(
-        RuntimeConfig::new()
-            .lanes(1)
-            .qos(QosPolicy::new().tier(0.5, 30.0, None)),
-    )
-    .unwrap();
-    let crowd: Vec<Session> = (0..8).map(|_| unlimited.open_session()).collect();
-    let pinned = unlimited.open_session_with(SessionOptions::new().pin_tier(1));
-    assert!(crowd.iter().all(|s| s.tier() == 0));
-    assert_eq!(pinned.tier(), 1);
-    let stats = unlimited.stats();
-    assert_eq!(stats.active_sessions, 9);
-    assert_eq!((stats.pressure, stats.tier, stats.peak_tier), (0.0, 0, 0));
-}
-
-#[test]
-fn sessions_follow_pins_and_report_tiers() {
-    let policy = QosPolicy::new().tier(0.5, 20.0, Some(512)).max_sessions(4);
-    let runtime = AsrRuntime::demo_with(RuntimeConfig::new().lanes(1).qos(policy)).unwrap();
-    let mut session = runtime.open_session_with(SessionOptions::new().pin_tier(1));
-    assert_eq!(session.tier(), 1);
-    session.pin_tier(0);
-    assert_eq!(session.tier(), 0);
-    drop(session);
-
-    let opted_out = runtime.open_session_with(SessionOptions::new().adaptive_qos(false));
-    assert_eq!(opted_out.tier(), 0, "QoS-off sessions sit at base");
-    drop(opted_out);
 }
 
 // ---- `batch`: the gather window, the lone-session fallback, mid-window drops ----

@@ -27,7 +27,7 @@
 use asr_repro::acoustic::signal::Utterance;
 use asr_repro::decoder::search::{DecodeOptions, ViterbiDecoder};
 use asr_repro::runtime::{
-    AsrRuntime, BatchScoringConfig, QosPolicy, RuntimeConfig, Session, SessionOptions, Transcript,
+    AsrRuntime, BatchScoringConfig, RuntimeConfig, Session, SessionOptions, Transcript,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -303,73 +303,6 @@ fn partials_agree_with_unbatched_at_flush_sync_points() {
     assert_eq!(tb.cost.to_bits(), ub.finalize().cost.to_bits());
     assert_eq!(ta.words, vec!["play", "music"]);
     assert_eq!(tb.words, vec!["call", "mom"]);
-}
-
-#[test]
-fn scripted_tier_trace_is_byte_identical_with_batching_on_and_off() {
-    // QoS interaction: tier changes land only at frame boundaries, and
-    // `flush_scoring` pins both modes to the same consumption state
-    // before each change, so one scripted trace must decode to the same
-    // bytes whether scoring is batched or not.
-    let policy = QosPolicy::new()
-        .tier(0.5, 20.0, Some(512))
-        .tier(0.9, 6.0, Some(64))
-        .floors(8.0, 32);
-    let config = || RuntimeConfig::new().lanes(1).qos(policy.clone());
-    let runtime =
-        AsrRuntime::demo_with(config().batch_scoring(BatchScoringConfig::new(8))).unwrap();
-    let unbatched_rt = AsrRuntime::demo_with(config()).unwrap();
-    let a = runtime.render_words(&["lights", "on", "go"]).unwrap();
-    let b = runtime.render_words(&["stop", "call", "mom"]).unwrap();
-    let tier_for_epoch = |epoch: usize| match epoch % 4 {
-        0 => 0,
-        1 => 2,
-        2 => 1,
-        _ => 0,
-    };
-    let run = |runtime: &AsrRuntime| {
-        let opts = SessionOptions::new().pin_tier(0);
-        let mut sa = runtime.open_session_with(opts.clone());
-        let mut sb = runtime.open_session_with(opts);
-        let mut ia = a.samples.chunks(PACKET);
-        let mut ib = b.samples.chunks(PACKET);
-        let mut epoch = 0usize;
-        loop {
-            let mut pushed = false;
-            // One epoch = four packets per session at one pinned tier.
-            sa.pin_tier(tier_for_epoch(epoch));
-            sb.pin_tier(tier_for_epoch(epoch));
-            for _ in 0..4 {
-                if let Some(p) = ia.next() {
-                    sa.push_samples(p);
-                    pushed = true;
-                }
-                if let Some(p) = ib.next() {
-                    sb.push_samples(p);
-                    pushed = true;
-                }
-            }
-            // Sync point: both modes have now searched exactly the same
-            // rows, so the *next* epoch's tier lands on the same frame.
-            sa.flush_scoring();
-            sb.flush_scoring();
-            if !pushed {
-                break;
-            }
-            epoch += 1;
-        }
-        (sa.finalize(), sb.finalize())
-    };
-    let (ba, bb) = run(&runtime);
-    let (ua, ub) = run(&unbatched_rt);
-    assert_eq!(ba.words, ua.words);
-    assert_eq!(ba.cost.to_bits(), ua.cost.to_bits());
-    assert_eq!(bb.words, ub.words);
-    assert_eq!(bb.cost.to_bits(), ub.cost.to_bits());
-    assert!(
-        runtime.stats().batch.unwrap().batches > 0,
-        "the QoS trace must actually exercise the batched path"
-    );
 }
 
 /// Shared fixture for the property sweep: one runtime (window 4, so the

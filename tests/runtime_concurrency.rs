@@ -19,8 +19,8 @@
 //! [`Session`]: asr_repro::runtime::Session
 //! [`ViterbiDecoder`]: asr_repro::decoder::search::ViterbiDecoder
 
-use asr_repro::decoder::search::{DecodeOptions, ViterbiDecoder};
-use asr_repro::runtime::{AsrRuntime, QosPolicy, RuntimeConfig, Session, SessionOptions};
+use asr_repro::decoder::search::ViterbiDecoder;
+use asr_repro::runtime::{AsrRuntime, RuntimeConfig, Session, SessionOptions};
 
 fn assert_send_static<T: Send + 'static>() {}
 
@@ -289,58 +289,10 @@ fn overlapped_sessions_match_inline_sessions_under_concurrency() {
     });
 }
 
-/// The degradation policy the QoS determinism pins run against: two
-/// rungs below the 40.0 demo beam, with floors that bite on the last.
-fn pinned_test_policy() -> QosPolicy {
-    QosPolicy::new()
-        .tier(0.5, 20.0, Some(512))
-        .tier(0.9, 6.0, Some(16))
-        .floors(8.0, 64)
-}
-
 #[test]
-fn qos_pinned_at_a_tier_matches_the_fixed_beam_decoder() {
-    let runtime =
-        AsrRuntime::demo_with(RuntimeConfig::new().lanes(2).qos(pinned_test_policy())).unwrap();
-    let audio = runtime.render_words(&["lights", "off"]).unwrap();
-    let scores = runtime.score(&audio);
-    let policy = runtime.qos_policy().unwrap().clone();
-
-    for tier in 0..policy.num_tiers() {
-        // A plain sequential decoder at exactly this tier's parameters
-        // (floors included) is the ground truth...
-        let (beam, max_active) = policy.params(tier, runtime.options());
-        let mut reference_options = DecodeOptions::with_beam(beam);
-        reference_options.max_active = max_active;
-        let reference = ViterbiDecoder::new(reference_options).decode(runtime.graph(), &scores);
-
-        // ...and a session pinned at the tier must match it byte for
-        // byte, whatever the pressure signal does around it.
-        let mut session = runtime.open_session_with(SessionOptions::new().pin_tier(tier));
-        session.push_frames(&scores);
-        let transcript = session.finalize();
-        assert_eq!(
-            transcript.words,
-            runtime.lexicon().transcript(&reference.words),
-            "tier {tier}"
-        );
-        assert_eq!(
-            transcript.cost.to_bits(),
-            reference.cost.to_bits(),
-            "tier {tier}"
-        );
-    }
-}
-
-#[test]
-fn qos_disabled_is_byte_identical_to_a_runtime_without_a_policy() {
+fn an_admission_limit_changes_no_transcript() {
     let plain = AsrRuntime::demo_with(RuntimeConfig::new().lanes(2)).unwrap();
-    let with_policy = AsrRuntime::demo_with(
-        RuntimeConfig::new()
-            .lanes(2)
-            .qos(pinned_test_policy().max_sessions(8)),
-    )
-    .unwrap();
+    let limited = AsrRuntime::demo_with(RuntimeConfig::new().lanes(2).max_sessions(8)).unwrap();
     for words in [vec!["go"], vec!["play", "music"], vec!["call", "mom"]] {
         let audio = plain.render_words(&words).unwrap();
         let scores = plain.score(&audio);
@@ -349,17 +301,16 @@ fn qos_disabled_is_byte_identical_to_a_runtime_without_a_policy() {
         baseline.push_frames(&scores);
         let baseline = baseline.finalize();
 
-        // QoS opted out on a policy-bearing runtime: same bytes as a
-        // runtime that never heard of QoS, over both entry points.
-        let mut opted_out =
-            with_policy.open_session_with(SessionOptions::new().adaptive_qos(false));
-        opted_out.push_frames(&scores);
-        let opted_out = opted_out.finalize();
-        assert_eq!(opted_out.words, baseline.words);
-        assert_eq!(opted_out.cost.to_bits(), baseline.cost.to_bits());
+        // Admission decides whether a session runs, never how: the same
+        // bytes as an unlimited runtime, over both entry points.
+        let mut admitted = limited.open_session();
+        admitted.push_frames(&scores);
+        let admitted = admitted.finalize();
+        assert_eq!(admitted.words, baseline.words);
+        assert_eq!(admitted.cost.to_bits(), baseline.cost.to_bits());
 
-        let mut sampled = with_policy
-            .try_open_session_with(SessionOptions::new().adaptive_qos(false))
+        let mut sampled = limited
+            .try_open_session_with(SessionOptions::new())
             .expect("below the admission limit");
         for packet in audio.samples.chunks(160) {
             sampled.push_samples(packet);
@@ -368,36 +319,6 @@ fn qos_disabled_is_byte_identical_to_a_runtime_without_a_policy() {
         assert_eq!(sampled.words, baseline.words);
         assert_eq!(sampled.cost.to_bits(), baseline.cost.to_bits());
     }
-}
-
-#[test]
-fn scripted_tier_trace_is_deterministic_and_frame_aligned() {
-    let runtime =
-        AsrRuntime::demo_with(RuntimeConfig::new().lanes(2).qos(pinned_test_policy())).unwrap();
-    let audio = runtime.render_words(&["play", "music"]).unwrap();
-    let scores = runtime.score(&audio);
-
-    // Tier changes only land at frame boundaries, so replaying the same
-    // pin trace must reproduce the decode byte for byte.
-    let tier_for_frame = |frame: usize| match frame {
-        0..=9 => 0,
-        10..=19 => 2,
-        _ => 1,
-    };
-    let run = || {
-        let mut session = runtime.open_session_with(SessionOptions::new().pin_tier(0));
-        for frame in 0..scores.num_frames() {
-            session.pin_tier(tier_for_frame(frame));
-            assert_eq!(session.tier(), tier_for_frame(frame));
-            session.push_row(scores.frame_row(frame));
-        }
-        session.finalize()
-    };
-    let first = run();
-    let second = run();
-    assert_eq!(first.words, second.words);
-    assert_eq!(first.cost.to_bits(), second.cost.to_bits());
-    assert_eq!(first.reached_final, second.reached_final);
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! 1. Admission control is typed, atomic, and recoverable:
 //!    [`AsrRuntime::try_open_session`] sheds with
 //!    [`PipelineError::Overloaded`] — never a panic — the concurrent
-//!    session count never exceeds the policy limit, every admitted
+//!    session count never exceeds the limit, every admitted
 //!    session finishes with a correct transcript, and retiring
 //!    in-flight work reopens admission.
 //! 2. A corrupted graph layout (direct-index registers shifted out
@@ -29,7 +29,7 @@
 use asr_repro::accel::config::{AcceleratorConfig, DesignPoint};
 use asr_repro::accel::sim::PreparedWfst;
 use asr_repro::on_accelerator;
-use asr_repro::runtime::{AsrRuntime, PipelineError, QosPolicy, RuntimeConfig, SessionOptions};
+use asr_repro::runtime::{AsrRuntime, PipelineError, RuntimeConfig, SessionOptions};
 use asr_repro::wfst::sorted::{DirectIndexUnit, SortedWfst};
 use asr_repro::wfst::store::{self, GraphImage};
 use asr_repro::wfst::WfstError;
@@ -38,12 +38,7 @@ use std::sync::Arc;
 
 #[test]
 fn admission_sheds_typed_at_the_limit_and_in_flight_sessions_finish() {
-    let runtime = AsrRuntime::demo_with(
-        RuntimeConfig::new()
-            .lanes(2)
-            .qos(QosPolicy::new().max_sessions(3)),
-    )
-    .unwrap();
+    let runtime = AsrRuntime::demo_with(RuntimeConfig::new().lanes(2).max_sessions(3)).unwrap();
     let words = [vec!["go"], vec!["lights", "on"], vec!["play", "music"]];
     let audio: Vec<_> = words
         .iter()
@@ -91,12 +86,7 @@ fn concurrent_admission_never_exceeds_the_limit() {
     const LIMIT: usize = 2;
     const THREADS: usize = 6;
     const ATTEMPTS: usize = 8;
-    let runtime = AsrRuntime::demo_with(
-        RuntimeConfig::new()
-            .lanes(1)
-            .qos(QosPolicy::new().max_sessions(LIMIT)),
-    )
-    .unwrap();
+    let runtime = AsrRuntime::demo_with(RuntimeConfig::new().lanes(1).max_sessions(LIMIT)).unwrap();
     let audio = runtime.render_words(&["stop"]).unwrap();
     let scores = runtime.score(&audio);
     let admitted = Arc::new(AtomicUsize::new(0));
