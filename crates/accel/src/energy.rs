@@ -9,7 +9,7 @@
 //! proportional to SRAM capacity. The default constants are chosen so the
 //! modelled accelerator lands in the paper's published 389-462 mW envelope
 //! at its operating point; every figure then reports *relative* energy
-//! exactly as the paper does. See DESIGN.md's substitution log.
+//! exactly as the paper does. See ARCHITECTURE.md, "Substitutions".
 
 use crate::config::AcceleratorConfig;
 use crate::stats::SimStats;

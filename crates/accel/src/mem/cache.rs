@@ -195,12 +195,6 @@ impl Cache {
         self.cfg
     }
 
-    /// Resets counters (not contents) — used between warm-up and measured
-    /// phases.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Invalidates everything and clears counters.
     pub fn clear(&mut self) {
         for w in &mut self.ways {

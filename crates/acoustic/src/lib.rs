@@ -8,7 +8,7 @@
 //!
 //! * [`signal`]: deterministic synthetic speech — each phone is rendered as
 //!   a formant-like mixture of sinusoids, replacing the Librispeech corpus
-//!   we cannot redistribute (see DESIGN.md substitution log);
+//!   we cannot redistribute (see ARCHITECTURE.md, "Substitutions");
 //! * [`frame`]: 10 ms framing, pre-emphasis, Hamming windowing;
 //! * [`fft`]: an iterative radix-2 FFT;
 //! * [`mel`]: the mel filterbank;

@@ -6,7 +6,8 @@
 //! id) rendered as a sum of sinusoids with a pinch of deterministic noise.
 //! Distinct phones get distinct spectral envelopes, which is all the MFCC +
 //! template acoustic model needs to discriminate them — preserving the code
-//! path and the workload shape of a real front-end (see DESIGN.md).
+//! path and the workload shape of a real front-end (see ARCHITECTURE.md,
+//! "Substitutions").
 
 use crate::SAMPLE_RATE;
 use asr_wfst::PhoneId;

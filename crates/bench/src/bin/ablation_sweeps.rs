@@ -1,7 +1,7 @@
 //! Design-space sweeps beyond the paper's figures, exercising the design
-//! choices DESIGN.md calls out: beam width, prefetch FIFO depth
-//! (timeliness), the direct-index threshold `N`, and the memory
-//! controller's in-flight limit.
+//! choices the paper fixes (ARCHITECTURE.md, "The figure binaries"):
+//! beam width, prefetch FIFO depth (timeliness), the direct-index
+//! threshold `N`, and the memory controller's in-flight limit.
 
 use asr_accel::config::{AcceleratorConfig, DesignPoint};
 use asr_accel::sim::Simulator;

@@ -1,7 +1,7 @@
 //! Shared experiment infrastructure for the per-figure binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md's per-experiment index): it builds the standard workload,
+//! (ARCHITECTURE.md, "The figure binaries"): it builds the standard workload,
 //! runs the simulator and/or platform models, prints the paper's series,
 //! and writes `target/experiments/<id>.json` with the raw numbers.
 //!
@@ -166,7 +166,7 @@ pub fn run_design(design: DesignPoint, wfst: &Wfst, scores: &AcousticTable, beam
 /// The six configurations of Figures 9-14, in paper order: CPU, GPU, then
 /// the four accelerator design points. Baseline platform times are scaled
 /// to the workload the simulator actually ran (same arcs per frame), so
-/// ratios are comparable; see DESIGN.md's calibration note.
+/// ratios are comparable; see ARCHITECTURE.md, "Substitutions".
 pub fn standard_points(scale: &Scale) -> Vec<(String, OperatingPoint, Option<AccelRun>)> {
     let (wfst, scores) = scale.build();
     let mut out = Vec::new();

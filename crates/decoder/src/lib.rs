@@ -52,9 +52,9 @@
 //!   ([`reference::ReferenceDecoder`]), the equivalence and benchmark
 //!   baseline;
 //! * [`pool`]: the serving substrate — the shared fork-join
-//!   [`pool::WorkerPool`] (one bounded MPMC ring popped by worker lanes
-//!   and helping submitters, eventcount parking) whose one tenant is the
-//!   sessions' score/search overlap, and the checkout/restore
+//!   [`pool::WorkerPool`] (one list of pending jobs whose chunks lanes
+//!   and the job's own submitter claim, eventcount parking) whose one
+//!   tenant is the sessions' score/search overlap, and the checkout/restore
 //!   [`pool::ScratchPool`] that makes repeated facade decodes
 //!   allocation-free;
 //! * [`stream`]: the batch frame loop cut open for streaming

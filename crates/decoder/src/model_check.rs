@@ -1,10 +1,10 @@
-//! Model-check harnesses for the lock-free executor (run with
+//! Model-check harnesses for the executor (run with
 //! `cargo test -p asr-decoder --features model-check --lib model_check`).
 //!
-//! Each harness drives the *real* production code — the [`Injector`]
-//! ring, the [`EventCount`] poll-then-park protocol and the job
-//! completion in [`execute_task`] from `pool.rs`, compiled against the
-//! shadow `crate::sync` facade — through `asr-verify`'s
+//! Each harness drives the *real* production code — the job list's
+//! claim and withdrawal, the [`EventCount`] poll-then-park protocol and
+//! the chunk completion in [`execute_task`] from `pool.rs`, compiled
+//! against the shadow `crate::sync` facade — through `asr-verify`'s
 //! exhaustive scheduler. The checker explores every interleaving (and
 //! every admissible weak-memory read) up to the preemption bound, so a
 //! passing harness is a proof over that space, not a probabilistic
@@ -13,19 +13,19 @@
 //! Two kinds of harness live here:
 //!
 //! * **regressions** — the races the executor's correctness rests on
-//!   (the ring's last element going to exactly one of a lane and a
-//!   stealing-back submitter, its full-ring helping accounting, the
-//!   eventcount's lost-wakeup freedom for an idle lane and for a joining
-//!   submitter, the batch slot generation protocol) pinned forever;
-//! * **seeded bugs** — deliberately broken variants (a ring whose
-//!   producer publishes its sequence stamp with `Relaxed` where Release
-//!   is required; a job completion that looks for sleepers before it
-//!   publishes the zero; slot routing that ignores the generation stamp)
-//!   that the checker must *catch*, so the tool itself cannot silently
-//!   rot.
+//!   (the last unclaimed chunk going to exactly one of a lane and the
+//!   stealing-back submitter, with no lane claim after the submitter is
+//!   back; the eventcount's lost-wakeup freedom for an idle lane and for
+//!   a joining submitter; the batch slot generation protocol) pinned
+//!   forever;
+//! * **seeded bugs** — deliberately broken variants (a join that skips
+//!   the withdrawal when its steal-back took the last chunk; a job
+//!   completion that looks for sleepers before it publishes the zero;
+//!   slot routing that ignores the generation stamp) that the checker
+//!   must *catch*, so the tool itself cannot silently rot.
 
-use crate::pool::{execute_task, EventCount, Injector, JobHeader, Task};
-use crate::sync::{fence, AtomicU64, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering};
+use crate::pool::{execute_task, EventCount, ExecShared, JobHeader, Task};
+use crate::sync::{fence, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering};
 use asr_verify::model::{self, Config};
 use std::sync::{Arc, PoisonError};
 use std::time::Duration;
@@ -48,150 +48,74 @@ fn cfg() -> Config {
 /// An idle lane has only the first: it never polls.
 const POLL_BUDGETS: [Duration; 2] = [Duration::ZERO, Duration::from_micros(1)];
 
-/// A dummy job header address used purely as a tag: harness tasks are
-/// never executed, only routed.
-fn tag(chunk: u32) -> Task {
-    Task {
-        header: 0x100usize as *const JobHeader,
-        chunk,
-    }
-}
-
-/// A lane's `pop` racing the submitter's push and steal-back `pop` for
-/// the *last* task in the ring — the shape of every two-chunk
-/// `fork_join`. The CAS on `head` must hand the task to exactly one side
-/// in every interleaving, and the winner must read the payload the
-/// producer wrote, not a stale slot (the correct twin of [`BuggyRing`]).
-#[test]
-fn injector_last_element_goes_to_exactly_one_popper() {
-    model::check(cfg(), || {
-        let injector = Arc::new(Injector::with_capacity(2));
-        let hits = Arc::new(AtomicUsize::new(0));
-        let (i2, h2) = (Arc::clone(&injector), Arc::clone(&hits));
-        let lane = model::spawn(move || {
-            if let Some(task) = i2.pop() {
-                assert_eq!(task.chunk, 7, "lane saw a stale slot");
-                h2.fetch_add(1, Ordering::SeqCst);
-            }
-        });
-        assert!(injector.push(tag(7)));
-        if let Some(task) = injector.pop() {
-            assert_eq!(task.chunk, 7, "submitter saw a stale slot");
-            hits.fetch_add(1, Ordering::SeqCst);
-        }
-        lane.join();
-        assert_eq!(
-            hits.load(Ordering::SeqCst),
-            1,
-            "last element delivered zero or two times"
-        );
+/// A lane's one real turn (`ExecShared::run_one`: claim the oldest
+/// listed job's next chunk under the list's lock, run it) racing a
+/// submitter's real `submit`, inline chunk 0 and `join` (steal-back
+/// claims from the header, withdrawal under the same lock, the wait on
+/// `done`) — the shape of every two-chunk `fork_join`; `join` is the
+/// submitter side under test. In every interleaving chunk 1 runs exactly
+/// once, on the lane or stolen back; both chunks have run when the join
+/// returns; and no lane claims from the header after that, which in
+/// production would write into the submitter's dead stack frame.
+fn claim_race(join: fn(&ExecShared, &JobHeader)) {
+    let shared = Arc::new(ExecShared::new());
+    let s2 = Arc::clone(&shared);
+    let lane = model::spawn(move || {
+        s2.run_one();
     });
-}
-
-/// The seeded known-buggy ring: one Vyukov slot whose producer hands the
-/// slot over with a `Relaxed` store of the sequence stamp. The consumer
-/// can then observe the new stamp but the *stale* payload — the checker
-/// must exhibit that execution. This is the proof the tool would catch
-/// the bug class the release/acquire pair on `seq` exists for.
-struct BuggyRing {
-    seq: AtomicUsize,
-    payload: AtomicU64,
-}
-
-impl BuggyRing {
-    fn new() -> Self {
-        Self {
-            seq: AtomicUsize::new(0),
-            payload: AtomicU64::new(0),
-        }
-    }
-
-    fn push(&self, value: u64) {
-        self.payload.store(value, Ordering::Relaxed);
-        // BUG (seeded): `Injector::push` stores the stamp with `Release`;
-        // `Relaxed` does not order the payload write before it.
-        self.seq.store(1, Ordering::Relaxed);
-    }
-
-    fn pop(&self) -> Option<u64> {
-        (self.seq.load(Ordering::Acquire) == 1).then(|| self.payload.load(Ordering::Relaxed))
-    }
-}
-
-#[test]
-fn buggy_relaxed_publish_ring_is_caught() {
-    let report = model::check_expect_failure(cfg(), || {
-        let ring = Arc::new(BuggyRing::new());
-        let r2 = Arc::clone(&ring);
-        let lane = model::spawn(move || {
-            if let Some(value) = r2.pop() {
-                assert_eq!(value, 42, "lane popped a stale slot payload");
-            }
-        });
-        ring.push(42);
-        lane.join();
-    });
-    assert!(
-        report.contains("stale slot payload"),
-        "unexpected report: {report}"
+    let ran = AtomicUsize::new(0);
+    let body = |chunk: usize| {
+        let prev = ran.fetch_add(1 << chunk, Ordering::SeqCst);
+        assert_eq!(prev & (1 << chunk), 0, "chunk {chunk} ran twice");
+    };
+    let header = JobHeader::new(&body, 2);
+    shared.submit(&header);
+    body(0);
+    join(&shared, &header);
+    assert_eq!(ran.load(Ordering::SeqCst), 0b11, "join returned early");
+    // `header` outlives the lane here only so a late claim shows.
+    let claims = header.next.load(Ordering::SeqCst);
+    lane.join();
+    assert_eq!(
+        header.next.load(Ordering::SeqCst),
+        claims,
+        "a lane claimed from a job whose submitter had returned"
     );
 }
 
-/// The injector's full-ring helping invariant on a 2-slot ring: when a
-/// submitter's push is refused it executes the chunk inline (helping),
-/// and `taken + helped == queued` with every chunk surfacing exactly
-/// once — the accounting identity `fork_join` relies on to know the
-/// job header is dead.
 #[test]
-fn injector_full_ring_helping_accounts_every_task() {
-    model::check(cfg(), || {
-        let injector = Arc::new(Injector::with_capacity(2));
-        let done = Arc::new(AtomicUsize::new(0));
-        let delivered = Arc::new(AtomicUsize::new(0));
-        let (i2, dn2, dl2) = (
-            Arc::clone(&injector),
-            Arc::clone(&done),
-            Arc::clone(&delivered),
-        );
-        let consumer = model::spawn(move || loop {
-            if let Some(task) = i2.pop() {
-                let bit = 1usize << task.chunk;
-                let prev = dl2.fetch_add(bit, Ordering::SeqCst);
-                assert_eq!(prev & bit, 0, "chunk {} delivered twice", task.chunk);
-            } else if dn2.load(Ordering::SeqCst) == 1 {
-                return;
-            } else {
-                model::yield_now();
-            }
-        });
-        let mut helped = 0usize;
-        for chunk in 0..3u32 {
-            if !injector.push(tag(chunk)) {
-                // Ring full: help inline, exactly like `fork_join`.
-                let bit = 1usize << chunk;
-                let prev = delivered.fetch_add(bit, Ordering::SeqCst);
-                assert_eq!(prev & bit, 0, "helped chunk {chunk} delivered twice");
-                helped += 1;
-            }
-        }
-        // Steal-back: drain whatever no lane consumed.
-        while let Some(task) = injector.pop() {
-            let bit = 1usize << task.chunk;
-            let prev = delivered.fetch_add(bit, Ordering::SeqCst);
-            assert_eq!(prev & bit, 0, "chunk {} delivered twice", task.chunk);
-        }
-        done.store(1, Ordering::SeqCst);
-        consumer.join();
-        assert!(
-            helped <= 1,
-            "a 2-slot ring refuses at most one of three pushes here"
-        );
-        assert_eq!(
-            delivered.load(Ordering::SeqCst),
-            0b111,
-            "queued != taken + stolen_back + helped"
-        );
-    });
+fn last_chunk_goes_to_one_claimer_and_no_claim_outlives_the_join() {
+    model::check(cfg(), || claim_race(ExecShared::join));
+}
+
+/// The seeded known-buggy join: it skips the withdrawal when its own
+/// steal-back claimed the job's last chunk, since no lane can get a chunk
+/// out of it any more. But a lane's *failing* claim still writes the
+/// header's counter, and the job stays listed after the submitter has
+/// returned — the checker must exhibit that claim.
+fn join_skipping_the_withdrawal(shared: &ExecShared, header: &JobHeader) {
+    header.pending.fetch_sub(1, Ordering::AcqRel);
+    let mut took_last = false;
+    while let Some(chunk) = header.claim() {
+        took_last = chunk == 1;
+        execute_task(&shared.done, Task { header, chunk });
+    }
+    // BUG (seeded): `ExecShared::join` withdraws the job unconditionally.
+    if !took_last {
+        shared.withdraw(header);
+    }
+    while !header.joined() {
+        shared.done.park_if(|| !header.joined());
+    }
+}
+
+#[test]
+fn buggy_join_skipping_the_withdrawal_is_caught() {
+    let report = model::check_expect_failure(cfg(), || claim_race(join_skipping_the_withdrawal));
+    assert!(
+        report.contains("whose submitter had returned"),
+        "unexpected report: {report}"
+    );
 }
 
 /// The eventcount never loses a wakeup: a lane that parks on "no work"
@@ -223,7 +147,7 @@ fn eventcount_parking_never_loses_the_wakeup() {
 /// [`execute_task`]) races the submitter's poll → register → fence →
 /// re-check → sleep on the pool's `done` eventcount, and in every
 /// interleaving the submitter comes back with the job joined. The
-/// submitter has already run chunk 0 and found the ring empty, so one
+/// submitter has already run chunk 0 and had nothing to claim back, so one
 /// chunk is pending.
 #[test]
 fn join_completion_never_strands_the_submitter() {

@@ -127,12 +127,6 @@ impl<G: Deref<Target = Wfst>> StreamingDecode<G> {
         &self.opts
     }
 
-    /// `false` once the beam has pruned every path; further rows are
-    /// ignored, matching the batch decoder's early exit.
-    pub fn is_alive(&self) -> bool {
-        self.alive
-    }
-
     /// Consumes one frame's score row (`row[p]` = acoustic cost of phone
     /// `p`, `row[0]` the unread epsilon column), treating it as a
     /// *non-final* frame.

@@ -1,4 +1,4 @@
-//! Synchronization facade for the lock-free executor.
+//! Synchronization facade for the executor.
 //!
 //! Everything in `pool.rs` that touches atomics, fences, the
 //! eventcount's parking-lot mutex/condvar pair, or the spin-wait in

@@ -27,8 +27,9 @@ impl Default for GpuOverheadSplit {
         // Zero by default: every figure compares platforms at the *same*
         // workload, so the calibrated per-arc cost must scale linearly for
         // the published ratios to be preserved at reduced scale (see
-        // DESIGN.md). A non-zero fraction models kernel-launch /
-        // synchronization overhead for ablations on absolute GPU latency.
+        // ARCHITECTURE.md, "Substitutions"). A non-zero fraction models
+        // kernel-launch / synchronization overhead for ablations on
+        // absolute GPU latency.
         Self {
             fixed_fraction: 0.0,
         }

@@ -3,7 +3,7 @@
 //!
 //! The paper's baselines are physical machines we cannot re-measure: Kaldi
 //! on a Core i7-6700K (RAPL power) and a CUDA decoder on a GeForce GTX 980
-//! (nvprof power). Following the substitution policy in DESIGN.md, this
+//! (nvprof power). Following ARCHITECTURE.md's "Substitutions", this
 //! crate models them analytically, **calibrated to the paper's published
 //! operating points** (module [`calibration`]), and scales with the actual
 //! workload the simulator ran (arcs per frame, DNN size). The reference

@@ -8,8 +8,9 @@
 //! raw-pointer types confined to allowlisted modules, no panicking
 //! calls in hot-path modules, size/align asserts on every `#[repr(C)]`
 //! store record, every public serving option named in ARCHITECTURE.md's
-//! "Knob census", and no allowlist entry for a file that is gone. Exits
-//! non-zero on any finding.
+//! "Knob census", every Markdown file a doc comment cites present, and
+//! no allowlist entry for a file that is gone. Exits non-zero on any
+//! finding.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -1,4 +1,4 @@
-//! The engine behind `asr-lint`: a hand-rolled Rust lexer plus seven
+//! The engine behind `asr-lint`: a hand-rolled Rust lexer plus eight
 //! repo-invariant rules that clippy cannot express.
 //!
 //! | rule | invariant |
@@ -9,6 +9,7 @@
 //! | `no-panic-hot-path` | no `panic!` / `unwrap()` / `expect()` / `unreachable!` / `todo!` / `unimplemented!` in the hot-path modules (executor, session frame loop, search frame and token store, store load/validate) |
 //! | `repr-c-assert` | every `#[repr(C)]` record in the graph store keeps its compile-time `size_of` / `align_of` asserts |
 //! | `knob-census` | every public serving option — a by-value `pub fn` of an inherent `impl`, or a `pub` field, of `RuntimeConfig`, `SessionOptions`, `BatchScoringConfig` or `DecodeOptions` — is named as `` `Type::name` `` in ARCHITECTURE.md's "Knob census" section (its table), so no option lands without the workload that needs it |
+//! | `dangling-doc` | every `*.md` path a `//!` or `///` comment cites exists, beside the file or in a directory above it up to the linted root |
 //! | `stale-allowlist` | every path the rules above allowlist or target exists under the linted root, so a deleted module cannot leave its exemption behind |
 //!
 //! `#[cfg(test)] mod` bodies are excluded (tests may panic freely), and
@@ -44,7 +45,7 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// Files allowed to name `Ordering::*` — the lock-free executor, the
+/// Files allowed to name `Ordering::*` — the executor, the
 /// facade, the three runtime modules that own atomics (admission
 /// counts, batch service counters, per-model session counters), and
 /// the model checker itself.
@@ -641,6 +642,33 @@ pub fn knob_census(file: &str, source: &str, census: &str) -> Vec<Finding> {
     findings
 }
 
+/// `dangling-doc`: every `*.md` path cited in a `//!` or `///` comment
+/// of `file` (repo-relative) names a file under `root`, looked up beside
+/// `file` and in each directory above it.
+pub fn dangling_doc(file: &str, source: &str, root: &Path) -> Vec<Finding> {
+    let dirs: Vec<&Path> = Path::new(file).ancestors().skip(1).collect();
+    let docs = lex(source).comments.into_iter();
+    let docs = docs.filter(|c| c.text.starts_with("///") || c.text.starts_with("//!"));
+    let mut findings = Vec::new();
+    for doc in docs {
+        let words = doc
+            .text
+            .split(|c: char| !(c.is_ascii_alphanumeric() || "_./-".contains(c)));
+        for cited in words.map(|w| w.trim_end_matches('.')) {
+            let is_path = cited.len() > ".md".len() && cited.ends_with(".md");
+            if is_path && !dirs.iter().any(|dir| root.join(dir).join(cited).is_file()) {
+                findings.push(Finding {
+                    file: file.to_string(),
+                    line: doc.line,
+                    rule: "dangling-doc",
+                    message: format!("`{cited}` is cited but does not exist"),
+                });
+            }
+        }
+    }
+    findings
+}
+
 /// Source directories scanned relative to the repo root; vendored
 /// shims, integration tests, benches and examples are exempt.
 fn collect_files(root: &Path) -> Vec<PathBuf> {
@@ -713,6 +741,7 @@ pub fn lint_repo(root: &Path) -> Vec<Finding> {
         };
         findings.extend(lint_source(&rel, &source));
         findings.extend(knob_census(&rel, &source, census));
+        findings.extend(dangling_doc(&rel, &source, root));
     }
     findings
 }
@@ -853,6 +882,24 @@ mod tests {
             .into_iter()
             .filter(|f| f.rule == "knob-census");
         assert_eq!(unlisted.collect::<Vec<_>>(), Vec::new());
+    }
+
+    #[test]
+    fn dangling_doc_flags_a_cited_file_that_does_not_exist() {
+        let src = "//! The design: ARCHITECTURE.md's \"Substitutions\".\n\
+                   /// See DESIGN.md, substitution log.\n\
+                   fn f() {}\n\
+                   // A plain comment is not checked: GONE.md.";
+        let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let got = dangling_doc("crates/verify/src/lint.rs", src, &repo);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!((got[0].rule, got[0].line), ("dangling-doc", 2));
+        assert!(got[0].message.contains("`DESIGN.md`"));
+        // The repo's own doc comments cite only files that exist.
+        let dead = lint_repo(&repo)
+            .into_iter()
+            .filter(|f| f.rule == "dangling-doc");
+        assert_eq!(dead.collect::<Vec<_>>(), Vec::new());
     }
 
     #[test]

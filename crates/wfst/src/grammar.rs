@@ -35,12 +35,6 @@ impl Grammar {
         }
     }
 
-    /// Sets an explicit unigram cost for `word`.
-    pub fn set_unigram(&mut self, word: WordId, cost: f32) -> &mut Self {
-        self.unigram_costs.insert(word.0, cost);
-        self
-    }
-
     /// Sets an explicit bigram cost for the pair `prev -> next`.
     pub fn set_bigram(&mut self, prev: WordId, next: WordId, cost: f32) -> &mut Self {
         self.bigram_costs.insert((prev.0, next.0), cost);

@@ -282,12 +282,6 @@ impl SortedWfst {
         &self.wfst
     }
 
-    /// Consumes `self`, returning the rewritten transducer and the hardware
-    /// decision unit.
-    pub fn into_parts(self) -> (Wfst, DirectIndexUnit) {
-        (self.wfst, self.unit)
-    }
-
     /// The hardware decision unit (comparators + offset table).
     pub fn unit(&self) -> &DirectIndexUnit {
         &self.unit

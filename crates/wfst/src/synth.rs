@@ -7,7 +7,7 @@
 //! model is not redistributable, so this module generates transducers that
 //! reproduce those *published statistics* deterministically from a seed:
 //! the accelerator's memory behaviour is driven by graph shape and layout,
-//! not by linguistic content (see DESIGN.md, substitution log).
+//! not by linguistic content (see ARCHITECTURE.md, "Substitutions").
 //!
 //! Degrees are drawn from a two-component power law: a "small" component
 //! over `1..=small_max` holding most of the mass and a heavy tail up to

@@ -22,12 +22,13 @@ check:
 lint:
     cargo run --release -p asr-verify --bin asr-lint .
 
-# Exhaustive model checking of the lock-free executor: the checker's
-# own litmus self-tests (correct idioms pass, seeded bugs are caught),
-# then the pool harnesses (injector last element and full-ring helping,
-# eventcount lost wakeup for a lane at poll budget 0 and for a joining
-# submitter at budgets 0 and 1, batch slot generations) compiled against
-# the shadow sync facade.
+# Exhaustive model checking of the executor: the checker's own litmus
+# self-tests (correct idioms pass, seeded bugs are caught), then the pool
+# harnesses (the last unclaimed chunk going to one of a lane and the
+# stealing-back submitter with no lane claim after the join, and its
+# seeded twin that skips the withdrawal; eventcount lost wakeup for a
+# lane at poll budget 0 and for a joining submitter at budgets 0 and 1;
+# batch slot generations) compiled against the shadow sync facade.
 model-check:
     cargo test -q -p asr-verify
     cargo test -q -p asr-decoder --features model-check --lib model_check
@@ -154,15 +155,14 @@ ab parent workload pairs="10" metric="frames_per_s":
 stages:
     cargo test --release -q -p asr-decoder --lib search::tests::stage_split -- --ignored --nocapture
 
-# What the executor adds to one overlapped frame, per lane poll window:
-# an ignored test times `fork_join(2)` of two calibrated spin chunks
-# (70 || 25 us and 25 || 70 us, today's search step and scoring row,
-# 5 us between joins) on pools whose idle lanes poll 0 / 25 / 200 us
-# before parking (the join window fixed at `POLL_BOUND`), and prints per
-# join the wall us beyond the longer chunk, the CPU us beyond the work
-# spun (summed /proc/self/task/*/schedstat), lane and submitter parks,
-# and steal-backs — the sweep behind "lanes park at once" in pool.rs
-# (~5 s).
+# What the executor adds to one overlapped frame: an ignored test times
+# `fork_join(2)` of two calibrated spin chunks (70 || 25 us and
+# 25 || 70 us, today's search step and scoring row, 5 us between joins)
+# on the shipped `lanes(2)` pool, then 70 || 25 from two submitter
+# threads sharing it (a shape no workload has), and prints per join the
+# wall us beyond the longer chunk, the CPU us beyond the work spun
+# (summed /proc/self/task/*/schedstat), lane and submitter parks, and
+# steal-backs (~5 s).
 handoff:
     cargo test --release -q -p asr-decoder --lib pool::tests::handoff_cost -- --ignored --nocapture
 

@@ -183,9 +183,6 @@ pub struct RuntimeStats {
     /// Executor scheduling counters, when the shared pool has been
     /// spun up (`None` on one-lane runtimes or before first use).
     pub executor: Option<WorkerPoolStats>,
-    /// Tasks queued in the executor right now (0 when `executor` is
-    /// `None`).
-    pub executor_queue_depth: usize,
     /// Batched-scoring counters, when the runtime has a
     /// [`BatchScoringConfig`] installed.
     pub batch: Option<BatchScoringStats>,
@@ -628,7 +625,6 @@ impl AsrRuntime {
             retired_models,
             scratch: self.inner.scratch_pool.stats(),
             executor: executor.map(|pool| pool.stats()),
-            executor_queue_depth: executor.map_or(0, |pool| pool.queue_depth()),
             batch: self.inner.batch.as_ref().map(BatchService::stats),
             ..self.inner.admission.stats()
         }

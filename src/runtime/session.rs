@@ -23,7 +23,7 @@
 //!
 //! On top of the shared executor, a session overlaps its scoring with
 //! its search: while the search relaxes the held-back rows of packet
-//! *i*, the scoring of packet *i + 1* runs as a queued task on another
+//! *i*, the scoring of packet *i + 1* runs as a fork-join chunk on another
 //! lane — exactly the paper's GPU-scores-batch-*i + 1*-while-the-
 //! accelerator-searches-batch-*i* overlap, shrunk to frame granularity
 //! (or to [`SessionOptions::overlap_depth`] frames per block). Results
@@ -359,7 +359,7 @@ impl Session {
     /// allocation-free per frame once the session is warm.
     ///
     /// With a multi-lane runtime, each completed frame's scoring runs as
-    /// a queued task on the shared executor *while* the search relaxes
+    /// a fork-join chunk on the shared executor *while* the search relaxes
     /// the previously staged row — the paper's Section VI overlap — with
     /// byte-identical results to inline scoring; with a batched scoring
     /// service, the frames join its gather window. The first push takes
@@ -396,7 +396,7 @@ impl Session {
     /// consumes whatever rows of its own have come back; a lone one is
     /// told to score the frame itself. Everyone else scores here, one
     /// block forward pass per advance: over one frame inline, or over up
-    /// to [`SessionOptions::overlap_depth`] frames as one queued task
+    /// to [`SessionOptions::overlap_depth`] frames as one fork-join chunk
     /// when an executor is attached — the paper's Section VI overlap,
     /// with the ALB as a multi-frame batch buffer at depth > 1.
     ///
