@@ -4,18 +4,13 @@
 use asr_accel::config::{AcceleratorConfig, DesignPoint};
 use asr_accel::sim::Simulator;
 use asr_acoustic::scores::AcousticTable;
-use asr_wfst::synth::{SynthConfig, SynthWfst};
+use asr_testkit::{graph, rows};
 use asr_wfst::Wfst;
 use proptest::prelude::*;
 
 fn workload(states: usize, frames: usize, seed: u64) -> (Wfst, AcousticTable) {
-    let wfst = SynthWfst::generate(&SynthConfig::with_states(states).with_seed(seed)).unwrap();
-    let scores = AcousticTable::random(
-        frames,
-        wfst.num_phones() as usize,
-        (0.5, 4.0),
-        seed ^ 0xF00D,
-    );
+    let wfst = graph(states, seed);
+    let scores = rows(&wfst, frames, seed ^ 0xF00D);
     (wfst, scores)
 }
 
@@ -54,11 +49,10 @@ proptest! {
 
     #[test]
     fn more_frames_cost_more_cycles(seed in 0u64..50) {
-        let wfst = SynthWfst::generate(&SynthConfig::with_states(2_000).with_seed(seed)).unwrap();
-        let phones = wfst.num_phones() as usize;
-        let short = AcousticTable::random(4, phones, (0.5, 4.0), seed);
+        let wfst = graph(2_000, seed);
+        let short = rows(&wfst, 4, seed);
         let mut long = short.clone();
-        long.extend(&AcousticTable::random(8, phones, (0.5, 4.0), seed ^ 1));
+        long.extend(&rows(&wfst, 8, seed ^ 1));
         let cfg = AcceleratorConfig::final_design().with_beam(6.0);
         prop_assert!(
             cycles(cfg.clone(), &wfst, &long) > cycles(cfg, &wfst, &short)

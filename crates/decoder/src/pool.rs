@@ -746,7 +746,16 @@ mod tests {
     #[test]
     fn counters_track_jobs_and_task_ownership() {
         let pool = WorkerPool::new(2);
-        assert_eq!(pool.stats(), WorkerPoolStats::default());
+        // The idle lane parks as soon as it starts, before or after this
+        // thread's first look: wait for the park, then every other
+        // counter must still read zero.
+        wait_for("the idle lane to park", || pool.stats().lane_parks >= 1);
+        let fresh = pool.stats();
+        let parked = WorkerPoolStats {
+            lane_parks: fresh.lane_parks,
+            ..WorkerPoolStats::default()
+        };
+        assert_eq!(fresh, parked);
         for _ in 0..20 {
             pool.fork_join(4, &|_| {});
         }
@@ -767,10 +776,17 @@ mod tests {
         let one = WorkerPool::new(1);
         one.fork_join(8, &|_| {});
         assert_eq!(one.stats(), WorkerPoolStats::default());
-        // Single-chunk jobs skip the queue even on a multi-lane pool.
+        // Single-chunk jobs skip the queue even on a multi-lane pool. Its
+        // idle lane parks on its own schedule; every other counter is 0.
         let two = WorkerPool::new(2);
         two.fork_join(1, &|_| {});
-        assert_eq!(two.stats(), WorkerPoolStats::default());
+        wait_for("the idle lane to park", || two.stats().lane_parks >= 1);
+        let stats = two.stats();
+        let parked = WorkerPoolStats {
+            lane_parks: stats.lane_parks,
+            ..WorkerPoolStats::default()
+        };
+        assert_eq!(stats, parked);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use asr_acoustic::scores::AcousticTable;
 use asr_decoder::search::{DecodeOptions, DecodeScratch, FrameStats, ViterbiDecoder};
 use asr_decoder::stream::StreamingDecode;
-use asr_wfst::synth::{SynthConfig, SynthWfst};
+use asr_testkit::{graph, rows};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -73,10 +73,9 @@ fn push_growth<T: Default>(len: usize) -> u64 {
 #[test]
 fn steady_state_frame_loop_is_allocation_free() {
     let _guard = serialized();
-    let wfst = SynthWfst::generate(&SynthConfig::with_states(5_000).with_seed(3)).unwrap();
-    let phones = wfst.num_phones() as usize;
-    let short_scores = AcousticTable::random(50, phones, (0.5, 4.0), 7);
-    let long_scores = AcousticTable::random(200, phones, (0.5, 4.0), 7);
+    let wfst = graph(5_000, 3);
+    let short_scores = rows(&wfst, 50, 7);
+    let long_scores = rows(&wfst, 200, 7);
     let decoder = ViterbiDecoder::new(DecodeOptions::with_beam(6.0));
     let mut scratch = DecodeScratch::new(wfst.num_states());
 
@@ -110,8 +109,8 @@ fn steady_state_frame_loop_is_allocation_free() {
 #[test]
 fn a_recycled_trace_allocates_nothing() {
     let _guard = serialized();
-    let wfst = SynthWfst::generate(&SynthConfig::with_states(5_000).with_seed(3)).unwrap();
-    let scores = AcousticTable::random(120, wfst.num_phones() as usize, (0.5, 4.0), 11);
+    let wfst = graph(5_000, 3);
+    let scores = rows(&wfst, 120, 11);
     let opts = DecodeOptions {
         max_active: Some(300),
         ..DecodeOptions::with_beam(6.0)
@@ -154,8 +153,8 @@ fn a_recycled_trace_allocates_nothing() {
 #[test]
 fn warmed_repeat_decodes_have_identical_allocation_counts() {
     let _guard = serialized();
-    let wfst = SynthWfst::generate(&SynthConfig::with_states(3_000).with_seed(9)).unwrap();
-    let scores = AcousticTable::random(80, wfst.num_phones() as usize, (0.5, 4.0), 13);
+    let wfst = graph(3_000, 9);
+    let scores = rows(&wfst, 80, 13);
     let decoder = ViterbiDecoder::new(DecodeOptions::with_beam(6.0));
     let mut scratch = DecodeScratch::new(wfst.num_states());
     decoder.decode_with(&mut scratch, &wfst, &scores); // warm
@@ -205,12 +204,9 @@ fn round_robin(
 #[test]
 fn interleaved_sessions_step_without_allocating() {
     let _guard = serialized();
-    let wfst = SynthWfst::generate(&SynthConfig::with_states(5_000).with_seed(3)).unwrap();
-    let phones = wfst.num_phones() as usize;
+    let wfst = graph(5_000, 3);
     let tables = |frames| -> Vec<AcousticTable> {
-        (0..4)
-            .map(|seed| AcousticTable::random(frames, phones, (0.5, 4.0), 20 + seed))
-            .collect()
+        (0..4).map(|seed| rows(&wfst, frames, 20 + seed)).collect()
     };
     let (short, long) = (tables(50), tables(200));
     let opts = DecodeOptions {
@@ -244,8 +240,8 @@ fn interleaved_sessions_step_without_allocating() {
 #[test]
 fn the_last_scratch_takes_the_threads_frame_scratch_with_it() {
     let _guard = serialized();
-    let wfst = SynthWfst::generate(&SynthConfig::with_states(5_000).with_seed(3)).unwrap();
-    let scores = AcousticTable::random(40, wfst.num_phones() as usize, (0.5, 4.0), 7);
+    let wfst = graph(5_000, 3);
+    let scores = rows(&wfst, 40, 7);
     let decoder = ViterbiDecoder::new(DecodeOptions::with_beam(6.0));
     let decode_fresh = || {
         let mut scratch = DecodeScratch::new(wfst.num_states());

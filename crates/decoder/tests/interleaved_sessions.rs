@@ -10,13 +10,13 @@
 //! decode must
 //! equal the batch decoder on its rows, the `HashMap` reference decoder on
 //! the same rows, and the same streaming decode run alone, on `words`,
-//! `cost`, `best_state` and `reached_final`.
+//! `cost`, `best_state` and `reached_final`. Graphs, rows, the oracle and
+//! the equality come from `asr-testkit`.
 
 use asr_acoustic::scores::AcousticTable;
-use asr_decoder::reference::ReferenceDecoder;
 use asr_decoder::search::{DecodeOptions, DecodeResult, DecodeScratch, ViterbiDecoder};
 use asr_decoder::stream::StreamingDecode;
-use asr_wfst::synth::{SynthConfig, SynthWfst};
+use asr_testkit::{assert_same, graph, oracle, rows, Outcome};
 use asr_wfst::Wfst;
 
 /// Decodes per thread; the first half on the small graph.
@@ -60,12 +60,7 @@ fn jobs<'g>(small: &'g Wfst, large: &'g Wfst, seed: u64) -> Vec<Job<'g>> {
             // At least 100 frames: three lattice GCs per decode, each in
             // a round of its own, since no two decodes start together.
             let frames = 100 + (i * 7) % 11;
-            let scores = AcousticTable::random(
-                frames,
-                wfst.num_phones() as usize,
-                (0.5, 4.0),
-                seed * 100 + i as u64,
-            );
+            let scores = rows(wfst, frames, seed * 100 + i as u64);
             let opts = if i % 2 == 1 {
                 DecodeOptions {
                     max_active: Some(1_000),
@@ -115,16 +110,6 @@ fn interleaved(jobs: &[Job]) -> Vec<(DecodeResult, usize)> {
     done.into_iter().flatten().collect()
 }
 
-fn assert_same(got: &DecodeResult, want: &DecodeResult, what: &str) {
-    assert_eq!(got.words, want.words, "{what}: words");
-    assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "{what}: cost");
-    assert_eq!(got.best_state, want.best_state, "{what}: best_state");
-    assert_eq!(
-        got.reached_final, want.reached_final,
-        "{what}: reached_final"
-    );
-}
-
 /// Runs one thread's jobs interleaved and checks each against its three
 /// oracles.
 fn run_and_check(jobs: &[Job], thread: &str) {
@@ -139,20 +124,24 @@ fn run_and_check(jobs: &[Job], thread: &str) {
         );
         assert!(got.cost.is_finite(), "{what}: cost");
         let (alone, alone_trace) = job.alone();
-        assert_same(got, &alone, &format!("{what} vs alone"));
+        let outcome = Outcome::from(got);
+        assert_same(&outcome, &(&alone).into(), &format!("{what} vs alone"));
         assert_eq!(got.stats.frames, alone.stats.frames, "{what}: frame stats");
         assert_eq!(got_trace, &alone_trace, "{what}: trace");
         let batch = ViterbiDecoder::new(job.opts.clone()).decode(job.wfst, &job.scores);
-        assert_same(got, &batch, &format!("{what} vs batch"));
-        let reference = ReferenceDecoder::new(job.opts.clone()).decode(job.wfst, &job.scores);
-        assert_same(got, &reference, &format!("{what} vs reference"));
+        assert_same(&outcome, &(&batch).into(), &format!("{what} vs batch"));
+        let reference = oracle(job.wfst, &job.scores, &job.opts);
+        assert_same(
+            &outcome,
+            &(&reference).into(),
+            &format!("{what} vs reference"),
+        );
     }
 }
 
 #[test]
 fn sessions_sharing_a_threads_index_decode_as_if_alone() {
-    let graph = |states| SynthWfst::generate(&SynthConfig::with_states(states).with_seed(11));
-    let (small, large) = (graph(5_000).unwrap(), graph(50_000).unwrap());
+    let (small, large) = (graph(5_000, 11), graph(50_000, 11));
     let (first, second) = (jobs(&small, &large, 1), jobs(&small, &large, 2));
     std::thread::scope(|scope| {
         let other = scope.spawn(|| run_and_check(&second, "second thread"));

@@ -6,8 +6,8 @@
 //! runtime handle is cloned into each thread (an `Arc` bump), and every
 //! command opens an owned [`Session`] — `Send + 'static`, no pipeline
 //! borrow — so each connection drives its own recognition while sharing
-//! the runtime's scratch pool, front-end pool, and work-stealing
-//! executor. Per command:
+//! the runtime's scratch pool, front-end pool, and fork-join executor
+//! (one list of pending jobs whose chunks the lanes claim). Per command:
 //!
 //! * samples arrive in 10 ms packets (160 samples at 16 kHz), exactly as
 //!   a microphone driver would deliver them;
@@ -15,8 +15,8 @@
 //!   front-end fills the session's double-buffered row pair — the
 //!   software image of the paper's GPU filling the Acoustic Likelihood
 //!   Buffer — and, on a multi-lane runtime, each new frame's scoring runs
-//!   as a stolen executor task while the search relaxes the previous row
-//!   (Section VI pipelining);
+//!   as a chunk an executor lane claims while the search relaxes the
+//!   previous row (Section VI pipelining);
 //! * a partial hypothesis is read every 10 packets;
 //! * at the command's end the session finalizes with the batch decoder's
 //!   end-of-utterance semantics: the transcript is byte-identical to

@@ -74,9 +74,9 @@ bench-check:
 # parent first and even seeds the change; prints `metric` per pair, then
 # each side's median and quartiles for every end-to-end metric the runs
 # report (so the "must not move" rows come from the same pairs), and the
-# verdict of the choosing-metrics rule on `metric`: a gain needs wins in
-# >= 9/10 of the pairs run and a median gap wider than the parent's own
-# interquartile range.
+# verdict of the choosing-metrics rule on `metric`: a gain needs at least
+# ten pairs, wins in >= 9/10 of them and a median gap wider than the
+# parent's own interquartile range (fewer pairs print "no verdict").
 ab parent workload pairs="10" metric="frames_per_s":
     #!/usr/bin/env bash
     set -euo pipefail
@@ -136,8 +136,9 @@ ab parent workload pairs="10" metric="frames_per_s":
                 if (names[k] == metric) gap = (q[2] - parent_median) * (better == "higher" ? 1 : -1)
                 printf "%-18s parent median %s   change median %.4g  (%.4g .. %.4g)\n", names[k], line, q[2], q[1], q[3]
             }
-            shown = wins * 10 >= n * 9 && gap > iqr
-            printf "%s (%s is better): change wins %d of %d pairs; median gain %.4g (%+.1f%% of parent) vs parent IQR %.4g: %s\n", metric, better, wins, n, gap, 100 * gap / parent_median, iqr, shown ? "gain shown" : "no gain shown"
+            if (n < 10) verdict = sprintf("no verdict: %d pairs, the rule needs at least 10", n)
+            else verdict = wins * 10 >= n * 9 && gap > iqr ? "gain shown" : "no gain shown"
+            printf "%s (%s is better): change wins %d of %d pairs; median gain %.4g (%+.1f%% of parent) vs parent IQR %.4g: %s\n", metric, better, wins, n, gap, 100 * gap / parent_median, iqr, verdict
         }'
 
 # Where a search frame goes: frontier / emitting relax / cap cutoff /
@@ -174,6 +175,28 @@ handoff:
 # baseline's (~1 s).
 kernels:
     cargo test --release -q -p asr-acoustic --lib dnn::tests::kernel_timings -- --ignored --nocapture
+
+# Tier-1 `n` times back to back on one build: how many runs were clean,
+# then every test that failed, with the number of runs it failed in (a
+# run that failed outside any test is counted on a line of its own). The
+# flake census for a deterministic tier-1.
+tier1-repeat n="20":
+    #!/usr/bin/env bash
+    set -uo pipefail
+    cargo build --release && cargo test -q --no-run || exit 1
+    log=$(mktemp) && failed=$(mktemp) || exit 1
+    clean=0
+    for run in $(seq 1 '{{n}}'); do
+        if cargo test -q --no-fail-fast >"$log" 2>&1; then
+            clean=$((clean + 1))
+        elif ! awk '/^---- .* stdout ----$/ { sub(/^---- /, ""); sub(/ stdout ----$/, ""); print; n++ }
+                     END { exit n == 0 }' "$log" >>"$failed"; then
+            echo "(a failure outside any test)" >>"$failed"
+        fi
+    done
+    echo "{{n}} runs, $clean clean"
+    sort "$failed" | uniq -c | sort -rn
+    rm -f "$log" "$failed"
 
 # Tracked Rust lines outside benchmark/, per crate and in total (the
 # ROADMAP's "net reduction" trend; count after `cargo fmt`).

@@ -6,6 +6,7 @@
 //! with the split.
 
 use super::*;
+use asr_testkit::{assert_same, Case, Fixture, Outcome};
 
 // ---- `mod`: the handle, its configuration and pools, the one-shot entry points ----
 
@@ -105,40 +106,33 @@ fn config_builder_is_applied() {
     assert_eq!(t.words, vec!["go"]);
 }
 
-/// A synthetic-graph runtime plus a score table matching the
-/// graph's phone range.
-fn synth_runtime(states: usize, frames: usize, lanes: usize) -> (AsrRuntime, AcousticTable) {
-    use asr_wfst::synth::{SynthConfig, SynthWfst};
-    let graph = SynthWfst::generate(&SynthConfig::with_states(states)).unwrap();
-    let scores = AcousticTable::random(frames, graph.num_phones() as usize, (0.5, 4.0), 17);
+/// A runtime over `case`'s synthetic graph at `case`'s options.
+fn synth_runtime(case: &Case, lanes: usize) -> AsrRuntime {
     let config = RuntimeConfig::new()
         .lanes(lanes)
-        .decode_options(DecodeOptions::with_beam(8.0));
-    (
-        AsrRuntime::with_graph(graph, demo_lexicon(), config),
-        scores,
-    )
+        .decode_options(case.opts.clone());
+    AsrRuntime::with_graph((*case.wfst).clone(), demo_lexicon(), config)
+}
+
+/// A transcript in the terms of the oracle's outcome. (`asr_testkit`'s
+/// own conversion names its copy of this crate's `Transcript`.)
+fn heard(t: &Transcript) -> Outcome<String> {
+    Outcome {
+        words: t.words.clone(),
+        cost: t.cost,
+        reached_final: t.reached_final,
+        best_state: None,
+    }
 }
 
 #[test]
 fn recognize_scores_is_a_session_at_every_size_and_width() {
-    use asr_decoder::search::ViterbiDecoder;
+    let case = &Fixture::RuntimeSynth.cases()[0];
     for lanes in [1usize, 2] {
-        let (runtime, scores) = synth_runtime(25_000, 40, lanes);
-        let reference =
-            ViterbiDecoder::new(DecodeOptions::with_beam(8.0)).decode(runtime.graph(), &scores);
-        let got = runtime.recognize_scores(&scores);
-        assert_eq!(
-            got.words,
-            runtime.lexicon().transcript(&reference.words),
-            "lanes {lanes}"
-        );
-        assert_eq!(
-            got.cost.to_bits(),
-            reference.cost.to_bits(),
-            "lanes {lanes}"
-        );
-        assert_eq!(got.reached_final, reference.reached_final, "lanes {lanes}");
+        let runtime = synth_runtime(case, lanes);
+        let want = Outcome::from(case.oracle()).spelled(runtime.lexicon());
+        let got = runtime.recognize_scores(&case.scores);
+        assert_same(&heard(&got), &want, &format!("lanes {lanes}"));
         let stats = runtime.stats();
         assert!(
             stats.executor.is_none(),
@@ -180,7 +174,9 @@ fn only_the_first_audio_push_spawns_the_executor() {
 
 #[test]
 fn recognize_scores_panics_at_the_call_on_a_narrow_table_and_frees_its_slot() {
-    let (runtime, scores) = synth_runtime(2_000, 5, 2);
+    let case = &Fixture::RuntimeSynth.cases()[1];
+    let runtime = synth_runtime(case, 2);
+    let scores = asr_testkit::rows(&case.wfst, 5, 17);
     let narrow = AcousticTable::from_fn(5, scores.num_phones() - 1, |_, _| 1.0);
     let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         runtime.recognize_scores(&narrow)
@@ -202,39 +198,31 @@ fn scorer_built(runtime: &AsrRuntime) -> bool {
 
 #[test]
 fn row_fed_runtime_decodes_like_the_search_and_never_builds_a_scorer() {
-    use asr_decoder::search::ViterbiDecoder;
-    use asr_wfst::synth::{SynthConfig, SynthWfst};
     // A phone range the demo lexicon covers, so the registry admits it.
+    let case = &Fixture::DemoPhones.cases()[0];
     let lexicon = demo_lexicon();
-    let config = SynthConfig {
-        num_phones: lexicon.num_phones() as u32,
-        ..SynthConfig::with_states(5_000)
-    };
-    let graph = SynthWfst::generate(&config).unwrap();
-    let scores = AcousticTable::random(30, graph.num_phones() as usize, (0.5, 4.0), 29);
-    let reference = ViterbiDecoder::new(DecodeOptions::with_beam(8.0)).decode(&graph, &scores);
+    let want = Outcome::from(case.oracle()).spelled(&lexicon);
     for config in [
         RuntimeConfig::new(),
         RuntimeConfig::new().mlp_acoustic(&[16], 3),
         RuntimeConfig::new().batch_scoring(BatchScoringConfig::new(4)),
     ] {
         let runtime = AsrRuntime::with_graph(
-            graph.clone(),
+            (*case.wfst).clone(),
             lexicon.clone(),
-            config.decode_options(DecodeOptions::with_beam(8.0)),
+            config.decode_options(case.opts.clone()),
         );
-        runtime.register_model("second", graph.clone()).unwrap();
-        let one_shot = runtime.recognize_scores(&scores);
+        runtime
+            .register_model("second", (*case.wfst).clone())
+            .unwrap();
+        let one_shot = runtime.recognize_scores(&case.scores);
         let mut session = runtime.open_session_with(SessionOptions::new().model("second"));
-        for frame in 0..scores.num_frames() {
-            session.push_row(scores.frame_row(frame));
+        for frame in 0..case.scores.num_frames() {
+            session.push_row(case.scores.frame_row(frame));
         }
         let streamed = session.finalize();
-        for got in [&one_shot, &streamed] {
-            assert_eq!(got.words, runtime.lexicon().transcript(&reference.words));
-            assert_eq!(got.cost.to_bits(), reference.cost.to_bits());
-            assert_eq!(got.reached_final, reference.reached_final);
-        }
+        assert_same(&heard(&one_shot), &want, "recognize_scores");
+        assert_same(&heard(&streamed), &want, "row-fed session");
         assert!(
             !scorer_built(&runtime),
             "construction, registration and row-fed sessions build no scorer"
@@ -245,7 +233,6 @@ fn row_fed_runtime_decodes_like_the_search_and_never_builds_a_scorer() {
 #[test]
 fn concurrent_first_audio_sessions_share_one_lazily_built_scorer() {
     use asr_acoustic::template::TemplateScorer;
-    use asr_decoder::search::ViterbiDecoder;
     let runtime = AsrRuntime::demo_with(RuntimeConfig::new().lanes(2)).unwrap();
     assert!(!scorer_built(&runtime));
     let phrases = [
@@ -276,14 +263,13 @@ fn concurrent_first_audio_sessions_share_one_lazily_built_scorer() {
     });
     assert!(scorer_built(&runtime));
     // The runtime-free oracle: the same template model, built by hand,
-    // scoring each whole waveform for the batch decoder.
+    // scoring each whole waveform for the reference decoder.
     let scorer = TemplateScorer::with_default_signal(runtime.lexicon().num_phones() as u32);
-    let decoder = ViterbiDecoder::new(runtime.options().clone());
     for ((words, utterance), got) in phrases.iter().zip(&audio).zip(&transcripts) {
-        let expected = decoder.decode(runtime.graph(), &scorer.score_waveform(&utterance.samples));
-        assert_eq!(got.words, runtime.lexicon().transcript(&expected.words));
-        assert_eq!(got.cost.to_bits(), expected.cost.to_bits(), "{words:?}");
-        assert_eq!(got.reached_final, expected.reached_final);
+        let scores = scorer.score_waveform(&utterance.samples);
+        let expected = asr_testkit::oracle(runtime.graph(), &scores, runtime.options());
+        let want = Outcome::from(&expected).spelled(runtime.lexicon());
+        assert_same(&heard(got), &want, &format!("{words:?}"));
         assert_eq!(&got.words, words);
     }
 }
@@ -301,9 +287,7 @@ fn session_matches_batch_recognize() {
         session.push_frames(&scores);
         assert_eq!(session.frames_pushed(), scores.num_frames());
         let streamed = session.finalize();
-        assert_eq!(streamed.words, batch.words);
-        assert_eq!(streamed.cost.to_bits(), batch.cost.to_bits());
-        assert_eq!(streamed.reached_final, batch.reached_final);
+        assert_same(&heard(&streamed), &heard(&batch), &format!("{words:?}"));
     }
 }
 
@@ -376,13 +360,10 @@ fn overlapped_and_inline_scoring_are_byte_identical() {
     };
     let overlapped = run(&runtime);
     let inline = run(&one_lane);
-    assert_eq!(overlapped.words, inline.words);
-    assert_eq!(overlapped.cost.to_bits(), inline.cost.to_bits());
-    assert_eq!(overlapped.reached_final, inline.reached_final);
+    assert_same(&heard(&overlapped), &heard(&inline), "overlapped vs inline");
     // ... and both match the batch path.
     let batch = runtime.recognize_scores(&runtime.score(&audio));
-    assert_eq!(overlapped.words, batch.words);
-    assert_eq!(overlapped.cost.to_bits(), batch.cost.to_bits());
+    assert_same(&heard(&overlapped), &heard(&batch), "overlapped vs batch");
 }
 
 #[test]
@@ -403,13 +384,8 @@ fn multi_row_overlap_is_byte_identical_to_inline_for_every_depth() {
                 session.push_samples(packet);
             }
             let deep = session.finalize();
-            assert_eq!(deep.words, inline.words, "depth {depth} chunk {chunk}");
-            assert_eq!(
-                deep.cost.to_bits(),
-                inline.cost.to_bits(),
-                "depth {depth} chunk {chunk}"
-            );
-            assert_eq!(deep.reached_final, inline.reached_final);
+            let what = format!("depth {depth} chunk {chunk}");
+            assert_same(&heard(&deep), &heard(&inline), &what);
         }
     }
 }
@@ -433,9 +409,7 @@ fn multi_row_session_migrates_a_pushed_row_into_the_queue() {
     let inline = run(&one_lane, SessionOptions::new());
     for depth in [1usize, 3] {
         let deep = run(&runtime, SessionOptions::new().overlap_depth(depth));
-        assert_eq!(deep.words, inline.words, "depth {depth}");
-        assert_eq!(deep.cost.to_bits(), inline.cost.to_bits(), "depth {depth}");
-        assert_eq!(deep.reached_final, inline.reached_final, "depth {depth}");
+        assert_same(&heard(&deep), &heard(&inline), &format!("depth {depth}"));
     }
 }
 
@@ -455,10 +429,8 @@ fn push_row_takes_rows_of_alternating_widths() {
     // Columns past the graph's phone range are never read, and the
     // queue remembers each block's own width, so a caller may change
     // row width mid-utterance.
-    use asr_decoder::search::ViterbiDecoder;
-    let (runtime, scores) = synth_runtime(2_000, 24, 1);
-    let reference =
-        ViterbiDecoder::new(DecodeOptions::with_beam(8.0)).decode(runtime.graph(), &scores);
+    let case = &Fixture::RuntimeSynth.cases()[1];
+    let (runtime, scores) = (synth_runtime(case, 1), &case.scores);
     let mut session = runtime.open_session();
     let mut wide = vec![f32::NAN; scores.num_phones() + 7];
     for frame in 0..scores.num_frames() {
@@ -470,10 +442,8 @@ fn push_row_takes_rows_of_alternating_widths() {
             session.push_row(&wide);
         }
     }
-    let got = session.finalize();
-    assert_eq!(got.words, runtime.lexicon().transcript(&reference.words));
-    assert_eq!(got.cost.to_bits(), reference.cost.to_bits());
-    assert_eq!(got.reached_final, reference.reached_final);
+    let want = Outcome::from(case.oracle()).spelled(runtime.lexicon());
+    assert_same(&heard(&session.finalize()), &want, "alternating widths");
 }
 
 // ---- `admission`: the session count and the limit ----
@@ -569,10 +539,8 @@ fn interleaved_batched_sessions_match_unbatched_byte_for_byte() {
     };
     let (ba, bb) = run(&runtime);
     let (ua, ub) = run(&demo_lanes(1));
-    assert_eq!(ba.words, ua.words);
-    assert_eq!(ba.cost.to_bits(), ua.cost.to_bits());
-    assert_eq!(bb.words, ub.words);
-    assert_eq!(bb.cost.to_bits(), ub.cost.to_bits());
+    assert_same(&heard(&ba), &heard(&ua), "first batched session");
+    assert_same(&heard(&bb), &heard(&ub), "second batched session");
     assert_eq!(ba.words, vec!["call", "mom"]);
     assert_eq!(bb.words, vec!["lights", "off"]);
     let stats = runtime.stats().batch.expect("service configured");
@@ -640,10 +608,8 @@ fn mlp_acoustic_runtime_batches_identically() {
     };
     let (ba, bb) = drive(&batched_rt);
     let (ua, ub) = drive(&plain_rt);
-    assert_eq!(ba.cost.to_bits(), ua.cost.to_bits());
-    assert_eq!(bb.cost.to_bits(), ub.cost.to_bits());
-    assert_eq!(ba.words, ua.words);
-    assert_eq!(bb.words, ub.words);
+    assert_same(&heard(&ba), &heard(&ua), "first MLP session");
+    assert_same(&heard(&bb), &heard(&ub), "second MLP session");
     assert!(batched_rt.stats().batch.unwrap().batches > 0);
 }
 
@@ -685,7 +651,6 @@ fn dropping_a_batched_session_mid_window_leaves_the_service_healthy() {
     // The reference: the same audio on an unbatched runtime.
     let mut unbatched = demo_lanes(1).open_session();
     unbatched.push_samples(&keep_audio.samples);
-    let reference = unbatched.finalize();
-    assert_eq!(survivor.cost.to_bits(), reference.cost.to_bits());
+    assert_same(&heard(&survivor), &heard(&unbatched.finalize()), "survivor");
     assert_eq!(runtime.stats().batch.unwrap().open_slots, 0);
 }

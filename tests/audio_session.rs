@@ -10,26 +10,21 @@
 //! [`Session::push_samples`]: asr_repro::runtime::Session::push_samples
 
 use asr_repro::runtime::AsrRuntime;
+use asr_testkit::{assert_same, Outcome};
 
 #[test]
 fn push_samples_transcripts_match_batch_recognize() {
     let runtime = AsrRuntime::demo().unwrap();
     for words in [vec!["go"], vec!["lights", "on"], vec!["play", "music"]] {
         let audio = runtime.render_words(&words).unwrap();
-        let batch = runtime.recognize_scores(&runtime.score(&audio));
+        let batch = Outcome::from(&runtime.recognize_scores(&runtime.score(&audio)));
         for chunk in [1usize, 160, 163, audio.samples.len()] {
             let mut session = runtime.open_session();
             for piece in audio.samples.chunks(chunk) {
                 session.push_samples(piece);
             }
-            let streamed = session.finalize();
-            assert_eq!(streamed.words, batch.words, "{words:?} chunk {chunk}");
-            assert_eq!(
-                streamed.cost.to_bits(),
-                batch.cost.to_bits(),
-                "{words:?} chunk {chunk}"
-            );
-            assert_eq!(streamed.reached_final, batch.reached_final);
+            let streamed = Outcome::from(&session.finalize());
+            assert_same(&streamed, &batch, &format!("{words:?} chunk {chunk}"));
         }
     }
 }
@@ -41,11 +36,9 @@ fn recognize_runs_the_online_front_end() {
     // the pooled front-end rather than growing the pool.
     let runtime = AsrRuntime::demo().unwrap();
     let audio = runtime.render_words(&["call", "mom"]).unwrap();
-    let batch = runtime.recognize_scores(&runtime.score(&audio));
+    let batch = Outcome::from(&runtime.recognize_scores(&runtime.score(&audio)));
     for _ in 0..3 {
-        let online = runtime.recognize(&audio);
-        assert_eq!(online.words, batch.words);
-        assert_eq!(online.cost.to_bits(), batch.cost.to_bits());
+        assert_same(&Outcome::from(&runtime.recognize(&audio)), &batch, "online");
     }
     assert_eq!(
         runtime.scratch_pool().idle(),
@@ -92,7 +85,7 @@ fn concurrent_audio_sessions_stay_independent() {
         .iter()
         .map(|w| {
             let audio = runtime.render_words(w).unwrap();
-            runtime.recognize_scores(&runtime.score(&audio))
+            Outcome::from(&runtime.recognize_scores(&runtime.score(&audio)))
         })
         .collect();
     std::thread::scope(|scope| {
@@ -108,9 +101,8 @@ fn concurrent_audio_sessions_stay_independent() {
                     for piece in audio.samples.chunks(331) {
                         session.push_samples(piece);
                     }
-                    let t = session.finalize();
-                    assert_eq!(t.words, expected[i].words, "utterance {i}");
-                    assert_eq!(t.cost.to_bits(), expected[i].cost.to_bits());
+                    let t = Outcome::from(&session.finalize());
+                    assert_same(&t, &expected[i], &format!("utterance {i}"));
                 }
             });
         }

@@ -15,12 +15,11 @@ use asr_platform::pipeline::PipelineModel;
 use asr_platform::{CpuModel, GpuModel};
 use asr_wfst::sorted::SortedWfst;
 use asr_wfst::stats::DegreeCdf;
-use asr_wfst::synth::{SynthConfig, SynthWfst};
 use asr_wfst::Wfst;
 
 fn workload() -> (Wfst, AcousticTable) {
-    let wfst = SynthWfst::generate(&SynthConfig::with_states(120_000).with_seed(42)).unwrap();
-    let scores = AcousticTable::random(40, wfst.num_phones() as usize, (0.5, 4.0), 9);
+    let wfst = asr_testkit::graph(120_000, 42);
+    let scores = asr_testkit::rows(&wfst, 40, 9);
     (wfst, scores)
 }
 

@@ -6,8 +6,8 @@
 //!
 //! 1. the same session on a runtime without the service (the
 //!    synchronous per-session scorer), and
-//! 2. a fresh sequential [`ViterbiDecoder`] over the batch-scored
-//!    table,
+//! 2. the reference decoder over the batch-scored table (the
+//!    `asr-testkit` oracle),
 //!
 //! regardless of gather-window size, how many sessions share the
 //! window, how their lifetimes stagger, and which batches their frames
@@ -22,41 +22,19 @@
 //! against its unbatched reference.
 //!
 //! [`Session`]: asr_repro::runtime::Session
-//! [`ViterbiDecoder`]: asr_repro::decoder::search::ViterbiDecoder
 
 use asr_repro::acoustic::signal::Utterance;
-use asr_repro::decoder::search::{DecodeOptions, ViterbiDecoder};
+use asr_repro::decoder::search::DecodeOptions;
 use asr_repro::runtime::{
     AsrRuntime, BatchScoringConfig, RuntimeConfig, Session, SessionOptions, Transcript,
 };
+use asr_testkit::fixtures::STAGGERED as SCRIPTS;
+use asr_testkit::{assert_same, assert_transcripts, expected, Outcome};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
 /// Microphone-style packet size used throughout: 10 ms at 16 kHz.
 const PACKET: usize = 160;
-
-/// Utterances of deliberately different lengths, so staggered sessions
-/// also *finish* at different times (sessions leave the window while
-/// others are mid-utterance).
-const SCRIPTS: [&[&str]; 6] = [
-    &["go"],
-    &["stop"],
-    &["lights", "on"],
-    &["lights", "off", "stop"],
-    &["play", "music"],
-    &["call", "mom", "go"],
-];
-
-/// The per-utterance ground truth: a fresh sequential decoder over the
-/// batch-scored table (no pools, no window, no service).
-fn sequential_reference(runtime: &AsrRuntime, audio: &Utterance) -> (Vec<String>, u32) {
-    let scores = runtime.score(audio);
-    let result = ViterbiDecoder::new(runtime.options().clone()).decode(runtime.graph(), &scores);
-    (
-        runtime.lexicon().transcript(&result.words),
-        result.cost.to_bits(),
-    )
-}
 
 /// Drives one session per utterance round-robin on a single thread,
 /// session `i` joining `i * stagger` rounds late, each finishing as its
@@ -98,13 +76,6 @@ fn drive_staggered(
     done.into_iter().map(Option::unwrap).collect()
 }
 
-fn assert_all_match(got: &[Transcript], expected: &[(Vec<String>, u32)], label: &str) {
-    for (i, (t, e)) in got.iter().zip(expected).enumerate() {
-        assert_eq!(t.words, e.0, "{label}: utterance {i} words");
-        assert_eq!(t.cost.to_bits(), e.1, "{label}: utterance {i} cost bits");
-    }
-}
-
 #[test]
 fn staggered_sessions_are_byte_identical_across_window_sizes() {
     // {1, 2, 8, max}: window 1 degenerates to per-frame flushes, 64 is
@@ -122,15 +93,12 @@ fn staggered_sessions_are_byte_identical_across_window_sizes() {
             .iter()
             .map(|w| runtime.render_words(w).unwrap())
             .collect();
-        let expected: Vec<(Vec<String>, u32)> = audios
-            .iter()
-            .map(|a| sequential_reference(&runtime, a))
-            .collect();
+        let expected: Vec<Outcome<String>> = audios.iter().map(|a| expected(&runtime, a)).collect();
 
         let batched = drive_staggered(&runtime, &audios, &SessionOptions::new(), 5);
         let unbatched = drive_staggered(&unbatched_rt, &audios, &SessionOptions::new(), 5);
-        assert_all_match(&batched, &expected, &format!("window {window} batched"));
-        assert_all_match(&unbatched, &expected, &format!("window {window} unbatched"));
+        assert_transcripts(&batched, &expected, &format!("window {window} batched"));
+        assert_transcripts(&unbatched, &expected, &format!("window {window} unbatched"));
 
         let stats = runtime.stats().batch.expect("service configured");
         assert_eq!(stats.open_slots, 0, "window {window}: slots all released");
@@ -160,12 +128,9 @@ fn sixteen_sessions_share_one_window_byte_identically() {
     let audios: Vec<Utterance> = (0..16)
         .map(|i| runtime.render_words(SCRIPTS[i % SCRIPTS.len()]).unwrap())
         .collect();
-    let expected: Vec<(Vec<String>, u32)> = audios
-        .iter()
-        .map(|a| sequential_reference(&runtime, a))
-        .collect();
+    let expected: Vec<Outcome<String>> = audios.iter().map(|a| expected(&runtime, a)).collect();
     let batched = drive_staggered(&runtime, &audios, &SessionOptions::new(), 2);
-    assert_all_match(&batched, &expected, "16 sessions");
+    assert_transcripts(&batched, &expected, "16 sessions");
     let stats = runtime.stats().batch.expect("service configured");
     assert!(stats.widest_batch >= 4, "16 live sessions must batch wide");
     assert_eq!(stats.open_slots, 0);
@@ -190,14 +155,11 @@ fn mlp_runtime_batches_byte_identically_across_windows() {
             .iter()
             .map(|w| runtime.render_words(w).unwrap())
             .collect();
-        let expected: Vec<(Vec<String>, u32)> = audios
-            .iter()
-            .map(|a| sequential_reference(&runtime, a))
-            .collect();
+        let expected: Vec<Outcome<String>> = audios.iter().map(|a| expected(&runtime, a)).collect();
         let batched = drive_staggered(&runtime, &audios, &SessionOptions::new(), 3);
         let unbatched = drive_staggered(&unbatched_rt, &audios, &SessionOptions::new(), 3);
-        assert_all_match(&batched, &expected, &format!("mlp window {window}"));
-        assert_all_match(&unbatched, &expected, &format!("mlp unbatched {window}"));
+        assert_transcripts(&batched, &expected, &format!("mlp window {window}"));
+        assert_transcripts(&unbatched, &expected, &format!("mlp unbatched {window}"));
         assert!(runtime.stats().batch.unwrap().batches > 0);
     }
 }
@@ -216,10 +178,7 @@ fn concurrent_batched_sessions_from_threads_are_byte_identical() {
         .iter()
         .map(|w| runtime.render_words(w).unwrap())
         .collect();
-    let expected: Vec<(Vec<String>, u32)> = audios
-        .iter()
-        .map(|a| sequential_reference(&runtime, a))
-        .collect();
+    let expected: Vec<Outcome<String>> = audios.iter().map(|a| expected(&runtime, a)).collect();
     for _ in 0..3 {
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
@@ -231,9 +190,8 @@ fn concurrent_batched_sessions_from_threads_are_byte_identical() {
                     for packet in audio.samples.chunks(PACKET) {
                         session.push_samples(packet);
                     }
-                    let t = session.finalize();
-                    assert_eq!(t.words, expected.0, "threaded utterance {i}");
-                    assert_eq!(t.cost.to_bits(), expected.1, "threaded utterance {i}");
+                    let t = Outcome::from(&session.finalize());
+                    assert_same(&t, expected, &format!("threaded utterance {i}"));
                 }));
             }
             for handle in handles {
@@ -313,7 +271,7 @@ fn partials_agree_with_unbatched_at_flush_sync_points() {
 struct PropFixture {
     runtime: AsrRuntime,
     audios: Vec<Utterance>,
-    expected: Vec<(Vec<String>, u32)>,
+    expected: Vec<Outcome<String>>,
 }
 
 fn prop_fixture() -> &'static PropFixture {
@@ -335,10 +293,7 @@ fn prop_fixture() -> &'static PropFixture {
             .iter()
             .map(|w| runtime.render_words(w).unwrap())
             .collect();
-        let expected = audios
-            .iter()
-            .map(|a| sequential_reference(&runtime, a))
-            .collect();
+        let expected = audios.iter().map(|a| expected(&runtime, a)).collect();
         PropFixture {
             runtime,
             audios,
@@ -391,8 +346,7 @@ proptest! {
                     if lo >= samples.len() {
                         // Out of audio: finish instead.
                         let t = finish(lane, &mut sessions, &mut cursors);
-                        prop_assert_eq!(&t.words, &fx.expected[lane].0);
-                        prop_assert_eq!(t.cost.to_bits(), fx.expected[lane].1);
+                        assert_same(&Outcome::from(&t), &fx.expected[lane], &format!("lane {lane}"));
                         finishes += 1;
                         continue;
                     }
@@ -408,8 +362,7 @@ proptest! {
                 8 => {
                     if sessions[lane].is_some() {
                         let t = finish(lane, &mut sessions, &mut cursors);
-                        prop_assert_eq!(&t.words, &fx.expected[lane].0);
-                        prop_assert_eq!(t.cost.to_bits(), fx.expected[lane].1);
+                        assert_same(&Outcome::from(&t), &fx.expected[lane], &format!("lane {lane}"));
                         finishes += 1;
                     }
                 }
@@ -427,8 +380,7 @@ proptest! {
         for lane in 0..4 {
             if sessions[lane].is_some() {
                 let t = finish(lane, &mut sessions, &mut cursors);
-                prop_assert_eq!(&t.words, &fx.expected[lane].0);
-                prop_assert_eq!(t.cost.to_bits(), fx.expected[lane].1);
+                assert_same(&Outcome::from(&t), &fx.expected[lane], &format!("lane {lane}"));
                 finishes += 1;
             }
         }
@@ -439,8 +391,6 @@ proptest! {
         prop_assert_eq!(stats.open_slots, 0);
         let mut probe = fx.runtime.open_session();
         probe.push_samples(&fx.audios[0].samples);
-        let t = probe.finalize();
-        prop_assert_eq!(&t.words, &fx.expected[0].0);
-        prop_assert_eq!(t.cost.to_bits(), fx.expected[0].1);
+        assert_same(&Outcome::from(&probe.finalize()), &fx.expected[0], "after the storm");
     }
 }

@@ -7,33 +7,28 @@
 //!    plain (non-scoped) threads and migrate between threads
 //!    mid-utterance.
 //! 2. Eight — and sixteen, and thirty-two — concurrent sessions on
-//!    **one** runtime — one scratch pool, one lock-free work-stealing
-//!    executor — produce transcripts byte-identical to a fresh
-//!    sequential [`ViterbiDecoder`] on the same inputs, across
-//!    raw-audio, pre-scored, single-row overlapped, and multi-row
-//!    overlapped sessions, for any lane count and steal schedule.
+//!    **one** runtime — one scratch pool, one fork-join executor whose
+//!    lanes claim chunks from a list of pending jobs — produce
+//!    transcripts byte-identical to the reference decoder on the same
+//!    rows (the `asr-testkit` oracle), across raw-audio, pre-scored,
+//!    single-row overlapped, and multi-row overlapped sessions, for any
+//!    lane count and any split of a job's chunks between the lanes and
+//!    its submitter.
 //! 3. The shared pools stay bounded: the scratch pool's high-water mark
 //!    tracks peak concurrency, and once warm the cold-checkout counter
 //!    stops moving.
 //!
 //! [`Session`]: asr_repro::runtime::Session
-//! [`ViterbiDecoder`]: asr_repro::decoder::search::ViterbiDecoder
 
-use asr_repro::decoder::search::ViterbiDecoder;
 use asr_repro::runtime::{AsrRuntime, RuntimeConfig, Session, SessionOptions};
+use asr_testkit::fixtures::COMMANDS;
+use asr_testkit::{assert_same, expected, Outcome};
 
 fn assert_send_static<T: Send + 'static>() {}
 
-/// The per-utterance ground truth, computed with a fresh sequential
-/// decoder (no pool, no scratch reuse, no executor).
-fn sequential_reference(runtime: &AsrRuntime, words: &[&str]) -> (Vec<String>, u32) {
-    let audio = runtime.render_words(words).unwrap();
-    let scores = runtime.score(&audio);
-    let result = ViterbiDecoder::new(runtime.options().clone()).decode(runtime.graph(), &scores);
-    (
-        runtime.lexicon().transcript(&result.words),
-        result.cost.to_bits(),
-    )
+/// The oracle's transcript of `words` spoken on `runtime`.
+fn spoken(runtime: &AsrRuntime, words: &[&str]) -> Outcome<String> {
+    expected(runtime, &runtime.render_words(words).unwrap())
 }
 
 #[test]
@@ -47,18 +42,8 @@ fn eight_concurrent_sessions_on_one_pool_are_byte_identical() {
     // Three executor lanes so the shared pool is real even on a 1-core
     // machine; eight session threads all share it.
     let runtime = AsrRuntime::demo_with(RuntimeConfig::new().lanes(3)).unwrap();
-    let utterances: Vec<Vec<&str>> = vec![
-        vec!["go"],
-        vec!["stop"],
-        vec!["lights", "on"],
-        vec!["lights", "off"],
-        vec!["play", "music"],
-        vec!["call", "mom"],
-    ];
-    let expected: Vec<(Vec<String>, u32)> = utterances
-        .iter()
-        .map(|w| sequential_reference(&runtime, w))
-        .collect();
+    let utterances: Vec<&[&str]> = COMMANDS.to_vec();
+    let expected: Vec<Outcome<String>> = utterances.iter().map(|w| spoken(&runtime, w)).collect();
 
     let mut handles = Vec::new();
     for worker in 0..8usize {
@@ -70,7 +55,7 @@ fn eight_concurrent_sessions_on_one_pool_are_byte_identical() {
         handles.push(std::thread::spawn(move || {
             for round in 0..utterances.len() {
                 let i = (round + worker) % utterances.len();
-                let audio = runtime.render_words(&utterances[i]).unwrap();
+                let audio = runtime.render_words(utterances[i]).unwrap();
                 let transcript = if worker % 2 == 0 {
                     // Raw-audio session (overlapped scoring on the
                     // shared executor), mic-style packets.
@@ -86,8 +71,8 @@ fn eight_concurrent_sessions_on_one_pool_are_byte_identical() {
                     session.push_frames(&scores);
                     session.finalize()
                 };
-                assert_eq!(transcript.words, expected[i].0, "utterance {i}");
-                assert_eq!(transcript.cost.to_bits(), expected[i].1, "utterance {i}");
+                let what = format!("utterance {i}");
+                assert_same(&Outcome::from(&transcript), &expected[i], &what);
             }
         }));
     }
@@ -121,10 +106,7 @@ fn sixteen_and_thirty_two_concurrent_sessions_are_byte_identical() {
         vec!["lights", "on"],
         vec!["call", "mom"],
     ];
-    let expected: Vec<(Vec<String>, u32)> = utterances
-        .iter()
-        .map(|w| sequential_reference(&runtime, w))
-        .collect();
+    let expected: Vec<Outcome<String>> = utterances.iter().map(|w| spoken(&runtime, w)).collect();
     let audio: Vec<_> = utterances
         .iter()
         .map(|w| runtime.render_words(w).unwrap())
@@ -168,8 +150,8 @@ fn sixteen_and_thirty_two_concurrent_sessions_are_byte_identical() {
                             session.finalize()
                         }
                     };
-                    assert_eq!(transcript.words, expected[i].0, "worker {worker}");
-                    assert_eq!(transcript.cost.to_bits(), expected[i].1, "worker {worker}");
+                    let what = format!("worker {worker}");
+                    assert_same(&Outcome::from(&transcript), &expected[i], &what);
                 }));
             }
             for handle in handles {
@@ -188,8 +170,9 @@ fn sixteen_and_thirty_two_concurrent_sessions_are_byte_identical() {
 #[test]
 fn seeded_lane_depth_matrix_pins_determinism_of_the_lock_free_deques() {
     // A seeded LCG drives a (lanes × overlap_depth × chunking) matrix —
-    // proptest-style coverage of arbitrary steal schedules without a new
-    // dependency. Any failure reproduces exactly from the fixed seed.
+    // proptest-style coverage of how the lanes and the submitter split a
+    // job's chunks, without a new dependency. Any failure reproduces
+    // exactly from the fixed seed.
     let mut state = 0x0005_DEEC_E66D_u64;
     let mut next = move |bound: usize| {
         state = state
@@ -200,7 +183,7 @@ fn seeded_lane_depth_matrix_pins_determinism_of_the_lock_free_deques() {
     for lanes in [2usize, 3] {
         let runtime = AsrRuntime::demo_with(RuntimeConfig::new().lanes(lanes)).unwrap();
         let words = ["play", "music"];
-        let expected = sequential_reference(&runtime, &words);
+        let expected = spoken(&runtime, &words);
         let audio = runtime.render_words(&words).unwrap();
         for _ in 0..4 {
             let depth = 1 + next(6);
@@ -209,16 +192,8 @@ fn seeded_lane_depth_matrix_pins_determinism_of_the_lock_free_deques() {
             for packet in audio.samples.chunks(chunk) {
                 session.push_samples(packet);
             }
-            let t = session.finalize();
-            assert_eq!(
-                t.words, expected.0,
-                "lanes {lanes} depth {depth} chunk {chunk}"
-            );
-            assert_eq!(
-                t.cost.to_bits(),
-                expected.1,
-                "lanes {lanes} depth {depth} chunk {chunk}"
-            );
+            let what = format!("lanes {lanes} depth {depth} chunk {chunk}");
+            assert_same(&Outcome::from(&session.finalize()), &expected, &what);
         }
     }
 }
@@ -227,7 +202,7 @@ fn seeded_lane_depth_matrix_pins_determinism_of_the_lock_free_deques() {
 fn sessions_migrate_between_threads_mid_utterance() {
     let runtime = AsrRuntime::demo_with(RuntimeConfig::new().lanes(2)).unwrap();
     let words = ["play", "music"];
-    let expected = sequential_reference(&runtime, &words);
+    let expected = spoken(&runtime, &words);
     let audio = runtime.render_words(&words).unwrap();
 
     // Open and start the session here...
@@ -246,8 +221,7 @@ fn sessions_migrate_between_threads_mid_utterance() {
     .expect("migrated session thread");
 
     assert!(partial_before.frames_decoded > 0);
-    assert_eq!(transcript.words, expected.0);
-    assert_eq!(transcript.cost.to_bits(), expected.1);
+    assert_same(&Outcome::from(&transcript), &expected, "migrated");
 }
 
 #[test]
@@ -255,7 +229,7 @@ fn overlapped_sessions_match_inline_sessions_under_concurrency() {
     let overlapped = AsrRuntime::demo_with(RuntimeConfig::new().lanes(4)).unwrap();
     let inline = AsrRuntime::demo_with(RuntimeConfig::new().lanes(1)).unwrap();
     let words = ["call", "mom"];
-    let expected = sequential_reference(&overlapped, &words);
+    let expected = spoken(&overlapped, &words);
     let audio = overlapped.render_words(&words).unwrap();
 
     std::thread::scope(|scope| {
@@ -277,9 +251,8 @@ fn overlapped_sessions_match_inline_sessions_under_concurrency() {
                     for packet in audio.samples.chunks(160) {
                         session.push_samples(packet);
                     }
-                    let t = session.finalize();
-                    assert_eq!(t.words, expected.0, "lanes={lanes}");
-                    assert_eq!(t.cost.to_bits(), expected.1, "lanes={lanes}");
+                    let t = Outcome::from(&session.finalize());
+                    assert_same(&t, expected, &format!("lanes={lanes}"));
                 }
             }));
         }
@@ -299,15 +272,13 @@ fn an_admission_limit_changes_no_transcript() {
 
         let mut baseline = plain.open_session();
         baseline.push_frames(&scores);
-        let baseline = baseline.finalize();
+        let baseline = Outcome::from(&baseline.finalize());
 
         // Admission decides whether a session runs, never how: the same
         // bytes as an unlimited runtime, over both entry points.
         let mut admitted = limited.open_session();
         admitted.push_frames(&scores);
-        let admitted = admitted.finalize();
-        assert_eq!(admitted.words, baseline.words);
-        assert_eq!(admitted.cost.to_bits(), baseline.cost.to_bits());
+        assert_same(&Outcome::from(&admitted.finalize()), &baseline, "admitted");
 
         let mut sampled = limited
             .try_open_session_with(SessionOptions::new())
@@ -315,9 +286,7 @@ fn an_admission_limit_changes_no_transcript() {
         for packet in audio.samples.chunks(160) {
             sampled.push_samples(packet);
         }
-        let sampled = sampled.finalize();
-        assert_eq!(sampled.words, baseline.words);
-        assert_eq!(sampled.cost.to_bits(), baseline.cost.to_bits());
+        assert_same(&Outcome::from(&sampled.finalize()), &baseline, "sampled");
     }
 }
 

@@ -36,6 +36,7 @@ use asr_repro::wfst::lexicon::demo_lexicon;
 use asr_repro::wfst::sorted::SortedWfst;
 use asr_repro::wfst::store::{self, GraphImage, ImageBytes};
 use asr_repro::wfst::{PhoneId, Wfst, WordId};
+use asr_testkit::{assert_same, Outcome};
 
 /// The demo decoding graph plus a second graph over the same lexicon
 /// restricted to a smaller vocabulary — two models one runtime can
@@ -50,12 +51,6 @@ fn two_graphs() -> (Wfst, Wfst) {
 
 fn runtime_with(graph: Wfst) -> AsrRuntime {
     AsrRuntime::with_graph(graph, demo_lexicon(), RuntimeConfig::new().lanes(2))
-}
-
-fn assert_bytes_eq(a: &Transcript, b: &Transcript, what: &str) {
-    assert_eq!(a.words, b.words, "{what}: words");
-    assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "{what}: cost bits");
-    assert_eq!(a.reached_final, b.reached_final, "{what}: finality");
 }
 
 #[test]
@@ -124,7 +119,11 @@ fn hot_swap_under_eight_concurrent_sessions_is_byte_identical() {
             s.push_frames(&scores[*idx]);
             s.finalize()
         };
-        assert_bytes_eq(transcript, &expected, "session across hot swap");
+        assert_same(
+            &Outcome::from(transcript),
+            &Outcome::from(&expected),
+            "session across hot swap",
+        );
     }
 
     // A post-swap open decodes over the replacement (the narrow graph
@@ -139,7 +138,11 @@ fn hot_swap_under_eight_concurrent_sessions_is_byte_identical() {
         s.push_frames(&scores[0]);
         s.finalize()
     };
-    assert_bytes_eq(&post, &narrow_expected, "post-swap session");
+    assert_same(
+        &Outcome::from(&post),
+        &Outcome::from(&narrow_expected),
+        "post-swap session",
+    );
 
     let stats = runtime.stats();
     assert_eq!(stats.retired_models, 0, "old graph freed after the drain");
@@ -203,7 +206,11 @@ fn unregister_in_flight_finishes_on_the_old_image_and_frees_on_last_drop() {
         s.push_frames(&scores);
         s.finalize()
     };
-    assert_bytes_eq(&transcript, &expected, "session across unregister");
+    assert_same(
+        &Outcome::from(&transcript),
+        &Outcome::from(&expected),
+        "session across unregister",
+    );
 
     // Last drop frees the storage: only this test's local handle on the
     // buffer remains, and the retired record sweeps away.
@@ -244,7 +251,11 @@ fn image_backed_and_owned_models_decode_byte_identically() {
         };
         let owned = decode("owned");
         let image = decode("image");
-        assert_bytes_eq(&owned, &image, "image-backed vs owned model");
+        assert_same(
+            &Outcome::from(&owned),
+            &Outcome::from(&image),
+            "image-backed vs owned model",
+        );
         assert_eq!(owned.words, utterance);
     }
 }
@@ -342,7 +353,11 @@ fn sessions_ignore_registry_traffic_on_other_models() {
         session.push_row(scores.frame_row(frame));
     }
     let transcript = session.finalize();
-    assert_bytes_eq(&transcript, &expected, "session beside registry churn");
+    assert_same(
+        &Outcome::from(&transcript),
+        &Outcome::from(&expected),
+        "session beside registry churn",
+    );
     let _ = runtime.unregister_model("churn");
     assert_eq!(runtime.stats().retired_models, 0);
 }

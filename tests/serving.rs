@@ -3,35 +3,19 @@
 //! The acceptance claim of the persistent-pool serving pipeline is that
 //! pooling never changes results: any number of concurrent sessions and
 //! pooled `recognize` calls, from any threads, produce byte-identical
-//! `words`/`cost` to a fresh sequential [`ViterbiDecoder`] run on the
-//! same inputs.
+//! `words`/`cost` to the reference decoder on the same rows (the
+//! `asr-testkit` oracle).
 
-use asr_repro::decoder::search::ViterbiDecoder;
 use asr_repro::runtime::AsrRuntime;
-
-/// The per-utterance ground truth, computed with a fresh sequential
-/// decoder (no pool, no scratch reuse).
-fn sequential_reference(p: &AsrRuntime, words: &[&str]) -> (Vec<String>, u32) {
-    let audio = p.render_words(words).unwrap();
-    let scores = p.score(&audio);
-    let result = ViterbiDecoder::new(p.options().clone()).decode(p.graph(), &scores);
-    (p.lexicon().transcript(&result.words), result.cost.to_bits())
-}
+use asr_testkit::fixtures::COMMANDS;
+use asr_testkit::{assert_same, expected, Outcome};
 
 #[test]
 fn concurrent_sessions_match_sequential_decoder() {
     let runtime = AsrRuntime::demo().unwrap();
-    let utterances: Vec<Vec<&str>> = vec![
-        vec!["go"],
-        vec!["stop"],
-        vec!["lights", "on"],
-        vec!["lights", "off"],
-        vec!["play", "music"],
-        vec!["call", "mom"],
-    ];
-    let expected: Vec<(Vec<String>, u32)> = utterances
-        .iter()
-        .map(|w| sequential_reference(&runtime, w))
+    let utterances = COMMANDS;
+    let expected: Vec<Outcome<String>> = (utterances.iter())
+        .map(|w| expected(&runtime, &runtime.render_words(w).unwrap()))
         .collect();
 
     std::thread::scope(|scope| {
@@ -45,13 +29,12 @@ fn concurrent_sessions_match_sequential_decoder() {
                 // workers are decoding different words at the same time.
                 for round in 0..utterances.len() {
                     let i = (round + worker) % utterances.len();
-                    let audio = runtime.render_words(&utterances[i]).unwrap();
+                    let audio = runtime.render_words(utterances[i]).unwrap();
                     let scores = runtime.score(&audio);
                     let mut session = runtime.open_session();
                     session.push_frames(&scores);
-                    let transcript = session.finalize();
-                    assert_eq!(transcript.words, expected[i].0, "utterance {i}");
-                    assert_eq!(transcript.cost.to_bits(), expected[i].1, "utterance {i}");
+                    let transcript = Outcome::from(&session.finalize());
+                    assert_same(&transcript, &expected[i], &format!("utterance {i}"));
                 }
             }));
         }
@@ -72,20 +55,17 @@ fn concurrent_sessions_match_sequential_decoder() {
 #[test]
 fn concurrent_pooled_recognize_matches_sequential_decoder() {
     let runtime = AsrRuntime::demo().unwrap();
-    let words = ["play", "music"];
-    let (expected_words, expected_cost) = sequential_reference(&runtime, &words);
-    let audio = runtime.render_words(&words).unwrap();
+    let audio = runtime.render_words(&["play", "music"]).unwrap();
+    let expected = expected(&runtime, &audio);
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for _ in 0..4 {
             let runtime = &runtime;
-            let audio = &audio;
-            let expected_words = &expected_words;
+            let (audio, expected) = (&audio, &expected);
             handles.push(scope.spawn(move || {
                 for _ in 0..5 {
-                    let t = runtime.recognize(audio);
-                    assert_eq!(t.words, *expected_words);
-                    assert_eq!(t.cost.to_bits(), expected_cost);
+                    let t = Outcome::from(&runtime.recognize(audio));
+                    assert_same(&t, expected, "pooled recognize");
                 }
             }));
         }

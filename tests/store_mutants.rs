@@ -16,6 +16,7 @@
 
 use asr_acoustic::scores::AcousticTable;
 use asr_decoder::search::{DecodeOptions, ViterbiDecoder};
+use asr_testkit::{assert_same, Outcome};
 use asr_wfst::sorted::SortedWfst;
 use asr_wfst::store::{self, GraphImage};
 use asr_wfst::synth::{SynthConfig, SynthWfst};
@@ -363,17 +364,15 @@ fn walk_accepts(sorted: &SortedWfst) -> Result<(), String> {
     Ok(())
 }
 
-fn assert_same_decode(image: &Wfst, owned: &Wfst, name: &str) {
+/// Decodes `image` and `owned` over the same two tables of rows and
+/// holds them to the consumer matrix's equality.
+fn decodes_alike(image: &Wfst, owned: &Wfst, name: &str) {
     let columns = image.num_phones().max(2) as usize;
     let decoder = ViterbiDecoder::new(DecodeOptions::with_beam(12.0));
     for seed in [3, 4] {
         let scores = AcousticTable::random(25, columns, (0.5, 4.0), seed);
-        let a = decoder.decode(image, &scores);
-        let b = decoder.decode(owned, &scores);
-        assert_eq!(a.words, b.words, "{name}");
-        assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "{name}");
-        assert_eq!(a.reached_final, b.reached_final, "{name}");
-        assert_eq!(a.best_state, b.best_state, "{name}");
+        let [a, b] = [image, owned].map(|g| Outcome::from(&decoder.decode(g, &scores)));
+        assert_same(&a, &b, name);
     }
 }
 
@@ -419,7 +418,7 @@ fn every_structural_mutant_is_rejected_typed_or_loads_faithfully() {
                     (w.num_phones(), w.num_words()),
                     "{name}"
                 );
-                assert_same_decode(w, &owned, name);
+                decodes_alike(w, &owned, name);
                 loaded += 1;
             }
         }
@@ -440,5 +439,5 @@ fn the_unmutated_image_passes_the_walk_and_decodes_like_its_source() {
     let (sorted, base) = base();
     let image = GraphImage::from_bytes(&base).unwrap();
     walk_accepts(image.sorted()).unwrap();
-    assert_same_decode(image.wfst(), sorted.wfst(), "base");
+    decodes_alike(image.wfst(), sorted.wfst(), "base");
 }
