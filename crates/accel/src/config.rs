@@ -203,11 +203,6 @@ impl AcceleratorConfig {
         }
     }
 
-    /// The paper's final configuration (both memory-system techniques).
-    pub fn final_design() -> Self {
-        Self::for_design(DesignPoint::StateAndArc)
-    }
-
     /// All caches perfect (the 2.11x analysis of Section IV).
     pub fn with_perfect_caches(mut self) -> Self {
         self.perfect_state_cache = true;
@@ -246,11 +241,6 @@ impl AcceleratorConfig {
         self.state_inflight.max(1)
     }
 
-    /// Seconds per clock cycle.
-    pub fn cycle_seconds(&self) -> f64 {
-        1.0 / self.frequency_hz as f64
-    }
-
     /// Bytes of storage in one hash table (24-byte entries: likelihood,
     /// backpointer address, state index, next pointer — 768 KB at 32K
     /// entries, matching Table I).
@@ -280,7 +270,7 @@ mod tests {
         assert_eq!(c.prefetch_fifo, 64);
         assert_eq!(c.state_opt_threshold, 16);
         // 83 ns at 600 MHz, as quoted in Section V.
-        let ns = c.mem_latency as f64 * c.cycle_seconds() * 1e9;
+        let ns = c.mem_latency as f64 / c.frequency_hz as f64 * 1e9;
         assert!((ns - 83.3).abs() < 1.0);
         // 768 KB per hash table.
         assert_eq!(c.hash_bytes(), 768 * 1024);

@@ -54,7 +54,7 @@ impl Default for EnergyParams {
 
 impl EnergyParams {
     /// Read energy (joules) of an SRAM array of `bytes` capacity.
-    pub fn sram_access_j(&self, bytes: usize) -> f64 {
+    fn sram_access_j(&self, bytes: usize) -> f64 {
         let mb = bytes as f64 / (1024.0 * 1024.0);
         self.sram_nj_at_1mb * mb.sqrt() * 1e-9
     }
@@ -183,9 +183,9 @@ impl AreaReport {
 }
 
 /// Paper-reported total for the base design.
-pub const PAPER_BASE_AREA_MM2: f64 = 24.06;
+const PAPER_BASE_AREA_MM2: f64 = 24.06;
 /// SRAM density assumed by the split (mm² per MB at 28 nm).
-pub const SRAM_MM2_PER_MB: f64 = 2.5;
+const SRAM_MM2_PER_MB: f64 = 2.5;
 
 impl AreaModel {
     /// Computes the area of `cfg`'s design point.

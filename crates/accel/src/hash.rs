@@ -77,7 +77,6 @@ impl HashStats {
 /// assert_eq!(first.cycles, 1);
 /// let again = table.access(42); // likelihood update
 /// assert!(again.existing);
-/// assert_eq!(table.occupancy(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct HashTable {
@@ -231,11 +230,6 @@ impl HashTable {
         pos > 0 && self.backup_used >= self.backup_capacity && self.overflow_used > 0
     }
 
-    /// Number of distinct states resident.
-    pub fn occupancy(&self) -> usize {
-        self.occupancy
-    }
-
     /// Clears contents for the next frame (counters are kept). One epoch
     /// bump invalidates every state slot — the same constant-time clear as
     /// the token table it shadows; only the bucket chain lengths are wiped.
@@ -276,7 +270,7 @@ mod tests {
         let b = h.access(42);
         assert!(b.existing);
         assert_eq!(b.cycles, 1);
-        assert_eq!(h.occupancy(), 1);
+        assert_eq!(h.occupancy, 1);
     }
 
     #[test]
@@ -297,7 +291,7 @@ mod tests {
         h.access(1);
         h.access(2);
         h.clear();
-        assert_eq!(h.occupancy(), 0);
+        assert_eq!(h.occupancy, 0);
         assert_eq!(h.stats().requests, 2);
         // Post-clear, the same state inserts fresh.
         assert!(!h.access(1).existing);
@@ -370,7 +364,7 @@ mod tests {
         let mut h = HashTable::new(64, false);
         h.reserve_states(1000);
         assert!(!h.access(999).existing);
-        assert_eq!(h.occupancy(), 1);
+        assert_eq!(h.occupancy, 1);
     }
 
     #[test]
@@ -384,6 +378,6 @@ mod tests {
         for s in (0..20u32).rev() {
             assert_eq!(cleared.access(s), fresh.access(s));
         }
-        assert_eq!(cleared.occupancy(), fresh.occupancy());
+        assert_eq!(cleared.occupancy, fresh.occupancy);
     }
 }

@@ -13,7 +13,7 @@
 //!   map.
 //! * [`hash`] — the dual token hash tables with collision chains and the
 //!   main-memory overflow buffer.
-//! * [`prefetch`] — the in-order issue/commit window realizing the Arc
+//! * `prefetch` (private) — the in-order issue/commit window realizing the Arc
 //!   FIFO / Request FIFO / Reorder Buffer ensemble.
 //! * [`sim`] — the execution-driven, cycle-stepped simulator.
 //! * [`energy`] — event-based energy/power model and area accounting.
@@ -43,8 +43,7 @@ pub mod config;
 pub mod energy;
 pub mod hash;
 pub mod mem;
-pub mod prefetch;
-pub mod report;
+mod prefetch;
 pub mod sim;
 pub mod stats;
 

@@ -31,16 +31,6 @@ pub enum TrafficKind {
     Acoustic,
 }
 
-impl TrafficKind {
-    /// The four off-chip categories shown in Figure 13.
-    pub const FIGURE13: [TrafficKind; 4] = [
-        TrafficKind::States,
-        TrafficKind::Arcs,
-        TrafficKind::Tokens,
-        TrafficKind::Overflow,
-    ];
-}
-
 /// Byte counters per traffic kind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TrafficStats {
@@ -160,11 +150,6 @@ impl Dram {
     /// Access latency in cycles.
     pub fn latency(&self) -> u64 {
         self.latency
-    }
-
-    /// Bytes per request line.
-    pub fn line_bytes(&self) -> u64 {
-        self.line_bytes
     }
 }
 

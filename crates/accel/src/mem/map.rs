@@ -8,7 +8,7 @@ use asr_wfst::layout::MemoryLayout;
 use asr_wfst::{ArcId, StateId, Wfst};
 
 /// Bytes per token trace record (backpointer + word index).
-pub const TOKEN_BYTES: u64 = 8;
+const TOKEN_BYTES: u64 = 8;
 
 /// Main-memory address map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,12 +50,6 @@ impl AddressMap {
         self.tokens_base + index * TOKEN_BYTES
     }
 
-    /// Address of the `index`-th overflow slot.
-    #[inline]
-    pub fn overflow_addr(&self, index: u64) -> u64 {
-        self.overflow_base + index * 16
-    }
-
     /// The WFST image layout.
     pub fn wfst(&self) -> &MemoryLayout {
         &self.wfst
@@ -73,7 +67,7 @@ mod tests {
         let map = AddressMap::new(&w, 1 << 20);
         let last_arc = map.arc_addr(ArcId((w.num_arcs() - 1) as u32));
         assert!(last_arc + 16 <= map.token_addr(0));
-        assert!(map.token_addr(0) + (1 << 20) <= map.overflow_addr(0));
+        assert!(map.token_addr(0) + (1 << 20) <= map.overflow_base);
     }
 
     #[test]
@@ -91,6 +85,6 @@ mod tests {
         let w = SynthWfst::generate(&SynthConfig::with_states(123)).unwrap();
         let map = AddressMap::new(&w, 1000);
         assert_eq!(map.token_addr(0) % 64, 0);
-        assert_eq!(map.overflow_addr(0) % 64, 0);
+        assert_eq!(map.overflow_base % 64, 0);
     }
 }

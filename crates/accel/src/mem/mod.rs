@@ -1,8 +1,8 @@
 //! Memory hierarchy models: on-chip caches, the DRAM/controller, and the
 //! physical address map.
 
-pub mod cache;
-pub mod dram;
+mod cache;
+mod dram;
 pub mod map;
 
 pub use cache::{Access, Cache, CacheStats};

@@ -76,20 +76,9 @@ impl InOrderWindow {
         commit
     }
 
-    /// Window depth.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
     /// Commit cycle of the most recent item (0 if none).
     pub fn last_commit(&self) -> u64 {
         self.last_commit
-    }
-
-    /// Empties the window (between frames the pipeline drains).
-    pub fn reset(&mut self) {
-        self.last_commit = 0;
-        self.recent.clear();
     }
 
     /// Restarts the window at `cycle` (drained, nothing in flight).

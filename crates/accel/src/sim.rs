@@ -110,7 +110,7 @@ impl PreparedWfst {
     }
 
     /// The direct-index unit, when the layout provides one.
-    pub fn direct(&self) -> Option<&DirectIndexUnit> {
+    fn direct(&self) -> Option<&DirectIndexUnit> {
         match self {
             Self::Plain(_) => None,
             Self::Sorted(s) => Some(s.unit()),
@@ -862,7 +862,7 @@ mod tests {
     #[test]
     fn simulation_is_deterministic() {
         let (w, scores) = workload(3_000, 10, 10);
-        let cfg = AcceleratorConfig::final_design().with_beam(6.0);
+        let cfg = AcceleratorConfig::for_design(DesignPoint::StateAndArc).with_beam(6.0);
         let a = Simulator::new(cfg.clone())
             .decode_wfst(&w, &scores)
             .unwrap();
@@ -898,30 +898,5 @@ mod tests {
             .unwrap();
         assert_eq!(r.stats.frames, 0);
         assert!(r.words.is_empty());
-    }
-
-    #[test]
-    fn corrupted_direct_index_unit_is_refused() {
-        use asr_wfst::sorted::DirectIndexUnit;
-        let (w, scores) = workload(2_000, 5, 5);
-        let cfg = AcceleratorConfig::for_design(DesignPoint::StateOpt).with_beam(6.0);
-        let mut sorted = SortedWfst::with_threshold(&w, cfg.state_opt_threshold).unwrap();
-        // Shift every offset register: each direct computation now points
-        // one arc past the real range start.
-        let unit = sorted.unit();
-        let offsets: Vec<i64> = (0..unit.threshold() as u32)
-            .map(|g| unit.group_offset(g as usize) + 1)
-            .collect();
-        let boundaries = (1..=unit.threshold())
-            .map(|d| unit.group_boundary(d - 1))
-            .collect();
-        sorted.replace_unit(DirectIndexUnit::from_registers(boundaries, offsets));
-        let err = Simulator::new(cfg)
-            .decode(&PreparedWfst::Sorted(sorted), &scores)
-            .unwrap_err();
-        assert!(
-            matches!(err, WfstError::LayoutMismatch { .. }),
-            "got {err:?}"
-        );
     }
 }

@@ -68,7 +68,7 @@ impl SimStats {
 
     /// Decode time per second of speech (Figure 9's metric) assuming 10 ms
     /// frames.
-    pub fn decode_time_per_speech_second(&self, frequency_hz: u64) -> f64 {
+    fn decode_time_per_speech_second(&self, frequency_hz: u64) -> f64 {
         if self.frames == 0 {
             return 0.0;
         }

@@ -53,7 +53,7 @@ proptest! {
         let short = rows(&wfst, 4, seed);
         let mut long = short.clone();
         long.extend(&rows(&wfst, 8, seed ^ 1));
-        let cfg = AcceleratorConfig::final_design().with_beam(6.0);
+        let cfg = AcceleratorConfig::for_design(DesignPoint::StateAndArc).with_beam(6.0);
         prop_assert!(
             cycles(cfg.clone(), &wfst, &long) > cycles(cfg, &wfst, &short)
         );

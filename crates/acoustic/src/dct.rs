@@ -48,13 +48,14 @@ impl Dct {
     /// # Panics
     ///
     /// Panics if `input.len()` differs from the configured length.
-    pub fn apply(&self, input: &[f32]) -> Vec<f32> {
+    #[cfg(test)]
+    fn apply(&self, input: &[f32]) -> Vec<f32> {
         let mut out = vec![0.0f32; self.output_len];
         self.apply_into(input, &mut out);
         out
     }
 
-    /// Allocation-free form of [`Dct::apply`] into caller-owned storage.
+    /// Applies the transform into caller-owned storage.
     ///
     /// # Panics
     ///
@@ -67,11 +68,6 @@ impl Dct {
             let row = &self.table[k * self.input_len..(k + 1) * self.input_len];
             *o = row.iter().zip(input).map(|(c, x)| c * x).sum();
         }
-    }
-
-    /// Number of output coefficients.
-    pub fn output_len(&self) -> usize {
-        self.output_len
     }
 }
 

@@ -33,7 +33,7 @@ use rand_chacha::ChaCha8Rng;
 /// `i`'s weights to every output are contiguous, so an input that is
 /// exactly zero (about half of what a ReLU hands on) costs no weight
 /// read at all — and widened exactly inside the kernel; inputs,
-/// products, sums, biases and outputs are all f32. [`Dense::flops`]
+/// products, sums, biases and outputs are all f32. `Dense::flops`
 /// counts the layer's dense multiply-accumulates, skipped or not.
 #[derive(Debug, Clone)]
 pub struct Dense {
@@ -75,7 +75,7 @@ impl Dense {
     }
 
     /// Applies the affine map to one input vector — the one-row call of
-    /// [`Dense::forward_block_into`], allocating its output.
+    /// `Dense::forward_block_into`, allocating its output.
     ///
     /// # Panics
     ///
@@ -91,7 +91,7 @@ impl Dense {
     /// topology: two (a multiply and an add) per weight — f32 operations
     /// both, whatever the weights are stored as, and whether or not a
     /// zero input lets the kernel skip them.
-    pub fn flops(&self) -> u64 {
+    fn flops(&self) -> u64 {
         2 * (self.in_dim as u64) * (self.out_dim as u64)
     }
 
@@ -121,7 +121,7 @@ impl Dense {
     ///
     /// Panics if a stride is narrower than the matching dimension or
     /// either slice is too short for `rows`.
-    pub fn forward_block_into(
+    fn forward_block_into(
         &self,
         input: &[f32],
         in_stride: usize,
@@ -132,7 +132,7 @@ impl Dense {
         self.forward_block_with(Kernel::widest(), input, in_stride, rows, out, out_stride);
     }
 
-    /// [`Dense::forward_block_into`] through a given instantiation of the
+    /// `Dense::forward_block_into` through a given instantiation of the
     /// kernel, so the tests can hold every one to the contract.
     fn forward_block_with(
         &self,
@@ -202,7 +202,7 @@ impl Mlp {
     }
 
     /// Input feature dimension.
-    pub fn input_dim(&self) -> usize {
+    fn input_dim(&self) -> usize {
         self.layers[0].in_dim
     }
 
@@ -213,7 +213,7 @@ impl Mlp {
 
     /// The widest activation any layer produces or consumes — the row
     /// stride of the block scratch layout.
-    pub fn max_width(&self) -> usize {
+    fn max_width(&self) -> usize {
         self.layers
             .iter()
             .map(|l| l.in_dim.max(l.out_dim))
@@ -232,7 +232,7 @@ impl Mlp {
     /// through a given instantiation of the kernel (the tests hold every
     /// one to the contract). On return the log-posteriors of row `r` sit
     /// at `scratch[r * stride ..][.. output_dim]`, where `stride` is the
-    /// returned row stride ([`Mlp::max_width`]). Each element is computed
+    /// returned row stride (`Mlp::max_width`). Each element is computed
     /// under the one dense contract, ReLU and log-softmax of its own row,
     /// and no value ever crosses between rows.
     fn log_posteriors_block_with(
@@ -299,7 +299,7 @@ impl Mlp {
     /// per gather window, and a lone frame is a block of one.
     ///
     /// `features` holds the block packed row-major (`rows` ×
-    /// [`Mlp::input_dim`], no padding); `out` is packed row-major
+    /// `Mlp::input_dim`, no padding); `out` is packed row-major
     /// (`rows` × `output_dim + 1`). In each cost row, `row[0]` (the
     /// epsilon column) is `0.0` and `row[1 + p]` is the negative
     /// log-posterior of phone class `p`. A row's bits are a function of

@@ -23,7 +23,7 @@ impl Complex {
     /// Complex multiplication.
     #[inline]
     #[allow(clippy::should_implement_trait)]
-    pub fn mul(self, other: Self) -> Self {
+    fn mul(self, other: Self) -> Self {
         Self {
             re: self.re * other.re - self.im * other.im,
             im: self.re * other.im + self.im * other.re,
@@ -43,7 +43,7 @@ impl Complex {
     /// Complex subtraction.
     #[inline]
     #[allow(clippy::should_implement_trait)]
-    pub fn sub(self, other: Self) -> Self {
+    fn sub(self, other: Self) -> Self {
         Self {
             re: self.re - other.re,
             im: self.im - other.im,
@@ -52,7 +52,7 @@ impl Complex {
 
     /// Squared magnitude.
     #[inline]
-    pub fn norm_sqr(self) -> f32 {
+    fn norm_sqr(self) -> f32 {
         self.re * self.re + self.im * self.im
     }
 }
@@ -62,7 +62,7 @@ impl Complex {
 /// # Panics
 ///
 /// Panics if `buf.len()` is not a power of two.
-pub fn fft_in_place(buf: &mut [Complex]) {
+fn fft_in_place(buf: &mut [Complex]) {
     let n = buf.len();
     assert!(n.is_power_of_two(), "FFT length must be a power of two");
     if n <= 1 {
@@ -97,23 +97,7 @@ pub fn fft_in_place(buf: &mut [Complex]) {
     }
 }
 
-/// Computes the one-sided power spectrum of a real signal.
-///
-/// The input is zero-padded to `fft_len`; the output has `fft_len / 2 + 1`
-/// bins (DC through Nyquist), each the squared magnitude of the transform.
-///
-/// # Panics
-///
-/// Panics if `fft_len` is not a power of two or the input is longer than
-/// `fft_len`.
-pub fn power_spectrum(samples: &[f32], fft_len: usize) -> Vec<f32> {
-    let mut buf = vec![Complex::default(); fft_len];
-    let mut out = vec![0.0f32; fft_len / 2 + 1];
-    power_spectrum_into(samples, &mut buf, &mut out);
-    out
-}
-
-/// Allocation-free form of [`power_spectrum`] over caller-owned scratch:
+/// The one-sided power spectrum of `samples`, over caller-owned scratch:
 /// `buf` (length = the FFT length) is cleared, loaded, and transformed in
 /// place; the one-sided squared magnitudes land in `out`.
 ///
@@ -140,6 +124,14 @@ pub fn power_spectrum_into(samples: &[f32], buf: &mut [Complex], out: &mut [f32]
 mod tests {
     use super::*;
     use std::f32::consts::PI;
+
+    /// The one-sided power spectrum of `samples` zero-padded to `fft_len`.
+    fn power_spectrum(samples: &[f32], fft_len: usize) -> Vec<f32> {
+        let mut buf = vec![Complex::default(); fft_len];
+        let mut out = vec![0.0f32; fft_len / 2 + 1];
+        power_spectrum_into(samples, &mut buf, &mut out);
+        out
+    }
 
     #[test]
     fn impulse_has_flat_spectrum() {

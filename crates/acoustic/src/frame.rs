@@ -28,7 +28,7 @@ impl Default for FrameConfig {
 
 /// Streaming pre-emphasis state: carries `x[t-1]` across pushes so a
 /// sample-by-sample front-end produces exactly the filter output of the
-/// batch [`pre_emphasize`] over the concatenated signal.
+/// batch `pre_emphasize` over the concatenated signal.
 #[derive(Debug, Clone, Copy)]
 pub struct PreEmphasis {
     coefficient: f32,
@@ -64,7 +64,7 @@ impl PreEmphasis {
 }
 
 /// Applies the pre-emphasis filter `y[t] = x[t] - a * x[t-1]` in place.
-pub fn pre_emphasize(samples: &mut [f32], coefficient: f32) {
+fn pre_emphasize(samples: &mut [f32], coefficient: f32) {
     let mut filter = PreEmphasis::new(coefficient);
     for s in samples {
         *s = filter.step(*s);

@@ -10,9 +10,9 @@
 //!   a formant-like mixture of sinusoids, replacing the Librispeech corpus
 //!   we cannot redistribute (see ARCHITECTURE.md, "Substitutions");
 //! * [`frame`]: 10 ms framing, pre-emphasis, Hamming windowing;
-//! * [`fft`]: an iterative radix-2 FFT;
-//! * [`mel`]: the mel filterbank;
-//! * [`dct`]: DCT-II for cepstral coefficients;
+//! * `fft` (private): an iterative radix-2 FFT;
+//! * `mel` (private): the mel filterbank;
+//! * `dct` (private): DCT-II for cepstral coefficients;
 //! * [`mfcc`]: the full feature pipeline (13 MFCCs + Δ + ΔΔ);
 //! * [`dnn`]: a from-scratch multi-layer perceptron producing per-phone
 //!   log-posteriors (the "DNN" of the paper's hybrid system);
@@ -46,12 +46,12 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod dct;
+mod dct;
 pub mod dnn;
-pub mod fft;
+mod fft;
 mod fold;
 pub mod frame;
-pub mod mel;
+mod mel;
 pub mod mfcc;
 pub mod online;
 pub mod scores;

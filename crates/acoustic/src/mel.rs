@@ -4,13 +4,13 @@
 
 /// Converts frequency in Hz to the mel scale.
 #[inline]
-pub fn hz_to_mel(hz: f32) -> f32 {
+fn hz_to_mel(hz: f32) -> f32 {
     2595.0 * (1.0 + hz / 700.0).log10()
 }
 
 /// Converts mel back to Hz.
 #[inline]
-pub fn mel_to_hz(mel: f32) -> f32 {
+fn mel_to_hz(mel: f32) -> f32 {
     700.0 * (10f32.powf(mel / 2595.0) - 1.0)
 }
 
@@ -82,7 +82,8 @@ impl MelFilterbank {
     }
 
     /// Number of filters.
-    pub fn num_filters(&self) -> usize {
+    #[cfg(test)]
+    fn num_filters(&self) -> usize {
         self.filters.len()
     }
 
@@ -92,13 +93,14 @@ impl MelFilterbank {
     /// # Panics
     ///
     /// Panics if `spectrum.len()` differs from the configured bin count.
-    pub fn apply(&self, spectrum: &[f32]) -> Vec<f32> {
+    #[cfg(test)]
+    fn apply(&self, spectrum: &[f32]) -> Vec<f32> {
         let mut out = vec![0.0f32; self.filters.len()];
         self.apply_into(spectrum, &mut out);
         out
     }
 
-    /// Allocation-free form of [`MelFilterbank::apply`] into caller-owned
+    /// Applies the bank to a power spectrum into caller-owned
     /// storage (one slot per filter).
     ///
     /// # Panics

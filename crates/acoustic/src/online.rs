@@ -57,9 +57,9 @@ use std::collections::VecDeque;
 ///     online.push_samples(chunk);
 /// }
 /// online.finish();
-/// let mut streamed = Vec::new();
-/// while let Some(frame) = online.pop_frame() {
-///     streamed.push(frame);
+/// let (mut streamed, mut frame) = (Vec::new(), vec![0.0; online.dim()]);
+/// while online.pop_frame_into(&mut frame) {
+///     streamed.push(frame.clone());
 /// }
 /// assert_eq!(streamed, batch);
 /// ```
@@ -105,7 +105,7 @@ impl OnlineMfcc {
 
     /// Builds the extractor around an existing pipeline (sharing its
     /// configuration and precomputed tables).
-    pub fn with_pipeline(pipeline: MfccPipeline) -> Self {
+    fn with_pipeline(pipeline: MfccPipeline) -> Self {
         let cfg = *pipeline.config();
         assert!(
             cfg.frame.frame_len > 0 && cfg.frame.hop > 0,
@@ -148,21 +148,6 @@ impl OnlineMfcc {
     /// deltas are enabled).
     pub fn dim(&self) -> usize {
         self.pipeline.dim()
-    }
-
-    /// Frames the Δ/ΔΔ recurrence holds back: a frame's complete vector
-    /// appears this many frames after its audio (0 without deltas).
-    pub fn lookahead_frames(&self) -> usize {
-        if self.pipeline.config().deltas {
-            2
-        } else {
-            0
-        }
-    }
-
-    /// Complete feature vectors currently available to pop.
-    pub fn ready_frames(&self) -> usize {
-        self.ready.len() / self.dim()
     }
 
     /// `true` once [`OnlineMfcc::finish`] has run (push panics until
@@ -262,16 +247,6 @@ impl OnlineMfcc {
             *o = v;
         }
         true
-    }
-
-    /// Allocating convenience form of [`OnlineMfcc::pop_frame_into`].
-    pub fn pop_frame(&mut self) -> Option<Vec<f32>> {
-        let mut out = vec![0.0; self.dim()];
-        if self.pop_frame_into(&mut out) {
-            Some(out)
-        } else {
-            None
-        }
     }
 
     /// Clears all streaming state for the next utterance, keeping every
@@ -423,13 +398,33 @@ mod tests {
     use crate::signal::{render_phones, SignalConfig};
     use asr_wfst::PhoneId;
 
+    /// Pops one complete feature vector, if any.
+    fn pop_frame(online: &mut OnlineMfcc) -> Option<Vec<f32>> {
+        let mut out = vec![0.0; online.dim()];
+        online.pop_frame_into(&mut out).then_some(out)
+    }
+
+    /// Frames the Δ/ΔΔ recurrence holds back.
+    fn lookahead_frames(online: &OnlineMfcc) -> usize {
+        if online.pipeline.config().deltas {
+            2
+        } else {
+            0
+        }
+    }
+
+    /// Complete feature vectors currently available to pop.
+    fn ready_frames(online: &OnlineMfcc) -> usize {
+        online.ready.len() / online.dim()
+    }
+
     fn wave(frames: usize) -> Vec<f32> {
         render_phones(&[PhoneId(1), PhoneId(4)], frames, &SignalConfig::default())
     }
 
     fn drain(online: &mut OnlineMfcc) -> Vec<Vec<f32>> {
         let mut out = Vec::new();
-        while let Some(f) = online.pop_frame() {
+        while let Some(f) = pop_frame(online) {
             out.push(f);
         }
         out
@@ -438,11 +433,11 @@ mod tests {
     #[test]
     fn lookahead_is_two_frames_with_deltas() {
         let mut online = OnlineMfcc::new(MfccConfig::default());
-        assert_eq!(online.lookahead_frames(), 2);
+        assert_eq!(lookahead_frames(&online), 2);
         online.push_samples(&wave(3)); // 6 frames of audio
-        assert_eq!(online.ready_frames(), 4, "two frames held back");
+        assert_eq!(ready_frames(&online), 4, "two frames held back");
         online.finish();
-        assert_eq!(online.ready_frames(), 6);
+        assert_eq!(ready_frames(&online), 6);
     }
 
     #[test]
@@ -452,9 +447,9 @@ mod tests {
             ..MfccConfig::default()
         };
         let mut online = OnlineMfcc::new(cfg);
-        assert_eq!(online.lookahead_frames(), 0);
+        assert_eq!(lookahead_frames(&online), 0);
         online.push_samples(&wave(2)); // 4 frames
-        assert_eq!(online.ready_frames(), 4);
+        assert_eq!(ready_frames(&online), 4);
         assert_eq!(online.dim(), 13);
     }
 
@@ -462,8 +457,8 @@ mod tests {
     fn empty_utterance_emits_nothing() {
         let mut online = OnlineMfcc::new(MfccConfig::default());
         online.finish();
-        assert_eq!(online.ready_frames(), 0);
-        assert!(online.pop_frame().is_none());
+        assert_eq!(ready_frames(&online), 0);
+        assert!(pop_frame(&mut online).is_none());
     }
 
     #[test]

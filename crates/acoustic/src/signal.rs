@@ -43,7 +43,7 @@ impl Default for SignalConfig {
 ///
 /// Frequencies are deterministic functions of the phone id, spread over
 /// 200-3800 Hz so every phone has a distinct spectral signature.
-pub fn formants(phone: PhoneId) -> [f32; 3] {
+fn formants(phone: PhoneId) -> [f32; 3] {
     // Small multiplicative hash; stable across runs and platforms.
     let h = phone.0.wrapping_mul(2654435761);
     let f1 = 200.0 + (h % 600) as f32; // 200-800 Hz

@@ -76,7 +76,7 @@ impl TemplateScorer {
 
     /// The MFCC configuration the scorer extracts features with — an
     /// [`crate::online::OnlineMfcc`] built from it feeds
-    /// [`TemplateScorer::frame_cost`] features bit-identical to the batch
+    /// `TemplateScorer::frame_cost` features bit-identical to the batch
     /// path.
     pub fn mfcc_config(&self) -> &MfccConfig {
         self.pipeline.config()
@@ -88,7 +88,7 @@ impl TemplateScorer {
     ///
     /// Panics if `phone` is epsilon/out of range or the feature dimension
     /// does not match the pipeline's.
-    pub fn frame_cost(&self, features: &[f32], phone: PhoneId) -> f32 {
+    fn frame_cost(&self, features: &[f32], phone: PhoneId) -> f32 {
         let t = &self.templates[phone.index()];
         assert!(!t.is_empty(), "no template for {phone:?}");
         assert_eq!(features.len(), t.len(), "feature dimension mismatch");
@@ -100,7 +100,7 @@ impl TemplateScorer {
     /// pipeline's feature dimension) into packed acoustic cost rows of
     /// `num_phones + 1` entries each — the template model's leg of the
     /// cross-session batched scoring service. Each output row is computed
-    /// with exactly the per-frame [`TemplateScorer::frame_cost`] loop, so
+    /// with exactly the per-frame `TemplateScorer::frame_cost` loop, so
     /// it is bit-identical to scoring the row alone; unlike the MLP the
     /// template model needs no scratch at all.
     ///

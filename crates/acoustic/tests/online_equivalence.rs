@@ -27,6 +27,12 @@ fn speech(frames_per_phone: usize) -> Vec<f32> {
     )
 }
 
+/// Pops one complete feature vector, if any.
+fn pop_frame(online: &mut OnlineMfcc) -> Option<Vec<f32>> {
+    let mut out = vec![0.0; online.dim()];
+    online.pop_frame_into(&mut out).then_some(out)
+}
+
 /// Streams `samples` through a fresh `OnlineMfcc` in `chunk`-sized pieces
 /// and returns every popped frame.
 fn stream_features(cfg: MfccConfig, samples: &[f32], chunk: usize) -> Vec<Vec<f32>> {
@@ -35,12 +41,12 @@ fn stream_features(cfg: MfccConfig, samples: &[f32], chunk: usize) -> Vec<Vec<f3
     for piece in samples.chunks(chunk.min(samples.len().max(1))) {
         online.push_samples(piece);
         // Pop eagerly, as a live consumer would.
-        while let Some(frame) = online.pop_frame() {
+        while let Some(frame) = pop_frame(&mut online) {
             out.push(frame);
         }
     }
     online.finish();
-    while let Some(frame) = online.pop_frame() {
+    while let Some(frame) = pop_frame(&mut online) {
         out.push(frame);
     }
     out
@@ -156,7 +162,7 @@ fn empty_utterance_matches() {
     assert!(MfccPipeline::new(cfg).process(&[]).is_empty());
     let mut online = OnlineMfcc::new(cfg);
     online.finish();
-    assert!(online.pop_frame().is_none());
+    assert!(pop_frame(&mut online).is_none());
 }
 
 #[test]

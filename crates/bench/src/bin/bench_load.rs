@@ -360,9 +360,11 @@ fn main() {
         .map(|t| calibration.recognize_scores(t))
         .collect();
 
-    // Calibrate 1x: mean sequential service time at the full beam. On
-    // the single-core target extra workers add queueing, not capacity,
-    // so the sequential rate IS the saturation rate.
+    // Calibrate 1x: mean sequential service time at the full beam, one
+    // core's saturation rate. On a wider host the unlimited side
+    // saturates later, and the admission side still sheds the bursts
+    // that put a third session in flight at 1x: the price of the bound
+    // (ARCHITECTURE.md, "Admission control").
     let calib_start = Instant::now();
     const CALIB_REPS: usize = 3;
     for _ in 0..CALIB_REPS {

@@ -30,7 +30,7 @@ impl TraceId {
 
     /// Returns `true` for the root sentinel.
     #[inline]
-    pub fn is_root(self) -> bool {
+    fn is_root(self) -> bool {
         self == Self::ROOT
     }
 }
@@ -128,12 +128,6 @@ impl Lattice {
             words.push(word);
         }
         words
-    }
-
-    /// Bytes this trace would occupy in the accelerator's token region
-    /// (backpointer + word index, two 32-bit fields per token).
-    pub fn memory_bytes(&self) -> u64 {
-        self.entries.len() as u64 * 8
     }
 
     /// Mark-compact garbage collection over the backpointer chains
@@ -234,7 +228,7 @@ impl Pending {
 
     /// A token whose entry `id` is already in the trace.
     #[inline]
-    pub fn pushed(id: TraceId) -> Self {
+    pub(crate) fn pushed(id: TraceId) -> Self {
         Self {
             prev: id,
             word: Self::PUSHED,
@@ -324,14 +318,6 @@ mod tests {
         let b = l.push(a, WordId(2));
         assert_eq!(l.backtrack(b), vec![WordId(1), WordId(2)]);
         assert_eq!(l.len(), 3);
-    }
-
-    #[test]
-    fn memory_bytes_counts_eight_per_token() {
-        let mut l = Lattice::new();
-        l.push(TraceId::ROOT, WordId::NONE);
-        l.push(TraceId::ROOT, WordId::NONE);
-        assert_eq!(l.memory_bytes(), 16);
     }
 
     #[test]

@@ -49,8 +49,8 @@
 //!   [`probe::NoopProbe`] and the [`probe::RecordingProbe`] that `just
 //!   stages` reads;
 //! * [`reference`](mod@reference): the retained seed `HashMap` decoder
-//!   ([`reference::ReferenceDecoder`]), the equivalence and benchmark
-//!   baseline;
+//!   ([`reference::ReferenceDecoder`]), the tests' oracle — no binary,
+//!   example or benchmark decodes with it;
 //! * [`pool`]: the serving substrate — the shared fork-join
 //!   [`pool::WorkerPool`] (one list of pending jobs whose chunks lanes
 //!   and the job's own submitter claim, eventcount parking) whose one

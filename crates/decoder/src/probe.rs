@@ -122,7 +122,8 @@ impl RecordingProbe {
 
     /// Wall time of the frames recorded, first mark to end: the stages'
     /// sum.
-    pub fn total_time(&self) -> Duration {
+    #[cfg(test)]
+    pub(crate) fn total_time(&self) -> Duration {
         self.time.iter().sum()
     }
 

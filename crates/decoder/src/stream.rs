@@ -259,11 +259,6 @@ impl AlbQueue {
         front.chunks_exact(stride.max(1))
     }
 
-    /// Number of scored rows held back from the search.
-    pub fn ready_len(&self) -> usize {
-        Self::rows(&self.front, self.stride).len()
-    }
-
     /// Admits a block of `fresh` new rows of `row_len` costs each and
     /// steps the search over every row queued before them.
     ///
@@ -353,6 +348,11 @@ mod tests {
     use crate::search::ViterbiDecoder;
     use asr_acoustic::scores::AcousticTable;
     use asr_wfst::synth::{SynthConfig, SynthWfst};
+
+    /// Number of scored rows held back from the search.
+    fn ready_len(q: &AlbQueue) -> usize {
+        AlbQueue::rows(&q.front, q.stride).len()
+    }
 
     fn workload(states: usize, frames: usize, seed: u64) -> (Wfst, AcousticTable) {
         let w = SynthWfst::generate(&SynthConfig::with_states(states)).unwrap();
@@ -495,7 +495,7 @@ mod tests {
             });
             assert_eq!(fills, [fresh * row_len], "one fill, over the whole block");
             assert_eq!(d.frames(), pushed, "the newest rows are never stepped");
-            assert_eq!(q.ready_len(), fresh);
+            assert_eq!(ready_len(&q), fresh);
             pushed += fresh;
         }
         let (result, scratch) = q.finish(d);
@@ -554,12 +554,12 @@ mod tests {
         let mut copy = |row: &mut [f32]| row.copy_from_slice(scores.frame_row(0));
         q.advance(&mut d, None, scores.num_phones(), 1, &mut copy);
         q.advance(&mut d, None, scores.num_phones(), 0, &mut copy);
-        assert_eq!((d.frames(), q.ready_len()), (0, 1));
+        assert_eq!((d.frames(), ready_len(&q)), (0, 1));
 
         // Zero-width rows carry no costs but still count as rows.
         let mut q = AlbQueue::new();
         q.advance(&mut d, None, 0, 2, &mut |block| assert!(block.is_empty()));
-        assert_eq!((d.frames(), q.ready_len()), (0, 2));
+        assert_eq!((d.frames(), ready_len(&q)), (0, 2));
     }
 
     #[test]
@@ -610,7 +610,7 @@ mod tests {
         let (a, b) = (q.front.as_ptr(), q.back.as_ptr());
         for v in 6..12 {
             q.advance(&mut d, None, row_len, 1, &mut fill_with(v as f32));
-            assert_eq!(q.ready_len(), 1);
+            assert_eq!(ready_len(&q), 1);
             assert_eq!(q.front[0], v as f32);
             let swapped = if v % 2 == 0 { (b, a) } else { (a, b) };
             assert_eq!((q.front.as_ptr(), q.back.as_ptr()), swapped);
@@ -618,7 +618,7 @@ mod tests {
         // `finish` drains the queue and keeps both buffers for reuse.
         let buffers = (q.front.as_ptr(), q.back.as_ptr());
         let _ = q.finish(d);
-        assert_eq!(q.ready_len(), 0);
+        assert_eq!(ready_len(&q), 0);
         assert_eq!((q.front.as_ptr(), q.back.as_ptr()), buffers);
         assert!(q.front.capacity() >= row_len && q.back.capacity() >= row_len);
     }

@@ -406,14 +406,6 @@ impl<P: Copy> TokenTable<P> {
         self.tokens.tokens[self.live(state, "stale token read")].payload
     }
 
-    /// Overwrites the payload of a live token (used by lattice GC to
-    /// retarget backpointers).
-    #[inline]
-    pub fn set_payload(&mut self, state: u32, payload: P) {
-        let position = self.live(state, "stale token write");
-        self.tokens.tokens[position].payload = payload;
-    }
-
     /// Keeps only the best in-going path per state — the accelerator's
     /// lookup-or-insert with likelihood compare. Returns whether the token
     /// was inserted or improved; `payload` is evaluated only then (the
@@ -608,9 +600,9 @@ mod tests {
         let mut t: TokenTable<u32> = TokenTable::new(4, 0);
         t.begin_frame();
         t.relax(0, 1.0, || 10);
-        t.set_payload(0, 99);
+        t.relax(0, 0.5, || 99);
         assert_eq!(t.payload(0), 99);
-        assert_eq!(t.cost(0), 1.0);
+        assert_eq!(t.cost(0), 0.5);
     }
 
     #[test]

@@ -28,12 +28,11 @@ impl WerBreakdown {
     /// Word error rate in `[0, ∞)`; 0 is a perfect transcript. An empty
     /// reference with a non-empty hypothesis reports `insertions / 1`.
     pub fn wer(&self) -> f64 {
-        let errors = (self.substitutions + self.deletions + self.insertions) as f64;
-        errors / self.ref_len.max(1) as f64
+        self.errors() as f64 / self.ref_len.max(1) as f64
     }
 
     /// Total edit distance.
-    pub fn errors(&self) -> usize {
+    fn errors(&self) -> usize {
         self.substitutions + self.deletions + self.insertions
     }
 }

@@ -67,27 +67,25 @@ impl Default for Calibration {
     }
 }
 
-impl Calibration {
-    /// The paper-published GPU Viterbi decode time per speech second.
-    pub fn gpu_viterbi_s_per_speech_s(&self) -> f64 {
-        self.gpu_viterbi_ns_per_arc * 1e-9 * PAPER_ARCS_PER_FRAME * FRAMES_PER_SECOND
-    }
-
-    /// The paper-published CPU Viterbi decode time per speech second.
-    pub fn cpu_viterbi_s_per_speech_s(&self) -> f64 {
-        self.cpu_viterbi_ns_per_arc * 1e-9 * PAPER_ARCS_PER_FRAME * FRAMES_PER_SECOND
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The paper-published GPU Viterbi decode time per speech second.
+    fn gpu_viterbi_s(c: &Calibration) -> f64 {
+        c.gpu_viterbi_ns_per_arc * 1e-9 * PAPER_ARCS_PER_FRAME * FRAMES_PER_SECOND
+    }
+
+    /// The paper-published CPU Viterbi decode time per speech second.
+    fn cpu_viterbi_s(c: &Calibration) -> f64 {
+        c.cpu_viterbi_ns_per_arc * 1e-9 * PAPER_ARCS_PER_FRAME * FRAMES_PER_SECOND
+    }
+
     #[test]
     fn derived_times_match_published_ratios() {
         let c = Calibration::default();
-        let gpu = c.gpu_viterbi_s_per_speech_s();
-        let cpu = c.cpu_viterbi_s_per_speech_s();
+        let gpu = gpu_viterbi_s(&c);
+        let cpu = cpu_viterbi_s(&c);
         // GPU is 9.8x the CPU (Figure 14 text).
         assert!((cpu / gpu - 9.82).abs() < 0.15, "got {}", cpu / gpu);
         // Final ASIC at 1/56 s: 1.7x and 16.7x checks.
@@ -99,10 +97,8 @@ mod tests {
     #[test]
     fn figure1_shares_are_reproduced() {
         let c = Calibration::default();
-        let cpu_share = c.cpu_viterbi_s_per_speech_s()
-            / (c.cpu_viterbi_s_per_speech_s() + c.cpu_dnn_s_per_speech_s);
-        let gpu_share = c.gpu_viterbi_s_per_speech_s()
-            / (c.gpu_viterbi_s_per_speech_s() + c.gpu_dnn_s_per_speech_s);
+        let cpu_share = cpu_viterbi_s(&c) / (cpu_viterbi_s(&c) + c.cpu_dnn_s_per_speech_s);
+        let gpu_share = gpu_viterbi_s(&c) / (gpu_viterbi_s(&c) + c.gpu_dnn_s_per_speech_s);
         assert!((cpu_share - 0.73).abs() < 0.01, "CPU share {cpu_share}");
         assert!((gpu_share - 0.86).abs() < 0.01, "GPU share {gpu_share}");
     }

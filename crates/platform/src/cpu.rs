@@ -12,10 +12,6 @@
 
 use crate::calibration::{Calibration, FRAMES_PER_SECOND, REFERENCE_DNN_FLOPS_PER_FRAME};
 use crate::metrics::OperatingPoint;
-use asr_acoustic::scores::AcousticTable;
-use asr_decoder::search::{DecodeOptions, DecodeResult, ViterbiDecoder};
-use asr_wfst::Wfst;
-use std::time::Instant;
 
 /// The CPU platform model.
 #[derive(Debug, Clone, Default)]
@@ -52,21 +48,6 @@ impl CpuModel {
             self.viterbi_s_per_speech_s(arcs_per_frame),
             self.calibration.cpu_power_w,
         )
-    }
-
-    /// Runs the actual reference decoder on the host and returns the
-    /// result plus wall-clock seconds. Indicative only; calibrated numbers
-    /// drive the figures.
-    pub fn measure_viterbi(
-        &self,
-        wfst: &Wfst,
-        scores: &AcousticTable,
-        beam: f32,
-    ) -> (DecodeResult, f64) {
-        let decoder = ViterbiDecoder::new(DecodeOptions::with_beam(beam));
-        let start = Instant::now();
-        let result = decoder.decode(wfst, scores);
-        (result, start.elapsed().as_secs_f64())
     }
 }
 
@@ -106,15 +87,5 @@ mod tests {
         let reference = cpu.dnn_s_per_speech_s(30.0e6);
         assert!((reference / small - 2.0).abs() < 1e-9);
         assert!((reference - 0.1103).abs() < 0.002);
-    }
-
-    #[test]
-    fn measured_decode_runs_and_returns_result() {
-        use asr_wfst::synth::{SynthConfig, SynthWfst};
-        let w = SynthWfst::generate(&SynthConfig::with_states(500)).unwrap();
-        let scores = AcousticTable::random(5, w.num_phones() as usize, (0.5, 4.0), 1);
-        let (result, seconds) = CpuModel::default().measure_viterbi(&w, &scores, 6.0);
-        assert!(seconds > 0.0);
-        assert!(result.cost.is_finite());
     }
 }

@@ -6,10 +6,7 @@
 //! (nvprof power). Following ARCHITECTURE.md's "Substitutions", this
 //! crate models them analytically, **calibrated to the paper's published
 //! operating points** (module [`calibration`]), and scales with the actual
-//! workload the simulator ran (arcs per frame, DNN size). The reference
-//! software decoder in `asr-decoder` remains available for *measured* CPU
-//! runs ([`cpu::CpuModel::measure_viterbi`]), used by examples to sanity
-//! check the model's ballpark.
+//! workload the simulator ran (arcs per frame, DNN size).
 //!
 //! * [`calibration`] — the published numbers and the constants derived
 //!   from them;
@@ -24,7 +21,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod battery;
 pub mod calibration;
 pub mod cpu;
 pub mod gpu;

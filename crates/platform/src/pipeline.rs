@@ -10,7 +10,6 @@
 
 use crate::cpu::CpuModel;
 use crate::gpu::GpuModel;
-use crate::metrics::OperatingPoint;
 use serde::{Deserialize, Serialize};
 
 /// End-to-end times (per second of speech) of the three system options.
@@ -67,22 +66,6 @@ impl PipelineModel {
             gpu_plus_accel_s,
         }
     }
-
-    /// Operating point of the combined GPU+accelerator system, charging
-    /// GPU energy for the DNN portion and accelerator energy for the
-    /// search.
-    pub fn combined_point(
-        &self,
-        dnn_flops_per_frame: f64,
-        accel_point: OperatingPoint,
-    ) -> OperatingPoint {
-        let gpu_dnn_s = self.gpu.dnn_s_per_speech_s(dnn_flops_per_frame);
-        let gpu_energy = gpu_dnn_s * self.gpu.calibration().gpu_power_w;
-        OperatingPoint {
-            decode_s_per_speech_s: gpu_dnn_s.max(accel_point.decode_s_per_speech_s),
-            energy_j_per_speech_s: gpu_energy + accel_point.energy_j_per_speech_s,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -122,14 +105,5 @@ mod tests {
         let cmp = model.compare(25_000.0, 30.0e6, 1.0 / 56.0);
         assert!(cmp.cpu_only_s > cmp.gpu_only_s);
         assert!(cmp.gpu_only_s > cmp.gpu_plus_accel_s);
-    }
-
-    #[test]
-    fn combined_point_adds_energies() {
-        let model = PipelineModel::default();
-        let accel = OperatingPoint::from_power(1.0 / 56.0, 0.462);
-        let combined = model.combined_point(30.0e6, accel);
-        assert!(combined.energy_j_per_speech_s > accel.energy_j_per_speech_s);
-        assert!(combined.decode_s_per_speech_s >= accel.decode_s_per_speech_s.min(0.005));
     }
 }

@@ -166,7 +166,7 @@ fn heard(transcript: &Transcript, lexicon: &Lexicon) -> Outcome {
 
 /// A lexicon spelling word `i` as `w{i}` for every word of a synthetic
 /// graph, so a transcript's words map back to their ids one to one.
-fn naming_lexicon(words: usize) -> Lexicon {
+pub fn naming_lexicon(words: usize) -> Lexicon {
     let mut lexicon = Lexicon::new();
     for i in 1..=words {
         lexicon.add_word(&format!("w{i}"), &[]);

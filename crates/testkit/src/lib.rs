@@ -27,7 +27,7 @@ pub mod consumers;
 pub mod fixtures;
 pub mod matrix;
 
-pub use consumers::Consumer;
+pub use consumers::{naming_lexicon, Consumer};
 pub use fixtures::{graph, rows, Case, Fixture};
 pub use matrix::{assert_cell, cell, Departure, Verdict};
 

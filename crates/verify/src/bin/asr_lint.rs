@@ -8,9 +8,10 @@
 //! raw-pointer types confined to allowlisted modules, no panicking
 //! calls in hot-path modules, size/align asserts on every `#[repr(C)]`
 //! store record, every public serving option named in ARCHITECTURE.md's
-//! "Knob census", every Markdown file a doc comment cites present, and
-//! no allowlist entry for a file that is gone. Exits non-zero on any
-//! finding.
+//! "Knob census", every Markdown file a doc comment cites present, every
+//! public library item named by a caller that is not a test, and no
+//! allowlist entry for a file or item that is gone. Prints the number of
+//! public library items; exits non-zero on any finding.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -20,7 +21,8 @@ fn main() -> ExitCode {
         .nth(1)
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("."));
-    let findings = asr_verify::lint::lint_repo(&root);
+    let (findings, public_items) = asr_verify::lint::lint_repo(&root);
+    eprintln!("asr-lint: {public_items} public library items");
     if findings.is_empty() {
         eprintln!("asr-lint: clean");
         return ExitCode::SUCCESS;

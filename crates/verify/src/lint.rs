@@ -1,4 +1,4 @@
-//! The engine behind `asr-lint`: a hand-rolled Rust lexer plus eight
+//! The engine behind `asr-lint`: a hand-rolled Rust lexer plus nine
 //! repo-invariant rules that clippy cannot express.
 //!
 //! | rule | invariant |
@@ -10,7 +10,8 @@
 //! | `repr-c-assert` | every `#[repr(C)]` record in the graph store keeps its compile-time `size_of` / `align_of` asserts |
 //! | `knob-census` | every public serving option — a by-value `pub fn` of an inherent `impl`, or a `pub` field, of `RuntimeConfig`, `SessionOptions`, `BatchScoringConfig` or `DecodeOptions` — is named as `` `Type::name` `` in ARCHITECTURE.md's "Knob census" section (its table), so no option lands without the workload that needs it |
 //! | `dangling-doc` | every `*.md` path a `//!` or `///` comment cites exists, beside the file or in a directory above it up to the linted root |
-//! | `stale-allowlist` | every path the rules above allowlist or target exists under the linted root, so a deleted module cannot leave its exemption behind |
+//! | `public-surface` | every `pub` `fn`, `struct`, `enum`, `trait`, `type`, `const` and `mod` of the six library crates is named by a non-test source outside its own file (a module: outside its crate) or exposed by a live item's signature, or has a `PUBLIC_SURFACE_ALLOW` entry with its reason; by name, so approximate (see [`public_surface`]) |
+//! | `stale-allowlist` | every path the rules above allowlist or target exists under the linted root, so a deleted module cannot leave its exemption behind; every `PUBLIC_SURFACE_ALLOW` entry names a public item that is live only through it |
 //!
 //! `#[cfg(test)] mod` bodies are excluded (tests may panic freely), and
 //! an individual hot-path site can be waived with a justification
@@ -98,6 +99,120 @@ const KNOBS: &[&str] = &[
 
 /// The document whose "Knob census" section names every option.
 const KNOB_CENSUS: &str = "ARCHITECTURE.md";
+
+/// The library crates whose `pub` items must each name a caller.
+const LIBRARIES: &[&str] = &[
+    "src",
+    "crates/wfst/src",
+    "crates/decoder/src",
+    "crates/acoustic/src",
+    "crates/accel/src",
+    "crates/platform/src",
+];
+
+/// Besides the libraries, the sources that count as callers: the figure
+/// binaries, the examples and the benchmark crate.
+const CALLERS: &[&str] = &[
+    "crates/bench/src",
+    "examples",
+    "crates/accel/examples",
+    "benchmark/src",
+];
+
+/// Public items that stay public with no caller outside tests:
+/// `(file, item, why)`.
+const PUBLIC_SURFACE_ALLOW: &[(&str, &str, &str)] = &[
+    (
+        "crates/decoder/src/reference.rs",
+        "ReferenceDecoder",
+        "the tests' oracle: the consumer matrix and the search's proptests compare against it",
+    ),
+    (
+        "crates/decoder/src/search.rs",
+        "decode_with",
+        "the consumer matrix's reused-scratch consumer and the allocation-free decode pin",
+    ),
+    (
+        "crates/decoder/src/probe.rs",
+        "RecordingProbe",
+        "the stage-split harness (`just stages`) and the simulator's counter pin read a search through it",
+    ),
+    (
+        "crates/decoder/src/pool.rs",
+        "checkouts",
+        "the scratch-pool balance the concurrency and overload tests pin",
+    ),
+    (
+        "crates/accel/src/sim.rs",
+        "to_original",
+        "the simulator's token-table pin maps a sorted layout's states back through it",
+    ),
+    (
+        "crates/acoustic/src/dnn.rs",
+        "Dense",
+        "tests/relu_sparsity.rs rebuilds the MLP's layers to measure their zero share",
+    ),
+    (
+        "crates/acoustic/src/dnn.rs",
+        "forward",
+        "tests/relu_sparsity.rs runs its rebuilt layers through it",
+    ),
+    (
+        "crates/wfst/src/lib.rs",
+        "builder",
+        "the module path of `WfstBuilder`, with which tests and the consumer matrix's fixtures build graphs by hand",
+    ),
+    (
+        "crates/wfst/src/sorted.rs",
+        "map_state",
+        "the renumbering's forward map, which the store's golden, mutant and property tests check an image keeps",
+    ),
+    (
+        "crates/wfst/src/sorted.rs",
+        "static_direct_fraction",
+        "the paper's >95 % directly computable states, pinned by tests/paper_claims.rs",
+    ),
+    (
+        "crates/wfst/src/store.rs",
+        "to_bytes",
+        "the image bytes the corrupt-image, golden and consumer-matrix tests build from a sorted graph",
+    ),
+    (
+        "crates/wfst/src/store.rs",
+        "from_bytes",
+        "the entry point of the corrupt-image tests, which hand it bytes no file holds",
+    ),
+    (
+        "crates/wfst/src/store.rs",
+        "from_slice",
+        "stages image bytes in a caller-owned buffer for the zero-copy pins",
+    ),
+    (
+        "crates/wfst/src/store.rs",
+        "from_image_bytes",
+        "the zero-copy pins load from a caller-owned buffer through it, so the counted region holds no copy",
+    ),
+    (
+        "crates/wfst/src/store.rs",
+        "ref_count",
+        "the zero-copy pins count the handles on one buffer with it",
+    ),
+    (
+        "src/runtime/mod.rs",
+        "demo_with",
+        "the demo runtime under a config: how the pins and the kit build a runtime of each shape",
+    ),
+    (
+        "src/runtime/session.rs",
+        "open_session_with",
+        "the infallible twin of `try_open_session_with`, which the pins open sessions by options with",
+    ),
+    (
+        "src/runtime/session.rs",
+        "flush_scoring",
+        "the batch equivalence tests' sync point: a batched session's partials compare with an unbatched one's only after it",
+    ),
+];
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Tok {
@@ -326,8 +441,15 @@ fn is_raw_string_start(bytes: &[u8], i: usize) -> bool {
 /// Marks token indices inside `#[cfg(test)] mod … { … }` bodies (and
 /// `#[cfg(all(test, …))]` variants) so test code is exempt from rules.
 fn test_mod_mask(lexed: &Lexed) -> Vec<bool> {
+    test_mods(lexed).0
+}
+
+/// [`test_mod_mask`], plus the names of the out-of-line test modules
+/// (`#[cfg(test)] mod name;`), whose files are test code too.
+fn test_mods(lexed: &Lexed) -> (Vec<bool>, Vec<String>) {
     let toks = &lexed.tokens;
     let mut mask = vec![false; toks.len()];
+    let mut out_of_line = Vec::new();
     let mut i = 0;
     while i < toks.len() {
         if toks[i].tok == Tok::Punct('#')
@@ -378,6 +500,14 @@ fn test_mod_mask(lexed: &Lexed) -> Vec<bool> {
                     }
                 }
                 if matches!(toks.get(k).map(|t| &t.tok), Some(Tok::Ident(s)) if s == "mod") {
+                    if let (Some(Tok::Ident(name)), Some(Tok::Punct(';'))) = (
+                        toks.get(k + 1).map(|t| &t.tok),
+                        toks.get(k + 2).map(|t| &t.tok),
+                    ) {
+                        out_of_line.push(name.clone());
+                        i = k + 3;
+                        continue;
+                    }
                     // Find the opening brace and mark to its close.
                     while k < toks.len() && toks[k].tok != Tok::Punct('{') {
                         k += 1;
@@ -404,7 +534,7 @@ fn test_mod_mask(lexed: &Lexed) -> Vec<bool> {
         }
         i += 1;
     }
-    mask
+    (mask, out_of_line)
 }
 
 fn path_matches(file: &str, list: &[&str]) -> bool {
@@ -669,11 +799,213 @@ pub fn dangling_doc(file: &str, source: &str, root: &Path) -> Vec<Finding> {
     findings
 }
 
-/// Source directories scanned relative to the repo root; vendored
-/// shims, integration tests, benches and examples are exempt.
+/// `public-surface`: every `pub` `fn`, `struct`, `enum`, `trait`,
+/// `type`, `const` and `mod` of a library file in `sources` (repo-relative
+/// path, text) is live, or has an `allow` entry `(file, item, why)`. An
+/// item is live if a caller file other than its own names it (for a
+/// module, a caller outside its crate), or if a live item exposes it (a
+/// type in a live signature must stay public). Callers are the library
+/// files, the figure binaries, the examples and the benchmark crate;
+/// `#[cfg(test)]` modules, inline or out of line, and `pub use`
+/// re-exports name nothing.
+/// The check is by name, so it is approximate the way `knob-census` is: an
+/// item shares its liveness with every identifier of the same spelling
+/// (`new` is always live). An `allow` entry whose item is gone, or is live
+/// without it, is a `stale-allowlist` finding. Returns the number of
+/// public items with the findings.
+pub fn public_surface(
+    sources: &[(String, String)],
+    allow: &[(&str, &str, &str)],
+) -> (usize, Vec<Finding>) {
+    let under = |file: &str, dirs: &[&str]| dirs.iter().any(|d| file.starts_with(&format!("{d}/")));
+    let lexed: Vec<_> = sources.iter().map(|(_, s)| lex(s)).collect();
+    let masks: Vec<_> = lexed.iter().map(test_mods).collect();
+    // Out-of-line test modules: `mod tests;` in `a/mod.rs` is `a/tests.rs`.
+    let mut test_files = Vec::new();
+    for ((file, _), (_, mods)) in sources.iter().zip(&masks) {
+        let path = Path::new(file);
+        let dir = match path.file_name().and_then(|n| n.to_str()) {
+            Some("lib.rs" | "mod.rs" | "main.rs") => path.parent().unwrap_or(path).to_path_buf(),
+            _ => path.with_extension(""),
+        };
+        for name in mods {
+            test_files.push(dir.join(format!("{name}.rs")));
+            test_files.push(dir.join(name).join("mod.rs"));
+        }
+    }
+    let mut items = Vec::new();
+    let mut callers = Vec::new();
+    for (((file, _), lexed), (mask, _)) in sources.iter().zip(&lexed).zip(&masks) {
+        let library = under(file, LIBRARIES);
+        if !(library || under(file, CALLERS)) || test_files.iter().any(|t| t == Path::new(file)) {
+            continue;
+        }
+        let toks = &lexed.tokens;
+        let ident = |i: usize| match toks.get(i).map(|t| &t.tok) {
+            Some(Tok::Ident(s)) => s.as_str(),
+            _ => "",
+        };
+        let mut names = std::collections::HashSet::new();
+        let mut i = 0;
+        while i < toks.len() {
+            if mask[i] {
+                i += 1;
+                continue;
+            }
+            let public =
+                ident(i) == "pub" && toks.get(i + 1).is_some_and(|t| t.tok != Tok::Punct('('));
+            if public && ident(i + 1) == "use" {
+                while toks.get(i).is_some_and(|t| t.tok != Tok::Punct(';')) {
+                    i += 1;
+                }
+                continue;
+            }
+            if public && library {
+                // Step over `const fn`, `unsafe`, `async` and `extern "C"`.
+                let mut k = i + 1;
+                while matches!(ident(k), "unsafe" | "async" | "extern")
+                    || toks.get(k).is_some_and(|t| t.tok == Tok::Lit)
+                    || (ident(k) == "const" && matches!(ident(k + 1), "fn" | "unsafe"))
+                {
+                    k += 1;
+                }
+                let kind = ident(k);
+                let name = ident(k + 1);
+                let declares = matches!(
+                    kind,
+                    "fn" | "struct" | "enum" | "trait" | "type" | "const" | "mod"
+                );
+                if declares && !name.is_empty() && name != "_" {
+                    let exposes = exposed(&toks[k + 2..], kind);
+                    items.push((file.as_str(), toks[i].line, kind, name.to_string(), exposes));
+                }
+            }
+            if let Tok::Ident(s) = &toks[i].tok {
+                names.insert(s.clone());
+            }
+            i += 1;
+        }
+        callers.push((file.as_str(), names));
+    }
+    // A private module is visible to its whole crate, so a module needs a
+    // caller outside it.
+    let crate_of = |file: &str| LIBRARIES.iter().find(|d| under(file, &[d])).copied();
+    let called: Vec<bool> = items
+        .iter()
+        .map(|(file, _, kind, name, _)| {
+            callers.iter().any(|(f, names)| {
+                let outside = match *kind {
+                    "mod" => crate_of(f) != crate_of(file),
+                    _ => f != file,
+                };
+                outside && names.contains(name)
+            })
+        })
+        .collect();
+    let allowed: Vec<bool> = items
+        .iter()
+        .map(|(file, _, _, name, _)| allow.iter().any(|(f, n, _)| f == file && n == name))
+        .collect();
+    // Liveness spreads from the named items to what they expose.
+    let live = |mut live: Vec<bool>| loop {
+        let exposed: std::collections::HashSet<&String> = items
+            .iter()
+            .zip(&live)
+            .filter(|(_, &l)| l)
+            .flat_map(|(item, _)| &item.4)
+            .collect();
+        let mut grew = false;
+        for (item, l) in items.iter().zip(live.iter_mut()) {
+            if !*l && exposed.contains(&item.3) {
+                (*l, grew) = (true, true);
+            }
+        }
+        if !grew {
+            return live;
+        }
+    };
+    let live_unaided = live(called.clone());
+    let live_allowed = live(called.iter().zip(&allowed).map(|(c, a)| c | a).collect());
+    let mut findings = Vec::new();
+    for (n, (file, line, kind, name, _)) in items.iter().enumerate() {
+        let outside = if *kind == "mod" {
+            "its crate"
+        } else {
+            "this file"
+        };
+        if allowed[n] && live_unaided[n] {
+            findings.push(Finding {
+                file: file.to_string(),
+                line: *line,
+                rule: "stale-allowlist",
+                message: format!(
+                    "`PUBLIC_SURFACE_ALLOW` exempts `{name}`, which is live without it"
+                ),
+            });
+        } else if !live_allowed[n] {
+            findings.push(Finding {
+                file: file.to_string(),
+                line: *line,
+                rule: "public-surface",
+                message: format!(
+                    "public {kind} `{name}` is named by no non-test source outside {outside} \
+                     and exposed by no live item (make it private, delete it, or allowlist it \
+                     with a reason)"
+                ),
+            });
+        }
+    }
+    for (file, name, _) in allow {
+        if !items.iter().any(|(f, _, _, n, _)| f == file && n == name) {
+            findings.push(Finding {
+                file: file.to_string(),
+                line: 0,
+                rule: "stale-allowlist",
+                message: format!(
+                    "`PUBLIC_SURFACE_ALLOW` exempts `{name}`, which is not a public item here"
+                ),
+            });
+        }
+    }
+    (items.len(), findings)
+}
+
+/// The identifiers a public item of `kind` exposes, read from `toks`, the
+/// tokens after its name: a function's signature, a struct's `pub` fields,
+/// all of an enum, trait, type alias or constant.
+fn exposed(toks: &[Token], kind: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let (mut depth, mut angle) = (0usize, 0usize);
+    let mut public = kind != "struct";
+    for t in toks {
+        match &t.tok {
+            Tok::Punct('{') if kind == "fn" || kind == "mod" => break,
+            Tok::Punct(';') if depth == 0 => break,
+            Tok::Punct('{' | '(' | '[') => depth += 1,
+            Tok::Punct('}' | ')' | ']') => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 && kind != "fn" {
+                    break;
+                }
+            }
+            Tok::Punct('<') => angle += 1,
+            Tok::Punct('>') => angle = angle.saturating_sub(1),
+            Tok::Punct(',') if kind == "struct" && depth == 1 && angle == 0 => public = false,
+            Tok::Ident(s) if s == "pub" => public = true,
+            Tok::Ident(s) if public => out.push(s.clone()),
+            _ => {}
+        }
+    }
+    out
+}
+
+/// Source directories scanned relative to the repo root: every crate's
+/// `src/` but the vendored shims', and the [`CALLERS`]. Integration tests
+/// are not scanned.
 fn collect_files(root: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();
-    let mut stack = vec![root.join("src")];
+    let mut stack: Vec<_> = CALLERS.iter().map(|dir| root.join(dir)).collect();
+    stack.push(root.join("src"));
     if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
         for entry in entries.flatten() {
             let path = entry.path();
@@ -696,6 +1028,7 @@ fn collect_files(root: &Path) -> Vec<PathBuf> {
         }
     }
     files.sort();
+    files.dedup();
     files
 }
 
@@ -723,13 +1056,15 @@ fn stale_allowlist(root: &Path) -> Vec<Finding> {
     findings
 }
 
-/// Lints the whole repo rooted at `root`; returns every finding.
-pub fn lint_repo(root: &Path) -> Vec<Finding> {
+/// Lints the whole repo rooted at `root`; returns every finding and the
+/// number of public library items.
+pub fn lint_repo(root: &Path) -> (Vec<Finding>, usize) {
     let mut findings = stale_allowlist(root);
     let doc = std::fs::read_to_string(root.join(KNOB_CENSUS)).unwrap_or_default();
     let mut sections = doc.split("\n#");
     let census = sections.find(|s| s.lines().next().is_some_and(|h| h.contains("Knob census")));
     let census = census.unwrap_or_default();
+    let mut sources = Vec::new();
     for path in collect_files(root) {
         let rel = path
             .strip_prefix(root)
@@ -739,11 +1074,17 @@ pub fn lint_repo(root: &Path) -> Vec<Finding> {
         let Ok(source) = std::fs::read_to_string(&path) else {
             continue;
         };
-        findings.extend(lint_source(&rel, &source));
-        findings.extend(knob_census(&rel, &source, census));
-        findings.extend(dangling_doc(&rel, &source, root));
+        // Examples and the benchmark crate are read as callers only.
+        if rel.starts_with("src/") || (rel.starts_with("crates/") && rel.contains("/src/")) {
+            findings.extend(lint_source(&rel, &source));
+            findings.extend(knob_census(&rel, &source, census));
+            findings.extend(dangling_doc(&rel, &source, root));
+        }
+        sources.push((rel, source));
     }
-    findings
+    let (public_items, surface) = public_surface(&sources, PUBLIC_SURFACE_ALLOW);
+    findings.extend(surface);
+    (findings, public_items)
 }
 
 #[cfg(test)]
@@ -846,10 +1187,14 @@ mod tests {
         let kept = "crates/decoder/src/stream.rs";
         std::fs::create_dir_all(root.join(kept).parent().unwrap()).unwrap();
         std::fs::write(root.join(kept), "").unwrap();
-        let stale = lint_repo(&root);
+        let stale = lint_repo(&root).0;
         std::fs::remove_dir_all(&root).unwrap();
-        let listed =
-            ORDERING_ALLOW.len() + RAW_PTR_ALLOW.len() + NO_PANIC.len() + REPR_C_ASSERT.len() + 1;
+        let listed = ORDERING_ALLOW.len()
+            + RAW_PTR_ALLOW.len()
+            + NO_PANIC.len()
+            + REPR_C_ASSERT.len()
+            + 1
+            + PUBLIC_SURFACE_ALLOW.len();
         assert_eq!(stale.len(), listed - 1, "every entry but the one present");
         assert!(stale
             .iter()
@@ -879,6 +1224,7 @@ mod tests {
         // The repo's own census names every option it declares.
         let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let unlisted = lint_repo(&repo)
+            .0
             .into_iter()
             .filter(|f| f.rule == "knob-census");
         assert_eq!(unlisted.collect::<Vec<_>>(), Vec::new());
@@ -897,9 +1243,56 @@ mod tests {
         assert!(got[0].message.contains("`DESIGN.md`"));
         // The repo's own doc comments cite only files that exist.
         let dead = lint_repo(&repo)
+            .0
             .into_iter()
             .filter(|f| f.rule == "dangling-doc");
         assert_eq!(dead.collect::<Vec<_>>(), Vec::new());
+    }
+
+    #[test]
+    fn public_surface_flags_items_only_tests_name() {
+        let lib = "pub mod graph;\npub use graph::dead;\n#[cfg(test)]\nmod checks;";
+        let graph = "pub fn live() {}\npub fn dead() {}\npub fn tested() {}\n\
+                     pub fn oracle() {}\npub struct Shown;\npub fn shows() -> Shown { Shown }\n\
+                     #[cfg(test)]\nmod tests {\n    fn t() { super::oracle(); }\n}";
+        let checks = "fn t() { crate::graph::tested(); crate::graph::dead(); }";
+        let demo = "fn main() { asr_wfst::graph::live(); asr_wfst::graph::shows(); }";
+        let sources: Vec<(String, String)> = [
+            ("crates/wfst/src/lib.rs", lib),
+            ("crates/wfst/src/graph.rs", graph),
+            ("crates/wfst/src/checks.rs", checks),
+            ("examples/demo.rs", demo),
+        ]
+        .iter()
+        .map(|(f, s)| (f.to_string(), s.to_string()))
+        .collect();
+        let allow = [("crates/wfst/src/graph.rs", "oracle", "the tests' oracle")];
+        let (items, got) = public_surface(&sources, &allow);
+        // `graph`, `live`, `dead`, `tested`, `oracle`, `Shown`, `shows`:
+        // `Shown` lives through the signature of `shows`, and neither a
+        // re-export nor a test module (inline or out of line) is a caller.
+        assert_eq!(items, 7);
+        let flagged: Vec<_> = got.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(
+            flagged,
+            vec![("public-surface", 2), ("public-surface", 3)],
+            "{got:?}"
+        );
+        assert!(got[0].message.contains("`dead`") && got[1].message.contains("`tested`"));
+        // An entry for an item that is live anyway, or that is gone, is stale.
+        let stale = [
+            ("crates/wfst/src/graph.rs", "live", "x"),
+            ("crates/wfst/src/graph.rs", "gone", "x"),
+        ];
+        let got = public_surface(&sources, &stale).1;
+        let stale: Vec<_> = got.iter().filter(|f| f.rule == "stale-allowlist").collect();
+        assert_eq!(stale.len(), 2, "{got:?}");
+        assert!(stale[0].message.contains("`live`") && stale[1].message.contains("`gone`"));
+        // The repo's own public items each have a caller or an entry.
+        let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let (findings, _) = lint_repo(&repo);
+        let surface = findings.into_iter().filter(|f| f.rule == "public-surface");
+        assert_eq!(surface.collect::<Vec<_>>(), Vec::new());
     }
 
     #[test]

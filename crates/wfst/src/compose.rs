@@ -233,15 +233,12 @@ mod tests {
     fn bigram_costs_shape_the_best_path() {
         let lex = demo_lexicon();
         let words: Vec<WordId> = (1..=lex.num_words() as u32).map(WordId).collect();
-        let mut g = Grammar::uniform(&words);
-        let lights = lex.word_id("lights").unwrap();
-        let on = lex.word_id("on").unwrap();
-        g.set_bigram(lights, on, 0.01);
+        let g = Grammar::uniform(&words);
         let graph = build_decoding_graph(&lex, &g).unwrap();
         let (cost, decoded) = accepts(&graph, &phones_of(&lex, &["lights", "on"])).unwrap();
         assert_eq!(lex.transcript(&decoded), vec!["lights", "on"]);
-        // start unigram + cheap bigram
-        assert!((cost - ((12f32).ln() + 0.01)).abs() < 1e-5);
+        // start unigram + the bigram arc, which costs the successor's unigram
+        assert!((cost - 2.0 * (12f32).ln()).abs() < 1e-5);
     }
 
     #[test]

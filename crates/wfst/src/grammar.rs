@@ -2,7 +2,7 @@
 //!
 //! The paper stresses that the WFST approach compiles all knowledge sources
 //! — context dependency, pronunciation, grammar — into one transducer, so
-//! the hardware only ever walks a graph. This module provides a bigram
+//! the hardware only ever walks a graph. This module provides a uniform bigram
 //! grammar over a [`crate::lexicon::Lexicon`]'s words and emits it as a word
 //! acceptor ready for composition with the lexicon transducer `L`.
 
@@ -11,16 +11,14 @@ use crate::{PhoneId, Result, Wfst, WordId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// A bigram language model with add-one-style backoff to unigrams.
+/// A uniform bigram grammar: every word costs the same to start an
+/// utterance and to follow any word.
 ///
-/// Costs are negative natural logs of probabilities. Unspecified bigrams
-/// fall back to the successor's unigram cost plus a backoff penalty.
+/// Costs are negative natural logs of probabilities.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Grammar {
     words: Vec<WordId>,
     unigram_costs: BTreeMap<u32, f32>,
-    bigram_costs: BTreeMap<(u32, u32), f32>,
-    backoff_penalty: f32,
 }
 
 impl Grammar {
@@ -30,21 +28,7 @@ impl Grammar {
         Self {
             words: words.to_vec(),
             unigram_costs: words.iter().map(|w| (w.0, cost)).collect(),
-            bigram_costs: BTreeMap::new(),
-            backoff_penalty: 0.0,
         }
-    }
-
-    /// Sets an explicit bigram cost for the pair `prev -> next`.
-    pub fn set_bigram(&mut self, prev: WordId, next: WordId, cost: f32) -> &mut Self {
-        self.bigram_costs.insert((prev.0, next.0), cost);
-        self
-    }
-
-    /// Sets the penalty added when a bigram backs off to the unigram.
-    pub fn set_backoff_penalty(&mut self, penalty: f32) -> &mut Self {
-        self.backoff_penalty = penalty;
-        self
     }
 
     /// Words covered by the grammar.
@@ -52,17 +36,10 @@ impl Grammar {
         &self.words
     }
 
-    /// Cost of starting an utterance with `word`.
-    pub fn start_cost(&self, word: WordId) -> f32 {
+    /// Cost of starting an utterance with `word`, or of `word` following
+    /// any word.
+    fn start_cost(&self, word: WordId) -> f32 {
         self.unigram_costs.get(&word.0).copied().unwrap_or(f32::MAX)
-    }
-
-    /// Cost of `next` following `prev`.
-    pub fn transition_cost(&self, prev: WordId, next: WordId) -> f32 {
-        if let Some(&c) = self.bigram_costs.get(&(prev.0, next.0)) {
-            return c;
-        }
-        self.start_cost(next) + self.backoff_penalty
     }
 
     /// Emits the grammar as a word acceptor.
@@ -96,13 +73,7 @@ impl Grammar {
             let src = word_state[&prev.0];
             for &next in &self.words {
                 let dst = word_state[&next.0];
-                b.add_arc(
-                    src,
-                    dst,
-                    PhoneId(next.0),
-                    next,
-                    self.transition_cost(prev, next),
-                );
+                b.add_arc(src, dst, PhoneId(next.0), next, self.start_cost(next));
             }
         }
         b.build()
@@ -127,16 +98,6 @@ mod tests {
     }
 
     #[test]
-    fn bigram_overrides_backoff() {
-        let mut g = Grammar::uniform(&three_words());
-        g.set_backoff_penalty(1.0);
-        g.set_bigram(WordId(1), WordId(2), 0.25);
-        assert!((g.transition_cost(WordId(1), WordId(2)) - 0.25).abs() < 1e-6);
-        let backoff = g.transition_cost(WordId(1), WordId(3));
-        assert!((backoff - (3f32.ln() + 1.0)).abs() < 1e-6);
-    }
-
-    #[test]
     fn acceptor_has_one_state_per_word_plus_start() {
         let g = Grammar::uniform(&three_words());
         let a = g.to_acceptor().unwrap();
@@ -154,7 +115,7 @@ mod tests {
     fn acceptor_accepts_empty_and_every_word_state() {
         let g = Grammar::uniform(&three_words());
         let a = g.to_acceptor().unwrap();
-        assert!(a.is_final(a.start()));
+        assert!(a.final_cost(a.start()).is_finite());
         assert_eq!(a.final_states().count(), 4);
     }
 

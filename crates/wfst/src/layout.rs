@@ -21,7 +21,7 @@ pub const ARC_BYTES: u64 = 16;
 
 /// Address map of the WFST image inside the accelerator's main memory.
 ///
-/// The state array starts at [`MemoryLayout::states_base`] and the arc array
+/// The state array starts at `states_base` and the arc array
 /// immediately follows (64-byte aligned so cache lines never straddle the
 /// two regions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +41,7 @@ impl MemoryLayout {
     /// Builds an address map from raw element counts. Useful for reasoning
     /// about full-scale models (13.2M states / 34.5M arcs) without
     /// materializing them.
-    pub fn with_counts(num_states: u64, num_arcs: u64, base: u64) -> Self {
+    fn with_counts(num_states: u64, num_arcs: u64, base: u64) -> Self {
         let states_base = base;
         let states_bytes = num_states * STATE_BYTES;
         // Align the arc array to a cache line boundary.
@@ -52,18 +52,6 @@ impl MemoryLayout {
             num_states,
             num_arcs,
         }
-    }
-
-    /// Base address of the state array.
-    #[inline]
-    pub fn states_base(&self) -> u64 {
-        self.states_base
-    }
-
-    /// Base address of the arc array.
-    #[inline]
-    pub fn arcs_base(&self) -> u64 {
-        self.arcs_base
     }
 
     /// Main-memory address of the packed record of `state`.
@@ -179,13 +167,13 @@ mod tests {
     #[test]
     fn addresses_are_contiguous_and_aligned() {
         let layout = MemoryLayout::with_counts(5, 7, 4096);
-        assert_eq!(layout.states_base(), 4096);
-        assert_eq!(layout.arcs_base() % 64, 0);
+        assert_eq!(layout.states_base, 4096);
+        assert_eq!(layout.arcs_base % 64, 0);
         assert_eq!(
             layout.state_addr(StateId(1)) - layout.state_addr(StateId(0)),
             8
         );
         assert_eq!(layout.arc_addr(ArcId(1)) - layout.arc_addr(ArcId(0)), 16);
-        assert!(layout.arcs_base() >= layout.states_base() + 5 * STATE_BYTES);
+        assert!(layout.arcs_base >= layout.states_base + 5 * STATE_BYTES);
     }
 }

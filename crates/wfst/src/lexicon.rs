@@ -51,7 +51,7 @@ impl Lexicon {
     }
 
     /// Interns a phone symbol, returning its id.
-    pub fn intern_phone(&mut self, name: &str) -> PhoneId {
+    fn intern_phone(&mut self, name: &str) -> PhoneId {
         if let Some(&id) = self.phones.get(name) {
             return id;
         }
@@ -94,13 +94,8 @@ impl Lexicon {
     }
 
     /// Spelling of a word id, if in range.
-    pub fn word_name(&self, id: WordId) -> Option<&str> {
+    fn word_name(&self, id: WordId) -> Option<&str> {
         self.word_names.get(id.index()).map(String::as_str)
-    }
-
-    /// Name of a phone id, if in range.
-    pub fn phone_name(&self, id: PhoneId) -> Option<&str> {
-        self.phone_names.get(id.index()).map(String::as_str)
     }
 
     /// All pronunciations as `(word, phones)` pairs.
@@ -189,7 +184,7 @@ mod tests {
         let b = lex.intern_phone("bb");
         assert_eq!(lex.intern_phone("aa"), a);
         assert_ne!(a, b);
-        assert_eq!(lex.phone_name(a), Some("aa"));
+        assert_eq!(lex.phone_names[a.index()], "aa");
     }
 
     #[test]
@@ -224,7 +219,7 @@ mod tests {
         let closing = w.epsilon_arcs(s2);
         assert_eq!(closing.len(), 1);
         assert_eq!(closing[0].dest, w.start());
-        assert!(w.is_final(w.start()));
+        assert!(w.final_cost(w.start()).is_finite());
     }
 
     #[test]

@@ -73,7 +73,6 @@ pub mod compose;
 pub mod grammar;
 pub mod layout;
 pub mod lexicon;
-pub mod ops;
 pub mod rmeps;
 pub mod sorted;
 pub mod stats;

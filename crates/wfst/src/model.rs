@@ -72,14 +72,14 @@ impl StateEntry {
 
     /// Range of arc indices covering only non-epsilon arcs.
     #[inline]
-    pub fn emitting_range(&self) -> std::ops::Range<usize> {
+    fn emitting_range(&self) -> std::ops::Range<usize> {
         let first = self.first_arc.index();
         first..first + self.num_emitting as usize
     }
 
     /// Range of arc indices covering only epsilon arcs.
     #[inline]
-    pub fn epsilon_range(&self) -> std::ops::Range<usize> {
+    fn epsilon_range(&self) -> std::ops::Range<usize> {
         let first = self.first_arc.index() + self.num_emitting as usize;
         first..first + self.num_epsilon as usize
     }
@@ -436,14 +436,9 @@ impl Wfst {
         self.final_costs[state.index()]
     }
 
-    /// Returns `true` if `state` accepts.
-    #[inline]
-    pub fn is_final(&self, state: StateId) -> bool {
-        self.final_costs[state.index()].is_finite()
-    }
-
     /// Iterator over all final states with their costs.
-    pub fn final_states(&self) -> impl Iterator<Item = (StateId, f32)> + '_ {
+    #[cfg(test)]
+    pub(crate) fn final_states(&self) -> impl Iterator<Item = (StateId, f32)> + '_ {
         self.final_costs
             .iter()
             .enumerate()
@@ -480,18 +475,6 @@ impl Wfst {
     #[inline]
     pub(crate) fn final_costs_raw(&self) -> &[f32] {
         &self.final_costs
-    }
-
-    /// Bytes occupied by the state, arc and final-cost arrays.
-    ///
-    /// For an image-backed transducer these bytes live inside the shared
-    /// [`crate::store::ImageBytes`] buffer (counted once per buffer, however
-    /// many views share it); for an owned transducer they are heap
-    /// allocations of this value.
-    pub fn storage_bytes(&self) -> usize {
-        self.states.len() * std::mem::size_of::<StateEntry>()
-            + self.arcs.len() * std::mem::size_of::<Arc>()
-            + self.final_costs.len() * std::mem::size_of::<f32>()
     }
 
     /// Returns `true` when the arrays are zero-copy views into a loaded
@@ -839,8 +822,8 @@ mod tests {
     #[test]
     fn final_states_are_reported() {
         let w = tiny();
-        assert!(w.is_final(StateId(2)));
-        assert!(!w.is_final(StateId(0)));
+        assert!(w.final_cost(StateId(2)).is_finite());
+        assert!(!w.final_cost(StateId(0)).is_finite());
         assert_eq!(w.final_cost(StateId(2)), 0.25);
         assert_eq!(w.final_states().count(), 1);
     }

@@ -195,7 +195,7 @@ mod tests {
         b.add_arc(s1, s0, PhoneId(1), WordId::NONE, 1.0);
         let w = b.build().unwrap();
         let e = remove_epsilons(&w).unwrap();
-        assert!(e.is_final(s0));
+        assert!(e.final_cost(s0).is_finite());
         assert!((e.final_cost(s0) - 0.5).abs() < 1e-6);
     }
 
@@ -265,5 +265,23 @@ mod tests {
         let e = remove_epsilons(&w).unwrap();
         assert_eq!(e.num_arcs(), w.num_arcs());
         assert_eq!(e.arcs(s0)[0].weight, 0.5);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn epsilon_removal_is_idempotent(seed in 0u64..100) {
+            let config = crate::synth::SynthConfig {
+                num_states: 80,
+                ..crate::synth::SynthConfig::default()
+            };
+            let w = crate::synth::SynthWfst::generate(&config.with_seed(seed)).unwrap();
+            let once = remove_epsilons(&w).unwrap();
+            proptest::prop_assert_eq!(once.epsilon_fraction(), 0.0);
+            let twice = remove_epsilons(&once).unwrap();
+            proptest::prop_assert_eq!(twice.num_arcs(), once.num_arcs());
+            proptest::prop_assert_eq!(twice.num_states(), once.num_states());
+        }
     }
 }

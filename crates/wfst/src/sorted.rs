@@ -29,7 +29,7 @@ use crate::{Arc, ArcId, Result, StateEntry, StateId, Wfst};
 use serde::{Deserialize, Serialize};
 
 /// Default comparator count used in the paper's experiments.
-pub const DEFAULT_THRESHOLD: usize = 16;
+const DEFAULT_THRESHOLD: usize = 16;
 
 /// The runtime decision hardware of the optimized State Issuer: `N`
 /// comparators over cumulative boundaries plus an offset table.
@@ -93,7 +93,7 @@ impl DirectIndexUnit {
     }
 
     /// One past the last state index served by direct computation.
-    pub fn sorted_region_end(&self) -> u32 {
+    pub(crate) fn sorted_region_end(&self) -> u32 {
         self.boundaries.last().copied().unwrap_or(0)
     }
 
@@ -285,14 +285,6 @@ impl SortedWfst {
     /// The hardware decision unit (comparators + offset table).
     pub fn unit(&self) -> &DirectIndexUnit {
         &self.unit
-    }
-
-    /// Replaces the decision unit, returning the previous one — the
-    /// fault-injection hook used to validate that consumers detect a
-    /// unit/layout mismatch (see `asr-accel`'s corrupted-layout tests)
-    /// rather than silently mis-indexing arcs.
-    pub fn replace_unit(&mut self, unit: DirectIndexUnit) -> DirectIndexUnit {
-        std::mem::replace(&mut self.unit, unit)
     }
 
     /// Comparator count `N`.

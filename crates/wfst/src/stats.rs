@@ -71,16 +71,6 @@ impl DegreeCdf {
             .map(|d| (d, self.cumulative(d)))
             .collect()
     }
-
-    /// Smallest degree whose cumulative fraction reaches `target`.
-    pub fn percentile_degree(&self, target: f64) -> usize {
-        for d in 0..=self.max_degree() {
-            if self.cumulative(d) >= target {
-                return d;
-            }
-        }
-        self.max_degree()
-    }
 }
 
 fn bump(counts: &mut Vec<u64>, degree: usize, by: u64) {
@@ -190,7 +180,6 @@ mod tests {
         let cdf = DegreeCdf::from_static(&w);
         assert!(cdf.cumulative(15) > 0.9);
         assert!(cdf.cumulative(16) > 0.95);
-        assert!(cdf.percentile_degree(0.95) <= 16);
     }
 
     #[test]

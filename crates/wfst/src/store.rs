@@ -35,7 +35,7 @@ use std::path::Path;
 /// Version byte of the image container. It reads 2 because an earlier
 /// container, which carried no layout registers, was version 1; no reader
 /// of it remains, and any other version is rejected.
-pub const STORE_VERSION: u8 = 2;
+const STORE_VERSION: u8 = 2;
 
 /// Magic number that opens every image: `b"WFST"`.
 const MAGIC: &[u8; 4] = b"WFST";
@@ -111,7 +111,7 @@ const _: () = assert!(std::mem::align_of::<Chunk>() == SECTION_ALIGN);
 
 /// A read-only, page-cache-shared file mapping. Pages fault in from the
 /// kernel's cache instead of being copied into fresh heap pages, which is
-/// what makes [`ImageBytes::read_file`] an order of magnitude cheaper than
+/// what makes `ImageBytes::read_file` an order of magnitude cheaper than
 /// a `read(2)` into a new buffer for a multi-megabyte image.
 #[cfg(target_os = "linux")]
 struct Mapping {
@@ -142,7 +142,7 @@ mod sys {
     use std::os::raw::{c_int, c_void};
 
     extern "C" {
-        pub fn mmap(
+        pub(super) fn mmap(
             addr: *mut c_void,
             len: usize,
             prot: c_int,
@@ -150,15 +150,15 @@ mod sys {
             fd: c_int,
             offset: i64,
         ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        pub(super) fn munmap(addr: *mut c_void, len: usize) -> c_int;
     }
 
-    pub const PROT_READ: c_int = 1;
-    pub const MAP_PRIVATE: c_int = 2;
+    pub(super) const PROT_READ: c_int = 1;
+    pub(super) const MAP_PRIVATE: c_int = 2;
     /// Fault the whole range in eagerly: one kernel walk over the page
     /// cache instead of a trap per page during validation.
-    pub const MAP_POPULATE: c_int = 0x8000;
-    pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
+    pub(super) const MAP_POPULATE: c_int = 0x8000;
+    pub(super) const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
 }
 
 /// Storage behind an [`ImageBytes`] buffer.
@@ -190,7 +190,7 @@ impl ImageBytes {
     ///
     /// This is the only copy on the load path — one `memcpy` of the whole
     /// container, never per-record work — and is skipped entirely when the
-    /// buffer is produced by [`ImageBytes::read_file`] (the file is read
+    /// buffer is produced by `ImageBytes::read_file` (the file is read
     /// straight into aligned storage).
     pub fn from_slice(bytes: &[u8]) -> Self {
         let n = bytes.len().div_ceil(SECTION_ALIGN);
@@ -217,7 +217,7 @@ impl ImageBytes {
     /// # Errors
     ///
     /// Returns [`WfstError::Corrupt`] wrapping the underlying I/O failure.
-    pub fn read_file(path: &Path) -> Result<Self> {
+    fn read_file(path: &Path) -> Result<Self> {
         use std::io::Read as _;
         let mut f =
             std::fs::File::open(path).map_err(|e| corrupt(format!("open {path:?}: {e}")))?;
@@ -920,7 +920,7 @@ impl GraphImage {
         Self::from_image_bytes(ImageBytes::from_slice(bytes))
     }
 
-    /// Maps `path` (see [`ImageBytes::read_file`]) and validates it in
+    /// Maps `path` (see `ImageBytes::read_file`) and validates it in
     /// place: no record is copied, the arcs are streamed once and the
     /// state table is walked once.
     ///
@@ -943,13 +943,6 @@ impl GraphImage {
         self.sorted.wfst()
     }
 
-    /// An owned handle on the sorted transducer that shares this image's
-    /// buffer: a refcount bump plus the (tiny, `N`-entry) unit registers —
-    /// never a copy of the state/arc/final/map arrays.
-    pub fn to_sorted(&self) -> SortedWfst {
-        self.sorted.clone()
-    }
-
     /// Bytes resident for this image: the whole aligned buffer, shared by
     /// every view cloned out of it.
     #[inline]
@@ -961,12 +954,6 @@ impl GraphImage {
     #[inline]
     pub fn as_bytes(&self) -> &[u8] {
         self.bytes.as_bytes()
-    }
-
-    /// Number of views currently sharing the underlying buffer (including
-    /// this image and the sections inside it).
-    pub fn buffer_ref_count(&self) -> usize {
-        self.bytes.ref_count()
     }
 }
 
@@ -1052,11 +1039,11 @@ mod tests {
     fn clones_share_one_buffer_and_free_on_last_drop() {
         let sorted = sample_sorted(150);
         let image = GraphImage::from_bytes(&to_bytes(&sorted)).unwrap();
-        let before = image.buffer_ref_count();
-        let view = image.to_sorted();
-        assert!(image.buffer_ref_count() > before);
+        let before = image.bytes.ref_count();
+        let view = image.sorted().clone();
+        assert!(image.bytes.ref_count() > before);
         drop(view);
-        assert_eq!(image.buffer_ref_count(), before);
+        assert_eq!(image.bytes.ref_count(), before);
     }
 
     #[test]

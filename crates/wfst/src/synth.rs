@@ -27,8 +27,7 @@ use serde::{Deserialize, Serialize};
 /// Configuration for [`SynthWfst::generate`].
 ///
 /// The defaults reproduce the published Kaldi statistics at a laptop-friendly
-/// scale (100k states); [`SynthConfig::kaldi_scale`] switches to the paper's
-/// full 13.2M-state size for static-layout experiments.
+/// scale (100k states).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SynthConfig {
     /// Number of states to generate.
@@ -101,15 +100,6 @@ impl SynthConfig {
         }
     }
 
-    /// The paper's full-size model: 13.2M states (~34.5M arcs, ~618 MB
-    /// packed). Only static experiments need this; it allocates ~700 MB.
-    pub fn kaldi_scale() -> Self {
-        Self {
-            num_states: 13_200_000,
-            ..Self::default()
-        }
-    }
-
     /// Replaces the seed, keeping all statistics.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -119,7 +109,7 @@ impl SynthConfig {
 
 /// Sampler for the two-component power-law out-degree distribution.
 #[derive(Debug, Clone)]
-pub struct DegreeDistribution {
+struct DegreeDistribution {
     small_cdf: Vec<f64>,
     tail_cdf: Vec<f64>,
     small_max: usize,
@@ -148,17 +138,6 @@ impl DegreeDistribution {
             tail_prob,
         }
     }
-
-    /// Expected out-degree under this distribution.
-    pub fn mean(&self) -> f64 {
-        let small_mean = cdf_mean(&self.small_cdf, 1);
-        let tail_mean = if self.tail_cdf.is_empty() {
-            0.0
-        } else {
-            cdf_mean(&self.tail_cdf, self.small_max + 1)
-        };
-        (1.0 - self.tail_prob) * small_mean + self.tail_prob * tail_mean
-    }
 }
 
 fn power_law_cdf(lo: usize, hi: usize, alpha: f64) -> Vec<f64> {
@@ -173,16 +152,6 @@ fn power_law_cdf(lo: usize, hi: usize, alpha: f64) -> Vec<f64> {
         *v /= total;
     }
     cdf
-}
-
-fn cdf_mean(cdf: &[f64], lo: usize) -> f64 {
-    let mut mean = 0.0;
-    let mut prev = 0.0;
-    for (i, &c) in cdf.iter().enumerate() {
-        mean += (lo + i) as f64 * (c - prev);
-        prev = c;
-    }
-    mean
 }
 
 impl Distribution<usize> for DegreeDistribution {
@@ -317,6 +286,26 @@ impl SynthWfst {
 mod tests {
     use super::*;
 
+    /// Expected out-degree under `dist`.
+    fn mean(dist: &DegreeDistribution) -> f64 {
+        let cdf_mean = |cdf: &[f64], lo: usize| {
+            let mut prev = 0.0;
+            let steps = cdf.iter().enumerate().map(|(i, &c)| {
+                let step = (lo + i) as f64 * (c - prev);
+                prev = c;
+                step
+            });
+            steps.sum::<f64>()
+        };
+        let small_mean = cdf_mean(&dist.small_cdf, 1);
+        let tail_mean = if dist.tail_cdf.is_empty() {
+            0.0
+        } else {
+            cdf_mean(&dist.tail_cdf, dist.small_max + 1)
+        };
+        (1.0 - dist.tail_prob) * small_mean + dist.tail_prob * tail_mean
+    }
+
     fn small() -> Wfst {
         SynthWfst::generate(&SynthConfig::with_states(5_000)).unwrap()
     }
@@ -401,7 +390,7 @@ mod tests {
     #[test]
     fn degree_distribution_mean_is_kaldi_like() {
         let dist = DegreeDistribution::new(&SynthConfig::default());
-        let mean = dist.mean();
+        let mean = mean(&dist);
         assert!((2.0..3.6).contains(&mean), "analytic mean {mean:.2}");
     }
 
@@ -409,7 +398,7 @@ mod tests {
     fn finals_exist_and_last_state_accepts() {
         let w = small();
         assert!(w.final_states().count() >= 1);
-        assert!(w.is_final(StateId(w.num_states() as u32 - 1)));
+        assert!(w.final_cost(StateId(w.num_states() as u32 - 1)).is_finite());
     }
 
     #[test]

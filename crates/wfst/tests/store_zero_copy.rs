@@ -129,12 +129,12 @@ fn reloading_the_image_reuses_the_buffer_without_new_views_allocating() {
     // zero-copy section view); what matters is that a second load adds the
     // same fixed number of handles — and zero new record storage — and
     // that dropping an image returns every one of them.
-    let handles_per_image = first.buffer_ref_count() - 1; // minus the local `image_bytes`
+    let handles_per_image = image_bytes.ref_count() - 1; // minus the local `image_bytes`
     let (second, _, bytes) = count(|| GraphImage::from_image_bytes(image_bytes.clone()).unwrap());
 
     assert!(bytes <= side_table_budget(&sorted));
     assert_eq!(
-        second.buffer_ref_count(),
+        image_bytes.ref_count(),
         1 + 2 * handles_per_image,
         "second load must add exactly one image's worth of buffer handles"
     );
@@ -144,7 +144,7 @@ fn reloading_the_image_reuses_the_buffer_without_new_views_allocating() {
         "both images must view the same arc records"
     );
     drop(first);
-    assert_eq!(second.buffer_ref_count(), 1 + handles_per_image);
+    assert_eq!(image_bytes.ref_count(), 1 + handles_per_image);
 }
 
 #[test]

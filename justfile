@@ -16,9 +16,12 @@ check:
     cargo fmt --check
     cargo clippy --workspace --all-targets -- -D warnings
 
-# The repo's custom static-analysis pass: SAFETY comments on every
-# unsafe, Ordering/raw-pointer allowlists, no-panic hot paths, and
-# repr(C) size/align asserts. Exits non-zero on any finding.
+# The repo's custom static-analysis pass (asr-lint): SAFETY comments on
+# every unsafe, Ordering/raw-pointer allowlists, no-panic hot paths,
+# repr(C) size/align asserts, the knob census, dangling doc citations,
+# a non-test caller (or an allowlist reason) for every public library
+# item, and no stale allowlist entry. Prints the public library item
+# count; exits non-zero on any finding.
 lint:
     cargo run --release -p asr-verify --bin asr-lint .
 
@@ -198,10 +201,37 @@ tier1-repeat n="20":
     sort "$failed" | uniq -c | sort -rn
     rm -f "$log" "$failed"
 
-# Tracked Rust lines outside benchmark/, per crate and in total (the
-# ROADMAP's "net reduction" trend; count after `cargo fmt`).
+# Tracked Rust lines outside benchmark/ (the ROADMAP's "net reduction"
+# trend; count after `cargo fmt`): per crate and in total, code, tests
+# and both. A line is a test line if its file is under a `tests/`
+# directory, is named `tests.rs` or is in crates/testkit, or if it lies
+# in an inline test module: a `#[cfg(test)]` line followed by a
+# `mod name {` line, through the `}` that closes it at the attribute's
+# indentation. Every other line is code.
 loc:
-    @git ls-files '*.rs' | grep -v '^benchmark/' | xargs wc -l | awk '$2 != "total" { split($2, p, "/"); k = p[1] == "crates" ? "crates/" p[2] : "root"; n[k] += $1; t += $1 } END { for (k in n) print n[k], k; print t, "total" }' | sort -k2
+    #!/usr/bin/env bash
+    set -euo pipefail
+    printf "%8s %8s %8s  %s\n" code tests total crate
+    git ls-files '*.rs' | grep -v '^benchmark/' | xargs awk '
+        FNR == 1 {
+            split(FILENAME, p, "/"); k = p[1] == "crates" ? "crates/" p[2] : "root"
+            whole = FILENAME ~ /(^|\/)tests\// || FILENAME ~ /(^|\/)tests\.rs$/ || k == "crates/testkit"
+            block = 0; held = 0
+        }
+        function add(is_test) { if (is_test) tests[k]++; else code[k]++; seen[k] = 1 }
+        {
+            if (held) { # the line after a #[cfg(test)]: does a module open?
+                held = 0
+                if (!whole && $0 ~ ("^" indent "mod [A-Za-z0-9_]+ \\{$")) { block = 1; add(1) } else add(0)
+            }
+            if (block) { add(1); if ($0 == indent "}") block = 0; next }
+            if (!whole && $0 ~ /^[ \t]*#\[cfg\(test\)\]$/) { held = 1; indent = $0; sub(/#.*/, "", indent); next }
+            add(whole)
+        }
+        END {
+            for (c in seen) { printf "%8d %8d %8d  %s\n", code[c], tests[c], code[c] + tests[c], c; tc += code[c]; tt += tests[c] }
+            printf "%8d %8d %8d  %s\n", tc, tt, tc + tt, "total"
+        }' | sort -k4
 
 # Open-loop overload harness: Poisson arrivals at 1x/2x the calibrated
 # saturation rate against an unlimited and an admission-limited

@@ -11,57 +11,23 @@ use asr_acoustic::signal::Utterance;
 
 /// Recognizes a waveform on the simulated accelerator, returning the
 /// transcript together with the full hardware result (cycles, traffic,
-/// cache statistics).
+/// cache statistics). The graph is laid out for the design point first:
+/// the original layout for the base design, the degree-sorted layout
+/// (plus direct-index registers) for state-optimized designs.
 ///
 /// # Errors
 ///
-/// Propagates WFST re-layout failures for state-optimized designs.
+/// Propagates WFST re-layout failures for state-optimized designs, and
+/// a layout the simulator refuses, as [`PipelineError::Wfst`].
 pub fn recognize(
     runtime: &AsrRuntime,
     utterance: &Utterance,
-    cfg: AcceleratorConfig,
-) -> Result<(Transcript, SimResult), PipelineError> {
-    let prepared = prepare(runtime, &cfg)?;
-    recognize_prepared(runtime, utterance, cfg, &prepared)
-}
-
-/// Prepares the runtime's decoding graph for an accelerator design
-/// point: the original layout for the base design, the degree-sorted
-/// layout (plus direct-index registers) for state-optimized designs.
-/// Preparing once and decoding many utterances with
-/// [`recognize_prepared`] amortizes the re-layout.
-///
-/// # Errors
-///
-/// Propagates WFST re-layout validation failures as
-/// [`PipelineError::Wfst`].
-pub fn prepare(
-    runtime: &AsrRuntime,
-    cfg: &AcceleratorConfig,
-) -> Result<PreparedWfst, PipelineError> {
-    Ok(PreparedWfst::new(runtime.graph(), cfg)?)
-}
-
-/// Recognizes a waveform on the simulated accelerator over an
-/// already-prepared graph layout.
-///
-/// # Errors
-///
-/// Returns [`PipelineError::Wfst`] when the simulator refuses the
-/// prepared layout — e.g. [`asr_wfst::WfstError::LayoutMismatch`] when
-/// the direct-index registers disagree with the sorted graph. The
-/// failure is a typed error, never a panic, and leaves the runtime
-/// fully serviceable: live sessions, pools, and future accelerator
-/// decodes are untouched.
-pub fn recognize_prepared(
-    runtime: &AsrRuntime,
-    utterance: &Utterance,
     mut cfg: AcceleratorConfig,
-    prepared: &PreparedWfst,
 ) -> Result<(Transcript, SimResult), PipelineError> {
+    let prepared = PreparedWfst::new(runtime.graph(), &cfg)?;
     let scores = runtime.score(utterance);
     cfg.beam = runtime.options().beam;
-    let result = Simulator::new(cfg).decode(prepared, &scores)?;
+    let result = Simulator::new(cfg).decode(&prepared, &scores)?;
     let transcript = Transcript {
         words: runtime.lexicon().transcript(&result.words),
         cost: result.cost,

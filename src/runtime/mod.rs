@@ -26,7 +26,7 @@
 //! | `session` | [`Session`] / [`SessionOptions`]: the one frame loop, its row sources (pre-scored rows, inline / overlapped / batched audio scoring) and the ALB handoff — Section VI pipelining, byte-identical to the sequential path |
 //! | `admission` | the session count and [`RuntimeConfig::max_sessions`]: [`AsrRuntime::try_open_session`] sheds with [`PipelineError::Overloaded`] at the limit |
 //! | `batch` | [`BatchScoringConfig`]: the cross-session gather window, its one block forward pass per flush, and the per-session slots rows scatter back to — byte-identical per session for any batch composition |
-//! | `registry` | named models ([`AsrRuntime::register_model`], [`AsrRuntime::swap_model`], [`SessionOptions::model`]): sessions resolve a name once at open, replaced graphs retire when their last session drops |
+//! | `registry` | named models ([`AsrRuntime::register_model_image`], [`AsrRuntime::swap_model_image`], [`SessionOptions::model`]): sessions resolve a name once at open, replaced graphs retire when their last session drops |
 //!
 //! # Entry points, unified
 //!
@@ -90,11 +90,11 @@ pub enum PipelineError {
         limit: usize,
     },
     /// [`SessionOptions::model`] named a model the registry does not
-    /// hold (never registered, or already unregistered).
+    /// hold.
     UnknownModel(String),
-    /// [`AsrRuntime::register_model`] was given a name the registry
-    /// already holds (use [`AsrRuntime::swap_model`] to replace a live
-    /// model).
+    /// [`AsrRuntime::register_model_image`] was given a name the
+    /// registry already holds (use [`AsrRuntime::swap_model_image`] to
+    /// replace a live model).
     DuplicateModel(String),
     /// A registered graph's phone labels exceed the runtime's acoustic
     /// model, so score rows could never cover its emitting arcs.
@@ -190,10 +190,10 @@ pub struct RuntimeStats {
     /// construction-time default graph is not listed — its sessions are
     /// the `active_sessions` remainder).
     pub models: Vec<ModelStats>,
-    /// Total graph bytes resident for the registered models: image
-    /// bytes for image-backed models, heap record bytes for owned ones.
+    /// Total graph bytes resident for the registered models: their
+    /// store images' bytes.
     pub resident_model_bytes: usize,
-    /// Swapped-out or unregistered graphs still held alive by in-flight
+    /// Swapped-out graphs still held alive by in-flight
     /// sessions; each is freed (and leaves this count) when its last
     /// session drops.
     pub retired_models: usize,
@@ -510,7 +510,7 @@ impl AsrRuntime {
     ///
     /// Returns [`PipelineError::Wfst`] if the decoding graph cannot be
     /// composed.
-    pub fn with_config(
+    fn with_config(
         lexicon: Lexicon,
         grammar: &Grammar,
         config: RuntimeConfig,

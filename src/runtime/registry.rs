@@ -3,14 +3,13 @@
 //!
 //! A runtime serves any number of decoding graphs at once. The
 //! construction-time graph stays the unnamed default; further models
-//! are registered by name — [`AsrRuntime::register_model`] for owned
-//! graphs, [`AsrRuntime::register_model_image`] /
-//! [`AsrRuntime::load_model`] for zero-copy [`GraphImage`]s whose
-//! records stay typed views over the store buffer — and selected per
-//! session with [`super::SessionOptions::model`]. A session resolves
-//! its name once, at open: [`AsrRuntime::swap_model`] and
-//! [`AsrRuntime::unregister_model`] take effect for *new* opens only,
-//! while every in-flight session finishes on the graph it resolved.
+//! are registered by name — [`AsrRuntime::register_model_image`], for
+//! zero-copy [`GraphImage`]s whose records stay typed views over the
+//! store buffer — and selected per session with
+//! [`super::SessionOptions::model`]. A session resolves its name once,
+//! at open: [`AsrRuntime::swap_model_image`] takes effect for *new*
+//! opens only, while every in-flight session finishes on the graph it
+//! resolved.
 //! Replaced graphs are refcounted out: the registry keeps a weak
 //! retired record, the sessions' own strong references keep the graph
 //! (and any backing image buffer) alive, and the storage frees the
@@ -20,14 +19,13 @@
 //! still draining.
 //!
 //! [`ModelRegistry`] owns the whole protocol — compatibility check,
-//! register / swap / unregister / resolve, retirement and its sweep —
+//! register / swap / resolve, retirement and its sweep —
 //! behind the one mutex the runtime keeps it in; the `AsrRuntime`
 //! methods below are the public face and only lock and delegate.
 
 use super::{AsrRuntime, PipelineError};
 use asr_wfst::store::GraphImage;
 use asr_wfst::Wfst;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, MutexGuard, PoisonError, Weak};
 
@@ -190,17 +188,6 @@ impl ModelRegistry {
         Ok(())
     }
 
-    fn unregister(&mut self, name: &str) -> Result<(), PipelineError> {
-        let index = self
-            .entries
-            .iter()
-            .position(|(n, _)| n == name)
-            .ok_or_else(|| PipelineError::UnknownModel(name.to_owned()))?;
-        let (_, entry) = self.entries.remove(index);
-        self.retire(entry.graph);
-        Ok(())
-    }
-
     /// The graph behind `name` right now, and the per-name counters a
     /// session opened on it charges.
     pub(super) fn resolve(
@@ -242,22 +229,6 @@ impl AsrRuntime {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Registers `graph` under `name` in the runtime's model registry,
-    /// so sessions can select it with [`super::SessionOptions::model`]. The
-    /// graph's heap storage is counted as its resident bytes; to share
-    /// a store image's buffer instead, use
-    /// [`AsrRuntime::register_model_image`].
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::DuplicateModel`] if `name` is already
-    /// registered, [`PipelineError::IncompatibleModel`] if the graph
-    /// references phones the runtime's acoustic model cannot score.
-    pub fn register_model(&self, name: &str, graph: Wfst) -> Result<(), PipelineError> {
-        let resident = graph.storage_bytes();
-        self.registry().register(name, Arc::new(graph), resident)
-    }
-
     /// Registers the graph of a loaded zero-copy store image under
     /// `name`. The registry holds typed views over the image buffer —
     /// no record is copied — and the model's resident bytes are the
@@ -266,7 +237,9 @@ impl AsrRuntime {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`AsrRuntime::register_model`].
+    /// [`PipelineError::DuplicateModel`] if `name` is already
+    /// registered, [`PipelineError::IncompatibleModel`] if the graph
+    /// references phones the runtime's acoustic model cannot score.
     pub fn register_model_image(&self, name: &str, image: GraphImage) -> Result<(), PipelineError> {
         let resident = image.resident_bytes();
         // Cloning an image-backed graph clones section views (pointer +
@@ -275,61 +248,20 @@ impl AsrRuntime {
         self.registry().register(name, graph, resident)
     }
 
-    /// Loads a v2 store image from `path` and registers its graph under
-    /// `name` — the one-call deployment path for prebuilt models.
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::Wfst`] for unreadable or corrupt images (the
-    /// registry is untouched on failure), plus the
-    /// [`AsrRuntime::register_model`] conditions.
-    pub fn load_model(&self, name: &str, path: &Path) -> Result<(), PipelineError> {
-        self.register_model_image(name, GraphImage::load(path)?)
-    }
-
-    /// Atomically replaces the graph behind a registered model:
-    /// sessions opened after the swap decode over `graph`, while every
-    /// in-flight session finishes on the graph it opened with (the old
-    /// graph is retired and freed when its last session drops — watch
-    /// [`super::RuntimeStats::retired_models`]). The model's session counters
-    /// carry over: they follow the name.
+    /// Atomically replaces the graph behind a registered model with a
+    /// loaded store image's (viewed zero-copy): sessions opened after the
+    /// swap decode over it, while every in-flight session finishes on the
+    /// graph it opened with (the old graph is retired and freed when its
+    /// last session drops — watch [`super::RuntimeStats::retired_models`]).
+    /// The model's session counters carry over: they follow the name.
     ///
     /// # Errors
     ///
     /// [`PipelineError::UnknownModel`] if `name` is not registered,
     /// [`PipelineError::IncompatibleModel`] as at registration.
-    pub fn swap_model(&self, name: &str, graph: Wfst) -> Result<(), PipelineError> {
-        let resident = graph.storage_bytes();
-        self.registry().swap(name, Arc::new(graph), resident)
-    }
-
-    /// [`AsrRuntime::swap_model`] for a loaded store image: the
-    /// replacement graph views the image buffer zero-copy.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`AsrRuntime::swap_model`].
     pub fn swap_model_image(&self, name: &str, image: GraphImage) -> Result<(), PipelineError> {
         let resident = image.resident_bytes();
         let graph = Arc::new(image.wfst().clone());
         self.registry().swap(name, graph, resident)
-    }
-
-    /// Removes a model from the registry. Sessions already decoding
-    /// over it are unaffected — the graph is retired and its storage
-    /// (image buffer included) freed when the last such session drops;
-    /// new opens naming it fail with [`PipelineError::UnknownModel`].
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::UnknownModel`] if `name` is not registered.
-    pub fn unregister_model(&self, name: &str) -> Result<(), PipelineError> {
-        self.registry().unregister(name)
-    }
-
-    /// The registered model names, in registration order.
-    pub fn model_names(&self) -> Vec<String> {
-        let reg = self.registry();
-        reg.entries.iter().map(|(n, _)| n.clone()).collect()
     }
 }

@@ -104,10 +104,10 @@ impl SessionOptions {
     }
 
     /// Decodes this session over the registered model `name` instead of
-    /// the runtime's default graph (see [`AsrRuntime::register_model`]).
-    /// The session resolves the name once, at open: it keeps decoding
-    /// over the graph it resolved even if the model is swapped or
-    /// unregistered mid-utterance.
+    /// the runtime's default graph (see
+    /// [`AsrRuntime::register_model_image`]). The session resolves the
+    /// name once, at open: it keeps decoding over the graph it resolved
+    /// even if the model is swapped mid-utterance.
     ///
     /// [`AsrRuntime::try_open_session_with`] reports an unknown name as
     /// a typed [`PipelineError::UnknownModel`] (before admission is
@@ -256,7 +256,7 @@ impl AsrRuntime {
     /// Resolves the graph a session will decode over, and the per-model
     /// counters it charges (`None` for the default graph). Runs before
     /// admission, and holds the registry lock only for the lookup — the
-    /// session keeps the resolved `Arc` through swaps and unregisters.
+    /// session keeps the resolved `Arc` through swaps.
     fn resolve_model(
         &self,
         options: &SessionOptions,
@@ -294,7 +294,6 @@ impl AsrRuntime {
             overlap_depth: options.overlap_depth.unwrap_or(1),
             min_row_len,
             scattered: Vec::new(),
-            frames_pushed: 0,
             batch_slot: None,
             model_counters,
         }
@@ -342,7 +341,6 @@ pub struct Session {
     /// Landing buffer for one row scattered back by the batched scoring
     /// service, on its way into `alb`.
     scattered: Vec<f32>,
-    frames_pushed: usize,
     /// The session's registration with the service, made lazily by the
     /// first [`Session::push_samples`].
     batch_slot: Option<BatchSlot>,
@@ -471,7 +469,6 @@ impl Session {
         };
         self.alb
             .advance(decode, self.executor.as_deref(), row_len, fresh, fill);
-        self.frames_pushed += fresh;
     }
 
     /// Pushes one frame's acoustic score row (`row[p]` = cost of phone
@@ -515,16 +512,11 @@ impl Session {
         }
     }
 
-    /// Frames pushed into the session so far.
-    pub fn frames_pushed(&self) -> usize {
-        self.frames_pushed
-    }
-
     /// The current best hypothesis (empty words before any audio: the
     /// start state's closure), or `None` after the beam pruned every
     /// path or the session was finalized. The search trails the pushes
-    /// by the block of the latest advance, so `frames_decoded` lags
-    /// [`Session::frames_pushed`] by one row — by up to
+    /// by the block of the latest advance, so `frames_decoded` lags the
+    /// frames pushed by one row — by up to
     /// [`SessionOptions::overlap_depth`] rows for an audio-fed session
     /// overlapping at that depth.
     pub fn partial(&self) -> Option<Hypothesis> {

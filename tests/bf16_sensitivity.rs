@@ -77,7 +77,8 @@ fn argmax(row: &[f32]) -> usize {
 fn against(reference: &[DecodeResult], hyp: &[DecodeResult]) -> (f64, f32) {
     let (mut errors, mut words, mut cost_gap) = (0, 0, 0.0f32);
     for (r, h) in reference.iter().zip(hyp) {
-        errors += align(&r.words, &h.words).errors();
+        let b = align(&r.words, &h.words);
+        errors += b.substitutions + b.deletions + b.insertions;
         words += r.words.len();
         cost_gap = cost_gap.max((h.cost - r.cost).abs());
     }

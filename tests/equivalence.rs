@@ -22,7 +22,7 @@ fn idealizations_never_change_function() {
     let cfgs = [
         AcceleratorConfig::default().with_perfect_caches(),
         AcceleratorConfig::default().with_ideal_hash(),
-        AcceleratorConfig::final_design()
+        AcceleratorConfig::for_design(DesignPoint::StateAndArc)
             .with_perfect_caches()
             .with_ideal_hash(),
     ];

@@ -125,7 +125,7 @@ fn figure7_dynamic_degree_distribution() {
 #[test]
 fn figures_11_and_12_energy_orders_of_magnitude() {
     let (wfst, scores) = workload();
-    let cfg = AcceleratorConfig::final_design().with_beam(12.0);
+    let cfg = AcceleratorConfig::for_design(DesignPoint::StateAndArc).with_beam(12.0);
     let r = Simulator::new(cfg.clone())
         .decode_wfst(&wfst, &scores)
         .unwrap();
@@ -181,7 +181,7 @@ fn real_time_performance_at_scale() {
     // Paper: 56x faster than real time on the final design. At our scale
     // the factor is larger (smaller model); assert comfortably real-time.
     let (wfst, scores) = workload();
-    let cfg = AcceleratorConfig::final_design().with_beam(12.0);
+    let cfg = AcceleratorConfig::for_design(DesignPoint::StateAndArc).with_beam(12.0);
     let freq = cfg.frequency_hz;
     let r = Simulator::new(cfg).decode_wfst(&wfst, &scores).unwrap();
     assert!(r.stats.real_time_factor(freq) > 10.0);

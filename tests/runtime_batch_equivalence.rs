@@ -81,7 +81,16 @@ fn staggered_sessions_are_byte_identical_across_window_sizes() {
     // {1, 2, 8, max}: window 1 degenerates to per-frame flushes, 64 is
     // far past what six sessions ever fill (the self-sizing target
     // flushes at the live-session count, so frames never stall).
+    // The audio, its expected outcomes and the unbatched run do not
+    // depend on the window: one of each serves all four.
     let unbatched_rt = AsrRuntime::demo_with(RuntimeConfig::new().lanes(1)).unwrap();
+    let audios: Vec<Utterance> = SCRIPTS
+        .iter()
+        .map(|w| unbatched_rt.render_words(w).unwrap())
+        .collect();
+    let expected: Vec<Outcome<String>> =
+        audios.iter().map(|a| expected(&unbatched_rt, a)).collect();
+    let unbatched = drive_staggered(&unbatched_rt, &audios, &SessionOptions::new(), 5);
     for window in [1usize, 2, 8, 64] {
         let runtime = AsrRuntime::demo_with(
             RuntimeConfig::new()
@@ -89,14 +98,7 @@ fn staggered_sessions_are_byte_identical_across_window_sizes() {
                 .batch_scoring(BatchScoringConfig::new(window)),
         )
         .unwrap();
-        let audios: Vec<Utterance> = SCRIPTS
-            .iter()
-            .map(|w| runtime.render_words(w).unwrap())
-            .collect();
-        let expected: Vec<Outcome<String>> = audios.iter().map(|a| expected(&runtime, a)).collect();
-
         let batched = drive_staggered(&runtime, &audios, &SessionOptions::new(), 5);
-        let unbatched = drive_staggered(&unbatched_rt, &audios, &SessionOptions::new(), 5);
         assert_transcripts(&batched, &expected, &format!("window {window} batched"));
         assert_transcripts(&unbatched, &expected, &format!("window {window} unbatched"));
 

@@ -1,28 +1,22 @@
-//! Multi-model registry semantics: hot swap, unregister-in-flight, and
-//! the zero-copy image path, all under concurrency.
+//! Multi-model registry semantics: hot swap and the zero-copy image
+//! path, under concurrency.
 //!
 //! The claims under test:
 //!
 //! 1. A hot swap is invisible to in-flight work: eight concurrent
-//!    sessions opened on a model before [`AsrRuntime::swap_model`]
+//!    sessions opened on a model before [`AsrRuntime::swap_model_image`]
 //!    finish byte-identical to sessions on a single-model runtime that
 //!    never swapped, while sessions opened after the swap decode over
-//!    the replacement graph.
-//! 2. [`AsrRuntime::unregister_model`] lets in-flight sessions finish
-//!    on the old graph, and the graph's storage — the store image's
-//!    buffer included — frees exactly when the last such session
-//!    drops, observed through the buffer's reference count and
-//!    [`RuntimeStats::retired_models`].
-//! 3. Sessions over an image-backed model are byte-identical to
-//!    sessions over the same sorted graph registered as an owned copy,
-//!    with and without the scoring/search overlap.
-//! 4. Registry misuse is typed: unknown and duplicate names,
+//!    the replacement graph; the swapped-out graph drains
+//!    ([`RuntimeStats::retired_models`]) with its last session.
+//! 2. Sessions over an image-backed model are byte-identical to
+//!    sessions over the same sorted graph held as an owned copy.
+//! 3. Registry misuse is typed: unknown and duplicate names,
 //!    phone-space-incompatible graphs, and unknown-model session opens
 //!    all surface as [`PipelineError`] variants — and a failed
 //!    [`AsrRuntime::try_open_session_with`] never charges admission.
 //!
-//! [`AsrRuntime::swap_model`]: asr_repro::runtime::AsrRuntime::swap_model
-//! [`AsrRuntime::unregister_model`]: asr_repro::runtime::AsrRuntime::unregister_model
+//! [`AsrRuntime::swap_model_image`]: asr_repro::runtime::AsrRuntime::swap_model_image
 //! [`AsrRuntime::try_open_session_with`]: asr_repro::runtime::AsrRuntime::try_open_session_with
 //! [`RuntimeStats::retired_models`]: asr_repro::runtime::RuntimeStats::retired_models
 //! [`PipelineError`]: asr_repro::runtime::PipelineError
@@ -34,7 +28,7 @@ use asr_repro::wfst::compose::build_decoding_graph;
 use asr_repro::wfst::grammar::Grammar;
 use asr_repro::wfst::lexicon::demo_lexicon;
 use asr_repro::wfst::sorted::SortedWfst;
-use asr_repro::wfst::store::{self, GraphImage, ImageBytes};
+use asr_repro::wfst::store::{self, GraphImage};
 use asr_repro::wfst::{PhoneId, Wfst, WordId};
 use asr_testkit::{assert_same, Outcome};
 
@@ -49,6 +43,16 @@ fn two_graphs() -> (Wfst, Wfst) {
     (full, narrow)
 }
 
+/// `graph` in the degree-sorted numbering a store image holds.
+fn sorted(graph: &Wfst) -> Wfst {
+    SortedWfst::new(graph).unwrap().wfst().clone()
+}
+
+/// `graph` as a loaded store image.
+fn image(graph: &Wfst) -> GraphImage {
+    GraphImage::from_bytes(&store::to_bytes(&SortedWfst::new(graph).unwrap())).unwrap()
+}
+
 fn runtime_with(graph: Wfst) -> AsrRuntime {
     AsrRuntime::with_graph(graph, demo_lexicon(), RuntimeConfig::new().lanes(2))
 }
@@ -58,9 +62,11 @@ fn hot_swap_under_eight_concurrent_sessions_is_byte_identical() {
     let (full, narrow) = two_graphs();
     // The single-model baseline: a runtime whose *default* graph is the
     // pre-swap model, never touched by registry traffic.
-    let baseline = runtime_with(full.clone());
-    let runtime = runtime_with(narrow.clone());
-    runtime.register_model("speech", full).unwrap();
+    let baseline = runtime_with(sorted(&full));
+    let runtime = runtime_with(sorted(&narrow));
+    runtime
+        .register_model_image("speech", image(&full))
+        .unwrap();
 
     let utterances = ["call mom", "play music", "lights on", "go"];
     let scores: Vec<AcousticTable> = utterances
@@ -86,7 +92,7 @@ fn hot_swap_under_eight_concurrent_sessions_is_byte_identical() {
     }
     assert_eq!(runtime.stats().models[0].active_sessions, 8);
 
-    runtime.swap_model("speech", narrow).unwrap();
+    runtime.swap_model_image("speech", image(&narrow)).unwrap();
     assert_eq!(
         runtime.stats().retired_models,
         1,
@@ -154,103 +160,26 @@ fn hot_swap_under_eight_concurrent_sessions_is_byte_identical() {
 }
 
 #[test]
-fn unregister_in_flight_finishes_on_the_old_image_and_frees_on_last_drop() {
-    let (full, narrow) = two_graphs();
-    let sorted = SortedWfst::new(&full).unwrap();
-    let image_bytes = ImageBytes::from_slice(&store::to_bytes(&sorted));
-    let image = GraphImage::from_image_bytes(image_bytes.clone()).unwrap();
-    let baseline = runtime_with(sorted.wfst().clone());
-
-    let runtime = runtime_with(narrow);
-    runtime.register_model_image("big", image).unwrap();
-    let handles_registered = image_bytes.ref_count();
-    assert!(
-        handles_registered > 1,
-        "the registry's graph views the image buffer"
-    );
-
-    let scores = runtime.score(&runtime.render_words(&["call", "mom"]).unwrap());
-    let mut session = runtime
-        .try_open_session_with(SessionOptions::new().model("big"))
-        .unwrap();
-    session.push_row(scores.frame_row(0));
-
-    runtime.unregister_model("big").unwrap();
-    assert!(
-        runtime.model_names().is_empty(),
-        "the name is gone immediately"
-    );
-    assert!(matches!(
-        runtime.try_open_session_with(SessionOptions::new().model("big")),
-        Err(PipelineError::UnknownModel(_))
-    ));
-    assert_eq!(
-        runtime.stats().retired_models,
-        1,
-        "the graph drains behind the in-flight session"
-    );
-    assert_eq!(
-        image_bytes.ref_count(),
-        handles_registered,
-        "the session's graph handle keeps every image view alive"
-    );
-
-    // The in-flight session finishes on the unregistered graph,
-    // byte-identical to the owned-sorted baseline.
-    for frame in 1..scores.num_frames() {
-        session.push_row(scores.frame_row(frame));
-    }
-    let transcript = session.finalize();
-    let expected = {
-        let mut s = baseline.open_session();
-        s.push_frames(&scores);
-        s.finalize()
-    };
-    assert_same(
-        &Outcome::from(&transcript),
-        &Outcome::from(&expected),
-        "session across unregister",
-    );
-
-    // Last drop frees the storage: only this test's local handle on the
-    // buffer remains, and the retired record sweeps away.
-    assert_eq!(
-        image_bytes.ref_count(),
-        1,
-        "image buffer released on the last session drop"
-    );
-    assert_eq!(runtime.stats().retired_models, 0);
-    assert_eq!(runtime.stats().resident_model_bytes, 0);
-}
-
-#[test]
 fn image_backed_and_owned_models_decode_byte_identically() {
-    let (full, narrow) = two_graphs();
-    let sorted = SortedWfst::new(&full).unwrap();
-    let image = GraphImage::from_bytes(&store::to_bytes(&sorted)).unwrap();
-
-    let runtime = runtime_with(narrow);
-    runtime
-        .register_model("owned", sorted.wfst().clone())
-        .unwrap();
+    let (full, _) = two_graphs();
+    // The owned copy is the runtime's default graph.
+    let runtime = runtime_with(sorted(&full));
+    let image = image(&full);
+    let image_bytes = image.resident_bytes();
     runtime.register_model_image("image", image).unwrap();
     let stats = runtime.stats();
-    assert!(!stats.models[0].image_backed);
-    assert!(stats.models[1].image_backed);
-    assert_eq!(
-        stats.resident_model_bytes,
-        stats.models[0].resident_bytes + stats.models[1].resident_bytes
-    );
+    assert!(stats.models[0].image_backed);
+    assert_eq!(stats.resident_model_bytes, image_bytes);
 
     for utterance in [vec!["go"], vec!["lights", "on"], vec!["play", "music"]] {
         let scores = runtime.score(&runtime.render_words(&utterance).unwrap());
-        let decode = |model: &str| {
-            let mut s = runtime.open_session_with(SessionOptions::new().model(model));
+        let decode = |options: SessionOptions| {
+            let mut s = runtime.open_session_with(options);
             s.push_frames(&scores);
             s.finalize()
         };
-        let owned = decode("owned");
-        let image = decode("image");
+        let owned = decode(SessionOptions::new());
+        let image = decode(SessionOptions::new().model("image"));
         assert_same(
             &Outcome::from(&owned),
             &Outcome::from(&image),
@@ -264,17 +193,18 @@ fn image_backed_and_owned_models_decode_byte_identically() {
 fn registry_misuse_is_typed_and_never_charges_admission() {
     let (full, narrow) = two_graphs();
     let runtime = runtime_with(narrow.clone());
-    runtime.register_model("a", full.clone()).unwrap();
+    runtime.register_model_image("a", image(&full)).unwrap();
+    let names = || -> Vec<String> { runtime.stats().models.into_iter().map(|m| m.name).collect() };
 
     // Duplicate names are refused without disturbing the entry.
     assert!(matches!(
-        runtime.register_model("a", narrow.clone()),
+        runtime.register_model_image("a", image(&narrow)),
         Err(PipelineError::DuplicateModel(name)) if name == "a"
     ));
-    assert_eq!(runtime.model_names(), vec!["a".to_owned()]);
+    assert_eq!(names(), vec!["a".to_owned()]);
 
-    // Unknown names: session opens, swaps, and unregisters all report
-    // the name, and the failed open charges nothing.
+    // Unknown names: session opens and swaps both report the name, and
+    // the failed open charges nothing.
     let before = runtime.stats();
     assert!(matches!(
         runtime.try_open_session_with(SessionOptions::new().model("missing")),
@@ -284,11 +214,7 @@ fn registry_misuse_is_typed_and_never_charges_admission() {
     assert_eq!(after.active_sessions, before.active_sessions);
     assert_eq!(after.shed_sessions, before.shed_sessions);
     assert!(matches!(
-        runtime.swap_model("missing", full),
-        Err(PipelineError::UnknownModel(_))
-    ));
-    assert!(matches!(
-        runtime.unregister_model("missing"),
+        runtime.swap_model_image("missing", image(&full)),
         Err(PipelineError::UnknownModel(_))
     ));
 
@@ -301,7 +227,7 @@ fn registry_misuse_is_typed_and_never_charges_admission() {
     b.add_arc(s0, s1, PhoneId(10_000), WordId(1), 0.5);
     b.set_final(s1, 0.0);
     let alien = b.build().unwrap();
-    match runtime.register_model("alien", alien) {
+    match runtime.register_model_image("alien", image(&alien)) {
         Err(PipelineError::IncompatibleModel {
             name,
             graph_phones,
@@ -313,7 +239,7 @@ fn registry_misuse_is_typed_and_never_charges_admission() {
         }
         other => panic!("expected IncompatibleModel, got {other:?}"),
     }
-    assert_eq!(runtime.model_names(), vec!["a".to_owned()]);
+    assert_eq!(names(), vec!["a".to_owned()]);
 
     // The registry untouched by all that misuse still serves.
     let scores = runtime.score(&runtime.render_words(&["go"]).unwrap());
@@ -326,7 +252,7 @@ fn registry_misuse_is_typed_and_never_charges_admission() {
 
 #[test]
 fn sessions_ignore_registry_traffic_on_other_models() {
-    // Churning the registry — register, swap, unregister other names —
+    // Churning the registry — register and swap another name —
     // while a default-graph session decodes must not perturb it.
     let (full, narrow) = two_graphs();
     let runtime = runtime_with(full.clone());
@@ -337,18 +263,13 @@ fn sessions_ignore_registry_traffic_on_other_models() {
         s.finalize()
     };
 
+    let narrow = image(&narrow);
     let mut session = runtime.open_session();
     for frame in 0..scores.num_frames() {
-        match frame % 3 {
-            0 => {
-                let _ = runtime.register_model("churn", narrow.clone());
-            }
-            1 => {
-                let _ = runtime.swap_model("churn", narrow.clone());
-            }
-            _ => {
-                let _ = runtime.unregister_model("churn");
-            }
+        if frame % 2 == 0 {
+            let _ = runtime.register_model_image("churn", narrow.clone());
+        } else {
+            let _ = runtime.swap_model_image("churn", narrow.clone());
         }
         session.push_row(scores.frame_row(frame));
     }
@@ -358,6 +279,5 @@ fn sessions_ignore_registry_traffic_on_other_models() {
         &Outcome::from(&expected),
         "session beside registry churn",
     );
-    let _ = runtime.unregister_model("churn");
     assert_eq!(runtime.stats().retired_models, 0);
 }

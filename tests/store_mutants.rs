@@ -20,7 +20,7 @@ use asr_testkit::{assert_same, Outcome};
 use asr_wfst::sorted::SortedWfst;
 use asr_wfst::store::{self, GraphImage};
 use asr_wfst::synth::{SynthConfig, SynthWfst};
-use asr_wfst::{StateId, Wfst, WfstError};
+use asr_wfst::{StateEntry, StateId, Wfst, WfstError};
 
 /// Header field offsets of the v2 container (see `store::to_bytes`).
 const NUM_STATES: usize = 8;
@@ -42,6 +42,11 @@ const BOUNDARIES: usize = 3;
 const OFFSETS: usize = 4;
 const OLD_TO_NEW: usize = 5;
 const NEW_TO_OLD: usize = 6;
+
+/// Index of the first epsilon arc of `state` (they follow its emitting arcs).
+fn epsilon_start(state: &StateEntry) -> usize {
+    state.first_arc.index() + state.num_emitting as usize
+}
 
 fn base() -> (SortedWfst, Vec<u8>) {
     let config = SynthConfig {
@@ -173,7 +178,8 @@ fn mutants(sorted: &SortedWfst, base: &[u8]) -> Vec<Mutant> {
 
     // State records: the first, a sorted-region one, the first past the
     // sorted region, the last, and the first with epsilon arcs.
-    let sorted_end = sorted.unit().sorted_region_end() as usize;
+    let unit = sorted.unit();
+    let sorted_end = unit.group_boundary(unit.threshold() - 1) as usize;
     let with_epsilon = (0..states.len())
         .find(|&s| states[s].num_epsilon > 0)
         .unwrap();
@@ -214,14 +220,10 @@ fn mutants(sorted: &SortedWfst, base: &[u8]) -> Vec<Mutant> {
             emitting.first_arc.index() + emitting.num_emitting as usize - 1,
             0,
         ),
-        (
-            "epsilon arc relabelled phone 1",
-            epsilon.epsilon_range().start,
-            1,
-        ),
+        ("epsilon arc relabelled phone 1", epsilon_start(epsilon), 1),
         (
             "epsilon arc relabelled phone 39",
-            epsilon.epsilon_range().end - 1,
+            epsilon_start(epsilon) + epsilon.num_epsilon as usize - 1,
             39,
         ),
     ] {
@@ -237,7 +239,7 @@ fn mutants(sorted: &SortedWfst, base: &[u8]) -> Vec<Mutant> {
         .iter()
         .find(|st| st.num_emitting > 0 && st.num_epsilon > 0)
         .unwrap();
-    let (x, y) = (both.first_arc.index(), both.epsilon_range().start);
+    let (x, y) = (both.first_arc.index(), epsilon_start(both));
     m.add("emitting and epsilon arc swapped", |b| {
         let (rx, ry) = (record(b, ARCS, x, 16), record(b, ARCS, y, 16));
         let arc_x = b[rx..rx + 16].to_vec();
@@ -278,10 +280,10 @@ fn mutants(sorted: &SortedWfst, base: &[u8]) -> Vec<Mutant> {
 
     // Final costs: NaN and -inf, on a final state and a non-final one.
     let final_state = (0..states.len())
-        .find(|&s| w.is_final(StateId(s as u32)))
+        .find(|&s| w.final_cost(StateId(s as u32)).is_finite())
         .unwrap();
     let inner_state = (0..states.len())
-        .find(|&s| !w.is_final(StateId(s as u32)))
+        .find(|&s| !w.final_cost(StateId(s as u32)).is_finite())
         .unwrap();
     for (cost_name, cost) in [("NaN", f32::NAN), ("-inf", f32::NEG_INFINITY)] {
         for s in [final_state, inner_state] {
@@ -335,7 +337,7 @@ fn walk_accepts(sorted: &SortedWfst) -> Result<(), String> {
     if (w.num_phones(), w.num_words()) != (phones, words) {
         return Err("label spaces disagree with the arcs".into());
     }
-    if !(0..n).any(|s| w.is_final(StateId(s as u32))) {
+    if !(0..n).any(|s| w.final_cost(StateId(s as u32)).is_finite()) {
         return Err("no final state".into());
     }
     let unit = sorted.unit();
