@@ -71,7 +71,7 @@ use asr_decoder::lattice::{Lattice, TraceId};
 use asr_decoder::probe::Probe;
 use asr_decoder::token_table::{RelaxOutcome, TokenTable};
 use asr_wfst::sorted::{DirectIndexUnit, SortedWfst};
-use asr_wfst::{ArcId, Result as WfstResult, StateId, Wfst, WfstError, WordId};
+use asr_wfst::{ArcId, Result as WfstResult, StateId, Wfst, WordId};
 
 /// A WFST prepared for a particular design point: plain layout for the base
 /// design, degree-sorted layout (plus the comparator unit) when the
@@ -176,22 +176,14 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Propagates layout-preparation errors, and layout-corruption errors
-    /// detected during the decode (see [`Simulator::decode`]).
+    /// Propagates layout-preparation errors.
     pub fn decode_wfst(&self, wfst: &Wfst, scores: &AcousticTable) -> WfstResult<SimResult> {
         let prepared = PreparedWfst::new(wfst, &self.cfg)?;
-        self.decode(&prepared, scores)
+        Ok(self.decode(&prepared, scores))
     }
 
     /// Simulates the decode of `scores` over `prepared`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WfstError::LayoutMismatch`] if the prepared layout's
-    /// direct-index unit disagrees with the state array it describes (a
-    /// corrupted or stale sorted layout) — the hardware would silently
-    /// walk the wrong arcs, so the model refuses instead.
-    pub fn decode(&self, prepared: &PreparedWfst, scores: &AcousticTable) -> WfstResult<SimResult> {
+    pub fn decode(&self, prepared: &PreparedWfst, scores: &AcousticTable) -> SimResult {
         Engine::new(&self.cfg, prepared, scores).run()
     }
 }
@@ -340,7 +332,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn run(mut self) -> WfstResult<SimResult> {
+    fn run(mut self) -> SimResult {
         let wfst = self.prepared.wfst();
         let start = wfst.start().0;
         self.cur.begin_frame();
@@ -364,7 +356,7 @@ impl<'a> Engine<'a> {
         );
 
         // Initial epsilon closure (no frame consumed, unpruned).
-        let mut cycle = self.wave(None, 0)?;
+        let mut cycle = self.wave(None, 0);
 
         // Acoustic DMA of the first frame must land before decode starts.
         let link_bytes_per_cycle = 16;
@@ -386,7 +378,7 @@ impl<'a> Engine<'a> {
             }
             let tokens_before = self.stats.tokens_fetched;
             let arcs_before = self.stats.arcs_processed + self.stats.eps_arcs_processed;
-            let end = self.wave(Some(frame), cycle)?;
+            let end = self.wave(Some(frame), cycle);
             self.stats.per_frame.push(crate::stats::FrameStats {
                 cycles: end - cycle,
                 tokens: self.stats.tokens_fetched - tokens_before,
@@ -400,7 +392,7 @@ impl<'a> Engine<'a> {
 
         // Final epsilon closure so the last frame's epsilon-reachable
         // tokens participate in final-state selection.
-        cycle = self.wave(None, cycle)?;
+        cycle = self.wave(None, cycle);
 
         self.stats.frames = self.scores.num_frames();
         self.stats.cycles = cycle;
@@ -418,7 +410,7 @@ impl<'a> Engine<'a> {
         self.stats.traffic = self.dram.traffic();
         self.stats.mem_requests = self.dram.requests();
 
-        Ok(self.finish())
+        self.finish()
     }
 
     /// Runs one wave through the pipeline.
@@ -431,7 +423,7 @@ impl<'a> Engine<'a> {
     /// Returns the cycle at which the wave has fully drained. On a
     /// `Some(f)` wave, the token tables (and their hash shadows) swap:
     /// `cur` becomes the next frame's tokens.
-    fn wave(&mut self, frame: Option<usize>, start: u64) -> WfstResult<u64> {
+    fn wave(&mut self, frame: Option<usize>, start: u64) -> u64 {
         let Engine {
             cfg,
             prepared,
@@ -521,17 +513,11 @@ impl<'a> Engine<'a> {
                 match prepared.direct().and_then(|u| u.direct_arc_index(state)) {
                     Some((first, degree)) => {
                         stats.state_fetches_avoided += 1;
-                        if first != entry.first_arc || degree as usize != entry.num_arcs() {
-                            // A silently mis-indexed arc walk would decode
-                            // garbage; refuse the corrupted layout instead.
-                            return Err(WfstError::LayoutMismatch {
-                                state,
-                                computed_first: first,
-                                computed_degree: degree as usize,
-                                actual_first: entry.first_arc,
-                                actual_degree: entry.num_arcs(),
-                            });
-                        }
+                        // `SortedWfst` derives its registers from the
+                        // layout, and a stored image that disagrees is
+                        // refused at load: the two cannot differ here.
+                        debug_assert_eq!(first, entry.first_arc, "first arc of {state:?}");
+                        debug_assert_eq!(degree as usize, entry.num_arcs(), "degree of {state:?}");
                         (entry.arc_range(), token_cursor)
                     }
                     None => {
@@ -649,7 +635,7 @@ impl<'a> Engine<'a> {
             std::mem::swap(hash_cur, hash_next);
             hash_next.clear();
         }
-        Ok(end)
+        end
     }
 
     /// End-of-utterance selection, exactly [`ViterbiDecoder`]'s contract:

@@ -8,14 +8,16 @@
 //!
 //! The accelerator writes an entry for every token it stores, and its
 //! simulator (`asr-accel`) and the seed [`crate::reference`] decoder do
-//! the same. The software search writes one only for a token that
-//! *expands*: a live token carries its entry's two fields as a
-//! `Pending` backpointer, and pushes them the first time it stores a
-//! successor, which needs the entry as its `prev`. Most tokens a frame
-//! makes are dropped by the beam, the cap or a better rival before that,
-//! so the trace shrinks to about two fifths (ARCHITECTURE.md, "Memory per
-//! session"). Every expanding token still gets exactly one entry, word or
-//! no word: this is not a trace of word-emitting tokens only.
+//! the same. The software search keeps only what backtracking reads: an
+//! entry for each token that *carries a word* and *expands*. A live token
+//! carries its entry's two fields as a `Pending` backpointer and pushes
+//! them the first time it stores a successor, which needs the entry as
+//! its `prev`. A token whose arc emitted no word needs no entry at all:
+//! its successors point at its predecessor's, which holds the same words.
+//! Most tokens a frame makes carry no word, and most of the rest are
+//! dropped by the beam, the cap or a better rival before they expand, so
+//! the trace shrinks to about a twentieth of the tokens stored
+//! (ARCHITECTURE.md, "Memory per session").
 
 use asr_wfst::WordId;
 use serde::{Deserialize, Serialize};
@@ -192,54 +194,41 @@ impl Lattice {
 }
 
 /// A live token's backpointer: the `{prev, word}` entry the token will
-/// push once it expands, or, once it has, the id of that entry.
+/// push once it expands, or, once it has (or when it carries no word),
+/// the id of the entry that stands for it.
 ///
 /// A token is made by a relax that stores it (the `prev` of its creator
 /// and the word of the arc), and it needs an entry of its own only when
-/// it stores a successor: [`Pending::entry`] pushes it then, once. A
-/// token the beam, the cap or a better rival drops first never reaches
-/// the trace. The two forms cost the same 8 bytes, so a token is 16.
+/// it carries a word and stores a successor: [`Pending::entry`] pushes it
+/// then, once. A token with no word already counts as pushed, its entry
+/// being its predecessor's, and a token the beam, the cap or a better
+/// rival drops first never reaches the trace. The two forms cost the same
+/// 8 bytes, so a token is 16.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Pending {
     /// The predecessor's entry; once pushed, the token's own.
     prev: TraceId,
-    /// The word of the arc that made the token; [`Pending::PUSHED`] once
-    /// the entry is in the trace.
+    /// The word of the arc that made the token; [`WordId::NONE`] once the
+    /// entry is in the trace, or when the arc emitted none.
     word: WordId,
 }
 
 impl Pending {
-    /// The word label that marks a pushed entry; [`Pending::new`] refuses
-    /// it as an arc's word.
-    const PUSHED: WordId = WordId(u32::MAX);
-
-    /// A token made by an arc emitting `word` out of the token whose
-    /// entry is `prev` (or [`TraceId::ROOT`] for the start token).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `word` is the reserved label `WordId(u32::MAX)`, which
-    /// would read back as a pushed entry.
+    /// A token made by an arc emitting `word` (or [`WordId::NONE`]) out of
+    /// the token whose entry is `prev` (or [`TraceId::ROOT`] for the start
+    /// token).
     #[inline]
     pub fn new(prev: TraceId, word: WordId) -> Self {
-        assert!(word != Self::PUSHED, "word label u32::MAX is reserved");
         Self { prev, word }
     }
 
-    /// A token whose entry `id` is already in the trace.
-    #[inline]
-    pub(crate) fn pushed(id: TraceId) -> Self {
-        Self {
-            prev: id,
-            word: Self::PUSHED,
-        }
-    }
-
-    /// The token's entry, pushed into `lattice` on the first call.
+    /// The token's entry, pushed into `lattice` on the first call if the
+    /// token carries a word; a wordless token's entry is its
+    /// predecessor's.
     #[inline]
     pub fn entry(&mut self, lattice: &mut Lattice) -> TraceId {
-        if self.word != Self::PUSHED {
-            *self = Self::pushed(lattice.push(self.prev, self.word));
+        if !self.word.is_none() {
+            *self = Self::new(lattice.push(self.prev, self.word), WordId::NONE);
         }
         self.prev
     }
@@ -266,12 +255,7 @@ impl Pending {
     ///
     /// Panics if the root is out of range of `lattice`.
     pub fn backtrack(self, lattice: &Lattice) -> Vec<WordId> {
-        let word = if self.word == Self::PUSHED {
-            WordId::NONE
-        } else {
-            self.word
-        };
-        lattice.backtrack_then(self.prev, word)
+        lattice.backtrack_then(self.prev, self.word)
     }
 }
 
@@ -396,29 +380,43 @@ mod tests {
     fn a_pending_entry_is_pushed_once_and_backtracks_like_a_pushed_one() {
         let mut l = Lattice::new();
         let a = l.push(TraceId::ROOT, WordId(1));
+        // A word token: pushed once, when it expands, and it backtracks the
+        // same before and after.
         let mut pending = Pending::new(a, WordId(2));
         assert_eq!(pending.backtrack(&l), vec![WordId(1), WordId(2)]);
         assert_eq!(pending.root(), a);
         assert!(l.len() == 1, "nothing pushed before the token expands");
         let b = pending.entry(&mut l);
         assert_eq!((pending.entry(&mut l), l.len()), (b, 2), "pushed once");
-        assert_eq!(pending, Pending::pushed(b));
+        assert_eq!(
+            l.entry(b),
+            TraceEntry {
+                prev: a,
+                word: WordId(2)
+            }
+        );
+        assert_eq!(pending, Pending::new(b, WordId::NONE));
         assert_eq!(pending.root(), b);
         assert_eq!(pending.backtrack(&l), vec![WordId(1), WordId(2)]);
         assert_eq!(l.backtrack(b), vec![WordId(1), WordId(2)]);
-        // No word, and the start token's root predecessor.
+        // A wordless token pushes nothing: its entry is its predecessor's,
+        // and it backtracks like its predecessor.
+        let mut wordless = Pending::new(b, WordId::NONE);
+        assert_eq!(wordless.backtrack(&l), l.backtrack(b));
+        assert_eq!((wordless.entry(&mut l), l.len()), (b, 2), "nothing pushed");
+        assert_eq!(wordless, Pending::new(b, WordId::NONE));
+        assert_eq!(wordless.backtrack(&l), l.backtrack(b));
+        // The start token: no word, and the root predecessor.
         let mut start = Pending::new(TraceId::ROOT, WordId::NONE);
         assert!(start.backtrack(&l).is_empty());
-        let s = start.entry(&mut l);
-        assert_eq!(l.entry(s).prev, TraceId::ROOT);
-        assert!(Pending::new(s, WordId::NONE).backtrack(&l).is_empty());
-        assert_eq!(Pending::new(s, WordId(3)).backtrack(&l), vec![WordId(3)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "reserved")]
-    fn the_pushed_marker_is_no_arc_word() {
-        Pending::new(TraceId::ROOT, WordId(u32::MAX));
+        assert_eq!((start.entry(&mut l), l.len()), (TraceId::ROOT, 2));
+        assert!(Pending::new(TraceId::ROOT, WordId::NONE)
+            .backtrack(&l)
+            .is_empty());
+        assert_eq!(
+            Pending::new(TraceId::ROOT, WordId(3)).backtrack(&l),
+            vec![WordId(3)]
+        );
     }
 
     #[test]

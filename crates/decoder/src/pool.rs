@@ -469,12 +469,13 @@ impl ScratchPoolStats {
 /// The serving runtime holds one of these per decoding graph: every
 /// `recognize` call and every session checks a scratch out, and returns
 /// it when done. What is pooled is a decode's own part of the search,
-/// sized by the active set and the utterance, not by the graph: its two
-/// live-token lists (16 bytes a token, 128 KB each once grown under a
-/// 2000-token cap) and its token trace (8 bytes an expanding token,
-/// about 67k entries at its peak between two lattice GCs under that cap,
-/// in a buffer grown to 1 MiB). The graph-sized state index is one per
-/// thread and never pooled. After the pool's high-water mark is reached,
+/// sized by the active set and the utterance, not by the graph: its one
+/// live-token list (16 bytes a token, 128 KB once grown under a
+/// 2000-token cap) and its token trace (8 bytes a word-carrying token
+/// that expanded, about 9,400 entries at its peak between two lattice
+/// GCs under that cap, in a buffer grown to 128 KB). The graph-sized
+/// state index and the list a frame fills are one per thread and never
+/// pooled. After the pool's high-water mark is reached,
 /// the steady state allocates nothing — checkout is a `Vec::pop`,
 /// restore a `Vec::push` within capacity, and the scratch itself keeps
 /// its lists and its trace grown, so no utterance regrows them (see

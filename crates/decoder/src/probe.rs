@@ -51,7 +51,7 @@ pub struct FrameWork {
     pub closure_stored: usize,
     /// Closure worklist items: a bound on the tokens it expanded.
     pub closure_popped: usize,
-    /// Trace entries pushed, one per token that expanded.
+    /// Trace entries pushed, one per word-carrying token that expanded.
     pub entries: usize,
     /// The trace's length when the closure ended, before any GC.
     pub trace_len: usize,

@@ -6,8 +6,8 @@
 //! additions replace multiplications), destination tokens keep only their
 //! best ingoing path, and epsilon arcs are then followed transitively
 //! without consuming a frame. Backpointers and word labels go to the
-//! [`crate::lattice::Lattice`] of tokens that expand; backtracking
-//! recovers the word sequence.
+//! [`crate::lattice::Lattice`] of word-carrying tokens that expand;
+//! backtracking recovers the word sequence.
 //!
 //! # The hot path
 //!
@@ -17,28 +17,31 @@
 //! structure (Section III of the paper):
 //!
 //! * **Token storage is split by lifetime.** A decode keeps only its live
-//!   tokens between frames: a `LiveTokens` list of
+//!   tokens between frames: one `LiveTokens` list of
 //!   `{state, cost, pending backpointer}`, 16 bytes a token, sized by the
-//!   active set (and a second one the next frame fills, swapped in at its
-//!   end: a `Vec` swap, not a copy), plus its token trace. The
-//!   graph-sized part — the
-//!   epoch-tagged `StateIndex` that deduplicates
-//!   relaxes, 8 bytes a state — lives only for one frame, so each thread
-//!   keeps one (with the frontier, worklist, key and GC buffers) and
-//!   lends it to whichever decode it steps; the frame's epoch bump is
-//!   what isolates one decode's frame from the next. Sixteen decodes
-//!   stepped round-robin on a thread therefore share one table instead
-//!   of bringing 32 cold ones into its cache. After warm-up the whole
-//!   frame loop performs **zero heap allocations** (asserted by
+//!   active set, plus its token trace. What lives only for one frame —
+//!   the graph-sized, epoch-tagged `StateIndex` that deduplicates
+//!   relaxes (8 bytes a state) and the list the frame fills — is one per
+//!   thread (with the frontier, worklist, key and GC buffers), lent to
+//!   whichever decode the thread steps: the frame fills the thread's
+//!   list and swaps it with the decode's at its end (a `Vec` swap, not a
+//!   copy), and its epoch bump is what isolates one decode's frame from
+//!   the next. Sixteen decodes stepped round-robin on a thread therefore
+//!   share one table and one spare list instead of bringing 32 cold
+//!   tables into its cache and keeping 16 spare lists. After warm-up the
+//!   whole frame loop performs **zero heap allocations** (asserted by
 //!   `tests/alloc_free.rs`, interleaved decodes included).
-//! * **A trace entry only for a token that expands**: a stored token
-//!   carries its `{prev, word}` as a pending backpointer
+//! * **A trace entry only for a word-carrying token that expands**: a
+//!   stored token carries its `{prev, word}` as a pending backpointer
 //!   ([`crate::lattice`]) and pushes it when it first stores a successor,
-//!   in the emitting phase or the closure; a token dropped before that
-//!   never reaches the trace. At 50k states and a 2000-token cap that is
-//!   ~1,700 entries a frame instead of the ~4,700 tokens stored. The
-//!   trace lives in the [`DecodeScratch`], so a recycled scratch decodes
-//!   the next utterance into the capacity the last one grew.
+//!   in the emitting phase or the closure, if its arc emitted a word; a
+//!   wordless token's successors point at its predecessor's entry, and a
+//!   token dropped before it expands never reaches the trace. At 50k
+//!   states and a 2000-token cap that is ~230 entries a frame instead of
+//!   the ~4,700 tokens stored. The relax pays no branch for it: the one
+//!   test `Pending::entry` makes is the same, against another constant.
+//!   The trace lives in the [`DecodeScratch`], so a recycled scratch
+//!   decodes the next utterance into the capacity the last one grew.
 //! * **Prune-on-insert**: the list tracks the running frame-best during
 //!   expansion, and arcs whose destination cost already exceeds
 //!   `running_best + beam` skip the relax — the accelerator's on-insert
@@ -194,41 +197,37 @@ pub struct DecodeResult {
     pub stats: DecodeStats,
 }
 
-/// Live tokens a fresh [`DecodeScratch`] has room for before its lists
-/// first grow: about what a 2000-token cap leaves alive per frame.
+/// Live tokens a fresh [`DecodeScratch`] has room for before its list
+/// first grows: about what a 2000-token cap leaves alive per frame.
 const RESERVED_TOKENS: usize = 4096;
 
 /// A decode's own working set, carried from frame to frame: its live
-/// tokens as a list sized by the active set (16 bytes a token, not per
-/// graph state), the list the next frame fills, its token trace, what
-/// the last frame learnt about the cap's cutoff, and how many frames it
-/// has consumed.
+/// tokens as one list sized by the active set (16 bytes a token, not per
+/// graph state), its token trace, what the last frame learnt about the
+/// cap's cutoff, and how many frames it has consumed.
 ///
-/// The trace holds one 8-byte entry per token that expanded since the
-/// last lattice GC. Under the benchmark's 2000-token cap on a 50k-state
-/// graph it peaks at about 67k entries (540 KB) between two GCs, in a
-/// buffer grown to 1 MiB; with the two lists (128 KB each once grown) a
-/// warm scratch holds about 1.3 MiB of capacity, of which the search
-/// touches about 0.7 MB. The decode that starts in a scratch empties its
-/// trace and keeps the capacity.
+/// The trace holds what the last lattice GC kept and one 8-byte entry
+/// per word-carrying token that expanded since. Under the benchmark's
+/// 2000-token cap on a 50k-state graph it peaks at about 9,400 entries
+/// (74 KiB) between two GCs, in a buffer grown to 128 KiB; with the list
+/// (about 5,800 tokens at its peak, 128 KiB once grown) a warm scratch
+/// holds about 0.25 MiB of capacity. The decode that starts in a scratch
+/// empties its trace and keeps the capacity.
 ///
 /// Everything a frame needs only while it runs — the graph-sized state
-/// index that deduplicates relaxes, the frontier, the closure worklist,
-/// the rank-select keys and the GC buffers — is one per thread instead,
-/// borrowed by each frame and shared by every decode the thread steps.
-/// Holding a scratch across decodes (or pooling it, see
-/// [`crate::pool::ScratchPool`]) makes repeated decoding allocation-free
-/// end to end once the lists and the trace have grown to the largest
-/// utterance's.
+/// index that deduplicates relaxes, the list the frame fills, the
+/// frontier, the closure worklist, the rank-select keys and the GC
+/// buffers — is one per thread instead, borrowed by each frame and shared
+/// by every decode the thread steps. Holding a scratch across decodes (or
+/// pooling it, see [`crate::pool::ScratchPool`]) makes repeated decoding
+/// allocation-free end to end once the lists and the trace have grown to
+/// the largest utterance's.
 #[derive(Debug)]
 pub struct DecodeScratch {
     /// The live tokens: the start closure's, then each consumed frame's.
     pub(crate) cur: LiveTokens<Pending>,
-    /// The list the frame in flight fills and then swaps into `cur`;
-    /// between frames, only spare capacity.
-    next: LiveTokens<Pending>,
-    /// The entries of the tokens that expanded, for backtracking; kept
-    /// after the decode until the next one starts.
+    /// The entries of the word-carrying tokens that expanded, for
+    /// backtracking; kept after the decode until the next one starts.
     pub(crate) trace: Lattice,
     /// The cap's cutoff the previous frame's emitting phase took (see
     /// [`cap_limit`]): no token costing more is among this frame's
@@ -242,14 +241,13 @@ pub struct DecodeScratch {
 
 impl DecodeScratch {
     /// Allocates scratch for decodes over graphs of `num_states` states,
-    /// with room for that many live tokens up to 4096; the lists grow on
+    /// with room for that many live tokens up to 4096; the list grows on
     /// demand beyond that.
     pub fn new(num_states: usize) -> Self {
         let room = num_states.min(RESERVED_TOKENS);
         *live_scratches() += 1;
         Self {
             cur: LiveTokens::with_capacity(room),
-            next: LiveTokens::with_capacity(room),
             trace: Lattice::new(),
             limit: f32::INFINITY,
             frames: 0,
@@ -257,8 +255,8 @@ impl DecodeScratch {
     }
 
     /// Entries in the token trace of the decode this scratch last ran (or
-    /// is running): one per token that expanded since its last lattice
-    /// GC.
+    /// is running): what its last lattice GC kept, and one per
+    /// word-carrying token that expanded since.
     pub fn trace_len(&self) -> usize {
         self.trace.len()
     }
@@ -269,7 +267,6 @@ impl Clone for DecodeScratch {
         *live_scratches() += 1;
         Self {
             cur: self.cur.clone(),
-            next: self.next.clone(),
             trace: self.trace.clone(),
             limit: self.limit,
             frames: self.frames,
@@ -280,7 +277,7 @@ impl Clone for DecodeScratch {
 impl Drop for DecodeScratch {
     /// The last scratch of the process takes the dropping thread's frame
     /// scratch with it: with no decode left there is nothing for the
-    /// graph-sized index to serve, and an index that outlived every
+    /// graph-sized index or the spare list to serve, and an index that outlived every
     /// decode would pin the heap freed below it (a process that drops one
     /// runtime and builds the next would carry the first one's memory).
     fn drop(&mut self) {
@@ -312,9 +309,13 @@ fn live_scratches() -> MutexGuard<'static, usize> {
 /// ([`FRAME`]) for every decode it steps.
 #[derive(Debug, Default)]
 struct FrameScratch {
-    /// State → position in the list the frame fills: the graph-sized
-    /// part, 8 bytes a state, grown to the largest graph searched.
+    /// State → position in `next`: the graph-sized part, 8 bytes a state,
+    /// grown to the largest graph searched.
     index: StateIndex,
+    /// The list the frame in flight fills and then swaps with the
+    /// decode's: between frames, the spare capacity of whichever decode
+    /// the thread stepped last.
+    next: LiveTokens<Pending>,
     /// The frame's beam survivors as [`item`]s, in state order.
     frontier: Vec<u64>,
     /// Epsilon-closure worklist: [`item`]s of the list being closed.
@@ -491,6 +492,7 @@ pub(crate) fn search_frame(
     FRAME.with_borrow_mut(|frame| {
         let FrameScratch {
             index,
+            next,
             frontier,
             worklist,
             keys,
@@ -500,7 +502,6 @@ pub(crate) fn search_frame(
         } = frame;
         let DecodeScratch {
             cur,
-            next,
             trace,
             limit,
             frames,
@@ -1274,7 +1275,7 @@ mod tests {
 
     /// A frame's token list holding exactly `tokens`, inserted in order.
     fn table_of(tokens: &[(u32, f32)]) -> LiveTokens<Pending> {
-        let (mut index, mut table) = (StateIndex::new(16), LiveTokens::with_capacity(0));
+        let (mut index, mut table) = (StateIndex::new(16), LiveTokens::default());
         index.begin_frame();
         let start = Pending::new(TraceId::ROOT, WordId::NONE);
         for &(state, cost) in tokens {
@@ -1478,7 +1479,7 @@ mod tests {
             let mut tokens: Vec<(u32, f32, Pending)> = Vec::new();
             for &(state, cost) in &offers {
                 if tokens.iter().all(|&(s, _, _)| s != state) {
-                    tokens.push((state, COSTS[cost], Pending::pushed(TraceId(state))));
+                    tokens.push((state, COSTS[cost], Pending::new(TraceId(state), WordId::NONE)));
                 }
             }
             let mut scan = AscendingScan::default();
@@ -1742,7 +1743,7 @@ mod tests {
                 if !last_frame && cost > next.best() + beam {
                     continue;
                 }
-                let push = || Pending::pushed(trace.push(prev, arc.olabel));
+                let push = || Pending::new(trace.push(prev, arc.olabel), WordId::NONE);
                 if index.relax(next, arc.dest.0, cost, push).is_some() {
                     work.relax_stored += 1;
                 }
@@ -1788,7 +1789,7 @@ mod tests {
                 if dest_cost > cutoff {
                     continue;
                 }
-                let push = || Pending::pushed(trace.push(prev, arc.olabel));
+                let push = || Pending::new(trace.push(prev, arc.olabel), WordId::NONE);
                 if let Some(pos) = index.relax(tokens, arc.dest.0, dest_cost, push) {
                     work.closure_stored += 1;
                     worklist.push(item(arc.dest.0, pos));
@@ -1867,7 +1868,7 @@ mod tests {
                 let index = &mut frame.index;
                 index.ensure(wfst.num_states());
                 index.begin_frame();
-                let start = Pending::pushed(trace.push(TraceId::ROOT, WordId::NONE));
+                let start = Pending::new(trace.push(TraceId::ROOT, WordId::NONE), WordId::NONE);
                 index.relax(cur, wfst.start().0, 0.0, || start);
                 epsilon_closure_every_token(
                     wfst,
@@ -1901,6 +1902,7 @@ mod tests {
             FRAME.with_borrow_mut(|frame| {
                 let FrameScratch {
                     index,
+                    next,
                     frontier,
                     worklist,
                     keys,
@@ -1910,7 +1912,6 @@ mod tests {
                 } = frame;
                 let DecodeScratch {
                     cur,
-                    next,
                     trace,
                     limit,
                     frames,
@@ -1989,8 +1990,9 @@ mod tests {
     /// traces also every `gc_every` frames ([`Run::compact`]) — asserting
     /// identical stats, live states and costs, and best hypotheses
     /// (words, cost and state) after the start closure and after every
-    /// frame, and a trace no longer than the oracle's, which pushes an
-    /// entry for every stored token. Returns the two runs.
+    /// frame, a trace no longer than the oracle's, which pushes an entry
+    /// for every stored token, and no entry without a word in the search's
+    /// own. Returns the two runs.
     fn lock_step(
         wfst: &Wfst,
         scores: &AcousticTable,
@@ -2017,6 +2019,11 @@ mod tests {
             assert_eq!(bits(a), bits(b), "{at}: partial");
             let (a, b) = (fast.scratch.trace_len(), oracle.scratch.trace_len());
             assert!(a <= b, "{at}: trace {a} vs the oracle's {b}");
+            let wordless = entries(&fast.scratch.trace)
+                .iter()
+                .filter(|e| e.word.is_none())
+                .count();
+            assert_eq!(wordless, 0, "{at}: entries pushed with no word");
         };
         same(&fast, &oracle, "start closure");
         let num_frames = scores.num_frames();
@@ -2299,15 +2306,44 @@ mod tests {
         }
     }
 
-    /// A long capped utterance under the benchmark's beam, cap and GC:
-    /// the trace's peak over frames 1000..2000 stays within 10 % of its
-    /// peak over the first 200 frames, and every frame pushes at most one
-    /// entry per token it expanded (the frontier, and at most every
-    /// closure pop).
+    /// Entries of `scratch`'s trace its live tokens' roots reach, and
+    /// those every live token reaches (the chain all live paths share):
+    /// a mark pass that counts, per entry, the tokens whose chain runs
+    /// through it.
+    fn reached_and_shared(scratch: &DecodeScratch) -> (usize, usize) {
+        let trace = &scratch.trace;
+        let mut through = vec![0usize; trace.len()];
+        for token in scratch.cur.tokens() {
+            let root = token.payload.root();
+            if root != TraceId::ROOT {
+                through[root.0 as usize] += 1;
+            }
+        }
+        // Predecessors precede their successors: one backward pass.
+        for id in (0..trace.len()).rev() {
+            let prev = trace.entry(TraceId(id as u32)).prev;
+            if prev != TraceId::ROOT {
+                through[prev.0 as usize] += through[id];
+            }
+        }
+        let live = scratch.cur.len();
+        let reached = through.iter().filter(|&&n| n > 0).count();
+        (reached, through.iter().filter(|&&n| n == live).count())
+    }
+
+    /// A long capped utterance under the benchmark's beam, cap and GC.
+    /// Right after each GC the trace holds exactly the entries the live
+    /// tokens' roots reach; between two GCs it grows by the frames'
+    /// entries and nothing else; and every frame pushes at most one entry
+    /// per token it expanded (the frontier, and at most every closure
+    /// pop).
     ///
-    /// What the peak may gain is the chain the live paths share, about an
-    /// entry a frame (the best path's backpointers, which backtracking
-    /// needs), against the ~950 entries a frame between two GCs here.
+    /// What the trace may gain over the utterance is the chain every live
+    /// path shares: the settled best path's words, which a one-best
+    /// backtrack keeps until the end (about an entry every two frames
+    /// here). The rest — what lies beyond that chain at the last GC —
+    /// peaks over frames 1000..2000 within 10 % of its peak over the
+    /// first 200.
     #[test]
     #[cfg_attr(miri, ignore = "a synthetic graph is too slow interpreted")]
     fn a_long_capped_decode_keeps_its_trace_bounded() {
@@ -2325,6 +2361,10 @@ mod tests {
         };
         let mut run = Run::new(&w);
         run.seed_start(&w);
+        // What the last GC kept, the shared chain among it, and the
+        // entries pushed since.
+        let (mut kept, mut shared, mut since) = (run.probe.start.trace_len, 0, 0);
+        let mut beyond_shared = Vec::with_capacity(FRAMES);
         for frame in 0..FRAMES {
             let last = frame + 1 == FRAMES;
             assert!(run.step(&w, &opts, scores.frame_row(frame), last));
@@ -2335,20 +2375,22 @@ mod tests {
                 "frame {frame}: {entries} entries, {} expanded, {popped} popped",
                 work.expanded
             );
+            since += entries;
+            assert_eq!(work.trace_len, kept + since, "frame {frame}");
+            beyond_shared.push(work.trace_len - shared);
+            if !last && (frame + 1).is_multiple_of(LATTICE_GC_INTERVAL) {
+                (kept, shared) = reached_and_shared(&run.scratch);
+                assert_eq!(run.scratch.trace_len(), kept, "frame {frame}: GC");
+                since = 0;
+            }
         }
-        let frames = &run.probe.frames;
-        let peak = |range: std::ops::Range<usize>| {
-            frames[range]
-                .iter()
-                .map(|work| work.trace_len)
-                .max()
-                .unwrap()
-        };
-        let (early, late) = (peak(0..200), peak(1_000..FRAMES));
+        let peak = |range: std::ops::Range<usize>| beyond_shared[range].iter().max().copied();
+        let (early, late) = (peak(0..200).unwrap(), peak(1_000..FRAMES).unwrap());
         assert!(
             late as f64 <= early as f64 * 1.1,
-            "peak {late} over frames 1000..2000 vs {early} over 0..200"
+            "peak {late} beyond the shared chain over frames 1000..2000 vs {early} over 0..200"
         );
+        let frames = &run.probe.frames;
         let sum = |count: fn(&FrameWork) -> usize| frames.iter().map(count).sum::<usize>();
         let (entries, expanded) = (sum(|w| w.entries), sum(|w| w.expanded));
         let stored = sum(|w| w.relax_stored + w.closure_stored);
@@ -2455,12 +2497,21 @@ mod tests {
                 "  frame    {sum:7.1}   wall around search_frame {wall:.1} ({:+.1} %)",
                 100.0 * (sum - wall) / wall
             );
-            // Entries and the peak are the same every round.
+            // Entries and the peaks are the same every round.
+            let peak = |count: fn(&FrameWork) -> usize| best.frames.iter().map(count).max();
+            let kib = |bytes: usize| bytes as f64 / 1024.0;
+            let trace_peak = peak(|w| w.trace_len).unwrap_or(0);
             println!(
-                "  trace    entries {:.1} per frame (tokens stored {:.1}), peak {} entries",
+                "  trace    entries {:.1} per frame (tokens stored {:.1}), \
+                 peak {trace_peak} entries ({:.1} KiB)",
                 per_frame(|w| w.entries),
                 per_frame(|w| w.relax_stored + w.closure_stored),
-                best.frames.iter().map(|w| w.trace_len).max().unwrap_or(0)
+                kib(trace_peak * std::mem::size_of::<crate::lattice::TraceEntry>())
+            );
+            let list_peak = peak(|w| w.live).unwrap_or(0);
+            println!(
+                "  list     peak {list_peak} live tokens ({:.1} KiB)",
+                kib(list_peak * std::mem::size_of::<crate::token_table::Token<Pending>>())
             );
         }
         interleave_split();

@@ -99,6 +99,12 @@ pub(crate) struct LiveTokens<P> {
     best: f32,
 }
 
+impl<P> Default for LiveTokens<P> {
+    fn default() -> Self {
+        Self::with_capacity(0)
+    }
+}
+
 impl<P> LiveTokens<P> {
     /// An empty list with room for `tokens` tokens.
     pub fn with_capacity(tokens: usize) -> Self {
@@ -243,7 +249,8 @@ impl StateIndex {
     /// [`StateIndex::begin_frame`] stored into. Returns the token's
     /// position if it was inserted or improved; `payload` is evaluated
     /// only then (the search pushes the expanding token's trace entry
-    /// inside it, on the token's first stored successor).
+    /// inside it, on the token's first stored successor, if the token
+    /// carries a word).
     #[inline]
     pub fn relax<P>(
         &mut self,

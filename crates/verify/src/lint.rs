@@ -198,6 +198,11 @@ const PUBLIC_SURFACE_ALLOW: &[(&str, &str, &str)] = &[
         "the zero-copy pins count the handles on one buffer with it",
     ),
     (
+        "crates/wfst/src/model.rs",
+        "is_image_backed",
+        "the zero-copy pins and the consumer matrix check with it that a graph views its store image",
+    ),
+    (
         "src/runtime/mod.rs",
         "demo_with",
         "the demo runtime under a config: how the pins and the kit build a runtime of each shape",

@@ -148,11 +148,13 @@ ab parent workload pairs="10" metric="frames_per_s":
 # epsilon closure / lattice GC in us per frame, with tokens and arcs per
 # stage, on the benchmark's two search shapes (200k states, cap 1500;
 # 50k, cap 2000) and their beam-only counterparts, and per shape the
-# token trace: entries pushed per frame (one per expanding token, next
-# to the tokens stored) and its peak length between two lattice GCs;
-# then what sharing a thread costs: us per step of 16 decodes at 50k
-# states, cap 2000, stepped round-robin (the voice_16s_batched pattern)
-# and back to back.
+# token trace: entries pushed per frame (one per word-carrying token that
+# expands, next to the tokens stored) and its peak length between two
+# lattice GCs, in entries and in KiB at 8 B an entry; and the peak of the
+# one token list a decode keeps, in live tokens and in KiB at 16 B a
+# token; then what sharing a thread costs: us per step of 16 decodes at
+# 50k states, cap 2000, stepped round-robin (the voice_16s_batched
+# pattern) and back to back.
 # The harness is an ignored test that runs the production search_frame
 # through a RecordingProbe (stage marks and per-frame counters), and
 # prints the probe's stage sum beside a wall clock around search_frame.

@@ -17,8 +17,8 @@ use asr_acoustic::signal::Utterance;
 ///
 /// # Errors
 ///
-/// Propagates WFST re-layout failures for state-optimized designs, and
-/// a layout the simulator refuses, as [`PipelineError::Wfst`].
+/// Propagates WFST re-layout failures for state-optimized designs as
+/// [`PipelineError::Wfst`].
 pub fn recognize(
     runtime: &AsrRuntime,
     utterance: &Utterance,
@@ -27,7 +27,7 @@ pub fn recognize(
     let prepared = PreparedWfst::new(runtime.graph(), &cfg)?;
     let scores = runtime.score(utterance);
     cfg.beam = runtime.options().beam;
-    let result = Simulator::new(cfg).decode(&prepared, &scores)?;
+    let result = Simulator::new(cfg).decode(&prepared, &scores);
     let transcript = Transcript {
         words: runtime.lexicon().transcript(&result.words),
         cost: result.cost,

@@ -41,8 +41,6 @@ pub struct ModelStats {
     pub opened_sessions: u64,
     /// Bytes of graph storage this model keeps resident.
     pub resident_bytes: usize,
-    /// Whether the graph is a zero-copy view over a v2 store image.
-    pub image_backed: bool,
 }
 
 /// Per-name session counters, shared between the registry entry and
@@ -213,7 +211,6 @@ impl ModelRegistry {
                 active_sessions: e.counters.active.load(Ordering::Acquire),
                 opened_sessions: e.counters.opened.load(Ordering::Acquire),
                 resident_bytes: e.resident_bytes,
-                image_backed: e.graph.is_image_backed(),
             })
             .collect();
         let resident = models.iter().map(|m| m.resident_bytes).sum();
