@@ -3,10 +3,8 @@
 //! ASIC+State&Arc) and the idealized modes used in the Section IV analysis
 //! (perfect caches, ideal hash).
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of one of the accelerator's on-chip caches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity: usize,
@@ -39,7 +37,7 @@ impl CacheConfig {
 /// and increase energy due to the useless prefetches that they generate."
 /// These predict addresses from the miss stream; the paper's decoupled
 /// architecture instead *computes* them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum HwPrefetcher {
     /// No conventional prefetcher (the paper's configurations).
     #[default]
@@ -52,7 +50,7 @@ pub enum HwPrefetcher {
 }
 
 /// The design points evaluated in Figures 9-14.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DesignPoint {
     /// Base accelerator (Section III).
     Base,
@@ -95,7 +93,7 @@ impl DesignPoint {
 }
 
 /// Full accelerator configuration. Defaults reproduce Table I.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcceleratorConfig {
     /// Clock frequency in Hz (Table I: 600 MHz).
     pub frequency_hz: u64,

@@ -13,10 +13,9 @@
 
 use crate::config::AcceleratorConfig;
 use crate::stats::SimStats;
-use serde::{Deserialize, Serialize};
 
 /// Tunable energy constants (28 nm-ish defaults).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyParams {
     /// SRAM read/write energy in nJ for a 1 MB array; scales with
     /// `sqrt(capacity_mb)` (CACTI-like).
@@ -61,7 +60,7 @@ impl EnergyParams {
 }
 
 /// Per-component energy of one decode.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyBreakdown {
     /// State/Arc/Token cache access energy (J).
     pub caches_j: f64,
@@ -154,7 +153,7 @@ impl EnergyModel {
 pub struct AreaModel;
 
 /// Component areas in mm².
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaReport {
     /// All cache arrays.
     pub caches_mm2: f64,

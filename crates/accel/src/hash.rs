@@ -23,8 +23,6 @@
 //! overflow buffer pays a main-memory round trip (accounted by the caller
 //! through the DRAM model so contention is shared).
 
-use serde::{Deserialize, Serialize};
-
 /// Result of one hash access (lookup-or-insert).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HashAccess {
@@ -39,7 +37,7 @@ pub struct HashAccess {
 }
 
 /// Aggregate hash-table counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HashStats {
     /// Total accesses.
     pub requests: u64,

@@ -6,7 +6,6 @@
 //! through the functional layer; only addresses matter here.
 
 use crate::config::CacheConfig;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +28,7 @@ impl Access {
 }
 
 /// Hit/miss/writeback counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Accesses that hit.
     pub hits: u64,

@@ -12,12 +12,11 @@
 //! The model also keeps per-kind traffic counters for Figure 13's
 //! states/arcs/tokens/overflow breakdown.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// What a memory request was for (Figure 13 categories, plus the acoustic
 /// DMA which the paper accounts separately).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficKind {
     /// WFST state records.
     States,
@@ -32,7 +31,7 @@ pub enum TrafficKind {
 }
 
 /// Byte counters per traffic kind.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficStats {
     /// State-record bytes fetched.
     pub states: u64,

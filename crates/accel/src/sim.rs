@@ -322,9 +322,9 @@ impl<'a> Engine<'a> {
             dram: Dram::new(cfg.mem_latency, cfg.mem_inflight, 64),
             hash_cur,
             hash_next,
-            cur: TokenTable::new(num_states, TraceId::ROOT),
-            next: TokenTable::new(num_states, TraceId::ROOT),
-            expanded: TokenTable::new(num_states, ()),
+            cur: TokenTable::new(num_states),
+            next: TokenTable::new(num_states),
+            expanded: TokenTable::new(num_states),
             worklist: Vec::new(),
             lattice: Lattice::new(),
             stats: SimStats::default(),

@@ -2,10 +2,9 @@
 
 use crate::hash::HashStats;
 use crate::mem::{CacheStats, TrafficStats};
-use serde::{Deserialize, Serialize};
 
 /// Activity of one decoded frame (one emitting wave).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrameStats {
     /// Cycles this frame's wave occupied the pipeline.
     pub cycles: u64,
@@ -16,7 +15,7 @@ pub struct FrameStats {
 }
 
 /// Everything the experiment harness needs from one simulation run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SimStats {
     /// Frames of speech decoded.
     pub frames: usize,

@@ -11,13 +11,12 @@ use asr_wfst::PhoneId;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// A dense `frames x phones` matrix of acoustic costs.
 ///
 /// Phone id 0 is the epsilon label; its column exists (so `PhoneId` indexes
 /// directly) but is never read by a correct search, and is fixed at 0.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcousticTable {
     num_frames: usize,
     num_phones: usize,

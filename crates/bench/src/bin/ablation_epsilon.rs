@@ -9,11 +9,9 @@
 
 use asr_accel::config::{AcceleratorConfig, DesignPoint};
 use asr_accel::sim::Simulator;
-use asr_bench::{banner, write_json, Scale};
+use asr_bench::{banner, Scale};
 use asr_wfst::rmeps::remove_epsilons;
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     graph: String,
     arcs: usize,
@@ -72,5 +70,4 @@ fn main() {
         "epsilon evaluations eliminated: {}",
         rows[0].eps_arcs_evaluated
     );
-    write_json("ablation_epsilon", &rows);
 }

@@ -10,10 +10,8 @@
 use asr_accel::config::{AcceleratorConfig, DesignPoint};
 use asr_accel::energy::EnergyModel;
 use asr_accel::sim::Simulator;
-use asr_bench::{banner, write_json, Scale};
-use serde::Serialize;
+use asr_bench::{banner, Scale};
 
-#[derive(Serialize)]
 struct Row {
     mhz: u64,
     mem_latency_cycles: u64,
@@ -72,5 +70,4 @@ fn main() {
         t(300) / t(600),
         t(600) / t(1000)
     );
-    write_json("ablation_frequency", &rows);
 }

@@ -8,10 +8,8 @@
 
 use asr_accel::config::{AcceleratorConfig, DesignPoint};
 use asr_accel::sim::Simulator;
-use asr_bench::{banner, write_json, Scale};
-use serde::Serialize;
+use asr_bench::{banner, Scale};
 
-#[derive(Serialize)]
 struct Row {
     config: String,
     cycles: u64,
@@ -113,5 +111,4 @@ fn main() {
         "  prefetcher vs perfect Arc: {:.1}% (97%)",
         100.0 * prefetch_vs_perfect_arc
     );
-    write_json("ablation_ideal", &rows);
 }

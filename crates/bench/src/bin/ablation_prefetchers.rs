@@ -14,10 +14,8 @@
 use asr_accel::config::{AcceleratorConfig, DesignPoint, HwPrefetcher};
 use asr_accel::energy::EnergyModel;
 use asr_accel::sim::Simulator;
-use asr_bench::{banner, write_json, Scale};
-use serde::Serialize;
+use asr_bench::{banner, Scale};
 
-#[derive(Serialize)]
 struct Row {
     config: String,
     cycles: u64,
@@ -118,5 +116,4 @@ fn main() {
         "  best conventional speedup {:.2}x << decoupled {:.2}x",
         conventional_best, decoupled.speedup_vs_base
     );
-    write_json("ablation_prefetchers", &rows);
 }

@@ -5,16 +5,7 @@
 
 use asr_accel::config::{AcceleratorConfig, DesignPoint};
 use asr_accel::sim::Simulator;
-use asr_bench::{banner, write_json, Scale};
-use serde::Serialize;
-
-#[derive(Serialize, Default)]
-struct Sweeps {
-    beam: Vec<(f32, u64, f64)>,          // beam, cycles, arcs/frame
-    fifo_depth: Vec<(usize, u64)>,       // depth, cycles
-    threshold_n: Vec<(usize, u64, f64)>, // N, state traffic bytes, direct fraction
-    inflight: Vec<(usize, u64)>,         // mem in-flight, cycles
-}
+use asr_bench::{banner, Scale};
 
 fn main() {
     let scale = Scale::from_args();
@@ -24,7 +15,6 @@ fn main() {
         "design-choice sensitivity (not a paper figure)",
     );
     let (wfst, scores) = scale.build();
-    let mut out = Sweeps::default();
 
     println!("beam width (base design):");
     for beam in [4.0f32, 8.0, 12.0, 16.0] {
@@ -38,8 +28,6 @@ fn main() {
             r.stats.cycles,
             r.stats.arcs_per_frame()
         );
-        out.beam
-            .push((beam, r.stats.cycles, r.stats.arcs_per_frame()));
     }
 
     println!("\nprefetch FIFO depth (arc-prefetch design):");
@@ -50,7 +38,6 @@ fn main() {
             .decode_wfst(&wfst, &scores)
             .expect("sim");
         println!("  depth {:>4}: cycles {:>12}", depth, r.stats.cycles);
-        out.fifo_depth.push((depth, r.stats.cycles));
     }
 
     println!("\ndirect-index threshold N (state-opt design):");
@@ -68,8 +55,6 @@ fn main() {
             r.stats.traffic.states,
             100.0 * direct_frac
         );
-        out.threshold_n
-            .push((n, r.stats.traffic.states, direct_frac));
     }
 
     println!("\nmemory controller in-flight limit (final design):");
@@ -80,8 +65,5 @@ fn main() {
             .decode_wfst(&wfst, &scores)
             .expect("sim");
         println!("  in-flight {:>3}: cycles {:>12}", inflight, r.stats.cycles);
-        out.inflight.push((inflight, r.stats.cycles));
     }
-
-    write_json("ablation_sweeps", &out);
 }

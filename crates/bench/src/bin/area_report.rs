@@ -6,10 +6,8 @@
 
 use asr_accel::config::{AcceleratorConfig, DesignPoint};
 use asr_accel::energy::AreaModel;
-use asr_bench::{banner, write_json};
-use serde::Serialize;
+use asr_bench::banner;
 
-#[derive(Serialize)]
 struct Row {
     config: String,
     caches_mm2: f64,
@@ -68,5 +66,4 @@ fn main() {
         "  vs GTX 980 die: {:.1}x smaller (paper 16.5x)",
         GTX980_MM2 / rows[0].total_mm2
     );
-    write_json("area_report", &rows);
 }

@@ -4,12 +4,10 @@
 //! Paper: the search takes 73% of CPU time and 86% of GPU time, which
 //! motivates accelerating the search rather than (only) the DNN.
 
-use asr_bench::{banner, write_json, Scale};
+use asr_bench::{banner, Scale};
 use asr_platform::calibration::REFERENCE_DNN_FLOPS_PER_FRAME;
 use asr_platform::{CpuModel, GpuModel};
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     platform: String,
     viterbi_s: f64,
@@ -75,5 +73,4 @@ fn main() {
         );
     }
     println!("\npaper reference: CPU 73%, GPU 86%");
-    write_json("fig01_profile", &rows);
 }

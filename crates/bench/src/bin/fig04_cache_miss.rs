@@ -7,12 +7,9 @@
 
 use asr_accel::config::{AcceleratorConfig, DesignPoint};
 use asr_accel::sim::Simulator;
-use asr_bench::{banner, write_json, Scale};
-use serde::Serialize;
+use asr_bench::{banner, Scale};
 
-#[derive(Serialize)]
 struct Row {
-    capacity_kb: usize,
     state_miss: f64,
     arc_miss: f64,
     token_miss: f64,
@@ -35,19 +32,19 @@ fn main() {
         let r = Simulator::new(cfg)
             .decode_wfst(&wfst, &scores)
             .expect("sim");
-        rows.push(Row {
-            capacity_kb,
+        let row = Row {
             state_miss: r.stats.state_cache.miss_ratio(),
             arc_miss: r.stats.arc_cache.miss_ratio(),
             token_miss: r.stats.token_cache.miss_ratio(),
-        });
+        };
         println!(
             "{:>6} KB   state {:>5.1}%   arc {:>5.1}%   token {:>5.1}%",
             capacity_kb,
-            100.0 * rows.last().unwrap().state_miss,
-            100.0 * rows.last().unwrap().arc_miss,
-            100.0 * rows.last().unwrap().token_miss,
+            100.0 * row.state_miss,
+            100.0 * row.arc_miss,
+            100.0 * row.token_miss,
         );
+        rows.push(row);
     }
     // The paper's qualitative claims.
     let first = &rows[0];
@@ -63,5 +60,4 @@ fn main() {
         "  token cache lowest at small sizes: {}",
         first.token_miss <= first.state_miss && first.token_miss <= first.arc_miss
     );
-    write_json("fig04_cache_miss", &rows);
 }

@@ -7,10 +7,8 @@
 
 use asr_accel::config::{AcceleratorConfig, DesignPoint};
 use asr_accel::sim::Simulator;
-use asr_bench::{banner, write_json, Scale};
-use serde::Serialize;
+use asr_bench::{banner, Scale};
 
-#[derive(Serialize)]
 struct Row {
     entries: usize,
     avg_cycles_per_request: f64,
@@ -67,5 +65,4 @@ fn main() {
         "  32K -> 64K speedup gain: {:.4} (paper: very small)",
         gain_32_to_64
     );
-    write_json("fig05_hash", &rows);
 }

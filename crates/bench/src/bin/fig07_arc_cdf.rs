@@ -5,12 +5,11 @@
 //! fetched from memory during decoding have 15 or fewer arcs — the
 //! observation behind the Section IV-B bandwidth-saving layout.
 
-use asr_bench::{banner, write_json, Scale};
+use asr_bench::{banner, Scale};
 use asr_decoder::probe::Probe;
 use asr_decoder::search::{DecodeOptions, DecodeScratch, ViterbiDecoder};
 use asr_wfst::stats::DegreeCdf;
 use asr_wfst::StateId;
-use serde::Serialize;
 use std::collections::HashMap;
 
 /// Counts how often the search expands each state: every expansion is a
@@ -22,17 +21,6 @@ impl Probe for Fetches {
     fn expand(&mut self, state: u32) {
         *self.0.entry(state).or_insert(0) += 1;
     }
-}
-
-#[derive(Serialize)]
-struct Output {
-    static_curve: Vec<(usize, f64)>,
-    dynamic_curve: Vec<(usize, f64)>,
-    static_p_le_15: f64,
-    dynamic_p_le_15: f64,
-    static_p_le_16: f64,
-    dynamic_p_le_16: f64,
-    max_degree: usize,
 }
 
 fn main() {
@@ -63,18 +51,8 @@ fn main() {
             );
         }
     }
-    let out = Output {
-        static_p_le_15: static_cdf.cumulative(15),
-        dynamic_p_le_15: dynamic_cdf.cumulative(15),
-        static_p_le_16: static_cdf.cumulative(16),
-        dynamic_p_le_16: dynamic_cdf.cumulative(16),
-        max_degree: static_cdf.max_degree(),
-        static_curve: static_cdf.curve(),
-        dynamic_curve: dynamic_cdf.curve(),
-    };
     println!("\nchecks (paper: dynamic <=15 is 97%; static <=16 over 95%; max 770):");
-    println!("  dynamic <=15: {:.1}%", 100.0 * out.dynamic_p_le_15);
-    println!("  static  <=16: {:.1}%", 100.0 * out.static_p_le_16);
-    println!("  max degree:   {}", out.max_degree);
-    write_json("fig07_arc_cdf", &out);
+    println!("  dynamic <=15: {:.1}%", 100.0 * dynamic_cdf.cumulative(15));
+    println!("  static  <=16: {:.1}%", 100.0 * static_cdf.cumulative(16));
+    println!("  max degree:   {}", static_cdf.max_degree());
 }

@@ -4,10 +4,8 @@
 //! Paper: every configuration is faster than real time; the accelerator
 //! with both memory optimizations decodes 56x faster than real time.
 
-use asr_bench::{banner, standard_points, write_json, Scale};
-use serde::Serialize;
+use asr_bench::{banner, standard_points, Scale};
 
-#[derive(Serialize)]
 struct Row {
     config: String,
     decode_s_per_speech_s: f64,
@@ -43,5 +41,4 @@ fn main() {
     let all_real_time = rows.iter().all(|r| r.decode_s_per_speech_s < 1.0);
     println!("\nchecks:");
     println!("  all configurations are real-time: {all_real_time}");
-    write_json("fig09_decoding_time", &rows);
 }

@@ -3,10 +3,8 @@
 //! Paper: base ASIC reaches 0.88x of the GPU; +State 0.90x; +Arc 1.64x;
 //! +State&Arc 1.7x (about 2x over the base ASIC).
 
-use asr_bench::{banner, standard_points, write_json, Scale};
-use serde::Serialize;
+use asr_bench::{banner, standard_points, Scale};
 
-#[derive(Serialize)]
 struct Row {
     config: String,
     speedup_vs_gpu: f64,
@@ -66,5 +64,4 @@ fn main() {
         "  +State&Arc is the fastest: {}",
         both >= arc && both > state
     );
-    write_json("fig10_speedup", &rows);
 }

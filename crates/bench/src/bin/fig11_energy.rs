@@ -3,10 +3,8 @@
 //! Paper: the base ASIC uses 171x less energy than the GPU; with both
 //! memory optimizations the reduction reaches 287x (and 1185x vs CPU).
 
-use asr_bench::{banner, standard_points, write_json, Scale};
-use serde::Serialize;
+use asr_bench::{banner, standard_points, Scale};
 
-#[derive(Serialize)]
 struct Row {
     config: String,
     energy_j_per_speech_s: f64,
@@ -58,5 +56,4 @@ fn main() {
         "  optimizations increase the reduction: {}",
         final_r.reduction_vs_gpu > base_r.reduction_vs_gpu
     );
-    write_json("fig11_energy", &rows);
 }

@@ -3,10 +3,8 @@
 //! Paper: CPU 32.2 W, GPU 76.4 W, accelerator versions 389-462 mW (the
 //! prefetcher raises power because it shortens execution time).
 
-use asr_bench::{banner, standard_points, write_json, Scale};
-use serde::Serialize;
+use asr_bench::{banner, standard_points, Scale};
 
-#[derive(Serialize)]
 struct Row {
     config: String,
     power_w: f64,
@@ -50,5 +48,4 @@ fn main() {
         "  prefetcher raises power (shorter runtime): {}",
         arc.power_w > base.power_w
     );
-    write_json("fig12_power", &rows);
 }

@@ -9,10 +9,8 @@
 
 use asr_accel::config::{AcceleratorConfig, DesignPoint};
 use asr_accel::sim::Simulator;
-use asr_bench::{banner, write_json, Scale};
-use serde::Serialize;
+use asr_bench::{banner, Scale};
 
-#[derive(Serialize)]
 struct Row {
     config: String,
     states_mb: f64,
@@ -80,5 +78,4 @@ fn main() {
         "  total traffic removed by +State: {:.1}% (paper: ~20%)",
         100.0 * reduction
     );
-    write_json("fig13_traffic", &rows);
 }

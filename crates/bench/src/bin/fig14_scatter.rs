@@ -6,10 +6,8 @@
 //! at two orders of magnitude less energy (final: 16.7x/1185x vs CPU,
 //! 1.7x/287x vs GPU).
 
-use asr_bench::{banner, standard_points, write_json, Scale};
-use serde::Serialize;
+use asr_bench::{banner, standard_points, Scale};
 
-#[derive(Serialize)]
 struct Point {
     config: String,
     decode_s_per_speech_s: f64,
@@ -62,5 +60,4 @@ fn main() {
         final_asic.speedup_over(&cpu),
         final_asic.energy_reduction_vs(&cpu)
     );
-    write_json("fig14_scatter", &rows);
 }

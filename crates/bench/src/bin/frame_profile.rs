@@ -8,16 +8,7 @@
 
 use asr_accel::config::{AcceleratorConfig, DesignPoint};
 use asr_accel::sim::Simulator;
-use asr_bench::{banner, write_json, Scale};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Output {
-    frames: Vec<(usize, u64, u64, u64)>, // frame, cycles, tokens, arcs
-    warmup_frames: usize,
-    steady_arcs_per_frame: f64,
-    peak_arcs: u64,
-}
+use asr_bench::{banner, Scale};
 
 fn main() {
     let scale = Scale::from_args();
@@ -59,16 +50,4 @@ fn main() {
     }
     println!("\nwarm-up: {warmup} frames to reach 80% of peak activity");
     println!("steady state: {steady_arcs:.0} arcs/frame (peak {peak_arcs})");
-
-    let out = Output {
-        frames: pf
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (i, f.cycles, f.tokens, f.arcs))
-            .collect(),
-        warmup_frames: warmup,
-        steady_arcs_per_frame: steady_arcs,
-        peak_arcs,
-    };
-    write_json("frame_profile", &out);
 }

@@ -5,20 +5,9 @@
 //! GPU-only system that must run both stages sequentially.
 
 use asr_accel::config::DesignPoint;
-use asr_bench::{banner, run_design, write_json, Scale};
+use asr_bench::{banner, run_design, Scale};
 use asr_platform::calibration::REFERENCE_DNN_FLOPS_PER_FRAME;
 use asr_platform::pipeline::PipelineModel;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Output {
-    cpu_only_s: f64,
-    gpu_only_s: f64,
-    gpu_plus_accel_s: f64,
-    speedup_over_gpu_only: f64,
-    accel_viterbi_s: f64,
-    gpu_dnn_s: f64,
-}
 
 fn main() {
     let scale = Scale::from_args();
@@ -36,24 +25,15 @@ fn main() {
         REFERENCE_DNN_FLOPS_PER_FRAME,
         accel.point.decode_s_per_speech_s,
     );
-    let out = Output {
-        cpu_only_s: cmp.cpu_only_s,
-        gpu_only_s: cmp.gpu_only_s,
-        gpu_plus_accel_s: cmp.gpu_plus_accel_s,
-        speedup_over_gpu_only: cmp.speedup_over_gpu_only(),
-        accel_viterbi_s: accel.point.decode_s_per_speech_s,
-        gpu_dnn_s: cmp.gpu_plus_accel_s.min(cmp.gpu_only_s),
-    };
     println!("per second of speech:");
-    println!("  CPU-only (DNN + search):        {:.4} s", out.cpu_only_s);
-    println!("  GPU-only (DNN + search):        {:.4} s", out.gpu_only_s);
+    println!("  CPU-only (DNN + search):        {:.4} s", cmp.cpu_only_s);
+    println!("  GPU-only (DNN + search):        {:.4} s", cmp.gpu_only_s);
     println!(
         "  GPU + accelerator (pipelined):  {:.4} s",
-        out.gpu_plus_accel_s
+        cmp.gpu_plus_accel_s
     );
     println!(
         "\nend-to-end speedup over GPU-only: {:.2}x (paper: 1.87x)",
-        out.speedup_over_gpu_only
+        cmp.speedup_over_gpu_only()
     );
-    write_json("full_pipeline", &out);
 }

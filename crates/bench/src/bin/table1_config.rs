@@ -1,7 +1,7 @@
 //! Table I: hardware parameters of the accelerator.
 
 use asr_accel::config::AcceleratorConfig;
-use asr_bench::{banner, write_json};
+use asr_bench::banner;
 
 fn main() {
     banner("table1", "accelerator hardware parameters", "Table I");
@@ -79,9 +79,4 @@ fn main() {
     for (k, v) in &rows {
         println!("{k:<34} {v}");
     }
-    let json: Vec<(String, String)> = rows
-        .iter()
-        .map(|(k, v)| ((*k).to_owned(), v.clone()))
-        .collect();
-    write_json("table1_config", &json);
 }

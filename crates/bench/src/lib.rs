@@ -2,11 +2,11 @@
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
 //! (ARCHITECTURE.md, "The figure binaries"): it builds the standard workload,
-//! runs the simulator and/or platform models, prints the paper's series,
-//! and writes `target/experiments/<id>.json` with the raw numbers.
+//! runs the simulator and/or platform models, and prints the paper's
+//! series as a table on stdout, its only output.
 //!
 //! The exception is `bench_load`, the open-loop overload harness for the
-//! runtime's admission control: it writes its report the same way but
+//! runtime's admission control: it prints its report the same way but
 //! takes its own flags.
 //!
 //! All the others accept the same flags:
@@ -27,8 +27,6 @@ use asr_platform::metrics::OperatingPoint;
 use asr_platform::{CpuModel, GpuModel};
 use asr_wfst::synth::{SynthConfig, SynthWfst};
 use asr_wfst::Wfst;
-use serde::Serialize;
-use std::path::PathBuf;
 
 /// Experiment scale parsed from the command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -187,21 +185,6 @@ pub fn standard_points(scale: &Scale) -> Vec<(String, OperatingPoint, Option<Acc
         out.push((design.label().to_owned(), run.point, Some(run)));
     }
     out
-}
-
-/// Directory where experiment JSON lands (`target/experiments`).
-pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments");
-    std::fs::create_dir_all(&dir).expect("create experiments dir");
-    dir
-}
-
-/// Writes `value` as pretty JSON to `target/experiments/<name>.json`.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let path = results_dir().join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value).expect("serialize experiment");
-    std::fs::write(&path, json).expect("write experiment json");
-    println!("\n[wrote {}]", path.display());
 }
 
 /// Prints the standard experiment banner.

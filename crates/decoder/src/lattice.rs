@@ -20,10 +20,9 @@
 //! (ARCHITECTURE.md, "Memory per session").
 
 use asr_wfst::WordId;
-use serde::{Deserialize, Serialize};
 
 /// Index of a trace entry; `TraceId::ROOT` marks the path origin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceId(pub u32);
 
 impl TraceId {
@@ -38,7 +37,7 @@ impl TraceId {
 }
 
 /// One token's permanent record: best predecessor and emitted word.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEntry {
     /// Backpointer to the predecessor token's entry.
     pub prev: TraceId,
@@ -51,7 +50,7 @@ pub struct TraceEntry {
 ///
 /// Superseded paths leave dead entries behind, exactly as the accelerator
 /// leaves stale tokens in DRAM; backtracking only touches the live chain.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Lattice {
     entries: Vec<TraceEntry>,
 }

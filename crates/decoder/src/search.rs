@@ -98,12 +98,11 @@ use crate::probe::{FrameWork, Probe, Stage};
 use crate::token_table::{LiveTokens, StateIndex};
 use asr_acoustic::scores::AcousticTable;
 use asr_wfst::{StateId, Wfst, WordId};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Tuning knobs of the beam search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecodeOptions {
     /// Beam width: tokens costlier than `frame_best + beam` are pruned.
     pub beam: f32,
@@ -138,7 +137,7 @@ impl DecodeOptions {
 /// `active_tokens`, `arcs_traversed` and `tokens_created` are smaller than
 /// the reference decoder's (which closes over every token);
 /// `expanded_tokens` is the same number in both.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrameStats {
     /// Tokens alive at the start of the frame (before pruning): what the
     /// previous frame's emitting phase and closure stored.
@@ -154,7 +153,7 @@ pub struct FrameStats {
 
 /// Aggregated decode statistics: the [`Probe`] the batch and streaming
 /// decoders pass, which keeps one [`FrameStats`] a frame.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DecodeStats {
     /// One entry per frame.
     pub frames: Vec<FrameStats>,

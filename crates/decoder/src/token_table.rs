@@ -318,7 +318,7 @@ impl StateIndex {
 /// ```
 /// use asr_decoder::token_table::TokenTable;
 ///
-/// let mut table: TokenTable<u32> = TokenTable::new(100, 0);
+/// let mut table: TokenTable<u32> = TokenTable::new(100);
 /// table.begin_frame();
 /// assert!(table.relax(7, 1.5, || 41));   // insert
 /// assert!(table.relax(7, 1.0, || 42));   // improve
@@ -337,13 +337,9 @@ pub struct TokenTable<P: Copy> {
 }
 
 impl<P: Copy> TokenTable<P> {
-    /// Creates a table covering states `0..num_states`.
-    ///
-    /// `fill` is unused: a payload is stored only by a live write. The
-    /// parameter remains so the constructor is the one callers were
-    /// written against.
-    pub fn new(num_states: usize, fill: P) -> Self {
-        let _ = fill;
+    /// Creates a table covering states `0..num_states`; a payload is
+    /// stored only by a live write.
+    pub fn new(num_states: usize) -> Self {
         Self {
             index: StateIndex::new(num_states),
             tokens: LiveTokens::with_capacity(num_states.min(1 << 16)),
@@ -469,7 +465,7 @@ mod tests {
 
     #[test]
     fn insert_improve_reject() {
-        let mut t: TokenTable<u64> = TokenTable::new(16, 0);
+        let mut t: TokenTable<u64> = TokenTable::new(16);
         t.begin_frame();
         assert!(t.relax(3, 2.0, || 1));
         assert!(!t.relax(3, 2.0, || 2), "equal cost keeps the first arrival");
@@ -480,7 +476,7 @@ mod tests {
 
     #[test]
     fn epoch_bump_clears_in_constant_time() {
-        let mut t: TokenTable<()> = TokenTable::new(8, ());
+        let mut t: TokenTable<()> = TokenTable::new(8);
         t.begin_frame();
         for s in 0..8 {
             t.relax(s, s as f32, || ());
@@ -497,7 +493,7 @@ mod tests {
 
     #[test]
     fn active_list_dedupes_by_epoch() {
-        let mut t: TokenTable<u32> = TokenTable::new(4, 0);
+        let mut t: TokenTable<u32> = TokenTable::new(4);
         t.begin_frame();
         t.relax(2, 3.0, || 0);
         t.relax(2, 1.0, || 1);
@@ -514,7 +510,7 @@ mod tests {
 
     #[test]
     fn best_tracks_running_minimum() {
-        let mut t: TokenTable<()> = TokenTable::new(4, ());
+        let mut t: TokenTable<()> = TokenTable::new(4);
         t.begin_frame();
         assert_eq!(t.best(), f32::INFINITY);
         t.relax(0, 4.0, || ());
@@ -527,7 +523,7 @@ mod tests {
 
     #[test]
     fn epoch_wrap_resets_tags() {
-        let mut t: TokenTable<()> = TokenTable::new(4, ());
+        let mut t: TokenTable<()> = TokenTable::new(4);
         t.seed_epoch(u32::MAX - 1);
         t.begin_frame(); // epoch == MAX
         t.relax(1, 1.0, || ());
@@ -540,7 +536,7 @@ mod tests {
 
     #[test]
     fn fresh_table_is_empty_before_first_frame() {
-        let t: TokenTable<u32> = TokenTable::new(8, 0);
+        let t: TokenTable<u32> = TokenTable::new(8);
         assert!(t.is_empty());
         assert_eq!(t.get(3), None, "no phantom live tokens before begin_frame");
         assert_eq!(t.best(), f32::INFINITY);
@@ -549,13 +545,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "stale token read")]
     fn a_stale_payload_read_panics_instead_of_reading_a_zeroed_slot() {
-        let t: TokenTable<u32> = TokenTable::new(4, 0);
+        let t: TokenTable<u32> = TokenTable::new(4);
         t.payload(2);
     }
 
     #[test]
     fn a_panicking_payload_leaves_the_slot_stale() {
-        let mut t: TokenTable<u32> = TokenTable::new(4, 0);
+        let mut t: TokenTable<u32> = TokenTable::new(4);
         t.begin_frame();
         let relax = std::panic::AssertUnwindSafe(|| t.relax(1, 1.0, || panic!("no payload")));
         assert!(std::panic::catch_unwind(relax).is_err());
@@ -576,7 +572,7 @@ mod tests {
                 self.0.push((state, outcome));
             }
         }
-        let mut t: TokenTable<u32> = TokenTable::new(8, 0);
+        let mut t: TokenTable<u32> = TokenTable::new(8);
         let mut obs = Recorder(Vec::new());
         t.begin_frame();
         assert!(t.relax_observed(3, 2.0, || 1, &mut obs));
@@ -604,7 +600,7 @@ mod tests {
 
     #[test]
     fn payload_updates_in_place() {
-        let mut t: TokenTable<u32> = TokenTable::new(4, 0);
+        let mut t: TokenTable<u32> = TokenTable::new(4);
         t.begin_frame();
         t.relax(0, 1.0, || 10);
         t.relax(0, 0.5, || 99);

@@ -7,10 +7,9 @@
 //! recovers the words that produced the audio.
 
 use asr_wfst::WordId;
-use serde::{Deserialize, Serialize};
 
 /// Alignment counts from comparing a hypothesis against a reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WerBreakdown {
     /// Words correct.
     pub correct: usize,

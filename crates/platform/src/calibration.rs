@@ -20,8 +20,6 @@
 //! acoustic model (~30 MFLOP/frame). The constants are exposed (not
 //! hard-wired into the models) so ablations can move them.
 
-use serde::{Deserialize, Serialize};
-
 /// Frames of speech per second (10 ms frames).
 pub const FRAMES_PER_SECOND: f64 = 100.0;
 
@@ -32,7 +30,7 @@ pub const PAPER_ARCS_PER_FRAME: f64 = 25_000.0;
 pub const REFERENCE_DNN_FLOPS_PER_FRAME: f64 = 30.0e6;
 
 /// Calibrated constants for both baseline platforms.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Calibration {
     /// CPU Viterbi nanoseconds per traversed arc.
     pub cpu_viterbi_ns_per_arc: f64,

@@ -12,11 +12,10 @@ use crate::calibration::{
     Calibration, FRAMES_PER_SECOND, PAPER_ARCS_PER_FRAME, REFERENCE_DNN_FLOPS_PER_FRAME,
 };
 use crate::metrics::OperatingPoint;
-use serde::{Deserialize, Serialize};
 
 /// Fraction of the GPU's per-frame Viterbi cost that is fixed overhead
 /// (kernel launches, global synchronization between frame phases).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuOverheadSplit {
     /// Fixed seconds per frame regardless of active-set size.
     pub fixed_fraction: f64,

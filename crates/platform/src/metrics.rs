@@ -1,9 +1,7 @@
 //! The decode-time / energy / power triple every figure reports.
 
-use serde::{Deserialize, Serialize};
-
 /// One platform's operating point on a workload: the axes of Figures 9-14.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Decode (Viterbi) time per second of speech, in seconds (Figure 9).
     pub decode_s_per_speech_s: f64,

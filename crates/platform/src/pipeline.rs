@@ -10,10 +10,9 @@
 
 use crate::cpu::CpuModel;
 use crate::gpu::GpuModel;
-use serde::{Deserialize, Serialize};
 
 /// End-to-end times (per second of speech) of the three system options.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineComparison {
     /// CPU-only: DNN and search sequential on the CPU.
     pub cpu_only_s: f64,

@@ -1,261 +1,1 @@
-//! Hand-rolled `#[derive(Serialize, Deserialize)]` for the vendored serde
-//! shim. Parses the item declaration directly from the token stream (no
-//! `syn`/`quote` available offline) and supports what this workspace
-//! declares: non-generic structs with named fields, tuple structs, unit
-//! structs, and enums with unit variants. `#[serde(skip)]` omits a field.
-
-use proc_macro::{Delimiter, TokenStream, TokenTree};
-
-enum Fields {
-    Named(Vec<(String, bool)>),
-    Tuple(usize),
-    Unit,
-}
-
-enum Item {
-    Struct { name: String, fields: Fields },
-    Enum { name: String, variants: Vec<String> },
-}
-
-/// Consumes leading attributes; returns whether `#[serde(skip)]` was seen.
-fn skip_attrs(iter: &mut std::iter::Peekable<proc_macro::token_stream::IntoIter>) -> bool {
-    let mut skip = false;
-    while matches!(iter.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '#') {
-        iter.next();
-        if let Some(TokenTree::Group(g)) = iter.next() {
-            let mut inner = g.stream().into_iter();
-            if let Some(TokenTree::Ident(id)) = inner.next() {
-                if id.to_string() == "serde" {
-                    if let Some(TokenTree::Group(args)) = inner.next() {
-                        for t in args.stream() {
-                            if let TokenTree::Ident(a) = t {
-                                if a.to_string() == "skip" {
-                                    skip = true;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    skip
-}
-
-fn skip_visibility(iter: &mut std::iter::Peekable<proc_macro::token_stream::IntoIter>) {
-    if matches!(iter.peek(), Some(TokenTree::Ident(id)) if id.to_string() == "pub") {
-        iter.next();
-        if matches!(iter.peek(), Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis)
-        {
-            iter.next();
-        }
-    }
-}
-
-fn parse_named_fields(group: proc_macro::Group) -> Vec<(String, bool)> {
-    let mut fields = Vec::new();
-    let mut iter = group.stream().into_iter().peekable();
-    loop {
-        let skip = skip_attrs(&mut iter);
-        skip_visibility(&mut iter);
-        let name = match iter.next() {
-            Some(TokenTree::Ident(id)) => id.to_string(),
-            Some(other) => panic!("serde_derive: expected field name, found {other}"),
-            None => break,
-        };
-        match iter.next() {
-            Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
-            other => panic!("serde_derive: expected ':' after field {name}, found {other:?}"),
-        }
-        // Consume the type: everything up to a comma at angle-bracket depth
-        // zero (commas inside `<...>`, tuples, and arrays don't split).
-        let mut angle_depth = 0i32;
-        for t in iter.by_ref() {
-            match &t {
-                TokenTree::Punct(p) if p.as_char() == '<' => angle_depth += 1,
-                TokenTree::Punct(p) if p.as_char() == '>' => angle_depth -= 1,
-                TokenTree::Punct(p) if p.as_char() == ',' && angle_depth == 0 => break,
-                _ => {}
-            }
-        }
-        fields.push((name, skip));
-    }
-    fields
-}
-
-fn count_tuple_fields(group: proc_macro::Group) -> usize {
-    let mut count = 0usize;
-    let mut angle_depth = 0i32;
-    let mut saw_token = false;
-    for t in group.stream() {
-        match &t {
-            TokenTree::Punct(p) if p.as_char() == '<' => angle_depth += 1,
-            TokenTree::Punct(p) if p.as_char() == '>' => angle_depth -= 1,
-            TokenTree::Punct(p) if p.as_char() == ',' && angle_depth == 0 => {
-                count += 1;
-                saw_token = false;
-                continue;
-            }
-            _ => {}
-        }
-        saw_token = true;
-    }
-    if saw_token {
-        count += 1;
-    }
-    count
-}
-
-fn parse_variants(group: proc_macro::Group) -> Vec<String> {
-    let mut variants = Vec::new();
-    let mut iter = group.stream().into_iter().peekable();
-    loop {
-        skip_attrs(&mut iter);
-        let name = match iter.next() {
-            Some(TokenTree::Ident(id)) => id.to_string(),
-            Some(other) => panic!("serde_derive: expected variant name, found {other}"),
-            None => break,
-        };
-        // Unit variants only: a payload would need real serde.
-        if let Some(TokenTree::Group(_)) = iter.peek() {
-            panic!("serde_derive shim: enum variant {name} with fields is unsupported")
-        }
-        // Skip an optional discriminant and the trailing comma.
-        for t in iter.by_ref() {
-            if matches!(&t, TokenTree::Punct(p) if p.as_char() == ',') {
-                break;
-            }
-        }
-        variants.push(name);
-    }
-    variants
-}
-
-fn parse_item(input: TokenStream) -> Item {
-    let mut iter = input.into_iter().peekable();
-    let kind = loop {
-        match iter.next() {
-            Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
-                iter.next(); // the bracket group
-            }
-            Some(TokenTree::Ident(id)) => {
-                let s = id.to_string();
-                if s == "struct" || s == "enum" {
-                    break s;
-                }
-                // `pub`, `pub(crate)`'s group is consumed by the next arm.
-            }
-            Some(TokenTree::Group(_)) => {}
-            Some(other) => panic!("serde_derive: unexpected token {other}"),
-            None => panic!("serde_derive: no struct/enum found"),
-        }
-    };
-    let name = match iter.next() {
-        Some(TokenTree::Ident(id)) => id.to_string(),
-        other => panic!("serde_derive: expected item name, found {other:?}"),
-    };
-    if matches!(iter.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
-        panic!("serde_derive shim: generic type {name} is unsupported");
-    }
-    if kind == "enum" {
-        let body = loop {
-            match iter.next() {
-                Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => break g,
-                Some(_) => {}
-                None => panic!("serde_derive: enum {name} has no body"),
-            }
-        };
-        return Item::Enum {
-            name,
-            variants: parse_variants(body),
-        };
-    }
-    let fields = match iter.next() {
-        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-            Fields::Named(parse_named_fields(g))
-        }
-        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-            Fields::Tuple(count_tuple_fields(g))
-        }
-        Some(TokenTree::Punct(p)) if p.as_char() == ';' => Fields::Unit,
-        other => panic!("serde_derive: unexpected struct body for {name}: {other:?}"),
-    };
-    Item::Struct { name, fields }
-}
-
-/// Derives the shim's `Serialize` (JSON value rendering).
-#[proc_macro_derive(Serialize, attributes(serde))]
-pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    let code = match item {
-        Item::Struct { name, fields } => match fields {
-            Fields::Named(fields) => {
-                let mut body = String::from(
-                    "let mut obj: Vec<(String, ::serde::json::Value)> = Vec::new();\n",
-                );
-                for (field, skip) in fields {
-                    if skip {
-                        continue;
-                    }
-                    body.push_str(&format!(
-                        "obj.push((\"{field}\".to_string(), \
-                         ::serde::Serialize::to_json_value(&self.{field})));\n"
-                    ));
-                }
-                body.push_str("::serde::json::Value::Object(obj)");
-                format!(
-                    "impl ::serde::Serialize for {name} {{\n\
-                     fn to_json_value(&self) -> ::serde::json::Value {{\n{body}\n}}\n}}"
-                )
-            }
-            Fields::Tuple(1) => format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                 fn to_json_value(&self) -> ::serde::json::Value {{\n\
-                 ::serde::Serialize::to_json_value(&self.0)\n}}\n}}"
-            ),
-            Fields::Tuple(n) => {
-                let items: Vec<String> = (0..n)
-                    .map(|i| format!("::serde::Serialize::to_json_value(&self.{i})"))
-                    .collect();
-                format!(
-                    "impl ::serde::Serialize for {name} {{\n\
-                     fn to_json_value(&self) -> ::serde::json::Value {{\n\
-                     ::serde::json::Value::Array(vec![{}])\n}}\n}}",
-                    items.join(", ")
-                )
-            }
-            Fields::Unit => format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                 fn to_json_value(&self) -> ::serde::json::Value {{\n\
-                 ::serde::json::Value::Null\n}}\n}}"
-            ),
-        },
-        Item::Enum { name, variants } => {
-            let arms: Vec<String> = variants
-                .iter()
-                .map(|v| format!("{name}::{v} => \"{v}\""))
-                .collect();
-            let arms = arms.join(",\n");
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                 fn to_json_value(&self) -> ::serde::json::Value {{\n\
-                 ::serde::json::Value::Str(match self {{\n{arms}\n}}.to_string())\n}}\n}}\n\
-                 impl ::serde::json::SerializeKey for {name} {{\n\
-                 fn to_key(&self) -> String {{\n\
-                 match self {{\n{arms}\n}}.to_string()\n}}\n}}"
-            )
-        }
-    };
-    code.parse().expect("serde_derive: generated code parses")
-}
-
-/// Derives the shim's no-op `Deserialize` marker.
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let name = match parse_item(input) {
-        Item::Struct { name, .. } | Item::Enum { name, .. } => name,
-    };
-    format!("impl ::serde::Deserialize for {name} {{}}")
-        .parse()
-        .expect("serde_derive: generated code parses")
-}
+//! Empty: no type derives `Serialize` or `Deserialize`. Kept only because `benchmark/Cargo.lock` lists it under `serde`; ROADMAP item B1 (the next change to the benchmark) deletes it and re-locks.

@@ -8,14 +8,13 @@
 
 use crate::builder::WfstBuilder;
 use crate::{PhoneId, Result, Wfst, WordId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A uniform bigram grammar: every word costs the same to start an
 /// utterance and to follow any word.
 ///
 /// Costs are negative natural logs of probabilities.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Grammar {
     words: Vec<WordId>,
     unigram_costs: BTreeMap<u32, f32>,

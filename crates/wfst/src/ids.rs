@@ -4,14 +4,13 @@
 //! keep the software model honest about which index space a value belongs to
 //! (states vs. arcs vs. labels) while compiling down to the same `u32`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
         #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
         )]
         #[repr(transparent)]
         pub struct $name(pub u32);

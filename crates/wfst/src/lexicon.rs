@@ -9,7 +9,6 @@
 
 use crate::builder::WfstBuilder;
 use crate::{PhoneId, Result, Wfst, WordId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A word-to-pronunciation dictionary with interned phone and word symbols.
@@ -28,7 +27,7 @@ use std::collections::BTreeMap;
 /// assert!(wfst.num_states() > 0);
 /// # Ok::<(), asr_wfst::WfstError>(())
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Lexicon {
     phones: BTreeMap<String, PhoneId>,
     phone_names: Vec<String>,

@@ -2,7 +2,6 @@
 
 use crate::store::Section;
 use crate::{ArcId, PhoneId, Result, StateId, WfstError, WordId};
-use serde::{Deserialize, Serialize};
 
 /// A single transition of the recognition network.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// bytes are exactly the 128-bit wire record of [`crate::layout::pack_arc`];
 /// the zero-copy graph store ([`crate::store`]) relies on this to expose
 /// `&[Arc]` views directly over a loaded image buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[repr(C)]
 pub struct Arc {
     /// Destination state.
@@ -45,7 +44,7 @@ impl Arc {
 /// `#[repr(C)]` for the same reason as [`Arc`]: the in-memory bytes on a
 /// little-endian target match the 64-bit wire record of
 /// [`crate::layout::pack_state`], so image buffers can be viewed in place.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(C)]
 pub struct StateEntry {
     /// Index of the first outgoing arc in the arc array.

@@ -105,7 +105,8 @@ pub fn remove_epsilons(wfst: &Wfst) -> Result<Wfst> {
 
 /// All states reachable from `src` through epsilon arcs only (excluding
 /// `src` itself), with shortest epsilon distance and the single word
-/// emitted on that path (if any).
+/// emitted on that path (if any), in ascending destination order so the
+/// folded arcs come out the same on every call.
 fn epsilon_closure(wfst: &Wfst, src: StateId) -> Result<Vec<Closure>> {
     if wfst.epsilon_arcs(src).is_empty() {
         return Ok(Vec::new());
@@ -141,10 +142,12 @@ fn epsilon_closure(wfst: &Wfst, src: StateId) -> Result<Vec<Closure>> {
             }
         }
     }
-    Ok(dist
+    let mut closure: Vec<Closure> = dist
         .into_iter()
         .map(|(dest, (cost, word))| Closure { dest, cost, word })
-        .collect())
+        .collect();
+    closure.sort_unstable_by_key(|c| c.dest);
+    Ok(closure)
 }
 
 #[cfg(test)]
@@ -234,6 +237,34 @@ mod tests {
         assert_eq!(e.epsilon_fraction(), 0.0);
         assert!(e.num_arcs() >= w.num_arcs() - w.num_arcs() / 5);
         assert!(e.final_states().count() >= w.final_states().count());
+    }
+
+    #[test]
+    fn folded_arcs_follow_closure_state_order() {
+        // start reaches ten states over epsilon arcs, five of them through
+        // a chain; each reached state has one emitting self-loop, so a
+        // folded arc's destination names the closure state it came
+        // through. Epsilon arcs are added (and cost) in descending state
+        // order, so neither insertion nor Dijkstra order is ascending.
+        const REACHED: u32 = 10;
+        let mut b = WfstBuilder::new();
+        let s: Vec<StateId> = (0..=REACHED).map(|_| b.add_state()).collect();
+        b.set_start(s[0]);
+        b.set_final(s[1], 0.0);
+        for k in (6..=REACHED).rev() {
+            b.add_epsilon_arc(s[0], s[k as usize], 0.01 * (REACHED + 1 - k) as f32);
+        }
+        for k in (1..=5).rev() {
+            b.add_epsilon_arc(s[k + 1], s[k], 0.5);
+        }
+        for &v in &s[1..] {
+            b.add_arc(v, v, PhoneId(1), WordId::NONE, 1.0);
+        }
+        let w = b.build().unwrap();
+        let e = remove_epsilons(&w).unwrap();
+        let folded: Vec<u32> = e.arcs(s[0]).iter().map(|a| a.dest.0).collect();
+        assert_eq!(folded, (1..=REACHED).collect::<Vec<_>>());
+        assert_eq!(remove_epsilons(&w).unwrap().arc_entries(), e.arc_entries());
     }
 
     #[test]

@@ -26,7 +26,6 @@
 
 use crate::store::Section;
 use crate::{Arc, ArcId, Result, StateEntry, StateId, Wfst};
-use serde::{Deserialize, Serialize};
 
 /// Default comparator count used in the paper's experiments.
 const DEFAULT_THRESHOLD: usize = 16;
@@ -36,7 +35,7 @@ const DEFAULT_THRESHOLD: usize = 16;
 ///
 /// This is deliberately a standalone value type so the accelerator model
 /// can own one "in hardware" without referencing the full transducer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirectIndexUnit {
     /// Cumulative number of states in degree groups `1..=d` — the `S1`,
     /// `S1+S2`, ... registers. `boundaries[d-1]` bounds group `d`.

@@ -7,10 +7,9 @@
 //! (weighted by per-state access counts recorded during a decode).
 
 use crate::{StateEntry, StateId, Wfst};
-use serde::{Deserialize, Serialize};
 
 /// Histogram of state out-degrees and its cumulative distribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegreeCdf {
     /// `counts[d]` = weight of states with out-degree `d`.
     counts: Vec<u64>,
@@ -63,14 +62,6 @@ impl DegreeCdf {
         let upto = self.counts.iter().take(degree + 1).sum::<u64>();
         upto as f64 / self.total as f64
     }
-
-    /// The full curve as `(degree, cumulative_fraction)` points, one per
-    /// degree up to the maximum — the series plotted in Figure 7.
-    pub fn curve(&self) -> Vec<(usize, f64)> {
-        (0..=self.max_degree())
-            .map(|d| (d, self.cumulative(d)))
-            .collect()
-    }
 }
 
 fn bump(counts: &mut Vec<u64>, degree: usize, by: u64) {
@@ -82,7 +73,7 @@ fn bump(counts: &mut Vec<u64>, degree: usize, by: u64) {
 
 /// Summary statistics of a transducer, printed by examples and experiment
 /// binaries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WfstSummary {
     /// Number of states.
     pub num_states: usize,
@@ -151,9 +142,8 @@ mod tests {
     fn static_cdf_is_monotone_and_reaches_one() {
         let w = SynthWfst::generate(&SynthConfig::with_states(3_000)).unwrap();
         let cdf = DegreeCdf::from_static(&w);
-        let curve = cdf.curve();
-        for pair in curve.windows(2) {
-            assert!(pair[0].1 <= pair[1].1 + 1e-12);
+        for d in 1..=cdf.max_degree() {
+            assert!(cdf.cumulative(d - 1) <= cdf.cumulative(d) + 1e-12);
         }
         assert!((cdf.cumulative(cdf.max_degree()) - 1.0).abs() < 1e-12);
         assert_eq!(cdf.total(), 3_000);

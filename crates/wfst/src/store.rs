@@ -510,7 +510,7 @@ impl<T: Record> Section<T> {
 // Writer: the authoring side.
 // ---------------------------------------------------------------------------
 
-/// Serializes the full degree-sorted transducer into an image.
+/// Writes the full degree-sorted transducer into an image.
 ///
 /// Layout (all integers little-endian):
 ///

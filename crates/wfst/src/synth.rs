@@ -22,13 +22,12 @@ use rand::distributions::Distribution;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`SynthWfst::generate`].
 ///
 /// The defaults reproduce the published Kaldi statistics at a laptop-friendly
 /// scale (100k states).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SynthConfig {
     /// Number of states to generate.
     pub num_states: usize,

@@ -237,10 +237,11 @@ loc:
 
 # Open-loop overload harness: Poisson arrivals at 1x/2x the calibrated
 # saturation rate against an unlimited and an admission-limited
-# (max_sessions 2) runtime; writes target/experiments/bench_load.json
-# (p50/p99 from scheduled arrival, shed counts) and fails if a worker
-# panicked or a completed transcript differs from the full-beam
-# reference. The one measurement of admission control.
+# (max_sessions 2) runtime; prints p50/p99 from scheduled arrival and
+# shed counts per side, then the bounded_p99_under_overload, zero_panics
+# and transcripts_unchanged flags, and fails if a worker panicked or a
+# completed transcript differs from the full-beam reference. The one
+# measurement of admission control.
 bench-load:
     cargo run --release -p asr-bench --bin bench_load -- --arrivals 150 --loads 1,2
 
@@ -248,7 +249,14 @@ bench-load:
 doc:
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-# Per-figure experiment binaries land JSON under target/experiments/.
+# Every figure binary at the small preset, as CI runs them (bench_load,
+# with its own flags, is `bench-load`): each prints its table to stdout,
+# its only output; stops at the first that fails (~20 s).
 figures:
-    cargo run --release -p asr-bench --bin fig09_decoding_time -- --scale small
-    cargo run --release -p asr-bench --bin fig10_speedup -- --scale small
+    #!/usr/bin/env bash
+    set -euo pipefail
+    for bin in crates/bench/src/bin/*.rs; do
+        name=$(basename "$bin" .rs)
+        [ "$name" = bench_load ] && continue
+        cargo run --release --quiet -p asr-bench --bin "$name" -- --scale small
+    done

@@ -3,8 +3,8 @@
 //! These assertions pin the *shape* of every headline result — orderings,
 //! rough factors, crossovers — on a reduced workload so they run in CI.
 //! The full-scale numbers are regenerated by the `asr-bench` figure
-//! binaries (`crates/bench/src/bin/fig*.rs`), which print each table and
-//! write it to `target/experiments/<id>.json`.
+//! binaries (`crates/bench/src/bin/fig*.rs`), which print each table to
+//! stdout.
 
 use asr_accel::config::{AcceleratorConfig, DesignPoint};
 use asr_accel::energy::{AreaModel, EnergyModel};
