@@ -249,6 +249,12 @@ impl OnlineMfcc {
         true
     }
 
+    /// Complete feature vectors ready to pop: frames the extractor has
+    /// finished and no [`OnlineMfcc::pop_frame_into`] has taken yet.
+    pub fn ready_frames(&self) -> usize {
+        self.ready.len() / self.dim()
+    }
+
     /// Clears all streaming state for the next utterance, keeping every
     /// buffer (so a pooled extractor is reused allocation-free).
     pub fn reset(&mut self) {
@@ -413,11 +419,6 @@ mod tests {
         }
     }
 
-    /// Complete feature vectors currently available to pop.
-    fn ready_frames(online: &OnlineMfcc) -> usize {
-        online.ready.len() / online.dim()
-    }
-
     fn wave(frames: usize) -> Vec<f32> {
         render_phones(&[PhoneId(1), PhoneId(4)], frames, &SignalConfig::default())
     }
@@ -435,9 +436,9 @@ mod tests {
         let mut online = OnlineMfcc::new(MfccConfig::default());
         assert_eq!(lookahead_frames(&online), 2);
         online.push_samples(&wave(3)); // 6 frames of audio
-        assert_eq!(ready_frames(&online), 4, "two frames held back");
+        assert_eq!(online.ready_frames(), 4, "two frames held back");
         online.finish();
-        assert_eq!(ready_frames(&online), 6);
+        assert_eq!(online.ready_frames(), 6);
     }
 
     #[test]
@@ -449,7 +450,7 @@ mod tests {
         let mut online = OnlineMfcc::new(cfg);
         assert_eq!(lookahead_frames(&online), 0);
         online.push_samples(&wave(2)); // 4 frames
-        assert_eq!(ready_frames(&online), 4);
+        assert_eq!(online.ready_frames(), 4);
         assert_eq!(online.dim(), 13);
     }
 
@@ -457,7 +458,7 @@ mod tests {
     fn empty_utterance_emits_nothing() {
         let mut online = OnlineMfcc::new(MfccConfig::default());
         online.finish();
-        assert_eq!(ready_frames(&online), 0);
+        assert_eq!(online.ready_frames(), 0);
         assert!(pop_frame(&mut online).is_none());
     }
 

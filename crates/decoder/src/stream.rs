@@ -26,13 +26,16 @@
 //!
 //! * [`AlbQueue::advance`] runs when a block of `fresh >= 1` new rows is
 //!   about to exist. Its existence proves no already-queued row is the
-//!   last, so it steps **every** row of the front buffer, oldest first,
-//!   while one call of the caller's `fill(block)` writes the fresh rows
-//!   into the back buffer — sequentially, or as the two chunks of one
-//!   fork-join on a [`WorkerPool`] (the Section VI overlap: search on
-//!   chunk 0, `fill` on chunk 1). Then the buffers swap. The search
-//!   therefore always trails the producer by the rows of the latest
-//!   `advance`.
+//!   last, so it steps **every** queued row, oldest first, and one call
+//!   of the caller's `fill(block)` writes the fresh rows into the back
+//!   buffer. On a [`WorkerPool`] the two run as the chunks of one
+//!   fork-join (the Section VI overlap: search on chunk 0, `fill` on
+//!   chunk 1), so the search cannot read the block being filled and
+//!   trails the producer by the rows of the latest `advance`. Without
+//!   one, `fill` runs first on the calling thread and the search then
+//!   steps the fresh rows too, all but the newest: it trails the
+//!   producer by one row, and a block's scoring and its search each run
+//!   back to back. Then the buffers swap.
 //! * [`AlbQueue::finish`] steps all queued rows but the newest and hands
 //!   the newest to [`StreamingDecode::finish`].
 //!
@@ -232,8 +235,9 @@ pub(crate) fn best_hypothesis(scratch: &DecodeScratch) -> Option<PartialHypothes
 /// the row that might turn out to be the utterance's last.
 #[derive(Debug, Default)]
 pub struct AlbQueue {
-    /// The block the search reads: scored rows it has not yet consumed,
-    /// packed oldest first at `stride` floats each.
+    /// The block the search reads, packed oldest first at `stride`
+    /// floats a row: its first `stepped` rows are consumed, the rest
+    /// queued.
     front: Vec<f32>,
     /// The block the scorer fills during an `advance`; it becomes
     /// `front` when the call returns.
@@ -242,6 +246,9 @@ pub struct AlbQueue {
     /// (each block remembers its own, so successive advances may differ
     /// in width), counted as 1 for zero-width rows so they still queue.
     stride: usize,
+    /// Rows of `front` already stepped: all but the newest of a block
+    /// filled without a pool, none of one filled on a pool.
+    stepped: usize,
 }
 
 impl AlbQueue {
@@ -251,27 +258,30 @@ impl AlbQueue {
         Self::default()
     }
 
-    /// The rows of `front`, oldest first. Borrows the two fields, not
-    /// `self`, so `advance` can fill `back` while the search reads them.
-    fn rows(front: &[f32], stride: usize) -> std::slice::ChunksExact<'_, f32> {
+    /// The rows of a block, oldest first. Borrows the block, not `self`,
+    /// so `advance` can fill `back` while the search reads `front`.
+    fn rows(block: &[f32], stride: usize) -> std::slice::ChunksExact<'_, f32> {
         // `max(1)`: a fresh queue has stride 0, and `chunks_exact(0)`
         // panics even over an empty slice.
-        front.chunks_exact(stride.max(1))
+        block.chunks_exact(stride.max(1))
     }
 
     /// Admits a block of `fresh` new rows of `row_len` costs each and
-    /// steps the search over every row queued before them.
+    /// steps the search over every row queued before them — and, without
+    /// a pool, over every fresh row but the newest.
     ///
     /// `fill(block)` is called **exactly once** and must write the fresh
     /// rows, packed in frame order, into `block`, which arrives as
     /// exactly `fresh * row_len` floats of stale contents. With a
     /// `pool`, the search runs as chunk 0 and `fill` as chunk 1 of one
     /// two-chunk [`WorkerPool::fork_join`], so `fill` runs concurrently
-    /// with the search; without one, both run on the calling thread. The
-    /// two share no state — the search reads only the block queued by
-    /// the previous call — so the result is the same bytes either way.
-    /// The buffers then swap: the block just filled is what the next
-    /// call steps.
+    /// with the search, which reads only the rows queued by earlier
+    /// calls: the whole fresh block stays queued. Without one, `fill`
+    /// runs first on the calling thread and the search then steps the
+    /// queued rows and the fresh ones but the newest, back to back: only
+    /// the newest row stays queued. Rows enter the search in the same
+    /// order either way, so the result is the same bytes. The buffers
+    /// then swap: the block just filled is what the next call reads.
     ///
     /// `fresh == 0` is a no-op (`fill` is not called): with no newer
     /// row in sight, the newest queued row may be the utterance's last
@@ -295,30 +305,38 @@ impl AlbQueue {
         }
         let stride = row_len.max(1);
         self.back.resize(fresh * stride, 0.0);
-        {
-            let front = Self::rows(&self.front, self.stride);
-            // Each half's state sits behind a mutex only so the two
-            // chunks can reach it through the shared closure a fork-join
-            // takes; chunk 0 alone locks the search, chunk 1 the block.
-            let search = Mutex::new(decode);
-            let block = Mutex::new((fill, &mut self.back[..fresh * row_len]));
-            let run = |chunk: usize| {
-                if chunk == 0 {
-                    let mut decode = search.lock().unwrap_or_else(PoisonError::into_inner);
-                    for row in front.clone() {
-                        decode.step(row);
+        let queued = Self::rows(&self.front, self.stride).skip(self.stepped);
+        self.stepped = match pool {
+            Some(pool) => {
+                // Each half's state sits behind a mutex only so the two
+                // chunks can reach it through the shared closure a
+                // fork-join takes; chunk 0 alone locks the search, chunk
+                // 1 the block.
+                let search = Mutex::new(decode);
+                let block = Mutex::new((fill, &mut self.back[..fresh * row_len]));
+                pool.fork_join(2, &|chunk: usize| {
+                    if chunk == 0 {
+                        let mut decode = search.lock().unwrap_or_else(PoisonError::into_inner);
+                        for row in queued.clone() {
+                            decode.step(row);
+                        }
+                    } else {
+                        let mut block = block.lock().unwrap_or_else(PoisonError::into_inner);
+                        let (fill, rows) = &mut *block;
+                        fill(rows);
                     }
-                } else {
-                    let mut block = block.lock().unwrap_or_else(PoisonError::into_inner);
-                    let (fill, rows) = &mut *block;
-                    fill(rows);
-                }
-            };
-            match pool {
-                Some(pool) => pool.fork_join(2, &run),
-                None => (0..2).for_each(run),
+                });
+                0
             }
-        }
+            None => {
+                fill(&mut self.back[..fresh * row_len]);
+                let block = Self::rows(&self.back, stride).take(fresh - 1);
+                for row in queued.chain(block) {
+                    decode.step(row);
+                }
+                fresh - 1
+            }
+        };
         std::mem::swap(&mut self.front, &mut self.back);
         self.stride = stride;
     }
@@ -331,13 +349,14 @@ impl AlbQueue {
         &mut self,
         mut decode: StreamingDecode<G>,
     ) -> (DecodeResult, DecodeScratch) {
-        let mut rows = Self::rows(&self.front, self.stride);
+        let mut rows = Self::rows(&self.front, self.stride).skip(self.stepped);
         let last = rows.next_back();
         for row in rows {
             decode.step(row);
         }
         let out = decode.finish(last);
         self.front.clear();
+        self.stepped = 0;
         out
     }
 }
@@ -351,7 +370,7 @@ mod tests {
 
     /// Number of scored rows held back from the search.
     fn ready_len(q: &AlbQueue) -> usize {
-        AlbQueue::rows(&q.front, q.stride).len()
+        AlbQueue::rows(&q.front, q.stride).len() - q.stepped
     }
 
     fn workload(states: usize, frames: usize, seed: u64) -> (Wfst, AcousticTable) {
@@ -471,8 +490,9 @@ mod tests {
     /// given `fresh` sizes (the last one clipped to the rows that are
     /// left), checking after every call that `fill` ran exactly once
     /// over exactly the fresh block and that the search has consumed
-    /// exactly the rows enqueued *before* it, then finishes. Returns the
-    /// result and the length of the trace it left.
+    /// exactly the rows enqueued *before* it on a pool, and all but the
+    /// newest row without one, then finishes. Returns the result and the
+    /// length of the trace it left.
     fn alb_decode(
         wfst: &Wfst,
         scores: &AcousticTable,
@@ -494,8 +514,13 @@ mod tests {
                 }
             });
             assert_eq!(fills, [fresh * row_len], "one fill, over the whole block");
-            assert_eq!(d.frames(), pushed, "the newest rows are never stepped");
-            assert_eq!(ready_len(&q), fresh);
+            let held = if pool.is_some() { fresh } else { 1 };
+            assert_eq!(
+                d.frames(),
+                pushed + fresh - held,
+                "the newest row is never stepped"
+            );
+            assert_eq!(ready_len(&q), held);
             pushed += fresh;
         }
         let (result, scratch) = q.finish(d);
@@ -556,9 +581,13 @@ mod tests {
         q.advance(&mut d, None, scores.num_phones(), 0, &mut copy);
         assert_eq!((d.frames(), ready_len(&q)), (0, 1));
 
-        // Zero-width rows carry no costs but still count as rows.
+        // Zero-width rows carry no costs but still count as rows (queued
+        // on a pool, which steps none of a fresh block).
+        let pool = WorkerPool::new(2);
         let mut q = AlbQueue::new();
-        q.advance(&mut d, None, 0, 2, &mut |block| assert!(block.is_empty()));
+        q.advance(&mut d, Some(&pool), 0, 2, &mut |block| {
+            assert!(block.is_empty())
+        });
         assert_eq!((d.frames(), ready_len(&q)), (0, 2));
     }
 

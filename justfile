@@ -158,8 +158,15 @@ ab parent workload pairs="10" metric="frames_per_s":
 # The harness is an ignored test that runs the production search_frame
 # through a RecordingProbe (stage marks and per-frame counters), and
 # prints the probe's stage sum beside a wall clock around search_frame.
+# Then what scoring in blocks saves a session on its own thread: on the
+# voice_1s shape (50k states, cap 2000, MLP [39, 512, 512, 2000], eight
+# rendered utterances) us per frame, scoring us per row, search us per
+# step and score_block_into calls per frame, interleaved 1:1, in blocks
+# of 4, the session's block height and 16, scoring alone and search
+# alone; every composition must decode a one-lane session's bytes.
 stages:
     cargo test --release -q -p asr-decoder --lib search::tests::stage_split -- --ignored --nocapture
+    cargo test --release -q -p asr-repro --lib runtime::tests::block_split -- --ignored --nocapture
 
 # What the executor adds to one overlapped frame: an ignored test times
 # `fork_join(2)` of two calibrated spin chunks (70 || 25 us and

@@ -23,7 +23,7 @@
 //!
 //! | module | owns |
 //! |---|---|
-//! | `session` | [`Session`] / [`SessionOptions`]: the one frame loop, its row sources (pre-scored rows, inline / overlapped / batched audio scoring) and the ALB handoff — Section VI pipelining, byte-identical to the sequential path |
+//! | `session` | [`Session`] / [`SessionOptions`]: the one frame loop, its row sources (pre-scored rows, blocked / overlapped / batched audio scoring) and the ALB handoff — Section VI pipelining, byte-identical to the sequential path |
 //! | `admission` | the session count and [`RuntimeConfig::max_sessions`]: [`AsrRuntime::try_open_session`] sheds with [`PipelineError::Overloaded`] at the limit |
 //! | `batch` | [`BatchScoringConfig`]: the cross-session gather window, its one block forward pass per flush, and the per-session slots rows scatter back to — byte-identical per session for any batch composition |
 //! | `registry` | named models ([`AsrRuntime::register_model_image`], [`AsrRuntime::swap_model_image`], [`SessionOptions::model`]): sessions resolve a name once at open, replaced graphs retire when their last session drops |

@@ -14,10 +14,11 @@
 //! Likelihood Buffer — as one *block* per [`Session::advance`]: a copy
 //! of a caller's pre-scored row, a row scattered back by the batched
 //! scoring service, or one `score_block_into` call over the feature
-//! frames the online front-end has completed since the last call. The
-//! queue alone decides which rows the search may step (all but the
-//! newest block) and runs the block's one scoring call beside the
-//! search.
+//! frames the online front-end has held for it. The queue alone decides
+//! which rows the search may step (all but the newest block when the
+//! block is scored on another lane, all but the newest row when it is
+//! scored on the session's thread) and runs the block's one scoring
+//! call beside the search or before it.
 //!
 //! # Section VI pipelining
 //!
@@ -33,9 +34,23 @@
 //! search in the same order; determinism is structural, not lucky.
 //! A session takes its executor handle with its first audio push, and
 //! only on a multi-lane runtime without the batched scoring service.
-//! Otherwise it takes none: on a single lane it simply scores inline —
-//! same bytes, no synchronization — a batched session's rows come back
-//! from the gather window, and a row-fed session has nothing to score.
+//! Otherwise it takes none: a batched session's rows come back from the
+//! gather window, a row-fed session has nothing to score, and on a
+//! single lane a session scores on its own thread.
+//!
+//! # Blocks in time on one thread
+//!
+//! A session that scores on its own thread leaves completed feature
+//! frames in its front-end until [`SCORE_BLOCK`] are ready, scores them
+//! with one block forward pass and then lets the search step them back
+//! to back, so the acoustic weights and the search's graph and index
+//! stop evicting each other from the cache on every 10 ms hop — the
+//! paper's frame batches through the ALB (Sections IV-B and VI), as an
+//! online decoder scores a chunk of frames and then searches it.
+//! [`Session::flush_scoring`] and [`Session::finalize`] score whatever
+//! is ready as a shorter block. Same rows, same order, same bytes: only
+//! *when* the search runs changes, trailing the audio by up to
+//! `SCORE_BLOCK - 1` more frames between sync points.
 
 use super::batch::{BatchSlot, SubmitOutcome};
 use super::registry::ModelCounters;
@@ -55,8 +70,10 @@ pub struct Hypothesis {
     pub words: Vec<String>,
     /// Path cost of the current best token (no final cost applied).
     pub cost: f32,
-    /// Frames the search has consumed so far (one behind the frames
-    /// pushed: the newest row waits in the session's score buffer).
+    /// Frames the search has consumed so far: one behind the rows
+    /// pushed (the newest waits in the session's score buffer). An
+    /// audio-fed session trails its audio further — see
+    /// [`Session::partial`].
     pub frames_decoded: usize,
 }
 
@@ -91,8 +108,9 @@ impl SessionOptions {
     /// Transcripts are byte-identical for any depth: row order and
     /// per-row arithmetic never change, only when rows are scored.
     /// [`Session::partial`] may lag the pushes by up to `depth` rows
-    /// instead of one. Ignored when the session scores inline (a
-    /// one-lane runtime) or joins the batched scoring service.
+    /// instead of one. Ignored when the session scores on its own thread
+    /// (a one-lane runtime, where it scores fixed blocks of eight
+    /// frames in time instead) or joins the batched scoring service.
     ///
     /// # Panics
     ///
@@ -119,6 +137,16 @@ impl SessionOptions {
     }
 }
 
+/// Frames a session that scores on its own thread (no executor lane, no
+/// batched scoring service) waits for before it scores them as one
+/// block and the search steps them back to back. Swept on the
+/// `voice_1s` shape (50k states, cap 2000, MLP `[39, 512, 512, 2000]`;
+/// µs per frame over three runs): block 1 read 185–200, 4 read 168–190,
+/// 8 read 158–184, 16 read 164–202, and 32 read level with 8. 8 is the
+/// smallest height on the plateau; a taller block only adds latency
+/// (`just stages` prints the sweep).
+pub(super) const SCORE_BLOCK: usize = 8;
+
 /// The per-session streaming front-end: an [`OnlineMfcc`] plus the
 /// buffers one [`Session::advance`] worth of scoring works over. Checked
 /// out of (and restored to) the runtime's front-end pool, so the buffers
@@ -126,8 +154,9 @@ impl SessionOptions {
 #[derive(Debug)]
 pub(super) struct SessionFrontend {
     pub(super) mfcc: OnlineMfcc,
-    /// Completed feature frames gathered for one advance, packed: one
-    /// without overlap, up to `overlap_depth` with it.
+    /// Completed feature frames gathered for one advance, packed: up to
+    /// [`SCORE_BLOCK`] on the session's own thread, up to
+    /// `overlap_depth` overlapped, one for the batched service.
     feats: Vec<f32>,
     /// The MLP's block activation scratch, sized per advance to the
     /// gathered block (empty for the template model).
@@ -361,14 +390,20 @@ impl Session {
     /// the previously staged row — the paper's Section VI overlap — with
     /// byte-identical results to inline scoring; with a batched scoring
     /// service, the frames join its gather window. The first push takes
-    /// the executor handle or the service slot.
+    /// the executor handle or the service slot. On a one-lane runtime
+    /// without the service, completed frames wait in the front-end until
+    /// eight are ready, then are scored as one block and searched back
+    /// to back: seven pushes in eight run only the front-end.
     ///
     /// The Δ/ΔΔ recurrence looks two frames ahead, so the search lags
     /// the newest audio by up to three frames (two in the front-end, one
-    /// in the session's held-back row) until [`Session::finalize`]
-    /// flushes the tail. Feed a session *either* samples *or* pre-scored
-    /// rows: rows pushed while the front-end still holds lookahead
-    /// frames would be searched ahead of them, reordering the utterance.
+    /// in the session's held-back row) — up to ten on one lane, where
+    /// up to seven more wait for their block — until
+    /// [`Session::flush_scoring`] brings it back to three or
+    /// [`Session::finalize`] flushes the tail. Feed a session *either*
+    /// samples *or* pre-scored rows: rows pushed while the front-end
+    /// still holds lookahead frames would be searched ahead of them,
+    /// reordering the utterance.
     pub fn push_samples(&mut self, samples: &[f32]) {
         let mut frontend = match self.frontend.take() {
             Some(frontend) => frontend,
@@ -381,11 +416,11 @@ impl Session {
             }
         };
         frontend.mfcc.push_samples(samples);
-        self.drain_frontend(&mut frontend);
+        self.drain_frontend(&mut frontend, false);
         self.frontend = Some(frontend);
     }
 
-    /// Scores every completed front-end frame and enqueues its cost row
+    /// Scores completed front-end frames and enqueues their cost rows
     /// behind the search, one [`Session::advance`] per gathered block.
     ///
     /// A session registered with the batched service submits one frame
@@ -393,22 +428,36 @@ impl Session {
     /// pending row of every session in one block forward pass) and
     /// consumes whatever rows of its own have come back; a lone one is
     /// told to score the frame itself. Everyone else scores here, one
-    /// block forward pass per advance: over one frame inline, or over up
-    /// to [`SessionOptions::overlap_depth`] frames as one fork-join chunk
-    /// when an executor is attached — the paper's Section VI overlap,
-    /// with the ALB as a multi-frame batch buffer at depth > 1.
+    /// block forward pass per advance: with an executor attached, over
+    /// up to [`SessionOptions::overlap_depth`] frames as one fork-join
+    /// chunk — the paper's Section VI overlap, with the ALB as a
+    /// multi-frame batch buffer at depth > 1; on the session's own
+    /// thread, over [`SCORE_BLOCK`] frames, leaving fewer in the
+    /// front-end until a full block is ready — or, at a `sync` point,
+    /// over whatever is ready.
     ///
     /// Determinism: the search relaxes rows in FIFO frame order, and
     /// every path computes a row with the same per-row arithmetic
     /// (block height is numerically invisible) — the source changes
     /// *when* rows are scored, never their order or values, for any lane
     /// count or task schedule.
-    fn drain_frontend(&mut self, frontend: &mut SessionFrontend) {
+    fn drain_frontend(&mut self, frontend: &mut SessionFrontend, sync: bool) {
         let runtime = Arc::clone(&self.runtime);
         let model = &runtime.model;
-        let depth = self.executor.as_ref().map_or(1, |_| self.overlap_depth);
+        // Only a session scoring on its own thread waits for a full
+        // block: the overlap already scores on another core, whose cache
+        // the search never touches, and the gather window already
+        // blocks across sessions.
+        let (depth, wait) = match (&self.executor, self.batch_slot) {
+            (Some(_), _) => (self.overlap_depth, false),
+            (None, Some(_)) => (1, false),
+            (None, None) => (SCORE_BLOCK, !sync),
+        };
         let dim = frontend.mfcc.dim();
         loop {
+            if wait && frontend.mfcc.ready_frames() < depth {
+                return;
+            }
             let rows = frontend.gather(depth);
             if rows == 0 {
                 return;
@@ -443,15 +492,20 @@ impl Session {
         self.scattered = row;
     }
 
-    /// Forces the session's scoring pipeline to a sync point: any of its
-    /// frames still sitting in the gather window are flushed (batching
-    /// the other sessions' pending rows along with them) and their rows
-    /// consumed by the search. Afterwards the session has searched
-    /// exactly the frames its front-end has completed — the same state
-    /// an unbatched session is in after every push — so partials
-    /// compared here are byte-identical across batching modes. A no-op
-    /// for unbatched sessions.
+    /// Forces the session's scoring pipeline to a sync point: the frames
+    /// a one-lane session holds for its next block are scored as a
+    /// shorter block, and any of its frames still sitting in the batched
+    /// service's gather window are flushed (batching the other sessions'
+    /// pending rows along with them); either way the search consumes
+    /// them. Afterwards the search trails the frames the front-end has
+    /// completed by exactly the newest row — one block when overlapping
+    /// at [`SessionOptions::overlap_depth`] — so partials compared here
+    /// are byte-identical across lane counts and batching modes.
     pub fn flush_scoring(&mut self) {
+        if let Some(mut frontend) = self.frontend.take() {
+            self.drain_frontend(&mut frontend, true);
+            self.frontend = Some(frontend);
+        }
         if let (Some(svc), Some(slot)) = (&self.runtime.batch, self.batch_slot) {
             svc.flush_for(slot, &self.runtime.model);
             self.drain_batched_rows();
@@ -514,11 +568,14 @@ impl Session {
 
     /// The current best hypothesis (empty words before any audio: the
     /// start state's closure), or `None` after the beam pruned every
-    /// path or the session was finalized. The search trails the pushes
-    /// by the block of the latest advance, so `frames_decoded` lags the
-    /// frames pushed by one row — by up to
-    /// [`SessionOptions::overlap_depth`] rows for an audio-fed session
-    /// overlapping at that depth.
+    /// path or the session was finalized. A row-fed session's
+    /// `frames_decoded` lags the rows pushed by one. An audio-fed
+    /// session's also lags by the front-end's two lookahead frames, and
+    /// on one lane by up to seven frames waiting for their scoring block:
+    /// up to ten frames behind the audio, three after
+    /// [`Session::flush_scoring`]. Overlapping at
+    /// [`SessionOptions::overlap_depth`], the held-back row is a block of
+    /// up to that many rows.
     pub fn partial(&self) -> Option<Hypothesis> {
         let decode = self.decode.as_ref()?;
         decode.partial().map(|p| Hypothesis {
@@ -539,12 +596,13 @@ impl Session {
     /// sessions fed raw samples, to batch-scoring the same waveform and
     /// decoding the table.
     pub fn finalize(mut self) -> Transcript {
-        if let Some(mut frontend) = self.frontend.take() {
+        if let Some(frontend) = &mut self.frontend {
             frontend.mfcc.finish();
-            self.drain_frontend(&mut frontend);
-            self.runtime.restore_frontend(frontend);
         }
         self.flush_scoring();
+        if let Some(frontend) = self.frontend.take() {
+            self.runtime.restore_frontend(frontend);
+        }
         let decode = self.decode.take().expect("session not yet finalized");
         let (result, scratch) = self.alb.finish(decode);
         self.runtime.scratch_pool.restore(scratch);

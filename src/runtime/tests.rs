@@ -1,11 +1,14 @@
-//! The serving layer's unit tests, all through the public API (save one
-//! crate-private look at whether the acoustic model has been built),
-//! grouped by the module they exercise. They stay in one flat `runtime::tests`
+//! The serving layer's unit tests, all through the public API (save
+//! crate-private looks at whether the acoustic model has been built, at
+//! the pooled front-ends and at the session's block height), grouped by
+//! the module they exercise. They stay in one flat `runtime::tests`
 //! module (rather than a `tests` module inside each file) so their
 //! names — which the tier-1 floor lists one by one — do not change
 //! with the split.
 
+use super::session::SCORE_BLOCK;
 use super::*;
+use asr_acoustic::online::OnlineMfcc;
 use asr_testkit::{assert_same, Case, Fixture, Outcome};
 use asr_wfst::sorted::SortedWfst;
 use asr_wfst::store::{self, GraphImage};
@@ -416,6 +419,160 @@ fn multi_row_session_migrates_a_pushed_row_into_the_queue() {
     }
 }
 
+/// A one-lane runtime with a small MLP and a beam that never prunes:
+/// its audio sessions score on their own thread, in blocks of
+/// [`SCORE_BLOCK`] frames.
+fn one_lane_mlp() -> AsrRuntime {
+    AsrRuntime::demo_with(
+        RuntimeConfig::new()
+            .lanes(1)
+            .decode_options(DecodeOptions::with_beam(1.0e9))
+            .mlp_acoustic(&[32], 7),
+    )
+    .unwrap()
+}
+
+/// The oracle's transcript of `audio` on `runtime`: the reference
+/// decoder over the rows the whole waveform scores to.
+fn oracle_heard(runtime: &AsrRuntime, audio: &Utterance) -> Outcome<String> {
+    let result = asr_testkit::oracle(runtime.graph(), &runtime.score(audio), runtime.options());
+    Outcome::from(&result).spelled(runtime.lexicon())
+}
+
+/// Feature frames a session's front-end has completed after `samples`.
+fn completed_frames(samples: &[f32]) -> usize {
+    let mut mfcc = OnlineMfcc::new(MfccConfig::default());
+    mfcc.push_samples(samples);
+    mfcc.ready_frames()
+}
+
+#[test]
+fn a_one_lane_session_searches_a_block_of_frames_at_a_time() {
+    assert_eq!(SCORE_BLOCK, 8);
+    let runtime = one_lane_mlp();
+    let audio = runtime
+        .render_words(&["play", "music", "lights", "on"])
+        .unwrap();
+    let mut session = runtime.open_session();
+    // A front-end beside the session's counts the frames it completes.
+    let mut shadow = OnlineMfcc::new(MfccConfig::default());
+    // Frames completed at the last sync point: the search then trails
+    // them by one row, and each block of eight more moves it by eight.
+    let (mut synced, mut flushes, mut moves, mut last) = (0, 0, 0, 0);
+    for piece in audio.samples.chunks(160) {
+        session.push_samples(piece);
+        shadow.push_samples(piece);
+        let completed = shadow.ready_frames();
+        if last > 0 {
+            assert_eq!(completed, last + 1, "one hop completes one frame");
+        }
+        last = completed;
+        let decoded = session.partial().unwrap().frames_decoded;
+        let blocks = (completed - synced) / SCORE_BLOCK * SCORE_BLOCK;
+        let want = (synced + blocks).saturating_sub(1);
+        assert_eq!(decoded, want, "{completed} frames completed");
+        moves += usize::from(decoded > 0 && (completed - synced).is_multiple_of(SCORE_BLOCK));
+        // Mid-block, after two blocks: the sync point scores the five
+        // waiting frames as one shorter block.
+        if completed - synced == 2 * SCORE_BLOCK + 5 {
+            session.flush_scoring();
+            let decoded = session.partial().unwrap().frames_decoded;
+            assert_eq!(decoded, completed - 1, "a sync point leaves one row");
+            (synced, flushes) = (completed, flushes + 1);
+        }
+    }
+    assert!(
+        flushes >= 1 && moves >= 4,
+        "{flushes} flushes, {moves} block moves"
+    );
+    let got = heard(&session.finalize());
+    assert_same(&got, &oracle_heard(&runtime, &audio), "blocked session");
+}
+
+#[test]
+fn one_lane_blocks_decode_like_the_oracle_at_every_block_edge() {
+    let runtime = one_lane_mlp();
+    let audio = runtime
+        .render_words(&["call", "mom", "play", "music"])
+        .unwrap();
+    for frames in [3 * SCORE_BLOCK, 3 * SCORE_BLOCK + 1, 3 * SCORE_BLOCK + 7] {
+        let cut = Utterance {
+            samples: audio.samples[..frames * 160].to_vec(),
+            frame_phones: Vec::new(),
+        };
+        assert_eq!(runtime.score(&cut).num_frames(), frames);
+        let want = oracle_heard(&runtime, &cut);
+        for packet in [1, 160, 517, cut.samples.len()] {
+            let mut session = runtime.open_session();
+            for piece in cut.samples.chunks(packet) {
+                session.push_samples(piece);
+            }
+            let what = format!("{frames} frames in packets of {packet}");
+            assert_same(&heard(&session.finalize()), &want, &what);
+        }
+    }
+}
+
+#[test]
+fn a_session_dropped_mid_block_leaves_its_pooled_front_end_clean() {
+    let runtime = one_lane_mlp();
+    let doomed = runtime.render_words(&["lights", "off"]).unwrap();
+    let audio = runtime.render_words(&["call", "mom"]).unwrap();
+    {
+        let mut session = runtime.open_session();
+        let held = &doomed.samples[..(SCORE_BLOCK + 5) * 160];
+        session.push_samples(held);
+        let decoded = session.partial().unwrap().frames_decoded;
+        assert!(
+            decoded + 1 < completed_frames(held),
+            "frames wait for a block"
+        );
+        // Dropped holding them.
+    }
+    let pooled = runtime.inner.frontend_pool.lock().unwrap().len();
+    assert_eq!(pooled, 1, "the front-end went back to the pool");
+    let run = |runtime: &AsrRuntime| {
+        let mut session = runtime.open_session();
+        for piece in audio.samples.chunks(160) {
+            session.push_samples(piece);
+        }
+        session.finalize()
+    };
+    let reused = heard(&run(&runtime));
+    assert_same(
+        &reused,
+        &heard(&run(&one_lane_mlp())),
+        "reused vs fresh runtime",
+    );
+    assert_same(&reused, &oracle_heard(&runtime, &audio), "reused vs oracle");
+}
+
+#[test]
+fn a_one_lane_session_migrates_between_threads_mid_block() {
+    let runtime = one_lane_mlp();
+    let audio = runtime.render_words(&["play", "music"]).unwrap();
+    let split = (2 * SCORE_BLOCK + 5) * 160;
+    let mut session = runtime.open_session();
+    for piece in audio.samples[..split].chunks(160) {
+        session.push_samples(piece);
+    }
+    assert_ne!(completed_frames(&audio.samples[..split]) % SCORE_BLOCK, 0);
+    let rest = audio.samples[split..].to_vec();
+    let migrated = std::thread::spawn(move || {
+        for piece in rest.chunks(160) {
+            session.push_samples(piece);
+        }
+        session.finalize()
+    })
+    .join()
+    .unwrap();
+    assert_same(
+        &heard(&migrated),
+        &oracle_heard(&runtime, &audio),
+        "migrated",
+    );
+}
+
 #[test]
 #[should_panic(expected = "push_row: the row has 3 costs")]
 fn push_row_rejects_a_short_row_at_the_call() {
@@ -656,4 +813,208 @@ fn dropping_a_batched_session_mid_window_leaves_the_service_healthy() {
     unbatched.push_samples(&keep_audio.samples);
     assert_same(&heard(&survivor), &heard(&unbatched.finalize()), "survivor");
     assert_eq!(runtime.stats().batch.unwrap().open_slots, 0);
+}
+
+// ---- the block height, measured (`just stages`) ----
+
+/// One composition's best round in [`block_split`]: wall clock over
+/// its utterances, the scoring and search time within it, and counts.
+#[derive(Default)]
+struct Split {
+    wall: std::time::Duration,
+    score: std::time::Duration,
+    search: std::time::Duration,
+    calls: usize,
+    rows: usize,
+    steps: usize,
+    heard: Vec<Outcome<String>>,
+}
+
+/// Runs every utterance's feature frames (`feats`, packed) through the
+/// production handoff on this thread: an [`AlbQueue`] without a pool,
+/// whose `fill` is one `score_block_into` over `block` frames (or a copy
+/// of a pre-scored row from `rows` when there are any: search alone).
+/// With `block == 0` it only scores, one row per call: scoring alone.
+fn split_run(
+    runtime: &AsrRuntime,
+    feats: &[Vec<f32>],
+    rows: &[AcousticTable],
+    block: usize,
+) -> Split {
+    use asr_decoder::stream::{AlbQueue, StreamingDecode};
+    use std::time::{Duration, Instant};
+    let inner = &runtime.inner;
+    let model = &inner.model;
+    let (dim, row_len) = (model.feat_dim(), model.row_len());
+    let mut scratch = vec![0.0; model.block_scratch_len(block.max(1))];
+    let mut split = Split::default();
+    if block == 0 {
+        let mut row = vec![0.0; row_len];
+        let clock = Instant::now();
+        for frame in feats.iter().flat_map(|f| f.chunks_exact(dim)) {
+            model.score_block_into(frame, 1, &mut row, &mut scratch);
+            split.calls += 1;
+        }
+        split.wall = clock.elapsed();
+        (split.score, split.rows) = (split.wall, split.calls);
+        return split;
+    }
+    let mut alb = AlbQueue::new();
+    for (u, feats) in feats.iter().enumerate() {
+        let frames = feats.len() / dim;
+        let graph = Arc::clone(&inner.graph);
+        let scratch_in = inner.scratch_pool.checkout();
+        let mut decode = StreamingDecode::new(graph, inner.options.clone(), scratch_in);
+        let clock = Instant::now();
+        for start in (0..frames).step_by(block) {
+            let fresh = block.min(frames - start);
+            let mut scored = Duration::ZERO;
+            let advance = Instant::now();
+            alb.advance(&mut decode, None, row_len, fresh, &mut |out| {
+                let fill = Instant::now();
+                match rows.get(u) {
+                    Some(table) => out.copy_from_slice(table.frame_row(start)),
+                    None => {
+                        let block = &feats[start * dim..(start + fresh) * dim];
+                        let scratch = &mut scratch[..model.block_scratch_len(fresh)];
+                        model.score_block_into(block, fresh, out, scratch);
+                    }
+                }
+                scored = fill.elapsed();
+            });
+            split.search += advance.elapsed() - scored;
+            if rows.is_empty() {
+                split.score += scored;
+                split.calls += 1;
+                split.rows += fresh;
+            }
+        }
+        let (result, scratch_out) = alb.finish(decode);
+        split.wall += clock.elapsed();
+        split.steps += frames - 1;
+        inner.scratch_pool.restore(scratch_out);
+        split
+            .heard
+            .push(Outcome::from(&result).spelled(runtime.lexicon()));
+    }
+    split
+}
+
+/// What scoring in blocks saves a session that scores on its own thread
+/// (`just stages`). On the `voice_1s` shape — 50k states, cap 2000, MLP
+/// `[39, 512, 512, 2000]`, eight rendered utterances of 50–80 frames —
+/// drives each utterance through [`split_run`] interleaved 1:1 (block
+/// 1, a one-lane session's composition before [`SCORE_BLOCK`]), in
+/// blocks of 4, [`SCORE_BLOCK`] and 16, scoring alone and search alone,
+/// and prints, from the round with the least wall time of `ROUNDS`
+/// (after a warm-up): µs per frame, scoring µs per row, search µs per
+/// step, and `score_block_into` calls per frame. Every composition must
+/// decode the bytes a one-lane session decodes from the audio.
+#[test]
+#[ignore = "a profiler, not a check: run with `just stages`"]
+fn block_split() {
+    use asr_decoder::search::DecodeOptions;
+    use asr_wfst::synth::{SynthConfig, SynthWfst};
+    const ROUNDS: usize = 10;
+    let mut lexicon = Lexicon::new();
+    for i in 1..=2_000 {
+        lexicon.add_word(&format!("w{i}"), &[&format!("p{i}")]);
+    }
+    // The benchmark's graph statistics (`benchmark/src/inputs.rs`).
+    let graph = SynthWfst::generate(&SynthConfig {
+        num_phones: 2_000,
+        vocab_size: 2_000,
+        final_fraction: 0.05,
+        ..SynthConfig::with_states(50_000).with_seed(1)
+    })
+    .unwrap();
+    let config = RuntimeConfig::new()
+        .lanes(1)
+        .decode_options(DecodeOptions {
+            max_active: Some(2_000),
+            ..DecodeOptions::with_beam(40.0)
+        })
+        .mlp_acoustic(&[512, 512], 1);
+    let runtime = AsrRuntime::with_graph(graph, lexicon, config);
+    let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
+    let utterances: Vec<Utterance> = [10, 11, 12, 13, 13, 14, 15, 16]
+        .iter()
+        .map(|&phones| {
+            let phones: Vec<PhoneId> = (0..phones)
+                .map(|_| {
+                    // xorshift64
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    PhoneId(1 + (rng % 2_000) as u32)
+                })
+                .collect();
+            Utterance::render(&phones, 5, &SignalConfig::default())
+        })
+        .collect();
+    let feats: Vec<Vec<f32>> = (utterances.iter())
+        .map(|u| {
+            let mut mfcc = OnlineMfcc::new(MfccConfig::default());
+            mfcc.push_samples(&u.samples);
+            mfcc.finish();
+            let mut packed = vec![0.0; mfcc.ready_frames() * mfcc.dim()];
+            for frame in packed.chunks_exact_mut(mfcc.dim()) {
+                assert!(mfcc.pop_frame_into(frame));
+            }
+            packed
+        })
+        .collect();
+    let tables: Vec<AcousticTable> = utterances.iter().map(|u| runtime.score(u)).collect();
+    let session: Vec<Outcome<String>> = (utterances.iter())
+        .map(|u| {
+            let mut session = runtime.open_session();
+            for piece in u.samples.chunks(160) {
+                session.push_samples(piece);
+            }
+            heard(&session.finalize())
+        })
+        .collect();
+
+    let compositions: [(&str, usize, &[AcousticTable]); 6] = [
+        ("interleaved 1:1", 1, &[]),
+        ("blocks of 4", 4, &[]),
+        ("blocks of 8", SCORE_BLOCK, &[]),
+        ("blocks of 16", 16, &[]),
+        ("scoring alone", 0, &[]),
+        ("search alone", 1, &tables),
+    ];
+    let mut best: Vec<Option<Split>> = compositions.iter().map(|_| None).collect();
+    for round in 0..=ROUNDS {
+        for ((_, block, rows), best) in compositions.iter().zip(&mut best) {
+            let split = split_run(&runtime, &feats, rows, *block);
+            for (got, want) in split.heard.iter().zip(&session) {
+                assert_same(got, want, &format!("block {block} vs the session"));
+            }
+            if round > 0 && best.as_ref().is_none_or(|b| split.wall < b.wall) {
+                *best = Some(split);
+            }
+        }
+    }
+    let frames: usize = tables.iter().map(AcousticTable::num_frames).sum();
+    println!(
+        "50000 states, max_active 2000, MLP [39, 512, 512, 2000]: {} utterances, \
+         {frames} frames, best of {ROUNDS} rounds (the session scores blocks of {SCORE_BLOCK})",
+        utterances.len()
+    );
+    println!("  composition       us/frame  score us/row  search us/step  calls/frame");
+    let per = |d: std::time::Duration, n: usize| d.as_secs_f64() * 1e6 / n.max(1) as f64;
+    for ((name, ..), split) in compositions.iter().zip(&best) {
+        let split = split.as_ref().unwrap();
+        let cell = |d, n| match n {
+            0 => format!("{:>8}", "-"),
+            n => format!("{:8.1}", per(d, n)),
+        };
+        println!(
+            "  {name:<16} {:9.1}      {}        {}     {:8.3}",
+            per(split.wall, frames),
+            cell(split.score, split.rows),
+            cell(split.search, split.steps),
+            split.calls as f64 / frames as f64
+        );
+    }
 }

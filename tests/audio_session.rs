@@ -9,7 +9,7 @@
 //!
 //! [`Session::push_samples`]: asr_repro::runtime::Session::push_samples
 
-use asr_repro::runtime::AsrRuntime;
+use asr_repro::runtime::{AsrRuntime, RuntimeConfig};
 use asr_testkit::{assert_same, Outcome};
 
 #[test]
@@ -49,29 +49,44 @@ fn recognize_runs_the_online_front_end() {
 
 #[test]
 fn audio_session_partials_evolve_and_lag_by_the_lookahead() {
-    let runtime = AsrRuntime::demo().unwrap();
-    let audio = runtime.render_words(&["play", "music"]).unwrap();
-    let total_frames = audio.samples.len() / 160;
-    let mut session = runtime.open_session();
-    let (mut partials, mut hops) = (0, 0);
-    for piece in audio.samples.chunks(160) {
-        session.push_samples(piece);
-        hops += 1;
-        if let Some(p) = session.partial() {
-            // One row held back in the session, two frames in the delta
-            // lookahead: the search trails the pushed audio by <= 3 hops.
-            assert!(p.frames_decoded + 3 >= hops);
-            partials += 1;
+    // One lane scores blocks of frames on the session's thread, two
+    // overlap scoring with the search; the lag bounds hold for both.
+    for lanes in [1, 2] {
+        let runtime = AsrRuntime::demo_with(RuntimeConfig::new().lanes(lanes)).unwrap();
+        let audio = runtime.render_words(&["play", "music"]).unwrap();
+        let total_frames = audio.samples.len() / 160;
+        let mut session = runtime.open_session();
+        let (mut partials, mut hops) = (0, 0);
+        for piece in audio.samples.chunks(160) {
+            session.push_samples(piece);
+            hops += 1;
+            if let Some(p) = session.partial() {
+                // Up to seven frames waiting for their scoring block on
+                // one lane, beside the lookahead and the held-back row.
+                assert!(p.frames_decoded + 10 >= hops, "{lanes} lanes");
+            }
+            if hops % 5 != 0 {
+                continue;
+            }
+            session.flush_scoring();
+            if let Some(p) = session.partial() {
+                // One row held back in the session, two frames in the
+                // delta lookahead: after a sync point the search trails
+                // the pushed audio by <= 3 hops.
+                assert!(p.frames_decoded + 3 >= hops, "{lanes} lanes");
+                partials += 1;
+            }
         }
+        assert!(partials > 0, "partials surfaced mid-utterance");
+        session.flush_scoring();
+        let last = session.partial().unwrap();
+        assert!(
+            last.frames_decoded + 3 >= total_frames,
+            "front-end delivered all but the lookahead frames, the search all but one row"
+        );
+        let t = session.finalize();
+        assert_eq!(t.words, vec!["play", "music"]);
     }
-    assert!(partials > 0, "partials surfaced mid-utterance");
-    let last = session.partial().unwrap();
-    assert!(
-        last.frames_decoded + 3 >= total_frames,
-        "front-end delivered all but the lookahead frames, the search all but one row"
-    );
-    let t = session.finalize();
-    assert_eq!(t.words, vec!["play", "music"]);
 }
 
 #[test]

@@ -138,7 +138,9 @@ fn facade_frame_loop_is_allocation_free() {
 #[test]
 fn audio_session_pushes_are_allocation_free_after_warmup() {
     let _guard = serialized();
-    let runtime = AsrRuntime::demo().unwrap();
+    // One lane: the session scores blocks of frames on its own thread,
+    // so the counted region crosses block edges and sync points.
+    let runtime = AsrRuntime::demo_with(RuntimeConfig::new().lanes(1)).unwrap();
     let words = [
         "play", "music", "play", "music", "play", "music", "play", "music", "play", "music",
     ];
@@ -158,8 +160,11 @@ fn audio_session_pushes_are_allocation_free_after_warmup() {
         session.push_samples(piece);
     }
     let steady = count_allocs(|| {
-        for piece in &chunks[tail_start..] {
+        for (hop, piece) in chunks[tail_start..].iter().enumerate() {
             session.push_samples(piece);
+            if hop % 13 == 12 {
+                session.flush_scoring();
+            }
         }
     });
     let frames = (chunks.len() - tail_start) as u64;

@@ -217,10 +217,12 @@ fn partials_agree_with_unbatched_at_flush_sync_points() {
     let b = runtime.render_words(&["call", "mom"]).unwrap();
 
     // Two batched sessions sharing the window vs. two unbatched twins on
-    // a runtime without the service, compared packet by packet. `flush_scoring` is the sync point: it
-    // forces the batched pair to consume exactly the frames their
-    // front-ends have completed — the state the unbatched pair is in
-    // after every push — so the partials must agree bit for bit.
+    // a runtime without the service, compared packet by packet.
+    // `flush_scoring` is the sync point for every session: it forces the
+    // batched pair to consume the frames their front-ends have completed
+    // and the one-lane twins to score the frames they hold for their next
+    // block, so all four trail their front-ends by exactly one row and
+    // the partials must agree bit for bit.
     let mut ba = runtime.open_session();
     let mut bb = runtime.open_session();
     let mut ua = unbatched_rt.open_session();
@@ -242,8 +244,9 @@ fn partials_agree_with_unbatched_at_flush_sync_points() {
             bb.push_samples(p);
             ub.push_samples(p);
         }
-        ba.flush_scoring();
-        bb.flush_scoring();
+        for session in [&mut ba, &mut bb, &mut ua, &mut ub] {
+            session.flush_scoring();
+        }
         for (batched, unbatched) in [(&ba, &ua), (&bb, &ub)] {
             match (batched.partial(), unbatched.partial()) {
                 (Some(x), Some(y)) => {
