@@ -607,6 +607,33 @@ mod tests {
     }
 
     #[test]
+    fn chunk_zero_runs_on_the_submitting_thread() {
+        // A session's search runs as chunk 0 and keeps its frame scratch
+        // per thread, so only threads that submit ever hold one. Which
+        // thread runs the other chunks is the schedule's business and
+        // is not read here.
+        const JOINS: usize = 200;
+        let submitter = std::thread::current().id();
+        for lanes in [2, 3] {
+            let pool = WorkerPool::new(lanes);
+            for chunks in [2, 4] {
+                let (inline, ran) = (AtomicUsize::new(0), AtomicUsize::new(0));
+                for _ in 0..JOINS {
+                    pool.fork_join(chunks, &|chunk| {
+                        ran.fetch_add(1, Ordering::SeqCst);
+                        if chunk == 0 && std::thread::current().id() == submitter {
+                            inline.fetch_add(1, Ordering::SeqCst);
+                        }
+                    });
+                }
+                let what = format!("{lanes} lanes, {chunks} chunks");
+                assert_eq!(inline.load(Ordering::SeqCst), JOINS, "{what}");
+                assert_eq!(ran.load(Ordering::SeqCst), JOINS * chunks, "{what}");
+            }
+        }
+    }
+
+    #[test]
     fn fork_join_is_a_barrier_between_jobs() {
         let pool = WorkerPool::new(3);
         let counter = AtomicUsize::new(0);

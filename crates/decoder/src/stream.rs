@@ -26,18 +26,17 @@
 //!
 //! * [`AlbQueue::advance`] runs when a block of `fresh >= 1` new rows is
 //!   about to exist. Its existence proves no already-queued row is the
-//!   last, so it steps **every** queued row, oldest first, and one call
-//!   of the caller's `fill(block)` writes the fresh rows into the back
-//!   buffer. On a [`WorkerPool`] the two run as the chunks of one
+//!   last, so it steps **every** queued row, oldest first, while one
+//!   call of the caller's `fill(block)` writes the fresh rows into the
+//!   back buffer: on a [`WorkerPool`] the two run as the chunks of one
 //!   fork-join (the Section VI overlap: search on chunk 0, `fill` on
-//!   chunk 1), so the search cannot read the block being filled and
-//!   trails the producer by the rows of the latest `advance`. Without
-//!   one, `fill` runs first on the calling thread and the search then
-//!   steps the fresh rows too, all but the newest: it trails the
-//!   producer by one row, and a block's scoring and its search each run
-//!   back to back. Then the buffers swap.
-//! * [`AlbQueue::finish`] steps all queued rows but the newest and hands
-//!   the newest to [`StreamingDecode::finish`].
+//!   chunk 1), so the search cannot read the block being filled;
+//!   without one, `fill` runs first on the calling thread. Then, on
+//!   either path, the calling thread steps the fresh rows but the
+//!   newest and the buffers swap. After every call exactly one row — the newest —
+//!   stays queued, so the search trails the producer by one row.
+//! * [`AlbQueue::finish`] hands the queued row, if any, to
+//!   [`StreamingDecode::finish`] for the last-frame treatment.
 //!
 //! Where a block comes from — a copy of a caller's pre-scored row, one
 //! block acoustic forward pass over the frames gathered since the last
@@ -236,7 +235,7 @@ pub(crate) fn best_hypothesis(scratch: &DecodeScratch) -> Option<PartialHypothes
 #[derive(Debug, Default)]
 pub struct AlbQueue {
     /// The block the search reads, packed oldest first at `stride`
-    /// floats a row: its first `stepped` rows are consumed, the rest
+    /// floats a row: its first `stepped` rows are consumed, the newest
     /// queued.
     front: Vec<f32>,
     /// The block the scorer fills during an `advance`; it becomes
@@ -246,8 +245,7 @@ pub struct AlbQueue {
     /// (each block remembers its own, so successive advances may differ
     /// in width), counted as 1 for zero-width rows so they still queue.
     stride: usize,
-    /// Rows of `front` already stepped: all but the newest of a block
-    /// filled without a pool, none of one filled on a pool.
+    /// Rows of `front` already stepped: all but the newest.
     stepped: usize,
 }
 
@@ -267,21 +265,21 @@ impl AlbQueue {
     }
 
     /// Admits a block of `fresh` new rows of `row_len` costs each and
-    /// steps the search over every row queued before them — and, without
-    /// a pool, over every fresh row but the newest.
+    /// steps the search over every row queued before them and every
+    /// fresh row but the newest, which alone stays queued.
     ///
     /// `fill(block)` is called **exactly once** and must write the fresh
     /// rows, packed in frame order, into `block`, which arrives as
     /// exactly `fresh * row_len` floats of stale contents. With a
-    /// `pool`, the search runs as chunk 0 and `fill` as chunk 1 of one
-    /// two-chunk [`WorkerPool::fork_join`], so `fill` runs concurrently
-    /// with the search, which reads only the rows queued by earlier
-    /// calls: the whole fresh block stays queued. Without one, `fill`
-    /// runs first on the calling thread and the search then steps the
-    /// queued rows and the fresh ones but the newest, back to back: only
-    /// the newest row stays queued. Rows enter the search in the same
-    /// order either way, so the result is the same bytes. The buffers
-    /// then swap: the block just filled is what the next call reads.
+    /// `pool`, the search over the queued rows runs as chunk 0 and
+    /// `fill` as chunk 1 of one two-chunk [`WorkerPool::fork_join`], so
+    /// `fill` runs concurrently with a search that reads only rows
+    /// queued by earlier calls. Without one, `fill` runs first and the
+    /// queued rows are stepped after it. Either way the calling thread
+    /// then steps the fresh rows but the newest, so rows enter the
+    /// search in the same order and the result is the same bytes. The
+    /// buffers then swap: the block just filled is what the next call
+    /// reads.
     ///
     /// `fresh == 0` is a no-op (`fill` is not called): with no newer
     /// row in sight, the newest queued row may be the utterance's last
@@ -306,13 +304,13 @@ impl AlbQueue {
         let stride = row_len.max(1);
         self.back.resize(fresh * stride, 0.0);
         let queued = Self::rows(&self.front, self.stride).skip(self.stepped);
-        self.stepped = match pool {
+        match pool {
             Some(pool) => {
                 // Each half's state sits behind a mutex only so the two
                 // chunks can reach it through the shared closure a
                 // fork-join takes; chunk 0 alone locks the search, chunk
                 // 1 the block.
-                let search = Mutex::new(decode);
+                let search = Mutex::new(&mut *decode);
                 let block = Mutex::new((fill, &mut self.back[..fresh * row_len]));
                 pool.fork_join(2, &|chunk: usize| {
                     if chunk == 0 {
@@ -326,34 +324,31 @@ impl AlbQueue {
                         fill(rows);
                     }
                 });
-                0
             }
             None => {
                 fill(&mut self.back[..fresh * row_len]);
-                let block = Self::rows(&self.back, stride).take(fresh - 1);
-                for row in queued.chain(block) {
+                for row in queued {
                     decode.step(row);
                 }
-                fresh - 1
             }
-        };
+        }
+        for row in Self::rows(&self.back, stride).take(fresh - 1) {
+            decode.step(row);
+        }
         std::mem::swap(&mut self.front, &mut self.back);
         self.stride = stride;
+        self.stepped = fresh - 1;
     }
 
-    /// Ends the utterance: steps every queued row but the newest, gives
-    /// the newest the batch decoder's last-frame treatment through
+    /// Ends the utterance: gives the one queued row, if any, the batch
+    /// decoder's last-frame treatment through
     /// [`StreamingDecode::finish`], and leaves the queue empty with both
     /// buffers kept for reuse.
     pub fn finish<G: Deref<Target = Wfst>>(
         &mut self,
-        mut decode: StreamingDecode<G>,
+        decode: StreamingDecode<G>,
     ) -> (DecodeResult, DecodeScratch) {
-        let mut rows = Self::rows(&self.front, self.stride).skip(self.stepped);
-        let last = rows.next_back();
-        for row in rows {
-            decode.step(row);
-        }
+        let last = Self::rows(&self.front, self.stride).nth(self.stepped);
         let out = decode.finish(last);
         self.front.clear();
         self.stepped = 0;
@@ -367,6 +362,7 @@ mod tests {
     use crate::search::ViterbiDecoder;
     use asr_acoustic::scores::AcousticTable;
     use asr_wfst::synth::{SynthConfig, SynthWfst};
+    use asr_wfst::{ArcId, StateEntry};
 
     /// Number of scored rows held back from the search.
     fn ready_len(q: &AlbQueue) -> usize {
@@ -490,9 +486,8 @@ mod tests {
     /// given `fresh` sizes (the last one clipped to the rows that are
     /// left), checking after every call that `fill` ran exactly once
     /// over exactly the fresh block and that the search has consumed
-    /// exactly the rows enqueued *before* it on a pool, and all but the
-    /// newest row without one, then finishes. Returns the result and the
-    /// length of the trace it left.
+    /// every row but the newest, with or without a pool, then finishes.
+    /// Returns the result and the length of the trace it left.
     fn alb_decode(
         wfst: &Wfst,
         scores: &AcousticTable,
@@ -514,13 +509,12 @@ mod tests {
                 }
             });
             assert_eq!(fills, [fresh * row_len], "one fill, over the whole block");
-            let held = if pool.is_some() { fresh } else { 1 };
             assert_eq!(
                 d.frames(),
-                pushed + fresh - held,
+                pushed + fresh - 1,
                 "the newest row is never stepped"
             );
-            assert_eq!(ready_len(&q), held);
+            assert_eq!(ready_len(&q), 1, "exactly the newest row stays queued");
             pushed += fresh;
         }
         let (result, scratch) = q.finish(d);
@@ -574,21 +568,48 @@ mod tests {
 
         // Without a fresh row in sight the newest queued row may be the
         // last one, so a zero-row advance must not step it.
-        let mut d = StreamingDecode::new(&w, opts, DecodeScratch::new(w.num_states()));
+        let mut d = StreamingDecode::new(&w, opts.clone(), DecodeScratch::new(w.num_states()));
         let mut q = AlbQueue::new();
         let mut copy = |row: &mut [f32]| row.copy_from_slice(scores.frame_row(0));
         q.advance(&mut d, None, scores.num_phones(), 1, &mut copy);
         q.advance(&mut d, None, scores.num_phones(), 0, &mut copy);
         assert_eq!((d.frames(), ready_len(&q)), (0, 1));
 
-        // Zero-width rows carry no costs but still count as rows (queued
-        // on a pool, which steps none of a fresh block).
+        // Zero-width rows carry no costs but still count as rows: on a
+        // pool, as without one, all but the newest of a fresh block step
+        // (over a one-state graph without arcs, which reads no cost).
+        let lone = StateEntry {
+            first_arc: ArcId(0),
+            num_emitting: 0,
+            num_epsilon: 0,
+        };
+        let lone = Wfst::from_parts(vec![lone], Vec::new(), StateId(0), vec![0.0]).unwrap();
+        let mut d = StreamingDecode::new(&lone, opts, DecodeScratch::new(1));
         let pool = WorkerPool::new(2);
         let mut q = AlbQueue::new();
         q.advance(&mut d, Some(&pool), 0, 2, &mut |block| {
             assert!(block.is_empty())
         });
-        assert_eq!((d.frames(), ready_len(&q)), (0, 2));
+        assert_eq!((d.frames(), ready_len(&q)), (1, 1));
+    }
+
+    #[test]
+    fn advance_leaves_exactly_one_row_queued_for_every_split() {
+        // One hold-back rule: after every call, whatever its block height
+        // and whether a pool runs the fill, the newest row alone stays
+        // queued (`alb_decode` asserts it per call) and `finish` gives it
+        // the last-frame treatment.
+        let (w, scores) = workload(500, 17, 73);
+        let opts = DecodeOptions::with_beam(8.0);
+        let batch = batch_decode_traced(&w, &scores, opts.clone());
+        let pool = WorkerPool::new(2);
+        for fresh in 1..=5 {
+            for pool in [None, Some(&pool)] {
+                let streamed = alb_decode(&w, &scores, opts.clone(), pool, || fresh);
+                let what = format!("blocks of {fresh}, pool: {}", pool.is_some());
+                assert_same_bytes(&streamed, &batch, &what);
+            }
+        }
     }
 
     #[test]

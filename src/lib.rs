@@ -22,7 +22,8 @@
 //! ([`decoder::pool::ScratchPool`]) so repeated recognitions are
 //! allocation-free per frame; on a multi-lane runtime each session
 //! overlaps the scoring of frame *i + 1* with the search of frame *i*
-//! (the paper's Section VI pipelining) with byte-identical results.
+//! (the paper's Section VI pipelining) with byte-identical results, and
+//! on every path the search holds back exactly the newest row.
 //! The layer is five modules under `src/runtime/` — the handle, and
 //! `session`, `admission`, `batch`, `registry`, each owning one protocol —
 //! all re-exported at [`runtime`]. [`on_accelerator`] runs the same

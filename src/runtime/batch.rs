@@ -368,20 +368,26 @@ impl BatchService {
         self.widest_batch.fetch_max(rows, Ordering::Relaxed);
     }
 
-    /// Pops the session's oldest scored row into `buf` (cleared and
-    /// refilled; allocation-free once warm). `false` when no row is
-    /// ready.
-    pub(super) fn pop_into(&self, handle: BatchSlot, buf: &mut Vec<f32>) -> bool {
+    /// Scored rows the session's slot holds, awaiting its next drain.
+    pub(super) fn ready_rows(&self, handle: BatchSlot) -> usize {
+        let st = self.lock();
+        let slot = &st.slots[handle.index];
+        debug_assert!(slot.live && slot.gen == handle.gen, "stale batch slot");
+        slot.ready.len() / self.row_len
+    }
+
+    /// Moves the session's oldest scored rows, packed in submission
+    /// order, into `block`: as many as it holds, which must be no more
+    /// than [`BatchService::ready_rows`] counted. A flush between the
+    /// count and the move only adds newer rows behind them.
+    pub(super) fn take_ready_into(&self, handle: BatchSlot, block: &mut [f32]) {
         let mut st = self.lock();
         let slot = &mut st.slots[handle.index];
         debug_assert!(slot.live && slot.gen == handle.gen, "stale batch slot");
-        if slot.ready.is_empty() {
-            return false;
+        let rows = slot.ready.drain(..block.len());
+        for (dst, cost) in block.iter_mut().zip(rows) {
+            *dst = cost;
         }
-        debug_assert!(slot.ready.len() >= self.row_len, "partial row in the slot");
-        buf.clear();
-        buf.extend(slot.ready.drain(..self.row_len));
-        true
     }
 
     /// Flushes the gather window if this session still has rows in it —

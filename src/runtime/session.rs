@@ -11,32 +11,29 @@
 //!
 //! Whatever its source, every score row enters the search through the
 //! session's [`AlbQueue`] — the paper's double-buffered Acoustic
-//! Likelihood Buffer — as one *block* per [`Session::advance`]: a copy
-//! of a caller's pre-scored row, a row scattered back by the batched
-//! scoring service, or one `score_block_into` call over the feature
-//! frames the online front-end has held for it. The queue alone decides
-//! which rows the search may step (all but the newest block when the
-//! block is scored on another lane, all but the newest row when it is
-//! scored on the session's thread) and runs the block's one scoring
-//! call beside the search or before it.
+//! Likelihood Buffer — as one *block* per [`AlbQueue::advance`]: a copy
+//! of a caller's pre-scored row, the rows the batched scoring service
+//! has scored for the session, or one `score_block_into` call over the
+//! feature frames the online front-end has held for it. The queue alone
+//! decides which rows the search may step (all but the newest, on every
+//! path) and runs the block's one scoring call beside the search or
+//! before it.
 //!
 //! # Section VI pipelining
 //!
 //! On top of the shared executor, a session overlaps its scoring with
-//! its search: while the search relaxes the held-back rows of packet
+//! its search: while the search relaxes the held-back row of packet
 //! *i*, the scoring of packet *i + 1* runs as a fork-join chunk on another
 //! lane — exactly the paper's GPU-scores-batch-*i + 1*-while-the-
-//! accelerator-searches-batch-*i* overlap, shrunk to frame granularity
-//! (or to [`SessionOptions::overlap_depth`] frames per block). Results
-//! stay **byte-identical** to the sequential path because the two
-//! halves touch disjoint state (the search never reads the block being
-//! scored, the scorer never reads the search) and the rows enter the
-//! search in the same order; determinism is structural, not lucky.
-//! A session takes its executor handle with its first audio push, and
-//! only on a multi-lane runtime without the batched scoring service.
-//! Otherwise it takes none: a batched session's rows come back from the
-//! gather window, a row-fed session has nothing to score, and on a
-//! single lane a session scores on its own thread.
+//! accelerator-searches-batch-*i* overlap, shrunk to frame granularity:
+//! one frame per fork-join. Results stay **byte-identical** to the
+//! sequential path because the two halves touch disjoint state (the
+//! search never reads the row being scored, the scorer never reads the
+//! search) and the rows enter the search in the same order; determinism
+//! is structural, not lucky. A session picks its one scoring mode at its
+//! first audio push: overlapped on a multi-lane runtime without the
+//! batched scoring service, batched when the runtime has one, and on its
+//! own thread otherwise. A row-fed session has nothing to score.
 //!
 //! # Blocks in time on one thread
 //!
@@ -54,7 +51,7 @@
 
 use super::batch::{BatchSlot, SubmitOutcome};
 use super::registry::ModelCounters;
-use super::{AsrRuntime, PipelineError, RuntimeInner, Transcript};
+use super::{AcousticModel, AsrRuntime, PipelineError, RuntimeInner, Transcript};
 use asr_acoustic::mfcc::MfccConfig;
 use asr_acoustic::online::OnlineMfcc;
 use asr_acoustic::scores::AcousticTable;
@@ -70,10 +67,10 @@ pub struct Hypothesis {
     pub words: Vec<String>,
     /// Path cost of the current best token (no final cost applied).
     pub cost: f32,
-    /// Frames the search has consumed so far: one behind the rows
-    /// pushed (the newest waits in the session's score buffer). An
-    /// audio-fed session trails its audio further — see
-    /// [`Session::partial`].
+    /// Frames the search has consumed so far: exactly one behind the
+    /// rows that have reached the session's score buffer, on every path
+    /// (the newest waits there). An audio-fed session's rows trail its
+    /// audio further — see [`Session::partial`].
     pub frames_decoded: usize,
 }
 
@@ -81,43 +78,22 @@ pub struct Hypothesis {
 /// builder.
 #[derive(Debug, Clone, Default)]
 pub struct SessionOptions {
-    /// `None` = depth 1: the classic single-row Section VI overlap.
-    overlap_depth: Option<usize>,
     /// Decode over a registered model instead of the runtime's default
     /// graph.
     model: Option<String>,
 }
 
 impl SessionOptions {
-    /// The default options: the runtime's default graph and depth-1
-    /// overlap.
+    /// The default options: the runtime's default graph.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Sets the block height of the overlapped scoring call: each push
-    /// gathers up to `depth` completed feature frames and scores them
-    /// with **one** block forward pass, as one executor task, *while* the
-    /// search relaxes every already-scored row — the paper's Acoustic
-    /// Likelihood Buffer as a multi-frame batch buffer. `1` (the
-    /// default) is the classic single-row overlap. A taller block costs
-    /// less per row (the weights stream once per block, not once per
-    /// row) but its rows no longer spread over lanes; only
-    /// [`Session::finalize`]'s flush and callers pushing more than one
-    /// hop of audio at a time ever gather more than one frame.
-    /// Transcripts are byte-identical for any depth: row order and
-    /// per-row arithmetic never change, only when rows are scored.
-    /// [`Session::partial`] may lag the pushes by up to `depth` rows
-    /// instead of one. Ignored when the session scores on its own thread
-    /// (a one-lane runtime, where it scores fixed blocks of eight
-    /// frames in time instead) or joins the batched scoring service.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth == 0`.
-    pub fn overlap_depth(mut self, depth: usize) -> Self {
-        assert!(depth > 0, "overlap_depth must be at least 1");
-        self.overlap_depth = Some(depth);
+    /// Read by nothing: an overlapped session scores one frame per
+    /// fork-join whatever `depth` says. Kept only because the benchmark
+    /// crate's `voice_2s_overlap` spec calls it; it goes once that call
+    /// is dropped (ROADMAP B4).
+    pub fn overlap_depth(self, _depth: usize) -> Self {
         self
     }
 
@@ -148,15 +124,14 @@ impl SessionOptions {
 pub(super) const SCORE_BLOCK: usize = 8;
 
 /// The per-session streaming front-end: an [`OnlineMfcc`] plus the
-/// buffers one [`Session::advance`] worth of scoring works over. Checked
+/// buffers one [`AlbQueue::advance`] worth of scoring works over. Checked
 /// out of (and restored to) the runtime's front-end pool, so the buffers
 /// stay warm across sessions.
 #[derive(Debug)]
 pub(super) struct SessionFrontend {
     pub(super) mfcc: OnlineMfcc,
     /// Completed feature frames gathered for one advance, packed: up to
-    /// [`SCORE_BLOCK`] on the session's own thread, up to
-    /// `overlap_depth` overlapped, one for the batched service.
+    /// [`SCORE_BLOCK`] on the session's own thread, one otherwise.
     feats: Vec<f32>,
     /// The MLP's block activation scratch, sized per advance to the
     /// gathered block (empty for the template model).
@@ -188,6 +163,64 @@ impl SessionFrontend {
             n += 1;
         }
         n
+    }
+
+    /// Scores the `rows` frames `gather` packed with one block forward
+    /// pass, as the `fill` of one advance beside the search on `pool`.
+    fn score(
+        &mut self,
+        model: &AcousticModel,
+        rows: usize,
+        alb: &mut AlbQueue,
+        decode: &mut StreamingDecode<Arc<Wfst>>,
+        pool: Option<&WorkerPool>,
+    ) {
+        let dim = self.mfcc.dim();
+        let Self { feats, scratch, .. } = self;
+        scratch.resize(model.block_scratch_len(rows), 0.0);
+        alb.advance(decode, pool, model.row_len(), rows, &mut |block| {
+            model.score_block_into(&feats[..rows * dim], rows, block, scratch);
+        });
+    }
+}
+
+/// How an audio-fed session scores its frames: decided once, by its
+/// first [`Session::push_samples`]. Every mode carries the session's
+/// pooled front-end.
+#[derive(Debug)]
+enum Scoring {
+    /// On the session's own thread, in blocks of [`SCORE_BLOCK`] frames:
+    /// a one-lane runtime without the batched scoring service.
+    OwnThread(SessionFrontend),
+    /// One frame per fork-join on the shared executor, beside the
+    /// search: a multi-lane runtime without the service.
+    Overlapped(SessionFrontend, Arc<WorkerPool>),
+    /// Through the batched scoring service's gather window, under the
+    /// session's registration with it.
+    Batched(SessionFrontend, BatchSlot),
+}
+
+impl Scoring {
+    /// The mode `runtime` gives a session's audio, with a front-end
+    /// checked out of its pool. Only a session that overlaps takes the
+    /// executor (spawning it on first use).
+    fn start(runtime: &RuntimeInner) -> Self {
+        let frontend = runtime.checkout_frontend();
+        if let Some(svc) = &runtime.batch {
+            return Self::Batched(frontend, svc.register());
+        }
+        match runtime.executor() {
+            Some(pool) => Self::Overlapped(frontend, Arc::clone(pool)),
+            None => Self::OwnThread(frontend),
+        }
+    }
+
+    fn frontend(&mut self) -> &mut SessionFrontend {
+        match self {
+            Self::OwnThread(frontend)
+            | Self::Overlapped(frontend, _)
+            | Self::Batched(frontend, _) => frontend,
+        }
     }
 }
 
@@ -232,7 +265,7 @@ impl AsrRuntime {
             .resolve_model(&options)
             .unwrap_or_else(|e| panic!("open_session_with: {e}"));
         self.inner.admission.session_opened();
-        self.build_session(options, resolved)
+        self.build_session(resolved)
     }
 
     /// Opens a session with default options under admission control:
@@ -279,7 +312,7 @@ impl AsrRuntime {
         // error, reported without charging admission or shed counters.
         let resolved = self.resolve_model(&options)?;
         self.inner.admission.try_admit()?;
-        Ok(self.build_session(options, resolved))
+        Ok(self.build_session(resolved))
     }
 
     /// Resolves the graph a session will decode over, and the per-model
@@ -302,7 +335,6 @@ impl AsrRuntime {
     /// Constructs the session once admission has been decided.
     fn build_session(
         &self,
-        options: SessionOptions,
         (graph, model_counters): (Arc<Wfst>, Option<Arc<ModelCounters>>),
     ) -> Session {
         if let Some(counters) = &model_counters {
@@ -317,13 +349,9 @@ impl AsrRuntime {
                 self.inner.options.clone(),
                 scratch,
             )),
-            frontend: None,
-            executor: None,
+            scoring: None,
             alb: AlbQueue::new(),
-            overlap_depth: options.overlap_depth.unwrap_or(1),
             min_row_len,
-            scattered: Vec::new(),
-            batch_slot: None,
             model_counters,
         }
     }
@@ -349,30 +377,17 @@ impl AsrRuntime {
 pub struct Session {
     runtime: Arc<RuntimeInner>,
     decode: Option<StreamingDecode<Arc<Wfst>>>,
-    /// The pooled streaming front-end, checked out lazily by the first
-    /// [`Session::push_samples`]. `None` for row-fed sessions.
-    frontend: Option<SessionFrontend>,
-    /// The shared executor, when this session overlaps scoring with the
-    /// search (taken by the first [`Session::push_samples`] on a
-    /// multi-lane runtime without a batched scoring service); `None`
-    /// scores inline.
-    executor: Option<Arc<WorkerPool>>,
+    /// How the session scores its audio, decided by the first
+    /// [`Session::push_samples`]; `None` for a row-fed session or before
+    /// any audio.
+    scoring: Option<Scoring>,
     /// The score→search handoff: every row, whatever its source,
     /// enters the search through this queue, which holds the newest
     /// rows back so the last one gets the end-of-utterance treatment.
     alb: AlbQueue,
-    /// Block height of the one overlapped scoring call: how many
-    /// completed frames one advance may gather.
-    overlap_depth: usize,
     /// The shortest row the session's graph can be searched over: one
     /// past its largest phone label.
     min_row_len: usize,
-    /// Landing buffer for one row scattered back by the batched scoring
-    /// service, on its way into `alb`.
-    scattered: Vec<f32>,
-    /// The session's registration with the service, made lazily by the
-    /// first [`Session::push_samples`].
-    batch_slot: Option<BatchSlot>,
     /// Counters of the registered model this session decodes over;
     /// `None` on the runtime's default graph.
     model_counters: Option<Arc<ModelCounters>>,
@@ -389,8 +404,9 @@ impl Session {
     /// a fork-join chunk on the shared executor *while* the search relaxes
     /// the previously staged row — the paper's Section VI overlap — with
     /// byte-identical results to inline scoring; with a batched scoring
-    /// service, the frames join its gather window. The first push takes
-    /// the executor handle or the service slot. On a one-lane runtime
+    /// service, the frames join its gather window. The first push picks
+    /// the session's scoring mode, taking the executor handle or the
+    /// service slot. On a one-lane runtime
     /// without the service, completed frames wait in the front-end until
     /// eight are ready, then are scored as one block and searched back
     /// to back: seven pushes in eight run only the front-end.
@@ -405,91 +421,86 @@ impl Session {
     /// still holds lookahead frames would be searched ahead of them,
     /// reordering the utterance.
     pub fn push_samples(&mut self, samples: &[f32]) {
-        let mut frontend = match self.frontend.take() {
-            Some(frontend) => frontend,
-            None => {
-                match &self.runtime.batch {
-                    Some(svc) => self.batch_slot = Some(svc.register()),
-                    None => self.executor = self.runtime.executor().cloned(),
-                }
-                self.runtime.checkout_frontend()
-            }
-        };
-        frontend.mfcc.push_samples(samples);
-        self.drain_frontend(&mut frontend, false);
-        self.frontend = Some(frontend);
+        let runtime = &self.runtime;
+        let scoring = self.scoring.get_or_insert_with(|| Scoring::start(runtime));
+        scoring.frontend().mfcc.push_samples(samples);
+        self.drain_frontend(false);
     }
 
     /// Scores completed front-end frames and enqueues their cost rows
-    /// behind the search, one [`Session::advance`] per gathered block.
+    /// behind the search, as the session's [`Scoring`] mode says.
     ///
-    /// A session registered with the batched service submits one frame
-    /// at a time to the gather window (which may flush it, scoring every
-    /// pending row of every session in one block forward pass) and
-    /// consumes whatever rows of its own have come back; a lone one is
-    /// told to score the frame itself. Everyone else scores here, one
-    /// block forward pass per advance: with an executor attached, over
-    /// up to [`SessionOptions::overlap_depth`] frames as one fork-join
-    /// chunk — the paper's Section VI overlap, with the ALB as a
-    /// multi-frame batch buffer at depth > 1; on the session's own
-    /// thread, over [`SCORE_BLOCK`] frames, leaving fewer in the
+    /// On its own thread the session scores [`SCORE_BLOCK`] frames with
+    /// one block forward pass per advance, leaving fewer in the
     /// front-end until a full block is ready — or, at a `sync` point,
-    /// over whatever is ready.
+    /// scoring whatever is ready. Overlapped, it scores one frame per
+    /// advance as a fork-join chunk beside the search: the paper's
+    /// Section VI overlap. Batched, it submits one frame at a time to
+    /// the gather window (which may flush it, scoring every pending row
+    /// of every session in one block forward pass) and moves whatever
+    /// rows of its own have come back into the ALB in one advance; a
+    /// lone session is told to score the frame itself. At a `sync` point
+    /// a batched session also flushes its frames still in the window.
     ///
     /// Determinism: the search relaxes rows in FIFO frame order, and
     /// every path computes a row with the same per-row arithmetic
-    /// (block height is numerically invisible) — the source changes
+    /// (block height is numerically invisible) — the mode changes
     /// *when* rows are scored, never their order or values, for any lane
     /// count or task schedule.
-    fn drain_frontend(&mut self, frontend: &mut SessionFrontend, sync: bool) {
-        let runtime = Arc::clone(&self.runtime);
-        let model = &runtime.model;
-        // Only a session scoring on its own thread waits for a full
-        // block: the overlap already scores on another core, whose cache
-        // the search never touches, and the gather window already
-        // blocks across sessions.
-        let (depth, wait) = match (&self.executor, self.batch_slot) {
-            (Some(_), _) => (self.overlap_depth, false),
-            (None, Some(_)) => (1, false),
-            (None, None) => (SCORE_BLOCK, !sync),
-        };
-        let dim = frontend.mfcc.dim();
-        loop {
-            if wait && frontend.mfcc.ready_frames() < depth {
-                return;
-            }
-            let rows = frontend.gather(depth);
-            if rows == 0 {
-                return;
-            }
-            if let (Some(svc), Some(slot)) = (&runtime.batch, self.batch_slot) {
-                let feat = &frontend.feats[..dim];
-                if let SubmitOutcome::Queued = svc.submit(slot, feat, model) {
-                    self.drain_batched_rows();
-                    continue;
-                }
-            }
-            let SessionFrontend { feats, scratch, .. } = &mut *frontend;
-            scratch.resize(model.block_scratch_len(rows), 0.0);
-            self.advance(model.row_len(), rows, &mut |block| {
-                model.score_block_into(&feats[..rows * dim], rows, block, scratch);
-            });
-        }
-    }
-
-    /// Enqueues every scored row the service has ready for this
-    /// session, in submission order, one advance each — so the search
-    /// trails the scattered rows by exactly one, like an unbatched
-    /// session's.
-    fn drain_batched_rows(&mut self) {
-        let Some(slot) = self.batch_slot else {
+    fn drain_frontend(&mut self, sync: bool) {
+        let Self {
+            runtime,
+            decode,
+            alb,
+            scoring,
+            ..
+        } = self;
+        let (Some(decode), Some(scoring)) = (decode.as_mut(), scoring.as_mut()) else {
             return;
         };
-        let mut row = std::mem::take(&mut self.scattered);
-        while (self.runtime.batch.as_ref()).is_some_and(|svc| svc.pop_into(slot, &mut row)) {
-            self.advance(row.len(), 1, &mut |dst| dst.copy_from_slice(&row));
+        let model = &runtime.model;
+        match scoring {
+            // Only a session scoring on its own thread waits for a full
+            // block: the overlap already scores on another core, whose
+            // cache the search never touches, and the gather window
+            // already blocks across sessions.
+            Scoring::OwnThread(frontend) => {
+                while sync || frontend.mfcc.ready_frames() >= SCORE_BLOCK {
+                    let rows = frontend.gather(SCORE_BLOCK);
+                    if rows == 0 {
+                        break;
+                    }
+                    frontend.score(model, rows, alb, decode, None);
+                }
+            }
+            Scoring::Overlapped(frontend, pool) => {
+                while frontend.gather(1) == 1 {
+                    frontend.score(model, 1, alb, decode, Some(pool));
+                }
+            }
+            Scoring::Batched(frontend, slot) => {
+                let svc = runtime.batch.as_ref().expect("a batched session's service");
+                let dim = frontend.mfcc.dim();
+                while frontend.gather(1) == 1 {
+                    // Told only while none of its rows is in the window
+                    // or ready, so the inline row cannot jump ahead.
+                    if let SubmitOutcome::ScoreInline =
+                        svc.submit(*slot, &frontend.feats[..dim], model)
+                    {
+                        frontend.score(model, 1, alb, decode, None);
+                    }
+                }
+                if sync {
+                    svc.flush_for(*slot, model);
+                }
+                // A flush on another thread between the count and the take
+                // only adds newer rows, which wait for the next drain.
+                let rows = svc.ready_rows(*slot);
+                alb.advance(decode, None, model.row_len(), rows, &mut |block| {
+                    svc.take_ready_into(*slot, block);
+                });
+            }
         }
-        self.scattered = row;
     }
 
     /// Forces the session's scoring pipeline to a sync point: the frames
@@ -498,31 +509,10 @@ impl Session {
     /// service's gather window are flushed (batching the other sessions'
     /// pending rows along with them); either way the search consumes
     /// them. Afterwards the search trails the frames the front-end has
-    /// completed by exactly the newest row — one block when overlapping
-    /// at [`SessionOptions::overlap_depth`] — so partials compared here
-    /// are byte-identical across lane counts and batching modes.
+    /// completed by exactly one row, on every path, so partials compared
+    /// here are byte-identical across lane counts and batching modes.
     pub fn flush_scoring(&mut self) {
-        if let Some(mut frontend) = self.frontend.take() {
-            self.drain_frontend(&mut frontend, true);
-            self.frontend = Some(frontend);
-        }
-        if let (Some(svc), Some(slot)) = (&self.runtime.batch, self.batch_slot) {
-            svc.flush_for(slot, &self.runtime.model);
-            self.drain_batched_rows();
-        }
-    }
-
-    /// The session's one frame step, shared by every row source: lets
-    /// the ALB step the search over every queued row while `fill`
-    /// produces the block of `fresh` new ones (see
-    /// [`AlbQueue::advance`]) — on the executor when the session has
-    /// one, otherwise on this thread.
-    fn advance(&mut self, row_len: usize, fresh: usize, fill: &mut (dyn FnMut(&mut [f32]) + Send)) {
-        let Some(decode) = self.decode.as_mut() else {
-            return;
-        };
-        self.alb
-            .advance(decode, self.executor.as_deref(), row_len, fresh, fill);
+        self.drain_frontend(true);
     }
 
     /// Pushes one frame's acoustic score row (`row[p]` = cost of phone
@@ -551,11 +541,15 @@ impl Session {
             self.min_row_len
         );
         assert!(
-            self.frontend.is_none(),
+            self.scoring.is_none(),
             "push_row after push_samples: the online front-end still holds \
              lookahead frames, so this row would be searched out of order"
         );
-        self.advance(row.len(), 1, &mut |dst| dst.copy_from_slice(row));
+        if let Some(decode) = self.decode.as_mut() {
+            self.alb.advance(decode, None, row.len(), 1, &mut |dst| {
+                dst.copy_from_slice(row)
+            });
+        }
     }
 
     /// Pushes every frame of a scored batch, in order — the per-batch
@@ -573,9 +567,7 @@ impl Session {
     /// session's also lags by the front-end's two lookahead frames, and
     /// on one lane by up to seven frames waiting for their scoring block:
     /// up to ten frames behind the audio, three after
-    /// [`Session::flush_scoring`]. Overlapping at
-    /// [`SessionOptions::overlap_depth`], the held-back row is a block of
-    /// up to that many rows.
+    /// [`Session::flush_scoring`] on every path.
     pub fn partial(&self) -> Option<Hypothesis> {
         let decode = self.decode.as_ref()?;
         decode.partial().map(|p| Hypothesis {
@@ -589,20 +581,18 @@ impl Session {
     /// raw-audio sessions) is flushed with the batch edge clamping, the
     /// held-back final row gets the batch decoder's end-of-utterance
     /// treatment, final states are selected, and the warmed scratch and
-    /// front-end return to the runtime's pools.
+    /// front-end return to the runtime's pools (the front-end, and the
+    /// batched service's slot, as the finalized session drops).
     ///
     /// The transcript is byte-identical to
     /// [`AsrRuntime::recognize_scores`] over the same rows — and, for
     /// sessions fed raw samples, to batch-scoring the same waveform and
     /// decoding the table.
     pub fn finalize(mut self) -> Transcript {
-        if let Some(frontend) = &mut self.frontend {
-            frontend.mfcc.finish();
+        if let Some(scoring) = &mut self.scoring {
+            scoring.frontend().mfcc.finish();
         }
         self.flush_scoring();
-        if let Some(frontend) = self.frontend.take() {
-            self.runtime.restore_frontend(frontend);
-        }
         let decode = self.decode.take().expect("session not yet finalized");
         let (result, scratch) = self.alb.finish(decode);
         self.runtime.scratch_pool.restore(scratch);
@@ -616,15 +606,20 @@ impl Session {
 
 impl Drop for Session {
     fn drop(&mut self) {
-        if let Some(slot) = self.batch_slot.take() {
-            // Mid-batch drops are fine: unregistering compacts this
-            // session's pending rows out of the gather window and kills
-            // the slot's generation, so nothing is misrouted.
-            if let Some(svc) = &self.runtime.batch {
-                svc.unregister(slot);
-            }
-        }
-        if let Some(frontend) = self.frontend.take() {
+        if let Some(scoring) = self.scoring.take() {
+            let frontend = match scoring {
+                Scoring::Batched(frontend, slot) => {
+                    // Mid-batch drops are fine: unregistering compacts
+                    // this session's pending rows out of the gather
+                    // window and kills the slot's generation, so nothing
+                    // is misrouted.
+                    if let Some(svc) = &self.runtime.batch {
+                        svc.unregister(slot);
+                    }
+                    frontend
+                }
+                Scoring::OwnThread(frontend) | Scoring::Overlapped(frontend, _) => frontend,
+            };
             self.runtime.restore_frontend(frontend);
         }
         if let Some(decode) = self.decode.take() {

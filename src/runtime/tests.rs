@@ -373,7 +373,10 @@ fn overlapped_and_inline_scoring_are_byte_identical() {
 }
 
 #[test]
-fn multi_row_overlap_is_byte_identical_to_inline_for_every_depth() {
+fn multi_row_overlap_is_byte_identical_to_inline_for_every_packet_size() {
+    // Packets that complete several frames per push: the overlap still
+    // scores one frame per fork-join, and the rows reach the search in
+    // the order one lane's blocks put them there.
     let runtime = demo_lanes(2);
     let audio = runtime.render_words(&["play", "music"]).unwrap();
     let inline = {
@@ -383,16 +386,13 @@ fn multi_row_overlap_is_byte_identical_to_inline_for_every_depth() {
         }
         session.finalize()
     };
-    for depth in [2usize, 3, 5] {
-        for chunk in [160usize, 517] {
-            let mut session = runtime.open_session_with(SessionOptions::new().overlap_depth(depth));
-            for packet in audio.samples.chunks(chunk) {
-                session.push_samples(packet);
-            }
-            let deep = session.finalize();
-            let what = format!("depth {depth} chunk {chunk}");
-            assert_same(&heard(&deep), &heard(&inline), &what);
+    for chunk in [517usize, 1_600, audio.samples.len()] {
+        let mut session = runtime.open_session();
+        for packet in audio.samples.chunks(chunk) {
+            session.push_samples(packet);
         }
+        let what = format!("packets of {chunk}");
+        assert_same(&heard(&session.finalize()), &heard(&inline), &what);
     }
 }
 
@@ -400,22 +400,24 @@ fn multi_row_overlap_is_byte_identical_to_inline_for_every_depth() {
 fn multi_row_session_migrates_a_pushed_row_into_the_queue() {
     // A row pushed before the first audio push sits in the same
     // queue the overlapped audio rows enter behind it, so it must
-    // still be searched first, in order, at every overlap depth.
+    // still be searched first, in order, however many frames a push
+    // completes.
     let (runtime, one_lane) = (demo_lanes(2), demo_lanes(1));
     let audio = runtime.render_words(&["go"]).unwrap();
     let scores = runtime.score(&audio);
-    let run = |runtime: &AsrRuntime, options: SessionOptions| {
-        let mut session = runtime.open_session_with(options);
+    let run = |runtime: &AsrRuntime, chunk: usize| {
+        let mut session = runtime.open_session();
         session.push_row(scores.frame_row(0));
-        for packet in audio.samples.chunks(160) {
+        for packet in audio.samples.chunks(chunk) {
             session.push_samples(packet);
         }
         session.finalize()
     };
-    let inline = run(&one_lane, SessionOptions::new());
-    for depth in [1usize, 3] {
-        let deep = run(&runtime, SessionOptions::new().overlap_depth(depth));
-        assert_same(&heard(&deep), &heard(&inline), &format!("depth {depth}"));
+    let inline = run(&one_lane, 160);
+    for chunk in [517usize, 1_600, audio.samples.len()] {
+        let overlapped = run(&runtime, chunk);
+        let what = format!("packets of {chunk}");
+        assert_same(&heard(&overlapped), &heard(&inline), &what);
     }
 }
 
@@ -771,6 +773,53 @@ fn mlp_acoustic_runtime_batches_identically() {
     assert_same(&heard(&ba), &heard(&ua), "first MLP session");
     assert_same(&heard(&bb), &heard(&ub), "second MLP session");
     assert!(batched_rt.stats().batch.unwrap().batches > 0);
+}
+
+#[test]
+fn a_batched_session_moves_every_ready_row_into_its_alb_in_one_drain() {
+    let config = || {
+        RuntimeConfig::new()
+            .lanes(1)
+            .decode_options(DecodeOptions::with_beam(1.0e9))
+            .mlp_acoustic(&[32], 7)
+    };
+    let runtime =
+        AsrRuntime::demo_with(config().batch_scoring(BatchScoringConfig::new(8))).unwrap();
+    let audio = runtime.render_words(&["play", "music"]).unwrap();
+    // B registers with one push that completes no frame, then stays
+    // idle: the window's target of two live sessions flushes A's frames
+    // two at a time, and the push that flushes drains both rows.
+    assert_eq!(completed_frames(&audio.samples[..160]), 0);
+    let mut b = runtime.open_session();
+    b.push_samples(&audio.samples[..160]);
+    let mut a = runtime.open_session();
+    let mut twin = AsrRuntime::demo_with(config()).unwrap().open_session();
+    let returned = |runtime: &AsrRuntime| runtime.stats().batch.unwrap().batched_rows as usize;
+    let (mut before, mut pairs) = (0, 0);
+    for packet in audio.samples.chunks(160) {
+        a.push_samples(packet);
+        twin.push_samples(packet);
+        // B submits nothing, so every row the service scored is A's.
+        let rows = returned(&runtime);
+        if rows > 0 {
+            let decoded = a.partial().unwrap().frames_decoded;
+            assert_eq!(decoded, rows - 1, "{rows} rows returned");
+        }
+        assert!(rows == before || rows == before + 2, "{before} -> {rows}");
+        pairs += usize::from(rows == before + 2);
+        before = rows;
+    }
+    assert!(pairs >= 10, "only {pairs} two-row drains");
+    a.flush_scoring();
+    twin.flush_scoring();
+    let (got, want) = (a.partial().unwrap(), twin.partial().unwrap());
+    assert_eq!(got, want, "synced partials");
+    assert_eq!(got.cost.to_bits(), want.cost.to_bits());
+    let stats = runtime.stats().batch.unwrap();
+    assert_eq!(stats.single_row_fallbacks, 0, "A was never alone");
+    let got = heard(&a.finalize());
+    assert_same(&got, &oracle_heard(&runtime, &audio), "batched session");
+    drop(b);
 }
 
 #[test]

@@ -18,7 +18,7 @@
 //! the *overlapped* (shared-executor) push path.
 
 use asr_repro::acoustic::scores::AcousticTable;
-use asr_repro::runtime::{AsrRuntime, BatchScoringConfig, RuntimeConfig, SessionOptions};
+use asr_repro::runtime::{AsrRuntime, BatchScoringConfig, RuntimeConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -227,11 +227,11 @@ fn runtime_session_pushes_are_allocation_free_after_warmup() {
 #[test]
 fn multi_row_session_pushes_are_allocation_free_after_warmup() {
     let _guard = serialized();
-    // Depth-3 ALB batches on two lanes: the counted region covers the
-    // frame gather, the (1 + n)-chunk fork-join, the ready-FIFO
-    // retire/recycle cycle, and the executor handoff. The queue's free
-    // list recycles every row buffer, so the steady state must not
-    // allocate per frame — or per batch.
+    // 517-sample packets on two lanes, so most pushes complete several
+    // frames: the counted region covers the frame gather, one two-chunk
+    // fork-join per frame, the queue's two swapping buffers and the
+    // executor handoff. The steady state must not allocate per frame —
+    // or per push.
     let runtime = AsrRuntime::demo_with(RuntimeConfig::new().lanes(2)).unwrap();
     let words = [
         "play", "music", "play", "music", "play", "music", "play", "music", "play", "music",
@@ -239,15 +239,15 @@ fn multi_row_session_pushes_are_allocation_free_after_warmup() {
     let audio = runtime.render_words(&words).unwrap();
     // Warm the shared pools (front-end, scratch, executor) once.
     {
-        let mut session = runtime.open_session_with(SessionOptions::new().overlap_depth(3));
+        let mut session = runtime.open_session();
         session.push_samples(&audio.samples);
         session.finalize();
     }
 
-    let mut session = runtime.open_session_with(SessionOptions::new().overlap_depth(3));
-    let chunks: Vec<&[f32]> = audio.samples.chunks(160).collect();
-    // The session-local row queue and batch buffers warm during the
-    // first two thirds; the tail must ride them.
+    let mut session = runtime.open_session();
+    let chunks: Vec<&[f32]> = audio.samples.chunks(517).collect();
+    // The session-local buffers warm during the first two thirds; the
+    // tail must ride them.
     let tail_start = chunks.len() * 2 / 3;
     for piece in &chunks[..tail_start] {
         session.push_samples(piece);
@@ -257,15 +257,16 @@ fn multi_row_session_pushes_are_allocation_free_after_warmup() {
             session.push_samples(piece);
         }
     });
-    let frames = (chunks.len() - tail_start) as u64;
+    let samples: usize = chunks[tail_start..].iter().map(|piece| piece.len()).sum();
+    let frames = (samples / 160) as u64;
     assert!(
         frames >= 40,
         "workload too small to separate per-frame allocation from noise"
     );
     assert!(
         steady <= 8,
-        "{frames} steady-state multi-row pushes performed {steady} allocations: \
-         the ALB batch path is allocating per frame"
+        "{frames} steady-state frames in multi-row pushes performed {steady} allocations: \
+         the overlapped path is allocating per frame"
     );
     drop(session);
 }

@@ -10,10 +10,10 @@
 //!    **one** runtime — one scratch pool, one fork-join executor whose
 //!    lanes claim chunks from a list of pending jobs — produce
 //!    transcripts byte-identical to the reference decoder on the same
-//!    rows (the `asr-testkit` oracle), across raw-audio, pre-scored,
-//!    single-row overlapped, and multi-row overlapped sessions, for any
-//!    lane count and any split of a job's chunks between the lanes and
-//!    its submitter.
+//!    rows (the `asr-testkit` oracle), across raw-audio and pre-scored
+//!    sessions, overlapped pushes that complete one frame or several,
+//!    for any lane count and any split of a job's chunks between the
+//!    lanes and its submitter.
 //! 3. The shared pools stay bounded: the scratch pool's high-water mark
 //!    tracks peak concurrency, and once warm the cold-checkout counter
 //!    stops moving.
@@ -127,11 +127,9 @@ fn sixteen_and_thirty_two_concurrent_sessions_are_byte_identical() {
                     let i = worker % audio.len();
                     let transcript = match worker % 3 {
                         0 => {
-                            // Multi-row ALB batches, varied depth and
-                            // packet size per worker.
-                            let depth = 2 + worker % 3;
-                            let mut session = runtime
-                                .open_session_with(SessionOptions::new().overlap_depth(depth));
+                            // Pushes that complete one or more frames,
+                            // varied packet size per worker.
+                            let mut session = runtime.open_session();
                             for packet in audio[i].samples.chunks(160 + 37 * (worker % 5)) {
                                 session.push_samples(packet);
                             }
@@ -168,8 +166,8 @@ fn sixteen_and_thirty_two_concurrent_sessions_are_byte_identical() {
 }
 
 #[test]
-fn seeded_lane_depth_matrix_pins_determinism_of_the_lock_free_deques() {
-    // A seeded LCG drives a (lanes × overlap_depth × chunking) matrix —
+fn seeded_lane_packet_matrix_pins_determinism_of_the_executor() {
+    // A seeded LCG drives a (lanes × chunking) matrix —
     // proptest-style coverage of how the lanes and the submitter split a
     // job's chunks, without a new dependency. Any failure reproduces
     // exactly from the fixed seed.
@@ -186,13 +184,12 @@ fn seeded_lane_depth_matrix_pins_determinism_of_the_lock_free_deques() {
         let expected = spoken(&runtime, &words);
         let audio = runtime.render_words(&words).unwrap();
         for _ in 0..4 {
-            let depth = 1 + next(6);
             let chunk = 120 + next(600);
-            let mut session = runtime.open_session_with(SessionOptions::new().overlap_depth(depth));
+            let mut session = runtime.open_session();
             for packet in audio.samples.chunks(chunk) {
                 session.push_samples(packet);
             }
-            let what = format!("lanes {lanes} depth {depth} chunk {chunk}");
+            let what = format!("lanes {lanes} chunk {chunk}");
             assert_same(&Outcome::from(&session.finalize()), &expected, &what);
         }
     }
